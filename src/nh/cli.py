@@ -74,6 +74,11 @@ def _parse_rational(text: str) -> Fraction:
     return f
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: `true`/`false` load as bools, which are ints too."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class ProblemInput:
     """Validated problem description (internal 0-based indices)."""
 
@@ -81,9 +86,8 @@ class ProblemInput:
         if not isinstance(raw, dict):
             raise InputError("E_MALFORMED", "top level must be an object")
         self.raw = raw
-        try:
-            self.n = int(raw["n"])
-        except (KeyError, TypeError, ValueError):
+        self.n = raw.get("n")
+        if not _is_int(self.n):
             raise InputError("E_MALFORMED", "missing or bad field 'n'")
         if self.n < 1:
             raise InputError("E_MALFORMED", "n must be >= 1")
@@ -92,7 +96,7 @@ class ProblemInput:
             raise InputError("E_MALFORMED", "'S' must be a list")
         s_int = []
         for j in s_raw:
-            if not isinstance(j, int) or not (1 <= j <= self.n):
+            if not _is_int(j) or not (1 <= j <= self.n):
                 raise InputError(
                     "E_S_RANGE", f"S entry {j!r} outside 1..{self.n}")
             s_int.append(j - 1)
@@ -109,7 +113,7 @@ class ProblemInput:
             pts = []
             for m in block:
                 if (not isinstance(m, list) or len(m) != self.n
-                        or not all(isinstance(c, int) for c in m)):
+                        or not all(_is_int(c) for c in m)):
                     raise InputError(
                         "E_MALFORMED",
                         f"exponent {m!r} must be {self.n} integers")

@@ -1,9 +1,10 @@
 """Exact rational linear algebra.
 
-Vectors are tuples of ``fractions.Fraction`` (plain ints are accepted
-anywhere and promoted).  Everything here is pure and immutable: rank by
-fraction-free elimination, strict-inequality feasibility by an exact
-rational simplex with Bland's rule, and GF(2) span tests.
+Vectors are sequences of ints and ``fractions.Fraction``s (any other number
+is taken at its exact ``Fraction`` value).  Everything here is pure and
+immutable: rank by fraction-free elimination, strict-inequality feasibility
+by a fraction-free simplex on Python integers with Bland's rule, and GF(2)
+span tests.
 """
 
 from __future__ import annotations
@@ -26,27 +27,31 @@ def vec(*coords) -> tuple:
     return tuple(Fraction(c) for c in coords)
 
 
+def _rat(x):
+    """x itself if it is an int or a Fraction, else its exact Fraction."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 def dot(a: RVector, b: RVector) -> Fraction:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+    # integer numerator over a running denominator; one Fraction at the end
+    num, den = 0, 1
+    for x, y in zip(a, b):
+        x, y = _rat(x), _rat(y)
+        d = x.denominator * y.denominator
+        if d == den:
+            num += x.numerator * y.numerator
+        else:
+            num = num * d + x.numerator * y.numerator * den
+            den *= d
+    return Fraction(num, den)
 
 
 def vsub(a: RVector, b: RVector) -> tuple:
     if len(a) != len(b):
         raise ValueError("dimension mismatch")
-    return tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b))
-
-
-def vadd(a: RVector, b: RVector) -> tuple:
-    if len(a) != len(b):
-        raise ValueError("dimension mismatch")
-    return tuple(Fraction(x) + Fraction(y) for x, y in zip(a, b))
-
-
-def vscale(c, a: RVector) -> tuple:
-    c = Fraction(c)
-    return tuple(c * Fraction(x) for x in a)
+    return tuple(_rat(x) - _rat(y) for x, y in zip(a, b))
 
 
 def is_zero(a: RVector) -> bool:
@@ -228,85 +233,117 @@ class _Unbounded(Exception):
     pass
 
 
-def _simplex_max(A: list[list[Fraction]], b: list[Fraction],
-                 c: list[Fraction]) -> tuple[bool, list[Fraction], Fraction]:
+def _simplex_max(A: list[list], b: list,
+                 c: list) -> tuple[bool, list[Fraction], Fraction]:
     """maximize c·z  s.t.  A z = b, z ≥ 0, exact two-phase simplex.
+
+    Entries are ints or Fractions.  The tableau is fraction-free: an
+    integer matrix T over one positive common denominator D (the rational
+    tableau is T/D).  Pivoting on p = T[r][k] sets
+    T[i][j] ← (p·T[i][j] − T[i][k]·T[r][j]) // D for every i ≠ r, then
+    D ← p; the division is exact, since every entry is a minor of the
+    integer system (Bareiss).  Bland's rule reads T/D through signs and
+    cross-multiplied ratios, so it takes exactly the pivots the rational
+    tableau takes, and z and the value are the same exact numbers.
 
     Returns (feasible, z, value).  Raises _Unbounded if the phase-2
     objective is unbounded above (callers arrange boundedness).
     """
     m = len(A)
     n = len(A[0]) if m else len(c)
-    # normalize rhs signs
-    A = [row[:] for row in A]
-    b = b[:]
+    # One LCM over all of A and b: a common scale multiplies every
+    # artificial alike and leaves the phase-1 pivots unchanged; scaling row
+    # by row would weight the artificials differently and change them.
+    scale = math.lcm(*(x.denominator for row in A for x in row),
+                     *(x.denominator for x in b))
+    T = []
     for i in range(m):
-        if b[i] < 0:
-            A[i] = [-x for x in A[i]]
-            b[i] = -b[i]
-
-    # tableau with artificial variables n..n+m-1
-    T = [A[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-         + [b[i]] for i in range(m)]
+        row = [x.numerator * (scale // x.denominator) for x in A[i]]
+        row += [0] * m
+        row.append(b[i].numerator * (scale // b[i].denominator))
+        if row[-1] < 0:  # normalize rhs signs
+            row = [-x for x in row]
+        row[n + i] = 1
+        T.append(row)
+    D = 1
     basis = list(range(n, n + m))
     total = n + m
 
-    def pivot(row: int, col: int) -> None:
-        p = T[row][col]
-        T[row] = [x / p for x in T[row]]
-        for i in range(m):
-            if i != row and T[i][col] != 0:
-                q = T[i][col]
-                T[i] = [x - q * y for x, y in zip(T[i], T[row])]
-        basis[row] = col
+    def pivot(r: int, col: int) -> None:
+        # updates every row of T, including a reduced-cost row appended by
+        # `optimize`: each row changes denominator, not only rows with
+        # T[i][col] ≠ 0
+        nonlocal D
+        p = T[r][col]
+        prow = T[r]
+        for i, row in enumerate(T):
+            if i == r:
+                continue
+            q = row[col]
+            if q:
+                T[i] = [(p * x - q * y) // D for x, y in zip(row, prow)]
+            else:
+                T[i] = [p * x // D for x in row]
+        D = p
+        basis[r] = col
 
-    def optimize(obj: list[Fraction], allowed: int) -> Fraction:
-        # maximize obj·z over columns [0, allowed) via Bland's rule
+    def optimize(obj: list[int], allowed: int) -> int:
+        # maximize obj·z over columns [0, allowed) via Bland's rule.  The
+        # reduced costs ride along as row m of T, times D:
+        # D·obj_j − Σ_i obj_{basis[i]}·T[i][j]; basic columns read 0, and
+        # the last entry is −D·(objective value).  Returns that entry.
+        red = [D * o for o in obj] + [0]
+        for i in range(m):
+            w = obj[basis[i]]
+            if w:
+                red = [x - w * y for x, y in zip(red, T[i])]
+        T.append(red)
         while True:
-            # reduced costs: r_j = obj_j - y·A_j with y from the basis
-            lam = [obj[basis[i]] for i in range(m)]
-            entering = None
-            for j in range(allowed):
-                if j in basis:
-                    continue
-                rc = obj[j] - sum(lam[i] * T[i][j] for i in range(m))
-                if rc > 0:
-                    entering = j
-                    break
+            red = T[m]
+            entering = next((j for j in range(allowed) if red[j] > 0), None)
             if entering is None:
-                val = sum(lam[i] * T[i][-1] for i in range(m))
-                return val
-            # ratio test, Bland tie-break on basis variable index
-            leave, best = None, None
+                T.pop()
+                return red[-1]
+            # ratio test by cross-multiplying, Bland tie-break on the basis
+            # variable index
+            leave = None
             for i in range(m):
-                if T[i][entering] > 0:
-                    ratio = T[i][-1] / T[i][entering]
-                    if best is None or ratio < best or (
-                            ratio == best and basis[i] < basis[leave]):
-                        best, leave = ratio, i
+                a = T[i][entering]
+                if a > 0:
+                    if leave is None:
+                        leave = i
+                        continue
+                    lhs = T[i][-1] * T[leave][entering]
+                    rhs = T[leave][-1] * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave = i
             if leave is None:
                 raise _Unbounded
             pivot(leave, entering)
 
-    # phase 1: maximize -(sum of artificials)
-    obj1 = [Fraction(0)] * n + [Fraction(-1)] * m
-    val1 = optimize(obj1, total)
-    if val1 < 0:
+    # phase 1: maximize -(sum of artificials); a positive −D·optimum means
+    # some artificial stays positive
+    if optimize([0] * n + [-1] * m, total) > 0:
         return False, [], Fraction(0)
     # drive remaining artificials out of the basis (they sit at level 0)
     for i in range(m):
         if basis[i] >= n:
             col = next((j for j in range(n) if T[i][j] != 0), None)
             if col is not None:
+                if T[i][col] < 0:
+                    # keep D positive: pivoting on the negated row gives the
+                    # same rational tableau
+                    T[i] = [-x for x in T[i]]
                 pivot(i, col)
     # rows still basic in an artificial are redundant; freeze them by leaving
     # the artificial basic at zero and never letting artificials re-enter.
-    obj2 = list(c) + [Fraction(0)] * m
-    optimize(obj2, n)
+    c_scale = math.lcm(*(x.denominator for x in c))
+    optimize([x.numerator * (c_scale // x.denominator) for x in c]
+             + [0] * m, n)
     z = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            z[basis[i]] = T[i][-1]
+            z[basis[i]] = Fraction(T[i][-1], D)
     value = sum(ci * zi for ci, zi in zip(c, z))
     return True, z, value
 
@@ -332,45 +369,45 @@ def solve_strict(sys: StrictSystem) -> Optional[tuple]:
     n_strict = len(sys.strict)
     ncols = nuv + nt + n_weak + n_strict + (1 if has_strict else 0)
 
-    A: list[list[Fraction]] = []
-    b: list[Fraction] = []
+    A: list[list] = []
+    b: list = []
 
-    def row(coeff_x: RVector, t_coeff: Fraction, surplus_col: Optional[int],
+    def row(coeff_x: RVector, t_coeff: int, surplus_col: Optional[int],
             slack_col: Optional[int], rhs) -> None:
-        r = [Fraction(0)] * ncols
+        r = [0] * ncols
         for j, a in enumerate(coeff_x):
-            a = Fraction(a)
+            a = _rat(a)
             r[j] = a
             r[n + j] = -a
         if has_strict and t_coeff:
             r[nuv] = t_coeff
             r[nuv + 1] = -t_coeff
         if surplus_col is not None:
-            r[surplus_col] = Fraction(-1)
+            r[surplus_col] = -1
         if slack_col is not None:
-            r[slack_col] = Fraction(1)
+            r[slack_col] = 1
         A.append(r)
-        b.append(Fraction(rhs))
+        b.append(_rat(rhs))
 
     base = nuv + nt
     for a_, b_ in sys.equalities:
-        row(a_, Fraction(0), None, None, b_)
+        row(a_, 0, None, None, b_)
     for i, (a_, b_) in enumerate(sys.weak):
-        row(a_, Fraction(0), base + i, None, b_)
+        row(a_, 0, base + i, None, b_)
     for i, (a_, b_) in enumerate(sys.strict):
-        row(a_, Fraction(-1), base + n_weak + i, None, b_)
+        row(a_, -1, base + n_weak + i, None, b_)
     if has_strict:
-        r = [Fraction(0)] * ncols
-        r[nuv] = Fraction(1)
-        r[nuv + 1] = Fraction(-1)
-        r[-1] = Fraction(1)
+        r = [0] * ncols
+        r[nuv] = 1
+        r[nuv + 1] = -1
+        r[-1] = 1
         A.append(r)
-        b.append(Fraction(1))
+        b.append(1)
 
-    c = [Fraction(0)] * ncols
+    c = [0] * ncols
     if has_strict:
-        c[nuv] = Fraction(1)
-        c[nuv + 1] = Fraction(-1)
+        c[nuv] = 1
+        c[nuv + 1] = -1
 
     feasible, z, value = _simplex_max(A, b, c)
     if not feasible:

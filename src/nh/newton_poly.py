@@ -130,14 +130,6 @@ class Face:
 
 
 @dataclass(frozen=True)
-class Cone:
-    """CoSp(generators) ⊕ lineality, generators canonical primitive ints."""
-
-    generators: tuple
-    lineality: tuple
-
-
-@dataclass(frozen=True)
 class NewtonPolyhedron:
     omega: ExponentSet
     spec: DomainSpec
@@ -146,6 +138,9 @@ class NewtonPolyhedron:
     facets_a: tuple     # ((normal, level), ...), oriented with P on the ≥ side
     basis_b: tuple      # ((normal, level), ...) spanning V⊥(P), pairwise ⊥
     dim: int
+    # the face list, filled by the first `enumerate_faces(self)`
+    _faces: Optional[list] = field(default=None, init=False, compare=False,
+                                   repr=False)
 
     # -- basic queries ----------------------------------------------------
 
@@ -266,14 +261,9 @@ def build_newton(omega: ExponentSet, spec: DomainSpec) -> NewtonPolyhedron:
 # face lattice
 # ---------------------------------------------------------------------------
 
-_FACE_CACHE: dict = {}
-
-
 def enumerate_faces(p: NewtonPolyhedron) -> list:
-    key = id(p)
-    cached = _FACE_CACHE.get(key)
-    if cached is not None and cached[0] is p:
-        return cached[1]
+    if p._faces is not None:
+        return p._faces
 
     verts = sorted(p.vertices)
     rays = sorted(p.rays)
@@ -306,20 +296,8 @@ def enumerate_faces(p: NewtonPolyhedron) -> list:
     faces.append(Face(parent=p, generator_idx=frozenset(range(k)),
                       vertex_set=frozenset(), ray_set=frozenset(),
                       dim=-1, is_empty=True))
-    _FACE_CACHE[key] = (p, faces)
+    object.__setattr__(p, "_faces", faces)  # frozen dataclass
     return faces
-
-
-def face_cone(f: Face) -> Cone:
-    p = f.parent
-    lineality = tuple(q for q, _ in p.basis_b)
-    if f.is_empty:
-        gens = tuple(q for q, _ in p.facets_a)
-        return Cone(generators=gens, lineality=lineality)
-    if f.is_improper:
-        return Cone(generators=(), lineality=lineality)
-    gens = tuple(p.facets_a[i][0] for i in sorted(f.generator_idx))
-    return Cone(generators=gens, lineality=lineality)
 
 
 # ---------------------------------------------------------------------------

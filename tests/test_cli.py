@@ -113,6 +113,19 @@ def test_decide_input_error_exit(runner, tmp_path):
     assert res.exit_code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("payload, code", [
+    ({"n": 2, "S": [1], "lambda": [[[True, 1]]]}, "E_MALFORMED"),
+    ({"n": 2.7, "S": [1], "lambda": [[[1, 1]]]}, "E_MALFORMED"),
+    ({"n": 2, "S": [True], "lambda": [[[1, 1]]]}, "E_S_RANGE"),
+])
+def test_decide_rejects_non_integer_json(runner, tmp_path, payload, code):
+    # JSON true loads as a bool, which Python counts as an int
+    res = runner.invoke(main, ["decide", "--input",
+                               _write(tmp_path, payload)])
+    assert res.exit_code == EXIT_INPUT
+    assert f"input error: {code}:" in res.output
+
+
 def test_decide_graph_forms(runner, tmp_path):
     single = {"n": 2, "S": [1, 2], "lambda": [[[1, 1]]]}
     res = runner.invoke(main, ["decide-graph", "--input",

@@ -1,20 +1,25 @@
 """Unit tests for the exact rational/GF(2) kernel.
 
 Oracles: rank against minor enumeration, strict-system feasibility against
-a dense rational grid scan, GF(2) span membership against explicit
+a dense rational grid scan, the fraction-free simplex against the rational
+tableau simplex in `simplex_oracle`, GF(2) span membership against explicit
 enumeration of all 2^k combinations.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nh import exact_numeric
 from nh.exact_numeric import (
     StrictSystem,
+    _simplex_max,
+    _Unbounded,
     canonicalize,
     dot,
     gf2_contains,
@@ -28,6 +33,7 @@ from nh.exact_numeric import (
     unit,
     vec,
 )
+from simplex_oracle import fraction_simplex_max
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +204,124 @@ def test_solve_strict_known_cases():
     assert solve_strict(sys) is None
     # empty system
     assert solve_strict(StrictSystem(dim=2)) is not None
+
+
+# ---------------------------------------------------------------------------
+# fraction-free simplex vs. the rational tableau: same pivots, same numbers
+# ---------------------------------------------------------------------------
+
+def _outcome(simplex, A, b, c):
+    try:
+        return simplex(A, b, c)
+    except _Unbounded:
+        return "unbounded"
+
+
+def _assert_same_as_oracle(A, b, c):
+    got = _outcome(_simplex_max, A, b, c)
+    want = _outcome(fraction_simplex_max, A, b, c)
+    assert got == want, (A, b, c)
+    if got != "unbounded":
+        assert all(type(x) is Fraction for x in got[1])
+        assert type(got[2]) is type(want[2])
+
+
+def _random_entry(rng):
+    k = rng.random()
+    if k < 0.3:
+        return 0
+    if k < 0.65:
+        return rng.randint(-3, 3)
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+
+
+def _random_rows(rng, nrows, ncols):
+    """Rows with mixed denominators, many zero right-hand sides (degenerate
+    ratio ties) and, sometimes, a rescaled copy of an earlier row (a
+    redundant equality)."""
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.25:
+            k = Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))
+            a, r = rng.choice(rows)
+            rows.append((tuple(k * x for x in a), k * r))
+        else:
+            rows.append((tuple(_random_entry(rng) for _ in range(ncols)),
+                         _random_entry(rng) if rng.random() < 0.5 else 0))
+    return rows
+
+
+SIMPLEX_CASES = [
+    # rational entries with different denominators
+    ([[Fraction(1, 2), Fraction(1, 3), 0],
+      [0, Fraction(2, 5), Fraction(1, 7)]],
+     [Fraction(1, 6), Fraction(3, 4)], [1, Fraction(-1, 2), Fraction(1, 3)]),
+    # phase-1 ratio tie at 1, broken by the smaller basic index
+    ([[1, 0, 1], [1, 1, 0]], [1, 1], [0, 1, 1]),
+    # degenerate: every ratio is 0
+    ([[1, 1, -1], [1, -1, 1], [2, 0, 0]], [0, 0, 0], [1, 1, 1]),
+    # redundant equality: an artificial stays basic at 0
+    ([[1, 1], [2, 2]], [1, 2], [1, 0]),
+    # negative drive-out pivot, then a redundant row
+    ([[-1, 1], [1, -1]], [0, 0], [-1, 0]),
+    ([[0, -2, 1], [0, 2, -1]], [0, 0], [0, -1, 0]),
+    # infeasible
+    ([[1, 1]], [-1], [1, 0]),
+    ([[1, -1], [1, -1]], [1, 2], [0, 0]),
+    # unbounded phase 2
+    ([[1, -1]], [1], [1, 1]),
+    # no constraints at all
+    ([], [], [0, -1]),
+    ([], [], [1]),
+]
+
+
+@pytest.mark.parametrize("A, b, c", SIMPLEX_CASES)
+def test_simplex_same_as_rational_tableau_cases(A, b, c):
+    _assert_same_as_oracle(A, b, c)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_simplex_same_as_rational_tableau(seed):
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 6)
+    rows = _random_rows(rng, rng.randint(0, 5), ncols)
+    A = [list(a) for a, _ in rows]
+    b = [r for _, r in rows]
+    c = [_random_entry(rng) for _ in range(ncols)]
+    _assert_same_as_oracle(A, b, c)
+
+
+def _assert_same_witness(sys):
+    got = solve_strict(sys)
+    with mock.patch.object(exact_numeric, "_simplex_max",
+                           fraction_simplex_max):
+        want = solve_strict(sys)
+    assert got == want, sys
+    if got is not None:
+        assert all(type(x) is Fraction for x in got)
+
+
+def test_solve_strict_same_witness_cases():
+    one, half = Fraction(1), Fraction(1, 2)
+    _assert_same_witness(StrictSystem(dim=2))
+    _assert_same_witness(StrictSystem(dim=2, equalities=(
+        ((one, one), 2), ((half, half), 1))))                  # redundant
+    _assert_same_witness(StrictSystem(dim=1, equalities=(
+        ((one,), 1), ((one,), 2))))                            # infeasible
+    _assert_same_witness(StrictSystem(dim=2, strict=(
+        ((Fraction(1, 3), 0), Fraction(1, 5)),
+        ((0, Fraction(-2, 7)), 0))))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_solve_strict_same_witness(seed):
+    rng = random.Random(seed)
+    dim = rng.randint(1, 4)
+    groups = [_random_rows(rng, rng.randint(0, k), dim) for k in (2, 3, 3)]
+    _assert_same_witness(StrictSystem(dim, *map(tuple, groups)))
 
 
 # ---------------------------------------------------------------------------

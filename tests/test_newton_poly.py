@@ -1,6 +1,8 @@
 """Unit tests for Newton polyhedra: construction, faces, dual cones."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -60,6 +62,16 @@ def test_worked_example_face_counts():
                   for d in (-1, 0, 1, 2, 3)}
         # 5 two-faces, 6 edges, 2 vertices, the improper face, the empty face
         assert by_dim == {-1: 1, 0: 2, 1: 6, 2: 5, 3: 1}
+
+
+def test_face_list_lives_and_dies_with_its_polyhedron():
+    p = _poly(LAM1, 3, FULL_S)
+    faces = p.faces()
+    assert enumerate_faces(p) is faces
+    ref = weakref.ref(p)
+    del p, faces
+    gc.collect()
+    assert ref() is None
 
 
 def test_worked_example_closed_ray():
