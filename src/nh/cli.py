@@ -10,6 +10,7 @@ the `verify` subcommand re-validates from scratch.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 import time
@@ -303,8 +304,6 @@ def _report(problem: ProblemInput, body: dict, started: float) -> dict:
 def _common(fn):
     fn = click.option("--seed", type=int, default=0, show_default=True,
                       help="RNG seed for sampled probe points.")(fn)
-    fn = click.option("--threads", type=int, default=1, show_default=True,
-                      help="Worker threads for independent probe items.")(fn)
     fn = click.option("--format", "fmt",
                       type=click.Choice(["json", "text", "csv"]),
                       default="json", show_default=True)(fn)
@@ -357,7 +356,7 @@ def main():
 
 @main.command()
 @_common
-def decide(input_path, fmt, threads, seed):
+def decide(input_path, fmt, seed):
     """Face/cone/evenness decision for mutually disjoint exponent sets."""
     def body():
         started = time.time()
@@ -372,7 +371,7 @@ def decide(input_path, fmt, threads, seed):
 
 @main.command("decide-graph")
 @_common
-def decide_graph_cmd(input_path, fmt, threads, seed):
+def decide_graph_cmd(input_path, fmt, seed):
     """Graph-case decision: lambda's last block is Λ_{n+1}; the first n
     blocks, when present, must be the coordinate unit vectors."""
     def body():
@@ -406,7 +405,7 @@ def decide_graph_cmd(input_path, fmt, threads, seed):
 @_common
 @click.option("--generic", is_flag=True,
               help="Treat coefficients as generic (support arithmetic only).")
-def decide_general_cmd(input_path, fmt, threads, seed, generic):
+def decide_general_cmd(input_path, fmt, seed, generic):
     """General criterion over all GL(d) support classes (cascade closure)."""
     def body():
         started = time.time()
@@ -426,7 +425,7 @@ def decide_general_cmd(input_path, fmt, threads, seed, generic):
 
 @main.command()
 @_common
-def faces(input_path, fmt, threads, seed):
+def faces(input_path, fmt, seed):
     """Dump the face lattice of each Newton polyhedron."""
     def body():
         started = time.time()
@@ -459,7 +458,7 @@ def faces(input_path, fmt, threads, seed):
 
 @main.command()
 @_common
-def decompose(input_path, fmt, threads, seed):
+def decompose(input_path, fmt, seed):
     """List the low-rank overlapping face tuples with their joint cone
     generators and descending face chains; classify an optional dyadic
     index over the closed cones."""
@@ -502,19 +501,40 @@ def decompose(input_path, fmt, threads, seed):
 # ---------------------------------------------------------------------------
 
 def _xi_samples(problem: ProblemInput, seed: int, count: int) -> list:
-    if "xi" in problem.raw:
-        xs = problem.raw["xi"]
-        if xs and not isinstance(xs[0], list):
-            xs = [xs]
-        return [[float(x) for x in row] for row in xs]
-    rng = np.random.default_rng(seed)
+    """The input's `xi` (one frequency vector or a list of them), else
+    `count` seeded samples; every vector has d finite components."""
     d = len(problem.lambdas)
-    return [list(rng.uniform(-0.25, 0.25, size=d)) for _ in range(count)]
+    if "xi" not in problem.raw:
+        rng = np.random.default_rng(seed)
+        return [list(rng.uniform(-0.25, 0.25, size=d))
+                for _ in range(count)]
+    xs = problem.raw["xi"]
+    if isinstance(xs, list) and xs and not isinstance(xs[0], list):
+        xs = [xs]
+    if not isinstance(xs, list) or not xs:
+        raise InputError("E_XI", "'xi' must be a vector or a nonempty "
+                                 "list of vectors")
+    for row in xs:
+        if not isinstance(row, list) or len(row) != d or not all(
+                _is_finite_real(x) for x in row):
+            raise InputError(
+                "E_XI", f"xi row {row!r} must hold {d} finite numbers")
+    return [[float(x) for x in row] for row in xs]
+
+
+def _is_finite_real(x) -> bool:
+    """A JSON number that is a finite double (`NaN` loads as a float)."""
+    if not (_is_int(x) or isinstance(x, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:       # an integer beyond the double range
+        return False
 
 
 @main.command("probe-divergence")
 @_common
-def probe_divergence(input_path, fmt, threads, seed):
+def probe_divergence(input_path, fmt, seed):
     """Log-divergence probe along the engine's odd witness tuple."""
     def body():
         started = time.time()
@@ -535,6 +555,7 @@ def probe_divergence(input_path, fmt, threads, seed):
             "slope": res.slope, "intercept": res.intercept,
             "r_squared": res.r_squared,
             "inconclusive": res.inconclusive,
+            "unconverged": res.unconverged,
             "table": [{"scale": s, "value": v, "bound": b}
                       for s, v, b in res.rows]}, started)
         click.echo(emit_report(report, fmt, csv_rows=res.rows), nl=False)
@@ -544,19 +565,23 @@ def probe_divergence(input_path, fmt, threads, seed):
 
 @main.command("probe-sum")
 @_common
-def probe_sum(input_path, fmt, threads, seed):
+def probe_sum(input_path, fmt, seed):
     """Dyadic multiplier-sum plateau probe."""
     def body():
         started = time.time()
         problem = _load(input_path)
         p = problem.polynomial()
-        radius = int(problem.raw.get("radius", 15))
+        radius = problem.raw.get("radius", 15)
+        if not _is_int(radius) or radius < 0:
+            raise InputError("E_RADIUS",
+                             f"radius {radius!r} must be an integer >= 0")
         xis = _xi_samples(problem, seed,
                           int(problem.raw.get("xi_count", 20)))
-        res = osc.multiplier_sum_probe(p, xis, radius, threads=threads)
+        res = osc.multiplier_sum_probe(p, xis, radius)
         report = _report(problem, {
             "max_sum": res.max_sum,
             "skipped_bound": res.skipped_bound,
+            "unconverged": res.unconverged,
             "partial_sums": [
                 {str(r): s for r, s in sums.items()}
                 for sums in res.partial_sums],
@@ -569,7 +594,7 @@ def probe_sum(input_path, fmt, threads, seed):
 
 @main.command("probe-decay")
 @_common
-def probe_decay(input_path, fmt, threads, seed):
+def probe_decay(input_path, fmt, seed):
     """Van der Corput decay table along a cone ray."""
     def body():
         started = time.time()
@@ -584,6 +609,7 @@ def probe_decay(input_path, fmt, threads, seed):
                               k_max=int(problem.raw.get("k_max", 12)))
         report = _report(problem, {
             "delta": res.delta, "constant": res.constant,
+            "unconverged": res.unconverged,
             "table": [{"scale": k, "value": v, "bound": b}
                       for k, v, b in res.rows]}, started)
         click.echo(emit_report(report, fmt, csv_rows=res.rows), nl=False)
@@ -707,7 +733,7 @@ def verify_certificate(cert: dict) -> list:
 
 @main.command()
 @_common
-def verify(input_path, fmt, threads, seed):
+def verify(input_path, fmt, seed):
     """Re-validate an emitted certificate (accepts a full report or a bare
     certificate object)."""
     def body():

@@ -106,61 +106,95 @@ def _leggauss(order: int):
     return _GAUSS_CACHE[order]
 
 
-def _tensor_rule(lo, hi, order: int):
-    """Nodes (N, n) and weights (N,) for ∏[lo_i, hi_i]."""
-    axes_x, axes_w = [], []
-    for a, b in zip(lo, hi):
-        x, w = _leggauss(order)
-        axes_x.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        axes_w.append(0.5 * (b - a) * w)
-    grids = np.meshgrid(*axes_x, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wts = axes_w[0]
-    for w in axes_w[1:]:
-        wts = np.multiply.outer(wts, w)
-    return pts, np.asarray(wts).ravel()
+def _tensor_rules(lo: np.ndarray, hi: np.ndarray, order: int,
+                  axis_weight: Optional[Callable] = None):
+    """Order-`order` tensor Gauss–Legendre rules on C boxes ∏[lo_i, hi_i]:
+    nodes (C, qⁿ, n) and weights (C, qⁿ), node index in C order over the
+    axes.  `axis_weight(u)` (elementwise on the (C, n, q) per-axis nodes)
+    multiplies the per-axis weights, giving the rule for the separable
+    weight w(u_1)⋯w(u_n)."""
+    x, w = _leggauss(order)
+    count, n = lo.shape
+    lo = lo[:, :, None]
+    hi = hi[:, :, None]
+    axes_x = 0.5 * (hi - lo) * x + 0.5 * (lo + hi)       # (C, n, q)
+    axes_w = 0.5 * (hi - lo) * w
+    if axis_weight is not None:
+        axes_w = axes_w * axis_weight(axes_x)
+    grid = (count,) + (order,) * n
+    pts = np.empty(grid + (n,))
+    wts = np.ones(grid)
+    for i in range(n):
+        along_i = [count] + [1] * n
+        along_i[1 + i] = order
+        pts[..., i] = axes_x[:, i].reshape(along_i)
+        wts = wts * axes_w[:, i].reshape(along_i)
+    return pts.reshape(count, -1, n), wts.reshape(count, -1)
+
+
+# A batch of cells is evaluated in chunks of at most this many nodes, so
+# the integrand's (nodes × monomials) arrays stay a few MB.
+_CHUNK_NODES = 2 ** 18
+
+
+def _cell_values(fun: Callable, lo: np.ndarray, hi: np.ndarray, order: int,
+                 axis_weight: Optional[Callable]) -> np.ndarray:
+    """Order-`order` tensor Gauss–Legendre value on each of the C boxes."""
+    count, n = lo.shape
+    step = max(1, _CHUNK_NODES // order ** n)
+    out = np.empty(count, dtype=complex)
+    for c in range(0, count, step):
+        pts, wts = _tensor_rules(lo[c:c + step], hi[c:c + step], order,
+                                 axis_weight)
+        vals = fun(pts.reshape(-1, n)).reshape(wts.shape)
+        out[c:c + step] = np.einsum("cq,cq->c", wts, vals)
+    return out
 
 
 def adaptive_box(fun: Callable, lo, hi, tol_cell: float = CELL_TOL,
                  cell_cap: Optional[int] = None,
                  order: int = 32,
-                 split_score: Optional[Callable] = None) -> QuadratureResult:
-    """Adaptive tensor Gauss–Legendre on a box: each cell is accepted when
-    the order-32 and order-16 values agree to tol_cell, else bisected along
-    its widest axis (or the axis ranked highest by split_score(clo, chi),
-    e.g. estimated oscillation count).  Hitting the cell cap flags the
-    result instead of raising."""
+                 axis_weight: Optional[Callable] = None) -> QuadratureResult:
+    """Adaptive tensor Gauss–Legendre for ∫ fun(u) w(u_1)⋯w(u_n) du on a
+    box (w ≡ 1 without `axis_weight`).  A cell is accepted when its
+    order-`order` and order-`order`/2 values agree to tol_cell, else it is
+    bisected along its widest axis (ties to the first).  Refinement is
+    breadth-first: all cells pending at a level are evaluated together,
+    one `fun` call per rule on the stacked nodes of up to _CHUNK_NODES,
+    and the rejected ones are split together into the next level.  The
+    separable weight enters the per-axis weights, q·n evaluations per cell
+    rather than qⁿ.  When splitting would take the cell count past the
+    cell cap, the level's rejected cells are accepted as they are and the
+    result is flagged unconverged instead of raising."""
     cell_cap = cell_cap if cell_cap is not None else max_cells()
-    half = order // 2
-    stack = [(tuple(map(float, lo)), tuple(map(float, hi)))]
+    clo = np.asarray(lo, dtype=float).reshape(1, -1)
+    chi = np.asarray(hi, dtype=float).reshape(1, -1)
     value = 0.0 + 0.0j
     err = 0.0
     panels = 0
     converged = True
-    while stack:
-        clo, chi = stack.pop()
-        pts, wts = _tensor_rule(clo, chi, order)
-        v_hi = complex(np.dot(wts, fun(pts)))
-        pts2, wts2 = _tensor_rule(clo, chi, half)
-        v_lo = complex(np.dot(wts2, fun(pts2)))
-        delta = abs(v_hi - v_lo)
-        panels += 1
-        if delta <= tol_cell or panels + len(stack) >= cell_cap:
-            if delta > tol_cell:
-                converged = False
-            value += v_hi
-            err += delta
-            continue
-        if split_score is not None:
-            scores = split_score(clo, chi)
-            axis = max(range(len(clo)), key=lambda i: scores[i])
-        else:
-            axis = max(range(len(clo)), key=lambda i: chi[i] - clo[i])
-        mid = 0.5 * (clo[axis] + chi[axis])
-        stack.append((clo, tuple(mid if i == axis else c
-                                 for i, c in enumerate(chi))))
-        stack.append((tuple(mid if i == axis else c
-                            for i, c in enumerate(clo)), chi))
+    while len(clo):
+        v_hi = _cell_values(fun, clo, chi, order, axis_weight)
+        v_lo = _cell_values(fun, clo, chi, order // 2, axis_weight)
+        delta = np.abs(v_hi - v_lo)
+        panels += len(clo)
+        split = ~(delta <= tol_cell)        # a NaN value is not accepted
+        if panels + 2 * np.count_nonzero(split) > cell_cap:
+            converged = converged and not split.any()
+            split[:] = False
+        keep = ~split
+        value += complex(np.sum(v_hi[keep]))
+        err += float(np.sum(delta[keep]))
+        clo, chi = clo[split], chi[split]
+        rows = np.arange(len(clo))
+        axis = np.argmax(chi - clo, axis=1)
+        mid = 0.5 * (clo[rows, axis] + chi[rows, axis])
+        left_hi = chi.copy()
+        left_hi[rows, axis] = mid
+        right_lo = clo.copy()
+        right_lo[rows, axis] = mid
+        clo = np.concatenate([clo, right_lo])
+        chi = np.concatenate([left_hi, chi])
     return QuadratureResult(value, err, panels, converged)
 
 
@@ -197,7 +231,7 @@ class _Phase:
     amplitudes: np.ndarray         # (K,) real amplitudes (c·ξ·2^{−J·m})
     groups: list                   # [(weight, (K,) sign vector)]
 
-    def integrand(self, weight_fn: Optional[Callable] = None) -> Callable:
+    def integrand(self) -> Callable:
         expo = self.exponents
         amps = self.amplitudes
 
@@ -207,28 +241,8 @@ class _Phase:
             out = np.zeros(pts.shape[0], dtype=complex)
             for w, sgn in self.groups:
                 out += w * np.exp(1j * (base @ sgn))
-            if weight_fn is not None:
-                out *= weight_fn(pts)
             return out
         return fun
-
-    def total_swing(self, u_max: float) -> float:
-        """Upper bound on |phase| over the box (monotone envelope)."""
-        return float(np.sum(np.abs(self.amplitudes)
-                            * np.exp(np.sum(np.abs(self.exponents), axis=1)
-                                     * u_max)))
-
-    def split_scores(self, clo, chi):
-        """Per-axis oscillation estimate on a cell: peak amplitude times
-        exponent times width, so refinement tracks the fast directions."""
-        clo = np.asarray(clo, dtype=float)
-        chi = np.asarray(chi, dtype=float)
-        ubound = np.where(self.exponents >= 0, chi, clo)   # (K, n)
-        peak = np.exp(np.sum(self.exponents * ubound, axis=1)) \
-            * np.abs(self.amplitudes)                      # (K,)
-        widths = chi - clo
-        return (np.abs(self.exponents) * peak[:, None]).sum(axis=0) \
-            * widths + 1e-12 * widths
 
 
 def _monomial_list(p, restrict: Optional[Sequence[set]] = None):
@@ -278,6 +292,11 @@ def pv_integral(p, xi, a, b, tol_cell: float = CELL_TOL) -> QuadratureResult:
     return adaptive_box(phase.integrand(), lo, hi, tol_cell)
 
 
+def _eta_of_log(u):
+    """η(e^u): the per-axis shell weight in log coordinates (h(t)·t = η(t))."""
+    return CutoffSpec.eta(np.exp(u))
+
+
 class _ShellGrid:
     """Cached tensor rules on the dyadic shell [log 1/4, log 2]ⁿ with the
     ∏η(e^{u_ℓ}) weight absorbed (h(t)·t = η(t))."""
@@ -292,18 +311,11 @@ class _ShellGrid:
         key = (order, level)
         if key not in self._rules:
             edges = np.linspace(LOG_QUARTER, LOG_TWO, 2 ** level + 1)
-            pts_parts, wts_parts = [], []
-            for corner in itertools.product(range(2 ** level),
-                                            repeat=self.n):
-                lo = [edges[c] for c in corner]
-                hi = [edges[c + 1] for c in corner]
-                pp, ww = _tensor_rule(lo, hi, order)
-                pts_parts.append(pp)
-                wts_parts.append(ww)
-            pts = np.concatenate(pts_parts, axis=0)
-            wts = np.concatenate(wts_parts, axis=0)
-            eta_w = np.prod(CutoffSpec.eta(np.exp(pts)), axis=1)
-            self._rules[key] = (pts, wts * eta_w)
+            corners = np.array(list(itertools.product(range(2 ** level),
+                                                      repeat=self.n)))
+            pts, wts = _tensor_rules(edges[corners], edges[corners + 1],
+                                     order, _eta_of_log)
+            self._rules[key] = (pts.reshape(-1, self.n), wts.ravel())
         return self._rules[key]
 
 
@@ -380,13 +392,10 @@ class PieceFamily:
             v_lo = v_hi
             panels += 1
         phase = _Phase(self.expo, amps, self.groups)
-
-        def weighted(u):
-            return np.prod(CutoffSpec.eta(np.exp(u)), axis=1)
-
-        return adaptive_box(phase.integrand(weight_fn=weighted),
+        return adaptive_box(phase.integrand(),
                             [LOG_QUARTER] * self.n, [LOG_TWO] * self.n,
-                            tol_cell, order=32 if swing > 20.0 else 16)
+                            tol_cell, order=32 if swing > 20.0 else 16,
+                            axis_weight=_eta_of_log)
 
 
 def dyadic_piece(p, face_tuple, j, xi,
@@ -452,6 +461,7 @@ class ProbeResult:
     r_squared: float
     rows: list = field(default_factory=list)   # (scale, value, bound/fit)
     inconclusive: bool = False
+    unconverged: int = 0    # shrink levels whose quadrature hit the cap
 
 
 def divergence_probe(p, witness, s0, xi, shrink_sequence,
@@ -477,6 +487,7 @@ def divergence_probe(p, witness, s0, xi, shrink_sequence,
     amps = _amplitudes(monos, xi)
 
     rows = []
+    unconverged = 0
     for a, b in shrink_sequence:
         a = [float(x) for x in a]
         b = [float(x) for x in b]
@@ -492,6 +503,7 @@ def divergence_probe(p, witness, s0, xi, shrink_sequence,
         lo = [math.log(a[i]) for i in range(m_rank)]
         hi = [math.log(b[i]) for i in range(m_rank)]
         core = adaptive_box(phase.integrand(), lo, hi, tol_cell)
+        unconverged += not core.converged
         rows.append((free_log, abs(core.value) * free_log,
                      core.abs_error_estimate * free_log))
 
@@ -507,7 +519,7 @@ def divergence_probe(p, witness, s0, xi, shrink_sequence,
         1e-6, spread) and abs(slope) < 1e-6
     rows = [(x, y, float(f)) for (x, y, _e), f in zip(rows, fit)]
     return ProbeResult(float(slope), float(intercept), r2, rows,
-                       inconclusive)
+                       inconclusive, unconverged)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +531,7 @@ class DecayResult:
     delta: float
     constant: float
     rows: list        # (scale k, |I_J|, C·min_ν{|2^{−J·m_ν}ξ_ν|^{−δ}, 1})
+    unconverged: int  # pieces whose quadrature hit the cell cap
 
 
 def decay_check(p, face_tuple, ray, xi, m_choices=None,
@@ -535,9 +548,11 @@ def decay_check(p, face_tuple, ray, xi, m_choices=None,
     ray = np.array([float(x) for x in ray])
     family = PieceFamily(p, face_tuple)
     samples = []
+    unconverged = 0
     for k in range(k_max + 1):
         j = k * ray
         piece = family.evaluate(j, xi)
+        unconverged += not piece.converged
         args = [abs((2.0 ** max(min(-float(np.dot(j, m)), 500.0), -500.0))
                     * float(xi[nu]))
                 for nu, m in enumerate(m_choices) if m is not None]
@@ -559,7 +574,7 @@ def decay_check(p, face_tuple, ray, xi, m_choices=None,
     rows = [(k, v, constant * (min(arg ** (-delta), 1.0) if arg > 0
                                else 1.0))
             for k, v, arg in samples]
-    return DecayResult(delta, constant, rows)
+    return DecayResult(delta, constant, rows, unconverged)
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +587,7 @@ class SumProbeResult:
     max_sum: float
     skipped_bound: float    # total prune bound mass that was skipped
     rows: list              # (radius, max-over-ξ partial sum, skipped)
+    unconverged: int        # pieces whose quadrature hit the cell cap
 
 
 def _prune_bound(monos, xi, j, n: int) -> float:
@@ -603,11 +619,12 @@ def _box_indices(spec, radius: int):
 
 
 def multiplier_sum_probe(p, xi_samples, radius: int,
-                         report_radii: Optional[Sequence[int]] = None,
-                         threads: int = 1) -> SumProbeResult:
+                         report_radii: Optional[Sequence[int]] = None
+                         ) -> SumProbeResult:
     """Σ_{|J|≤R, J∈Z(S)} |I_J(ξ)| per sampled ξ, reported at nested radii
     so plateaus are visible.  Pieces below the rigorous prune bound are
-    skipped and their bound mass is accumulated, never silently dropped.
+    skipped and their bound mass is accumulated, never silently dropped;
+    pieces whose quadrature hit the cell cap are counted in `unconverged`.
     Summation is pairwise in fixed lexicographic J order."""
     spec = p.spec
     n = spec.n
@@ -623,7 +640,10 @@ def multiplier_sum_probe(p, xi_samples, radius: int,
     all_j = [j for j in _box_indices(spec, radius)]
     family = PieceFamily(p, ft)
 
-    def sum_for_xi(xi):
+    partial = []
+    skipped_total = 0.0
+    unconverged = 0
+    for xi in xi_samples:
         vals = []
         skipped = 0.0
         for j in all_j:
@@ -633,24 +653,17 @@ def multiplier_sum_probe(p, xi_samples, radius: int,
                 vals.append((j, 0.0))
                 continue
             piece = family.evaluate(j, xi)
+            unconverged += not piece.converged
             vals.append((j, abs(piece.value)))
         sums = {}
         for r in report_radii:
             arr = np.array([v for j, v in vals
                             if max(abs(c) for c in j) <= r], dtype=float)
             sums[r] = float(np.sum(arr)) if arr.size else 0.0
-        return sums, skipped
+        partial.append(sums)
+        skipped_total += skipped
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(sum_for_xi, xi_samples))
-    else:
-        results = [sum_for_xi(xi) for xi in xi_samples]
-
-    partial = [s for s, _ in results]
-    skipped_total = sum(k for _, k in results)
     max_sum = max((s[radius] for s in partial), default=0.0)
     rows = [(r, max((s[r] for s in partial), default=0.0), skipped_total)
             for r in report_radii]
-    return SumProbeResult(partial, max_sum, skipped_total, rows)
+    return SumProbeResult(partial, max_sum, skipped_total, rows, unconverged)

@@ -237,6 +237,7 @@ def test_probe_decay_json(runner, tmp_path):
     report = json.loads(res.output)
     assert len(report["table"]) == 7
     assert report["delta"] >= 0.0
+    assert report["unconverged"] == 0
 
 
 def test_probe_sum_small(runner, tmp_path):
@@ -247,6 +248,35 @@ def test_probe_sum_small(runner, tmp_path):
     assert res.exit_code == EXIT_BOUNDED
     report = json.loads(res.output)
     assert report["max_sum"] == 0.0
+
+
+PAIR_PROBE = {"n": 2, "S": [1, 2], "lambda": [[[1, 1]], [[3, 0]]],
+              "mode": "probe-sum", "radius": 2}
+
+
+@pytest.mark.parametrize("extra, code", [
+    ({"xi": [[0.5]]}, "E_XI"),               # shorter than d = 2
+    ({"xi": [[0.5, float("nan")]]}, "E_XI"),
+    ({"xi": [0.5, 0.25], "radius": -2}, "E_RADIUS"),
+])
+def test_probe_sum_rejects_bad_input(runner, tmp_path, extra, code):
+    res = runner.invoke(main, ["probe-sum", "--input",
+                               _write(tmp_path, dict(PAIR_PROBE, **extra))])
+    assert res.exit_code == EXIT_INPUT
+    assert f"input error: {code}:" in res.output
+
+
+def test_probe_sum_reports_unconverged(runner, tmp_path, monkeypatch):
+    payload = {"n": 2, "S": [1, 2], "lambda": [[[1, 1]]],
+               "mode": "probe-sum", "radius": 3, "xi": [[64.0]]}
+    path = _write(tmp_path, payload)
+    res = runner.invoke(main, ["probe-sum", "--input", path])
+    assert res.exit_code == EXIT_BOUNDED
+    assert json.loads(res.output)["unconverged"] == 0
+    monkeypatch.setenv("NH_MAX_CELLS", "2")
+    res = runner.invoke(main, ["probe-sum", "--input", path])
+    assert res.exit_code == EXIT_BOUNDED
+    assert json.loads(res.output)["unconverged"] > 0
 
 
 def test_text_format(runner, tmp_path):

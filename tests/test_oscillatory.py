@@ -9,10 +9,14 @@ import pytest
 from nh.engine import FaceTuple, LambdaTuple, VectorPolynomial
 from nh.newton_poly import DomainSpec, ExponentSet
 from nh.oscillatory import (
+    CELL_TOL,
+    LOG_QUARTER,
+    LOG_TWO,
     CutoffSpec,
     PieceFamily,
     _Phase,
     _amplitudes,
+    _eta_of_log,
     _monomial_list,
     _prune_bound,
     _row_hermite,
@@ -25,6 +29,7 @@ from nh.oscillatory import (
     pv_integral,
     sigma_groups,
 )
+from quadrature_oracle import adaptive_box_depth_first
 
 
 def _vp(monomials, n, S, d=1, coeffs=None):
@@ -113,7 +118,7 @@ def test_pv_sign_split_matches_naive_1d():
     def naive(u):
         return 2j * np.sin(xi * np.exp(3.0 * u[:, 0]))
 
-    ref = adaptive_box(naive, [math.log(a)], [math.log(b)])
+    ref = adaptive_box_depth_first(naive, [math.log(a)], [math.log(b)])
     assert abs(got.value - ref.value) <= \
         1e-7 + got.abs_error_estimate + ref.abs_error_estimate
 
@@ -128,6 +133,65 @@ def test_pv_log_growth_for_odd_monomial():
     # roughly linear in log ξ: second difference small relative to step
     d1, d2 = vals[1] - vals[0], vals[2] - vals[1]
     assert abs(d2 - d1) < 0.5 * max(d1, d2)
+
+
+# ---------------------------------------------------------------------------
+# adaptive quadrature against the depth-first oracle
+# ---------------------------------------------------------------------------
+
+def _eta_product(u):
+    """The oracle's pointwise weight ∏_ℓ η(e^{u_ℓ})."""
+    return np.prod(CutoffSpec.eta(np.exp(u)), axis=1)
+
+
+def _random_phase(rng, n):
+    k = rng.randint(1, 3)
+    monos = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(k)}
+    monos = [m for m in monos if any(m)] or [(1,) * n]
+    groups = sigma_groups(monos, n)
+    if not groups:      # even set: force an odd monomial in
+        monos.append((1,) * n)
+        groups = sigma_groups(monos, n)
+    amps = np.array([rng.choice((-1, 1)) * rng.uniform(1.0, 6.0)
+                     / 4.0 ** (n - 1) for _ in monos])
+    return _Phase(np.array(monos, dtype=float), amps, groups)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("order", [16, 32])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_adaptive_box_matches_depth_first(n, order, weighted):
+    """Breadth-first batches accept exactly the cells the depth-first
+    oracle accepts; only the summation order differs."""
+    rng = random.Random(100 * n + order + weighted)
+    tol = 1e-6 if n == 3 else CELL_TOL      # keeps the 3-d oracle quick
+    if weighted:
+        lo, hi = [LOG_QUARTER] * n, [LOG_TWO] * n
+    for _ in range(3 if n < 3 else 1):
+        if not weighted:
+            lo = [rng.uniform(-3.0, 0.0) for _ in range(n)]
+            hi = [x + rng.uniform(0.5, 2.5) for x in lo]
+        fun = _random_phase(rng, n).integrand()
+        got = adaptive_box(fun, lo, hi, tol, order=order,
+                           axis_weight=_eta_of_log if weighted else None)
+        ref = adaptive_box_depth_first(
+            fun, lo, hi, tol, order=order,
+            weight=_eta_product if weighted else None)
+        assert got.panels == ref.panels
+        assert got.converged == ref.converged
+        assert abs(got.value - ref.value) <= 1e-12
+        assert abs(got.abs_error_estimate - ref.abs_error_estimate) <= 1e-12
+
+
+def test_adaptive_box_cell_cap_flags_result():
+    phase = _Phase(np.array([[1.0, 1.0]]), np.array([2000.0]),
+                   sigma_groups([(1, 1)], 2))
+    r = adaptive_box(phase.integrand(), [LOG_QUARTER] * 2, [LOG_TWO] * 2,
+                     cell_cap=7)
+    assert not r.converged
+    assert 1 <= r.panels <= 7
+    assert math.isfinite(r.value.real) and math.isfinite(r.value.imag)
+    assert math.isfinite(r.abs_error_estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +229,9 @@ def test_piece_matches_adaptive_reference():
         phase = _Phase(np.array([m for _, m, _ in monos], dtype=float),
                        _amplitudes(monos, xi, j), groups)
 
-        def weighted(u):
-            return np.prod(CutoffSpec.eta(np.exp(u)), axis=1)
-
-        ref = adaptive_box(phase.integrand(weight_fn=weighted),
-                           [math.log(0.25)] * 2, [math.log(2.0)] * 2)
+        ref = adaptive_box_depth_first(phase.integrand(),
+                                       [LOG_QUARTER] * 2, [LOG_TWO] * 2,
+                                       weight=_eta_product)
         assert abs(got.value - ref.value) <= \
             1e-7 + got.abs_error_estimate + ref.abs_error_estimate
 
