@@ -548,6 +548,12 @@ def probe_divergence(input_path, fmt, seed):
             if not verdict.face_tuple.faces[0].is_empty else frozenset()
         xi = _xi_samples(problem, seed, 1)[0]
         ks = problem.raw.get("shrink_levels", list(range(4, 15)))
+        if not isinstance(ks, list) or not all(
+                _is_int(k) and 1 <= k <= 1000 for k in ks) \
+                or len(set(ks)) < 2:
+            raise InputError(
+                "E_MALFORMED", f"shrink_levels {ks!r} must be a list of at "
+                               "least 2 distinct integers in 1..1000")
         n = problem.n
         seq = [((2.0 ** -k,) * n, (1.0,) * n) for k in ks]
         res = osc.divergence_probe(p, verdict.face_tuple, s0, xi, seq)
@@ -575,9 +581,19 @@ def probe_sum(input_path, fmt, seed):
         if not _is_int(radius) or radius < 0:
             raise InputError("E_RADIUS",
                              f"radius {radius!r} must be an integer >= 0")
-        xis = _xi_samples(problem, seed,
-                          int(problem.raw.get("xi_count", 20)))
-        res = osc.multiplier_sum_probe(p, xis, radius)
+        report_radii = problem.raw.get("report_radii")
+        if report_radii is not None and (
+                not isinstance(report_radii, list) or not all(
+                    _is_int(r) and 0 <= r <= radius for r in report_radii)):
+            raise InputError(
+                "E_RADIUS", f"report_radii {report_radii!r} must be a list "
+                            f"of integers in 0..{radius}")
+        xi_count = problem.raw.get("xi_count", 20)
+        if not _is_int(xi_count) or xi_count < 1:
+            raise InputError("E_MALFORMED",
+                             f"xi_count {xi_count!r} must be an integer >= 1")
+        xis = _xi_samples(problem, seed, xi_count)
+        res = osc.multiplier_sum_probe(p, xis, radius, report_radii)
         report = _report(problem, {
             "max_sum": res.max_sum,
             "skipped_bound": res.skipped_bound,
@@ -604,9 +620,16 @@ def probe_decay(input_path, fmt, seed):
         ft = FaceTuple(tuple(poly.improper_face()
                              for poly in lam.polyhedra), 0, None)
         ray = problem.raw.get("ray", [1] * problem.n)
+        if not isinstance(ray, list) or len(ray) != problem.n or not all(
+                _is_finite_real(x) for x in ray):
+            raise InputError("E_MALFORMED", f"ray {ray!r} must hold "
+                                            f"{problem.n} finite numbers")
+        k_max = problem.raw.get("k_max", 12)
+        if not _is_int(k_max) or k_max < 0:
+            raise InputError("E_MALFORMED",
+                             f"k_max {k_max!r} must be an integer >= 0")
         xi = _xi_samples(problem, seed, 1)[0]
-        res = osc.decay_check(p, ft, ray, xi,
-                              k_max=int(problem.raw.get("k_max", 12)))
+        res = osc.decay_check(p, ft, ray, xi, k_max=k_max)
         report = _report(problem, {
             "delta": res.delta, "constant": res.constant,
             "unconverged": res.unconverged,
@@ -743,7 +766,7 @@ def verify(input_path, fmt, seed):
                 raw = json.loads(fh.read().decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise InputError("E_MALFORMED", f"not valid JSON: {exc}")
-        cert = raw.get("certificate", raw)
+        cert = raw.get("certificate", raw) if isinstance(raw, dict) else None
         if not isinstance(cert, dict) or cert.get("kind") != "unbounded":
             raise InputError("E_MALFORMED",
                              "no unbounded certificate found in input")

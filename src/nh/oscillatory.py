@@ -19,7 +19,6 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -132,9 +131,11 @@ def _tensor_rules(lo: np.ndarray, hi: np.ndarray, order: int,
     return pts.reshape(count, -1, n), wts.reshape(count, -1)
 
 
-# A batch of cells is evaluated in chunks of at most this many nodes, so
-# the integrand's (nodes × monomials) arrays stay a few MB.
-_CHUNK_NODES = 2 ** 18
+# Nodes per block, on both quadrature paths: a batch of cells goes to the
+# integrand in chunks of at most this many nodes (more only when one cell
+# is larger), and the sign-group kernel sums its nodes in blocks of this
+# size, so its (nodes × groups) phase, cosine and sine arrays stay in cache.
+_CHUNK_NODES = 2 ** 13
 
 
 def _cell_values(fun: Callable, lo: np.ndarray, hi: np.ndarray, order: int,
@@ -220,8 +221,39 @@ def sigma_groups(monomials: Sequence[tuple], n: int):
 
 
 # ---------------------------------------------------------------------------
-# monomial data
+# sign-group kernel and monomial data
 # ---------------------------------------------------------------------------
+
+def _sign_group_sum(mono: np.ndarray, mix: np.ndarray, gw: np.ndarray,
+                    wts: Optional[np.ndarray] = None):
+    """Σ_g gw_g e^{iφ_g} with φ = mono @ mix, in real arithmetic: the
+    per-node values (N,), or their sum against `wts` when given.  `mix`
+    is the (K, G) sign matrix with the amplitudes folded in; the nodes
+    go through in blocks of _CHUNK_NODES."""
+    count = mono.shape[0]
+    if wts is None:
+        out = np.empty(count, dtype=complex)
+    else:
+        re_sum = im_sum = 0.0
+    for b in range(0, count, _CHUNK_NODES):
+        phi = mono[b:b + _CHUNK_NODES] @ mix                # (B, G)
+        re_part = np.cos(phi) @ gw
+        im_part = np.sin(phi) @ gw
+        if wts is None:
+            out.real[b:b + _CHUNK_NODES] = re_part
+            out.imag[b:b + _CHUNK_NODES] = im_part
+        else:
+            w = wts[b:b + _CHUNK_NODES]
+            re_sum += float(w @ re_part)
+            im_sum += float(w @ im_part)
+    return out if wts is None else complex(re_sum, im_sum)
+
+
+def _sign_matrix(groups):
+    """(K, G) sign patterns and (G,) weights of the folded sign groups."""
+    return (np.stack([s for _, s in groups], axis=1),
+            np.array([w for w, _ in groups], dtype=float))
+
 
 @dataclass
 class _Phase:
@@ -233,15 +265,11 @@ class _Phase:
 
     def integrand(self) -> Callable:
         expo = self.exponents
-        amps = self.amplitudes
+        sgn, gw = _sign_matrix(self.groups)
+        mix = self.amplitudes[:, None] * sgn
 
         def fun(pts: np.ndarray) -> np.ndarray:
-            mono = np.exp(pts @ expo.T)          # (N, K)
-            base = mono * amps                    # (N, K)
-            out = np.zeros(pts.shape[0], dtype=complex)
-            for w, sgn in self.groups:
-                out += w * np.exp(1j * (base @ sgn))
-            return out
+            return _sign_group_sum(np.exp(pts @ expo.T), mix, gw)
         return fun
 
 
@@ -335,11 +363,15 @@ def _face_restriction(face_tuple, d: int):
     return restrict
 
 
+# The (order, level) rules a piece climbs before the adaptive fallback.
+_LADDER = ((8, 0), (16, 0), (32, 0), (16, 1), (16, 2))
+
+
 class PieceFamily:
     """Dyadic pieces I_J(P_F, ξ) over a fixed (polynomial, face tuple):
     nodes, η-weights, sign groups, and the J-independent monomial arrays
     t^m on each quadrature rule are computed once, so sweeping (J, ξ) only
-    costs one complex exponential per rule."""
+    costs one sign-group sum per rule."""
 
     def __init__(self, p, face_tuple):
         if len(face_tuple.faces) != p.d:
@@ -356,8 +388,7 @@ class PieceFamily:
         if self.trivial:
             return
         self.expo = np.array([m for _, m, _ in self.monos], dtype=float)
-        self.sgn = np.stack([s for _, s in self.groups], axis=1)  # (K, G)
-        self.gw = np.array([w for w, _ in self.groups], dtype=float)
+        self.sgn, self.gw = _sign_matrix(self.groups)
         self.swing_scale = np.exp(
             np.sum(np.abs(self.expo), axis=1) * LOG_TWO)
         self._rules: dict = {}
@@ -369,23 +400,22 @@ class PieceFamily:
             self._rules[key] = (wts, np.exp(pts @ self.expo.T))
         return self._rules[key]
 
-    def _value(self, key, amps: np.ndarray) -> complex:
+    def _value(self, key, mix: np.ndarray) -> complex:
         wts, mono = self._rule(key)
-        phases = (mono * amps) @ self.sgn           # (N, G)
-        return complex(np.dot(wts, np.exp(1j * phases) @ self.gw))
+        return _sign_group_sum(mono, mix, self.gw, wts)
 
     def evaluate(self, j, xi, tol_cell: float = CELL_TOL) -> QuadratureResult:
         if self.trivial:
             return QuadratureResult(0.0 + 0.0j, 0.0, 0)
         amps = _amplitudes(self.monos, xi, j)
         swing = float(np.dot(np.abs(amps), self.swing_scale))
-        ladder = [(8, 0), (16, 0), (32, 0), (16, 1), (16, 2)]
         start = 2 if swing > 2.0 else (1 if swing > 1e-3 else 0)
-        lo_key = (ladder[start][0] // 2, ladder[start][1])
-        v_lo = self._value(lo_key, amps)
+        lo_key = (_LADDER[start][0] // 2, _LADDER[start][1])
+        mix = amps[:, None] * self.sgn
+        v_lo = self._value(lo_key, mix)
         panels = 1
-        for key in ladder[start:]:
-            v_hi = self._value(key, amps)
+        for key in _LADDER[start:]:
+            v_hi = self._value(key, mix)
             delta = abs(v_hi - v_lo)
             if delta <= tol_cell:
                 return QuadratureResult(v_hi, delta, panels)
@@ -590,21 +620,22 @@ class SumProbeResult:
     unconverged: int        # pieces whose quadrature hit the cell cap
 
 
-def _prune_bound(monos, xi, j, n: int) -> float:
-    """Rigorous |I_J| bound from ∫h = 0: for each axis ℓ, the phase may be
-    frozen at a reference t_ℓ at the cost of its total variation, so
-    |I_J| ≤ (∫|h|)ⁿ · min_ℓ Σ_{m_ℓ>0} |c ξ| 2^{−J·m} 2^{|m|₁}."""
-    best = math.inf
-    for axis in range(n):
-        tot = 0.0
-        for nu, m, c in monos:
-            if m[axis] == 0:
-                continue
-            ex = -float(np.dot(j, m)) + sum(m)
-            tot += abs(c * float(xi[nu])) * 2.0 ** max(min(ex, 500.0),
-                                                       -500.0)
-        best = min(best, tot)
-    return (H_MASS ** n) * min(best, 1.0)
+def _prune_bounds(monos, xi, js: np.ndarray) -> np.ndarray:
+    """Rigorous |I_J| bound for each row J of `js`, from ∫h = 0: for each
+    axis ℓ, the phase may be frozen at a reference t_ℓ at the cost of its
+    total variation, so
+    |I_J| ≤ (∫|h|)ⁿ · min_ℓ Σ_{m_ℓ>0} |c ξ| 2^{−J·m} 2^{|m|₁}.
+    Terms are added one monomial at a time in list order, so each bound
+    is the same double that a scalar loop over the monomials gives."""
+    n = js.shape[1]
+    expo = np.array([m for _, m, _ in monos], dtype=np.int64)   # (K, n)
+    ex = np.clip(expo.sum(axis=1) - js @ expo.T, -500, 500)     # (NJ, K)
+    pow2 = np.ldexp(1.0, ex)                # exact powers of two
+    tot = np.zeros((len(js), n))
+    for k, (nu, m, c) in enumerate(monos):
+        term = abs(c * float(xi[nu])) * pow2[:, k]
+        tot += np.where(expo[k] > 0, term[:, None], 0.0)
+    return (H_MASS ** n) * np.minimum(tot.min(axis=1), 1.0)
 
 
 def _box_indices(spec, radius: int):
@@ -627,7 +658,6 @@ def multiplier_sum_probe(p, xi_samples, radius: int,
     pieces whose quadrature hit the cell cap are counted in `unconverged`.
     Summation is pairwise in fixed lexicographic J order."""
     spec = p.spec
-    n = spec.n
     improper = tuple(poly.improper_face()
                      for poly in p.lambda_tuple().polyhedra)
     from .engine import FaceTuple
@@ -637,30 +667,25 @@ def multiplier_sum_probe(p, xi_samples, radius: int,
         report_radii = sorted({radius, max(radius - 5, 0)})
     report_radii = sorted(set(int(r) for r in report_radii) | {radius})
 
-    all_j = [j for j in _box_indices(spec, radius)]
+    all_j = np.array(list(_box_indices(spec, radius)), dtype=np.int64)
+    j_norm = np.abs(all_j).max(axis=1)
     family = PieceFamily(p, ft)
 
     partial = []
     skipped_total = 0.0
     unconverged = 0
     for xi in xi_samples:
-        vals = []
+        vals = np.zeros(len(all_j))
         skipped = 0.0
-        for j in all_j:
-            bound = _prune_bound(monos, xi, j, n)
+        for idx, bound in enumerate(_prune_bounds(monos, xi, all_j)):
             if bound < PRUNE_TOL:
-                skipped += bound
-                vals.append((j, 0.0))
+                skipped += float(bound)
                 continue
-            piece = family.evaluate(j, xi)
+            piece = family.evaluate(tuple(all_j[idx].tolist()), xi)
             unconverged += not piece.converged
-            vals.append((j, abs(piece.value)))
-        sums = {}
-        for r in report_radii:
-            arr = np.array([v for j, v in vals
-                            if max(abs(c) for c in j) <= r], dtype=float)
-            sums[r] = float(np.sum(arr)) if arr.size else 0.0
-        partial.append(sums)
+            vals[idx] = abs(piece.value)
+        partial.append({r: float(np.sum(vals[j_norm <= r]))
+                        for r in report_radii})
         skipped_total += skipped
 
     max_sum = max((s[radius] for s in partial), default=0.0)

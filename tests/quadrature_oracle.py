@@ -1,19 +1,51 @@
-"""Reference adaptive quadrature for the oscillatory tests.
+"""Reference quadrature pieces for the oscillatory tests.
 
-A depth-first, one-cell-at-a-time adaptive tensor Gauss–Legendre rule with
-the cutoff weight applied pointwise.  `nh.oscillatory.adaptive_box`
-refines breadth-first in batches and applies a separable weight per axis;
-the two use the same accept test and the same bisection, so they accept
-the same cells and differ only in summation order.
+- A depth-first, one-cell-at-a-time adaptive tensor Gauss–Legendre rule
+  with the cutoff weight applied pointwise.  `nh.oscillatory.adaptive_box`
+  refines breadth-first in batches and applies a separable weight per
+  axis; the two use the same accept test and the same bisection, so they
+  accept the same cells and differ only in summation order.
+- The sign-group integrand Σ_g w_g exp(i·φ_g) as one complex exponential
+  per group, against which the real-arithmetic kernel is checked.
+- The per-J prune bound, against which the array version over a whole
+  J box is checked bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
 
-from nh.oscillatory import CELL_TOL, QuadratureResult
+from nh.oscillatory import CELL_TOL, H_MASS, QuadratureResult
+
+
+def complex_exp_integrand(exponents: np.ndarray, amplitudes: np.ndarray,
+                          groups) -> Callable:
+    """u ↦ Σ_g w_g exp(i Σ_k A_k s_{kg} e^{u·e_k}) at nodes (N, n)."""
+    def fun(pts: np.ndarray) -> np.ndarray:
+        base = np.exp(pts @ exponents.T) * amplitudes       # (N, K)
+        out = np.zeros(pts.shape[0], dtype=complex)
+        for w, sgn in groups:
+            out += w * np.exp(1j * (base @ sgn))
+        return out
+    return fun
+
+
+def prune_bound(monos, xi, j, n: int) -> float:
+    """|I_J| ≤ (∫|h|)ⁿ · min_ℓ Σ_{m_ℓ>0} |c ξ| 2^{−J·m} 2^{|m|₁}, one J."""
+    best = math.inf
+    for axis in range(n):
+        tot = 0.0
+        for nu, m, c in monos:
+            if m[axis] == 0:
+                continue
+            ex = -float(np.dot(j, m)) + sum(m)
+            tot += abs(c * float(xi[nu])) * 2.0 ** max(min(ex, 500.0),
+                                                       -500.0)
+        best = min(best, tot)
+    return (H_MASS ** n) * min(best, 1.0)
 
 
 def tensor_rule(lo, hi, order: int):

@@ -266,6 +266,39 @@ def test_probe_sum_rejects_bad_input(runner, tmp_path, extra, code):
     assert f"input error: {code}:" in res.output
 
 
+DECAY_PROBE = {"n": 2, "S": [1, 2], "lambda": [[[1, 1]]],
+               "mode": "probe-decay", "xi": [100.0], "k_max": 2}
+
+
+@pytest.mark.parametrize("command, payload, code", [
+    ("probe-divergence", dict(ODD_POINT, shrink_levels=[]), "E_MALFORMED"),
+    ("probe-divergence", dict(ODD_POINT, shrink_levels=[5]), "E_MALFORMED"),
+    ("probe-divergence", dict(ODD_POINT, shrink_levels=[4, 4]),
+     "E_MALFORMED"),
+    ("probe-decay", dict(DECAY_PROBE, k_max=-3), "E_MALFORMED"),
+    ("probe-decay", dict(DECAY_PROBE, ray=[1]), "E_MALFORMED"),
+    ("probe-decay", dict(DECAY_PROBE, ray=["a", 1]), "E_MALFORMED"),
+    ("probe-sum", dict(PAIR_PROBE, xi_count=0), "E_MALFORMED"),
+    ("probe-sum", dict(PAIR_PROBE, report_radii=[3]), "E_RADIUS"),
+    ("probe-sum", dict(PAIR_PROBE, report_radii=2), "E_RADIUS"),
+])
+def test_probe_rejects_bad_fields(runner, tmp_path, command, payload, code):
+    res = runner.invoke(main, [command, "--input",
+                               _write(tmp_path, payload)])
+    assert res.exit_code == EXIT_INPUT
+    assert f"input error: {code}:" in res.output
+
+
+def test_probe_sum_reads_report_radii(runner, tmp_path):
+    payload = dict(PAIR_PROBE, xi=[0.5, 0.25], report_radii=[0, 1])
+    res = runner.invoke(main, ["probe-sum", "--input",
+                               _write(tmp_path, payload)])
+    assert res.exit_code == EXIT_BOUNDED
+    report = json.loads(res.output)
+    assert sorted(report["partial_sums"][0]) == ["0", "1", "2"]
+    assert [row["scale"] for row in report["table"]] == [0, 1, 2]
+
+
 def test_probe_sum_reports_unconverged(runner, tmp_path, monkeypatch):
     payload = {"n": 2, "S": [1, 2], "lambda": [[[1, 1]]],
                "mode": "probe-sum", "radius": 3, "xi": [[64.0]]}
@@ -324,6 +357,14 @@ def test_verify_rejects_perturbations(runner, tmp_path):
     rejected(lambda c: c.update(overlap_witness=[-1, 1]), "w.json")
     rejected(lambda c: c["witness_faces"][0].update(
         vertices=[[7, 7]]), "f.json")
+
+
+@pytest.mark.parametrize("payload", [[1, 2], 3, "x"])
+def test_verify_rejects_non_object_json(runner, tmp_path, payload):
+    res = runner.invoke(main, ["verify", "--input",
+                               _write(tmp_path, payload)])
+    assert res.exit_code == EXIT_INPUT
+    assert "input error: E_MALFORMED:" in res.output
 
 
 def test_verify_requires_certificate(runner, tmp_path):

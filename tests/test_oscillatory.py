@@ -9,6 +9,8 @@ import pytest
 from nh.engine import FaceTuple, LambdaTuple, VectorPolynomial
 from nh.newton_poly import DomainSpec, ExponentSet
 from nh.oscillatory import (
+    _CHUNK_NODES,
+    _LADDER,
     CELL_TOL,
     LOG_QUARTER,
     LOG_TWO,
@@ -16,11 +18,13 @@ from nh.oscillatory import (
     PieceFamily,
     _Phase,
     _amplitudes,
+    _box_indices,
     _eta_of_log,
     _monomial_list,
-    _prune_bound,
+    _prune_bounds,
     _row_hermite,
     _lattice_coords,
+    _shell_grid,
     adaptive_box,
     decay_check,
     divergence_probe,
@@ -29,7 +33,11 @@ from nh.oscillatory import (
     pv_integral,
     sigma_groups,
 )
-from quadrature_oracle import adaptive_box_depth_first
+from quadrature_oracle import (
+    adaptive_box_depth_first,
+    complex_exp_integrand,
+    prune_bound,
+)
 
 
 def _vp(monomials, n, S, d=1, coeffs=None):
@@ -171,11 +179,13 @@ def test_adaptive_box_matches_depth_first(n, order, weighted):
         if not weighted:
             lo = [rng.uniform(-3.0, 0.0) for _ in range(n)]
             hi = [x + rng.uniform(0.5, 2.5) for x in lo]
-        fun = _random_phase(rng, n).integrand()
-        got = adaptive_box(fun, lo, hi, tol, order=order,
+        phase = _random_phase(rng, n)
+        got = adaptive_box(phase.integrand(), lo, hi, tol, order=order,
                            axis_weight=_eta_of_log if weighted else None)
         ref = adaptive_box_depth_first(
-            fun, lo, hi, tol, order=order,
+            complex_exp_integrand(phase.exponents, phase.amplitudes,
+                                  phase.groups),
+            lo, hi, tol, order=order,
             weight=_eta_product if weighted else None)
         assert got.panels == ref.panels
         assert got.converged == ref.converged
@@ -226,12 +236,11 @@ def test_piece_matches_adaptive_reference():
         j = (rng.randint(0, 4), rng.randint(0, 4))
         xi = [rng.uniform(-3, 3)]
         got = family.evaluate(j, xi)
-        phase = _Phase(np.array([m for _, m, _ in monos], dtype=float),
-                       _amplitudes(monos, xi, j), groups)
-
-        ref = adaptive_box_depth_first(phase.integrand(),
-                                       [LOG_QUARTER] * 2, [LOG_TWO] * 2,
-                                       weight=_eta_product)
+        ref = adaptive_box_depth_first(
+            complex_exp_integrand(
+                np.array([m for _, m, _ in monos], dtype=float),
+                _amplitudes(monos, xi, j), groups),
+            [LOG_QUARTER] * 2, [LOG_TWO] * 2, weight=_eta_product)
         assert abs(got.value - ref.value) <= \
             1e-7 + got.abs_error_estimate + ref.abs_error_estimate
 
@@ -256,12 +265,81 @@ def test_prune_bound_is_rigorous():
     ft = _improper_tuple(p)
     monos = _monomial_list(p)
     rng = random.Random(12)
-    for _ in range(15):
-        j = (rng.randint(-2, 10), rng.randint(-2, 10))
+    js = np.array([(rng.randint(-2, 10), rng.randint(-2, 10))
+                   for _ in range(15)])
+    for _ in range(3):
         xi = [rng.uniform(-2, 2)]
-        bound = _prune_bound(monos, xi, j, 2)
-        r = dyadic_piece(p, ft, j, xi)
-        assert abs(r.value) <= bound + 1e-7 + r.abs_error_estimate
+        for j, bound in zip(js, _prune_bounds(monos, xi, js)):
+            r = dyadic_piece(p, ft, tuple(j.tolist()), xi)
+            assert abs(r.value) <= bound + 1e-7 + r.abs_error_estimate
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_prune_bounds_match_per_j_oracle(n):
+    """The array bounds over a J box equal the per-J bound bit for bit,
+    with S a proper subset (negative J) and several components."""
+    rng = random.Random(40 + n)
+    for _ in range(6):
+        d = rng.randint(1, 2)
+        cmap = {}
+        for nu in range(d):
+            for _k in range(rng.randint(1, 3)):
+                m = tuple(rng.randint(0, 4) for _ in range(n))
+                if any(m):
+                    cmap[(nu, m)] = rng.choice((1, -2, 3))
+        if {nu for nu, _m in cmap} != set(range(d)):
+            continue
+        S = [j for j in range(n) if rng.random() < 0.5]
+        p = VectorPolynomial(cmap, d=d, spec=DomainSpec.of(n, S))
+        monos = _monomial_list(p)
+        js = np.array(list(_box_indices(p.spec, rng.randint(0, 6))))
+        xi = [rng.choice((1.0, 1e-3, 1e3)) * rng.uniform(-4, 4)
+              for _ in range(d)]
+        got = _prune_bounds(monos, xi, js)
+        want = [prune_bound(monos, xi, tuple(j.tolist()), n) for j in js]
+        assert got.tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# sign-group kernel against the complex exponential
+# ---------------------------------------------------------------------------
+
+def _kernel_cases():
+    """(n, monomials, amplitudes): random phases with |φ| ≲ 40, and the
+    three unit monomials in n = 3, which give all 8 sign groups."""
+    rng = random.Random(77)
+    cases = [(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [3.0, -7.5, 11.0])]
+    for n in (1, 2, 3):
+        for _ in range(3):
+            monos = sorted({tuple(rng.randint(0, 3) for _ in range(n))
+                            for _ in range(rng.randint(1, 4))} - {(0,) * n})
+            if not sigma_groups(monos, n):
+                monos.append((1,) * n)
+            amps = [rng.choice((-1, 1)) * rng.uniform(0.5, 10.0)
+                    / 2.0 ** sum(m) for m in monos]
+            cases.append((n, monos, amps))
+    return cases
+
+
+@pytest.mark.parametrize("n,monos,amps", _kernel_cases())
+def test_sign_group_kernel_matches_complex_exp(n, monos, amps):
+    """Every ladder rung of PieceFamily._value, and _Phase.integrand on
+    more nodes than one block, agree with Σ_g w_g exp(iφ_g) to 1e-13."""
+    p = _vp(monos, n, list(range(n)))
+    family = PieceFamily(p, _improper_tuple(p))
+    amp_of = dict(zip(monos, amps))
+    amps = np.array([amp_of[m] for _nu, m, _c in family.monos])
+    oracle = complex_exp_integrand(family.expo, amps, family.groups)
+    rungs = set(_LADDER) | {(order // 2, level) for order, level in _LADDER}
+    for key in sorted(rungs):
+        pts, wts = _shell_grid(n).rule(*key)
+        got = family._value(key, amps[:, None] * family.sgn)
+        assert abs(got - np.dot(wts, oracle(pts))) <= 1e-13, key
+
+    rng = np.random.default_rng(n)
+    pts = rng.uniform(LOG_QUARTER, LOG_TWO, size=(2 * _CHUNK_NODES + 5, n))
+    got = _Phase(family.expo, amps, family.groups).integrand()(pts)
+    assert np.max(np.abs(got - oracle(pts))) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
