@@ -71,13 +71,21 @@ def _parse_rational(text: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL.match(text.strip()):
         raise InputError("E_BAD_RATIONAL",
                          f"malformed rational {text!r} (want 'p/q')")
-    f = Fraction(text.strip())
-    return f
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise InputError("E_BAD_RATIONAL",
+                         f"zero denominator in {text!r}") from None
 
 
 def _is_int(x) -> bool:
     """A JSON integer: `true`/`false` load as bools, which are ints too."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_vector(v, n: int) -> bool:
+    """A JSON list of n integers."""
+    return isinstance(v, list) and len(v) == n and all(_is_int(c) for c in v)
 
 
 class ProblemInput:
@@ -113,8 +121,7 @@ class ProblemInput:
                     "E_MALFORMED", f"lambda[{nu + 1}] must be nonempty")
             pts = []
             for m in block:
-                if (not isinstance(m, list) or len(m) != self.n
-                        or not all(_is_int(c) for c in m)):
+                if not _is_int_vector(m, self.n):
                     raise InputError(
                         "E_MALFORMED",
                         f"exponent {m!r} must be {self.n} integers")
@@ -317,18 +324,33 @@ def _load(input_path: str) -> ProblemInput:
         return parse_input(fh.read())
 
 
+def _out(text: str) -> None:
+    """Write a report to stdout.
+
+    Every echo names its stream: without `file=`, click caches a text
+    wrapper per stream in a WeakKeyDictionary whose values hold their keys,
+    so each in-process invocation (CliRunner, library callers) would keep
+    its streams alive.
+    """
+    click.echo(text, file=sys.stdout, nl=False)
+
+
+def _err(text: str) -> None:
+    click.echo(text, file=sys.stderr)
+
+
 def _run(fn):
     """Uniform error → exit-code mapping for all subcommands."""
     try:
         code = fn()
     except InputError as exc:
-        click.echo(f"input error: {exc}", err=True)
+        _err(f"input error: {exc}")
         sys.exit(EXIT_INPUT)
     except (ValueError, KeyError) as exc:
-        click.echo(f"input error: {exc}", err=True)
+        _err(f"input error: {exc}")
         sys.exit(EXIT_INPUT)
     except AssertionError as exc:
-        click.echo(f"internal assertion failed: {exc}", err=True)
+        _err(f"internal assertion failed: {exc}")
         sys.exit(EXIT_INTERNAL)
     sys.exit(code)
 
@@ -362,9 +384,9 @@ def decide(input_path, fmt, seed):
         started = time.time()
         problem = _load(input_path)
         verdict = decide_disjoint(problem.lambda_tuple())
-        click.echo(emit_report(
+        _out(emit_report(
             _report(problem, _verdict_body(verdict, problem), started),
-            fmt), nl=False)
+            fmt))
         return EXIT_BOUNDED if verdict.bounded else EXIT_UNBOUNDED
     _run(body)
 
@@ -394,9 +416,9 @@ def decide_graph_cmd(input_path, fmt, seed):
                 "E_MALFORMED",
                 f"graph case wants 1 or {n + 1} lambda blocks")
         verdict = decide_graph(last, problem.spec)
-        click.echo(emit_report(
+        _out(emit_report(
             _report(problem, _verdict_body(verdict, problem), started),
-            fmt), nl=False)
+            fmt))
         return EXIT_BOUNDED if verdict.bounded else EXIT_UNBOUNDED
     _run(body)
 
@@ -416,9 +438,9 @@ def decide_general_cmd(input_path, fmt, seed, generic):
                 "'coefficients' required for decide-general "
                 "(or pass --generic)")
         verdict = decide_general(problem.polynomial(), generic=generic)
-        click.echo(emit_report(
+        _out(emit_report(
             _report(problem, _verdict_body(verdict, problem), started),
-            fmt), nl=False)
+            fmt))
         return EXIT_BOUNDED if verdict.bounded else EXIT_UNBOUNDED
     _run(body)
 
@@ -450,8 +472,8 @@ def faces(input_path, fmt, seed):
                                    if not f.is_empty else None))
                           for f in poly.faces()],
             })
-        click.echo(emit_report(
-            _report(problem, {"polyhedra": out}, started), fmt), nl=False)
+        _out(emit_report(
+            _report(problem, {"polyhedra": out}, started), fmt))
         return EXIT_BOUNDED
     _run(body)
 
@@ -465,6 +487,13 @@ def decompose(input_path, fmt, seed):
     def body():
         started = time.time()
         problem = _load(input_path)
+        j = problem.raw.get("dyadic_index")
+        if "dyadic_index" in problem.raw and not (
+                _is_int_vector(j, problem.n)
+                and all(j[i] >= 0 for i in problem.spec.S)):
+            raise InputError("E_MALFORMED", f"dyadic_index {j!r} must be "
+                                            f"{problem.n} integers, >= 0 "
+                                            "at the indices in S")
         lam = problem.lambda_tuple()
         tuples_out = []
         for ft in enumerate_lo_tuples(lam):
@@ -482,16 +511,15 @@ def decompose(input_path, fmt, seed):
                           for step in chain],
             })
         body_out = {"lo_tuples": tuples_out}
-        if "dyadic_index" in problem.raw:
-            j = problem.raw["dyadic_index"]
+        if j is not None:
             body_out["dyadic_index"] = j
             body_out["dyadic_tuples"] = [
                 {"faces": [_face_out(nu, f)
                            for nu, f in enumerate(ft.faces)],
                  "union_rank": ft.union_rank}
                 for ft in classify_dyadic(lam, j)]
-        click.echo(emit_report(
-            _report(problem, body_out, started), fmt), nl=False)
+        _out(emit_report(
+            _report(problem, body_out, started), fmt))
         return EXIT_BOUNDED
     _run(body)
 
@@ -564,7 +592,7 @@ def probe_divergence(input_path, fmt, seed):
             "unconverged": res.unconverged,
             "table": [{"scale": s, "value": v, "bound": b}
                       for s, v, b in res.rows]}, started)
-        click.echo(emit_report(report, fmt, csv_rows=res.rows), nl=False)
+        _out(emit_report(report, fmt, csv_rows=res.rows))
         return EXIT_BOUNDED
     _run(body)
 
@@ -603,7 +631,7 @@ def probe_sum(input_path, fmt, seed):
                 for sums in res.partial_sums],
             "table": [{"scale": r, "value": v, "bound": b}
                       for r, v, b in res.rows]}, started)
-        click.echo(emit_report(report, fmt, csv_rows=res.rows), nl=False)
+        _out(emit_report(report, fmt, csv_rows=res.rows))
         return EXIT_BOUNDED
     _run(body)
 
@@ -635,7 +663,7 @@ def probe_decay(input_path, fmt, seed):
             "unconverged": res.unconverged,
             "table": [{"scale": k, "value": v, "bound": b}
                       for k, v, b in res.rows]}, started)
-        click.echo(emit_report(report, fmt, csv_rows=res.rows), nl=False)
+        _out(emit_report(report, fmt, csv_rows=res.rows))
         return EXIT_BOUNDED
     _run(body)
 
@@ -644,9 +672,28 @@ def probe_decay(input_path, fmt, seed):
 # certificate verification
 # ---------------------------------------------------------------------------
 
+def _check_witness_face(fdesc, n: int, d: int) -> None:
+    """One `witness_faces` entry: `nu` an integer in 1..d, `vertices` and
+    `rays` lists of n-integer vectors, an integer `dim` and a boolean
+    `is_empty`; else E_MALFORMED."""
+    if not (isinstance(fdesc, dict)
+            and _is_int(fdesc.get("nu")) and 1 <= fdesc["nu"] <= d
+            and all(isinstance(fdesc.get(key), list)
+                    and all(_is_int_vector(v, n) for v in fdesc[key])
+                    for key in ("vertices", "rays"))
+            and _is_int(fdesc.get("dim"))
+            and isinstance(fdesc.get("is_empty"), bool)):
+        raise InputError(
+            "E_MALFORMED",
+            f"witness face {fdesc!r} needs nu in 1..{d}, vertices and rays "
+            f"as lists of {n} integers, an integer dim and a boolean "
+            "is_empty")
+
+
 def verify_certificate(cert: dict) -> list:
     """Re-validate an unbounded certificate from scratch; returns a list
-    of failure strings (empty = certificate accepted)."""
+    of failure strings (empty = certificate accepted).  A certificate whose
+    structure is malformed raises InputError E_MALFORMED."""
     failures = []
     try:
         n = int(cert["n"])
@@ -654,7 +701,8 @@ def verify_certificate(cert: dict) -> list:
         lambdas = [ExponentSet.of([tuple(m) for m in block], n)
                    for block in cert["lambda"]]
     except (KeyError, TypeError, ValueError) as exc:
-        return [f"malformed certificate: {exc}"]
+        raise InputError("E_MALFORMED",
+                         f"malformed certificate: {exc}") from None
 
     graph_axes = [j - 1 for j in cert.get("graph_axes", [])] \
         if "graph_axes" in cert else None
@@ -691,14 +739,18 @@ def verify_certificate(cert: dict) -> list:
             failures.append("gl_matrix does not produce class_lambda")
         lambdas = [ExponentSet.of(block, n) for block in claimed]
 
+    witness_faces = cert.get("witness_faces")
+    if not isinstance(witness_faces, list):
+        raise InputError("E_MALFORMED", "'witness_faces' must be a list")
+    for fdesc in witness_faces:
+        _check_witness_face(fdesc, n, len(lambdas))
+
     lam = LambdaTuple(lambdas, spec)
     polys = lam.polyhedra
 
     faces = []
-    for fdesc in cert["witness_faces"]:
+    for fdesc in witness_faces:
         nu = fdesc["nu"] - 1
-        if not (0 <= nu < len(polys)):
-            return [f"face component {fdesc['nu']} out of range"]
         if fdesc["is_empty"]:
             faces.append(polys[nu].empty_face())
             continue
@@ -746,7 +798,7 @@ def verify_certificate(cert: dict) -> list:
         failures.append("missing overlap witness")
     if witness is not None:
         w = tuple(Fraction(str(x)) for x in witness)
-        for fdesc, f in zip(cert["witness_faces"], faces):
+        for fdesc, f in zip(witness_faces, faces):
             if not interior_contains(f, w):
                 failures.append(
                     f"overlap witness outside the open cone of the "
@@ -777,7 +829,7 @@ def verify(input_path, fmt, seed):
             "version": __version__,
             "timing_seconds": round(time.time() - started, 6),
         }
-        click.echo(emit_report(report, fmt), nl=False)
+        _out(emit_report(report, fmt))
         return EXIT_BOUNDED if not failures else EXIT_INPUT
     _run(body)
 

@@ -2,9 +2,9 @@
 
 Vectors are sequences of ints and ``fractions.Fraction``s (any other number
 is taken at its exact ``Fraction`` value).  Everything here is pure and
-immutable: rank by fraction-free elimination, strict-inequality feasibility
-by a fraction-free simplex on Python integers with Bland's rule, and GF(2)
-span tests.
+immutable: rank and determinants by fraction-free elimination,
+strict-inequality feasibility by a fraction-free simplex on Python integers
+with Bland's rule, and GF(2) span tests.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def canonicalize(v: RVector) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# rank / nullspace
+# rank / determinant / nullspace
 # ---------------------------------------------------------------------------
 
 def rank(rows: RMatrix) -> int:
@@ -134,6 +134,28 @@ def rank(rows: RMatrix) -> int:
         if rk == len(mat):
             break
     return rk
+
+
+def det(rows: RMatrix) -> int:
+    """Determinant of a square integer matrix by Bareiss fraction-free
+    elimination; the 0×0 matrix has determinant 1."""
+    mat = [list(r) for r in rows]
+    size = len(mat)
+    sign, prev = 1, 1
+    for k in range(size):
+        piv = next((i for i in range(k, size) if mat[i][k] != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            mat[k], mat[piv] = mat[piv], mat[k]
+            sign = -sign
+        p = mat[k][k]
+        for i in range(k + 1, size):
+            q = mat[i][k]
+            mat[i] = [(p * a - q * b) // prev
+                      for a, b in zip(mat[i], mat[k])]
+        prev = p
+    return sign * prev
 
 
 def rref(rows: RMatrix) -> tuple[list[list[Fraction]], list[int]]:

@@ -6,9 +6,11 @@ improper face and the empty face of dimension −1), dual cones with the
 for cones, joint cone-interior intersections, essential faces, and the
 F = N(Λ∩F, S₀) closure structure.
 
-Hull algorithm is brute force at desk scale: candidate facet normals come
-from (m−1)-subsets of {vertex differences ∪ rays} via exact nullspaces,
-validated one-sided against all V-data.
+Facet normals are integer cofactor vectors (generalized cross products)
+of m generators — a vertex, then vertices or rays — and the Πb rows, each
+validated one-sided against all V-data.  The face lattice is the closure of
+the generator set under intersection with the facets' vertex/ray
+incidences (Kaibel and Pfetsch, Comput. Geom. 2002).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 from .exact_numeric import (
     StrictSystem,
+    det,
     dot,
     is_zero,
     nullspace,
@@ -186,6 +189,14 @@ def _is_extreme(p, others, rays) -> bool:
     return solve_strict(sys) is None
 
 
+def _cofactor_normal(rows, n: int) -> tuple:
+    """Generalized cross product of n−1 integer rows in Zⁿ: coordinate i is
+    (−1)^i times the minor without column i.  It is orthogonal to every
+    row, and nonzero exactly when the rows are independent."""
+    return tuple((-1) ** i * det([r[:i] + r[i + 1:] for r in rows])
+                 for i in range(n))
+
+
 def build_newton(omega: ExponentSet, spec: DomainSpec) -> NewtonPolyhedron:
     if not omega.points:
         raise ValueError("empty exponent set")
@@ -217,23 +228,26 @@ def build_newton(omega: ExponentSet, spec: DomainSpec) -> NewtonPolyhedron:
 
     facets: dict = {}
     if m >= 1:
-        # candidate edge directions: all pairwise vertex differences + rays
-        # (a facet's tangent directions need not pass through verts[0])
-        pair_dirs = [vsub(v, w)
-                     for v, w in itertools.combinations(verts, 2)]
-        dedup_dirs = []
-        seen = set()
-        for d in pair_dirs + directions:
-            c = primitive(d)
-            if c not in seen and not is_zero(c):
-                seen.add(c)
-                dedup_dirs.append(c)
+        # Each facet holds a vertex and m−1 more generators (vertices or
+        # rays) that span its affine hull with it, so its normal is the one
+        # orthogonal to their directions and to Πb.  Generators are the
+        # vertices, then the rays: an m-subset led by a ray holds no vertex,
+        # and all later subsets are led by rays too.
+        gens = verts + rays
         perp_rows = [q for q, _ in basis_b]
-        for sub in itertools.combinations(dedup_dirs, m - 1):
-            ns = nullspace(list(sub) + perp_rows, n=n)
-            if len(ns) != 1:
+        tried = set()
+        for sub in itertools.combinations(range(len(gens)), m):
+            if sub[0] >= len(verts):
+                break
+            base = gens[sub[0]]
+            rows = [vsub(gens[i], base) if i < len(verts) else gens[i]
+                    for i in sub[1:]] + perp_rows
+            normal = primitive(_cofactor_normal(rows, n))
+            if is_zero(normal) or normal in tried:
                 continue
-            for q in (ns[0], tuple(-x for x in ns[0])):
+            flipped = tuple(-x for x in normal)
+            tried.update((normal, flipped))
+            for q in (normal, flipped):
                 if any(dot(q, r) < 0 for r in rays):
                     continue
                 levels = [dot(q, v) for v in verts]
@@ -242,7 +256,7 @@ def build_newton(omega: ExponentSet, spec: DomainSpec) -> NewtonPolyhedron:
                 tight_r = [r for r in rays if dot(q, r) == 0]
                 fdirs = [vsub(v, tight_v[0]) for v in tight_v[1:]] + tight_r
                 if rank(fdirs) == m - 1:
-                    facets.setdefault(q, level)
+                    facets[q] = level
     facets_a = tuple(sorted(facets.items()))
 
     p = NewtonPolyhedron(
@@ -265,34 +279,32 @@ def enumerate_faces(p: NewtonPolyhedron) -> list:
     if p._faces is not None:
         return p._faces
 
-    verts = sorted(p.vertices)
-    rays = sorted(p.rays)
-    k = len(p.facets_a)
-    seen: dict = {}
-    for size in range(k + 1):
-        for idx in itertools.combinations(range(k), size):
-            vs = [v for v in verts
-                  if all(dot(p.facets_a[i][0], v) == p.facets_a[i][1]
-                         for i in idx)]
-            if not vs:
-                continue
-            rs = [r for r in rays
-                  if all(dot(p.facets_a[i][0], r) == 0 for i in idx)]
-            fkey = (frozenset(vs), frozenset(rs))
-            if fkey in seen:
-                continue
-            gen = frozenset(
-                i for i in range(k)
-                if all(dot(p.facets_a[i][0], v) == p.facets_a[i][1]
-                       for v in vs)
-                and all(dot(p.facets_a[i][0], r) == 0 for r in rs))
-            dims = rank([vsub(v, vs[0]) for v in vs[1:]] +
-                        [tuple(map(Fraction, r)) for r in rs])
-            seen[fkey] = Face(
-                parent=p, generator_idx=gen,
-                vertex_set=fkey[0], ray_set=fkey[1], dim=dims,
-                is_improper=(fkey == (p.vertices, p.rays)))
-    faces = sorted(seen.values(), key=Face.sort_key)
+    # Kaibel–Pfetsch: the nonempty faces are the closure of P's generator
+    # sets under intersection with the facets' incidence sets.
+    incidence = [
+        (frozenset(v for v in p.vertices if dot(q, v) == level),
+         frozenset(r for r in p.rays if dot(q, r) == 0))
+        for q, level in p.facets_a]
+    k = len(incidence)
+    top = (p.vertices, p.rays)
+    keys = {top}
+    stack = [top]
+    while stack:
+        vs, rs = stack.pop()
+        for fv, fr in incidence:
+            key = (vs & fv, rs & fr)
+            if key[0] and key not in keys:
+                keys.add(key)
+                stack.append(key)
+    found = []
+    for vs, rs in keys:
+        gen = frozenset(i for i, (fv, fr) in enumerate(incidence)
+                        if vs <= fv and rs <= fr)
+        vl = sorted(vs)
+        dims = rank([vsub(v, vl[0]) for v in vl[1:]] + sorted(rs))
+        found.append(Face(parent=p, generator_idx=gen, vertex_set=vs,
+                          ray_set=rs, dim=dims, is_improper=(vs, rs) == top))
+    faces = sorted(found, key=Face.sort_key)
     faces.append(Face(parent=p, generator_idx=frozenset(range(k)),
                       vertex_set=frozenset(), ray_set=frozenset(),
                       dim=-1, is_empty=True))

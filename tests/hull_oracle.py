@@ -1,0 +1,106 @@
+"""Reference hull and face lattice for `nh.newton_poly`, used by the tests.
+
+`build_newton_pairwise` draws candidate facet normals from exact nullspaces
+of (m−1)-subsets of all pairwise vertex differences and rays;
+`enumerate_faces_subsets` intersects the tight sets of every one of the 2^k
+facet subsets.  Both are exponential and slow, and share nothing with the
+production hull and lattice except the vertex LP and the data classes.
+"""
+
+import itertools
+from fractions import Fraction
+
+from nh.exact_numeric import dot, is_zero, nullspace, primitive, rank, vsub
+from nh.newton_poly import Face, NewtonPolyhedron, _is_extreme
+
+
+def build_newton_pairwise(omega, spec) -> NewtonPolyhedron:
+    n = spec.n
+    rays = spec.rays()
+    pts = omega.sorted_points()
+
+    verts = [p for p in pts
+             if _is_extreme(p, [q for q in pts if q != p], rays)]
+    v0 = verts[0]
+    directions = [vsub(v, v0) for v in verts[1:]] + [tuple(map(Fraction, r))
+                                                    for r in rays]
+    m = rank(directions)
+
+    perp = nullspace(directions, n=n) if directions else \
+        nullspace([], n=n)
+    basis_b = []
+    for w in perp:
+        w = tuple(map(Fraction, w))
+        for u, _s in basis_b:
+            coef = dot(w, u) / dot(u, u)
+            w = tuple(a - coef * Fraction(b) for a, b in zip(w, u))
+        if not is_zero(w):
+            basis_b.append((primitive(w), None))
+    basis_b = tuple((q, dot(q, v0)) for q, _ in basis_b)
+
+    facets: dict = {}
+    if m >= 1:
+        pair_dirs = [vsub(v, w)
+                     for v, w in itertools.combinations(verts, 2)]
+        dedup_dirs = []
+        seen = set()
+        for d in pair_dirs + directions:
+            c = primitive(d)
+            if c not in seen and not is_zero(c):
+                seen.add(c)
+                dedup_dirs.append(c)
+        perp_rows = [q for q, _ in basis_b]
+        for sub in itertools.combinations(dedup_dirs, m - 1):
+            ns = nullspace(list(sub) + perp_rows, n=n)
+            if len(ns) != 1:
+                continue
+            for q in (ns[0], tuple(-x for x in ns[0])):
+                if any(dot(q, r) < 0 for r in rays):
+                    continue
+                levels = [dot(q, v) for v in verts]
+                level = min(levels)
+                tight_v = [v for v, lv in zip(verts, levels) if lv == level]
+                tight_r = [r for r in rays if dot(q, r) == 0]
+                fdirs = [vsub(v, tight_v[0]) for v in tight_v[1:]] + tight_r
+                if rank(fdirs) == m - 1:
+                    facets.setdefault(q, level)
+
+    return NewtonPolyhedron(
+        omega=omega, spec=spec,
+        vertices=frozenset(verts), rays=frozenset(rays),
+        facets_a=tuple(sorted(facets.items())), basis_b=basis_b, dim=m)
+
+
+def enumerate_faces_subsets(p: NewtonPolyhedron) -> list:
+    verts = sorted(p.vertices)
+    rays = sorted(p.rays)
+    k = len(p.facets_a)
+    seen: dict = {}
+    for size in range(k + 1):
+        for idx in itertools.combinations(range(k), size):
+            vs = [v for v in verts
+                  if all(dot(p.facets_a[i][0], v) == p.facets_a[i][1]
+                         for i in idx)]
+            if not vs:
+                continue
+            rs = [r for r in rays
+                  if all(dot(p.facets_a[i][0], r) == 0 for i in idx)]
+            fkey = (frozenset(vs), frozenset(rs))
+            if fkey in seen:
+                continue
+            gen = frozenset(
+                i for i in range(k)
+                if all(dot(p.facets_a[i][0], v) == p.facets_a[i][1]
+                       for v in vs)
+                and all(dot(p.facets_a[i][0], r) == 0 for r in rs))
+            dims = rank([vsub(v, vs[0]) for v in vs[1:]] +
+                        [tuple(map(Fraction, r)) for r in rs])
+            seen[fkey] = Face(
+                parent=p, generator_idx=gen,
+                vertex_set=fkey[0], ray_set=fkey[1], dim=dims,
+                is_improper=(fkey == (p.vertices, p.rays)))
+    faces = sorted(seen.values(), key=Face.sort_key)
+    faces.append(Face(parent=p, generator_idx=frozenset(range(k)),
+                      vertex_set=frozenset(), ray_set=frozenset(),
+                      dim=-1, is_empty=True))
+    return faces

@@ -1,9 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
+import gc
 import json
 
 import pytest
-from click.testing import CliRunner
+from click.testing import CliRunner, _NamedTextIOWrapper
 
 from nh.cli import (
     EXIT_BOUNDED,
@@ -126,6 +127,29 @@ def test_decide_rejects_non_integer_json(runner, tmp_path, payload, code):
     assert f"input error: {code}:" in res.output
 
 
+def test_decide_rejects_zero_denominator(runner, tmp_path):
+    payload = dict(ODD_POINT, coefficients={"1:(1,1)": "1/0"})
+    res = runner.invoke(main, ["decide", "--input",
+                               _write(tmp_path, payload)])
+    assert res.exit_code == EXIT_INPUT
+    assert "input error: E_BAD_RATIONAL:" in res.output
+
+
+def test_cli_calls_leave_no_streams_alive(runner, tmp_path):
+    def live_wrappers():
+        gc.collect()
+        return sum(isinstance(o, _NamedTextIOWrapper)
+                   for o in gc.get_objects())
+
+    path = _write(tmp_path, ODD_POINT)
+    before = live_wrappers()
+    for _ in range(50):
+        res = runner.invoke(main, ["decide", "--input", path])
+        assert res.exit_code == EXIT_UNBOUNDED
+    del res
+    assert live_wrappers() <= before
+
+
 def test_decide_graph_forms(runner, tmp_path):
     single = {"n": 2, "S": [1, 2], "lambda": [[[1, 1]]]}
     res = runner.invoke(main, ["decide-graph", "--input",
@@ -203,6 +227,16 @@ def test_decompose_with_dyadic_index(runner, tmp_path):
         assert t["union_rank"] <= 2
         assert len(t["chain"]) == len(t["cap_generators"]) + 1
     assert report["dyadic_tuples"]
+
+
+@pytest.mark.parametrize("index", [[1], [1, 1, 1, 1], "ab", [1, 1.5, 1],
+                                   [True, 1, 1], None, [-1, 1, 1]])
+def test_decompose_rejects_bad_dyadic_index(runner, tmp_path, index):
+    payload = dict(WORKED_PAIR, mode="decompose", dyadic_index=index)
+    res = runner.invoke(main, ["decompose", "--input",
+                               _write(tmp_path, payload)])
+    assert res.exit_code == EXIT_INPUT
+    assert "input error: E_MALFORMED:" in res.output
 
 
 # ---------------------------------------------------------------------------
@@ -372,3 +406,26 @@ def test_verify_requires_certificate(runner, tmp_path):
     path.write_text(json.dumps({"verdict": "bounded"}))
     res = runner.invoke(main, ["verify", "--input", str(path)])
     assert res.exit_code == EXIT_INPUT
+
+
+_FACE_CHANGES = [
+    {"nu": "a"}, {"nu": 0}, {"nu": 2}, {"nu": 1.0}, {"nu": True},
+    {"vertices": [[1]]}, {"vertices": "x"}, {"vertices": [[1, "1"]]},
+    {"rays": [[1, 0, 0]]}, {"rays": None}, {"dim": "0"}, {"dim": None},
+]
+
+
+@pytest.mark.parametrize("face_change, change", [
+    *((fc, {}) for fc in _FACE_CHANGES),
+    ({}, {"witness_faces": {}}), ({}, {"lambda": 3}), ({}, {"S": ["a"]}),
+])
+def test_verify_rejects_malformed_certificates(runner, tmp_path,
+                                               face_change, change):
+    cert = _unbounded_report(runner, tmp_path, ODD_POINT,
+                             "o.json")["certificate"]
+    cert["witness_faces"][0].update(face_change)
+    cert.update(change)
+    res = runner.invoke(main, ["verify", "--input",
+                               _write(tmp_path, cert, "bad.json")])
+    assert res.exit_code == EXIT_INPUT
+    assert "input error: E_MALFORMED:" in res.output

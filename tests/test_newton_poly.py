@@ -1,4 +1,8 @@
-"""Unit tests for Newton polyhedra: construction, faces, dual cones."""
+"""Unit tests for Newton polyhedra: construction, faces, dual cones.
+
+Oracle: the pairwise-direction hull and the 2^k facet-subset lattice in
+`hull_oracle`.
+"""
 
 import gc
 import random
@@ -8,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from geom_checks import random_instance, run_all_checks
+from hull_oracle import build_newton_pairwise, enumerate_faces_subsets
 from nh.exact_numeric import dot
 from nh.newton_poly import (
     DomainSpec,
@@ -195,3 +200,57 @@ def test_pairwise_facet_regression():
     p = _poly([(6, 3), (3, 6), (5, 1), (4, 3)], 2, [0, 1])
     assert (2, 1) in {q for q, _ in p.facets_a}
     assert (5, 1) in p.vertices and (4, 3) in p.vertices
+
+
+# ---------------------------------------------------------------------------
+# cofactor hull and incidence-closure lattice against the oracle
+# ---------------------------------------------------------------------------
+
+def _random_input(rng):
+    """n ≤ 4 and up to 5 points, a third of them drawn from a lattice
+    sub-cone of rank < n, so lower-dimensional polyhedra occur."""
+    n = rng.randint(1, 4)
+    if n > 1 and rng.random() < 1 / 3:
+        base = [rng.randint(0, 3) for _ in range(n)]
+        dirs = [[rng.randint(0, 2) for _ in range(n)]
+                for _ in range(rng.randint(0, n - 1))]
+        pts = {tuple(b + sum(c * d[j] for c, d in zip(coefs, dirs))
+                     for j, b in enumerate(base))
+               for coefs in ([rng.randint(0, 2) for _ in dirs]
+                             for _ in range(rng.randint(1, 5)))}
+    else:
+        pts = {tuple(rng.randint(0, 4) for _ in range(n))
+               for _ in range(rng.randint(1, 5))}
+    S = [j for j in range(n) if rng.random() < 0.4]
+    return ExponentSet.of(pts, n), DomainSpec.of(n, S)
+
+
+def _face_data(faces):
+    return [(f.vertex_set, f.ray_set, f.dim, f.generator_idx, f.is_empty,
+             f.is_improper) for f in faces]
+
+
+def test_hull_and_lattice_match_the_subset_oracle():
+    rng = random.Random(2013)
+    seen_dims = set()
+    for _ in range(200):
+        omega, spec = _random_input(rng)
+        p = build_newton(omega, spec)
+        ref = build_newton_pairwise(omega, spec)
+        assert (p.vertices, p.rays, p.facets_a, p.basis_b, p.dim) == (
+            ref.vertices, ref.rays, ref.facets_a, ref.basis_b, ref.dim), \
+            (omega, spec)
+        assert _face_data(enumerate_faces(p)) == _face_data(
+            enumerate_faces_subsets(ref)), (omega, spec)
+        seen_dims.add((spec.n, p.dim))
+    # every dimension 0..n occurs for n = 2, 3, 4
+    assert {(n, m) for n in (2, 3, 4) for m in range(n + 1)} <= seen_dims
+
+
+def test_cyclic_polytope_f_vector():
+    # 2^20 facet subsets would be out of reach for a subset lattice
+    p = _poly([(t, t ** 2, t ** 3, t ** 4) for t in range(1, 9)], 4, [])
+    assert len(p.facets_a) == 20
+    faces = enumerate_faces(p)
+    f_vector = [sum(1 for f in faces if f.dim == d) for d in range(4)]
+    assert f_vector == [8, 28, 40, 20]
