@@ -146,7 +146,6 @@ def test_cli_calls_leave_no_streams_alive(runner, tmp_path):
     for _ in range(50):
         res = runner.invoke(main, ["decide", "--input", path])
         assert res.exit_code == EXIT_UNBOUNDED
-    del res
     assert live_wrappers() <= before
 
 
