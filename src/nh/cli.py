@@ -24,7 +24,6 @@ from .exact_numeric import rank, unit
 from .newton_poly import (
     DomainSpec,
     ExponentSet,
-    build_newton,
     face_closure_structure,
     interior_contains,
 )
@@ -34,7 +33,6 @@ from .engine import (
     VectorPolynomial,
     Verdict,
     build_face_chain,
-    cap_cone_generators,
     classify_dyadic,
     decide_disjoint,
     decide_general,
@@ -238,34 +236,16 @@ def _certificate(problem: ProblemInput, verdict: Verdict) -> dict:
     if verdict.graph_axes is not None:
         cert["graph_axes"] = [j + 1 for j in verdict.graph_axes]
     if verdict.gl_matrix is not None:
+        poly = problem.polynomial()
         cert["gl_matrix"] = [[_frac_str(x) for x in row]
                              for row in verdict.gl_matrix]
         cert["coefficients"] = {
             f"{nu + 1}:({','.join(map(str, m))})": _frac_str(c)
-            for (nu, m), c in sorted(
-                problem.polynomial().coefficients.items())}
+            for (nu, m), c in sorted(poly.coefficients.items())}
         cert["class_lambda"] = [
             [list(m) for m in sorted(s)]
-            for s in _transformed_supports(problem, verdict.gl_matrix)]
+            for s in poly.transformed(verdict.gl_matrix).supports() if s]
     return cert
-
-
-def _transformed_supports(problem: ProblemInput, matrix) -> list:
-    p = problem.polynomial()
-    d = p.d
-    coef: dict = {}
-    for (nu, m), c in p.coefficients.items():
-        for i in range(d):
-            w = Fraction(matrix[i][nu]) * c
-            if w == 0:
-                continue
-            cur = coef.get((i, m), Fraction(0)) + w
-            if cur == 0:
-                coef.pop((i, m), None)
-            else:
-                coef[(i, m)] = cur
-    supports = [sorted(m for (i, m) in coef if i == nu) for nu in range(d)]
-    return [s for s in supports if s]
 
 
 def emit_report(report: dict, fmt: str, csv_rows=None) -> str:
@@ -308,9 +288,11 @@ def _report(problem: ProblemInput, body: dict, started: float) -> dict:
 # command plumbing
 # ---------------------------------------------------------------------------
 
+_seed = click.option("--seed", type=int, default=0, show_default=True,
+                     help="RNG seed for sampled probe points.")
+
+
 def _common(fn):
-    fn = click.option("--seed", type=int, default=0, show_default=True,
-                      help="RNG seed for sampled probe points.")(fn)
     fn = click.option("--format", "fmt",
                       type=click.Choice(["json", "text", "csv"]),
                       default="json", show_default=True)(fn)
@@ -378,7 +360,7 @@ def main():
 
 @main.command()
 @_common
-def decide(input_path, fmt, seed):
+def decide(input_path, fmt):
     """Face/cone/evenness decision for mutually disjoint exponent sets."""
     def body():
         started = time.time()
@@ -391,30 +373,32 @@ def decide(input_path, fmt, seed):
     _run(body)
 
 
+def _graph_block(blocks: list, n: int):
+    """Λ_{n+1} of a graph-case input: the only block, or the last of n+1
+    blocks whose first n are the coordinate unit vectors."""
+    if len(blocks) == n + 1:
+        units = [frozenset({tuple(int(x) for x in unit(n, j))})
+                 for j in range(n)]
+        if [b.points for b in blocks[:n]] != units:
+            raise InputError(
+                "E_MALFORMED",
+                "graph case needs lambda_1..lambda_n = unit vectors")
+        return blocks[-1]
+    if len(blocks) == 1:
+        return blocks[0]
+    raise InputError("E_MALFORMED",
+                     f"graph case wants 1 or {n + 1} lambda blocks")
+
+
 @main.command("decide-graph")
 @_common
-def decide_graph_cmd(input_path, fmt, seed):
+def decide_graph_cmd(input_path, fmt):
     """Graph-case decision: lambda's last block is Λ_{n+1}; the first n
     blocks, when present, must be the coordinate unit vectors."""
     def body():
         started = time.time()
         problem = _load(input_path)
-        blocks = problem.lambdas
-        n = problem.n
-        if len(blocks) == n + 1:
-            units = [frozenset({tuple(int(x) for x in unit(n, j))})
-                     for j in range(n)]
-            if [b.points for b in blocks[:n]] != units:
-                raise InputError(
-                    "E_MALFORMED",
-                    "graph case needs lambda_1..lambda_n = unit vectors")
-            last = blocks[-1]
-        elif len(blocks) == 1:
-            last = blocks[0]
-        else:
-            raise InputError(
-                "E_MALFORMED",
-                f"graph case wants 1 or {n + 1} lambda blocks")
+        last = _graph_block(problem.lambdas, problem.n)
         verdict = decide_graph(last, problem.spec)
         _out(emit_report(
             _report(problem, _verdict_body(verdict, problem), started),
@@ -427,7 +411,7 @@ def decide_graph_cmd(input_path, fmt, seed):
 @_common
 @click.option("--generic", is_flag=True,
               help="Treat coefficients as generic (support arithmetic only).")
-def decide_general_cmd(input_path, fmt, seed, generic):
+def decide_general_cmd(input_path, fmt, generic):
     """General criterion over all GL(d) support classes (cascade closure)."""
     def body():
         started = time.time()
@@ -447,7 +431,7 @@ def decide_general_cmd(input_path, fmt, seed, generic):
 
 @main.command()
 @_common
-def faces(input_path, fmt, seed):
+def faces(input_path, fmt):
     """Dump the face lattice of each Newton polyhedron."""
     def body():
         started = time.time()
@@ -480,7 +464,7 @@ def faces(input_path, fmt, seed):
 
 @main.command()
 @_common
-def decompose(input_path, fmt, seed):
+def decompose(input_path, fmt):
     """List the low-rank overlapping face tuples with their joint cone
     generators and descending face chains; classify an optional dyadic
     index over the closed cones."""
@@ -497,8 +481,7 @@ def decompose(input_path, fmt, seed):
         lam = problem.lambda_tuple()
         tuples_out = []
         for ft in enumerate_lo_tuples(lam):
-            gens, lin = cap_cone_generators(ft.faces)
-            chain = build_face_chain(ft, gens)
+            gens, lin, chain = build_face_chain(ft)
             tuples_out.append({
                 "faces": [_face_out(nu, f)
                           for nu, f in enumerate(ft.faces)],
@@ -562,6 +545,7 @@ def _is_finite_real(x) -> bool:
 
 @main.command("probe-divergence")
 @_common
+@_seed
 def probe_divergence(input_path, fmt, seed):
     """Log-divergence probe along the engine's odd witness tuple."""
     def body():
@@ -599,6 +583,7 @@ def probe_divergence(input_path, fmt, seed):
 
 @main.command("probe-sum")
 @_common
+@_seed
 def probe_sum(input_path, fmt, seed):
     """Dyadic multiplier-sum plateau probe."""
     def body():
@@ -638,6 +623,7 @@ def probe_sum(input_path, fmt, seed):
 
 @main.command("probe-decay")
 @_common
+@_seed
 def probe_decay(input_path, fmt, seed):
     """Van der Corput decay table along a cone ray."""
     def body():
@@ -690,54 +676,78 @@ def _check_witness_face(fdesc, n: int, d: int) -> None:
             "is_empty")
 
 
+def _malformed(what: str) -> InputError:
+    return InputError("E_MALFORMED", f"malformed certificate: {what}")
+
+
+def _is_block_list(blocks, n: int) -> bool:
+    """A nonempty list of nonempty lists of n-integer vectors."""
+    return isinstance(blocks, list) and bool(blocks) and all(
+        isinstance(b, list) and b and all(_is_int_vector(m, n) for m in b)
+        for b in blocks)
+
+
 def verify_certificate(cert: dict) -> list:
     """Re-validate an unbounded certificate from scratch; returns a list
-    of failure strings (empty = certificate accepted).  A certificate whose
-    structure is malformed raises InputError E_MALFORMED."""
-    failures = []
+    of failure strings (empty = certificate accepted).  A certificate with
+    a bad rational raises InputError E_BAD_RATIONAL; any other structural
+    defect raises E_MALFORMED.
+
+    A graph certificate (one with `graph_axes`) has a single witness face,
+    a face of N(Λ_{n+1}, S) with Λ_{n+1}'s unit monomials dropped, as in
+    the engine."""
     try:
-        n = int(cert["n"])
-        spec = DomainSpec.of(n, [j - 1 for j in cert["S"]])
-        lambdas = [ExponentSet.of([tuple(m) for m in block], n)
-                   for block in cert["lambda"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("E_MALFORMED",
-                         f"malformed certificate: {exc}") from None
+        problem = ProblemInput(cert)
+    except InputError as exc:
+        if exc.code == "E_BAD_RATIONAL":
+            raise
+        raise _malformed(str(exc)) from None
+    n, spec, lambdas = problem.n, problem.spec, problem.lambdas
+    if not _is_int(cert.get("union_rank")):
+        raise _malformed("'union_rank' must be an integer")
+    odd = cert.get("odd_subset")
+    if not (isinstance(odd, list)
+            and all(_is_int_vector(m, n) for m in odd)):
+        raise _malformed(f"'odd_subset' must be a list of {n} integers")
+    witness = cert.get("overlap_witness")
+    if witness is not None:
+        if not (isinstance(witness, list) and len(witness) == n):
+            raise _malformed(f"'overlap_witness' must hold {n} rationals")
+        witness = tuple(Fraction(x) if _is_int(x) else _parse_rational(x)
+                        for x in witness)
+    graph_axes = cert.get("graph_axes")
+    if graph_axes is not None and not (isinstance(graph_axes, list) and all(
+            _is_int(j) and 1 <= j <= n for j in graph_axes)):
+        raise _malformed(f"'graph_axes' must be integers in 1..{n}")
 
-    graph_axes = [j - 1 for j in cert.get("graph_axes", [])] \
-        if "graph_axes" in cert else None
-
+    failures = []
     if "gl_matrix" in cert:
-        matrix = [[Fraction(x) for x in row] for row in cert["gl_matrix"]]
-        d = len(matrix)
-        coef = {}
-        for key, val in cert.get("coefficients", {}).items():
-            mk = _COEFF_KEY.match(key.replace(" ", ""))
-            if not mk:
-                return [f"bad coefficient key {key!r}"]
-            coef[(int(mk.group(1)) - 1,
-                  tuple(int(x) for x in mk.group(2).split(",")))] = \
-                Fraction(val)
-        det_rows = [[Fraction(x) for x in row] for row in matrix]
-        if rank(det_rows) != d:
+        d = len(lambdas)
+        rows = cert["gl_matrix"]
+        if not (isinstance(rows, list) and len(rows) == d and all(
+                isinstance(row, list) and len(row) == d for row in rows)):
+            raise _malformed(f"'gl_matrix' must be {d} rows of {d} entries")
+        matrix = [[_parse_rational(x) for x in row] for row in rows]
+        if problem.coefficients is None:
+            raise _malformed("a 'gl_matrix' needs 'coefficients'")
+        claimed = cert.get("class_lambda")
+        if not _is_block_list(claimed, n):
+            raise _malformed(f"'class_lambda' must be nonempty lists of "
+                             f"{n} integers")
+        if rank(matrix) != d:
             failures.append("gl_matrix is singular")
-        transformed: dict = {}
-        for (nu, m), c in coef.items():
-            for i in range(d):
-                w = matrix[i][nu] * c
-                cur = transformed.get((i, m), Fraction(0)) + w
-                if cur == 0:
-                    transformed.pop((i, m), None)
-                else:
-                    transformed[(i, m)] = cur
-        claimed = [frozenset(tuple(m) for m in block)
-                   for block in cert.get("class_lambda", [])]
-        got = [frozenset(m for (i, m) in transformed if i == nu)
-               for nu in range(d)]
-        got = [s for s in got if s]
+        claimed = [frozenset(tuple(m) for m in block) for block in claimed]
+        got = [s for s in problem.polynomial().transformed(matrix).supports()
+               if s]
         if sorted(map(sorted, claimed)) != sorted(map(sorted, got)):
             failures.append("gl_matrix does not produce class_lambda")
         lambdas = [ExponentSet.of(block, n) for block in claimed]
+
+    if graph_axes is not None:
+        rest = [m for m in _graph_block(lambdas, n).points if sum(m) != 1]
+        if not rest:
+            return failures + ["lambda_{n+1} holds only unit monomials"]
+        lambdas = [ExponentSet.of(rest, n)]
 
     witness_faces = cert.get("witness_faces")
     if not isinstance(witness_faces, list):
@@ -773,7 +783,8 @@ def verify_certificate(cert: dict) -> list:
             pts.extend(sorted(f.vertex_set) + sorted(f.ray_set))
             allowed.update(f.lambda_points())
     if graph_axes is not None:
-        axis_vecs = [tuple(int(x) for x in unit(n, j)) for j in graph_axes]
+        axis_vecs = [tuple(int(x) for x in unit(n, j - 1))
+                     for j in graph_axes]
         pts.extend(axis_vecs)
         allowed.update(axis_vecs)
 
@@ -784,7 +795,7 @@ def verify_certificate(cert: dict) -> list:
     if r > n - 1:
         failures.append("union rank is not low (rank <= n-1 fails)")
 
-    odd = [tuple(m) for m in cert["odd_subset"]]
+    odd = [tuple(m) for m in odd]
     if not odd:
         failures.append("empty odd subset")
     if not set(odd) <= allowed:
@@ -793,13 +804,11 @@ def verify_certificate(cert: dict) -> list:
     if not all(c % 2 == 1 for c in sums):
         failures.append("odd subset does not sum to an all-odd vector")
 
-    witness = cert.get("overlap_witness")
     if graph_axes is None and witness is None:
         failures.append("missing overlap witness")
     if witness is not None:
-        w = tuple(Fraction(str(x)) for x in witness)
         for fdesc, f in zip(witness_faces, faces):
-            if not interior_contains(f, w):
+            if not interior_contains(f, witness):
                 failures.append(
                     f"overlap witness outside the open cone of the "
                     f"component-{fdesc['nu']} face")
@@ -808,7 +817,7 @@ def verify_certificate(cert: dict) -> list:
 
 @main.command()
 @_common
-def verify(input_path, fmt, seed):
+def verify(input_path, fmt):
     """Re-validate an emitted certificate (accepts a full report or a bare
     certificate object)."""
     def body():

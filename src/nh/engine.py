@@ -14,24 +14,14 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .exact_numeric import (
-    StrictSystem,
-    dot,
-    is_zero,
-    nullspace,
-    primitive,
-    rank,
-    solve_strict,
-    unit,
-)
+from .exact_numeric import dot, is_zero, nullspace, primitive, rank, unit
 from .newton_poly import (
     DomainSpec,
     ExponentSet,
     Face,
     build_newton,
-    closure_contains,
     cones_interior_intersection,
     face_by_cone_interior,
 )
@@ -132,13 +122,21 @@ class VectorPolynomial:
     def supports(self) -> tuple:
         return tuple(self.support(nu) for nu in range(self.d))
 
-    def row(self, nu: int) -> dict:
-        return {m: c for (j, m), c in self.coefficients.items() if j == nu}
-
     def lambda_tuple(self) -> LambdaTuple:
         return LambdaTuple(
             [ExponentSet.of(self.support(nu), self.spec.n)
              for nu in range(self.d)], self.spec)
+
+    def transformed(self, matrix) -> "VectorPolynomial":
+        """U·P for a d×d rational matrix U, exactly; monomials whose
+        coefficients cancel are dropped."""
+        coef: dict = {}
+        for (nu, m), c in self.coefficients.items():
+            for i in range(self.d):
+                if matrix[i][nu]:
+                    coef[(i, m)] = coef.get((i, m), 0) + matrix[i][nu] * c
+        return VectorPolynomial({k: c for k, c in coef.items() if c},
+                                self.d, self.spec)
 
 
 @dataclass(frozen=True)
@@ -226,9 +224,16 @@ def decide_disjoint(lam: LambdaTuple) -> Verdict:
 def decide_graph(lambda_last: ExponentSet, spec: DomainSpec) -> Verdict:
     """Λ = ({e₁},…,{e_n},Λ_{n+1}): unbounded iff some face F of
     N(Λ_{n+1},S) and A ⊆ {e₁,…,e_n} have rank(F ∪ A) ≤ n−1 with
-    (F ∩ Λ_{n+1}) ∪ A odd.  No cone-overlap test."""
+    (F ∩ Λ_{n+1}) ∪ A odd.  No cone-overlap test.
+
+    A unit monomial c·t_j of Λ_{n+1} folds into ξ_j t_j by a GL row
+    operation, so the unit monomials are dropped first; when nothing is
+    left the phase is linear and the verdict is bounded."""
     n = spec.n
-    p = build_newton(lambda_last, spec)
+    rest = [m for m in lambda_last.points if sum(m) != 1]
+    if not rest:
+        return Verdict(kind="bounded")
+    p = build_newton(ExponentSet.of(rest, n), spec)
     units = [tuple(int(x) for x in unit(n, j)) for j in range(n)]
     examined = candidates = 0
     for f in p.faces():
@@ -254,14 +259,6 @@ def decide_graph(lambda_last: ExponentSet, spec: DomainSpec) -> Verdict:
                    lo_tuples=candidates)
 
 
-def graph_vertex_criterion(lambda_last: ExponentSet,
-                           spec: DomainSpec) -> bool:
-    """Published double-Hilbert criterion (n = 2): bounded iff every vertex
-    of N(Λ₃,S) has at least one even component.  Used for cross-validation."""
-    p = build_newton(lambda_last, spec)
-    return all(any(c % 2 == 0 for c in v) for v in p.vertices)
-
-
 # ---------------------------------------------------------------------------
 # GL(d) cascade and the general criterion
 # ---------------------------------------------------------------------------
@@ -278,71 +275,16 @@ def _matmul(a: tuple, b: tuple) -> tuple:
         for i in range(d))
 
 
-def gl_cascade(p: VectorPolynomial,
-               face_selector: Optional[Callable] = None) -> list:
-    """U = A_d⋯A₂A₁ with A₁ = I; step k eliminates the monomial
-    t^{m(A_k,k)} from components k+1,…,d via row operations with ratios
-    −c^j_m/c^k_m.  Returns one GLClass per step (d entries)."""
-    if face_selector is None:
-        def face_selector(k, poly):
-            return min(poly.support(k))
-    d = p.d
-    U = _identity(d)
-    cur = p
-    out = [GLClass(U, cur, cur.supports())]
-    for k in range(d - 1):
-        m = face_selector(k, cur)
-        pivot = cur.coefficients.get((k, m))
-        assert pivot is not None and pivot != 0, \
-            "selected pivot monomial missing from component support"
-        elem = [list(row) for row in _identity(d)]
-        coef = dict(cur.coefficients)
-        for j in range(k + 1, d):
-            cj = cur.coefficients.get((j, m))
-            if cj is None:
-                continue
-            ratio = -cj / pivot
-            elem[j][k] = ratio
-            for mm, c in cur.row(k).items():
-                nc = coef.get((j, mm), Fraction(0)) + ratio * c
-                if nc == 0:
-                    coef.pop((j, mm), None)
-                else:
-                    coef[(j, mm)] = nc
-        U = _matmul(tuple(tuple(r) for r in elem), U)
-        cur = VectorPolynomial(coef, d, p.spec)
-        out.append(GLClass(U, cur, cur.supports()))
-    return out
-
-
-def _det(mat: tuple) -> Fraction:
-    d = len(mat)
-    rows = [list(r) for r in mat]
-    det = Fraction(1)
-    for col in range(d):
-        piv = next((i for i in range(col, d) if rows[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for i in range(col + 1, d):
-            f = rows[i][col] / rows[col][col]
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-    return det
-
-
-def enumerate_support_classes(p: VectorPolynomial, generic: bool = False,
-                              depth_cap: Optional[int] = None):
+def enumerate_support_classes(p: VectorPolynomial, generic: bool = False):
     """Support patterns Λ(UP) reachable by downward single-pivot
-    eliminations (breadth-first), deduplicated by support pattern.
+    eliminations (breadth-first, at most 2^d steps deep), deduplicated by
+    support pattern.  Every step is a unit lower-triangular row operation,
+    so every reaching matrix U has determinant 1.
 
     Returns (classes, cap_hit) where classes is a list of GLClass.
     """
     d = p.d
-    if depth_cap is None:
-        depth_cap = 2 ** d
+    depth_cap = 2 ** d
     start_supports = p.supports()
     start = GLClass(_identity(d), None if generic else p, start_supports)
     classes: dict = {start_supports: start}
@@ -368,39 +310,27 @@ def enumerate_support_classes(p: VectorPolynomial, generic: bool = False,
                         new_poly = None
                     else:
                         cur = cls.poly
-                        ratio = -cur.coefficients[(j, m)] / \
+                        elem[j][k] = -cur.coefficients[(j, m)] / \
                             cur.coefficients[(k, m)]
-                        elem[j][k] = ratio
-                        coef = dict(cur.coefficients)
-                        for mm, c in cur.row(k).items():
-                            nc = coef.get((j, mm), Fraction(0)) + ratio * c
-                            if nc == 0:
-                                coef.pop((j, mm), None)
-                            else:
-                                coef[(j, mm)] = nc
-                        new_poly = VectorPolynomial(coef, d, p.spec)
+                        new_poly = cur.transformed(elem)
                         new_supports = new_poly.supports()
                     if new_supports in classes:
                         continue
-                    mat = _matmul(tuple(tuple(r) for r in elem), cls.matrix)
-                    assert _det(mat) != 0, \
-                        "elementary product lost invertibility"
-                    nxt = GLClass(mat, new_poly, new_supports)
+                    nxt = GLClass(_matmul(elem, cls.matrix), new_poly,
+                                  new_supports)
                     classes[new_supports] = nxt
                     queue.append((nxt, depth + 1))
     return list(classes.values()), cap_hit
 
 
 def decide_general(p: VectorPolynomial, spec: Optional[DomainSpec] = None,
-                   generic: bool = False,
-                   depth_cap: Optional[int] = None) -> Verdict:
+                   generic: bool = False) -> Verdict:
     """General (possibly non-disjoint) criterion: the evenness condition on
     low-rank overlapping tuples must hold for every reachable support class
     Λ(AP).  Components whose support becomes empty under elimination are
     dropped (they contribute the constant 0 to the phase)."""
     spec = spec or p.spec
-    classes, cap_hit = enumerate_support_classes(p, generic=generic,
-                                                 depth_cap=depth_cap)
+    classes, cap_hit = enumerate_support_classes(p, generic=generic)
     examined = lo = 0
     for cls in classes:
         live = [s for s in cls.supports if s]
@@ -429,18 +359,21 @@ def decide_general(p: VectorPolynomial, spec: Optional[DomainSpec] = None,
 # ---------------------------------------------------------------------------
 
 def classify_dyadic(lam: LambdaTuple, j: Sequence[int]) -> list:
-    """All face tuples whose closed cone intersection Cap(F*) contains j."""
+    """All face tuples whose closed cone intersection Cap(F*) contains j.
+
+    j ∈ F* exactly when F is a face of the j-minimal face of its
+    polyhedron, so the answer is the product of those down-sets."""
     j = tuple(Fraction(x) for x in j)
     if len(j) != lam.spec.n:
         raise ValueError("dyadic index dimension mismatch")
     if not lam.spec.in_zs(j):
         raise ValueError(f"index {j} outside Z(S)")
-    out = []
-    for combo in itertools.product(*[p.faces() for p in lam.polyhedra]):
-        if all(closure_contains(f, j) for f in combo):
-            out.append(FaceTuple(tuple(combo), union_point_rank(combo), None))
-    assert out, "cone covering of Z(S) failed"
-    return out
+    down_sets = []
+    for p in lam.polyhedra:
+        top = face_by_cone_interior(p, j)
+        down_sets.append([f for f in p.faces() if f <= top])
+    return [FaceTuple(combo, union_point_rank(combo), None)
+            for combo in itertools.product(*down_sets)]
 
 
 def _cone_h_data(faces: Sequence[Face], n: int):
@@ -504,47 +437,23 @@ def cap_cone_generators(faces: Sequence[Face]):
     return cone_extreme_generators(eqs, ineqs, n)
 
 
-def _conic_member(target, gens, lin, n) -> bool:
-    """target ∈ CoSp(gens) ⊕ span(lin)?  (weak LP feasibility)"""
-    nv = len(gens) + 2 * len(lin)
-    if nv == 0:
-        return is_zero(tuple(Fraction(x) for x in target))
-    eqs = []
-    for coord in range(n):
-        a = [Fraction(g[coord]) for g in gens]
-        for l in lin:
-            a.extend([Fraction(l[coord]), -Fraction(l[coord])])
-        eqs.append((tuple(a), Fraction(target[coord])))
-    weak = tuple((tuple(unit(nv, j)), Fraction(0))
-                 for j in range(len(gens)))
-    return solve_strict(StrictSystem(dim=nv, equalities=tuple(eqs),
-                                     weak=weak)) is not None
-
-
-def build_face_chain(tuple_: FaceTuple,
-                     cap_generators: Sequence[Sequence]) -> list:
+def build_face_chain(tuple_: FaceTuple):
     """Descending face chains F_ν(0) ⪰ F_ν(1) ⪰ … ⪰ F_ν(N) from the
-    ordered generators p₁,…,p_N of Cap(F*): F_ν(s) is the face whose open
-    dual cone contains p₁+⋯+p_s (the relative-interior point of the
-    essential cone C_ν(s)); s = 0 gives the whole polyhedron.
+    generators p₁,…,p_N of Cap(F*) (its extreme rays, reduced mod its
+    lineality): F_ν(s) is the face whose open dual cone contains
+    p₁+⋯+p_s (the relative-interior point of the essential cone C_ν(s));
+    s = 0 gives the whole polyhedron.
 
-    Returns a list of length N+1 of d-tuples of faces.
+    Returns (generators, lineality, chains), chains a list of length N+1
+    of d-tuples of faces.
     """
     faces = tuple_.faces
     n = faces[0].parent.spec.n
-    gens = [tuple(Fraction(x) for x in g) for g in cap_generators]
-    for g in gens:
-        if not all(closure_contains(f, g) for f in faces):
-            raise ValueError(f"generator {g} is not in Cap(F*)")
-    true_rays, lin = cap_cone_generators(faces)
-    for r in true_rays:
-        if not _conic_member(r, gens, lin, n):
-            raise ValueError("given generators do not span Cap(F*)")
-
+    gens, lin = cap_cone_generators(faces)
     chains = []
     acc = tuple(Fraction(0) for _ in range(n))
     chains.append(tuple(f.parent.improper_face() for f in faces))
-    for s, g in enumerate(gens, start=1):
+    for g in gens:
         acc = tuple(a + b for a, b in zip(acc, g))
         step = []
         for f in faces:
@@ -556,4 +465,4 @@ def build_face_chain(tuple_: FaceTuple,
             else:
                 step.append(face_by_cone_interior(f.parent, acc))
         chains.append(tuple(step))
-    return chains
+    return gens, lin, chains

@@ -23,10 +23,6 @@ RMatrix = Sequence  # a sequence of RVector of common length
 # vector helpers
 # ---------------------------------------------------------------------------
 
-def vec(*coords) -> tuple:
-    return tuple(Fraction(c) for c in coords)
-
-
 def _rat(x):
     """x itself if it is an int or a Fraction, else its exact Fraction."""
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
@@ -82,21 +78,6 @@ def primitive(v: RVector) -> tuple:
     if g == 0:
         return iv
     return tuple(x // g for x in iv)
-
-
-def canonicalize(v: RVector) -> tuple:
-    """Primitive integer vector with first nonzero coordinate positive.
-
-    This is the dedup key for undirected normals; `primitive` keeps
-    orientation for one-sided facet normals.
-    """
-    p = primitive(v)
-    for x in p:
-        if x != 0:
-            if x < 0:
-                return tuple(-y for y in p)
-            break
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -202,24 +183,6 @@ def nullspace(rows: RMatrix, n: Optional[int] = None) -> list[tuple]:
             x[pc] = -mat[i][f]
         basis.append(primitive(x))
     return basis
-
-
-def solve_linear(rows: RMatrix, rhs: Sequence) -> Optional[tuple]:
-    """One exact solution of A x = b, or None if inconsistent."""
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    aug = [list(r) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    mat, pivots = rref(aug)
-    for row in mat:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        if pc == ncols:  # pivot in the rhs column: inconsistent (caught above)
-            return None
-        x[pc] = mat[i][-1]
-    return tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -474,30 +437,3 @@ def gf2_contains(span_vectors: Iterable[Sequence[int]],
         if t >> p & 1:
             t ^= row
     return t == 0
-
-
-def gf2_solve(span_vectors: Sequence[Sequence[int]],
-              target: Sequence[int]) -> Optional[list[int]]:
-    """Indices I with ⊕_{i∈I} span_vectors[i] = target (mod 2), or None."""
-    n = len(target)
-    rows = []  # (mask, combo-mask over input indices)
-    for i, v in enumerate(span_vectors):
-        if len(v) != n:
-            raise ValueError("GF(2) vector length mismatch")
-        rows.append((_to_mask(v), 1 << i))
-    pivots: dict[int, tuple[int, int]] = {}
-    for m, tag in rows:
-        for p, (rm, rt) in pivots.items():
-            if m >> p & 1:
-                m ^= rm
-                tag ^= rt
-        if m:
-            pivots[m.bit_length() - 1] = (m, tag)
-    t, tag = _to_mask(target), 0
-    for p, (rm, rt) in pivots.items():
-        if t >> p & 1:
-            t ^= rm
-            tag ^= rt
-    if t != 0:
-        return None
-    return [i for i in range(len(span_vectors)) if tag >> i & 1]

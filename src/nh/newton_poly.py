@@ -3,8 +3,8 @@
 Exact V- and H-representations, the full face lattice (including the
 improper face and the empty face of dimension −1), dual cones with the
 Πa/Πb split for lower-dimensional polyhedra, interior-membership tests
-for cones, joint cone-interior intersections, essential faces, and the
-F = N(Λ∩F, S₀) closure structure.
+for cones, joint cone-interior intersections, the face a functional cuts
+out, and the F = N(Λ∩F, S₀) closure structure.
 
 Facet normals are integer cofactor vectors (generalized cross products)
 of m generators — a vertex, then vertices or rays — and the Πb rows, each
@@ -339,25 +339,6 @@ def interior_contains(f: Face, x: Sequence) -> bool:
     return True
 
 
-def closure_contains(f: Face, x: Sequence) -> bool:
-    """x ∈ F*, the closed dual cone (weak-inequality variant)."""
-    p = f.parent
-    x = tuple(Fraction(c) for c in x)
-    if f.is_empty:
-        return p.spec.in_zs(x)
-    vs = sorted(f.vertex_set)
-    rho = dot(x, vs[0])
-    if any(dot(x, v) != rho for v in vs[1:]):
-        return False
-    if any(dot(x, r) != 0 for r in f.ray_set):
-        return False
-    if any(dot(x, w) < rho for w in p.vertices - f.vertex_set):
-        return False
-    if any(dot(x, r) < 0 for r in p.rays - f.ray_set):
-        return False
-    return True
-
-
 def _interior_system(faces: Sequence[Face], n: int):
     """StrictSystem over (x, ρ_1..ρ_K) for x ∈ ⋂(F_ν*)°, plus whether any
     strict row exists.  ρ_ν is the supporting level of face ν."""
@@ -427,26 +408,6 @@ def cones_interior_intersection(faces: Sequence[Face]) -> Optional[tuple]:
     return x
 
 
-def cones_closed_intersection_ray(faces: Sequence[Face]) -> Optional[tuple]:
-    """A nonzero point of ⋂ F_ν* (closed cones), if one exists."""
-    n = faces[0].parent.spec.n
-    eqs, weak = [], []
-    for f in faces:
-        for a, b in _cone_h_rows(f):
-            (eqs if b == "eq" else weak).append((a, Fraction(0)))
-    for j in range(n):
-        for sign in (1, -1):
-            srow = [Fraction(0)] * n
-            srow[j] = Fraction(sign)
-            sys = StrictSystem(dim=n, equalities=tuple(eqs),
-                               weak=tuple(weak),
-                               strict=((tuple(srow), Fraction(0)),))
-            sol = solve_strict(sys)
-            if sol is not None:
-                return tuple(sol)
-    return None
-
-
 def _cone_h_rows(f: Face):
     """Homogeneous H-rows of the closed cone F* in x alone (ρ eliminated by
     substituting the level at a face vertex).  Yields (vector, 'eq'|'ge')."""
@@ -469,47 +430,24 @@ def _cone_h_rows(f: Face):
 
 
 # ---------------------------------------------------------------------------
-# essential faces and closure structure
+# the face a functional cuts out, and closure structure
 # ---------------------------------------------------------------------------
 
-def essential_face(points: Sequence[Sequence], p: NewtonPolyhedron) -> Face:
-    """F(B|P): the smallest face of P containing B, via the centroid."""
-    if not points:
-        raise ValueError("no points given")
-    n = p.spec.n
-    c = [Fraction(0)] * n
-    for pt in points:
-        for i in range(n):
-            c[i] += Fraction(pt[i])
-    c = tuple(x / len(points) for x in c)
-    if not p.contains(c):
-        raise ValueError(f"point {c} lies outside the polyhedron")
-    tight = [i for i, (q, r) in enumerate(p.facets_a) if dot(q, c) == r]
-    vs = frozenset(v for v in p.vertices
-                   if all(dot(p.facets_a[i][0], v) == p.facets_a[i][1]
-                          for i in tight))
-    rs = frozenset(r for r in p.rays
-                   if all(dot(p.facets_a[i][0], r) == 0 for i in tight))
-    face = p.face_by_key(vs, rs)
-    assert face is not None, "centroid's tight set does not match a face"
-    return face
-
-
 def face_by_cone_interior(p: NewtonPolyhedron, x: Sequence) -> Face:
-    """The unique face F with x ∈ (F*)°; x = 0 maps to the improper face
-    (its closed cone V⊥(P) is the only one containing a neighborhood of 0
-    inside ⋂, matching the F(0)=P convention of the chain construction)."""
+    """The unique face F with x ∈ (F*)°: the face on which x·y attains its
+    minimum over P, i.e. the vertices minimising x·v and the rays with
+    x·r = 0.  x = 0 maps to the improper face (its closed cone V⊥(P) is
+    the only one containing a neighborhood of 0 inside ⋂, matching the
+    F(0)=P convention of the chain construction).  x must lie in Z(S),
+    where the minimum is attained."""
     x = tuple(Fraction(c) for c in x)
     if is_zero(x):
         return p.improper_face()
-    for f in p.faces():
-        if f.is_empty:
-            continue
-        if interior_contains(f, x):
-            return f
-    f = p.empty_face()
-    assert interior_contains(f, x), "point not covered by any face cone"
-    return f
+    assert p.spec.in_zs(x), "point not covered by any face cone"
+    levels = {v: dot(x, v) for v in p.vertices}
+    low = min(levels.values())
+    return p.face_by_key([v for v, lv in levels.items() if lv == low],
+                         [r for r in p.rays if dot(x, r) == 0])
 
 
 def face_closure_structure(f: Face) -> frozenset:

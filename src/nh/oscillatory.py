@@ -42,7 +42,7 @@ def max_cells() -> int:
 
 class CutoffSpec:
     """psi: 1 on [0,1/2], 0 outside [0,2), glued with g(x)=exp(-1/x);
-    eta(u) = psi(u) - psi(2u); h(u) = eta(u)/u (odd)."""
+    eta(u) = psi(u) - psi(2u), so h(u) = eta(u)/u is odd."""
 
     @staticmethod
     def _g(x):
@@ -65,23 +65,6 @@ class CutoffSpec:
     @classmethod
     def eta(cls, u):
         return cls.psi(u) - cls.psi(2.0 * np.asarray(u, dtype=float))
-
-    @classmethod
-    def h(cls, u):
-        u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        nz = u != 0
-        out[nz] = cls.eta(u[nz]) / u[nz]
-        return out
-
-    @classmethod
-    def partition_deviation(cls, samples, k_range=range(-30, 31)) -> float:
-        """max |Σ_k eta(2^k u) − 1| over the samples (telescoping check)."""
-        u = np.asarray(samples, dtype=float)
-        total = np.zeros_like(u)
-        for k in k_range:
-            total += cls.eta((2.0 ** k) * u)
-        return float(np.max(np.abs(total - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -297,28 +280,8 @@ def _amplitudes(monos, xi, j=None):
 
 
 # ---------------------------------------------------------------------------
-# core integrals
+# dyadic pieces
 # ---------------------------------------------------------------------------
-
-def pv_integral(p, xi, a, b, tol_cell: float = CELL_TOL) -> QuadratureResult:
-    """∫ over ∏{a_j<|t_j|<b_j} of e^{i⟨ξ,P(t)⟩} ∏dt_j/t_j via the sign
-    split onto the positive box, in log coordinates u = log t."""
-    n = p.spec.n
-    a = [float(x) for x in a]
-    b = [float(x) for x in b]
-    if len(a) != n or len(b) != n or any(
-            not (0.0 < x < y) for x, y in zip(a, b)):
-        raise ValueError("need 0 < a < b componentwise")
-    monos = _monomial_list(p)
-    groups = sigma_groups([m for _, m, _ in monos], n)
-    if not groups:
-        return QuadratureResult(0.0 + 0.0j, 0.0, 0)
-    phase = _Phase(np.array([m for _, m, _ in monos], dtype=float),
-                   _amplitudes(monos, xi), groups)
-    lo = [math.log(x) for x in a]
-    hi = [math.log(x) for x in b]
-    return adaptive_box(phase.integrand(), lo, hi, tol_cell)
-
 
 def _eta_of_log(u):
     """η(e^u): the per-axis shell weight in log coordinates (h(t)·t = η(t))."""
@@ -426,13 +389,6 @@ class PieceFamily:
                             [LOG_QUARTER] * self.n, [LOG_TWO] * self.n,
                             tol_cell, order=32 if swing > 20.0 else 16,
                             axis_weight=_eta_of_log)
-
-
-def dyadic_piece(p, face_tuple, j, xi,
-                 tol_cell: float = CELL_TOL) -> QuadratureResult:
-    """I_J(P_F, ξ): only monomials m ∈ F_ν ∩ Λ_ν, scaled by 2^{−J·m},
-    integrated against ∏h(t_ℓ)dt_ℓ over the shells |t_ℓ| ∈ [1/4, 2]."""
-    return PieceFamily(p, face_tuple).evaluate(j, xi, tol_cell)
 
 
 # ---------------------------------------------------------------------------

@@ -9,36 +9,14 @@ explicit subset-sum oracle in the test suite.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Sequence
 
-from .exact_numeric import gf2_contains, gf2_solve
-
-SIGMA_CAP = 20
+from .exact_numeric import gf2_contains
 
 
 def parity_signature(q: Sequence[int]) -> tuple:
     """Γ(q): componentwise parity bits."""
     return tuple(int(c) % 2 for c in q)
-
-
-def sigma_class(omega) -> list:
-    """The multiset Σ(Ω) of all 2^|Ω| subset sums (oracle path)."""
-    pts = sorted(omega)
-    if len(pts) > SIGMA_CAP:
-        raise ValueError(
-            f"|omega| = {len(pts)} exceeds the enumeration cap "
-            f"{SIGMA_CAP}; use the GF(2) fast path")
-    n = len(pts[0]) if pts else 0
-    sums = []
-    for mask in itertools.product((0, 1), repeat=len(pts)):
-        s = [0] * n
-        for a, p in zip(mask, pts):
-            if a:
-                for i in range(n):
-                    s[i] += p[i]
-        sums.append(tuple(s))
-    return sums
 
 
 def is_even(omega) -> bool:
@@ -51,39 +29,38 @@ def is_even(omega) -> bool:
 
 
 def odd_witness(omega) -> Optional[list]:
-    """A subset of Ω whose sum is componentwise odd, or None if Ω is even.
+    """The lexicographically smallest subset of minimal size among the
+    subsets of Ω whose sum is componentwise odd (as a sorted point list),
+    or None if Ω is even.
 
-    Deterministic: solves the GF(2) system over the sorted point list, then
-    returns the lexicographically smallest witness of minimal size among
-    solutions of the form (particular ⊕ nullspace combination) when the
-    enumeration is small, else the particular solution.
+    Dynamic programming over (suffix index, parity state): fewest[i] maps
+    each parity state reachable from the points i, i+1, … of the sorted
+    list to the fewest points that reach it.  The witness is rebuilt
+    greedily, taking at each step the first point that still allows a
+    completion of minimal size.  O(|Ω|·2^r) for r = rank Γ(Ω) ≤ n.
     """
     pts = sorted(omega)
     if not pts:
         return None
-    n = len(pts[0])
-    gammas = [parity_signature(p) for p in pts]
-    idx = gf2_solve(gammas, (1,) * n)
-    if idx is None:
+    masks = [sum((c % 2) << k for k, c in enumerate(p)) for p in pts]
+    fewest = [{0: 0}]
+    for g in reversed(masks):
+        nxt = dict(fewest[-1])
+        for state, size in fewest[-1].items():
+            nxt[state ^ g] = min(nxt.get(state ^ g, size + 1), size + 1)
+        fewest.append(nxt)
+    fewest.reverse()                 # fewest[i]: points i, i+1, … only
+    state = (1 << len(pts[0])) - 1  # the all-odd parity vector
+    need = fewest[0].get(state)
+    if need is None:
         return None
-    if len(pts) <= 16:
-        best = None
-        for mask in itertools.product((0, 1), repeat=len(pts)):
-            if not any(mask):
-                continue
-            s = [0] * n
-            for a, p in zip(mask, pts):
-                if a:
-                    for i in range(n):
-                        s[i] += p[i]
-            if all(c % 2 == 1 for c in s):
-                cand = [pts[i] for i in range(len(pts)) if mask[i]]
-                key = (len(cand), cand)
-                if best is None or key < best[0]:
-                    best = (key, cand)
-        witness = best[1]
-    else:
-        witness = [pts[i] for i in idx]
-    total = [sum(c) for c in zip(*witness)]
-    assert all(c % 2 == 1 for c in total), "odd witness does not sum odd"
+    witness = []
+    i = 0
+    while need:
+        while fewest[i + 1].get(state ^ masks[i]) != need - 1:
+            i += 1
+        witness.append(pts[i])
+        state ^= masks[i]
+        need -= 1
+        i += 1
     return witness

@@ -1,7 +1,10 @@
-"""Shared randomized-instance generators and geometric invariant checkers.
+"""Shared randomized-instance generators, geometric oracles and invariant
+checkers.
 
 Used by both the unit tests and the acceptance gate, so that the acceptance
-runs exercise exactly the checks documented here.
+runs exercise exactly the checks documented here.  The oracles are the
+closed-cone membership test, a nonzero point of a closed cone
+intersection, and the published double-Hilbert vertex criterion.
 """
 
 import itertools
@@ -11,16 +14,14 @@ from fractions import Fraction
 import numpy as np
 
 from nh.engine import cone_extreme_generators
-from nh.exact_numeric import dot, rank, vsub
+from nh.exact_numeric import StrictSystem, dot, rank, solve_strict, vsub
 from nh.newton_poly import (
     DomainSpec,
     ExponentSet,
     _cone_h_rows,
     build_newton,
-    closure_contains,
     enumerate_faces,
     face_by_cone_interior,
-    interior_contains,
 )
 
 
@@ -33,6 +34,61 @@ def random_instance(rng: random.Random, n_max: int = 3, max_points: int = 6,
            for _ in range(npts)}
     S = [j for j in range(n) if rng.random() < 0.5]
     return ExponentSet.of(pts, n), DomainSpec.of(n, S)
+
+
+# ---------------------------------------------------------------------------
+# oracles
+# ---------------------------------------------------------------------------
+
+def closure_contains(f, x) -> bool:
+    """x ∈ F*, the closed dual cone (weak-inequality variant)."""
+    p = f.parent
+    x = tuple(Fraction(c) for c in x)
+    if f.is_empty:
+        return p.spec.in_zs(x)
+    vs = sorted(f.vertex_set)
+    rho = dot(x, vs[0])
+    if any(dot(x, v) != rho for v in vs[1:]):
+        return False
+    if any(dot(x, r) != 0 for r in f.ray_set):
+        return False
+    if any(dot(x, w) < rho for w in p.vertices - f.vertex_set):
+        return False
+    if any(dot(x, r) < 0 for r in p.rays - f.ray_set):
+        return False
+    return True
+
+
+def cones_closed_intersection_ray(faces):
+    """A nonzero point of ⋂ F_ν* (closed cones), if one exists."""
+    n = faces[0].parent.spec.n
+    eqs, weak = [], []
+    for f in faces:
+        for a, b in _cone_h_rows(f):
+            (eqs if b == "eq" else weak).append((a, Fraction(0)))
+    for j in range(n):
+        for sign in (1, -1):
+            srow = [Fraction(0)] * n
+            srow[j] = Fraction(sign)
+            sys = StrictSystem(dim=n, equalities=tuple(eqs),
+                               weak=tuple(weak),
+                               strict=((tuple(srow), Fraction(0)),))
+            sol = solve_strict(sys)
+            if sol is not None:
+                return tuple(sol)
+    return None
+
+
+def graph_vertex_criterion(lambda_last, spec) -> bool:
+    """Published double-Hilbert criterion (n = 2): bounded iff every vertex
+    of N(Λ₃,S) has at least one even component.  Unit monomials of Λ₃ fold
+    into the linear components, so they are dropped first; nothing left
+    means bounded."""
+    rest = [m for m in lambda_last.points if sum(m) != 1]
+    if not rest:
+        return True
+    p = build_newton(ExponentSet.of(rest, spec.n), spec)
+    return all(any(c % 2 == 0 for c in v) for v in p.vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@
   per group, against which the real-arithmetic kernel is checked.
 - The per-J prune bound, against which the array version over a whole
   J box is checked bit for bit.
+- Fixtures built on the harness: the odd cutoff h(u) = η(u)/u and the
+  partition-of-unity deviation of η, the σ-folded principal-value integral
+  over an annulus box, and a single dyadic piece.
 """
 
 from __future__ import annotations
@@ -18,7 +21,63 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from nh.oscillatory import CELL_TOL, H_MASS, QuadratureResult
+from nh.oscillatory import (
+    CELL_TOL,
+    H_MASS,
+    CutoffSpec,
+    PieceFamily,
+    QuadratureResult,
+    _amplitudes,
+    _monomial_list,
+    _Phase,
+    adaptive_box,
+    sigma_groups,
+)
+
+
+def cutoff_h(u):
+    """h(u) = η(u)/u, odd, with h(0) = 0."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    nz = u != 0
+    out[nz] = CutoffSpec.eta(u[nz]) / u[nz]
+    return out
+
+
+def partition_deviation(samples, k_range=range(-30, 31)) -> float:
+    """max |Σ_k η(2^k u) − 1| over the samples (telescoping check)."""
+    u = np.asarray(samples, dtype=float)
+    total = np.zeros_like(u)
+    for k in k_range:
+        total += CutoffSpec.eta((2.0 ** k) * u)
+    return float(np.max(np.abs(total - 1.0)))
+
+
+def pv_integral(p, xi, a, b, tol_cell: float = CELL_TOL) -> QuadratureResult:
+    """∫ over ∏{a_j<|t_j|<b_j} of e^{i⟨ξ,P(t)⟩} ∏dt_j/t_j via the sign
+    split onto the positive box, in log coordinates u = log t."""
+    n = p.spec.n
+    a = [float(x) for x in a]
+    b = [float(x) for x in b]
+    if len(a) != n or len(b) != n or any(
+            not (0.0 < x < y) for x, y in zip(a, b)):
+        raise ValueError("need 0 < a < b componentwise")
+    monos = _monomial_list(p)
+    groups = sigma_groups([m for _, m, _ in monos], n)
+    if not groups:
+        return QuadratureResult(0.0 + 0.0j, 0.0, 0)
+    phase = _Phase(np.array([m for _, m, _ in monos], dtype=float),
+                   _amplitudes(monos, xi), groups)
+    lo = [math.log(x) for x in a]
+    hi = [math.log(x) for x in b]
+    return adaptive_box(phase.integrand(), lo, hi, tol_cell)
+
+
+def dyadic_piece(p, face_tuple, j, xi,
+                 tol_cell: float = CELL_TOL) -> QuadratureResult:
+    """I_J(P_F, ξ): only monomials m ∈ F_ν ∩ Λ_ν, scaled by 2^{−J·m},
+    integrated against ∏h(t_ℓ)dt_ℓ over the shells |t_ℓ| ∈ [1/4, 2]."""
+    return PieceFamily(p, face_tuple).evaluate(j, xi, tol_cell)
 
 
 def complex_exp_integrand(exponents: np.ndarray, amplitudes: np.ndarray,

@@ -15,35 +15,37 @@ import time
 import numpy as np
 import pytest
 
-from geom_checks import random_instance, run_all_checks
+from geom_checks import (
+    closure_contains,
+    cones_closed_intersection_ray,
+    graph_vertex_criterion,
+    random_instance,
+    run_all_checks,
+)
 from nh.cli import ProblemInput, _certificate, verify_certificate
 from nh.engine import (
     FaceTuple,
     LambdaTuple,
     VectorPolynomial,
     build_face_chain,
-    cap_cone_generators,
     cone_extreme_generators,
     decide_disjoint,
     decide_graph,
     enumerate_lo_tuples,
-    graph_vertex_criterion,
     union_point_rank,
 )
-from nh.exact_numeric import dot, unit
+from nh.exact_numeric import dot
 from nh.newton_poly import (
     DomainSpec,
     ExponentSet,
     _cone_h_rows,
     build_newton,
-    closure_contains,
-    cones_closed_intersection_ray,
     cones_interior_intersection,
     interior_contains,
 )
-from nh.oscillatory import divergence_probe, dyadic_piece, \
-    multiplier_sum_probe
+from nh.oscillatory import divergence_probe, multiplier_sum_probe
 from nh.parity import is_even
+from quadrature_oracle import dyadic_piece
 
 WORKED_L1 = [(0, 0, 2), (3, 3, 0)]
 WORKED_L2 = [(0, 0, 3), (3, 2, 1)]
@@ -251,8 +253,7 @@ def test_criterion_06_chain_suite():
         from fractions import Fraction
         for lam, ft in _chain_instances():
             n = lam.spec.n
-            gens, lin = cap_cone_generators(list(ft.faces))
-            chains = build_face_chain(ft, gens)
+            gens, lin, chains = build_face_chain(ft)
             assert len(chains) == len(gens) + 1
             assert all(f.is_improper for f in chains[0])
             acc = tuple(Fraction(0) for _ in range(n))

@@ -168,6 +168,39 @@ def test_decide_graph_forms(runner, tmp_path):
     assert res.exit_code == EXIT_INPUT
 
 
+GRAPH_ODD = [[5, 3], [6, 2]]           # the vertex (5,3) is all odd
+
+
+@pytest.mark.parametrize("last", [GRAPH_ODD, [[1, 0]] + GRAPH_ODD,
+                                  [[0, 1], [1, 0]] + GRAPH_ODD])
+@pytest.mark.parametrize("full_form", [False, True])
+def test_decide_graph_verify_round_trip(runner, tmp_path, last, full_form):
+    """Unit monomials of Λ_{n+1} are dropped, in either input form, and
+    the certificate's witness face is a face of what remains."""
+    blocks = [[[1, 0]], [[0, 1]], last] if full_form else [last]
+    payload = {"n": 2, "S": [1, 2], "lambda": blocks}
+    res = runner.invoke(main, ["decide-graph", "--input",
+                               _write(tmp_path, payload)])
+    assert res.exit_code == EXIT_UNBOUNDED
+    cert = json.loads(res.output)["certificate"]
+    assert verify_certificate(cert) == []
+    res = runner.invoke(main, ["verify", "--input",
+                               _write(tmp_path, cert, "cert.json")])
+    assert res.exit_code == EXIT_BOUNDED
+
+
+def test_verify_graph_needs_unit_blocks(runner, tmp_path):
+    payload = {"n": 2, "S": [1, 2],
+               "lambda": [[[1, 0]], [[0, 1]], GRAPH_ODD]}
+    res = runner.invoke(main, ["decide-graph", "--input",
+                               _write(tmp_path, payload)])
+    cert = json.loads(res.output)["certificate"]
+    cert["lambda"][0] = [[2, 0]]
+    with pytest.raises(InputError) as exc:
+        verify_certificate(cert)
+    assert exc.value.code == "E_MALFORMED"
+
+
 def test_decide_general(runner, tmp_path):
     payload = {
         "n": 2, "S": [1, 2],
@@ -428,3 +461,54 @@ def test_verify_rejects_malformed_certificates(runner, tmp_path,
                                _write(tmp_path, cert, "bad.json")])
     assert res.exit_code == EXIT_INPUT
     assert "input error: E_MALFORMED:" in res.output
+
+
+def _set_gl_entry(cert):
+    cert["gl_matrix"][1][0] = "1/0"
+
+
+def _set_coefficient(cert):
+    cert["coefficients"]["2:(2,2)"] = "1/0"
+
+
+def _shorten_gl_row(cert):
+    cert["gl_matrix"][1] = cert["gl_matrix"][1][:1]
+
+
+@pytest.mark.parametrize("mutate, code", [
+    (_set_gl_entry, "E_BAD_RATIONAL"),
+    (_set_coefficient, "E_BAD_RATIONAL"),
+    (_shorten_gl_row, "E_MALFORMED"),
+    (lambda c: c.update(union_rank="x"), "E_MALFORMED"),
+    (lambda c: c.pop("odd_subset"), "E_MALFORMED"),
+    (lambda c: c.update(overlap_witness=["a", 1]), "E_BAD_RATIONAL"),
+    (lambda c: c.update(overlap_witness=[1]), "E_MALFORMED"),
+    (lambda c: c.update(graph_axes=["1"]), "E_MALFORMED"),
+], ids=["gl_zero_denominator", "coefficient_zero_denominator",
+        "gl_short_row", "union_rank_text", "odd_subset_missing",
+        "witness_text", "witness_short", "graph_axes_text"])
+def test_verify_codes_bad_certificates(runner, tmp_path, mutate, code):
+    payload = {"n": 2, "S": [1, 2], "lambda": [[[1, 1]], [[1, 1], [2, 2]]],
+               "coefficients": {"1:(1,1)": "1/1", "2:(1,1)": "1/1",
+                                "2:(2,2)": "1/1"}}
+    res = runner.invoke(main, ["decide-general", "--input",
+                               _write(tmp_path, payload)])
+    cert = json.loads(res.output)["certificate"]
+    mutate(cert)
+    res = runner.invoke(main, ["verify", "--input",
+                               _write(tmp_path, cert, "bad.json")])
+    assert res.exit_code == EXIT_INPUT
+    assert f"input error: {code}:" in res.output
+
+
+@pytest.mark.parametrize("command", ["decide", "decide-graph",
+                                     "decide-general", "faces", "decompose",
+                                     "verify"])
+def test_seed_only_on_probes(runner, tmp_path, command):
+    path = _write(tmp_path, ODD_POINT)
+    res = runner.invoke(main, [command, "--seed", "1", "--input", path])
+    assert res.exit_code == 2 and "No such option '--seed'" in res.output
+    probe = dict(ODD_POINT, xi_count=1, radius=1)
+    res = runner.invoke(main, ["probe-sum", "--seed", "1", "--input",
+                               _write(tmp_path, probe, "probe.json")])
+    assert res.exit_code == EXIT_BOUNDED

@@ -1,5 +1,6 @@
 """Unit tests for the decision procedures (face tuples, verdicts, cascade,
-dyadic classification, face chains)."""
+dyadic classification, face chains), and verdict invariance under the
+problem's symmetries."""
 
 import itertools
 import random
@@ -7,29 +8,22 @@ from fractions import Fraction
 
 import pytest
 
+from geom_checks import closure_contains, graph_vertex_criterion
 from nh.engine import (
     FaceTuple,
     LambdaTuple,
     VectorPolynomial,
     build_face_chain,
-    cap_cone_generators,
     classify_dyadic,
     decide_disjoint,
     decide_general,
     decide_graph,
     enumerate_lo_tuples,
     enumerate_support_classes,
-    gl_cascade,
-    graph_vertex_criterion,
     union_point_rank,
 )
-from nh.exact_numeric import dot, rank
-from nh.newton_poly import (
-    DomainSpec,
-    ExponentSet,
-    closure_contains,
-    interior_contains,
-)
+from nh.exact_numeric import rank
+from nh.newton_poly import DomainSpec, ExponentSet, interior_contains
 from nh.parity import is_even
 
 
@@ -176,6 +170,20 @@ def test_graph_triple_odd_vertex():
     assert not v.bounded
 
 
+def test_graph_drops_unit_monomials():
+    """A unit monomial of Λ_{n+1} folds into ξ_j t_j: Λ₃ = {(1,0),(5,3),
+    (6,2)} and {(5,3),(6,2)} are linearly equivalent."""
+    spec = DomainSpec.of(2, [0, 1])
+    with_unit = ExponentSet.of([(1, 0), (5, 3), (6, 2)], 2)
+    assert not decide_graph(with_unit, spec).bounded
+    assert not decide_graph(ExponentSet.of([(5, 3), (6, 2)], 2),
+                            spec).bounded
+    assert not graph_vertex_criterion(with_unit, spec)
+    only_units = ExponentSet.of([(1, 0), (0, 1)], 2)
+    assert decide_graph(only_units, spec).bounded
+    assert graph_vertex_criterion(only_units, spec)
+
+
 def test_graph_axes_participate():
     # Λ₃ = {(2,0)}: vertex even alone, but adding axis e₂ gives
     # (2,0)+(0,1) = (2,1)… even; adding e₁: (2,0)+(1,0)=(3,0)… not all-odd.
@@ -191,19 +199,24 @@ def test_graph_axes_participate():
 def test_cascade_single_elimination():
     p = VectorPolynomial({(0, (1, 1)): 1, (0, (3, 0)): 1, (1, (1, 1)): 1},
                          d=2, spec=DomainSpec.of(2, [0, 1]))
-    steps = gl_cascade(p, face_selector=lambda k, poly: (1, 1))
-    assert len(steps) == 2
-    assert steps[0].matrix == ((1, 0), (0, 1))
-    assert steps[1].supports[1] == frozenset({(3, 0)})
-    assert steps[1].matrix[1][0] == Fraction(-1)
+    # row 2 minus row 1 eliminates t^(1,1) from the second component
+    u = ((Fraction(1), Fraction(0)), (Fraction(-1), Fraction(1)))
+    q = p.transformed(u)
+    assert q.coefficients == {(0, (1, 1)): 1, (0, (3, 0)): 1,
+                              (1, (3, 0)): -1}
+    classes, cap_hit = enumerate_support_classes(p)
+    assert not cap_hit
+    assert {cls.supports: cls.matrix for cls in classes} == {
+        p.supports(): ((1, 0), (0, 1)), q.supports(): u}
 
 
 def test_cascade_d1_trivial():
     p = VectorPolynomial({(0, (1, 1)): 1}, d=1,
                          spec=DomainSpec.of(2, [0, 1]))
-    steps = gl_cascade(p)
-    assert len(steps) == 1
-    assert steps[0].matrix == ((1,),)
+    classes, _ = enumerate_support_classes(p)
+    assert [cls.matrix for cls in classes] == [((1,),)]
+    assert p.transformed(((Fraction(-3, 2),),)).coefficients == {
+        (0, (1, 1)): Fraction(-3, 2)}
 
 
 def test_support_classes_two_for_shared_monomial():
@@ -294,6 +307,25 @@ def test_classify_dyadic_respects_membership():
                 assert closure_contains(f, j)
 
 
+def test_classify_dyadic_matches_product_filter():
+    """The down-set product equals filtering the full face product by
+    closed-cone membership, tuple for tuple and in the same order."""
+    rng = random.Random(18)
+    for _ in range(12):
+        n = rng.randint(2, 3)
+        sets = [sorted({tuple(rng.randint(0, 4) for _ in range(n))
+                        for _ in range(rng.randint(1, 3))})
+                for _ in range(rng.randint(1, 2))]
+        S = [j for j in range(n) if rng.random() < 0.5]
+        lam = _lam(sets, n, S)
+        for _ in range(5):
+            j = tuple(rng.randint(0 if i in S else -3, 3) for i in range(n))
+            expect = [combo for combo in itertools.product(
+                *[p.faces() for p in lam.polyhedra])
+                if all(closure_contains(f, j) for f in combo)]
+            assert [t.faces for t in classify_dyadic(lam, j)] == expect
+
+
 # ---------------------------------------------------------------------------
 # face chains
 # ---------------------------------------------------------------------------
@@ -303,8 +335,8 @@ def test_chain_trivial_cap():
     # no generators) → chain of length 1, all improper
     lam = _lam([[(2, 2)]], 2, [])
     ft = next(iter(enumerate_lo_tuples(lam)))
-    gens, lin = cap_cone_generators(list(ft.faces))
-    chains = build_face_chain(ft, gens)
+    gens, lin, chains = build_face_chain(ft)
+    assert gens == []
     assert len(chains) == len(gens) + 1
     assert all(f.is_improper for f in chains[0])
 
@@ -314,23 +346,22 @@ def test_chain_descends_to_vertex():
     p = lam.polyhedra[0]
     vertex = p.face_by_key([(2, 1)], [])
     ft = FaceTuple((vertex,), 1, (1, 1))
-    gens, lin = cap_cone_generators([vertex])
-    chains = build_face_chain(ft, gens)
+    gens, lin, chains = build_face_chain(ft)
     assert chains[0][0].is_improper
     assert chains[-1][0] == vertex
     for s in range(1, len(chains)):
         assert chains[s][0] <= chains[s - 1][0]
 
 
-def test_chain_rejects_bad_generators():
+def test_chain_generators_span_cap():
+    # the vertex (2,1) of N({(2,1)}, {1,2}) has the closed cone R²₊
     lam = _lam([[(2, 1)]], 2, [0, 1])
-    p = lam.polyhedra[0]
-    vertex = p.face_by_key([(2, 1)], [])
-    ft = FaceTuple((vertex,), 1, (1, 1))
-    with pytest.raises(ValueError):
-        build_face_chain(ft, [(-1, 0)])      # not in Cap(F*)
-    with pytest.raises(ValueError):
-        build_face_chain(ft, [(1, 0)])       # does not span Cap(F*)
+    vertex = lam.polyhedra[0].face_by_key([(2, 1)], [])
+    gens, lin, chains = build_face_chain(FaceTuple((vertex,), 1, (1, 1)))
+    assert sorted(gens) == [(0, 1), (1, 0)] and lin == []
+    assert all(closure_contains(vertex, g) for g in gens)
+    assert not closure_contains(vertex, (-1, 0))
+    assert len(chains) == 3
 
 
 def test_chain_partial_sums_interior():
@@ -338,8 +369,7 @@ def test_chain_partial_sums_interior():
                3, [0, 1, 2])
     count = 0
     for ft in enumerate_lo_tuples(lam):
-        gens, lin = cap_cone_generators(list(ft.faces))
-        chains = build_face_chain(ft, gens)
+        gens, lin, chains = build_face_chain(ft)
         acc = tuple(Fraction(0) for _ in range(3))
         for s, g in enumerate(gens, start=1):
             acc = tuple(a + Fraction(b) for a, b in zip(acc, g))
@@ -349,3 +379,78 @@ def test_chain_partial_sums_interior():
         if count >= 6:
             break
     assert count
+
+
+# ---------------------------------------------------------------------------
+# symmetries: a verdict does not depend on how the operator is written
+# ---------------------------------------------------------------------------
+
+def _random_poly(rng, n, d, disjoint):
+    used: set = set()
+    coef = {}
+    for nu in range(d):
+        pts = {tuple(rng.randint(0, 4) for _ in range(n))
+               for _ in range(rng.randint(1, 3))}
+        if disjoint:
+            pts = (pts - used) or {tuple(5 + nu for _ in range(n))}
+            used |= pts
+        for m in pts:
+            coef[(nu, m)] = Fraction(rng.choice([-3, -1, 1, 2]),
+                                     rng.choice([1, 2]))
+    S = [j for j in range(n) if rng.random() < 0.5]
+    return VectorPolynomial(coef, d, DomainSpec.of(n, S))
+
+
+def _relabelled(p, var_perm, comp_perm):
+    """Variable j becomes var_perm[j] (S with it); component ν becomes
+    comp_perm[ν]."""
+    coef = {(comp_perm[nu], tuple(m[var_perm.index(i)]
+                                  for i in range(len(m)))): c
+            for (nu, m), c in p.coefficients.items()}
+    spec = DomainSpec.of(p.spec.n, [var_perm[j] for j in p.spec.S])
+    return VectorPolynomial(coef, p.d, spec)
+
+
+def test_verdicts_invariant_under_relabelling():
+    rng = random.Random(2026)
+    for _ in range(50):
+        n, d = rng.randint(1, 3), rng.randint(1, 3)
+        disjoint = rng.random() < 0.5
+        p = _random_poly(rng, n, d, disjoint)
+        q = _relabelled(p, rng.sample(range(n), n), rng.sample(range(d), d))
+        assert decide_general(q).bounded == decide_general(p).bounded, \
+            p.coefficients
+        if disjoint:
+            assert decide_disjoint(q.lambda_tuple()).bounded == \
+                decide_disjoint(p.lambda_tuple()).bounded, p.coefficients
+
+
+def test_general_verdict_invariant_under_row_operation():
+    rng = random.Random(2027)
+    for _ in range(50):
+        n, d = rng.randint(1, 3), rng.randint(2, 3)
+        p = _random_poly(rng, n, d, rng.random() < 0.5)
+        i, j = rng.sample(range(d), 2)
+        u = [[Fraction(int(a == b)) for b in range(d)] for a in range(d)]
+        u[i][j] = Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2]))
+        q = p.transformed(u)
+        assert decide_general(q).bounded == decide_general(p).bounded, \
+            (p.coefficients, u)
+
+
+def test_graph_agrees_with_general_on_unit_monomials():
+    rng = random.Random(2028)
+    for _ in range(50):
+        n = rng.randint(1, 2)           # d = n + 1 ≤ 3
+        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        last = set(rng.sample(units, rng.randint(1, n)))
+        last |= {tuple(rng.randint(0, 5) for _ in range(n))
+                 for _ in range(rng.randint(0, 3))}
+        S = [j for j in range(n) if rng.random() < 0.5]
+        spec = DomainSpec.of(n, S)
+        coef = {(j, units[j]): Fraction(1) for j in range(n)}
+        coef.update({(n, m): Fraction(rng.choice([-2, 1, 3]))
+                     for m in last})
+        general = decide_general(VectorPolynomial(coef, n + 1, spec))
+        graph = decide_graph(ExponentSet.of(last, n), spec)
+        assert graph.bounded == general.bounded, (sorted(last), S)

@@ -21,19 +21,15 @@ from nh.exact_numeric import (
     StrictSystem,
     _simplex_max,
     _Unbounded,
-    canonicalize,
     det,
     dot,
     gf2_contains,
-    gf2_solve,
     nullspace,
     primitive,
     rank,
     rref,
-    solve_linear,
     solve_strict,
     unit,
-    vec,
 )
 from simplex_oracle import fraction_simplex_max
 
@@ -109,27 +105,13 @@ def test_rank_edge_cases():
 # canonical forms
 # ---------------------------------------------------------------------------
 
-def test_canonicalize_first_nonzero_positive():
-    assert canonicalize(vec(-2, 4, -6)) == (1, -2, 3)
-    assert canonicalize(vec(0, Fraction(-1, 3), Fraction(1, 6))) == (0, 2, -1)
-    assert canonicalize(vec(0, 0)) == (0, 0)
-
-
 def test_primitive_keeps_orientation():
-    assert primitive(vec(-2, 4)) == (-1, 2)
-    assert primitive(vec(Fraction(3, 2), Fraction(9, 4))) == (2, 3)
-
-
-@given(st.lists(st.fractions(max_denominator=20), min_size=1, max_size=5),
-       st.fractions(min_value=Fraction(1, 7), max_value=7,
-                    max_denominator=7))
-@settings(max_examples=80, deadline=None)
-def test_canonicalize_scale_invariant(v, c):
-    assert canonicalize(tuple(c * x for x in v)) == canonicalize(tuple(v))
+    assert primitive((Fraction(-2), Fraction(4))) == (-1, 2)
+    assert primitive((Fraction(3, 2), Fraction(9, 4))) == (2, 3)
 
 
 # ---------------------------------------------------------------------------
-# nullspace / linear solves
+# nullspace / rref
 # ---------------------------------------------------------------------------
 
 @given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
@@ -145,13 +127,6 @@ def test_nullspace_properties(ncols, nrows, seed):
         for r in rows:
             assert dot(r, v) == 0
     assert rank(ns) == len(ns)
-
-
-def test_solve_linear():
-    rows = [(1, 1), (1, -1)]
-    sol = solve_linear(rows, (3, 1))
-    assert sol == (2, 1)
-    assert solve_linear([(1, 0), (1, 0)], (0, 1)) is None
 
 
 def test_rref_pivots():
@@ -364,14 +339,6 @@ def test_gf2_matches_enumeration():
         target = tuple(rng.randint(0, 1) for _ in range(n))
         oracle = _gf2_oracle(span, target)
         assert gf2_contains(span, target) == (oracle is not None)
-        idx = gf2_solve(span, target)
-        if oracle is None:
-            assert idx is None
-        else:
-            acc = [0] * n
-            for i in idx:
-                acc = [(a + b) % 2 for a, b in zip(acc, span[i])]
-            assert acc == list(target)
 
 
 def test_gf2_known_cases():

@@ -1,0 +1,56 @@
+"""Layout guard: `src/nh` holds no code that only the tests call.
+
+Every top-level function and class of the package must be referenced
+somewhere in the package other than inside its own definition.  A
+function registered as a subcommand by `@main.command` counts as
+referenced; `main` itself is the entry point.  Test oracles and fixtures
+live under `tests/`.
+"""
+
+import ast
+from pathlib import Path
+
+import nh
+
+ALLOWED = {"main"}
+
+
+def _registered(node) -> bool:
+    """Decorated by `main.command(...)`: a click subcommand."""
+    return any(isinstance(dec, ast.Call)
+               and isinstance(dec.func, ast.Attribute)
+               and dec.func.attr == "command"
+               and isinstance(dec.func.value, ast.Name)
+               and dec.func.value.id == "main"
+               for dec in getattr(node, "decorator_list", ()))
+
+
+def _names(node) -> set:
+    """Names a subtree loads or reads as an attribute."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(nh.__file__).parent.glob("*.py"))}
+    # names referenced per top-level statement, so a definition's own body
+    # can be left out when asking who references it
+    refs = [(fname, stmt, _names(stmt))
+            for fname, tree in trees.items() for stmt in tree.body]
+    unused = []
+    for fname, stmt, _ in refs:
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if stmt.name in ALLOWED or _registered(stmt):
+            continue
+        if not any(stmt.name in names
+                   for _file, other, names in refs
+                   if other is not stmt):
+            unused.append(f"{fname}:{stmt.name}")
+    assert unused == [], f"only tests (or nobody) call: {unused}"

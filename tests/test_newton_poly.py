@@ -11,17 +11,19 @@ from fractions import Fraction
 
 import pytest
 
-from geom_checks import random_instance, run_all_checks
+from geom_checks import (
+    cones_closed_intersection_ray,
+    random_instance,
+    run_all_checks,
+)
 from hull_oracle import build_newton_pairwise, enumerate_faces_subsets
 from nh.exact_numeric import dot
 from nh.newton_poly import (
     DomainSpec,
     ExponentSet,
     build_newton,
-    cones_closed_intersection_ray,
     cones_interior_intersection,
     enumerate_faces,
-    essential_face,
     face_by_cone_interior,
     face_closure_structure,
     interior_contains,
@@ -154,19 +156,8 @@ def test_negative_exponent_rejected():
 
 
 # ---------------------------------------------------------------------------
-# essential faces and cone resolution
+# cone resolution
 # ---------------------------------------------------------------------------
-
-def test_essential_face():
-    p = _poly(LAM1, 3, FULL_S)
-    f = essential_face([(3, 3, 0)], p)
-    assert f.vertex_set == frozenset({(3, 3, 0)}) and f.dim == 0
-    f = essential_face([(3, 3, 0), (0, 0, 2)], p)
-    assert f.dim == 1
-    assert f.lambda_points() == [(0, 0, 2), (3, 3, 0)]
-    with pytest.raises(ValueError):
-        essential_face([(0, 0, 0)], p)
-
 
 def test_face_by_cone_interior_unique():
     p = _poly(LAM1, 3, FULL_S)
@@ -177,9 +168,27 @@ def test_face_by_cone_interior_unique():
         if all(c == 0 for c in x):
             assert f.is_improper
             continue
+        assert interior_contains(f, x)
         others = [g for g in enumerate_faces(p)
                   if not g.is_empty and g != f]
         assert not any(interior_contains(g, x) for g in others)
+
+
+def test_face_by_cone_interior_matches_scan():
+    """The argmin face is the one nonempty face whose open cone holds x."""
+    rng = random.Random(6)
+    for _ in range(60):
+        omega, spec = random_instance(rng, n_max=4, max_points=6)
+        p = build_newton(omega, spec)
+        for _ in range(8):
+            x = tuple(rng.randint(0 if j in spec.S else -4, 4)
+                      for j in range(spec.n))
+            if all(c == 0 for c in x):
+                continue
+            scan = [f for f in p.faces()
+                    if not f.is_empty and interior_contains(f, x)]
+            assert [face_by_cone_interior(p, x)] == scan, (
+                omega.sorted_points(), sorted(spec.S), x)
 
 
 # ---------------------------------------------------------------------------

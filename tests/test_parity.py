@@ -1,4 +1,8 @@
-"""Unit tests for the GF(2) evenness classifier of exponent sets."""
+"""Unit tests for the GF(2) evenness classifier of exponent sets.
+
+Oracles: the subset-sum definition of evenness, the multiset Σ(Ω) of all
+2^|Ω| subset sums, and the minimal odd witness by enumerating all subsets.
+"""
 
 import itertools
 import random
@@ -6,7 +10,40 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nh.parity import is_even, odd_witness, parity_signature, sigma_class
+from nh.parity import is_even, odd_witness, parity_signature
+
+SIGMA_CAP = 20
+
+
+def sigma_class(omega) -> list:
+    """The multiset Σ(Ω) of all 2^|Ω| subset sums."""
+    pts = sorted(omega)
+    if len(pts) > SIGMA_CAP:
+        raise ValueError(
+            f"|omega| = {len(pts)} exceeds the enumeration cap {SIGMA_CAP}")
+    n = len(pts[0]) if pts else 0
+    sums = []
+    for mask in itertools.product((0, 1), repeat=len(pts)):
+        s = [0] * n
+        for a, p in zip(mask, pts):
+            if a:
+                for i in range(n):
+                    s[i] += p[i]
+        sums.append(tuple(s))
+    return sums
+
+
+def _odd_witness_by_enumeration(omega):
+    """The lexicographically smallest all-odd subset of minimal size, over
+    all 2^|Ω| subsets of the sorted point list; None if Ω is even."""
+    pts = sorted(omega)
+    best = None
+    for mask in itertools.product((0, 1), repeat=len(pts)):
+        cand = [p for a, p in zip(mask, pts) if a]
+        if cand and all(sum(c) % 2 == 1 for c in zip(*cand)):
+            if best is None or (len(cand), cand) < (len(best), best):
+                best = cand
+    return best
 
 
 def _is_even_oracle(omega):
@@ -60,6 +97,26 @@ def test_matches_subset_oracle():
             assert w and set(w) <= set(omega)
             assert all(sum(m[i] for m in w) % 2 == 1
                        for i in range(n))
+
+
+def test_witness_matches_enumeration():
+    rng = random.Random(33)
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        omega = {tuple(rng.randint(0, 5) for _ in range(n))
+                 for _ in range(rng.randint(0, 10))}
+        assert odd_witness(omega) == _odd_witness_by_enumeration(omega), \
+            sorted(omega)
+
+
+def test_witness_minimal_beyond_sixteen_points():
+    # 19 points that pair up into odd sums, then one all-odd point: the
+    # minimal witness is that point alone, whatever |Ω| is
+    omega = ({(2 * i, 1) for i in range(10)}
+             | {(1, 2 * i) for i in range(9)} | {(9, 9)})
+    assert len(omega) == 20
+    assert odd_witness(omega) == [(9, 9)]
+    assert odd_witness(omega - {(9, 9)}) == [(0, 1), (1, 0)]
 
 
 def test_sigma_class_consistency():
