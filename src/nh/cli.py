@@ -337,6 +337,15 @@ def _run(fn):
     sys.exit(code)
 
 
+def _disjoint_lambda(problem: ProblemInput):
+    """Λ of an input whose exponent sets must be mutually disjoint."""
+    lam = problem.lambda_tuple()
+    if lam.d > 1 and not lam.disjoint:
+        raise InputError("E_NOT_DISJOINT", "exponent sets are not disjoint:"
+                                           " use decide-general")
+    return lam
+
+
 def _verdict_body(verdict: Verdict, problem: ProblemInput) -> dict:
     body = {
         "verdict": verdict.kind,
@@ -365,7 +374,7 @@ def decide(input_path, fmt):
     def body():
         started = time.time()
         problem = _load(input_path)
-        verdict = decide_disjoint(problem.lambda_tuple())
+        verdict = decide_disjoint(_disjoint_lambda(problem))
         _out(emit_report(
             _report(problem, _verdict_body(verdict, problem), started),
             fmt))
@@ -552,7 +561,7 @@ def probe_divergence(input_path, fmt, seed):
         started = time.time()
         problem = _load(input_path)
         p = problem.polynomial()
-        verdict = decide_disjoint(problem.lambda_tuple())
+        verdict = decide_disjoint(_disjoint_lambda(problem))
         if verdict.bounded:
             raise InputError("E_MALFORMED",
                              "divergence probe needs an unbounded input")
@@ -630,7 +639,7 @@ def probe_decay(input_path, fmt, seed):
         started = time.time()
         problem = _load(input_path)
         p = problem.polynomial()
-        lam = problem.lambda_tuple()
+        lam = _disjoint_lambda(problem)
         ft = FaceTuple(tuple(poly.improper_face()
                              for poly in lam.polyhedra), 0, None)
         ray = problem.raw.get("ray", [1] * problem.n)

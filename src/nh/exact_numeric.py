@@ -4,7 +4,8 @@ Vectors are sequences of ints and ``fractions.Fraction``s (any other number
 is taken at its exact ``Fraction`` value).  Everything here is pure and
 immutable: rank and determinants by fraction-free elimination,
 strict-inequality feasibility by a fraction-free simplex on Python integers
-with Bland's rule, and GF(2) span tests.
+with Bland's rule, and GF(2) elimination (all subsets of a list of
+vectors that sum to a target).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 Rational = Fraction
 RVector = Sequence  # a sequence of Rational/int of fixed length
@@ -416,24 +417,31 @@ def _to_mask(bits: Sequence[int]) -> int:
     return m
 
 
-def gf2_contains(span_vectors: Iterable[Sequence[int]],
-                 target: Sequence[int]) -> bool:
-    """target ∈ span_{GF(2)}(span_vectors)?  Gaussian elimination on bitmasks."""
-    span = list(span_vectors)
+def gf2_solve(rows: Sequence[Sequence[int]],
+              target: Sequence[int]) -> tuple[Optional[int], list[int]]:
+    """The subsets of `rows` that sum to `target` over GF(2), by Gaussian
+    elimination on bitmasks: one solution (a bitmask over the row indices,
+    None when target ∉ span) and a basis of the kernel (bitmasks of the
+    subsets that sum to 0).  The rank is len(rows) − len(kernel)."""
     n = len(target)
-    for v in span:
+    # bit position -> (reduced row mask, the subset of rows that sums to it)
+    pivots: dict[int, tuple[int, int]] = {}
+    kernel = []
+    for idx, v in enumerate(rows):
         if len(v) != n:
             raise ValueError("GF(2) vector length mismatch")
-    pivots: dict[int, int] = {}  # bit position -> reduced row mask
-    for v in span:
-        m = _to_mask(v)
-        for p, row in pivots.items():
+        m, subset = _to_mask(v), 1 << idx
+        for p, (row, sub) in pivots.items():
             if m >> p & 1:
                 m ^= row
+                subset ^= sub
         if m:
-            pivots[m.bit_length() - 1] = m
-    t = _to_mask(target)
-    for p, row in pivots.items():
+            pivots[m.bit_length() - 1] = (m, subset)
+        else:
+            kernel.append(subset)
+    t, subset = _to_mask(target), 0
+    for p, (row, sub) in pivots.items():
         if t >> p & 1:
             t ^= row
-    return t == 0
+            subset ^= sub
+    return (subset if t == 0 else None), kernel

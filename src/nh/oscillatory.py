@@ -2,8 +2,17 @@
 
 Evaluates the multiplier integrals and their dyadic pieces in
 log-coordinates with adaptive tensor Gauss–Legendre panels, after folding
-the 2ⁿ sign orthants onto the positive box.  The folding groups sign
-vectors by the induced monomial sign pattern, so the parity cancellation
+the 2ⁿ sign orthants onto the positive box.  With θ_k = A_k t^{m_k} for the
+K monomials, the folded integrand Σ_σ(−1)^{|σ|} e^{iΣ_k σ^{m_k}θ_k} has two
+exact forms, and both quadrature paths evaluate it in the one with fewer
+terms (`_SignSum`).  Let r be the GF(2) rank of the exponents mod 2:
+
+- sign groups: Σ_g w_g e^{iφ_g}, grouping σ by the induced monomial sign
+  pattern, G = 2^r groups;
+- parity form: 2ⁿ Σ_T i^{|T|} ∏_{k∈T} sin θ_k ∏_{k∉T} cos θ_k over the
+  2^{K−r} subsets T whose exponents sum to an all-odd vector.
+
+The parity form is used iff K ≤ 2r.  Either way the parity cancellation
 (even exponent sets give an identically zero integrand) happens exactly,
 before any quadrature error enters.
 
@@ -24,6 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .exact_numeric import rank
+from .parity import odd_subsets
 
 LOG_QUARTER = math.log(0.25)
 LOG_TWO = math.log(2.0)
@@ -116,8 +126,10 @@ def _tensor_rules(lo: np.ndarray, hi: np.ndarray, order: int,
 
 # Nodes per block, on both quadrature paths: a batch of cells goes to the
 # integrand in chunks of at most this many nodes (more only when one cell
-# is larger), and the sign-group kernel sums its nodes in blocks of this
-# size, so its (nodes × groups) phase, cosine and sine arrays stay in cache.
+# is larger), and the sign-sum kernel sums its nodes in blocks of this
+# size, so its per-block arrays stay in cache: (nodes × groups) phases,
+# cosines and sines in the sign-group form, (nodes × columns) cosines and
+# sines and (nodes × terms) products in the parity form.
 _CHUNK_NODES = 2 ** 13
 
 
@@ -183,7 +195,7 @@ def adaptive_box(fun: Callable, lo, hi, tol_cell: float = CELL_TOL,
 
 
 # ---------------------------------------------------------------------------
-# sign folding
+# sign folding and the sign-sum kernel
 # ---------------------------------------------------------------------------
 
 def sigma_groups(monomials: Sequence[tuple], n: int):
@@ -203,25 +215,79 @@ def sigma_groups(monomials: Sequence[tuple], n: int):
             for pat, w in sorted(groups.items()) if w != 0]
 
 
-# ---------------------------------------------------------------------------
-# sign-group kernel and monomial data
-# ---------------------------------------------------------------------------
+class _SignSum:
+    """Σ_{σ∈{±1}ⁿ}(−1)^{|σ|} exp(iΣ_k σ^{m_k}θ_k), θ_k = A_k t^{m_k}, for
+    one monomial list m_1..m_K, in the form with fewer terms (see the
+    module docstring): the parity form iff K ≤ 2r, r the GF(2) rank of
+    the exponents mod 2, else the sign groups.  The terms, columns and
+    signs depend only on the list; `bind` adds the amplitudes A."""
 
-def _sign_group_sum(mono: np.ndarray, mix: np.ndarray, gw: np.ndarray,
-                    wts: Optional[np.ndarray] = None):
-    """Σ_g gw_g e^{iφ_g} with φ = mono @ mix, in real arithmetic: the
-    per-node values (N,), or their sum against `wts` when given.  `mix`
-    is the (K, G) sign matrix with the amplitudes folded in; the nodes
-    go through in blocks of _CHUNK_NODES."""
+    def __init__(self, monomials: Sequence[tuple], n: int):
+        r, subsets = odd_subsets(monomials, n)
+        count = len(monomials)
+        self.empty = not subsets
+        self.parity = count <= 2 * r
+        if self.empty:
+            return
+        if not self.parity:
+            groups = sigma_groups(monomials, n)
+            self.sgn = np.stack([s for _, s in groups], axis=1)     # (K, G)
+            self.gw = np.array([w for w, _ in groups], dtype=float)
+            return
+        # the cos and sin columns some term uses; factors[k][t] is the
+        # column of [cos | sin] that is term t's factor for monomial k
+        self.cos_cols = [k for k in range(count)
+                         if any(not t >> k & 1 for t in subsets)]
+        self.sin_cols = [k for k in range(count)
+                         if any(t >> k & 1 for t in subsets)]
+        column = {(k, 0): i for i, k in enumerate(self.cos_cols)}
+        column.update({(k, 1): len(self.cos_cols) + i
+                       for i, k in enumerate(self.sin_cols)})
+        self.factors = np.array([[column[k, t >> k & 1] for t in subsets]
+                                 for k in range(count)], dtype=np.intp)
+        unit = np.array([1, 1j, -1, -1j])[
+            [bin(t).count("1") % 4 for t in subsets]] * 2.0 ** n
+        self.coef = np.stack([unit.real, unit.imag], axis=1)    # (T, 2)
+
+    def bind(self, amps: np.ndarray) -> Callable:
+        """The block kernel for amplitudes `amps`: t^m at B nodes, (B, K),
+        to the real and imaginary parts of the sum at each node."""
+        if not self.parity:
+            mix = amps[:, None] * self.sgn          # (K, G)
+            gw = self.gw
+
+            def group_form(mono: np.ndarray):
+                phi = mono @ mix
+                return np.cos(phi) @ gw, np.sin(phi) @ gw
+            return group_form
+        cos_cols, sin_cols = self.cos_cols, self.sin_cols
+        a_cos, a_sin = amps[cos_cols], amps[sin_cols]
+        first, rest = self.factors[0], self.factors[1:]
+        coef = self.coef
+
+        def parity_form(mono: np.ndarray):
+            cs = np.concatenate((np.cos(mono[:, cos_cols] * a_cos),
+                                 np.sin(mono[:, sin_cols] * a_sin)), axis=1)
+            prod = cs[:, first]
+            for f in rest:
+                prod *= cs[:, f]
+            re_im = prod @ coef
+            return re_im[:, 0], re_im[:, 1]
+        return parity_form
+
+
+def _sign_sum(parts: Callable, mono: np.ndarray,
+              wts: Optional[np.ndarray] = None):
+    """The sign-folded sum at each node, (N,), or its sum against `wts`
+    when given, from t^m at the nodes, (N, K): the nodes go through
+    `parts` (`_SignSum.bind`) in blocks of _CHUNK_NODES."""
     count = mono.shape[0]
     if wts is None:
         out = np.empty(count, dtype=complex)
     else:
         re_sum = im_sum = 0.0
     for b in range(0, count, _CHUNK_NODES):
-        phi = mono[b:b + _CHUNK_NODES] @ mix                # (B, G)
-        re_part = np.cos(phi) @ gw
-        im_part = np.sin(phi) @ gw
+        re_part, im_part = parts(mono[b:b + _CHUNK_NODES])
         if wts is None:
             out.real[b:b + _CHUNK_NODES] = re_part
             out.imag[b:b + _CHUNK_NODES] = im_part
@@ -232,27 +298,20 @@ def _sign_group_sum(mono: np.ndarray, mix: np.ndarray, gw: np.ndarray,
     return out if wts is None else complex(re_sum, im_sum)
 
 
-def _sign_matrix(groups):
-    """(K, G) sign patterns and (G,) weights of the folded sign groups."""
-    return (np.stack([s for _, s in groups], axis=1),
-            np.array([w for w, _ in groups], dtype=float))
-
-
 @dataclass
 class _Phase:
-    """Phase Σ_k A_k s_k ∏_j exp(u_j e_{kj}) with folded sign groups."""
+    """Phase Σ_k A_k s_k ∏_j exp(u_j e_{kj}), folded by `signs`."""
 
     exponents: np.ndarray          # (K, dim) float exponents in u-coords
     amplitudes: np.ndarray         # (K,) real amplitudes (c·ξ·2^{−J·m})
-    groups: list                   # [(weight, (K,) sign vector)]
+    signs: _SignSum                # built on the original exponents
 
     def integrand(self) -> Callable:
         expo = self.exponents
-        sgn, gw = _sign_matrix(self.groups)
-        mix = self.amplitudes[:, None] * sgn
+        parts = self.signs.bind(self.amplitudes)
 
         def fun(pts: np.ndarray) -> np.ndarray:
-            return _sign_group_sum(np.exp(pts @ expo.T), mix, gw)
+            return _sign_sum(parts, np.exp(pts @ expo.T))
         return fun
 
 
@@ -268,15 +327,17 @@ def _monomial_list(p, restrict: Optional[Sequence[set]] = None):
     return out
 
 
-def _amplitudes(monos, xi, j=None):
-    amps = []
-    for nu, m, c in monos:
-        a = c * float(xi[nu])
-        if j is not None:
-            ex = -float(np.dot(j, m))
-            a *= 2.0 ** max(min(ex, 500.0), -500.0)
-        amps.append(a)
-    return np.array(amps, dtype=float)
+def _j_dot_m(monos, js: np.ndarray) -> np.ndarray:
+    """J·m for each row J of `js` and each monomial m of the list: (NJ, K)."""
+    expo = np.array([m for _, m, _ in monos], dtype=np.int64)
+    return js @ expo.reshape(len(monos), js.shape[1]).T
+
+
+def _amplitudes(monos, xi, jm: np.ndarray) -> np.ndarray:
+    """c·ξ_ν·2^{−J·m} for each monomial (nu, m, c) and each row of
+    jm = `_j_dot_m(monos, js)`: (NJ, K), the exponent clipped to ±500."""
+    cxi = np.array([c * float(xi[nu]) for nu, _m, c in monos], dtype=float)
+    return cxi * np.exp2(np.clip(-jm, -500, 500))
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +393,10 @@ _LADDER = ((8, 0), (16, 0), (32, 0), (16, 1), (16, 2))
 
 class PieceFamily:
     """Dyadic pieces I_J(P_F, ξ) over a fixed (polynomial, face tuple):
-    nodes, η-weights, sign groups, and the J-independent monomial arrays
-    t^m on each quadrature rule are computed once, so sweeping (J, ξ) only
-    costs one sign-group sum per rule."""
+    nodes, η-weights, the sign-sum form, and the J-independent monomial
+    arrays t^m on each quadrature rule are computed once, so sweeping
+    (J, ξ) only costs one sign sum per rule.  A piece is given by its
+    amplitudes c·ξ·2^{−J·m} over `monos` (`_amplitudes`)."""
 
     def __init__(self, p, face_tuple):
         if len(face_tuple.faces) != p.d:
@@ -342,16 +404,12 @@ class PieceFamily:
                 "face tuple arity does not match the polynomial")
         self.n = p.spec.n
         restrict = _face_restriction(face_tuple, p.d)
-        self.trivial = all(not r for r in restrict)
-        if self.trivial:
-            return
-        self.monos = _monomial_list(p, restrict)
-        self.groups = sigma_groups([m for _, m, _ in self.monos], self.n)
-        self.trivial = not self.groups
+        self.monos = _monomial_list(p, restrict) if any(restrict) else []
+        self.signs = _SignSum([m for _, m, _ in self.monos], self.n)
+        self.trivial = self.signs.empty
         if self.trivial:
             return
         self.expo = np.array([m for _, m, _ in self.monos], dtype=float)
-        self.sgn, self.gw = _sign_matrix(self.groups)
         self.swing_scale = np.exp(
             np.sum(np.abs(self.expo), axis=1) * LOG_TWO)
         self._rules: dict = {}
@@ -363,28 +421,28 @@ class PieceFamily:
             self._rules[key] = (wts, np.exp(pts @ self.expo.T))
         return self._rules[key]
 
-    def _value(self, key, mix: np.ndarray) -> complex:
+    def _value(self, key, parts: Callable) -> complex:
         wts, mono = self._rule(key)
-        return _sign_group_sum(mono, mix, self.gw, wts)
+        return _sign_sum(parts, mono, wts)
 
-    def evaluate(self, j, xi, tol_cell: float = CELL_TOL) -> QuadratureResult:
+    def evaluate(self, amps: np.ndarray,
+                 tol_cell: float = CELL_TOL) -> QuadratureResult:
         if self.trivial:
             return QuadratureResult(0.0 + 0.0j, 0.0, 0)
-        amps = _amplitudes(self.monos, xi, j)
         swing = float(np.dot(np.abs(amps), self.swing_scale))
         start = 2 if swing > 2.0 else (1 if swing > 1e-3 else 0)
         lo_key = (_LADDER[start][0] // 2, _LADDER[start][1])
-        mix = amps[:, None] * self.sgn
-        v_lo = self._value(lo_key, mix)
+        parts = self.signs.bind(amps)
+        v_lo = self._value(lo_key, parts)
         panels = 1
         for key in _LADDER[start:]:
-            v_hi = self._value(key, mix)
+            v_hi = self._value(key, parts)
             delta = abs(v_hi - v_lo)
             if delta <= tol_cell:
                 return QuadratureResult(v_hi, delta, panels)
             v_lo = v_hi
             panels += 1
-        phase = _Phase(self.expo, amps, self.groups)
+        phase = _Phase(self.expo, amps, self.signs)
         return adaptive_box(phase.integrand(),
                             [LOG_QUARTER] * self.n, [LOG_TWO] * self.n,
                             tol_cell, order=32 if swing > 20.0 else 16,
@@ -440,6 +498,23 @@ def _lattice_coords(point, basis):
     return coords
 
 
+def _lattice_phase(p, witness, xi):
+    """The witness face's phase in the rank-m normal form of its span:
+    exponents in lattice coordinates α, amplitudes c·ξ, and the sign sum
+    of the original exponents (the sign folding acts on t, not on the
+    lattice coordinates).  Returns (phase, m)."""
+    monos = _monomial_list(p, _face_restriction(witness, p.d))
+    points = sorted({m for _, m, _ in monos})
+    basis = _row_hermite(points)
+    assert len(basis) == rank(points) <= p.spec.n - 1, \
+        "witness span is not low rank"
+    alpha = np.array([_lattice_coords(mk, basis) for _, mk, _ in monos],
+                     dtype=float)
+    amps = _amplitudes(monos, xi, np.zeros((1, len(monos))))[0]
+    signs = _SignSum([mk for _, mk, _ in monos], p.spec.n)
+    return _Phase(alpha, amps, signs), len(basis)
+
+
 @dataclass
 class ProbeResult:
     slope: float
@@ -461,17 +536,7 @@ def divergence_probe(p, witness, s0, xi, shrink_sequence,
     with the full data table.
     """
     n = p.spec.n
-    restrict = _face_restriction(witness, p.d)
-    monos = _monomial_list(p, restrict)
-    points = sorted({m for _, m, _ in monos})
-    basis = _row_hermite(points)
-    m_rank = len(basis)
-    assert m_rank == rank(points) <= n - 1, "witness span is not low rank"
-    alpha = np.array([_lattice_coords(mk, basis) for _, mk, _ in monos],
-                     dtype=float)
-    groups = sigma_groups([mk for _, mk, _ in monos], n)
-    amps = _amplitudes(monos, xi)
-
+    phase, m_rank = _lattice_phase(p, witness, xi)
     rows = []
     unconverged = 0
     for a, b in shrink_sequence:
@@ -482,10 +547,9 @@ def divergence_probe(p, witness, s0, xi, shrink_sequence,
         free_log = 1.0
         for jdx in range(m_rank, n):
             free_log *= math.log(b[jdx] / a[jdx])
-        if not groups:
+        if phase.signs.empty:
             rows.append((free_log, 0.0, 0.0))
             continue
-        phase = _Phase(alpha, amps, groups)
         lo = [math.log(a[i]) for i in range(m_rank)]
         hi = [math.log(b[i]) for i in range(m_rank)]
         core = adaptive_box(phase.integrand(), lo, hi, tol_cell)
@@ -531,18 +595,18 @@ def decay_check(p, face_tuple, ray, xi, m_choices=None,
     if m_choices is None:
         m_choices = [f.lambda_points()[0] if f.lambda_points() else None
                      for f in face_tuple.faces]
-    ray = np.array([float(x) for x in ray])
+    js = np.arange(k_max + 1)[:, None] * np.array([float(x) for x in ray])
     family = PieceFamily(p, face_tuple)
+    amps = _amplitudes(family.monos, xi, _j_dot_m(family.monos, js))
+    # |2^{−J·m_ν} ξ_ν| for the chosen m_ν: amplitudes with c = 1
+    chosen = [(nu, m, 1.0) for nu, m in enumerate(m_choices) if m is not None]
+    args = np.abs(_amplitudes(chosen, xi, _j_dot_m(chosen, js)))
     samples = []
     unconverged = 0
     for k in range(k_max + 1):
-        j = k * ray
-        piece = family.evaluate(j, xi)
+        piece = family.evaluate(amps[k])
         unconverged += not piece.converged
-        args = [abs((2.0 ** max(min(-float(np.dot(j, m)), 500.0), -500.0))
-                    * float(xi[nu]))
-                for nu, m in enumerate(m_choices) if m is not None]
-        arg = min(args) if args else 0.0
+        arg = float(args[k].min()) if chosen else 0.0
         samples.append((k, abs(piece.value), arg))
 
     fit_pts = [(math.log(arg), math.log(v))
@@ -576,18 +640,18 @@ class SumProbeResult:
     unconverged: int        # pieces whose quadrature hit the cell cap
 
 
-def _prune_bounds(monos, xi, js: np.ndarray) -> np.ndarray:
-    """Rigorous |I_J| bound for each row J of `js`, from ∫h = 0: for each
-    axis ℓ, the phase may be frozen at a reference t_ℓ at the cost of its
-    total variation, so
+def _prune_bounds(monos, xi, jm: np.ndarray) -> np.ndarray:
+    """Rigorous |I_J| bound for each row of jm = `_j_dot_m(monos, js)`,
+    from ∫h = 0: for each axis ℓ, the phase may be frozen at a reference
+    t_ℓ at the cost of its total variation, so
     |I_J| ≤ (∫|h|)ⁿ · min_ℓ Σ_{m_ℓ>0} |c ξ| 2^{−J·m} 2^{|m|₁}.
     Terms are added one monomial at a time in list order, so each bound
     is the same double that a scalar loop over the monomials gives."""
-    n = js.shape[1]
     expo = np.array([m for _, m, _ in monos], dtype=np.int64)   # (K, n)
-    ex = np.clip(expo.sum(axis=1) - js @ expo.T, -500, 500)     # (NJ, K)
+    n = expo.shape[1]
+    ex = np.clip(expo.sum(axis=1) - jm, -500, 500)              # (NJ, K)
     pow2 = np.ldexp(1.0, ex)                # exact powers of two
-    tot = np.zeros((len(js), n))
+    tot = np.zeros((len(jm), n))
     for k, (nu, m, c) in enumerate(monos):
         term = abs(c * float(xi[nu])) * pow2[:, k]
         tot += np.where(expo[k] > 0, term[:, None], 0.0)
@@ -617,15 +681,15 @@ def multiplier_sum_probe(p, xi_samples, radius: int,
     improper = tuple(poly.improper_face()
                      for poly in p.lambda_tuple().polyhedra)
     from .engine import FaceTuple
-    ft = FaceTuple(improper, 0, None)
-    monos = _monomial_list(p)
+    family = PieceFamily(p, FaceTuple(improper, 0, None))
+    monos = family.monos
     if report_radii is None:
         report_radii = sorted({radius, max(radius - 5, 0)})
     report_radii = sorted(set(int(r) for r in report_radii) | {radius})
 
     all_j = np.array(list(_box_indices(spec, radius)), dtype=np.int64)
     j_norm = np.abs(all_j).max(axis=1)
-    family = PieceFamily(p, ft)
+    jm = _j_dot_m(monos, all_j)
 
     partial = []
     skipped_total = 0.0
@@ -633,11 +697,12 @@ def multiplier_sum_probe(p, xi_samples, radius: int,
     for xi in xi_samples:
         vals = np.zeros(len(all_j))
         skipped = 0.0
-        for idx, bound in enumerate(_prune_bounds(monos, xi, all_j)):
+        amps = _amplitudes(monos, xi, jm)
+        for idx, bound in enumerate(_prune_bounds(monos, xi, jm)):
             if bound < PRUNE_TOL:
                 skipped += float(bound)
                 continue
-            piece = family.evaluate(tuple(all_j[idx].tolist()), xi)
+            piece = family.evaluate(amps[idx])
             unconverged += not piece.converged
             vals[idx] = abs(piece.value)
         partial.append({r: float(np.sum(vals[j_norm <= r]))

@@ -4,14 +4,16 @@ A finite Ω ⊂ ℤ₊ⁿ is even when every subset sum α₁m₁+⋯+α_N m_N (
 has at least one even component; odd otherwise.  The fast path reduces mod 2:
 Ω is odd iff the all-ones vector lies in the GF(2) span of Γ(Ω) — subset sums
 over ℤ₂ are exactly the GF(2) span.  The equivalence is validated against the
-explicit subset-sum oracle in the test suite.
+explicit subset-sum oracle in the test suite.  The same elimination lists
+every odd subset of a monomial list (`odd_subsets`), which the quadrature
+harness sums over.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .exact_numeric import gf2_contains
+from .exact_numeric import gf2_solve
 
 
 def parity_signature(q: Sequence[int]) -> tuple:
@@ -25,7 +27,7 @@ def is_even(omega) -> bool:
         return True
     n = len(pts[0])
     gammas = [parity_signature(p) for p in pts]
-    return not gf2_contains(gammas, (1,) * n)
+    return gf2_solve(gammas, (1,) * n)[0] is None
 
 
 def odd_witness(omega) -> Optional[list]:
@@ -64,3 +66,17 @@ def odd_witness(omega) -> Optional[list]:
         need -= 1
         i += 1
     return witness
+
+
+def odd_subsets(points: Sequence[Sequence[int]], n: int) -> tuple[int, list]:
+    """The GF(2) rank r of Γ over the list `points` (repeats allowed) in
+    ℤ₊ⁿ, and every subset of the list whose sum is componentwise odd, as
+    sorted bitmasks over the list indices: one solution plus each
+    combination of a kernel basis, 2^{K−r} subsets of the K points, or
+    none when the list is even."""
+    solution, kernel = gf2_solve([parity_signature(p) for p in points],
+                                 (1,) * n)
+    subsets = [] if solution is None else [solution]
+    for z in kernel:
+        subsets += [s ^ z for s in subsets]
+    return len(points) - len(kernel), sorted(subsets)

@@ -6,9 +6,12 @@
   axis; the two use the same accept test and the same bisection, so they
   accept the same cells and differ only in summation order.
 - The sign-group integrand Σ_g w_g exp(i·φ_g) as one complex exponential
-  per group, against which the real-arithmetic kernel is checked.
-- The per-J prune bound, against which the array version over a whole
-  J box is checked bit for bit.
+  per group, against which both forms of the real-arithmetic sign-sum
+  kernel are checked.
+- The odd subsets of a monomial list by a scan of all 2^K subsets,
+  against which the GF(2) enumeration of the parity form is checked.
+- The per-J prune bound and the per-J amplitudes, against which the array
+  versions over a whole J box are checked bit for bit.
 - Fixtures built on the harness: the odd cutoff h(u) = η(u)/u and the
   partition-of-unity deviation of η, the σ-folded principal-value integral
   over an annulus box, and a single dyadic piece.
@@ -28,10 +31,11 @@ from nh.oscillatory import (
     PieceFamily,
     QuadratureResult,
     _amplitudes,
+    _j_dot_m,
     _monomial_list,
     _Phase,
+    _SignSum,
     adaptive_box,
-    sigma_groups,
 )
 
 
@@ -63,11 +67,11 @@ def pv_integral(p, xi, a, b, tol_cell: float = CELL_TOL) -> QuadratureResult:
             not (0.0 < x < y) for x, y in zip(a, b)):
         raise ValueError("need 0 < a < b componentwise")
     monos = _monomial_list(p)
-    groups = sigma_groups([m for _, m, _ in monos], n)
-    if not groups:
+    signs = _SignSum([m for _, m, _ in monos], n)
+    if signs.empty:
         return QuadratureResult(0.0 + 0.0j, 0.0, 0)
     phase = _Phase(np.array([m for _, m, _ in monos], dtype=float),
-                   _amplitudes(monos, xi), groups)
+                   amplitudes_per_j(monos, xi), signs)
     lo = [math.log(x) for x in a]
     hi = [math.log(x) for x in b]
     return adaptive_box(phase.integrand(), lo, hi, tol_cell)
@@ -77,7 +81,39 @@ def dyadic_piece(p, face_tuple, j, xi,
                  tol_cell: float = CELL_TOL) -> QuadratureResult:
     """I_J(P_F, ξ): only monomials m ∈ F_ν ∩ Λ_ν, scaled by 2^{−J·m},
     integrated against ∏h(t_ℓ)dt_ℓ over the shells |t_ℓ| ∈ [1/4, 2]."""
-    return PieceFamily(p, face_tuple).evaluate(j, xi, tol_cell)
+    family = PieceFamily(p, face_tuple)
+    jm = _j_dot_m(family.monos, np.array([j]))
+    return family.evaluate(_amplitudes(family.monos, xi, jm)[0], tol_cell)
+
+
+def amplitudes_per_j(monos, xi, j=None) -> np.ndarray:
+    """c·ξ_ν·2^{−J·m} per monomial (nu, m, c) for one J (J = 0 if None)."""
+    amps = []
+    for nu, m, c in monos:
+        a = c * float(xi[nu])
+        if j is not None:
+            ex = -float(np.dot(j, m))
+            a *= 2.0 ** max(min(ex, 500.0), -500.0)
+        amps.append(a)
+    return np.array(amps, dtype=float)
+
+
+def odd_subsets_by_scan(points, n: int) -> tuple:
+    """(r, subsets): the GF(2) rank r of the list's exponents mod 2, as
+    log₂ of the number of distinct subset sums mod 2, and every subset
+    whose sum is componentwise odd, as a bitmask over the list indices;
+    both by a scan of all 2^K subsets."""
+    sums_mod2 = set()
+    odd = []
+    for mask in range(2 ** len(points)):
+        sums = [0] * n
+        for k in range(len(points)):
+            if mask >> k & 1:
+                sums = [a + b for a, b in zip(sums, points[k])]
+        sums_mod2.add(tuple(x % 2 for x in sums))
+        if all(x % 2 for x in sums):
+            odd.append(mask)
+    return len(sums_mod2).bit_length() - 1, odd
 
 
 def complex_exp_integrand(exponents: np.ndarray, amplitudes: np.ndarray,

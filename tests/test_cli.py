@@ -355,6 +355,19 @@ def test_probe_rejects_bad_fields(runner, tmp_path, command, payload, code):
     assert f"input error: {code}:" in res.output
 
 
+NOT_DISJOINT = {"n": 2, "S": [1, 2], "lambda": [[[1, 1]], [[1, 1], [2, 2]]],
+                "xi": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("command", ["decide", "probe-decay",
+                                     "probe-divergence"])
+def test_not_disjoint_input_gets_its_code(runner, tmp_path, command):
+    res = runner.invoke(main, [command, "--input",
+                               _write(tmp_path, NOT_DISJOINT)])
+    assert res.exit_code == EXIT_INPUT
+    assert "input error: E_NOT_DISJOINT:" in res.output
+
+
 def test_probe_sum_reads_report_radii(runner, tmp_path):
     payload = dict(PAIR_PROBE, xi=[0.5, 0.25], report_radii=[0, 1])
     res = runner.invoke(main, ["probe-sum", "--input",

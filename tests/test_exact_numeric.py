@@ -3,7 +3,7 @@
 Oracles: rank against minor enumeration, the Bareiss determinant against
 the Leibniz formula, strict-system feasibility against
 a dense rational grid scan, the fraction-free simplex against the rational
-tableau simplex in `simplex_oracle`, GF(2) span membership against explicit
+tableau simplex in `simplex_oracle`, GF(2) solution sets against explicit
 enumeration of all 2^k combinations.
 """
 
@@ -23,7 +23,7 @@ from nh.exact_numeric import (
     _Unbounded,
     det,
     dot,
-    gf2_contains,
+    gf2_solve,
     nullspace,
     primitive,
     rank,
@@ -338,13 +338,40 @@ def test_gf2_matches_enumeration():
         span = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(k)]
         target = tuple(rng.randint(0, 1) for _ in range(n))
         oracle = _gf2_oracle(span, target)
-        assert gf2_contains(span, target) == (oracle is not None)
+        solution, kernel = gf2_solve(span, target)
+        assert (solution is None) == (oracle is None)
+        if solution is not None:
+            assert _gf2_sum(span, solution, n) == [t % 2 for t in target]
+        # a basis of the subsets summing to 0: independent, and as many
+        # as k − rank, with 2^rank distinct subset sums
+        assert all(_gf2_sum(span, z, n) == [0] * n for z in kernel)
+        assert len({_xor_all(c) for r in range(len(kernel) + 1)
+                    for c in itertools.combinations(kernel, r)}) \
+            == 2 ** len(kernel)
+        sums = {tuple(_gf2_sum(span, mask, n)) for mask in range(2 ** k)}
+        assert len(sums) == 2 ** (k - len(kernel))
+
+
+def _gf2_sum(span, mask, n):
+    acc = [0] * n
+    for i, v in enumerate(span):
+        if mask >> i & 1:
+            acc = [(a + b) % 2 for a, b in zip(acc, v)]
+    return acc
+
+
+def _xor_all(masks):
+    out = 0
+    for m in masks:
+        out ^= m
+    return out
 
 
 def test_gf2_known_cases():
-    assert gf2_contains([(1, 0), (0, 1)], (1, 1))
-    assert gf2_contains([(1, 1, 0), (0, 1, 1)], (1, 0, 1))
-    assert not gf2_contains([(1, 1)], (1, 0))
+    assert gf2_solve([(1, 0), (0, 1)], (1, 1)) == (0b11, [])
+    assert gf2_solve([(1, 1, 0), (0, 1, 1)], (1, 0, 1)) == (0b11, [])
+    assert gf2_solve([(1, 1)], (1, 0))[0] is None
+    assert gf2_solve([(1, 0), (1, 0), (0, 1)], (1, 1)) == (0b101, [0b11])
 
 
 def test_unit_vectors():

@@ -8,6 +8,7 @@ import pytest
 
 from nh.engine import FaceTuple, LambdaTuple, VectorPolynomial
 from nh.newton_poly import DomainSpec, ExponentSet
+from nh.parity import is_even, odd_subsets
 from nh.oscillatory import (
     _CHUNK_NODES,
     _LADDER,
@@ -17,9 +18,12 @@ from nh.oscillatory import (
     CutoffSpec,
     PieceFamily,
     _Phase,
+    _SignSum,
     _amplitudes,
     _box_indices,
     _eta_of_log,
+    _j_dot_m,
+    _lattice_phase,
     _monomial_list,
     _prune_bounds,
     _row_hermite,
@@ -33,9 +37,11 @@ from nh.oscillatory import (
 )
 from quadrature_oracle import (
     adaptive_box_depth_first,
+    amplitudes_per_j,
     complex_exp_integrand,
     cutoff_h,
     dyadic_piece,
+    odd_subsets_by_scan,
     partition_deviation,
     prune_bound,
     pv_integral,
@@ -164,7 +170,8 @@ def _random_phase(rng, n):
         groups = sigma_groups(monos, n)
     amps = np.array([rng.choice((-1, 1)) * rng.uniform(1.0, 6.0)
                      / 4.0 ** (n - 1) for _ in monos])
-    return _Phase(np.array(monos, dtype=float), amps, groups)
+    return _Phase(np.array(monos, dtype=float), amps,
+                  _SignSum(monos, n)), groups
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -181,12 +188,12 @@ def test_adaptive_box_matches_depth_first(n, order, weighted):
         if not weighted:
             lo = [rng.uniform(-3.0, 0.0) for _ in range(n)]
             hi = [x + rng.uniform(0.5, 2.5) for x in lo]
-        phase = _random_phase(rng, n)
+        phase, groups = _random_phase(rng, n)
         got = adaptive_box(phase.integrand(), lo, hi, tol, order=order,
                            axis_weight=_eta_of_log if weighted else None)
         ref = adaptive_box_depth_first(
             complex_exp_integrand(phase.exponents, phase.amplitudes,
-                                  phase.groups),
+                                  groups),
             lo, hi, tol, order=order,
             weight=_eta_product if weighted else None)
         assert got.panels == ref.panels
@@ -197,7 +204,7 @@ def test_adaptive_box_matches_depth_first(n, order, weighted):
 
 def test_adaptive_box_cell_cap_flags_result():
     phase = _Phase(np.array([[1.0, 1.0]]), np.array([2000.0]),
-                   sigma_groups([(1, 1)], 2))
+                   _SignSum([(1, 1)], 2))
     r = adaptive_box(phase.integrand(), [LOG_QUARTER] * 2, [LOG_TWO] * 2,
                      cell_cap=7)
     assert not r.converged
@@ -237,11 +244,11 @@ def test_piece_matches_adaptive_reference():
     for _ in range(6):
         j = (rng.randint(0, 4), rng.randint(0, 4))
         xi = [rng.uniform(-3, 3)]
-        got = family.evaluate(j, xi)
+        got = family.evaluate(amplitudes_per_j(monos, xi, j))
         ref = adaptive_box_depth_first(
             complex_exp_integrand(
                 np.array([m for _, m, _ in monos], dtype=float),
-                _amplitudes(monos, xi, j), groups),
+                amplitudes_per_j(monos, xi, j), groups),
             [LOG_QUARTER] * 2, [LOG_TWO] * 2, weight=_eta_product)
         assert abs(got.value - ref.value) <= \
             1e-7 + got.abs_error_estimate + ref.abs_error_estimate
@@ -271,17 +278,16 @@ def test_prune_bound_is_rigorous():
                    for _ in range(15)])
     for _ in range(3):
         xi = [rng.uniform(-2, 2)]
-        for j, bound in zip(js, _prune_bounds(monos, xi, js)):
+        for j, bound in zip(js, _prune_bounds(monos, xi,
+                                              _j_dot_m(monos, js))):
             r = dyadic_piece(p, ft, tuple(j.tolist()), xi)
             assert abs(r.value) <= bound + 1e-7 + r.abs_error_estimate
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_prune_bounds_match_per_j_oracle(n):
-    """The array bounds over a J box equal the per-J bound bit for bit,
-    with S a proper subset (negative J) and several components."""
-    rng = random.Random(40 + n)
-    for _ in range(6):
+def _random_j_boxes(rng, n, tries):
+    """(monomial list, J box, ξ) on random polynomials with one or two
+    components and a random S, so J runs negative off S."""
+    for _ in range(tries):
         d = rng.randint(1, 2)
         cmap = {}
         for nu in range(d):
@@ -293,11 +299,18 @@ def test_prune_bounds_match_per_j_oracle(n):
             continue
         S = [j for j in range(n) if rng.random() < 0.5]
         p = VectorPolynomial(cmap, d=d, spec=DomainSpec.of(n, S))
-        monos = _monomial_list(p)
         js = np.array(list(_box_indices(p.spec, rng.randint(0, 6))))
         xi = [rng.choice((1.0, 1e-3, 1e3)) * rng.uniform(-4, 4)
               for _ in range(d)]
-        got = _prune_bounds(monos, xi, js)
+        yield _monomial_list(p), js, xi
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_prune_bounds_match_per_j_oracle(n):
+    """The array bounds over a J box equal the per-J bound bit for bit,
+    with S a proper subset (negative J) and several components."""
+    for monos, js, xi in _random_j_boxes(random.Random(40 + n), n, 6):
+        got = _prune_bounds(monos, xi, _j_dot_m(monos, js))
         want = [prune_bound(monos, xi, tuple(j.tolist()), n) for j in js]
         assert got.tolist() == want
 
@@ -325,23 +338,157 @@ def _kernel_cases():
 
 @pytest.mark.parametrize("n,monos,amps", _kernel_cases())
 def test_sign_group_kernel_matches_complex_exp(n, monos, amps):
-    """Every ladder rung of PieceFamily._value, and _Phase.integrand on
-    more nodes than one block, agree with Σ_g w_g exp(iφ_g) to 1e-13."""
     p = _vp(monos, n, list(range(n)))
     family = PieceFamily(p, _improper_tuple(p))
     amp_of = dict(zip(monos, amps))
     amps = np.array([amp_of[m] for _nu, m, _c in family.monos])
-    oracle = complex_exp_integrand(family.expo, amps, family.groups)
-    rungs = set(_LADDER) | {(order // 2, level) for order, level in _LADDER}
-    for key in sorted(rungs):
-        pts, wts = _shell_grid(n).rule(*key)
-        got = family._value(key, amps[:, None] * family.sgn)
-        assert abs(got - np.dot(wts, oracle(pts))) <= 1e-13, key
+    _assert_kernel_matches_complex_exp(family, amps,
+                                       np.random.default_rng(n))
 
-    rng = np.random.default_rng(n)
+
+def _assert_kernel_matches_complex_exp(family, amps, rng):
+    """Every ladder rung and half-order rung of PieceFamily._value (for
+    n = 4 those of at most 2^16 nodes), and _Phase.integrand on more nodes
+    than one block, agree with Σ_g w_g exp(iφ_g) to 1e-13."""
+    n = family.n
+    oracle = complex_exp_integrand(
+        family.expo, amps,
+        sigma_groups([m for _nu, m, _c in family.monos], n))
+    rungs = set(_LADDER) | {(order // 2, level) for order, level in _LADDER}
+    for order, level in sorted(rungs):
+        if n == 4 and (order * 2 ** level) ** n > 2 ** 16:
+            continue
+        pts, wts = _shell_grid(n).rule(order, level)
+        got = family._value((order, level), family.signs.bind(amps))
+        assert abs(got - np.dot(wts, oracle(pts))) <= 1e-13, (order, level)
+
     pts = rng.uniform(LOG_QUARTER, LOG_TWO, size=(2 * _CHUNK_NODES + 5, n))
-    got = _Phase(family.expo, amps, family.groups).integrand()(pts)
+    got = _Phase(family.expo, amps, family.signs).integrand()(pts)
     assert np.max(np.abs(got - oracle(pts))) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the two forms of the sign sum, and the rule that picks one
+# ---------------------------------------------------------------------------
+
+def test_odd_subsets_and_the_form_rule():
+    """On random monomial lists (repeats allowed): the GF(2) enumeration
+    equals the 2^K subset scan, there are 2^r sign groups and 2^{K−r} odd
+    subsets (none of either exactly when the list is even), and the
+    parity form is picked iff K ≤ 2r."""
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        pts = [tuple(rng.randint(0, 4) for _ in range(n))
+               for _ in range(rng.randint(1, 7))]
+        if rng.random() < 0.3:
+            pts.append(rng.choice(pts))         # a repeated exponent
+        r, subsets = odd_subsets_by_scan(pts, n)
+        assert odd_subsets(pts, n) == (r, subsets)
+        even = is_even(pts)
+        assert len(sigma_groups(pts, n)) == (0 if even else 2 ** r)
+        assert len(subsets) == (0 if even else 2 ** (len(pts) - r))
+        signs = _SignSum(pts, n)
+        assert signs.parity == (len(pts) <= 2 * r)
+        assert signs.empty == even
+        seen.add((signs.parity, even))
+    assert len(seen) == 4       # both forms, odd and even lists
+
+
+def _form_cases():
+    """(n, [(nu, m)], parity form expected) on both sides of K ≤ 2r for
+    every n = 1..4: all-even monomials among odd ones, an exponent shared
+    by two components, more monomials than twice their rank, and random
+    lists with the form the subset scan predicts."""
+    cases = [
+        (1, [(0, (1,)), (0, (2,))], True),
+        (1, [(0, (1,)), (0, (3,)), (0, (5,))], False),
+        (2, [(0, (2, 2)), (0, (1, 0)), (0, (0, 1))], True),
+        (2, [(0, (2, 0)), (0, (0, 4)), (0, (1, 1)), (0, (3, 1))], False),
+        (2, [(0, (1, 1)), (1, (1, 1))], True),
+        (3, [(0, (1, 0, 0)), (0, (0, 1, 1)), (1, (1, 0, 0)),
+             (1, (0, 1, 1)), (1, (1, 1, 1))], False),
+        (3, [(0, (0, 0, 2)), (0, (3, 3, 0)), (1, (0, 0, 3)),
+             (1, (3, 2, 1))], True),
+        (4, [(0, (1, 0, 0, 0)), (0, (0, 1, 0, 0)), (0, (0, 0, 1, 0)),
+             (0, (0, 0, 0, 1)), (0, (1, 1, 1, 1))], True),
+        (4, [(0, (1, 1, 0, 0)), (0, (0, 0, 1, 1)), (0, (1, 1, 1, 1)),
+             (0, (3, 1, 0, 0)), (0, (0, 0, 1, 3))], False),
+    ]
+    rng = random.Random(78)
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            pts = sorted({tuple(rng.randint(0, 3) for _ in range(n))
+                          for _ in range(rng.randint(1, 6))} - {(0,) * n})
+            if is_even(pts):
+                pts.append((1,) * n)
+            r, _subsets = odd_subsets_by_scan(pts, n)
+            cases.append((n, [(0, m) for m in pts], len(pts) <= 2 * r))
+    return cases
+
+
+@pytest.mark.parametrize("n,terms,parity", _form_cases())
+def test_both_forms_match_complex_exp(n, terms, parity):
+    """The kernel in the form that K ≤ 2r picks, against the oracle."""
+    d = 1 + max(nu for nu, _m in terms)
+    p = VectorPolynomial({t: 1 for t in terms}, d=d,
+                         spec=DomainSpec.of(n, list(range(n))))
+    family = PieceFamily(p, _improper_tuple(p))
+    assert family.signs.parity == parity
+    rng = np.random.default_rng(len(terms) + 10 * n)
+    amps = np.array([rng.choice((-1, 1)) * rng.uniform(0.5, 10.0)
+                     / 2.0 ** sum(m) for _nu, m, _c in family.monos])
+    _assert_kernel_matches_complex_exp(family, amps, rng)
+
+
+def test_even_list_has_no_terms_in_either_form():
+    for n, pts in ((2, [(2, 0), (0, 2)]), (2, [(2, 1), (2, 3), (4, 1)]),
+                   (3, [(1, 1, 0)])):
+        p = _vp(pts, n, list(range(n)))
+        family = PieceFamily(p, _improper_tuple(p))
+        assert family.trivial and sigma_groups(pts, n) == []
+        assert family.evaluate(np.ones(len(pts))).value == 0.0
+
+
+@pytest.mark.parametrize("n,points,parity", [
+    (2, [(1, 1)], True),
+    (2, [(1, 1), (3, 3), (5, 5)], False),
+    (3, [(1, 1, 1), (3, 3, 3)], True),
+    (3, [(1, 1, 1), (1, 2, 3)], True),
+    (3, [(1, 1, 1), (3, 3, 3), (5, 5, 5)], False),
+])
+def test_lattice_phase_matches_complex_exp(n, points, parity):
+    """The divergence probe's phase runs on lattice coordinates α but
+    takes its terms from the original exponents; on 2·_CHUNK_NODES+5
+    nodes it agrees with Σ_g w_g exp(iφ_g(α)) to 1e-13."""
+    p = _vp(points, n, list(range(n)), coeffs=[1, -2, 3][:len(points)])
+    phase, m_rank = _lattice_phase(p, _improper_tuple(p), [0.75])
+    assert phase.signs.parity == parity
+    assert phase.exponents.shape == (len(points), m_rank)
+    oracle = complex_exp_integrand(phase.exponents, phase.amplitudes,
+                                   sigma_groups(sorted(points), n))
+    rng = np.random.default_rng(n + len(points))
+    pts = rng.uniform(-3.0, 0.5, size=(2 * _CHUNK_NODES + 5, m_rank))
+    got = phase.integrand()(pts)
+    assert np.max(np.abs(got - oracle(pts))) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_amplitudes_match_per_j_oracle(n):
+    """The amplitudes over a J box equal the per-J loop bit for bit, with
+    S a proper subset (negative J), several components, and J large
+    enough to clip the exponent at ±500."""
+    rng = random.Random(60 + n)
+    for monos, js, xi in _random_j_boxes(rng, n, 8):
+        js = js * rng.choice((1, 60))
+        got = _amplitudes(monos, xi, _j_dot_m(monos, js))
+        want = [amplitudes_per_j(monos, xi, tuple(j.tolist())).tolist()
+                for j in js]
+        assert got.tolist() == want
+    monos = _monomial_list(_vp([(1, 1), (3, 0)], 2, [0, 1]))
+    got = _amplitudes(monos, [0.3], np.zeros((1, len(monos))))[0]
+    assert got.tolist() == amplitudes_per_j(monos, [0.3]).tolist()
 
 
 # ---------------------------------------------------------------------------
