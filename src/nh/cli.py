@@ -30,6 +30,7 @@ from .newton_poly import (
 from .engine import (
     FaceTuple,
     LambdaTuple,
+    NotDisjoint,
     VectorPolynomial,
     Verdict,
     build_face_chain,
@@ -328,6 +329,9 @@ def _run(fn):
     except InputError as exc:
         _err(f"input error: {exc}")
         sys.exit(EXIT_INPUT)
+    except NotDisjoint as exc:
+        _err(f"input error: E_NOT_DISJOINT: {exc}")
+        sys.exit(EXIT_INPUT)
     except (ValueError, KeyError) as exc:
         _err(f"input error: {exc}")
         sys.exit(EXIT_INPUT)
@@ -335,15 +339,6 @@ def _run(fn):
         _err(f"internal assertion failed: {exc}")
         sys.exit(EXIT_INTERNAL)
     sys.exit(code)
-
-
-def _disjoint_lambda(problem: ProblemInput):
-    """Λ of an input whose exponent sets must be mutually disjoint."""
-    lam = problem.lambda_tuple()
-    if lam.d > 1 and not lam.disjoint:
-        raise InputError("E_NOT_DISJOINT", "exponent sets are not disjoint:"
-                                           " use decide-general")
-    return lam
 
 
 def _verdict_body(verdict: Verdict, problem: ProblemInput) -> dict:
@@ -374,7 +369,7 @@ def decide(input_path, fmt):
     def body():
         started = time.time()
         problem = _load(input_path)
-        verdict = decide_disjoint(_disjoint_lambda(problem))
+        verdict = decide_disjoint(problem.lambda_tuple())
         _out(emit_report(
             _report(problem, _verdict_body(verdict, problem), started),
             fmt))
@@ -561,7 +556,7 @@ def probe_divergence(input_path, fmt, seed):
         started = time.time()
         problem = _load(input_path)
         p = problem.polynomial()
-        verdict = decide_disjoint(_disjoint_lambda(problem))
+        verdict = decide_disjoint(problem.lambda_tuple())
         if verdict.bounded:
             raise InputError("E_MALFORMED",
                              "divergence probe needs an unbounded input")
@@ -639,7 +634,7 @@ def probe_decay(input_path, fmt, seed):
         started = time.time()
         problem = _load(input_path)
         p = problem.polynomial()
-        lam = _disjoint_lambda(problem)
+        lam = problem.lambda_tuple()
         ft = FaceTuple(tuple(poly.improper_face()
                              for poly in lam.polyhedra), 0, None)
         ray = problem.raw.get("ray", [1] * problem.n)

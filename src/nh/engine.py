@@ -32,6 +32,10 @@ from .parity import is_even, odd_witness
 # data
 # ---------------------------------------------------------------------------
 
+class NotDisjoint(ValueError):
+    """Exponent sets that must be mutually disjoint share a point."""
+
+
 class LambdaTuple:
     """Λ = (Λ₁,…,Λ_d) over a common ambient spec, with built polyhedra."""
 
@@ -57,6 +61,12 @@ class LambdaTuple:
                 return False
             seen |= lam.points
         return True
+
+    def require_disjoint(self) -> "LambdaTuple":
+        if not self.disjoint:
+            raise NotDisjoint("exponent sets are not disjoint: use "
+                              "decide_general (nh decide-general)")
+        return self
 
     @property
     def polyhedra(self) -> tuple:
@@ -206,8 +216,7 @@ def _lo_scan(lam: LambdaTuple):
 def decide_disjoint(lam: LambdaTuple) -> Verdict:
     """Main criterion for mutually disjoint Λ_ν (or d = 1): bounded iff
     ⋃(F_ν ∩ Λ_ν) is even for every low-rank overlapping face tuple."""
-    if lam.d > 1 and not lam.disjoint:
-        raise ValueError("exponent sets are not disjoint: use decide_general")
+    lam.require_disjoint()
     ft, odd, examined, lo = _lo_scan(lam)
     if ft is not None:
         return Verdict(kind="unbounded", face_tuple=ft, odd_subset=odd,

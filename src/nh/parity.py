@@ -11,7 +11,7 @@ harness sums over.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .exact_numeric import gf2_solve
 
@@ -68,15 +68,25 @@ def odd_witness(omega) -> Optional[list]:
     return witness
 
 
-def odd_subsets(points: Sequence[Sequence[int]], n: int) -> tuple[int, list]:
+def odd_subsets(points: Sequence[Sequence[int]],
+                n: int) -> tuple[int, Iterator[int]]:
     """The GF(2) rank r of Γ over the list `points` (repeats allowed) in
-    ℤ₊ⁿ, and every subset of the list whose sum is componentwise odd, as
-    sorted bitmasks over the list indices: one solution plus each
-    combination of a kernel basis, 2^{K−r} subsets of the K points, or
-    none when the list is even."""
+    ℤ₊ⁿ, and an iterator over every subset of the list whose sum is
+    componentwise odd, as bitmasks over the list indices: one solution
+    plus each combination of a kernel basis, 2^{K−r} subsets of the K
+    points, or none when the list is even.  The subsets are built only as
+    they are drawn, so the rank costs one elimination even when 2^{K−r}
+    is huge."""
     solution, kernel = gf2_solve([parity_signature(p) for p in points],
                                  (1,) * n)
-    subsets = [] if solution is None else [solution]
-    for z in kernel:
-        subsets += [s ^ z for s in subsets]
-    return len(points) - len(kernel), sorted(subsets)
+
+    def subsets():
+        if solution is None:
+            return
+        for combo in range(1 << len(kernel)):
+            s = solution
+            for i, z in enumerate(kernel):
+                if combo >> i & 1:
+                    s ^= z
+            yield s
+    return len(points) - len(kernel), subsets()

@@ -316,14 +316,17 @@ def test_prune_bounds_match_per_j_oracle(n):
 
 
 # ---------------------------------------------------------------------------
-# sign-group kernel against the complex exponential
+# the sign-sum kernel, in either form, against the complex exponential
 # ---------------------------------------------------------------------------
 
 def _kernel_cases():
-    """(n, monomials, amplitudes): random phases with |φ| ≲ 40, and the
-    three unit monomials in n = 3, which give all 8 sign groups."""
+    """(n, [(nu, m)], amplitudes): random phases with |φ| ≲ 40 and the
+    three unit monomials in n = 3, which give all 8 sign groups; then
+    lists on both sides of K ≤ 2r for every n = 1..4, among them
+    all-even monomials beside odd ones, an exponent shared by two
+    components, and more monomials than twice their rank."""
     rng = random.Random(77)
-    cases = [(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [3.0, -7.5, 11.0])]
+    lists = [(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [3.0, -7.5, 11.0])]
     for n in (1, 2, 3):
         for _ in range(3):
             monos = sorted({tuple(rng.randint(0, 3) for _ in range(n))
@@ -332,16 +335,51 @@ def _kernel_cases():
                 monos.append((1,) * n)
             amps = [rng.choice((-1, 1)) * rng.uniform(0.5, 10.0)
                     / 2.0 ** sum(m) for m in monos]
-            cases.append((n, monos, amps))
+            lists.append((n, monos, amps))
+    cases = [(n, [(0, m) for m in monos], amps) for n, monos, amps in lists]
+    forms = [           # K ≤ 2r on the left, K > 2r on the right
+        (1, [(0, (1,)), (0, (2,))]),
+        (1, [(0, (1,)), (0, (3,)), (0, (5,))]),
+        (2, [(0, (2, 2)), (0, (1, 0)), (0, (0, 1))]),
+        (2, [(0, (2, 0)), (0, (0, 4)), (0, (1, 1)), (0, (3, 1))]),
+        (2, [(0, (1, 1)), (1, (1, 1))]),
+        (3, [(0, (0, 0, 2)), (0, (3, 3, 0)), (1, (0, 0, 3)),
+             (1, (3, 2, 1))]),
+        (3, [(0, (1, 0, 0)), (0, (0, 1, 1)), (1, (1, 0, 0)),
+             (1, (0, 1, 1)), (1, (1, 1, 1))]),
+        (4, [(0, (1, 0, 0, 0)), (0, (0, 1, 0, 0)), (0, (0, 0, 1, 0)),
+             (0, (0, 0, 0, 1)), (0, (1, 1, 1, 1))]),
+        (4, [(0, (1, 1, 0, 0)), (0, (0, 0, 1, 1)), (0, (1, 1, 1, 1)),
+             (0, (3, 1, 0, 0)), (0, (0, 0, 1, 3))]),
+    ]
+    rng = random.Random(78)
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            pts = sorted({tuple(rng.randint(0, 3) for _ in range(n))
+                          for _ in range(rng.randint(1, 6))} - {(0,) * n})
+            if is_even(pts):
+                pts.append((1,) * n)
+            forms.append((n, [(0, m) for m in pts]))
+    for n, terms in forms:
+        amps = [rng.choice((-1, 1)) * rng.uniform(0.5, 10.0) / 2.0 ** sum(m)
+                for _nu, m in terms]
+        cases.append((n, terms, amps))
     return cases
 
 
 @pytest.mark.parametrize("n,monos,amps", _kernel_cases())
 def test_sign_group_kernel_matches_complex_exp(n, monos, amps):
-    p = _vp(monos, n, list(range(n)))
+    """The kernel, in the form that K ≤ 2r picks (the sign groups or the
+    parity form), against the sign-group sum of complex exponentials."""
+    d = 1 + max(nu for nu, _m in monos)
+    p = VectorPolynomial({t: 1 for t in monos}, d=d,
+                         spec=DomainSpec.of(n, list(range(n))))
     family = PieceFamily(p, _improper_tuple(p))
+    points = [m for _nu, m, _c in family.monos]
+    r, _subsets = odd_subsets_by_scan(points, n)
+    assert family.signs.parity == (len(points) <= 2 * r)
     amp_of = dict(zip(monos, amps))
-    amps = np.array([amp_of[m] for _nu, m, _c in family.monos])
+    amps = np.array([amp_of[nu, m] for nu, m, _c in family.monos])
     _assert_kernel_matches_complex_exp(family, amps,
                                        np.random.default_rng(n))
 
@@ -385,61 +423,26 @@ def test_odd_subsets_and_the_form_rule():
         if rng.random() < 0.3:
             pts.append(rng.choice(pts))         # a repeated exponent
         r, subsets = odd_subsets_by_scan(pts, n)
-        assert odd_subsets(pts, n) == (r, subsets)
+        got_r, odd = odd_subsets(pts, n)
+        assert (got_r, sorted(odd)) == (r, subsets)
         even = is_even(pts)
         assert len(sigma_groups(pts, n)) == (0 if even else 2 ** r)
         assert len(subsets) == (0 if even else 2 ** (len(pts) - r))
         signs = _SignSum(pts, n)
+        assert signs.rank == r
         assert signs.parity == (len(pts) <= 2 * r)
         assert signs.empty == even
         seen.add((signs.parity, even))
     assert len(seen) == 4       # both forms, odd and even lists
 
 
-def _form_cases():
-    """(n, [(nu, m)], parity form expected) on both sides of K ≤ 2r for
-    every n = 1..4: all-even monomials among odd ones, an exponent shared
-    by two components, more monomials than twice their rank, and random
-    lists with the form the subset scan predicts."""
-    cases = [
-        (1, [(0, (1,)), (0, (2,))], True),
-        (1, [(0, (1,)), (0, (3,)), (0, (5,))], False),
-        (2, [(0, (2, 2)), (0, (1, 0)), (0, (0, 1))], True),
-        (2, [(0, (2, 0)), (0, (0, 4)), (0, (1, 1)), (0, (3, 1))], False),
-        (2, [(0, (1, 1)), (1, (1, 1))], True),
-        (3, [(0, (1, 0, 0)), (0, (0, 1, 1)), (1, (1, 0, 0)),
-             (1, (0, 1, 1)), (1, (1, 1, 1))], False),
-        (3, [(0, (0, 0, 2)), (0, (3, 3, 0)), (1, (0, 0, 3)),
-             (1, (3, 2, 1))], True),
-        (4, [(0, (1, 0, 0, 0)), (0, (0, 1, 0, 0)), (0, (0, 0, 1, 0)),
-             (0, (0, 0, 0, 1)), (0, (1, 1, 1, 1))], True),
-        (4, [(0, (1, 1, 0, 0)), (0, (0, 0, 1, 1)), (0, (1, 1, 1, 1)),
-             (0, (3, 1, 0, 0)), (0, (0, 0, 1, 3))], False),
-    ]
-    rng = random.Random(78)
-    for n in (1, 2, 3, 4):
-        for _ in range(3):
-            pts = sorted({tuple(rng.randint(0, 3) for _ in range(n))
-                          for _ in range(rng.randint(1, 6))} - {(0,) * n})
-            if is_even(pts):
-                pts.append((1,) * n)
-            r, _subsets = odd_subsets_by_scan(pts, n)
-            cases.append((n, [(0, m) for m in pts], len(pts) <= 2 * r))
-    return cases
-
-
-@pytest.mark.parametrize("n,terms,parity", _form_cases())
-def test_both_forms_match_complex_exp(n, terms, parity):
-    """The kernel in the form that K ≤ 2r picks, against the oracle."""
-    d = 1 + max(nu for nu, _m in terms)
-    p = VectorPolynomial({t: 1 for t in terms}, d=d,
-                         spec=DomainSpec.of(n, list(range(n))))
-    family = PieceFamily(p, _improper_tuple(p))
-    assert family.signs.parity == parity
-    rng = np.random.default_rng(len(terms) + 10 * n)
-    amps = np.array([rng.choice((-1, 1)) * rng.uniform(0.5, 10.0)
-                     / 2.0 ** sum(m) for _nu, m, _c in family.monos])
-    _assert_kernel_matches_complex_exp(family, amps, rng)
+def test_many_monomials_of_low_rank_take_the_sign_groups_at_once():
+    """n = 1 with 40 odd monomials: r = 1, so the 2^39 odd subsets are
+    never drawn and the sign groups (G = 2) are built at once."""
+    pts = [(2 * k + 1,) for k in range(40)]
+    signs = _SignSum(pts, 1)
+    assert (signs.rank, signs.parity, signs.empty) == (1, False, False)
+    assert signs.gw.tolist() == [-1.0, 1.0] and signs.sgn.shape == (40, 2)
 
 
 def test_even_list_has_no_terms_in_either_form():
