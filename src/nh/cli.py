@@ -560,8 +560,6 @@ def probe_divergence(input_path, fmt, seed):
         if verdict.bounded:
             raise InputError("E_MALFORMED",
                              "divergence probe needs an unbounded input")
-        s0 = face_closure_structure(verdict.face_tuple.faces[0]) \
-            if not verdict.face_tuple.faces[0].is_empty else frozenset()
         xi = _xi_samples(problem, seed, 1)[0]
         ks = problem.raw.get("shrink_levels", list(range(4, 15)))
         if not isinstance(ks, list) or not all(
@@ -572,7 +570,7 @@ def probe_divergence(input_path, fmt, seed):
                                "least 2 distinct integers in 1..1000")
         n = problem.n
         seq = [((2.0 ** -k,) * n, (1.0,) * n) for k in ks]
-        res = osc.divergence_probe(p, verdict.face_tuple, s0, xi, seq)
+        res = osc.divergence_probe(p, verdict.face_tuple, xi, seq)
         report = _report(problem, {
             "slope": res.slope, "intercept": res.intercept,
             "r_squared": res.r_squared,

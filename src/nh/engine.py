@@ -16,13 +16,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .exact_numeric import dot, is_zero, nullspace, primitive, rank, unit
+from .exact_numeric import (
+    dot,
+    is_zero,
+    nullspace,
+    orthogonal_basis,
+    primitive,
+    rank,
+    reduce_mod,
+    unit,
+)
 from .newton_poly import (
     DomainSpec,
     ExponentSet,
     Face,
     build_newton,
     cones_interior_intersection,
+    dual_cone_rows,
     face_by_cone_interior,
 )
 from .parity import is_even, odd_witness
@@ -385,40 +395,17 @@ def classify_dyadic(lam: LambdaTuple, j: Sequence[int]) -> list:
             for combo in itertools.product(*down_sets)]
 
 
-def _cone_h_data(faces: Sequence[Face], n: int):
-    from .newton_poly import _cone_h_rows
-    eqs, ineqs = [], []
-    for f in faces:
-        for a, kind in _cone_h_rows(f):
-            (eqs if kind == "eq" else ineqs).append(tuple(a))
-    return eqs, ineqs
-
-
 def cone_extreme_generators(eqs: list, ineqs: list, n: int):
     """Extreme rays + lineality basis of {x : Ex = 0, Ax ≥ 0} (exact
-    double-description at desk scale: tight subsets of the right rank)."""
+    double-description at desk scale: tight subsets of the right rank).
+    Each ray is reduced mod the lineality, primitive."""
     lin = nullspace(eqs + ineqs, n=n)
     dim_l = len(lin)
     r_e = rank(eqs)
     s0 = n - dim_l - 1 - r_e
     if s0 < 0:
         return [], lin
-
-    orth: list = []
-    for l in lin:
-        w = tuple(Fraction(x) for x in l)
-        for o in orth:
-            coef = dot(w, o) / dot(o, o)
-            w = tuple(a - coef * b for a, b in zip(w, o))
-        if not is_zero(w):
-            orth.append(w)
-
-    def reduce_mod_lin(w):
-        w = tuple(Fraction(x) for x in w)
-        for o in orth:
-            coef = dot(w, o) / dot(o, o)
-            w = tuple(a - coef * b for a, b in zip(w, o))
-        return primitive(w)
+    orth = orthogonal_basis(lin)
 
     rays: list = []
     seen: set = set()
@@ -431,7 +418,7 @@ def cone_extreme_generators(eqs: list, ineqs: list, n: int):
             continue
         for cand in (w, tuple(-x for x in w)):
             if all(dot(a, cand) >= 0 for a in ineqs):
-                key = reduce_mod_lin(cand)
+                key = primitive(reduce_mod(cand, orth))
                 if not is_zero(key) and key not in seen:
                     seen.add(key)
                     rays.append(key)
@@ -441,9 +428,12 @@ def cone_extreme_generators(eqs: list, ineqs: list, n: int):
 
 def cap_cone_generators(faces: Sequence[Face]):
     """Generators (extreme rays) and lineality of Cap(F*) = ⋂ F_ν*."""
-    n = faces[0].parent.spec.n
-    eqs, ineqs = _cone_h_data(faces, n)
-    return cone_extreme_generators(eqs, ineqs, n)
+    eqs, ineqs = [], []
+    for f in faces:
+        eq, ge = dual_cone_rows(f)
+        eqs += eq
+        ineqs += ge
+    return cone_extreme_generators(eqs, ineqs, faces[0].parent.spec.n)
 
 
 def build_face_chain(tuple_: FaceTuple):

@@ -2,10 +2,10 @@
 
 Vectors are sequences of ints and ``fractions.Fraction``s (any other number
 is taken at its exact ``Fraction`` value).  Everything here is pure and
-immutable: rank and determinants by fraction-free elimination,
-strict-inequality feasibility by a fraction-free simplex on Python integers
-with Bland's rule, and GF(2) elimination (all subsets of a list of
-vectors that sum to a target).
+immutable: rank, determinants and nullspaces by fraction-free
+elimination, exact Gram–Schmidt, strict-inequality feasibility by a
+fraction-free simplex on Python integers with Bland's rule, and GF(2)
+elimination (all subsets of a list of vectors that sum to a target).
 """
 
 from __future__ import annotations
@@ -85,11 +85,21 @@ def primitive(v: RVector) -> tuple:
 # rank / determinant / nullspace
 # ---------------------------------------------------------------------------
 
-def rank(rows: RMatrix) -> int:
-    """Row rank by fraction-free integer Gaussian elimination."""
+def _reduced(row: list) -> list:
+    """The integer row divided by the gcd of its entries."""
+    g = 0
+    for x in row:
+        g = math.gcd(g, abs(x))
+    return [x // g for x in row] if g > 1 else row
+
+
+def _echelon(rows: RMatrix) -> tuple[list[list[int]], list[int]]:
+    """Integer row echelon form by fraction-free elimination: the rows
+    (the first len(pivots) of them nonzero) and the pivot columns."""
     mat = [list(_clear_denominators(r)) for r in rows]
+    pivots: list[int] = []
     if not mat:
-        return 0
+        return mat, pivots
     ncols = len(mat[0])
     for r in mat:
         if len(r) != ncols:
@@ -105,17 +115,18 @@ def rank(rows: RMatrix) -> int:
             if mat[i][col] == 0:
                 continue
             q = mat[i][col]
-            row = [p * a - q * b for a, b in zip(mat[i], mat[rk])]
-            g = 0
-            for x in row:
-                g = math.gcd(g, abs(x))
-            if g > 1:
-                row = [x // g for x in row]
-            mat[i] = row
+            mat[i] = _reduced([p * a - q * b
+                               for a, b in zip(mat[i], mat[rk])])
+        pivots.append(col)
         rk += 1
         if rk == len(mat):
             break
-    return rk
+    return mat, pivots
+
+
+def rank(rows: RMatrix) -> int:
+    """Row rank by fraction-free integer Gaussian elimination."""
+    return len(_echelon(rows)[1])
 
 
 def det(rows: RMatrix) -> int:
@@ -140,49 +151,59 @@ def det(rows: RMatrix) -> int:
     return sign * prev
 
 
-def rref(rows: RMatrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals; returns (mat, pivot_cols)."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        p = mat[r][col]
-        mat[r] = [x / p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                q = mat[i][col]
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
-
-
 def nullspace(rows: RMatrix, n: Optional[int] = None) -> list[tuple]:
-    """Primitive integer basis of {x : A x = 0}.  `n` is the ambient
-    dimension when `rows` is empty."""
+    """Primitive integer basis of {x : A x = 0}, one vector per free
+    column f with x_f > 0 and zeros in the other free columns.  `n` is
+    the ambient dimension when `rows` is empty."""
     if not rows:
         if n is None:
             raise ValueError("ambient dimension required for empty matrix")
         return [primitive(unit(n, j)) for j in range(n)]
     ncols = len(rows[0])
-    mat, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    mat, pivots = _echelon(rows)
+    # back substitution: clear each pivot column above its pivot, the last
+    # pivot first, so each pivot row ends with zeros in the other pivot
+    # columns (the RREF up to a scale per row)
+    for k in range(len(pivots) - 1, 0, -1):
+        col = pivots[k]
+        p = mat[k][col]
+        for i in range(k):
+            q = mat[i][col]
+            if q:
+                mat[i] = _reduced([p * a - q * b
+                                   for a, b in zip(mat[i], mat[k])])
     basis = []
-    for f in free:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
+    for f in (c for c in range(ncols) if c not in pivots):
+        scale = math.lcm(*(abs(mat[i][pc]) for i, pc in enumerate(pivots)
+                           if mat[i][f]))
+        x = [0] * ncols
+        x[f] = scale
         for i, pc in enumerate(pivots):
-            x[pc] = -mat[i][f]
+            x[pc] = -mat[i][f] * (scale // mat[i][pc])
         basis.append(primitive(x))
+    return basis
+
+
+def reduce_mod(w: RVector, basis: Sequence) -> tuple:
+    """w minus its orthogonal projection onto span(basis), for a pairwise
+    orthogonal basis."""
+    w = tuple(_rat(x) for x in w)
+    for u in basis:
+        coef = dot(w, u) / dot(u, u)
+        w = tuple(a - coef * b for a, b in zip(w, u))
+    return w
+
+
+def orthogonal_basis(vectors: RMatrix) -> list[tuple]:
+    """Exact Gram–Schmidt: pairwise orthogonal primitive integer vectors
+    spanning the same space, one per vector independent of those before
+    it.  A projection does not depend on the scale of the basis vectors,
+    so each one is made primitive as soon as it is found."""
+    basis: list[tuple] = []
+    for v in vectors:
+        w = reduce_mod(v, basis)
+        if not is_zero(w):
+            basis.append(primitive(w))
     return basis
 
 

@@ -1,10 +1,10 @@
 """Generalized Newton polyhedra N(Ω,S) = Ch(Ω + ℝ₊^S).
 
 Exact V- and H-representations, the full face lattice (including the
-improper face and the empty face of dimension −1), dual cones with the
-Πa/Πb split for lower-dimensional polyhedra, interior-membership tests
-for cones, joint cone-interior intersections, the face a functional cuts
-out, and the F = N(Λ∩F, S₀) closure structure.
+improper face and the empty face of dimension −1), the face a functional
+cuts out, and the F = N(Λ∩F, S₀) closure structure.  A face's dual cone
+F* has one H-description, `dual_cone_rows`; membership in (F*)° and the
+joint cone-interior LP are read from its rows.
 
 Facet normals are integer cofactor vectors (generalized cross products)
 of m generators — a vertex, then vertices or rays — and the Πb rows, each
@@ -26,6 +26,7 @@ from .exact_numeric import (
     dot,
     is_zero,
     nullspace,
+    orthogonal_basis,
     primitive,
     rank,
     solve_strict,
@@ -214,17 +215,8 @@ def build_newton(omega: ExponentSet, spec: DomainSpec) -> NewtonPolyhedron:
     m = rank(directions)
 
     # Πb: orthogonal integer basis of V⊥(P)
-    perp = nullspace(directions, n=n) if directions else \
-        nullspace([], n=n)
-    basis_b = []
-    for w in perp:  # exact Gram-Schmidt, re-primitivized at each step
-        w = tuple(map(Fraction, w))
-        for u, _s in basis_b:
-            coef = dot(w, u) / dot(u, u)
-            w = tuple(a - coef * Fraction(b) for a, b in zip(w, u))
-        if not is_zero(w):
-            basis_b.append((primitive(w), None))
-    basis_b = tuple((q, dot(q, v0)) for q, _ in basis_b)
+    basis_b = tuple((q, dot(q, v0))
+                    for q in orthogonal_basis(nullspace(directions, n=n)))
 
     facets: dict = {}
     if m >= 1:
@@ -313,78 +305,62 @@ def enumerate_faces(p: NewtonPolyhedron) -> list:
 
 
 # ---------------------------------------------------------------------------
-# cone membership
+# the dual cone F*
 # ---------------------------------------------------------------------------
+
+def dual_cone_rows(f: Face) -> tuple:
+    """H-description (eq, ge) of the closed dual cone
+    F* = {x : a·x = 0 for a ∈ eq, a·x ≥ 0 for a ∈ ge}, in x alone (the
+    supporting level is eliminated at the face's least vertex v₀).
+
+    eq: v − v₀ for the face's other vertices, and the face's rays.
+    ge: w − v₀ for P's other vertices and P's other rays; e_j for j ∈ S
+    on the empty face, whose dual is Z(S).  The open cone (F*)° holds
+    the x ≠ 0 with every eq row 0 and every ge row > 0 (≥ 0 on the empty
+    face; the improper face has no ge rows)."""
+    p = f.parent
+    if f.is_empty:
+        return [], [_ivec(unit(p.spec.n, j)) for j in sorted(p.spec.S)]
+    vs = sorted(f.vertex_set)
+    v0 = vs[0]
+    eq = [vsub(v, v0) for v in vs[1:]] + sorted(f.ray_set)
+    ge = ([vsub(w, v0) for w in sorted(p.vertices - f.vertex_set)]
+          + sorted(p.rays - f.ray_set))
+    return eq, ge
+
 
 def interior_contains(f: Face, x: Sequence) -> bool:
     """x ∈ (F*)°, the open dual cone of the face, in the full-space sense."""
-    p = f.parent
     x = tuple(Fraction(c) for c in x)
-    if len(x) != p.spec.n:
+    if len(x) != f.parent.spec.n:
         raise ValueError("ambient dimension mismatch")
+    eq, ge = dual_cone_rows(f)
+    if is_zero(x) or any(dot(a, x) != 0 for a in eq):
+        return False
     if f.is_empty:
-        return (not is_zero(x)) and p.spec.in_zs(x)
-    vs = sorted(f.vertex_set)
-    rho = dot(x, vs[0])
-    if any(dot(x, v) != rho for v in vs[1:]):
-        return False
-    if any(dot(x, r) != 0 for r in f.ray_set):
-        return False
-    if f.is_improper:
-        return not is_zero(x)
-    if any(dot(x, w) <= rho for w in p.vertices - f.vertex_set):
-        return False
-    if any(dot(x, r) <= 0 for r in p.rays - f.ray_set):
-        return False
-    return True
-
-
-def _interior_system(faces: Sequence[Face], n: int):
-    """StrictSystem over (x, ρ_1..ρ_K) for x ∈ ⋂(F_ν*)°, plus whether any
-    strict row exists.  ρ_ν is the supporting level of face ν."""
-    proper = [f for f in faces if not f.is_empty]
-    K = len(proper)
-    dim = n + K
-    eqs, weak, strict = [], [], []
-
-    def ext(v, rho_idx=None, rho_coef=0):
-        row = [Fraction(c) for c in v] + [Fraction(0)] * K
-        if rho_idx is not None:
-            row[n + rho_idx] = Fraction(rho_coef)
-        return tuple(row)
-
-    for f in faces:
-        if f.is_empty:
-            for j in sorted(f.parent.spec.S):
-                weak.append((ext(unit(n, j)), Fraction(0)))
-            continue
-        k = proper.index(f)
-        for v in sorted(f.vertex_set):
-            eqs.append((ext(v, k, -1), Fraction(0)))       # x·v − ρ = 0
-        for r in sorted(f.ray_set):
-            eqs.append((ext(r), Fraction(0)))              # x·r = 0
-        if not f.is_improper:
-            for w in sorted(f.parent.vertices - f.vertex_set):
-                strict.append((ext(w, k, -1), Fraction(0)))  # x·w − ρ > 0
-            for r in sorted(f.parent.rays - f.ray_set):
-                strict.append((ext(r), Fraction(0)))         # x·r > 0
-    return dim, eqs, weak, strict
+        return all(dot(a, x) >= 0 for a in ge)
+    return all(dot(a, x) > 0 for a in ge)
 
 
 def cones_interior_intersection(faces: Sequence[Face]) -> Optional[tuple]:
-    """Exact rational witness x ∈ ⋂(F_ν*)°, or None."""
+    """Exact rational witness x ∈ ⋂(F_ν*)°, or None: one LP over x, with
+    each face's eq rows as equalities and its ge rows strict (weak on the
+    empty face)."""
     if not faces:
         raise ValueError("no faces given")
     n = faces[0].parent.spec.n
     if any(f.parent.spec.n != n for f in faces):
         raise ValueError("faces live in different ambient spaces")
-    dim, eqs, weak, strict = _interior_system(faces, n)
+    eqs, weak, strict = [], [], []
+    for f in faces:
+        eq, ge = dual_cone_rows(f)
+        eqs += [(a, 0) for a in eq]
+        (weak if f.is_empty else strict).extend((a, 0) for a in ge)
 
     def attempt(extra_strict):
-        sys = StrictSystem(dim=dim, equalities=tuple(eqs), weak=tuple(weak),
-                           strict=tuple(strict) + tuple(extra_strict))
-        sol = solve_strict(sys)
-        return None if sol is None else tuple(sol[:n])
+        return solve_strict(StrictSystem(
+            dim=n, equalities=tuple(eqs), weak=tuple(weak),
+            strict=tuple(strict) + tuple(extra_strict)))
 
     if strict:
         x = attempt(())
@@ -394,9 +370,9 @@ def cones_interior_intersection(faces: Sequence[Face]) -> Optional[tuple]:
         x = None
         for j in range(n):
             for sign in (1, -1):
-                row = [Fraction(0)] * dim
-                row[j] = Fraction(sign)
-                x = attempt(((tuple(row), Fraction(0)),))
+                row = [0] * n
+                row[j] = sign
+                x = attempt(((tuple(row), 0),))
                 if x is not None:
                     break
             if x is not None:
@@ -406,27 +382,6 @@ def cones_interior_intersection(faces: Sequence[Face]) -> Optional[tuple]:
     assert all(interior_contains(f, x) for f in faces), \
         "interior witness failed exact re-check"
     return x
-
-
-def _cone_h_rows(f: Face):
-    """Homogeneous H-rows of the closed cone F* in x alone (ρ eliminated by
-    substituting the level at a face vertex).  Yields (vector, 'eq'|'ge')."""
-    p = f.parent
-    n = p.spec.n
-    if f.is_empty:
-        for j in sorted(p.spec.S):
-            yield tuple(unit(n, j)), "ge"
-        return
-    vs = sorted(f.vertex_set)
-    v0 = vs[0]
-    for v in vs[1:]:
-        yield vsub(v, v0), "eq"
-    for r in sorted(f.ray_set):
-        yield tuple(map(Fraction, r)), "eq"
-    for w in sorted(p.vertices - f.vertex_set):
-        yield vsub(w, v0), "ge"
-    for r in sorted(p.rays - f.ray_set):
-        yield tuple(map(Fraction, r)), "ge"
 
 
 # ---------------------------------------------------------------------------
@@ -451,20 +406,13 @@ def face_by_cone_interior(p: NewtonPolyhedron, x: Sequence) -> Face:
 
 
 def face_closure_structure(f: Face) -> frozenset:
-    """S₀ ⊆ S with F = F + ℝ₊^{S₀} = N(Λ∩F, S₀); read off a canonical
-    interior witness q of (F*)° as {j ∈ S : q_j = 0}."""
+    """S₀ ⊆ S with F = F + ℝ₊^{S₀} = N(Λ∩F, S₀): the j ∈ S whose ray e_j
+    lies on F (every q ∈ (F*)° has q_j = 0 there and q_j > 0 elsewhere)."""
     if f.is_empty:
         raise ValueError("empty face has no closure structure")
     p = f.parent
-    S = p.spec.S
-    if f.is_improper:
-        s0 = frozenset(S)
-    else:
-        q = cones_interior_intersection([f])
-        assert q is not None, "nonempty proper face has empty cone interior"
-        s0 = frozenset(j for j in S if q[j] == 0)
-    assert f.ray_set == frozenset(_ivec(unit(p.spec.n, j)) for j in s0), \
-        "face rays disagree with the S0 pattern of the interior witness"
+    s0 = frozenset(j for j in p.spec.S
+                   if _ivec(unit(p.spec.n, j)) in f.ray_set)
     rebuilt = build_newton(
         ExponentSet.of(f.lambda_points(), p.spec.n),
         DomainSpec(p.spec.n, s0))

@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .engine import FaceTuple
 from .exact_numeric import rank
 from .parity import odd_subsets
 
@@ -45,10 +45,7 @@ LOG_TWO = math.log(2.0)
 CELL_TOL = 1e-9
 PRUNE_TOL = 1e-10
 H_MASS = 2.0 * math.log(2.0)          # ∫|h| per axis
-
-
-def max_cells() -> int:
-    return int(os.environ.get("NH_MAX_CELLS", 2 ** 22))
+MAX_CELLS = 2 ** 22                   # adaptive_box's default cell cap
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +164,7 @@ def adaptive_box(fun: Callable, lo, hi, tol_cell: float = CELL_TOL,
     rather than qⁿ.  When splitting would take the cell count past the
     cell cap, the level's rejected cells are accepted as they are and the
     result is flagged unconverged instead of raising."""
-    cell_cap = cell_cap if cell_cap is not None else max_cells()
+    cell_cap = cell_cap if cell_cap is not None else MAX_CELLS
     clo = np.asarray(lo, dtype=float).reshape(1, -1)
     chi = np.asarray(hi, dtype=float).reshape(1, -1)
     value = 0.0 + 0.0j
@@ -533,7 +530,7 @@ class ProbeResult:
     unconverged: int = 0    # shrink levels whose quadrature hit the cap
 
 
-def divergence_probe(p, witness, s0, xi, shrink_sequence,
+def divergence_probe(p, witness, xi, shrink_sequence,
                      tol_cell: float = CELL_TOL) -> ProbeResult:
     """Growth of |I(P_F, ξ, a, b)| against the free-direction log volume
     ∏_{j>m} log(b_j/a_j), in the rank-m normal form of Sp(⋃F_ν): the first
@@ -592,21 +589,19 @@ class DecayResult:
     unconverged: int  # pieces whose quadrature hit the cell cap
 
 
-def decay_check(p, face_tuple, ray, xi, m_choices=None,
-                k_max: int = 12) -> DecayResult:
+def decay_check(p, face_tuple, ray, xi, k_max: int = 12) -> DecayResult:
     """Van der Corput decay table along J = k·ray: |I_J| against the
     fitted envelope C·min_ν min{|2^{−J·m_ν}ξ_ν|^{−δ}, 1} with δ fitted by
     least squares on the decaying range (δ is existential in the source
     estimate, so it is measured, not assumed)."""
     p.lambda_tuple().require_disjoint()
-    if m_choices is None:
-        m_choices = [f.lambda_points()[0] if f.lambda_points() else None
-                     for f in face_tuple.faces]
     js = np.arange(k_max + 1)[:, None] * np.array([float(x) for x in ray])
     family = PieceFamily(p, face_tuple)
     amps = _amplitudes(family.monos, xi, _j_dot_m(family.monos, js))
-    # |2^{−J·m_ν} ξ_ν| for the chosen m_ν: amplitudes with c = 1
-    chosen = [(nu, m, 1.0) for nu, m in enumerate(m_choices) if m is not None]
+    # |2^{−J·m_ν} ξ_ν|, m_ν the lexicographically least point of F_ν ∩ Λ_ν:
+    # amplitudes with c = 1
+    chosen = [(nu, f.lambda_points()[0], 1.0)
+              for nu, f in enumerate(face_tuple.faces) if f.lambda_points()]
     args = np.abs(_amplitudes(chosen, xi, _j_dot_m(chosen, js)))
     samples = []
     unconverged = 0
@@ -687,7 +682,6 @@ def multiplier_sum_probe(p, xi_samples, radius: int,
     spec = p.spec
     improper = tuple(poly.improper_face()
                      for poly in p.lambda_tuple().polyhedra)
-    from .engine import FaceTuple
     family = PieceFamily(p, FaceTuple(improper, 0, None))
     monos = family.monos
     if report_radii is None:

@@ -4,7 +4,9 @@ checkers.
 Used by both the unit tests and the acceptance gate, so that the acceptance
 runs exercise exactly the checks documented here.  The oracles are the
 closed-cone membership test, a nonzero point of a closed cone
-intersection, and the published double-Hilbert vertex criterion.
+intersection, the open-cone membership test, the joint-interior LP and
+S₀ written against the supporting levels ρ (the form `dual_cone_rows`
+eliminates), and the published double-Hilbert vertex criterion.
 """
 
 import itertools
@@ -13,13 +15,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from nh.engine import cone_extreme_generators
-from nh.exact_numeric import StrictSystem, dot, rank, solve_strict, vsub
+from nh.engine import cap_cone_generators
+from nh.exact_numeric import StrictSystem, dot, rank, solve_strict, unit, vsub
 from nh.newton_poly import (
     DomainSpec,
     ExponentSet,
-    _cone_h_rows,
     build_newton,
+    dual_cone_rows,
     enumerate_faces,
     face_by_cone_interior,
 )
@@ -64,8 +66,9 @@ def cones_closed_intersection_ray(faces):
     n = faces[0].parent.spec.n
     eqs, weak = [], []
     for f in faces:
-        for a, b in _cone_h_rows(f):
-            (eqs if b == "eq" else weak).append((a, Fraction(0)))
+        eq, ge = dual_cone_rows(f)
+        eqs += [(a, Fraction(0)) for a in eq]
+        weak += [(a, Fraction(0)) for a in ge]
     for j in range(n):
         for sign in (1, -1):
             srow = [Fraction(0)] * n
@@ -77,6 +80,87 @@ def cones_closed_intersection_ray(faces):
             if sol is not None:
                 return tuple(sol)
     return None
+
+
+def rho_interior_contains(f, x) -> bool:
+    """x ∈ (F*)°, written against the supporting level ρ = x·v₀: the face's
+    vertices at level ρ, its rays at 0, P's other vertices above ρ and
+    P's other rays above 0; x ∈ Z(S), x ≠ 0, on the empty face."""
+    p = f.parent
+    x = tuple(Fraction(c) for c in x)
+    if f.is_empty:
+        return any(c != 0 for c in x) and p.spec.in_zs(x)
+    vs = sorted(f.vertex_set)
+    rho = dot(x, vs[0])
+    if any(dot(x, v) != rho for v in vs[1:]):
+        return False
+    if any(dot(x, r) != 0 for r in f.ray_set):
+        return False
+    if f.is_improper:
+        return any(c != 0 for c in x)
+    if any(dot(x, w) <= rho for w in p.vertices - f.vertex_set):
+        return False
+    if any(dot(x, r) <= 0 for r in p.rays - f.ray_set):
+        return False
+    return True
+
+
+def rho_interior_system(faces, n):
+    """The joint-interior LP over (x, ρ_1..ρ_K), one level ρ_ν per nonempty
+    face: (dim, equalities, weak, strict), each row a (vector, 0) pair."""
+    proper = [f for f in faces if not f.is_empty]
+    K = len(proper)
+    eqs, weak, strict = [], [], []
+
+    def ext(v, rho_idx=None, rho_coef=0):
+        row = [Fraction(c) for c in v] + [Fraction(0)] * K
+        if rho_idx is not None:
+            row[n + rho_idx] = Fraction(rho_coef)
+        return tuple(row)
+
+    for f in faces:
+        if f.is_empty:
+            for j in sorted(f.parent.spec.S):
+                weak.append((ext(unit(n, j)), Fraction(0)))
+            continue
+        k = proper.index(f)
+        for v in sorted(f.vertex_set):
+            eqs.append((ext(v, k, -1), Fraction(0)))       # x·v − ρ = 0
+        for r in sorted(f.ray_set):
+            eqs.append((ext(r), Fraction(0)))              # x·r = 0
+        if not f.is_improper:
+            for w in sorted(f.parent.vertices - f.vertex_set):
+                strict.append((ext(w, k, -1), Fraction(0)))  # x·w − ρ > 0
+            for r in sorted(f.parent.rays - f.ray_set):
+                strict.append((ext(r), Fraction(0)))         # x·r > 0
+    return n + K, eqs, weak, strict
+
+
+def rho_cones_interior_intersection(faces):
+    """A point of ⋂(F_ν*)° from the level-form LP, or None; with no strict
+    row, the signed coordinate directions are swept."""
+    n = faces[0].parent.spec.n
+    dim, eqs, weak, strict = rho_interior_system(faces, n)
+    extras = [()] if strict else [
+        ((tuple(Fraction(sign if i == j else 0) for i in range(dim)),
+          Fraction(0)),)
+        for j in range(n) for sign in (1, -1)]
+    for extra in extras:
+        sol = solve_strict(StrictSystem(
+            dim=dim, equalities=tuple(eqs), weak=tuple(weak),
+            strict=tuple(strict) + tuple(extra)))
+        if sol is not None:
+            return tuple(sol[:n])
+    return None
+
+
+def lp_closure_s0(f) -> frozenset:
+    """S₀ read off a level-form witness q of (F*)° as {j ∈ S : q_j = 0}."""
+    S = f.parent.spec.S
+    if f.is_improper:
+        return frozenset(S)
+    q = rho_cones_interior_intersection([f])
+    return frozenset(j for j in S if q[j] == 0)
 
 
 def graph_vertex_criterion(lambda_last, spec) -> bool:
@@ -102,13 +186,9 @@ def check_duality_order_reversal(p):
     lineality basis of the smaller cone.
     """
     faces = enumerate_faces(p)
-    n = p.spec.n
     gens = {}
     for f in faces:
-        eqs, ineqs = [], []
-        for a, kind in _cone_h_rows(f):
-            (eqs if kind == "eq" else ineqs).append(tuple(a))
-        rays, lin = cone_extreme_generators(eqs, ineqs, n)
+        rays, lin = cap_cone_generators([f])
         vecs = list(rays)
         for l in lin:
             vecs.append(tuple(Fraction(x) for x in l))
@@ -138,8 +218,7 @@ def check_dim_formula(p):
     for f in enumerate_faces(p):
         if f.is_empty:
             continue
-        eqs = [tuple(a) for a, kind in _cone_h_rows(f) if kind == "eq"]
-        dual_dim = n - rank(eqs)
+        dual_dim = n - rank(dual_cone_rows(f)[0])
         assert f.dim + dual_dim == n, (
             "dimension formula failed", sorted(f.vertex_set), f.dim, dual_dim)
 
@@ -151,10 +230,7 @@ def check_dominating(p, rng: random.Random, samples: int = 50):
     for f in enumerate_faces(p):
         if f.is_empty:
             continue
-        eqs, ineqs = [], []
-        for a, kind in _cone_h_rows(f):
-            (eqs if kind == "eq" else ineqs).append(tuple(a))
-        rays, lin = cone_extreme_generators(eqs, ineqs, n)
+        rays, lin = cap_cone_generators([f])
         flam = f.lambda_points()
         for _ in range(samples):
             j = [Fraction(0)] * n

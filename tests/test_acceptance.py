@@ -28,7 +28,7 @@ from nh.engine import (
     LambdaTuple,
     VectorPolynomial,
     build_face_chain,
-    cone_extreme_generators,
+    cap_cone_generators,
     decide_disjoint,
     decide_graph,
     enumerate_lo_tuples,
@@ -38,7 +38,6 @@ from nh.exact_numeric import dot
 from nh.newton_poly import (
     DomainSpec,
     ExponentSet,
-    _cone_h_rows,
     build_newton,
     cones_interior_intersection,
     interior_contains,
@@ -236,11 +235,7 @@ def _chain_instances(target=50, seed=909):
 
 def _dual_cone_vectors(face):
     """Extreme rays plus ±lineality of the closed dual cone."""
-    n = face.parent.spec.n
-    eqs, ineqs = [], []
-    for a, kind in _cone_h_rows(face):
-        (eqs if kind == "eq" else ineqs).append(tuple(a))
-    rays, lin = cone_extreme_generators(eqs, ineqs, n)
+    rays, lin = cap_cone_generators([face])
     out = list(rays)
     for l in lin:
         out.append(tuple(l))
@@ -332,7 +327,7 @@ def test_criterion_08_divergence_numerics():
         ft = FaceTuple((vertex,), 1, (1, 1))
         ks = list(range(4, 15))
         seq = [((2.0 ** -k, 2.0 ** -k), (1.0, 1.0)) for k in ks]
-        res = divergence_probe(p, ft, set(), [1.0], seq)
+        res = divergence_probe(p, ft, [1.0], seq)
         # regression against k itself (free log volume = k·log2)
         ys = np.array([v for _x, v, _f in res.rows])
         slope, _ = np.polyfit(np.array(ks, dtype=float), ys, 1)
@@ -349,7 +344,7 @@ def test_criterion_08_divergence_numerics():
         pv = pe.lambda_tuple().polyhedra[0]
         ve = pv.face_by_key([(2, 1)], [])
         fte = FaceTuple((ve,), 1, (1, 1))
-        rese = divergence_probe(pe, fte, set(), [1.0], seq)
+        rese = divergence_probe(pe, fte, [1.0], seq)
         ye = np.array([v for _x, v, _f in rese.rows])
         slope_e, _ = np.polyfit(np.array(ks, dtype=float), ye, 1)
         assert abs(slope_e) < 0.01

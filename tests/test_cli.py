@@ -6,6 +6,7 @@ import json
 import pytest
 from click.testing import CliRunner, _NamedTextIOWrapper
 
+from nh import oscillatory as osc
 from nh.cli import (
     EXIT_BOUNDED,
     EXIT_INPUT,
@@ -385,7 +386,7 @@ def test_probe_sum_reports_unconverged(runner, tmp_path, monkeypatch):
     res = runner.invoke(main, ["probe-sum", "--input", path])
     assert res.exit_code == EXIT_BOUNDED
     assert json.loads(res.output)["unconverged"] == 0
-    monkeypatch.setenv("NH_MAX_CELLS", "2")
+    monkeypatch.setattr(osc, "MAX_CELLS", 2)
     res = runner.invoke(main, ["probe-sum", "--input", path])
     assert res.exit_code == EXIT_BOUNDED
     assert json.loads(res.output)["unconverged"] > 0

@@ -1,7 +1,8 @@
 """Unit tests for the exact rational/GF(2) kernel.
 
 Oracles: rank against minor enumeration, the Bareiss determinant against
-the Leibniz formula, strict-system feasibility against
+the Leibniz formula, the fraction-free nullspace against the `Fraction`
+Gauss–Jordan one in `rref_oracle`, strict-system feasibility against
 a dense rational grid scan, the fraction-free simplex against the rational
 tableau simplex in `simplex_oracle`, GF(2) solution sets against explicit
 enumeration of all 2^k combinations.
@@ -25,12 +26,15 @@ from nh.exact_numeric import (
     dot,
     gf2_solve,
     nullspace,
+    orthogonal_basis,
     primitive,
     rank,
-    rref,
+    reduce_mod,
     solve_strict,
     unit,
+    vsub,
 )
+from rref_oracle import fraction_nullspace
 from simplex_oracle import fraction_simplex_max
 
 
@@ -111,7 +115,7 @@ def test_primitive_keeps_orientation():
 
 
 # ---------------------------------------------------------------------------
-# nullspace / rref
+# nullspace / Gram–Schmidt
 # ---------------------------------------------------------------------------
 
 @given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
@@ -129,10 +133,59 @@ def test_nullspace_properties(ncols, nrows, seed):
     assert rank(ns) == len(ns)
 
 
-def test_rref_pivots():
-    mat, pivots = rref([(0, 2, 4), (1, 1, 1)])
-    assert pivots == [0, 1]
-    assert mat[0][0] == 1 and mat[1][1] == 1
+def _special_matrix(rng: random.Random, ncols: int) -> list:
+    """A random integer matrix, often with zero rows, duplicate rows,
+    rows that are combinations of others, or rational entries."""
+    rows = [[rng.randint(-5, 5) for _ in range(ncols)]
+            for _ in range(rng.randint(0, 5))]
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(("zero", "dup", "comb", "frac"))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif rows and kind == "dup":
+            rows.append(list(rng.choice(rows)))
+        elif rows and kind == "comb":
+            a, b = rng.choice(rows), rng.choice(rows)
+            c, d = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append([c * x + d * y for x, y in zip(a, b)])
+        elif rows:
+            rows.append([Fraction(x, rng.randint(1, 4))
+                         for x in rng.choice(rows)])
+    rng.shuffle(rows)
+    return [tuple(r) for r in rows]
+
+
+def test_nullspace_equals_the_fraction_rref_oracle():
+    rng = random.Random(8)
+    deficient = 0
+    for _ in range(300):
+        ncols = rng.randint(1, 6)
+        rows = _special_matrix(rng, ncols)
+        deficient += rank(rows) < min(len(rows), ncols)
+        assert nullspace(rows, n=ncols) == fraction_nullspace(rows, ncols), \
+            rows
+    assert deficient >= 50      # rank-deficient inputs are well covered
+
+
+def test_orthogonal_basis_and_reduce_mod():
+    rng = random.Random(9)
+    for _ in range(100):
+        ncols = rng.randint(1, 5)
+        vecs = _special_matrix(rng, ncols)
+        basis = orthogonal_basis(vecs)
+        assert len(basis) == rank(vecs)
+        assert rank(basis + vecs) == len(basis)
+        for u, v in itertools.combinations(basis, 2):
+            assert dot(u, v) == 0
+        assert all(primitive(u) == u for u in basis)
+        w = tuple(rng.randint(-5, 5) for _ in range(ncols))
+        r = reduce_mod(w, basis)
+        assert all(dot(r, u) == 0 for u in basis)
+        assert rank(basis + [vsub(w, r)]) == len(basis)
+        # the projection ignores how the basis vectors are scaled
+        scales = [rng.choice((-3, 2, Fraction(5, 7))) for _ in basis]
+        scaled = [tuple(c * x for x in u) for c, u in zip(scales, basis)]
+        assert reduce_mod(w, scaled) == r
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Layout guard: `src/nh` holds no code that only the tests call.
+"""Layout guards for `src/nh`.
 
-Every top-level function and class of the package must be referenced
-somewhere in the package other than inside its own definition.  A
-function registered as a subcommand by `@main.command` counts as
-referenced; `main` itself is the entry point.  Test oracles and fixtures
-live under `tests/`.
+- No code that only the tests call: every top-level function and class
+  of the package must be referenced somewhere in the package other than
+  inside its own definition.  A function registered as a subcommand by
+  `@main.command` counts as referenced; `main` itself is the entry point.
+  Test oracles and fixtures live under `tests/`.
+- Imports sit at module level, and no module imports another module's
+  private (underscore) names.
 """
 
 import ast
@@ -36,9 +38,13 @@ def _names(node) -> set:
     return out
 
 
+def _trees() -> dict:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(Path(nh.__file__).parent.glob("*.py"))}
+
+
 def test_every_definition_has_a_caller_in_the_package():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(Path(nh.__file__).parent.glob("*.py"))}
+    trees = _trees()
     # names referenced per top-level statement, so a definition's own body
     # can be left out when asking who references it
     refs = [(fname, stmt, _names(stmt))
@@ -54,3 +60,19 @@ def test_every_definition_has_a_caller_in_the_package():
                    if other is not stmt):
             unused.append(f"{fname}:{stmt.name}")
     assert unused == [], f"only tests (or nobody) call: {unused}"
+
+
+def test_imports_are_module_level_and_public():
+    bad = set()
+    for fname, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bad.update(f"{fname}:{sub.lineno}: import inside {node.name}"
+                           for sub in ast.walk(node)
+                           if isinstance(sub, (ast.Import, ast.ImportFrom)))
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                bad.update(f"{fname}:{node.lineno}: private {alias.name}"
+                           for alias in node.names
+                           if alias.name.startswith("_")
+                           and not alias.name.endswith("__"))
+    assert sorted(bad) == []

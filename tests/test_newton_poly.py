@@ -1,7 +1,8 @@
 """Unit tests for Newton polyhedra: construction, faces, dual cones.
 
-Oracle: the pairwise-direction hull and the 2^k facet-subset lattice in
-`hull_oracle`.
+Oracles: the pairwise-direction hull and the 2^k facet-subset lattice in
+`hull_oracle`; the open-cone test, the joint-interior LP and S₀ written
+against the supporting levels ρ in `geom_checks`.
 """
 
 import gc
@@ -13,7 +14,10 @@ import pytest
 
 from geom_checks import (
     cones_closed_intersection_ray,
+    lp_closure_s0,
     random_instance,
+    rho_cones_interior_intersection,
+    rho_interior_contains,
     run_all_checks,
 )
 from hull_oracle import build_newton_pairwise, enumerate_faces_subsets
@@ -263,3 +267,85 @@ def test_cyclic_polytope_f_vector():
     faces = enumerate_faces(p)
     f_vector = [sum(1 for f in faces if f.dim == d) for d in range(4)]
     assert f_vector == [8, 28, 40, 20]
+
+
+# ---------------------------------------------------------------------------
+# the one dual-cone description against the level-form oracles
+# ---------------------------------------------------------------------------
+
+def _random_points(rng: random.Random, n: int) -> set:
+    """Exponents of one polyhedron: in general position, on a line, or on
+    a coordinate hyperplane (lower-dimensional unless S holds its axis)."""
+    kind = rng.choice(("general", "general", "line", "flat"))
+    if kind == "line":
+        base = [rng.randint(0, 3) for _ in range(n)]
+        step = [rng.randint(0, 2) for _ in range(n)]
+        return {tuple(b + k * s for b, s in zip(base, step))
+                for k in range(rng.randint(1, 3))}
+    if kind == "flat":
+        axis, level = rng.randrange(n), rng.randint(0, 3)
+        return {tuple(level if i == axis else rng.randint(0, 4)
+                      for i in range(n))
+                for _ in range(rng.randint(1, 5))}
+    return {tuple(rng.randint(0, 4) for _ in range(n))
+            for _ in range(rng.randint(1, 6))}
+
+
+def _probe_points(rng: random.Random, p, f, witness) -> list:
+    """0, random points, the witness, points on the boundary of F* (the
+    open-cone points of the faces above F), and copies of them pushed
+    outside Z(S)."""
+    n = p.spec.n
+    pts = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(4)]
+    if witness is not None:
+        pts.append(witness)
+    pts += [rho_cones_interior_intersection([g]) for g in p.faces()
+            if f <= g and g != f]
+    pts = [x for x in pts if x is not None]
+    outside = []
+    for x in pts:
+        for j in p.spec.S:
+            if x[j] >= 0:
+                outside.append(tuple(-1 - c if i == j else c
+                                     for i, c in enumerate(x)))
+    return [(0,) * n] + pts + outside
+
+
+def test_dual_cone_rows_agree_with_the_level_form():
+    rng = random.Random(2024)
+    seen = dict(none=0, witness=0, empty=0, improper=0, low_dim=0,
+                points=0, inside=0)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        spec = DomainSpec.of(n, [j for j in range(n) if rng.random() < 0.4])
+        polys = [build_newton(ExponentSet.of(_random_points(rng, n), n),
+                              spec) for _ in range(rng.randint(1, 3))]
+        faces = []
+        for p in polys:
+            pick = rng.random()
+            f = (p.empty_face() if pick < 0.2 else p.improper_face()
+                 if pick < 0.4 else rng.choice(p.faces()))
+            faces.append(f)
+            seen["empty"] += f.is_empty
+            seen["improper"] += f.is_improper
+            seen["low_dim"] += p.dim < n
+            for g in p.faces():
+                if not g.is_empty:
+                    assert face_closure_structure(g) == lp_closure_s0(g)
+        x = cones_interior_intersection(faces)
+        oracle = rho_cones_interior_intersection(faces)
+        assert (x is None) == (oracle is None), (faces, x, oracle)
+        if x is None:
+            seen["none"] += 1
+        else:
+            seen["witness"] += 1
+            assert all(rho_interior_contains(f, x) for f in faces)
+        for p, f in zip(polys, faces):
+            for y in _probe_points(rng, p, f, x):
+                inside = rho_interior_contains(f, y)
+                assert interior_contains(f, y) == inside, (f, y)
+                seen["points"] += 1
+                seen["inside"] += inside
+    # every kind of input was reached, and both answers of each test
+    assert min(seen.values()) >= 30, seen
+    assert seen["points"] - seen["inside"] >= 30, seen

@@ -538,7 +538,7 @@ def test_divergence_probe_odd_vertex():
     p = _vp([(1, 1)], 2, [0, 1])
     ft = _witness_tuple(p, (1, 1))
     seq = [((2.0 ** -k, 2.0 ** -k), (1.0, 1.0)) for k in range(4, 11)]
-    res = divergence_probe(p, ft, set(), [1.0], seq)
+    res = divergence_probe(p, ft, [1.0], seq)
     assert res.slope > 0.05
     assert res.r_squared > 0.95
     assert not res.inconclusive
@@ -549,7 +549,7 @@ def test_divergence_probe_even_control():
     p = _vp([(2, 2)], 2, [0, 1])
     ft = _witness_tuple(p, (2, 2))
     seq = [((2.0 ** -k, 2.0 ** -k), (1.0, 1.0)) for k in range(4, 9)]
-    res = divergence_probe(p, ft, set(), [1.0], seq)
+    res = divergence_probe(p, ft, [1.0], seq)
     assert abs(res.slope) < 1e-2
     assert all(v == 0.0 for _x, v, _f in res.rows)
 
