@@ -1,8 +1,10 @@
 """Decision procedures on tuples of Newton polyhedra.
 
-Enumerates d-tuples of faces satisfying the low-rank condition
-rank(⋃F_ν) ≤ n−1 and the overlapping-cone condition ⋂(F_ν*)° ≠ ∅, applies
-the evenness criterion to ⋃(F_ν ∩ Λ_ν), and emits re-checkable verdicts.
+Lists the d-tuples of faces satisfying the low-rank condition
+rank(⋃F_ν) ≤ n−1 and the overlapping-cone condition ⋂(F_ν*)° ≠ ∅ — the
+summand decompositions of the faces of the Minkowski sums of the polyhedra
+— applies the evenness criterion to ⋃(F_ν ∩ Λ_ν), and emits re-checkable
+verdicts.
 Also: the graph-case specialization (no overlap test), the GL(d)
 elimination cascade with support-class closure, dyadic cone classification,
 and the descending face / ascending cone chains.
@@ -34,6 +36,8 @@ from .newton_poly import (
     cones_interior_intersection,
     dual_cone_rows,
     face_by_cone_interior,
+    interior_contains,
+    minkowski_faces,
 )
 from .parity import is_even, odd_witness
 
@@ -187,28 +191,40 @@ def enumerate_lo_tuples(lam: LambdaTuple) -> Iterator[FaceTuple]:
     """All d-tuples (F_ν), F_ν a face of N(Λ_ν,S) or empty, with
     rank(⋃F_ν) ≤ n−1 and a joint cone-interior witness attached.
 
-    Enumeration order is deterministic (faces by descending dimension, then
-    vertex/ray sets); a partial tuple is pruned only when its union already
-    has full rank n — never on the overlap condition, which is not monotone.
+    A tuple whose nonempty components are ν ∈ T has a joint open-cone
+    point exactly when it is the summand decomposition of a face of the
+    T-sum ∑_{ν∈T} N(Λ_ν,S), so the tuples come from `minkowski_faces` of
+    every nonempty T, with no LP; the all-empty tuple takes any x ≠ 0 in
+    Z(S), found by the interior sweep.  They are yielded in the
+    lexicographic order of the face indices (faces by descending
+    dimension, then vertex/ray sets, the empty face last); the rank filter
+    and the exact re-check of each witness run as a tuple is yielded.
     """
     n = lam.spec.n
-    face_lists = [p.faces() for p in lam.polyhedra]
-
-    def walk(level: int, chosen: list, pts: list) -> Iterator[FaceTuple]:
-        if level == lam.d:
-            r = rank(pts)
-            if r <= n - 1:
-                witness = cones_interior_intersection(chosen)
-                if witness is not None:
-                    yield FaceTuple(tuple(chosen), r, witness)
-            return
-        for f in face_lists[level]:
-            new_pts = pts + _face_points(f)
-            if rank(new_pts) >= n and level + 1 < lam.d:
-                continue  # rank is monotone in the union: sound prune
-            yield from walk(level + 1, chosen + [f], new_pts)
-
-    yield from walk(0, [], [])
+    polys = lam.polyhedra
+    position = [{f: i for i, f in enumerate(p.faces())} for p in polys]
+    empties = tuple(p.empty_face() for p in polys)
+    found = [(empties, None)]
+    for size in range(1, lam.d + 1):
+        for subset in itertools.combinations(range(lam.d), size):
+            for faces, w in minkowski_faces([polys[nu] for nu in subset]):
+                chosen = list(empties)
+                for nu, f in zip(subset, faces):
+                    chosen[nu] = f
+                found.append((tuple(chosen), w))
+    found.sort(key=lambda item: [pos[f] for pos, f in zip(position,
+                                                          item[0])])
+    for faces, w in found:
+        r = union_point_rank(faces)
+        if r > n - 1:
+            continue
+        if w is None:
+            w = cones_interior_intersection(faces)
+        else:
+            assert all(interior_contains(f, w) for f in faces), \
+                "Minkowski-sum witness failed exact re-check"
+        if w is not None:
+            yield FaceTuple(faces, r, w)
 
 
 def _lo_scan(lam: LambdaTuple):

@@ -35,6 +35,9 @@ def dot(a: RVector, b: RVector) -> Fraction:
     # integer numerator over a running denominator; one Fraction at the end
     num, den = 0, 1
     for x, y in zip(a, b):
+        if type(x) is int and type(y) is int:
+            num += x * y * den
+            continue
         x, y = _rat(x), _rat(y)
         d = x.denominator * y.denominator
         if d == den:
@@ -42,7 +45,7 @@ def dot(a: RVector, b: RVector) -> Fraction:
         else:
             num = num * d + x.numerator * y.numerator * den
             den *= d
-    return Fraction(num, den)
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 def vsub(a: RVector, b: RVector) -> tuple:
@@ -61,6 +64,8 @@ def unit(n: int, j: int) -> tuple:
 
 def _clear_denominators(v: RVector) -> tuple:
     """Integer vector on the same ray through the origin (sign preserved)."""
+    if all(type(x) is int for x in v):
+        return tuple(v)
     fr = [Fraction(x) for x in v]
     if not fr:
         return ()

@@ -2,9 +2,10 @@
 
 Exact V- and H-representations, the full face lattice (including the
 improper face and the empty face of dimension −1), the face a functional
-cuts out, and the F = N(Λ∩F, S₀) closure structure.  A face's dual cone
-F* has one H-description, `dual_cone_rows`; membership in (F*)° and the
-joint cone-interior LP are read from its rows.
+cuts out, the faces of a Minkowski sum of polyhedra as tuples of summand
+faces (`minkowski_faces`), and the F = N(Λ∩F, S₀) closure structure.  A
+face's dual cone F* has one H-description, `dual_cone_rows`; membership in
+(F*)° and the joint cone-interior LP are read from its rows.
 
 Facet normals are integer cofactor vectors (generalized cross products)
 of m generators — a vertex, then vertices or rays — and the Πb rows, each
@@ -142,9 +143,12 @@ class NewtonPolyhedron:
     facets_a: tuple     # ((normal, level), ...), oriented with P on the ≥ side
     basis_b: tuple      # ((normal, level), ...) spanning V⊥(P), pairwise ⊥
     dim: int
-    # the face list, filled by the first `enumerate_faces(self)`
+    # the face list and its nonempty faces by (vertex_set, ray_set), filled
+    # by the first `enumerate_faces(self)`
     _faces: Optional[list] = field(default=None, init=False, compare=False,
                                    repr=False)
+    _face_index: Optional[dict] = field(default=None, init=False,
+                                        compare=False, repr=False)
 
     # -- basic queries ----------------------------------------------------
 
@@ -156,18 +160,18 @@ class NewtonPolyhedron:
         return enumerate_faces(self)
 
     def improper_face(self) -> Face:
-        return next(f for f in self.faces() if f.is_improper)
+        self.faces()
+        return self._face_index[(self.vertices, self.rays)]
 
     def empty_face(self) -> Face:
-        return next(f for f in self.faces() if f.is_empty)
+        return self.faces()[-1]
 
     def face_by_key(self, vertex_set, ray_set) -> Optional[Face]:
-        key = (frozenset(_ivec(v) for v in vertex_set),
-               frozenset(_ivec(r) for r in ray_set))
-        for f in self.faces():
-            if not f.is_empty and (f.vertex_set, f.ray_set) == key:
-                return f
-        return None
+        """The nonempty face with these vertices and rays, or None."""
+        self.faces()
+        return self._face_index.get(
+            (frozenset(_ivec(v) for v in vertex_set),
+             frozenset(_ivec(r) for r in ray_set)))
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +271,13 @@ def build_newton(omega: ExponentSet, spec: DomainSpec) -> NewtonPolyhedron:
 # face lattice
 # ---------------------------------------------------------------------------
 
+def _directions(vertex_set, ray_set) -> list:
+    """v − v₀ for the other vertices (v₀ the least one) and the rays: they
+    span the directions of the face with these vertices and rays."""
+    vs = sorted(vertex_set)
+    return [vsub(v, vs[0]) for v in vs[1:]] + sorted(ray_set)
+
+
 def enumerate_faces(p: NewtonPolyhedron) -> list:
     if p._faces is not None:
         return p._faces
@@ -292,16 +303,96 @@ def enumerate_faces(p: NewtonPolyhedron) -> list:
     for vs, rs in keys:
         gen = frozenset(i for i, (fv, fr) in enumerate(incidence)
                         if vs <= fv and rs <= fr)
-        vl = sorted(vs)
-        dims = rank([vsub(v, vl[0]) for v in vl[1:]] + sorted(rs))
         found.append(Face(parent=p, generator_idx=gen, vertex_set=vs,
-                          ray_set=rs, dim=dims, is_improper=(vs, rs) == top))
+                          ray_set=rs, dim=rank(_directions(vs, rs)),
+                          is_improper=(vs, rs) == top))
     faces = sorted(found, key=Face.sort_key)
+    # frozen dataclass: the caches are set once, here
+    object.__setattr__(p, "_face_index",
+                       {(f.vertex_set, f.ray_set): f for f in faces})
     faces.append(Face(parent=p, generator_idx=frozenset(range(k)),
                       vertex_set=frozenset(), ray_set=frozenset(),
                       dim=-1, is_empty=True))
-    object.__setattr__(p, "_faces", faces)  # frozen dataclass
+    object.__setattr__(p, "_faces", faces)
     return faces
+
+
+def minkowski_faces(polys: Sequence[NewtonPolyhedron]) -> list:
+    """The faces of P₁+⋯+P_k whose open dual cone holds a point, as pairs
+    (summand faces, w): the summands of the face are the w-minimal faces of
+    the P_ν, and w lies in the open dual cone of each.  The improper face
+    has such a point only when the sum has dimension < n; w is then a Πb
+    vector.  The sum's hull is never built.
+
+    One summand: its own faces, w the sum of the incident facet normals.
+    Several: each facet of the sum is a sum of summand faces, whose edges
+    span its directions, so its normal is among the cofactor normals of
+    m−1 summand edge directions and the sum's Πb rows; a candidate q ≥ 0
+    on the rays is a facet normal when the summands' q-minimal faces
+    together span m−1 directions.  The other faces are the Kaibel–Pfetsch
+    closure of the improper face under intersection with the facets, done
+    summand by summand: G ∩ G′ is nonempty iff each pair of summand faces
+    shares a vertex, and it is then the (w + q)-minimal face, so the
+    witnesses add up along the closure.  (`enumerate_faces` keeps its own
+    closure on single keys, which runs faster than this tuple form.)"""
+    n = polys[0].spec.n
+    if len(polys) == 1:
+        p = polys[0]
+        out = []
+        for f in p.faces():
+            if f.is_empty or (f.is_improper and not p.basis_b):
+                continue
+            w = (p.basis_b[0][0] if f.is_improper else
+                 tuple(sum(p.facets_a[i][0][c] for i in f.generator_idx)
+                       for c in range(n)))
+            out.append(((f,), w))
+        return out
+
+    rays = polys[0].spec.rays()
+    basis_b = orthogonal_basis(nullspace(
+        [d for p in polys for d in _directions(p.vertices, p.rays)], n=n))
+    m = n - len(basis_b)
+    # edge directions up to sign: the larger of ±d
+    edges = sorted({max(d, tuple(-x for x in d))
+                    for p in polys for f in p.faces() if f.dim == 1
+                    for d in map(primitive,
+                                 _directions(f.vertex_set, f.ray_set))})
+    facets = []
+    tried = set()
+    # a point (m = 0) has no facets
+    for sub in itertools.combinations(edges, m - 1) if m else ():
+        normal = primitive(_cofactor_normal(list(sub) + basis_b, n))
+        if is_zero(normal) or normal in tried:
+            continue
+        flipped = tuple(-x for x in normal)
+        tried.update((normal, flipped))
+        for q in (normal, flipped):
+            if any(dot(q, r) < 0 for r in rays):
+                continue
+            tight = [face_by_cone_interior(p, q) for p in polys]
+            if rank([d for f in tight
+                     for d in _directions(f.vertex_set, f.ray_set)]) \
+                    == m - 1:
+                facets.append(
+                    (tuple((f.vertex_set, f.ray_set) for f in tight), q))
+
+    top = tuple((p.vertices, p.rays) for p in polys)
+    witness = {top: (0,) * n}
+    stack = [top]
+    while stack:
+        key = stack.pop()
+        for fkey, q in facets:
+            meet = tuple((vs & fv, rs & fr)
+                         for (vs, rs), (fv, fr) in zip(key, fkey))
+            if all(vs for vs, _ in meet) and meet not in witness:
+                witness[meet] = tuple(a + b for a, b in zip(witness[key], q))
+                stack.append(meet)
+    if basis_b:
+        witness[top] = basis_b[0]
+    else:
+        del witness[top]
+    return [(tuple(p.face_by_key(vs, rs) for p, (vs, rs) in zip(polys, key)),
+             w) for key, w in witness.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +412,15 @@ def dual_cone_rows(f: Face) -> tuple:
     p = f.parent
     if f.is_empty:
         return [], [_ivec(unit(p.spec.n, j)) for j in sorted(p.spec.S)]
-    vs = sorted(f.vertex_set)
-    v0 = vs[0]
-    eq = [vsub(v, v0) for v in vs[1:]] + sorted(f.ray_set)
+    v0 = min(f.vertex_set)
     ge = ([vsub(w, v0) for w in sorted(p.vertices - f.vertex_set)]
           + sorted(p.rays - f.ray_set))
-    return eq, ge
+    return _directions(f.vertex_set, f.ray_set), ge
 
 
 def interior_contains(f: Face, x: Sequence) -> bool:
-    """x ∈ (F*)°, the open dual cone of the face, in the full-space sense."""
-    x = tuple(Fraction(c) for c in x)
+    """x ∈ (F*)°, the open dual cone of the face, in the full-space sense
+    (exact: `dot` reads every entry as a rational)."""
     if len(x) != f.parent.spec.n:
         raise ValueError("ambient dimension mismatch")
     eq, ge = dual_cone_rows(f)
@@ -394,8 +483,8 @@ def face_by_cone_interior(p: NewtonPolyhedron, x: Sequence) -> Face:
     x·r = 0.  x = 0 maps to the improper face (its closed cone V⊥(P) is
     the only one containing a neighborhood of 0 inside ⋂, matching the
     F(0)=P convention of the chain construction).  x must lie in Z(S),
-    where the minimum is attained."""
-    x = tuple(Fraction(c) for c in x)
+    where the minimum is attained (exact: `dot` reads every entry as a
+    rational)."""
     if is_zero(x):
         return p.improper_face()
     assert p.spec.in_zs(x), "point not covered by any face cone"

@@ -228,6 +228,27 @@ def test_decide_general(runner, tmp_path):
     assert res.exit_code == EXIT_UNBOUNDED
 
 
+def test_decide_general_on_a_graph_with_unit_monomials(runner, tmp_path):
+    """Λ = ({e₁},{e₂},{e₃},{e₁,e₂,e₃}): eight support classes with 536
+    low-rank overlapping tuples between them, all even.  The product walk
+    with one LP per leaf took seconds here."""
+    payload = {
+        "n": 3, "S": [1, 2, 3],
+        "lambda": [[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]],
+                   [[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+        "coefficients": {"1:(1,0,0)": "1/1", "2:(0,1,0)": "1/1",
+                         "3:(0,0,1)": "1/1", "4:(1,0,0)": "-2/1",
+                         "4:(0,1,0)": "1/1", "4:(0,0,1)": "3/1"},
+    }
+    res = runner.invoke(main, ["decide-general", "--input",
+                               _write(tmp_path, payload)])
+    assert res.exit_code == EXIT_BOUNDED
+    report = json.loads(res.output)
+    assert report["verdict"] == "bounded"
+    assert report["lo_tuples"] == 536
+    assert report["gl_class_count"] == 8
+
+
 # ---------------------------------------------------------------------------
 # faces / decompose
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from nh.engine import (
 from nh.exact_numeric import rank
 from nh.newton_poly import DomainSpec, ExponentSet, interior_contains
 from nh.parity import is_even
+from walk_oracle import walk_lo_tuples
 
 
 def _lam(sets, n, S):
@@ -81,6 +82,54 @@ def test_lo_tuples_exclude_closed_only_overlaps():
             if not f.is_empty:
                 pts.extend(sorted(f.vertex_set) + sorted(f.ray_set))
         assert rank(pts) == ft.union_rank
+
+
+def _sum_lattice_instance(rng):
+    """n ≤ 4, d ≤ 3, at most 4 points a set (2 at n = 4, d = 3, which keeps
+    the walk oracle fast): single points, collinear sets, sets in a
+    coordinate hyperplane and random sets; S empty, full or partial."""
+    n, d = rng.randint(1, 4), rng.randint(1, 3)
+    sets = []
+    for _ in range(d):
+        k = rng.randint(1, 2 if (n, d) == (4, 3) else 4)
+        shape = rng.random()
+        if shape < 0.15:
+            pts = {tuple(rng.randint(0, 4) for _ in range(n))}
+        elif shape < 0.35:
+            a = [rng.randint(0, 3) for _ in range(n)]
+            b = [rng.randint(0, 2) for _ in range(n)]
+            pts = {tuple(x + t * y for x, y in zip(a, b)) for t in range(k)}
+        elif shape < 0.5:
+            c = rng.randint(0, 3)
+            pts = {tuple([rng.randint(0, 4) for _ in range(n - 1)] + [c])
+                   for _ in range(k)}
+        else:
+            pts = {tuple(rng.randint(0, 4) for _ in range(n))
+                   for _ in range(k)}
+        sets.append(sorted(pts))
+    pick = rng.random()
+    S = ([] if pick < 0.3 else list(range(n)) if pick < 0.6 else
+         [j for j in range(n) if rng.random() < 0.5])
+    return sets, n, S
+
+
+def test_sum_lattice_tuples_equal_the_walk():
+    """Same tuples, in the same order and with the same union ranks, as the
+    product walk with one LP per leaf; every witness is in every open
+    cone."""
+    rng = random.Random(2030)
+    total = 0
+    for _ in range(160):
+        sets, n, S = _sum_lattice_instance(rng)
+        got = list(enumerate_lo_tuples(_lam(sets, n, S)))
+        want = list(walk_lo_tuples(_lam(sets, n, S)))
+        assert [(ft.faces, ft.union_rank) for ft in got] == \
+            [(ft.faces, ft.union_rank) for ft in want], (sets, S)
+        for ft in got:
+            assert all(interior_contains(f, ft.overlap_witness)
+                       for f in ft.faces), (sets, S, ft.faces)
+        total += len(got)
+    assert total > 1000
 
 
 def test_all_empty_tuple_yielded():
@@ -438,19 +487,25 @@ def test_general_verdict_invariant_under_row_operation():
             (p.coefficients, u)
 
 
+def _graph_pair_agrees(rng, n):
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    last = set(rng.sample(units, rng.randint(1, n)))
+    last |= {tuple(rng.randint(0, 5) for _ in range(n))
+             for _ in range(rng.randint(0, 3))}
+    S = [j for j in range(n) if rng.random() < 0.5]
+    spec = DomainSpec.of(n, S)
+    coef = {(j, units[j]): Fraction(1) for j in range(n)}
+    coef.update({(n, m): Fraction(rng.choice([-2, 1, 3]))
+                 for m in last})
+    general = decide_general(VectorPolynomial(coef, n + 1, spec))
+    graph = decide_graph(ExponentSet.of(last, n), spec)
+    assert graph.bounded == general.bounded, (sorted(last), S)
+
+
 def test_graph_agrees_with_general_on_unit_monomials():
     rng = random.Random(2028)
     for _ in range(50):
-        n = rng.randint(1, 2)           # d = n + 1 ≤ 3
-        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-        last = set(rng.sample(units, rng.randint(1, n)))
-        last |= {tuple(rng.randint(0, 5) for _ in range(n))
-                 for _ in range(rng.randint(0, 3))}
-        S = [j for j in range(n) if rng.random() < 0.5]
-        spec = DomainSpec.of(n, S)
-        coef = {(j, units[j]): Fraction(1) for j in range(n)}
-        coef.update({(n, m): Fraction(rng.choice([-2, 1, 3]))
-                     for m in last})
-        general = decide_general(VectorPolynomial(coef, n + 1, spec))
-        graph = decide_graph(ExponentSet.of(last, n), spec)
-        assert graph.bounded == general.bounded, (sorted(last), S)
+        _graph_pair_agrees(rng, rng.randint(1, 2))      # d = n + 1 ≤ 3
+    rng = random.Random(2029)
+    for _ in range(6):
+        _graph_pair_agrees(rng, 3)                      # d = 4

@@ -6,6 +6,7 @@ against the supporting levels ρ in `geom_checks`.
 """
 
 import gc
+import itertools
 import random
 import weakref
 from fractions import Fraction
@@ -21,16 +22,19 @@ from geom_checks import (
     run_all_checks,
 )
 from hull_oracle import build_newton_pairwise, enumerate_faces_subsets
-from nh.exact_numeric import dot
+from nh.exact_numeric import rank
 from nh.newton_poly import (
     DomainSpec,
     ExponentSet,
+    Face,
     build_newton,
     cones_interior_intersection,
+    dual_cone_rows,
     enumerate_faces,
     face_by_cone_interior,
     face_closure_structure,
     interior_contains,
+    minkowski_faces,
 )
 
 
@@ -193,6 +197,58 @@ def test_face_by_cone_interior_matches_scan():
                     if not f.is_empty and interior_contains(f, x)]
             assert [face_by_cone_interior(p, x)] == scan, (
                 omega.sorted_points(), sorted(spec.S), x)
+
+
+def test_face_lookups_by_key():
+    rng = random.Random(7)
+    for _ in range(40):
+        p = build_newton(*random_instance(rng, n_max=4, max_points=5))
+        faces = p.faces()
+        for f in faces[:-1]:
+            assert p.face_by_key(sorted(f.vertex_set),
+                                 sorted(f.ray_set)) is f
+        assert p.face_by_key([], []) is None
+        assert [p.improper_face()] == [f for f in faces if f.is_improper]
+        assert [p.empty_face()] == [f for f in faces if f.is_empty]
+
+
+def test_minkowski_faces_are_the_faces_of_the_built_sum():
+    """Against N(Λ₁+⋯+Λ_k, S), built as a hull of the point sums: each
+    (summand faces, w) is the w-minimal face of every summand, w picks a
+    different face of the sum each time, and every face of the sum whose
+    open cone is not {0} is picked."""
+    rng = random.Random(8)
+    kinds = set()
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        # a third of the sums lie in the hyperplane t_n = 0
+        top = n - 1 if rng.random() < 1 / 3 else n
+        spec = DomainSpec.of(n, [j for j in range(top)
+                                 if rng.random() < 0.5])
+        polys = [build_newton(ExponentSet.of(
+            {tuple(rng.randint(0, 4) if j < top else 0 for j in range(n))
+             for _ in range(rng.randint(1, 3))}, n), spec)
+            for _ in range(rng.randint(1, 3))]
+        sums = {tuple(map(sum, zip(*combo)))
+                for combo in itertools.product(
+                    *[p.omega.points for p in polys])}
+        total = build_newton(ExponentSet.of(sums, spec.n), spec)
+        picked = []
+        for faces, w in minkowski_faces(polys):
+            assert list(faces) == [face_by_cone_interior(p, w)
+                                   for p in polys]
+            assert all(interior_contains(f, w) for f in faces)
+            g = face_by_cone_interior(total, w)
+            assert interior_contains(g, w)
+            assert g.dim == rank([d for f in faces for d in dual_cone_rows(
+                f)[0]])
+            picked.append(g)
+        want = [f for f in total.faces() if not f.is_empty
+                and not (f.is_improper and total.dim == spec.n)]
+        assert sorted(picked, key=Face.sort_key) == want, (
+            [p.omega.sorted_points() for p in polys], sorted(spec.S))
+        kinds.add((len(polys), total.dim == spec.n))
+    assert kinds == {(k, full) for k in (1, 2, 3) for full in (True, False)}
 
 
 # ---------------------------------------------------------------------------

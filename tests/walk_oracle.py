@@ -1,0 +1,40 @@
+"""Oracle for the low-rank overlapping tuples: the product walk.
+
+Walks the product of the face lists (each with its empty face last),
+prunes a prefix whose point union already has rank n, and asks one exact
+joint-interior LP (`cones_interior_intersection`) per leaf.  Same tuples,
+same lexicographic face-index order and same union ranks as
+`engine.enumerate_lo_tuples`; the witnesses are LP solutions, so they may
+be other points of the same open cones.
+"""
+
+from nh.engine import FaceTuple, LambdaTuple
+from nh.exact_numeric import rank
+from nh.newton_poly import cones_interior_intersection
+
+
+def _face_points(f) -> list:
+    if f.is_empty:
+        return []
+    return sorted(f.vertex_set) + sorted(f.ray_set)
+
+
+def walk_lo_tuples(lam: LambdaTuple):
+    n = lam.spec.n
+    face_lists = [p.faces() for p in lam.polyhedra]
+
+    def walk(level: int, chosen: list, pts: list):
+        if level == lam.d:
+            r = rank(pts)
+            if r <= n - 1:
+                witness = cones_interior_intersection(chosen)
+                if witness is not None:
+                    yield FaceTuple(tuple(chosen), r, witness)
+            return
+        for f in face_lists[level]:
+            new_pts = pts + _face_points(f)
+            if rank(new_pts) >= n and level + 1 < lam.d:
+                continue  # rank is monotone in the union: sound prune
+            yield from walk(level + 1, chosen + [f], new_pts)
+
+    yield from walk(0, [], [])
