@@ -4,7 +4,9 @@ Lists the d-tuples of faces satisfying the low-rank condition
 rank(⋃F_ν) ≤ n−1 and the overlapping-cone condition ⋂(F_ν*)° ≠ ∅ — the
 summand decompositions of the faces of the Minkowski sums of the polyhedra
 — applies the evenness criterion to ⋃(F_ν ∩ Λ_ν), and emits re-checkable
-verdicts.
+verdicts.  Each such tuple carries the generators of Cap(F*) = ⋂F_ν*: the
+sum's facet normals through its face, so no cone is searched for its
+extreme rays.
 Also: the graph-case specialization (no overlap test), the GL(d)
 elimination cascade with support-class closure, dyadic cone classification,
 and the descending face / ascending cone chains.
@@ -18,16 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .exact_numeric import (
-    dot,
-    is_zero,
-    nullspace,
-    orthogonal_basis,
-    primitive,
-    rank,
-    reduce_mod,
-    unit,
-)
+from .exact_numeric import nullspace, rank, unit
 from .newton_poly import (
     DomainSpec,
     ExponentSet,
@@ -95,6 +88,9 @@ class FaceTuple:
     faces: tuple
     union_rank: int
     overlap_witness: Optional[tuple] = None
+    # generators of Cap(F*) = ⋂F_ν* modulo its lineality, set by
+    # `enumerate_lo_tuples`
+    cap_generators: Optional[tuple] = None
 
     def union_lambda(self) -> list:
         pts: set = set()
@@ -194,27 +190,31 @@ def enumerate_lo_tuples(lam: LambdaTuple) -> Iterator[FaceTuple]:
     A tuple whose nonempty components are ν ∈ T has a joint open-cone
     point exactly when it is the summand decomposition of a face of the
     T-sum ∑_{ν∈T} N(Λ_ν,S), so the tuples come from `minkowski_faces` of
-    every nonempty T, with no LP; the all-empty tuple takes any x ≠ 0 in
-    Z(S), found by the interior sweep.  They are yielded in the
-    lexicographic order of the face indices (faces by descending
-    dimension, then vertex/ray sets, the empty face last); the rank filter
-    and the exact re-check of each witness run as a tuple is yielded.
+    every nonempty T, with no LP.  Cap(F*) is that sum face's normal cone
+    (Z(S) holds it), so its generators are the sum's facet normals through
+    the face.  The all-empty tuple takes any x ≠ 0 in Z(S), found by the
+    interior sweep; its cap is Z(S), generated by the e_j, j ∈ S.  They are
+    yielded in the lexicographic order of the face indices (faces by
+    descending dimension, then vertex/ray sets, the empty face last); the
+    rank filter and the exact re-check of each witness run as a tuple is
+    yielded.
     """
     n = lam.spec.n
     polys = lam.polyhedra
     position = [{f: i for i, f in enumerate(p.faces())} for p in polys]
     empties = tuple(p.empty_face() for p in polys)
-    found = [(empties, None)]
+    found = [(empties, None, lam.spec.rays())]
     for size in range(1, lam.d + 1):
         for subset in itertools.combinations(range(lam.d), size):
-            for faces, w in minkowski_faces([polys[nu] for nu in subset]):
+            for faces, w, normals in minkowski_faces(
+                    [polys[nu] for nu in subset]):
                 chosen = list(empties)
                 for nu, f in zip(subset, faces):
                     chosen[nu] = f
-                found.append((tuple(chosen), w))
+                found.append((tuple(chosen), w, normals))
     found.sort(key=lambda item: [pos[f] for pos, f in zip(position,
                                                           item[0])])
-    for faces, w in found:
+    for faces, w, normals in found:
         r = union_point_rank(faces)
         if r > n - 1:
             continue
@@ -224,7 +224,7 @@ def enumerate_lo_tuples(lam: LambdaTuple) -> Iterator[FaceTuple]:
             assert all(interior_contains(f, w) for f in faces), \
                 "Minkowski-sum witness failed exact re-check"
         if w is not None:
-            yield FaceTuple(faces, r, w)
+            yield FaceTuple(faces, r, w, tuple(normals))
 
 
 def _lo_scan(lam: LambdaTuple):
@@ -411,60 +411,30 @@ def classify_dyadic(lam: LambdaTuple, j: Sequence[int]) -> list:
             for combo in itertools.product(*down_sets)]
 
 
-def cone_extreme_generators(eqs: list, ineqs: list, n: int):
-    """Extreme rays + lineality basis of {x : Ex = 0, Ax ≥ 0} (exact
-    double-description at desk scale: tight subsets of the right rank).
-    Each ray is reduced mod the lineality, primitive."""
-    lin = nullspace(eqs + ineqs, n=n)
-    dim_l = len(lin)
-    r_e = rank(eqs)
-    s0 = n - dim_l - 1 - r_e
-    if s0 < 0:
-        return [], lin
-    orth = orthogonal_basis(lin)
+def build_face_chain(tuple_: FaceTuple):
+    """Descending face chains F_ν(0) ⪰ F_ν(1) ⪰ … ⪰ F_ν(N) from the
+    generators p₁,…,p_N of Cap(F*) that `enumerate_lo_tuples` attached
+    (the sum face's incident facet normals), taken in sorted order: F_ν(s)
+    is the face whose open dual cone contains p₁+⋯+p_s (the
+    relative-interior point of the essential cone C_ν(s)); s = 0 gives the
+    whole polyhedron.  Any order of the generators gives a valid chain.
 
-    rays: list = []
-    seen: set = set()
-    for sub in itertools.combinations(range(len(ineqs)), s0):
-        ns = nullspace(eqs + [ineqs[i] for i in sub], n=n)
-        if len(ns) != dim_l + 1:
-            continue
-        w = next((v for v in ns if rank(lin + [v]) == dim_l + 1), None)
-        if w is None:
-            continue
-        for cand in (w, tuple(-x for x in w)):
-            if all(dot(a, cand) >= 0 for a in ineqs):
-                key = primitive(reduce_mod(cand, orth))
-                if not is_zero(key) and key not in seen:
-                    seen.add(key)
-                    rays.append(key)
-                break
-    return rays, lin
-
-
-def cap_cone_generators(faces: Sequence[Face]):
-    """Generators (extreme rays) and lineality of Cap(F*) = ⋂ F_ν*."""
-    eqs, ineqs = [], []
+    Returns (generators, lineality, chains), the lineality a nullspace
+    basis of the faces' dual-cone rows and chains a list of length N+1 of
+    d-tuples of faces.
+    """
+    if tuple_.cap_generators is None:
+        raise ValueError("face tuple carries no Cap(F*) generators; take it "
+                         "from enumerate_lo_tuples")
+    faces = tuple_.faces
+    n = faces[0].parent.spec.n
+    gens = sorted(tuple_.cap_generators)
+    eqs, ges = [], []
     for f in faces:
         eq, ge = dual_cone_rows(f)
         eqs += eq
-        ineqs += ge
-    return cone_extreme_generators(eqs, ineqs, faces[0].parent.spec.n)
-
-
-def build_face_chain(tuple_: FaceTuple):
-    """Descending face chains F_ν(0) ⪰ F_ν(1) ⪰ … ⪰ F_ν(N) from the
-    generators p₁,…,p_N of Cap(F*) (its extreme rays, reduced mod its
-    lineality): F_ν(s) is the face whose open dual cone contains
-    p₁+⋯+p_s (the relative-interior point of the essential cone C_ν(s));
-    s = 0 gives the whole polyhedron.
-
-    Returns (generators, lineality, chains), chains a list of length N+1
-    of d-tuples of faces.
-    """
-    faces = tuple_.faces
-    n = faces[0].parent.spec.n
-    gens, lin = cap_cone_generators(faces)
+        ges += ge
+    lin = nullspace(eqs + ges, n=n)
     chains = []
     acc = tuple(Fraction(0) for _ in range(n))
     chains.append(tuple(f.parent.improper_face() for f in faces))

@@ -11,7 +11,7 @@ elimination (all subsets of a list of vectors that sum to a target).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 

@@ -3,7 +3,8 @@
 Exact V- and H-representations, the full face lattice (including the
 improper face and the empty face of dimension −1), the face a functional
 cuts out, the faces of a Minkowski sum of polyhedra as tuples of summand
-faces (`minkowski_faces`), and the F = N(Λ∩F, S₀) closure structure.  A
+faces with the sum's facet normals through each (`minkowski_faces`), and
+the F = N(Λ∩F, S₀) closure structure.  A
 face's dual cone F* has one H-description, `dual_cone_rows`; membership in
 (F*)° and the joint cone-interior LP are read from its rows.
 
@@ -99,6 +100,9 @@ class Face:
     dim: int
     is_empty: bool = False
     is_improper: bool = False
+    # F ∩ Ω, filled by the first `lambda_points()`
+    _lambda: Optional[tuple] = field(default=None, init=False, compare=False,
+                                     repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, Face):
@@ -122,16 +126,16 @@ class Face:
         return (-self.dim, sorted(self.vertex_set), sorted(self.ray_set))
 
     def lambda_points(self) -> list:
-        """Points of the underlying exponent set lying on this face (F ∩ Ω)."""
-        if self.is_empty:
-            return []
-        p = self.parent
-        out = []
-        for m in p.omega.sorted_points():
-            if all(dot(p.facets_a[i][0], m) == p.facets_a[i][1]
-                   for i in self.generator_idx):
-                out.append(m)
-        return out
+        """Points of the underlying exponent set lying on this face (F ∩ Ω),
+        sorted; computed once per face."""
+        if self._lambda is None:
+            p = self.parent
+            # frozen dataclass: the cache is set once, here
+            object.__setattr__(self, "_lambda", () if self.is_empty else tuple(
+                m for m in p.omega.sorted_points()
+                if all(dot(p.facets_a[i][0], m) == p.facets_a[i][1]
+                       for i in self.generator_idx)))
+        return list(self._lambda)
 
 
 @dataclass(frozen=True)
@@ -318,36 +322,42 @@ def enumerate_faces(p: NewtonPolyhedron) -> list:
 
 
 def minkowski_faces(polys: Sequence[NewtonPolyhedron]) -> list:
-    """The faces of P₁+⋯+P_k whose open dual cone holds a point, as pairs
-    (summand faces, w): the summands of the face are the w-minimal faces of
-    the P_ν, and w lies in the open dual cone of each.  The improper face
-    has such a point only when the sum has dimension < n; w is then a Πb
-    vector.  The sum's hull is never built.
+    """The faces of P₁+⋯+P_k whose open dual cone holds a point, as triples
+    (summand faces, w, normals): `normals` are the sum's facet normals
+    through the face, sorted; they generate its closed dual cone Cap(F*)
+    modulo the lineality V⊥(P₁+⋯+P_k), to which they are orthogonal.  The
+    summands of the face are the w-minimal faces of the P_ν, and w lies in
+    the open dual cone of each: w is the sum of the normals, or a Πb vector
+    on the improper face, which has such a point only when the sum has
+    dimension < n.  The sum's hull is never built.
 
-    One summand: its own faces, w the sum of the incident facet normals.
-    Several: each facet of the sum is a sum of summand faces, whose edges
-    span its directions, so its normal is among the cofactor normals of
-    m−1 summand edge directions and the sum's Πb rows; a candidate q ≥ 0
-    on the rays is a facet normal when the summands' q-minimal faces
-    together span m−1 directions.  The other faces are the Kaibel–Pfetsch
-    closure of the improper face under intersection with the facets, done
-    summand by summand: G ∩ G′ is nonempty iff each pair of summand faces
-    shares a vertex, and it is then the (w + q)-minimal face, so the
-    witnesses add up along the closure.  (`enumerate_faces` keeps its own
-    closure on single keys, which runs faster than this tuple form.)"""
-    n = polys[0].spec.n
+    One summand: its own faces and facets.  Several: each facet of the sum
+    is a sum of summand faces, whose edges span its directions, so its
+    normal is among the cofactor normals of m−1 summand edge directions and
+    the sum's Πb rows; a candidate q ≥ 0 on the rays is a facet normal when
+    the summands' q-minimal faces together span m−1 directions.  The other
+    faces are the Kaibel–Pfetsch closure of the improper face under
+    intersection with the facets, done summand by summand: G ∩ G′ is
+    nonempty iff each pair of summand faces shares a vertex, and a facet
+    passes through G iff the intersection is G itself, so G's normals are
+    complete once G is popped.  (`enumerate_faces` keeps its own closure on
+    single keys, which runs faster than this tuple form.)"""
     if len(polys) == 1:
         p = polys[0]
-        out = []
-        for f in p.faces():
-            if f.is_empty or (f.is_improper and not p.basis_b):
-                continue
-            w = (p.basis_b[0][0] if f.is_improper else
-                 tuple(sum(p.facets_a[i][0][c] for i in f.generator_idx)
-                       for c in range(n)))
-            out.append(((f,), w))
-        return out
+        basis_b = [q for q, _ in p.basis_b]
+        found = [((f,), [p.facets_a[i][0] for i in sorted(f.generator_idx)])
+                 for f in p.faces() if not f.is_empty]
+    else:
+        basis_b, found = _sum_faces(polys)
+    return [(faces, tuple(map(sum, zip(*normals))) if normals else basis_b[0],
+             normals)
+            for faces, normals in found if normals or basis_b]
 
+
+def _sum_faces(polys: Sequence[NewtonPolyhedron]) -> tuple:
+    """(Πb rows of P₁+⋯+P_k, [(summand faces, facet normals through the
+    face)] for every nonempty face), for k ≥ 2: see `minkowski_faces`."""
+    n = polys[0].spec.n
     rays = polys[0].spec.rays()
     basis_b = orthogonal_basis(nullspace(
         [d for p in polys for d in _directions(p.vertices, p.rays)], n=n))
@@ -374,25 +384,25 @@ def minkowski_faces(polys: Sequence[NewtonPolyhedron]) -> list:
                      for d in _directions(f.vertex_set, f.ray_set)]) \
                     == m - 1:
                 facets.append(
-                    (tuple((f.vertex_set, f.ray_set) for f in tight), q))
+                    (q, tuple((f.vertex_set, f.ray_set) for f in tight)))
+    facets.sort(key=lambda facet: facet[0])
 
     top = tuple((p.vertices, p.rays) for p in polys)
-    witness = {top: (0,) * n}
+    normals = {top: []}
     stack = [top]
     while stack:
         key = stack.pop()
-        for fkey, q in facets:
+        for q, fkey in facets:
             meet = tuple((vs & fv, rs & fr)
                          for (vs, rs), (fv, fr) in zip(key, fkey))
-            if all(vs for vs, _ in meet) and meet not in witness:
-                witness[meet] = tuple(a + b for a, b in zip(witness[key], q))
+            if meet == key:
+                normals[key].append(q)
+            elif all(vs for vs, _ in meet) and meet not in normals:
+                normals[meet] = []
                 stack.append(meet)
-    if basis_b:
-        witness[top] = basis_b[0]
-    else:
-        del witness[top]
-    return [(tuple(p.face_by_key(vs, rs) for p, (vs, rs) in zip(polys, key)),
-             w) for key, w in witness.items()]
+    return basis_b, [
+        (tuple(p.face_by_key(vs, rs) for p, (vs, rs) in zip(polys, key)), qs)
+        for key, qs in normals.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -496,16 +506,16 @@ def face_by_cone_interior(p: NewtonPolyhedron, x: Sequence) -> Face:
 
 def face_closure_structure(f: Face) -> frozenset:
     """S₀ ⊆ S with F = F + ℝ₊^{S₀} = N(Λ∩F, S₀): the j ∈ S whose ray e_j
-    lies on F (every q ∈ (F*)° has q_j = 0 there and q_j > 0 elsewhere)."""
+    lies on F (every q ∈ (F*)° has q_j = 0 there and q_j > 0 elsewhere).
+    F is the hull of its vertices plus the cone of its rays, so the
+    identity holds once F's vertices lie in Λ∩F and its rays are the e_j,
+    j ∈ S₀; that is checked here without a hull."""
     if f.is_empty:
         raise ValueError("empty face has no closure structure")
     p = f.parent
     s0 = frozenset(j for j in p.spec.S
                    if _ivec(unit(p.spec.n, j)) in f.ray_set)
-    rebuilt = build_newton(
-        ExponentSet.of(f.lambda_points(), p.spec.n),
-        DomainSpec(p.spec.n, s0))
-    assert rebuilt.vertices == f.vertex_set and \
-        frozenset(rebuilt.rays) == f.ray_set, \
+    assert f.vertex_set <= set(f.lambda_points()) and f.ray_set == {
+        _ivec(unit(p.spec.n, j)) for j in s0}, \
         "N(Λ∩F, S0) does not reproduce the face"
     return s0

@@ -6,7 +6,9 @@ runs exercise exactly the checks documented here.  The oracles are the
 closed-cone membership test, a nonzero point of a closed cone
 intersection, the open-cone membership test, the joint-interior LP and
 S₀ written against the supporting levels ρ (the form `dual_cone_rows`
-eliminates), and the published double-Hilbert vertex criterion.
+eliminates), the extreme rays of a cone by search over tight row subsets
+(the generators of Cap(F*) that the engine reads off the Minkowski-sum
+lattice), and the published double-Hilbert vertex criterion.
 """
 
 import itertools
@@ -15,8 +17,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from nh.engine import cap_cone_generators
-from nh.exact_numeric import StrictSystem, dot, rank, solve_strict, unit, vsub
+from nh.exact_numeric import (
+    StrictSystem,
+    dot,
+    is_zero,
+    nullspace,
+    orthogonal_basis,
+    primitive,
+    rank,
+    reduce_mod,
+    solve_strict,
+    unit,
+    vsub,
+)
 from nh.newton_poly import (
     DomainSpec,
     ExponentSet,
@@ -161,6 +174,47 @@ def lp_closure_s0(f) -> frozenset:
         return frozenset(S)
     q = rho_cones_interior_intersection([f])
     return frozenset(j for j in S if q[j] == 0)
+
+
+def cone_extreme_generators(eqs: list, ineqs: list, n: int):
+    """Extreme rays + lineality basis of {x : Ex = 0, Ax ≥ 0} (exact
+    double-description at desk scale: tight subsets of the right rank).
+    Each ray is reduced mod the lineality, primitive."""
+    lin = nullspace(eqs + ineqs, n=n)
+    dim_l = len(lin)
+    r_e = rank(eqs)
+    s0 = n - dim_l - 1 - r_e
+    if s0 < 0:
+        return [], lin
+    orth = orthogonal_basis(lin)
+
+    rays: list = []
+    seen: set = set()
+    for sub in itertools.combinations(range(len(ineqs)), s0):
+        ns = nullspace(eqs + [ineqs[i] for i in sub], n=n)
+        if len(ns) != dim_l + 1:
+            continue
+        w = next((v for v in ns if rank(lin + [v]) == dim_l + 1), None)
+        if w is None:
+            continue
+        for cand in (w, tuple(-x for x in w)):
+            if all(dot(a, cand) >= 0 for a in ineqs):
+                key = primitive(reduce_mod(cand, orth))
+                if not is_zero(key) and key not in seen:
+                    seen.add(key)
+                    rays.append(key)
+                break
+    return rays, lin
+
+
+def cap_cone_generators(faces):
+    """Generators (extreme rays) and lineality of Cap(F*) = ⋂ F_ν*."""
+    eqs, ineqs = [], []
+    for f in faces:
+        eq, ge = dual_cone_rows(f)
+        eqs += eq
+        ineqs += ge
+    return cone_extreme_generators(eqs, ineqs, faces[0].parent.spec.n)
 
 
 def graph_vertex_criterion(lambda_last, spec) -> bool:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from geom_checks import (
+    cap_cone_generators,
     closure_contains,
     cones_closed_intersection_ray,
     graph_vertex_criterion,
@@ -28,7 +29,6 @@ from nh.engine import (
     LambdaTuple,
     VectorPolynomial,
     build_face_chain,
-    cap_cone_generators,
     decide_disjoint,
     decide_graph,
     enumerate_lo_tuples,

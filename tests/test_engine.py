@@ -8,7 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from geom_checks import closure_contains, graph_vertex_criterion
+from geom_checks import (
+    cap_cone_generators,
+    closure_contains,
+    graph_vertex_criterion,
+)
 from nh.engine import (
     FaceTuple,
     LambdaTuple,
@@ -390,11 +394,15 @@ def test_chain_trivial_cap():
     assert all(f.is_improper for f in chains[0])
 
 
+def _lo_tuple(lam, faces):
+    return next(ft for ft in enumerate_lo_tuples(lam) if ft.faces == faces)
+
+
 def test_chain_descends_to_vertex():
     lam = _lam([[(2, 1)]], 2, [0, 1])
     p = lam.polyhedra[0]
     vertex = p.face_by_key([(2, 1)], [])
-    ft = FaceTuple((vertex,), 1, (1, 1))
+    ft = _lo_tuple(lam, (vertex,))
     gens, lin, chains = build_face_chain(ft)
     assert chains[0][0].is_improper
     assert chains[-1][0] == vertex
@@ -406,11 +414,47 @@ def test_chain_generators_span_cap():
     # the vertex (2,1) of N({(2,1)}, {1,2}) has the closed cone R²₊
     lam = _lam([[(2, 1)]], 2, [0, 1])
     vertex = lam.polyhedra[0].face_by_key([(2, 1)], [])
-    gens, lin, chains = build_face_chain(FaceTuple((vertex,), 1, (1, 1)))
+    gens, lin, chains = build_face_chain(_lo_tuple(lam, (vertex,)))
     assert sorted(gens) == [(0, 1), (1, 0)] and lin == []
     assert all(closure_contains(vertex, g) for g in gens)
     assert not closure_contains(vertex, (-1, 0))
     assert len(chains) == 3
+
+
+def test_chain_needs_the_attached_generators():
+    lam = _lam([[(2, 1)]], 2, [0, 1])
+    vertex = lam.polyhedra[0].face_by_key([(2, 1)], [])
+    with pytest.raises(ValueError):
+        build_face_chain(FaceTuple((vertex,), 1, (1, 1)))
+
+
+def test_cap_generators_are_the_extreme_rays():
+    """Every lo tuple's attached Cap(F*) generators (the incident facet
+    normals of its sum face; e_j, j ∈ S, on the all-empty tuple) are the
+    extreme rays that the tight-subset search finds, as a set, and the
+    chain's lineality is the search's."""
+    rng = random.Random(2031)
+    seen = dict(all_empty=0, improper_low_dim=0, proper=0, s_empty=0,
+                s_full=0, s_partial=0)
+    for _ in range(150):
+        sets, n, S = _sum_lattice_instance(rng)
+        seen["s_empty" if not S else "s_full" if len(S) == n
+             else "s_partial"] += 1
+        for ft in enumerate_lo_tuples(_lam(sets, n, S)):
+            rays, lin = cap_cone_generators(ft.faces)
+            gens, chain_lin, _ = build_face_chain(ft)
+            assert len(set(gens)) == len(gens), (sets, S, ft.faces)
+            assert set(gens) == set(rays), (sets, S, ft.faces)
+            assert chain_lin == lin, (sets, S, ft.faces)
+            live = [f for f in ft.faces if not f.is_empty]
+            if not live:
+                seen["all_empty"] += 1
+            elif all(f.is_improper for f in live):
+                assert ft.cap_generators == ()
+                seen["improper_low_dim"] += 1
+            else:
+                seen["proper"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_chain_partial_sums_interior():

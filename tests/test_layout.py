@@ -7,6 +7,7 @@
   Test oracles and fixtures live under `tests/`.
 - Imports sit at module level, and no module imports another module's
   private (underscore) names.
+- Every name a module imports is used in that module.
 """
 
 import ast
@@ -76,3 +77,20 @@ def test_imports_are_module_level_and_public():
                            if alias.name.startswith("_")
                            and not alias.name.endswith("__"))
     assert sorted(bad) == []
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for fname, tree in _trees().items():
+        used = _names(tree)
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) \
+                    and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                unused.extend(
+                    f"{fname}:{stmt.lineno}: {bound}"
+                    for bound in ((alias.asname or alias.name).split(".")[0]
+                                  for alias in stmt.names)
+                    if bound not in used)
+    assert unused == [], f"imported but unused: {unused}"

@@ -22,7 +22,7 @@ from geom_checks import (
     run_all_checks,
 )
 from hull_oracle import build_newton_pairwise, enumerate_faces_subsets
-from nh.exact_numeric import rank
+from nh.exact_numeric import dot, rank
 from nh.newton_poly import (
     DomainSpec,
     ExponentSet,
@@ -137,6 +137,36 @@ def test_quadrant_closure():
     assert face_closure_structure(edge) == frozenset({0})
 
 
+def test_closure_structure_rebuilds_every_face():
+    """F = N(Λ∩F, S₀), checked against `build_newton` on random polyhedra
+    (`face_closure_structure` checks it without a hull); Λ∩F is the set of
+    points of Ω at the minimum of a point of (F*)°, sorted, and computed
+    once per face."""
+    rng = random.Random(41)
+    faces_seen = 0
+    for _ in range(60):
+        p = build_newton(*random_instance(rng, n_max=4, max_points=6))
+        omega = p.omega.sorted_points()
+        for f in p.faces()[:-1]:
+            x = cones_interior_intersection([f])
+            if x is None:   # the improper face of a full-dimensional P
+                want = omega
+            else:
+                low = min(dot(x, m) for m in omega)
+                want = [m for m in omega if dot(x, m) == low]
+            got = f.lambda_points()
+            assert got == want
+            got.clear()
+            assert f.lambda_points() == want
+            rebuilt = build_newton(ExponentSet.of(want, p.spec.n),
+                                   DomainSpec(p.spec.n,
+                                              face_closure_structure(f)))
+            assert (rebuilt.vertices, rebuilt.rays) == (f.vertex_set,
+                                                        f.ray_set)
+            faces_seen += 1
+    assert faces_seen >= 300
+
+
 def test_mixed_local_global():
     # S = {1}: recession only in the second coordinate
     p = _poly([(1, 0), (0, 2)], 2, [1])
@@ -214,9 +244,10 @@ def test_face_lookups_by_key():
 
 def test_minkowski_faces_are_the_faces_of_the_built_sum():
     """Against N(Λ₁+⋯+Λ_k, S), built as a hull of the point sums: each
-    (summand faces, w) is the w-minimal face of every summand, w picks a
-    different face of the sum each time, and every face of the sum whose
-    open cone is not {0} is picked."""
+    (summand faces, w, normals) is the w-minimal face of every summand, w
+    picks a different face of the sum each time, `normals` are exactly the
+    built sum's facet normals through that face, and every face of the sum
+    whose open cone is not {0} is picked."""
     rng = random.Random(8)
     kinds = set()
     for _ in range(60):
@@ -234,12 +265,14 @@ def test_minkowski_faces_are_the_faces_of_the_built_sum():
                     *[p.omega.points for p in polys])}
         total = build_newton(ExponentSet.of(sums, spec.n), spec)
         picked = []
-        for faces, w in minkowski_faces(polys):
+        for faces, w, normals in minkowski_faces(polys):
             assert list(faces) == [face_by_cone_interior(p, w)
                                    for p in polys]
             assert all(interior_contains(f, w) for f in faces)
             g = face_by_cone_interior(total, w)
             assert interior_contains(g, w)
+            assert normals == [total.facets_a[i][0]
+                               for i in sorted(g.generator_idx)]
             assert g.dim == rank([d for f in faces for d in dual_cone_rows(
                 f)[0]])
             picked.append(g)
