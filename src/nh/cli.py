@@ -4,7 +4,8 @@ Parses JSON problem descriptions (1-based indices on the wire, 0-based
 internally), runs the decision procedures and the floating-point probes,
 and emits deterministic reports: JSON with sorted keys, rationals as
 "p/q", probe tables as CSV.  Unbounded verdicts carry a certificate that
-the `verify` subcommand re-validates from scratch.
+the `verify` subcommand re-validates from its overlap witness x alone:
+no Newton polyhedron, face lattice or LP is built to check it.
 """
 
 from __future__ import annotations
@@ -20,14 +21,15 @@ import click
 import numpy as np
 
 from . import __version__
-from .exact_numeric import rank, unit
+from .exact_numeric import is_zero, rank, unit, vsub
 from .newton_poly import (
     DomainSpec,
     ExponentSet,
     face_closure_structure,
-    interior_contains,
+    minimal_points,
 )
 from .engine import (
+    DepthCapHit,
     FaceTuple,
     LambdaTuple,
     NotDisjoint,
@@ -182,12 +184,16 @@ class ProblemInput:
         return self.raw
 
 
-def parse_input(text: bytes) -> ProblemInput:
+def _decode(text: bytes):
+    """The JSON value in `text`; anything else is E_MALFORMED."""
     try:
-        raw = json.loads(text.decode("utf-8"))
+        return json.loads(text.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError("E_MALFORMED", f"not valid UTF-8 JSON: {exc}")
-    return ProblemInput(raw)
+
+
+def parse_input(text: bytes) -> ProblemInput:
+    return ProblemInput(_decode(text))
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +236,7 @@ def _certificate(problem: ProblemInput, verdict: Verdict) -> dict:
             for nu, f in enumerate(verdict.face_tuple.faces)],
         "odd_subset": [list(m) for m in verdict.odd_subset],
         "union_rank": verdict.union_rank,
-        "overlap_witness": (
-            _vec_out(verdict.overlap_witness)
-            if verdict.overlap_witness is not None else None),
+        "overlap_witness": _vec_out(verdict.face_tuple.overlap_witness),
     }
     if verdict.graph_axes is not None:
         cert["graph_axes"] = [j + 1 for j in verdict.graph_axes]
@@ -338,6 +342,9 @@ def _run(fn):
     except AssertionError as exc:
         _err(f"internal assertion failed: {exc}")
         sys.exit(EXIT_INTERNAL)
+    except DepthCapHit as exc:
+        _err(f"no verdict: E_DEPTH_CAP: {exc}")
+        sys.exit(EXIT_INTERNAL)
     sys.exit(code)
 
 
@@ -351,7 +358,6 @@ def _verdict_body(verdict: Verdict, problem: ProblemInput) -> dict:
         body["certificate"] = _certificate(problem, verdict)
     if verdict.gl_classes is not None:
         body["gl_class_count"] = len(verdict.gl_classes)
-        body["depth_cap_hit"] = verdict.depth_cap_hit
     return body
 
 
@@ -671,11 +677,9 @@ def _check_witness_face(fdesc, n: int, d: int) -> None:
                     for key in ("vertices", "rays"))
             and _is_int(fdesc.get("dim"))
             and isinstance(fdesc.get("is_empty"), bool)):
-        raise InputError(
-            "E_MALFORMED",
-            f"witness face {fdesc!r} needs nu in 1..{d}, vertices and rays "
-            f"as lists of {n} integers, an integer dim and a boolean "
-            "is_empty")
+        raise _malformed(f"witness face {fdesc!r} needs nu in 1..{d}, "
+                         f"vertices and rays as lists of {n} integers, an "
+                         "integer dim and a boolean is_empty")
 
 
 def _malformed(what: str) -> InputError:
@@ -690,14 +694,22 @@ def _is_block_list(blocks, n: int) -> bool:
 
 
 def verify_certificate(cert: dict) -> list:
-    """Re-validate an unbounded certificate from scratch; returns a list
-    of failure strings (empty = certificate accepted).  A certificate with
-    a bad rational raises InputError E_BAD_RATIONAL; any other structural
-    defect raises E_MALFORMED.
-
-    A graph certificate (one with `graph_axes`) has a single witness face,
-    a face of N(Λ_{n+1}, S) with Λ_{n+1}'s unit monomials dropped, as in
-    the engine."""
+    """Re-validate an unbounded certificate from its overlap witness x
+    alone; returns a list of failure strings (empty = accepted).  A bad
+    rational raises InputError E_BAD_RATIONAL; any other structural defect
+    (a missing x too) raises E_MALFORMED.  No polyhedron, face lattice or
+    LP is built.  x ≠ 0 in Z(S) cuts out of N(Λ_ν, S) the x-minimal points
+    of Λ_ν and the rays e_j (j ∈ S) with x_j = 0 (`minimal_points`):
+    - the face: each nonempty listed face's vertices are a nonempty subset
+      of those points, its rays are those rays and `dim` their dimension
+      (an empty face asks nothing more of x);
+    - the rank: those points and rays, plus a graph certificate's axes,
+      have rank `union_rank` ≤ n−1 (the rank of the vertices and rays,
+      as Λ∩F ⊆ conv V + cone R);
+    - the parity: the odd subset is a nonempty subset of them summing to
+      an all-odd vector.
+    Λ is a GL certificate's `class_lambda`, which U·P must give, or a
+    graph certificate's Λ_{n+1} with its unit monomials dropped."""
     try:
         problem = ProblemInput(cert)
     except InputError as exc:
@@ -712,11 +724,10 @@ def verify_certificate(cert: dict) -> list:
             and all(_is_int_vector(m, n) for m in odd)):
         raise _malformed(f"'odd_subset' must be a list of {n} integers")
     witness = cert.get("overlap_witness")
-    if witness is not None:
-        if not (isinstance(witness, list) and len(witness) == n):
-            raise _malformed(f"'overlap_witness' must hold {n} rationals")
-        witness = tuple(Fraction(x) if _is_int(x) else _parse_rational(x)
-                        for x in witness)
+    if not (isinstance(witness, list) and len(witness) == n):
+        raise _malformed(f"'overlap_witness' must hold {n} rationals")
+    witness = tuple(Fraction(x) if _is_int(x) else _parse_rational(x)
+                    for x in witness)
     graph_axes = cert.get("graph_axes")
     if graph_axes is not None and not (isinstance(graph_axes, list) and all(
             _is_int(j) and 1 <= j <= n for j in graph_axes)):
@@ -753,42 +764,28 @@ def verify_certificate(cert: dict) -> list:
 
     witness_faces = cert.get("witness_faces")
     if not isinstance(witness_faces, list):
-        raise InputError("E_MALFORMED", "'witness_faces' must be a list")
+        raise _malformed("'witness_faces' must be a list")
+    if is_zero(witness) or not spec.in_zs(witness):
+        failures.append("overlap witness is zero or outside Z(S)")
+    axes = [tuple(int(x) for x in unit(n, j - 1)) for j in graph_axes or ()]
+    pts, allowed, s_rays = list(axes), set(axes), spec.rays()
     for fdesc in witness_faces:
         _check_witness_face(fdesc, n, len(lambdas))
-
-    lam = LambdaTuple(lambdas, spec)
-    polys = lam.polyhedra
-
-    faces = []
-    for fdesc in witness_faces:
-        nu = fdesc["nu"] - 1
         if fdesc["is_empty"]:
-            faces.append(polys[nu].empty_face())
             continue
-        f = polys[nu].face_by_key(
-            frozenset(tuple(v) for v in fdesc["vertices"]),
-            frozenset(tuple(r) for r in fdesc["rays"]))
-        if f is None:
-            failures.append(
-                f"no face of N(lambda_{fdesc['nu']}) has the claimed "
-                "vertex/ray sets")
-            continue
-        faces.append(f)
+        low, rays = minimal_points(
+            witness, lambdas[fdesc["nu"] - 1].points, s_rays)
+        vertices = {tuple(v) for v in fdesc["vertices"]}
+        if not (vertices and vertices <= set(low)
+                and {tuple(r) for r in fdesc["rays"]} == set(rays)
+                and rank([vsub(m, low[0]) for m in low[1:]] + rays)
+                == fdesc["dim"]):
+            failures.append(f"the component-{fdesc['nu']} face is not the "
+                            "one the overlap witness cuts out")
+        pts += low + rays
+        allowed.update(low)
     if failures:
         return failures
-
-    pts = []
-    allowed = set()
-    for f in faces:
-        if not f.is_empty:
-            pts.extend(sorted(f.vertex_set) + sorted(f.ray_set))
-            allowed.update(f.lambda_points())
-    if graph_axes is not None:
-        axis_vecs = [tuple(int(x) for x in unit(n, j - 1))
-                     for j in graph_axes]
-        pts.extend(axis_vecs)
-        allowed.update(axis_vecs)
 
     r = rank(pts)
     if r != cert["union_rank"]:
@@ -796,24 +793,11 @@ def verify_certificate(cert: dict) -> list:
             f"union_rank mismatch: claimed {cert['union_rank']}, got {r}")
     if r > n - 1:
         failures.append("union rank is not low (rank <= n-1 fails)")
-
     odd = [tuple(m) for m in odd]
-    if not odd:
-        failures.append("empty odd subset")
-    if not set(odd) <= allowed:
-        failures.append("odd subset is not contained in the face points")
-    sums = [sum(c) for c in zip(*odd)] if odd else []
-    if not all(c % 2 == 1 for c in sums):
+    if not odd or not set(odd) <= allowed:
+        failures.append("odd subset is empty or not in the face points")
+    if not all(sum(c) % 2 for c in zip(*odd)):
         failures.append("odd subset does not sum to an all-odd vector")
-
-    if graph_axes is None and witness is None:
-        failures.append("missing overlap witness")
-    if witness is not None:
-        for fdesc, f in zip(witness_faces, faces):
-            if not interior_contains(f, witness):
-                failures.append(
-                    f"overlap witness outside the open cone of the "
-                    f"component-{fdesc['nu']} face")
     return failures
 
 
@@ -825,10 +809,7 @@ def verify(input_path, fmt):
     def body():
         started = time.time()
         with open(input_path, "rb") as fh:
-            try:
-                raw = json.loads(fh.read().decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise InputError("E_MALFORMED", f"not valid JSON: {exc}")
+            raw = _decode(fh.read())
         cert = raw.get("certificate", raw) if isinstance(raw, dict) else None
         if not isinstance(cert, dict) or cert.get("kind") != "unbounded":
             raise InputError("E_MALFORMED",

@@ -43,6 +43,10 @@ class NotDisjoint(ValueError):
     """Exponent sets that must be mutually disjoint share a point."""
 
 
+class DepthCapHit(RuntimeError):
+    """A support-class search cut at its depth cap found no odd class."""
+
+
 class LambdaTuple:
     """Λ = (Λ₁,…,Λ_d) over a common ambient spec, with built polyhedra."""
 
@@ -106,12 +110,10 @@ class Verdict:
     lo_tuples: int = 0
     face_tuple: Optional[FaceTuple] = None
     odd_subset: Optional[list] = None
-    overlap_witness: Optional[tuple] = None
     union_rank: Optional[int] = None
     graph_axes: Optional[list] = None      # graph case: the subset A
     gl_matrix: Optional[tuple] = None      # general case: reaching matrix
     gl_classes: Optional[list] = None      # general case: support classes
-    depth_cap_hit: bool = False
 
     @property
     def bounded(self) -> bool:
@@ -246,7 +248,6 @@ def decide_disjoint(lam: LambdaTuple) -> Verdict:
     ft, odd, examined, lo = _lo_scan(lam)
     if ft is not None:
         return Verdict(kind="unbounded", face_tuple=ft, odd_subset=odd,
-                       overlap_witness=ft.overlap_witness,
                        union_rank=ft.union_rank,
                        tuples_examined=examined, lo_tuples=lo)
     return Verdict(kind="bounded", tuples_examined=examined, lo_tuples=lo)
@@ -263,7 +264,8 @@ def decide_graph(lambda_last: ExponentSet, spec: DomainSpec) -> Verdict:
 
     A unit monomial c·t_j of Λ_{n+1} folds into ξ_j t_j by a GL row
     operation, so the unit monomials are dropped first; when nothing is
-    left the phase is linear and the verdict is bounded."""
+    left the phase is linear and the verdict is bounded.  The overlap
+    witness is the point of (F*)° that `minkowski_faces` gives F."""
     n = spec.n
     rest = [m for m in lambda_last.points if sum(m) != 1]
     if not rest:
@@ -283,7 +285,8 @@ def decide_graph(lambda_last: ExponentSet, spec: DomainSpec) -> Verdict:
                 candidates += 1
                 u = sorted(set(flam) | set(a_vecs))
                 if not is_even(u):
-                    ft = FaceTuple((f,), rank(fpts + a_vecs), None)
+                    ft = FaceTuple((f,), rank(fpts + a_vecs), next(
+                        w for (g,), w, _ in minkowski_faces([p]) if g == f))
                     return Verdict(
                         kind="unbounded", face_tuple=ft,
                         odd_subset=odd_witness(u),
@@ -310,16 +313,19 @@ def _matmul(a: tuple, b: tuple) -> tuple:
         for i in range(d))
 
 
+DEPTH_CAP_BASE = 2          # the class search goes 2^d eliminations deep
+
+
 def enumerate_support_classes(p: VectorPolynomial, generic: bool = False):
     """Support patterns Λ(UP) reachable by downward single-pivot
-    eliminations (breadth-first, at most 2^d steps deep), deduplicated by
-    support pattern.  Every step is a unit lower-triangular row operation,
-    so every reaching matrix U has determinant 1.
+    eliminations (breadth-first, at most DEPTH_CAP_BASE^d steps deep),
+    deduplicated by support pattern.  Every step is a unit lower-triangular
+    row operation, so every reaching matrix U has determinant 1.
 
     Returns (classes, cap_hit) where classes is a list of GLClass.
     """
     d = p.d
-    depth_cap = 2 ** d
+    depth_cap = DEPTH_CAP_BASE ** d
     start_supports = p.supports()
     start = GLClass(_identity(d), None if generic else p, start_supports)
     classes: dict = {start_supports: start}
@@ -363,7 +369,9 @@ def decide_general(p: VectorPolynomial, spec: Optional[DomainSpec] = None,
     """General (possibly non-disjoint) criterion: the evenness condition on
     low-rank overlapping tuples must hold for every reachable support class
     Λ(AP).  Components whose support becomes empty under elimination are
-    dropped (they contribute the constant 0 to the phase)."""
+    dropped (they contribute the constant 0 to the phase).  An odd class is
+    a verdict even if the class search hit its depth cap; a capped search
+    with every class bounded raises DepthCapHit."""
     spec = spec or p.spec
     classes, cap_hit = enumerate_support_classes(p, generic=generic)
     examined = lo = 0
@@ -378,15 +386,15 @@ def decide_general(p: VectorPolynomial, spec: Optional[DomainSpec] = None,
         lo += lo_
         if ft is not None:
             return Verdict(kind="unbounded", face_tuple=ft, odd_subset=odd,
-                           overlap_witness=ft.overlap_witness,
                            union_rank=ft.union_rank,
                            gl_matrix=cls.matrix,
                            gl_classes=[c.supports for c in classes],
-                           tuples_examined=examined, lo_tuples=lo,
-                           depth_cap_hit=cap_hit)
+                           tuples_examined=examined, lo_tuples=lo)
+    if cap_hit:
+        raise DepthCapHit(f"class search cut {DEPTH_CAP_BASE ** p.d} steps "
+                          f"deep with all {len(classes)} classes bounded")
     return Verdict(kind="bounded", tuples_examined=examined, lo_tuples=lo,
-                   gl_classes=[c.supports for c in classes],
-                   depth_cap_hit=cap_hit)
+                   gl_classes=[c.supports for c in classes])
 
 
 # ---------------------------------------------------------------------------

@@ -487,21 +487,25 @@ def cones_interior_intersection(faces: Sequence[Face]) -> Optional[tuple]:
 # the face a functional cuts out, and closure structure
 # ---------------------------------------------------------------------------
 
+def minimal_points(x: Sequence, points: Iterable, rays: Iterable) -> tuple:
+    """The face x ∈ Z(S) cuts out of N(points, S), rays = the e_j (j ∈ S),
+    without a hull: (the x-minimal points, the rays with x·r = 0); exact,
+    as `dot` reads every entry as a rational."""
+    levels = {m: dot(x, m) for m in points}
+    low = min(levels.values())
+    return ([m for m, lv in levels.items() if lv == low],
+            [r for r in rays if dot(x, r) == 0])
+
+
 def face_by_cone_interior(p: NewtonPolyhedron, x: Sequence) -> Face:
-    """The unique face F with x ∈ (F*)°: the face on which x·y attains its
-    minimum over P, i.e. the vertices minimising x·v and the rays with
-    x·r = 0.  x = 0 maps to the improper face (its closed cone V⊥(P) is
+    """The unique face F with x ∈ (F*)°: `minimal_points` on P's vertices,
+    looked up.  x = 0 maps to the improper face (its closed cone V⊥(P) is
     the only one containing a neighborhood of 0 inside ⋂, matching the
-    F(0)=P convention of the chain construction).  x must lie in Z(S),
-    where the minimum is attained (exact: `dot` reads every entry as a
-    rational)."""
+    F(0)=P convention of the chain construction); else x must be in Z(S)."""
     if is_zero(x):
         return p.improper_face()
     assert p.spec.in_zs(x), "point not covered by any face cone"
-    levels = {v: dot(x, v) for v in p.vertices}
-    low = min(levels.values())
-    return p.face_by_key([v for v, lv in levels.items() if lv == low],
-                         [r for r in p.rays if dot(x, r) == 0])
+    return p.face_by_key(*minimal_points(x, p.vertices, p.rays))
 
 
 def face_closure_structure(f: Face) -> frozenset:

@@ -392,8 +392,11 @@ def _face_restriction(face_tuple, d: int):
     return restrict
 
 
-# The (order, level) rules a piece climbs before the adaptive fallback.
+# The (order, level) rules a piece climbs before the adaptive fallback, of
+# (order·2^level)^n nodes, which never decrease along the ladder; a rung
+# above MAX_RUNG_NODES is skipped, so a family keeps a prefix of it.
 _LADDER = ((8, 0), (16, 0), (32, 0), (16, 1), (16, 2))
+MAX_RUNG_NODES = 2 ** 20
 
 
 class PieceFamily:
@@ -417,6 +420,8 @@ class PieceFamily:
         self.expo = np.array([m for _, m, _ in self.monos], dtype=float)
         self.swing_scale = np.exp(
             np.sum(np.abs(self.expo), axis=1) * LOG_TWO)
+        self.ladder = [(order, level) for order, level in _LADDER
+                       if (order << level) ** self.n <= MAX_RUNG_NODES]
         self._rules: dict = {}
 
     def _rule(self, key):
@@ -436,11 +441,12 @@ class PieceFamily:
             return QuadratureResult(0.0 + 0.0j, 0.0, 0)
         swing = float(np.dot(np.abs(amps), self.swing_scale))
         start = 2 if swing > 2.0 else (1 if swing > 1e-3 else 0)
-        lo_key = (_LADDER[start][0] // 2, _LADDER[start][1])
+        rungs = self.ladder[start:]
         parts = self.signs.bind(amps)
-        v_lo = self._value(lo_key, parts)
+        if rungs:
+            v_lo = self._value((rungs[0][0] // 2, rungs[0][1]), parts)
         panels = 1
-        for key in _LADDER[start:]:
+        for key in rungs:
             v_hi = self._value(key, parts)
             delta = abs(v_hi - v_lo)
             if delta <= tol_cell:

@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from geom_checks import (
     random_instance,
     run_all_checks,
 )
-from nh.cli import ProblemInput, _certificate, verify_certificate
+from nh.cli import ProblemInput, _certificate, _vec_out, verify_certificate
 from nh.engine import (
     FaceTuple,
     LambdaTuple,
@@ -41,6 +42,7 @@ from nh.newton_poly import (
     build_newton,
     cones_interior_intersection,
     interior_contains,
+    minkowski_faces,
 )
 from nh.oscillatory import divergence_probe, multiplier_sum_probe
 from nh.parity import is_even
@@ -414,6 +416,29 @@ def _collect_certificates():
     return certs
 
 
+def _cert_lambdas(cert):
+    """The Λ a certificate's witness faces belong to: `class_lambda` for a
+    GL class, Λ_{n+1} without its unit monomials for the graph case."""
+    if "class_lambda" in cert:
+        return cert["class_lambda"]
+    if "graph_axes" in cert:
+        return [[m for m in cert["lambda"][-1] if sum(m) != 1]]
+    return cert["lambda"]
+
+
+def _neighbour_witness(cert, nu, fdesc):
+    """A point of the open dual cone of a face next to the listed one (a
+    face of it, or a face it is a face of, one dimension apart when there
+    is one), or None."""
+    p = build_newton(ExponentSet.of(_cert_lambdas(cert)[nu], cert["n"]),
+                     DomainSpec.of(cert["n"], [j - 1 for j in cert["S"]]))
+    f = p.face_by_key(fdesc["vertices"], fdesc["rays"])
+    cone_point = {faces[0]: w for faces, w, _ in minkowski_faces([p])}
+    near = [g for g in cone_point if g != f and (g <= f or f <= g)]
+    near.sort(key=lambda g: abs(g.dim - f.dim) != 1)
+    return _vec_out(cone_point[near[0]]) if near else None
+
+
 def _perturbations(cert):
     """Single-field corruptions, each of which must be rejected."""
     muts = []
@@ -449,6 +474,46 @@ def _perturbations(cert):
         # verifier must reject regardless of the claimed support class
         c["gl_matrix"][-1] = list(c["gl_matrix"][0])
         muts.append(("gl_matrix", c))
+
+    # the first nonempty witness face, against the overlap witness x
+    k, fdesc = next((k, f) for k, f in enumerate(cert["witness_faces"])
+                    if not f["is_empty"])
+    nu, n = fdesc["nu"] - 1, cert["n"]
+    x = [Fraction(str(c)) for c in cert["overlap_witness"]]
+    moved = _neighbour_witness(cert, nu, fdesc)
+    if moved is not None:
+        c = clone()
+        c["overlap_witness"] = moved
+        muts.append(("witness_to_neighbour_face", c))
+
+    levels = {tuple(m): dot(x, m) for m in _cert_lambdas(cert)[nu]}
+    low = min(levels.values())
+    above = sorted(m for m, lv in levels.items() if lv > low)
+    if not above:
+        # no point of Λ_ν off the face: step off it along x
+        j = next(j for j in range(n) if x[j])
+        above = [list(fdesc["vertices"][0])]
+        above[0][j] += 1 if x[j] > 0 else -1
+    c = clone()
+    c["witness_faces"][k]["vertices"].append(list(above[0]))
+    muts.append(("vertex_not_minimal", c))
+
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    spare = sorted(units, key=lambda e: e.index(1) + 1 not in cert["S"])
+    spare = [e for e in spare if e not in fdesc["rays"]]
+    if spare:
+        c = clone()
+        c["witness_faces"][k]["rays"].append(spare[0])
+        muts.append(("ray_added", c))
+    if fdesc["rays"]:
+        c = clone()
+        c["witness_faces"][k]["rays"].pop()
+        muts.append(("ray_removed", c))
+
+    if cert["S"]:
+        c = clone()
+        c["overlap_witness"][cert["S"][0] - 1] = -1
+        muts.append(("witness_negative_on_S", c))
     return muts
 
 

@@ -6,6 +6,7 @@ import json
 import pytest
 from click.testing import CliRunner, _NamedTextIOWrapper
 
+from nh import engine
 from nh import oscillatory as osc
 from nh.cli import (
     EXIT_BOUNDED,
@@ -225,6 +226,29 @@ def test_decide_general(runner, tmp_path):
     assert res.exit_code == EXIT_INPUT
     res = runner.invoke(main, ["decide-general", "--generic",
                                "--input", path])
+    assert res.exit_code == EXIT_UNBOUNDED
+    assert "depth_cap_hit" not in json.loads(res.output)
+
+
+def test_capped_class_search_says_no_bounded_verdict(runner, tmp_path,
+                                                     monkeypatch):
+    """A class search cut at its depth cap (here at depth 0, the input's
+    own supports) exits 2 with E_DEPTH_CAP when every class it reached is
+    bounded; an odd class found before the cap is still a verdict."""
+    even = {"n": 2, "S": [1, 2], "lambda": [[[2, 0], [0, 2]], [[0, 2]]]}
+    even_path = _write(tmp_path, even, "even.json")
+    odd_path = _write(tmp_path, ODD_POINT, "odd.json")
+    res = runner.invoke(main, ["decide-general", "--generic",
+                               "--input", even_path])
+    assert res.exit_code == EXIT_BOUNDED
+    assert json.loads(res.output)["gl_class_count"] == 2
+    monkeypatch.setattr(engine, "DEPTH_CAP_BASE", 0)
+    res = runner.invoke(main, ["decide-general", "--generic",
+                               "--input", even_path])
+    assert res.exit_code == 2
+    assert "E_DEPTH_CAP:" in res.output
+    res = runner.invoke(main, ["decide-general", "--generic",
+                               "--input", odd_path])
     assert res.exit_code == EXIT_UNBOUNDED
 
 
@@ -518,10 +542,12 @@ def _shorten_gl_row(cert):
     (lambda c: c.pop("odd_subset"), "E_MALFORMED"),
     (lambda c: c.update(overlap_witness=["a", 1]), "E_BAD_RATIONAL"),
     (lambda c: c.update(overlap_witness=[1]), "E_MALFORMED"),
+    (lambda c: c.update(overlap_witness=None), "E_MALFORMED"),
     (lambda c: c.update(graph_axes=["1"]), "E_MALFORMED"),
 ], ids=["gl_zero_denominator", "coefficient_zero_denominator",
         "gl_short_row", "union_rank_text", "odd_subset_missing",
-        "witness_text", "witness_short", "graph_axes_text"])
+        "witness_text", "witness_short", "witness_missing",
+        "graph_axes_text"])
 def test_verify_codes_bad_certificates(runner, tmp_path, mutate, code):
     payload = {"n": 2, "S": [1, 2], "lambda": [[[1, 1]], [[1, 1], [2, 2]]],
                "coefficients": {"1:(1,1)": "1/1", "2:(1,1)": "1/1",

@@ -8,12 +8,17 @@
 - Imports sit at module level, and no module imports another module's
   private (underscore) names.
 - Every name a module imports is used in that module.
+- `nh verify` checks a certificate without the engine's hull, face-lattice
+  or LP code.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import nh
+from nh.cli import verify_certificate
+from test_acceptance import _collect_certificates
 
 ALLOWED = {"main"}
 
@@ -94,3 +99,21 @@ def test_every_imported_name_is_used():
                                   for alias in stmt.names)
                     if bound not in used)
     assert unused == [], f"imported but unused: {unused}"
+
+
+def test_verify_builds_no_hull_lattice_or_lp(monkeypatch):
+    certs = _collect_certificates()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the verify path reached hull/lattice/LP code")
+
+    for module in ("nh.cli", "nh.engine", "nh.newton_poly",
+                   "nh.exact_numeric"):
+        mod = importlib.import_module(module)
+        for name in ("build_newton", "enumerate_faces", "solve_strict"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, forbidden)
+    kinds = {("gl_matrix" in c, "graph_axes" in c) for c in certs}
+    assert kinds == {(False, False), (True, False), (False, True)}
+    for i, cert in enumerate(certs):
+        assert verify_certificate(cert) == [], i

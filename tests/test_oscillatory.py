@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from nh import oscillatory as osc
 from nh.engine import FaceTuple, LambdaTuple, VectorPolynomial
 from nh.newton_poly import DomainSpec, ExponentSet
 from nh.parity import is_even, odd_subsets
@@ -403,6 +404,32 @@ def _assert_kernel_matches_complex_exp(family, amps, rng):
     pts = rng.uniform(LOG_QUARTER, LOG_TWO, size=(2 * _CHUNK_NODES + 5, n))
     got = _Phase(family.expo, amps, family.signs).integrand()(pts)
     assert np.max(np.abs(got - oracle(pts))) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_ladder_skips_rungs_above_the_node_limit(monkeypatch, n):
+    """A piece that never settles climbs every rung of at most
+    MAX_RUNG_NODES nodes, from each starting rung, and then goes to the
+    fallback: for n = 4 that skips (16, 2) alone, for n = 3 nothing."""
+    p = VectorPolynomial({(0, (1,) * n): 1, (0, (2,) + (1,) * (n - 1)): 1},
+                         d=1, spec=DomainSpec.of(n, list(range(n))))
+    family = PieceFamily(p, _improper_tuple(p))
+    asked = []
+
+    def never_settles(key, parts):
+        asked.append(key)
+        return complex(len(asked))
+
+    monkeypatch.setattr(family, "_value", never_settles)
+    monkeypatch.setattr(osc, "adaptive_box", lambda *args, **kw: "fallback")
+    for amp, start in ((0.0, 0), (0.01, 1), (1.0, 2)):
+        asked.clear()
+        assert family.evaluate(np.full(2, amp)) == "fallback"
+        rungs = [key for key in _LADDER[start:]
+                 if n == 3 or key != (16, 2)]
+        assert asked == [(rungs[0][0] // 2, rungs[0][1])] + rungs
+        assert all((order * 2 ** level) ** n <= osc.MAX_RUNG_NODES
+                   for order, level in asked)
 
 
 # ---------------------------------------------------------------------------
