@@ -356,8 +356,8 @@ def _verdict_body(verdict: Verdict, problem: ProblemInput) -> dict:
     }
     if not verdict.bounded:
         body["certificate"] = _certificate(problem, verdict)
-    if verdict.gl_classes is not None:
-        body["gl_class_count"] = len(verdict.gl_classes)
+    if verdict.gl_class_count is not None:
+        body["gl_class_count"] = verdict.gl_class_count
     return body
 
 
@@ -387,8 +387,7 @@ def _graph_block(blocks: list, n: int):
     """Λ_{n+1} of a graph-case input: the only block, or the last of n+1
     blocks whose first n are the coordinate unit vectors."""
     if len(blocks) == n + 1:
-        units = [frozenset({tuple(int(x) for x in unit(n, j))})
-                 for j in range(n)]
+        units = [frozenset({unit(n, j)}) for j in range(n)]
         if [b.points for b in blocks[:n]] != units:
             raise InputError(
                 "E_MALFORMED",
@@ -419,19 +418,16 @@ def decide_graph_cmd(input_path, fmt):
 
 @main.command("decide-general")
 @_common
-@click.option("--generic", is_flag=True,
-              help="Treat coefficients as generic (support arithmetic only).")
-def decide_general_cmd(input_path, fmt, generic):
-    """General criterion over all GL(d) support classes (cascade closure)."""
+def decide_general_cmd(input_path, fmt):
+    """General criterion for the given coefficients over the support
+    classes Λ(AP), A lower unitriangular (elimination cascade)."""
     def body():
         started = time.time()
         problem = _load(input_path)
-        if problem.coefficients is None and not generic:
-            raise InputError(
-                "E_MALFORMED",
-                "'coefficients' required for decide-general "
-                "(or pass --generic)")
-        verdict = decide_general(problem.polynomial(), generic=generic)
+        if problem.coefficients is None:
+            raise InputError("E_MALFORMED",
+                             "'coefficients' required for decide-general")
+        verdict = decide_general(problem.polynomial())
         _out(emit_report(
             _report(problem, _verdict_body(verdict, problem), started),
             fmt))
@@ -767,7 +763,7 @@ def verify_certificate(cert: dict) -> list:
         raise _malformed("'witness_faces' must be a list")
     if is_zero(witness) or not spec.in_zs(witness):
         failures.append("overlap witness is zero or outside Z(S)")
-    axes = [tuple(int(x) for x in unit(n, j - 1)) for j in graph_axes or ()]
+    axes = [unit(n, j - 1) for j in graph_axes or ()]
     pts, allowed, s_rays = list(axes), set(axes), spec.rays()
     for fdesc in witness_faces:
         _check_witness_face(fdesc, n, len(lambdas))

@@ -113,7 +113,7 @@ class Verdict:
     union_rank: Optional[int] = None
     graph_axes: Optional[list] = None      # graph case: the subset A
     gl_matrix: Optional[tuple] = None      # general case: reaching matrix
-    gl_classes: Optional[list] = None      # general case: support classes
+    gl_class_count: Optional[int] = None   # general case: support classes
 
     @property
     def bounded(self) -> bool:
@@ -164,8 +164,8 @@ class VectorPolynomial:
 @dataclass(frozen=True)
 class GLClass:
     matrix: tuple                 # d×d rows of Fractions, invertible
-    poly: Optional[VectorPolynomial]   # None in generic mode
-    supports: tuple               # tuple of frozensets of exponents
+    poly: VectorPolynomial        # matrix · P
+    supports: tuple               # poly's supports, one frozenset per row
 
 
 # ---------------------------------------------------------------------------
@@ -230,27 +230,27 @@ def enumerate_lo_tuples(lam: LambdaTuple) -> Iterator[FaceTuple]:
 
 
 def _lo_scan(lam: LambdaTuple):
-    """First odd low-rank overlapping tuple (deterministic), plus counters."""
-    examined = lo = 0
+    """First odd low-rank overlapping tuple (deterministic), its odd
+    subset, and the number of tuples scanned."""
+    count = 0
     for ft in enumerate_lo_tuples(lam):
-        lo += 1
-        examined += 1
+        count += 1
         u = ft.union_lambda()
         if not is_even(u):
-            return ft, odd_witness(u), examined, lo
-    return None, None, examined, lo
+            return ft, odd_witness(u), count
+    return None, None, count
 
 
 def decide_disjoint(lam: LambdaTuple) -> Verdict:
     """Main criterion for mutually disjoint Λ_ν (or d = 1): bounded iff
     ⋃(F_ν ∩ Λ_ν) is even for every low-rank overlapping face tuple."""
     lam.require_disjoint()
-    ft, odd, examined, lo = _lo_scan(lam)
+    ft, odd, count = _lo_scan(lam)
     if ft is not None:
         return Verdict(kind="unbounded", face_tuple=ft, odd_subset=odd,
                        union_rank=ft.union_rank,
-                       tuples_examined=examined, lo_tuples=lo)
-    return Verdict(kind="bounded", tuples_examined=examined, lo_tuples=lo)
+                       tuples_examined=count, lo_tuples=count)
+    return Verdict(kind="bounded", tuples_examined=count, lo_tuples=count)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +271,7 @@ def decide_graph(lambda_last: ExponentSet, spec: DomainSpec) -> Verdict:
     if not rest:
         return Verdict(kind="bounded")
     p = build_newton(ExponentSet.of(rest, n), spec)
-    units = [tuple(int(x) for x in unit(n, j)) for j in range(n)]
+    units = [unit(n, j) for j in range(n)]
     examined = candidates = 0
     for f in p.faces():
         fpts = _face_points(f)
@@ -316,19 +316,20 @@ def _matmul(a: tuple, b: tuple) -> tuple:
 DEPTH_CAP_BASE = 2          # the class search goes 2^d eliminations deep
 
 
-def enumerate_support_classes(p: VectorPolynomial, generic: bool = False):
+def enumerate_support_classes(p: VectorPolynomial):
     """Support patterns Λ(UP) reachable by downward single-pivot
     eliminations (breadth-first, at most DEPTH_CAP_BASE^d steps deep),
-    deduplicated by support pattern.  Every step is a unit lower-triangular
-    row operation, so every reaching matrix U has determinant 1.
+    deduplicated by support pattern.  Each step subtracts the multiple of
+    row k that cancels a monomial m of row j > k, on the exact
+    coefficients, so U is lower unitriangular and U·P has the recorded
+    supports.
 
     Returns (classes, cap_hit) where classes is a list of GLClass.
     """
     d = p.d
     depth_cap = DEPTH_CAP_BASE ** d
-    start_supports = p.supports()
-    start = GLClass(_identity(d), None if generic else p, start_supports)
-    classes: dict = {start_supports: start}
+    start = GLClass(_identity(d), p, p.supports())
+    classes: dict = {start.supports: start}
     queue = deque([(start, 0)])
     cap_hit = False
     while queue:
@@ -336,65 +337,57 @@ def enumerate_support_classes(p: VectorPolynomial, generic: bool = False):
         if depth >= depth_cap:
             cap_hit = True
             continue
+        coef = cls.poly.coefficients
         for k in range(d):
             for m in sorted(cls.supports[k]):
                 for j in range(k + 1, d):
                     if m not in cls.supports[j]:
                         continue
                     elem = [list(row) for row in _identity(d)]
-                    if generic:
-                        new_supports = list(cls.supports)
-                        new_supports[j] = frozenset(
-                            (cls.supports[j] | cls.supports[k]) - {m})
-                        new_supports = tuple(new_supports)
-                        elem[j][k] = Fraction(-1)  # representative ratio
-                        new_poly = None
-                    else:
-                        cur = cls.poly
-                        elem[j][k] = -cur.coefficients[(j, m)] / \
-                            cur.coefficients[(k, m)]
-                        new_poly = cur.transformed(elem)
-                        new_supports = new_poly.supports()
-                    if new_supports in classes:
+                    elem[j][k] = -coef[(j, m)] / coef[(k, m)]
+                    poly = cls.poly.transformed(elem)
+                    supports = poly.supports()
+                    if supports in classes:
                         continue
-                    nxt = GLClass(_matmul(elem, cls.matrix), new_poly,
-                                  new_supports)
-                    classes[new_supports] = nxt
+                    nxt = GLClass(_matmul(elem, cls.matrix), poly, supports)
+                    classes[supports] = nxt
                     queue.append((nxt, depth + 1))
     return list(classes.values()), cap_hit
 
 
-def decide_general(p: VectorPolynomial, spec: Optional[DomainSpec] = None,
-                   generic: bool = False) -> Verdict:
-    """General (possibly non-disjoint) criterion: the evenness condition on
-    low-rank overlapping tuples must hold for every reachable support class
-    Λ(AP).  Components whose support becomes empty under elimination are
-    dropped (they contribute the constant 0 to the phase).  An odd class is
-    a verdict even if the class search hit its depth cap; a capped search
-    with every class bounded raises DepthCapHit."""
-    spec = spec or p.spec
-    classes, cap_hit = enumerate_support_classes(p, generic=generic)
-    examined = lo = 0
+def decide_general(p: VectorPolynomial) -> Verdict:
+    """General (possibly non-disjoint) criterion for the given P: the
+    evenness condition on low-rank overlapping tuples must hold for every
+    support class Λ(AP), A lower unitriangular (row j of AP is
+    P_j + Σ_{k<j} a_k P_k).  The classes are those the single-pivot
+    eliminations of `enumerate_support_classes` reach, a subset of all
+    such Λ(AP); tests/test_engine.py pins that the verdict equals the one
+    over every lower unitriangular A.  Components whose support becomes
+    empty under elimination are dropped (they contribute the constant 0
+    to the phase).  An odd class is a verdict even if the class search
+    hit its depth cap; a capped search with every class bounded raises
+    DepthCapHit."""
+    classes, cap_hit = enumerate_support_classes(p)
+    count = 0
     for cls in classes:
         live = [s for s in cls.supports if s]
         if not live:
             continue
         lam = LambdaTuple(
-            [ExponentSet.of(s, spec.n) for s in live], spec)
-        ft, odd, ex, lo_ = _lo_scan(lam)
-        examined += ex
-        lo += lo_
+            [ExponentSet.of(s, p.spec.n) for s in live], p.spec)
+        ft, odd, scanned = _lo_scan(lam)
+        count += scanned
         if ft is not None:
             return Verdict(kind="unbounded", face_tuple=ft, odd_subset=odd,
                            union_rank=ft.union_rank,
                            gl_matrix=cls.matrix,
-                           gl_classes=[c.supports for c in classes],
-                           tuples_examined=examined, lo_tuples=lo)
+                           gl_class_count=len(classes),
+                           tuples_examined=count, lo_tuples=count)
     if cap_hit:
         raise DepthCapHit(f"class search cut {DEPTH_CAP_BASE ** p.d} steps "
                           f"deep with all {len(classes)} classes bounded")
-    return Verdict(kind="bounded", tuples_examined=examined, lo_tuples=lo,
-                   gl_classes=[c.supports for c in classes])
+    return Verdict(kind="bounded", tuples_examined=count, lo_tuples=count,
+                   gl_class_count=len(classes))
 
 
 # ---------------------------------------------------------------------------

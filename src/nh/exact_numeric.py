@@ -59,7 +59,7 @@ def is_zero(a: RVector) -> bool:
 
 
 def unit(n: int, j: int) -> tuple:
-    return tuple(Fraction(1) if i == j else Fraction(0) for i in range(n))
+    return tuple(int(i == j) for i in range(n))
 
 
 def _clear_denominators(v: RVector) -> tuple:
@@ -163,7 +163,7 @@ def nullspace(rows: RMatrix, n: Optional[int] = None) -> list[tuple]:
     if not rows:
         if n is None:
             raise ValueError("ambient dimension required for empty matrix")
-        return [primitive(unit(n, j)) for j in range(n)]
+        return [unit(n, j) for j in range(n)]
     ncols = len(rows[0])
     mat, pivots = _echelon(rows)
     # back substitution: clear each pivot column above its pivot, the last

@@ -84,7 +84,7 @@ class DomainSpec:
         return DomainSpec(n, s)
 
     def rays(self) -> list:
-        return [_ivec(unit(self.n, j)) for j in sorted(self.S)]
+        return [unit(self.n, j) for j in sorted(self.S)]
 
     def in_zs(self, x: Sequence) -> bool:
         """x ∈ Z(S): nonnegative in local directions, free otherwise."""
@@ -193,7 +193,7 @@ def _is_extreme(p, others, rays) -> bool:
         eqs.append((tuple(a), Fraction(p[coord])))
     eqs.append((tuple([Fraction(1)] * len(others) + [Fraction(0)] * len(rays)),
                 Fraction(1)))
-    weak = tuple((tuple(unit(nvars, j)), Fraction(0)) for j in range(nvars))
+    weak = tuple((unit(nvars, j), Fraction(0)) for j in range(nvars))
     sys = StrictSystem(dim=nvars, equalities=tuple(eqs), weak=weak)
     return solve_strict(sys) is None
 
@@ -421,7 +421,7 @@ def dual_cone_rows(f: Face) -> tuple:
     face; the improper face has no ge rows)."""
     p = f.parent
     if f.is_empty:
-        return [], [_ivec(unit(p.spec.n, j)) for j in sorted(p.spec.S)]
+        return [], [unit(p.spec.n, j) for j in sorted(p.spec.S)]
     v0 = min(f.vertex_set)
     ge = ([vsub(w, v0) for w in sorted(p.vertices - f.vertex_set)]
           + sorted(p.rays - f.ray_set))
@@ -517,9 +517,8 @@ def face_closure_structure(f: Face) -> frozenset:
     if f.is_empty:
         raise ValueError("empty face has no closure structure")
     p = f.parent
-    s0 = frozenset(j for j in p.spec.S
-                   if _ivec(unit(p.spec.n, j)) in f.ray_set)
+    s0 = frozenset(j for j in p.spec.S if unit(p.spec.n, j) in f.ray_set)
     assert f.vertex_set <= set(f.lambda_points()) and f.ray_set == {
-        _ivec(unit(p.spec.n, j)) for j in s0}, \
+        unit(p.spec.n, j) for j in s0}, \
         "N(Λ∩F, S0) does not reproduce the face"
     return s0

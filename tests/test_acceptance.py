@@ -35,7 +35,7 @@ from nh.engine import (
     enumerate_lo_tuples,
     union_point_rank,
 )
-from nh.exact_numeric import dot
+from nh.exact_numeric import dot, rank
 from nh.newton_poly import (
     DomainSpec,
     ExponentSet,
@@ -442,6 +442,8 @@ def _neighbour_witness(cert, nu, fdesc):
 def _perturbations(cert):
     """Single-field corruptions, each of which must be rejected."""
     muts = []
+    n = cert["n"]
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
 
     def clone():
         return json.loads(json.dumps(cert))
@@ -462,10 +464,14 @@ def _perturbations(cert):
         muts.append(("overlap_witness", c))
 
     if "graph_axes" in cert:
+        # an axis outside the span of the face points and the listed axes
+        # (one exists, as union_rank ≤ n−1) raises the rank
         c = clone()
-        unused = [j for j in range(1, cert["n"] + 1)
-                  if j not in cert["graph_axes"]]
-        c["graph_axes"] = cert["graph_axes"] + [unused[0]]
+        span = [units[j - 1] for j in cert["graph_axes"]] + [
+            v for f in cert["witness_faces"]
+            for v in f["vertices"] + f["rays"]]
+        c["graph_axes"] = cert["graph_axes"] + [next(
+            j + 1 for j in range(n) if rank(span + [units[j]]) > rank(span))]
         muts.append(("graph_axes", c))
 
     if "gl_matrix" in cert:
@@ -478,7 +484,7 @@ def _perturbations(cert):
     # the first nonempty witness face, against the overlap witness x
     k, fdesc = next((k, f) for k, f in enumerate(cert["witness_faces"])
                     if not f["is_empty"])
-    nu, n = fdesc["nu"] - 1, cert["n"]
+    nu = fdesc["nu"] - 1
     x = [Fraction(str(c)) for c in cert["overlap_witness"]]
     moved = _neighbour_witness(cert, nu, fdesc)
     if moved is not None:
@@ -498,7 +504,6 @@ def _perturbations(cert):
     c["witness_faces"][k]["vertices"].append(list(above[0]))
     muts.append(("vertex_not_minimal", c))
 
-    units = [[int(i == j) for i in range(n)] for j in range(n)]
     spare = sorted(units, key=lambda e: e.index(1) + 1 not in cert["S"])
     spare = [e for e in spare if e not in fdesc["rays"]]
     if spare:

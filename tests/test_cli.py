@@ -219,15 +219,31 @@ def test_decide_general(runner, tmp_path):
     assert "gl_matrix" in cert
     assert verify_certificate(cert) == []
 
-    # without coefficients: input error unless --generic
+    assert "depth_cap_hit" not in report
+
+
+def test_decide_general_needs_coefficients(runner, tmp_path):
+    """Row 2 is always P₂ − t·P₁, so it loses both of P₁'s monomials or
+    neither: 2 classes, bounded.  Support arithmetic alone, dropping one
+    monomial at a time, reached 4 classes and an unbounded verdict whose
+    certificate `verify` rejected.  Without coefficients there is no P to
+    decide."""
+    payload = {
+        "n": 2, "S": [2],
+        "lambda": [[[2, 1], [3, 0], [3, 1]], [[0, 3], [2, 1]]],
+        "coefficients": {"1:(2,1)": "1/1", "1:(3,0)": "1/1",
+                         "1:(3,1)": "1/1", "2:(0,3)": "1/1",
+                         "2:(2,1)": "1/1"},
+    }
+    res = runner.invoke(main, ["decide-general", "--input",
+                               _write(tmp_path, payload)])
+    assert res.exit_code == EXIT_BOUNDED
+    assert json.loads(res.output)["gl_class_count"] == 2
     del payload["coefficients"]
-    path = _write(tmp_path, payload, "nocoef.json")
-    res = runner.invoke(main, ["decide-general", "--input", path])
+    res = runner.invoke(main, ["decide-general", "--input",
+                               _write(tmp_path, payload, "nocoef.json")])
     assert res.exit_code == EXIT_INPUT
-    res = runner.invoke(main, ["decide-general", "--generic",
-                               "--input", path])
-    assert res.exit_code == EXIT_UNBOUNDED
-    assert "depth_cap_hit" not in json.loads(res.output)
+    assert "E_MALFORMED" in res.output
 
 
 def test_capped_class_search_says_no_bounded_verdict(runner, tmp_path,
@@ -235,20 +251,20 @@ def test_capped_class_search_says_no_bounded_verdict(runner, tmp_path,
     """A class search cut at its depth cap (here at depth 0, the input's
     own supports) exits 2 with E_DEPTH_CAP when every class it reached is
     bounded; an odd class found before the cap is still a verdict."""
-    even = {"n": 2, "S": [1, 2], "lambda": [[[2, 0], [0, 2]], [[0, 2]]]}
+    even = {"n": 2, "S": [1, 2], "lambda": [[[2, 0], [0, 2]], [[0, 2]]],
+            "coefficients": {"1:(2,0)": "1/1", "1:(0,2)": "1/1",
+                             "2:(0,2)": "1/1"}}
+    odd = dict(ODD_POINT, coefficients={"1:(1,1)": "1/1"})
     even_path = _write(tmp_path, even, "even.json")
-    odd_path = _write(tmp_path, ODD_POINT, "odd.json")
-    res = runner.invoke(main, ["decide-general", "--generic",
-                               "--input", even_path])
+    odd_path = _write(tmp_path, odd, "odd.json")
+    res = runner.invoke(main, ["decide-general", "--input", even_path])
     assert res.exit_code == EXIT_BOUNDED
     assert json.loads(res.output)["gl_class_count"] == 2
     monkeypatch.setattr(engine, "DEPTH_CAP_BASE", 0)
-    res = runner.invoke(main, ["decide-general", "--generic",
-                               "--input", even_path])
+    res = runner.invoke(main, ["decide-general", "--input", even_path])
     assert res.exit_code == 2
     assert "E_DEPTH_CAP:" in res.output
-    res = runner.invoke(main, ["decide-general", "--generic",
-                               "--input", odd_path])
+    res = runner.invoke(main, ["decide-general", "--input", odd_path])
     assert res.exit_code == EXIT_UNBOUNDED
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from class_oracle import class_is_even, lower_unitriangular_classes
 from geom_checks import (
     cap_cone_generators,
     closure_contains,
@@ -26,7 +27,7 @@ from nh.engine import (
     enumerate_support_classes,
     union_point_rank,
 )
-from nh.exact_numeric import rank
+from nh.exact_numeric import rank, unit
 from nh.newton_poly import DomainSpec, ExponentSet, interior_contains
 from nh.parity import is_even
 from walk_oracle import walk_lo_tuples
@@ -237,6 +238,29 @@ def test_graph_drops_unit_monomials():
     assert graph_vertex_criterion(only_units, spec)
 
 
+def test_graph_is_disjoint_on_the_unit_augmented_tuple():
+    """decide_graph(Λ_{n+1}) agrees with decide_disjoint on
+    ({e₁},…,{e_n}, R), R = Λ_{n+1} without its unit monomials: for x in
+    (F*)° the x-minimal face of e_j + ℝ₊^S has no rays beyond F's, so
+    rank(F ∪ A) and the parity of (F ∩ Λ) ∪ A are the disjoint tuple's."""
+    rng = random.Random(2032)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(1, 3)
+        units = [unit(n, j) for j in range(n)]
+        last = {tuple(rng.randint(0, 3) for _ in range(n))
+                for _ in range(rng.randint(1, 4))}
+        rest = sorted(last - set(units))
+        if not rest:
+            continue
+        spec = DomainSpec.of(n, [j for j in range(n) if rng.random() < 0.5])
+        lam = LambdaTuple([ExponentSet.of([e], n) for e in units]
+                          + [ExponentSet.of(rest, n)], spec)
+        assert decide_graph(ExponentSet.of(last, n), spec).bounded == \
+            decide_disjoint(lam).bounded, (sorted(last), sorted(spec.S))
+        checked += 1
+
+
 def test_graph_axes_participate():
     # Λ₃ = {(2,0)}: vertex even alone, but adding axis e₂ gives
     # (2,0)+(0,1) = (2,1)… even; adding e₁: (2,0)+(1,0)=(3,0)… not all-odd.
@@ -310,14 +334,43 @@ def test_general_matches_disjoint_when_disjoint():
         assert decide_general(p).bounded == decide_disjoint(lam).bounded
 
 
-def test_general_generic_mode():
-    p = VectorPolynomial(
-        {(0, (1, 1)): 1, (1, (1, 1)): 1, (1, (2, 2)): 1},
-        d=2, spec=DomainSpec.of(2, [0, 1]))
-    v = decide_general(p, generic=True)
-    assert not v.bounded
-    classes, _ = enumerate_support_classes(p, generic=True)
-    assert len(classes) == 2
+def _pooled_poly(rng):
+    """n, d ∈ {2, 3}; every row draws 1–3 monomials from one pool of 5
+    draws, so rows share monomials and eliminations have work to do."""
+    n, d = rng.choice([2, 3]), rng.choice([2, 3])
+    pool = sorted({tuple(rng.randint(0, 3) for _ in range(n))
+                   for _ in range(5)})
+    coef = {(nu, m): Fraction(rng.choice([-2, -1, 1, 2, 3]))
+            for nu in range(d)
+            for m in rng.sample(pool, rng.randint(1, min(3, len(pool))))}
+    S = [j for j in range(n) if rng.random() < 0.5]
+    return VectorPolynomial(coef, d, DomainSpec.of(n, S))
+
+
+def test_support_classes_realised_by_their_matrix():
+    """Every class's matrix turns P into exactly the class's supports."""
+    rng = random.Random(2030)
+    for _ in range(300):
+        p = _pooled_poly(rng)
+        classes, cap_hit = enumerate_support_classes(p)
+        assert not cap_hit
+        for cls in classes:
+            assert p.transformed(cls.matrix).supports() == cls.supports, \
+                (p.coefficients, cls.matrix)
+
+
+def test_support_classes_within_lower_unitriangular_oracle():
+    """The single-pivot BFS reaches a subset of {Λ(AP) : A lower
+    unitriangular} (`class_oracle`), and `decide_general` gives the
+    verdict taken over all of them."""
+    rng = random.Random(2031)
+    for _ in range(200):
+        p = _pooled_poly(rng)
+        classes, _ = enumerate_support_classes(p)
+        every = lower_unitriangular_classes(p)
+        assert {cls.supports for cls in classes} <= every, p.coefficients
+        assert decide_general(p).bounded == all(
+            class_is_even(s, p.spec) for s in every), p.coefficients
 
 
 # ---------------------------------------------------------------------------

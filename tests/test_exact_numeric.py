@@ -429,5 +429,6 @@ def test_gf2_known_cases():
 
 def test_unit_vectors():
     assert unit(3, 1) == (0, 1, 0)
+    assert all(type(x) is int for x in unit(3, 1))
     with pytest.raises(IndexError):
         _ = unit(2, 5)[5]

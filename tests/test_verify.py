@@ -79,5 +79,4 @@ def test_kernel_agrees_with_face_lookup():
             rejected += kernel
             checked += 1
     assert len(certs) + checked >= 1000
-    # a few graph-axis additions stay within the span and stay odd
-    assert rejected >= 0.95 * checked
+    assert rejected == checked
