@@ -2,10 +2,10 @@
 
 Vectors are sequences of ints and ``fractions.Fraction``s (any other number
 is taken at its exact ``Fraction`` value).  Everything here is pure and
-immutable: rank, determinants and nullspaces by fraction-free
-elimination, exact Gram–Schmidt, strict-inequality feasibility by a
-fraction-free simplex on Python integers with Bland's rule, and GF(2)
-elimination (all subsets of a list of vectors that sum to a target).
+immutable: rank and nullspaces by fraction-free elimination, exact
+Gram–Schmidt, strict-inequality feasibility by a fraction-free simplex on
+Python integers with Bland's rule, and GF(2) elimination (all subsets of
+a list of vectors that sum to a target).
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def primitive(v: RVector) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# rank / determinant / nullspace
+# rank / nullspace
 # ---------------------------------------------------------------------------
 
 def _reduced(row: list) -> list:
@@ -132,28 +132,6 @@ def _echelon(rows: RMatrix) -> tuple[list[list[int]], list[int]]:
 def rank(rows: RMatrix) -> int:
     """Row rank by fraction-free integer Gaussian elimination."""
     return len(_echelon(rows)[1])
-
-
-def det(rows: RMatrix) -> int:
-    """Determinant of a square integer matrix by Bareiss fraction-free
-    elimination; the 0×0 matrix has determinant 1."""
-    mat = [list(r) for r in rows]
-    size = len(mat)
-    sign, prev = 1, 1
-    for k in range(size):
-        piv = next((i for i in range(k, size) if mat[i][k] != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            mat[k], mat[piv] = mat[piv], mat[k]
-            sign = -sign
-        p = mat[k][k]
-        for i in range(k + 1, size):
-            q = mat[i][k]
-            mat[i] = [(p * a - q * b) // prev
-                      for a, b in zip(mat[i], mat[k])]
-        prev = p
-    return sign * prev
 
 
 def nullspace(rows: RMatrix, n: Optional[int] = None) -> list[tuple]:

@@ -8,10 +8,12 @@ the F = N(Λ∩F, S₀) closure structure.  A
 face's dual cone F* has one H-description, `dual_cone_rows`; membership in
 (F*)° and the joint cone-interior LP are read from its rows.
 
-Facet normals are integer cofactor vectors (generalized cross products)
-of m generators — a vertex, then vertices or rays — and the Πb rows, each
-validated one-sided against all V-data.  The face lattice is the closure of
-the generator set under intersection with the facets' vertex/ray
+One facet test serves a polyhedron and a Minkowski sum alike (`_facets`):
+a candidate normal spans the nullspace of n−1 rows — directions to m−1
+more generators from a vertex, or m−1 summand edge directions, and the Πb
+rows — and is kept when the faces it cuts out (`minimal_points`) span m−1
+directions.  One closure gives both face lattices (`_closure`): the
+improper face closed under intersection with the facets' vertex/ray
 incidences (Kaibel and Pfetsch, Comput. Geom. 2002).
 """
 
@@ -24,7 +26,6 @@ from typing import Iterable, Optional, Sequence
 
 from .exact_numeric import (
     StrictSystem,
-    det,
     dot,
     is_zero,
     nullspace,
@@ -198,14 +199,6 @@ def _is_extreme(p, others, rays) -> bool:
     return solve_strict(sys) is None
 
 
-def _cofactor_normal(rows, n: int) -> tuple:
-    """Generalized cross product of n−1 integer rows in Zⁿ: coordinate i is
-    (−1)^i times the minor without column i.  It is orthogonal to every
-    row, and nonzero exactly when the rows are independent."""
-    return tuple((-1) ** i * det([r[:i] + r[i + 1:] for r in rows])
-                 for i in range(n))
-
-
 def build_newton(omega: ExponentSet, spec: DomainSpec) -> NewtonPolyhedron:
     if not omega.points:
         raise ValueError("empty exponent set")
@@ -226,38 +219,21 @@ def build_newton(omega: ExponentSet, spec: DomainSpec) -> NewtonPolyhedron:
     basis_b = tuple((q, dot(q, v0))
                     for q in orthogonal_basis(nullspace(directions, n=n)))
 
-    facets: dict = {}
-    if m >= 1:
-        # Each facet holds a vertex and m−1 more generators (vertices or
-        # rays) that span its affine hull with it, so its normal is the one
-        # orthogonal to their directions and to Πb.  Generators are the
-        # vertices, then the rays: an m-subset led by a ray holds no vertex,
-        # and all later subsets are led by rays too.
-        gens = verts + rays
-        perp_rows = [q for q, _ in basis_b]
-        tried = set()
-        for sub in itertools.combinations(range(len(gens)), m):
-            if sub[0] >= len(verts):
-                break
-            base = gens[sub[0]]
-            rows = [vsub(gens[i], base) if i < len(verts) else gens[i]
-                    for i in sub[1:]] + perp_rows
-            normal = primitive(_cofactor_normal(rows, n))
-            if is_zero(normal) or normal in tried:
-                continue
-            flipped = tuple(-x for x in normal)
-            tried.update((normal, flipped))
-            for q in (normal, flipped):
-                if any(dot(q, r) < 0 for r in rays):
-                    continue
-                levels = [dot(q, v) for v in verts]
-                level = min(levels)
-                tight_v = [v for v, lv in zip(verts, levels) if lv == level]
-                tight_r = [r for r in rays if dot(q, r) == 0]
-                fdirs = [vsub(v, tight_v[0]) for v in tight_v[1:]] + tight_r
-                if rank(fdirs) == m - 1:
-                    facets[q] = level
-    facets_a = tuple(sorted(facets.items()))
+    # Each facet holds a vertex and m−1 more generators (vertices or rays)
+    # that span its affine hull with it, so its normal is orthogonal to
+    # their directions and to Πb.  Generators are the vertices, then the
+    # rays: an m-subset led by a ray holds no vertex, and all later subsets
+    # are led by rays too.  A point (m = 0) has no facets.
+    gens = verts + rays
+    perp_rows = [q for q, _ in basis_b]
+    subsets = itertools.takewhile(
+        lambda sub: sub[0] < len(verts),
+        itertools.combinations(range(len(gens)), m)) if m else ()
+    facets = _facets(
+        ([vsub(gens[i], gens[sub[0]]) if i < len(verts) else gens[i]
+          for i in sub[1:]] + perp_rows for sub in subsets),
+        [(verts, rays)], m, n)
+    facets_a = tuple((q, dot(q, min(vs))) for q, ((vs, _),) in facets)
 
     p = NewtonPolyhedron(
         omega=omega, spec=spec,
@@ -271,6 +247,35 @@ def build_newton(omega: ExponentSet, spec: DomainSpec) -> NewtonPolyhedron:
     return p
 
 
+def _facets(candidates: Iterable, summands: Sequence, m: int,
+            n: int) -> list:
+    """The facets of the m-dimensional sum of the polyhedra `summands`,
+    given as (vertices, rays) pairs with the same rays, as sorted pairs
+    (normal q, the q-minimal face of each summand as a (vertex set, ray
+    set) key).  A candidate is a list of rows whose nullspace, when it is
+    a line, gives the normal ±q; q is kept when it is ≥ 0 on the rays and
+    the summands' q-minimal faces (`minimal_points`) together span m−1
+    directions."""
+    rays = summands[0][1]
+    facets = {}
+    tried = set()
+    for rows in candidates:
+        null = nullspace(rows, n=n)
+        if len(null) != 1 or null[0] in tried:
+            continue
+        normal = null[0]
+        flipped = tuple(-x for x in normal)
+        tried.update((normal, flipped))
+        for q in (normal, flipped):
+            if any(dot(q, r) < 0 for r in rays):
+                continue
+            keys = tuple((frozenset(vs), frozenset(rs)) for vs, rs in (
+                minimal_points(q, *summand) for summand in summands))
+            if rank([d for key in keys for d in _directions(*key)]) == m - 1:
+                facets[q] = keys
+    return sorted(facets.items())
+
+
 # ---------------------------------------------------------------------------
 # face lattice
 # ---------------------------------------------------------------------------
@@ -282,39 +287,49 @@ def _directions(vertex_set, ray_set) -> list:
     return [vsub(v, vs[0]) for v in vs[1:]] + sorted(ray_set)
 
 
+def _closure(top: tuple, facets: Sequence) -> dict:
+    """Kaibel–Pfetsch: the nonempty faces of a sum of polyhedra are the
+    closure of the improper face `top` under intersection with the facets
+    (`_facets`), summand by summand.  Faces are keys, one (vertex set, ray
+    set) per summand; G ∩ G′ is nonempty iff each pair of summand faces
+    shares a vertex, and a facet passes through G iff the intersection is
+    G itself, so G's list is complete once G is popped.  Returns
+    {key: indices of the facets through it, ascending}."""
+    through = {top: []}
+    stack = [top]
+    while stack:
+        key = stack.pop()
+        for i, (_, fkey) in enumerate(facets):
+            meet = tuple((vs & fv, rs & fr)
+                         for (vs, rs), (fv, fr) in zip(key, fkey))
+            if meet == key:
+                through[key].append(i)
+            elif all(vs for vs, _ in meet) and meet not in through:
+                through[meet] = []
+                stack.append(meet)
+    return through
+
+
 def enumerate_faces(p: NewtonPolyhedron) -> list:
     if p._faces is not None:
         return p._faces
 
-    # Kaibel–Pfetsch: the nonempty faces are the closure of P's generator
-    # sets under intersection with the facets' incidence sets.
-    incidence = [
-        (frozenset(v for v in p.vertices if dot(q, v) == level),
-         frozenset(r for r in p.rays if dot(q, r) == 0))
-        for q, level in p.facets_a]
-    k = len(incidence)
-    top = (p.vertices, p.rays)
-    keys = {top}
-    stack = [top]
-    while stack:
-        vs, rs = stack.pop()
-        for fv, fr in incidence:
-            key = (vs & fv, rs & fr)
-            if key[0] and key not in keys:
-                keys.add(key)
-                stack.append(key)
+    top = ((p.vertices, p.rays),)
+    incidence = [(q, (tuple(map(frozenset, minimal_points(
+        q, p.vertices, p.rays))),)) for q, _ in p.facets_a]
     found = []
-    for vs, rs in keys:
-        gen = frozenset(i for i, (fv, fr) in enumerate(incidence)
-                        if vs <= fv and rs <= fr)
-        found.append(Face(parent=p, generator_idx=gen, vertex_set=vs,
-                          ray_set=rs, dim=rank(_directions(vs, rs)),
-                          is_improper=(vs, rs) == top))
+    for key, idx in _closure(top, incidence).items():
+        (vs, rs), = key
+        found.append(Face(parent=p, generator_idx=frozenset(idx),
+                          vertex_set=vs, ray_set=rs,
+                          dim=rank(_directions(vs, rs)),
+                          is_improper=key == top))
     faces = sorted(found, key=Face.sort_key)
     # frozen dataclass: the caches are set once, here
     object.__setattr__(p, "_face_index",
                        {(f.vertex_set, f.ray_set): f for f in faces})
-    faces.append(Face(parent=p, generator_idx=frozenset(range(k)),
+    faces.append(Face(parent=p,
+                      generator_idx=frozenset(range(len(incidence))),
                       vertex_set=frozenset(), ray_set=frozenset(),
                       dim=-1, is_empty=True))
     object.__setattr__(p, "_faces", faces)
@@ -333,15 +348,10 @@ def minkowski_faces(polys: Sequence[NewtonPolyhedron]) -> list:
 
     One summand: its own faces and facets.  Several: each facet of the sum
     is a sum of summand faces, whose edges span its directions, so its
-    normal is among the cofactor normals of m−1 summand edge directions and
-    the sum's Πb rows; a candidate q ≥ 0 on the rays is a facet normal when
-    the summands' q-minimal faces together span m−1 directions.  The other
-    faces are the Kaibel–Pfetsch closure of the improper face under
-    intersection with the facets, done summand by summand: G ∩ G′ is
-    nonempty iff each pair of summand faces shares a vertex, and a facet
-    passes through G iff the intersection is G itself, so G's normals are
-    complete once G is popped.  (`enumerate_faces` keeps its own closure on
-    single keys, which runs faster than this tuple form.)"""
+    normal spans the nullspace of m−1 summand edge directions and the sum's
+    Πb rows (`_facets`).  The other faces are the Kaibel–Pfetsch closure
+    of the improper face under intersection with the facets, done summand
+    by summand (`_closure`), which also lists the facets through each."""
     if len(polys) == 1:
         p = polys[0]
         basis_b = [q for q, _ in p.basis_b]
@@ -358,7 +368,6 @@ def _sum_faces(polys: Sequence[NewtonPolyhedron]) -> tuple:
     """(Πb rows of P₁+⋯+P_k, [(summand faces, facet normals through the
     face)] for every nonempty face), for k ≥ 2: see `minkowski_faces`."""
     n = polys[0].spec.n
-    rays = polys[0].spec.rays()
     basis_b = orthogonal_basis(nullspace(
         [d for p in polys for d in _directions(p.vertices, p.rays)], n=n))
     m = n - len(basis_b)
@@ -367,42 +376,16 @@ def _sum_faces(polys: Sequence[NewtonPolyhedron]) -> tuple:
                     for p in polys for f in p.faces() if f.dim == 1
                     for d in map(primitive,
                                  _directions(f.vertex_set, f.ray_set))})
-    facets = []
-    tried = set()
     # a point (m = 0) has no facets
-    for sub in itertools.combinations(edges, m - 1) if m else ():
-        normal = primitive(_cofactor_normal(list(sub) + basis_b, n))
-        if is_zero(normal) or normal in tried:
-            continue
-        flipped = tuple(-x for x in normal)
-        tried.update((normal, flipped))
-        for q in (normal, flipped):
-            if any(dot(q, r) < 0 for r in rays):
-                continue
-            tight = [face_by_cone_interior(p, q) for p in polys]
-            if rank([d for f in tight
-                     for d in _directions(f.vertex_set, f.ray_set)]) \
-                    == m - 1:
-                facets.append(
-                    (q, tuple((f.vertex_set, f.ray_set) for f in tight)))
-    facets.sort(key=lambda facet: facet[0])
-
-    top = tuple((p.vertices, p.rays) for p in polys)
-    normals = {top: []}
-    stack = [top]
-    while stack:
-        key = stack.pop()
-        for q, fkey in facets:
-            meet = tuple((vs & fv, rs & fr)
-                         for (vs, rs), (fv, fr) in zip(key, fkey))
-            if meet == key:
-                normals[key].append(q)
-            elif all(vs for vs, _ in meet) and meet not in normals:
-                normals[meet] = []
-                stack.append(meet)
+    facets = _facets(
+        (list(sub) + basis_b
+         for sub in (itertools.combinations(edges, m - 1) if m else ())),
+        [(p.vertices, p.rays) for p in polys], m, n)
     return basis_b, [
-        (tuple(p.face_by_key(vs, rs) for p, (vs, rs) in zip(polys, key)), qs)
-        for key, qs in normals.items()]
+        (tuple(p.face_by_key(vs, rs) for p, (vs, rs) in zip(polys, key)),
+         [facets[i][0] for i in idx])
+        for key, idx in _closure(
+            tuple((p.vertices, p.rays) for p in polys), facets).items()]
 
 
 # ---------------------------------------------------------------------------

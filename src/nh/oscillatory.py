@@ -29,6 +29,7 @@ plateaus for certified-bounded inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -91,13 +92,9 @@ class QuadratureResult:
     converged: bool = True
 
 
-_GAUSS_CACHE: dict = {}
-
-
+@functools.cache
 def _leggauss(order: int):
-    if order not in _GAUSS_CACHE:
-        _GAUSS_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GAUSS_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _tensor_rules(lo: np.ndarray, hi: np.ndarray, order: int,
@@ -354,35 +351,16 @@ def _eta_of_log(u):
     return CutoffSpec.eta(np.exp(u))
 
 
-class _ShellGrid:
-    """Cached tensor rules on the dyadic shell [log 1/4, log 2]ⁿ with the
-    ∏η(e^{u_ℓ}) weight absorbed (h(t)·t = η(t))."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self._rules: dict = {}
-
-    def rule(self, order: int, level: int = 0):
-        """Order-`order` tensor rule on a uniform 2^level-per-axis
-        subdivision of the shell box, all subcells concatenated."""
-        key = (order, level)
-        if key not in self._rules:
-            edges = np.linspace(LOG_QUARTER, LOG_TWO, 2 ** level + 1)
-            corners = np.array(list(itertools.product(range(2 ** level),
-                                                      repeat=self.n)))
-            pts, wts = _tensor_rules(edges[corners], edges[corners + 1],
-                                     order, _eta_of_log)
-            self._rules[key] = (pts.reshape(-1, self.n), wts.ravel())
-        return self._rules[key]
-
-
-_SHELL_GRIDS: dict = {}
-
-
-def _shell_grid(n: int) -> _ShellGrid:
-    if n not in _SHELL_GRIDS:
-        _SHELL_GRIDS[n] = _ShellGrid(n)
-    return _SHELL_GRIDS[n]
+@functools.cache
+def _shell_rule(n: int, order: int, level: int):
+    """Order-`order` tensor rule on a uniform 2^level-per-axis subdivision
+    of the dyadic shell [log 1/4, log 2]ⁿ, all subcells concatenated, with
+    the ∏η(e^{u_ℓ}) weight absorbed (h(t)·t = η(t)); cached."""
+    edges = np.linspace(LOG_QUARTER, LOG_TWO, 2 ** level + 1)
+    corners = np.array(list(itertools.product(range(2 ** level), repeat=n)))
+    pts, wts = _tensor_rules(edges[corners], edges[corners + 1], order,
+                             _eta_of_log)
+    return pts.reshape(-1, n), wts.ravel()
 
 
 def _face_restriction(face_tuple, d: int):
@@ -427,7 +405,7 @@ class PieceFamily:
     def _rule(self, key):
         if key not in self._rules:
             order, level = key
-            pts, wts = _shell_grid(self.n).rule(order, level)
+            pts, wts = _shell_rule(self.n, order, level)
             self._rules[key] = (wts, np.exp(pts @ self.expo.T))
         return self._rules[key]
 
@@ -472,7 +450,6 @@ def _row_hermite(rows: Sequence[Sequence[int]]):
     basis: list = []
     row_idx = 0
     for col in range(n):
-        pivots = [r for r in mat[row_idx:] if any(r[col:])]
         # gcd-reduce the current column below row_idx
         while True:
             live = [i for i in range(row_idx, len(mat)) if mat[i][col] != 0]

@@ -6,7 +6,6 @@ the stated tolerances and runtime budgets.
 
 import itertools
 import json
-import math
 import random
 import subprocess
 import sys
@@ -14,7 +13,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from geom_checks import (
     cap_cone_generators,

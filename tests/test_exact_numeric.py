@@ -1,11 +1,11 @@
 """Unit tests for the exact rational/GF(2) kernel.
 
-Oracles: rank against minor enumeration, the Bareiss determinant against
-the Leibniz formula, the fraction-free nullspace against the `Fraction`
-Gauss–Jordan one in `rref_oracle`, strict-system feasibility against
-a dense rational grid scan, the fraction-free simplex against the rational
-tableau simplex in `simplex_oracle`, GF(2) solution sets against explicit
-enumeration of all 2^k combinations.
+Oracles: rank against minor enumeration (minors by the Leibniz formula),
+the fraction-free nullspace against the `Fraction` Gauss–Jordan one in
+`rref_oracle`, strict-system feasibility against a dense rational grid
+scan, the fraction-free simplex against the rational tableau simplex in
+`simplex_oracle`, GF(2) solution sets against explicit enumeration of all
+2^k combinations.
 """
 
 import itertools
@@ -22,7 +22,6 @@ from nh.exact_numeric import (
     StrictSystem,
     _simplex_max,
     _Unbounded,
-    det,
     dot,
     gf2_solve,
     nullspace,
@@ -82,20 +81,6 @@ def test_rank_matches_minor_oracle():
         rows = [tuple(rng.randint(-3, 3) for _ in range(ncols))
                 for _ in range(nrows)]
         assert rank(rows) == _rank_by_minors(rows), rows
-
-
-def test_det_matches_leibniz():
-    rng = random.Random(11)
-    for _ in range(200):
-        size = rng.randint(0, 5)
-        bound = rng.choice([1, 3, 40])
-        mat = [[rng.randint(-bound, bound) for _ in range(size)]
-               for _ in range(size)]
-        if size >= 2 and rng.random() < 0.3:     # a dependent row
-            mat[-1] = [a + 2 * b for a, b in zip(mat[0], mat[1])]
-        assert det(mat) == _det(mat), mat
-    assert det([[0, 1], [1, 0]]) == -1           # a row swap flips the sign
-    assert det([[0, 0, 1], [0, 2, 0], [3, 0, 0]]) == -6
 
 
 def test_rank_edge_cases():

@@ -1,4 +1,4 @@
-"""Layout guards for `src/nh`.
+"""Layout guards for `src/nh`, and for the imports of `tests/`.
 
 - No code that only the tests call: every top-level function and class
   of the package must be referenced somewhere in the package other than
@@ -7,7 +7,8 @@
   Test oracles and fixtures live under `tests/`.
 - Imports sit at module level, and no module imports another module's
   private (underscore) names.
-- Every name a module imports is used in that module.
+- Every name a module of the package or of `tests/` imports is used in
+  that module.
 - `nh verify` checks a certificate without the engine's hull, face-lattice
   or LP code.
 """
@@ -44,9 +45,9 @@ def _names(node) -> set:
     return out
 
 
-def _trees() -> dict:
+def _trees(directory: Path = Path(nh.__file__).parent) -> dict:
     return {path.name: ast.parse(path.read_text(encoding="utf-8"))
-            for path in sorted(Path(nh.__file__).parent.glob("*.py"))}
+            for path in sorted(directory.glob("*.py"))}
 
 
 def test_every_definition_has_a_caller_in_the_package():
@@ -86,7 +87,10 @@ def test_imports_are_module_level_and_public():
 
 def test_every_imported_name_is_used():
     unused = []
-    for fname, tree in _trees().items():
+    trees = [(f"nh/{fname}", tree) for fname, tree in _trees().items()]
+    trees += [(f"tests/{fname}", tree)
+              for fname, tree in _trees(Path(__file__).parent).items()]
+    for fname, tree in trees:
         used = _names(tree)
         for stmt in tree.body:
             if isinstance(stmt, ast.ImportFrom) \

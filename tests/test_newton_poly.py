@@ -305,7 +305,7 @@ def test_pairwise_facet_regression():
 
 
 # ---------------------------------------------------------------------------
-# cofactor hull and incidence-closure lattice against the oracle
+# nullspace-normal hull and incidence-closure lattice against the oracle
 # ---------------------------------------------------------------------------
 
 def _random_input(rng):

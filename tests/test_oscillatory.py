@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from nh import oscillatory as osc
-from nh.engine import FaceTuple, LambdaTuple, VectorPolynomial
-from nh.newton_poly import DomainSpec, ExponentSet
+from nh.engine import FaceTuple, VectorPolynomial
+from nh.newton_poly import DomainSpec
 from nh.parity import is_even, odd_subsets
 from nh.oscillatory import (
     _CHUNK_NODES,
@@ -29,7 +29,7 @@ from nh.oscillatory import (
     _prune_bounds,
     _row_hermite,
     _lattice_coords,
-    _shell_grid,
+    _shell_rule,
     adaptive_box,
     decay_check,
     divergence_probe,
@@ -397,7 +397,7 @@ def _assert_kernel_matches_complex_exp(family, amps, rng):
     for order, level in sorted(rungs):
         if n == 4 and (order * 2 ** level) ** n > 2 ** 16:
             continue
-        pts, wts = _shell_grid(n).rule(order, level)
+        pts, wts = _shell_rule(n, order, level)
         got = family._value((order, level), family.signs.bind(amps))
         assert abs(got - np.dot(wts, oracle(pts))) <= 1e-13, (order, level)
 

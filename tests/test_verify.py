@@ -11,7 +11,6 @@ import random
 
 from nh.cli import ProblemInput, _certificate, verify_certificate
 from nh.engine import decide_disjoint, decide_general, decide_graph
-from nh.newton_poly import DomainSpec, ExponentSet
 from test_acceptance import _perturbations
 from verify_oracle import verify_by_face_lookup
 
