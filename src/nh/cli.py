@@ -615,6 +615,8 @@ def probe_sum(input_path, fmt, seed):
             "max_sum": res.max_sum,
             "skipped_bound": res.skipped_bound,
             "unconverged": res.unconverged,
+            "stats": {"pieces": dict(res.pieces,
+                                     unconverged=res.unconverged)},
             "partial_sums": [
                 {str(r): s for r, s in sums.items()}
                 for sums in res.partial_sums],

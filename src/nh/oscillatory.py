@@ -1,11 +1,20 @@
 """Floating-point verification harness for the oscillatory multipliers.
 
 Evaluates the multiplier integrals and their dyadic pieces in
-log-coordinates with adaptive tensor Gauss–Legendre panels, after folding
-the 2ⁿ sign orthants onto the positive box.  With θ_k = A_k t^{m_k} for the
-K monomials, the folded integrand Σ_σ(−1)^{|σ|} e^{iΣ_k σ^{m_k}θ_k} has two
-exact forms, and both quadrature paths evaluate it in the one with fewer
-terms (`_SignSum`).  Let r be the GF(2) rank of the exponents mod 2:
+log-coordinates, after folding the 2ⁿ sign orthants onto the positive box.
+A dyadic piece takes the first of three paths that meets its tolerance:
+
+- the moment series: with θ_k = A_k t^{m_k}, expanding e^{iφ} gives
+  I_J = 2ⁿ Σ_p i^{|p|} A^p/p! ∏_ℓ M((Σ_k p_k m_k)_ℓ) over the p whose
+  exponent sum is all-odd, M(a) = ∫ η(e^u) e^{au} du; it is taken when
+  its truncation and rounding bound, which grows with the swing s, meets
+  the tolerance (`PieceFamily._series_piece`);
+- a ladder of cached tensor Gauss–Legendre rules on the shell;
+- adaptive tensor Gauss–Legendre panels (`adaptive_box`).
+
+The folded integrand Σ_σ(−1)^{|σ|} e^{iΣ_k σ^{m_k}θ_k} of the last two has
+two exact forms, and both quadrature paths evaluate it in the one with
+fewer terms (`_SignSum`).  Let r be the GF(2) rank of the exponents mod 2:
 
 - sign groups: Σ_g w_g e^{iφ_g}, grouping σ by the induced monomial sign
   pattern, G = 2^r groups;
@@ -363,6 +372,118 @@ def _shell_rule(n: int, order: int, level: int):
     return pts.reshape(-1, n), wts.ravel()
 
 
+# ---------------------------------------------------------------------------
+# small-swing pieces: the moment series
+# ---------------------------------------------------------------------------
+
+# Terms per monomial list in a series table.  Timed per piece on random
+# lists (n ∈ {2, 3}, K ≤ 6, 2-vCPU Xeon), the series costs about
+# 10 µs + 0.03 µs per term, so about 130 µs here; the cheapest ladder
+# outcome, rungs (8, 0) and (16, 0) agreeing, costs 150–590 µs at n = 3
+# and 40–65 µs at n = 2, and a piece the ladder declines costs milliseconds
+# in the fallback.  8192 and 16384 terms left criterion 9's time as it
+# was: the rounding bound, not the table, ends the series' swing range.
+SERIES_TERMS = 4096
+# No table goes past this degree: the degree-D tail needs D ≈ e·s, and
+# beyond s ≈ 15 the rounding bound H_MASSⁿ·e^s·ε alone exceeds CELL_TOL.
+_SERIES_DEGREE = 64
+# Relative error of `_moment` for a ≤ _MAX_MOMENT: its rule agrees with one
+# of twice the panels to within this there (checked in the tests on every
+# a ≤ 64 and every 16th a above), and with 40-digit tanh-sinh quadrature to
+# 4e-16 at a = 1000 but only to 6e-15 at a = 2000.  A table stops below the
+# degree that needs more.
+MOMENT_REL_ERR = 1e-15
+_MAX_MOMENT = 1024
+_EPS = float(np.finfo(float).eps)
+
+
+@functools.cache
+def _moment_rule():
+    """Nodes t/2 and weights for ∫_{1/4}^{2} f(t) η(t) dt/t: 64 panels of
+    16-point Gauss–Legendre on each of [1/4, 1/2], [1/2, 1] and [1, 2],
+    between whose ends η is analytic."""
+    edges = np.concatenate([np.linspace(0.25, 0.5, 65),
+                            np.linspace(0.5, 1.0, 65)[1:],
+                            np.linspace(1.0, 2.0, 65)[1:]])
+    pts, wts = _tensor_rules(edges[:-1, None], edges[1:, None], 16,
+                             lambda t: CutoffSpec.eta(t) / t)
+    return 0.5 * pts.ravel(), wts.ravel()
+
+
+@functools.cache
+def _moment(a: int) -> float:
+    """μ(a) = 2^{−a}·M(a), M(a) = ∫_{log ¼}^{log 2} η(e^u) e^{au} du, to
+    double precision (one exactly rounded sum over `_moment_rule`).  The
+    scaling keeps 0 < μ(a) ≤ log 2 for every a ≥ 0."""
+    half, wts = _moment_rule()
+    return math.fsum(wts * half ** a)
+
+
+def _compositions(total: int, parts: int):
+    """Every q ∈ ℕ^parts with |q| = total."""
+    for combo in itertools.combinations_with_replacement(range(parts),
+                                                         total):
+        q = [0] * parts
+        for k in combo:
+            q[k] += 1
+        yield q
+
+
+@dataclass(frozen=True)
+class _SeriesTable:
+    """The terms c_p ∏_k Ã_k^{p_k} of a dyadic piece, Ã_k = A_k 2^{|m_k|₁},
+    of degree |p| ≤ len(ends) − 1, sorted by degree: ends[D] counts the
+    terms of degree ≤ D.  `index` holds k·(len(ends)) + p_k, the flat
+    positions of the factors in a (K, len(ends)) table of powers."""
+
+    index: np.ndarray      # (T, K)
+    coef: np.ndarray       # (T,) complex
+    ends: tuple
+
+
+@functools.lru_cache(maxsize=64)
+def _series_table(monomials: tuple, n: int) -> _SeriesTable:
+    """The moment series of a piece over the monomial list m_1..m_K:
+    expanding e^{iφ_σ} and folding the signs σ leaves
+    I_J = 2ⁿ Σ_p i^{|p|} A^p/p! ∏_ℓ M(v_ℓ), v = Σ_k p_k m_k, over the p
+    with v all-odd, i.e. p = r + 2q with r an odd subset.  With Ã and μ
+    in place of A and M, c_p = 2ⁿ i^{|p|} ∏_ℓ μ(v_ℓ)/p!.  Degrees are
+    added while the table stays within SERIES_TERMS terms; a list with
+    more than SERIES_TERMS odd subsets gets degree 0 alone, and a table
+    stops below the first degree with a v_ℓ > _MAX_MOMENT.  Cached per
+    list, since a new PieceFamily is built for every probe; the arrays
+    are read-only, as every family of the list shares them."""
+    count = len(monomials)
+    rank, odd = odd_subsets(monomials, n)
+    top = _SERIES_DEGREE if 1 << (count - rank) <= SERIES_TERMS else 0
+    subsets = [[mask >> k & 1 for k in range(count)]
+               for mask in (sorted(odd) if top else ())]
+    rows: list = []
+    ends = [0]
+    for degree in range(1, top + 1):
+        new = [[a + 2 * b for a, b in zip(r, q)]
+               for r in subsets
+               if sum(r) <= degree and (degree - sum(r)) % 2 == 0
+               for q in _compositions((degree - sum(r)) // 2, count)]
+        if len(rows) + len(new) > SERIES_TERMS:
+            break
+        rows += new
+        ends.append(len(rows))
+    p = np.array(rows, dtype=np.int64).reshape(-1, count)
+    v = p @ np.array(monomials, dtype=np.int64).reshape(count, n)
+    too_high = np.flatnonzero(v.max(axis=1, initial=0) > _MAX_MOMENT)
+    if len(too_high):
+        ends = ends[:p[too_high[0]].sum()]
+        p, v = p[:ends[-1]], v[:ends[-1]]
+    mu = np.vectorize(_moment, otypes=[float])(v).reshape(len(p), n)
+    fact = np.array([float(math.factorial(j)) for j in range(len(ends))])
+    unit = np.array([1, 1j, -1, -1j])[p.sum(axis=1) % 4]
+    coef = 2.0 ** n * unit * mu.prod(axis=1) / fact[p].prod(axis=1)
+    index = p + len(ends) * np.arange(count)
+    index.flags.writeable = coef.flags.writeable = False
+    return _SeriesTable(index, coef, tuple(ends))
+
+
 def _face_restriction(face_tuple, d: int):
     restrict = [set() for _ in range(d)]
     for nu, f in enumerate(face_tuple.faces):
@@ -393,11 +514,16 @@ class PieceFamily:
         self.monos = _monomial_list(p, restrict) if any(restrict) else []
         self.signs = _SignSum([m for _, m, _ in self.monos], self.n)
         self.trivial = self.signs.empty
+        # pieces evaluated by the series (of no terms, for an even list),
+        # a ladder rung and the fallback
+        self.paths = {"series": 0, "ladder": 0, "fallback": 0}
         if self.trivial:
             return
         self.expo = np.array([m for _, m, _ in self.monos], dtype=float)
         self.swing_scale = np.exp(
             np.sum(np.abs(self.expo), axis=1) * LOG_TWO)
+        self.series = _series_table(tuple(m for _, m, _ in self.monos),
+                                    self.n)
         self.ladder = [(order, level) for order, level in _LADDER
                        if (order << level) ** self.n <= MAX_RUNG_NODES]
         self._rules: dict = {}
@@ -413,13 +539,47 @@ class PieceFamily:
         wts, mono = self._rule(key)
         return _sign_sum(parts, mono, wts)
 
+    def _series_piece(self, scaled: np.ndarray, swing: float,
+                      tol_cell: float) -> Optional[QuadratureResult]:
+        """The piece as its moment series truncated at the least degree D
+        of the table whose error bound meets tol_cell, else None.  Since
+        |φ_σ| ≤ s on the shell for every σ and ∫∏η(e^{u_ℓ})du = (log 2)ⁿ,
+        the tail is at most H_MASSⁿ·s^{D+1}/(D+1)! (Taylor's remainder of
+        e^{ix} for real x), and every term is bounded by the majorant of
+        total mass H_MASSⁿ·e^s, so rounding adds at most
+        ((T + K·D)·ε + n·MOMENT_REL_ERR)·H_MASSⁿ·e^s over T terms."""
+        table = self.series
+        mass = H_MASS ** self.n
+        growth = mass * math.exp(swing) if swing < 700.0 else math.inf
+        tail = mass * swing
+        for degree, end in enumerate(table.ends):
+            rounding = growth * ((end + len(scaled) * degree) * _EPS
+                                 + self.n * MOMENT_REL_ERR)
+            if rounding > tol_cell:
+                return None
+            if tail + rounding <= tol_cell:
+                powers = scaled[:, None] ** np.arange(len(table.ends))
+                terms = powers.ravel()[table.index[:end]].prod(axis=1)
+                return QuadratureResult(complex(terms @ table.coef[:end]),
+                                        tail + rounding, 0)
+            tail *= swing / (degree + 2)
+        return None
+
     def evaluate(self, amps: np.ndarray,
                  tol_cell: float = CELL_TOL) -> QuadratureResult:
+        """I_J from the moment series when its error bound meets
+        tol_cell, else from the first ladder rung that agrees with the one
+        before it to tol_cell, else from `adaptive_box`."""
         if self.trivial:
+            self.paths["series"] += 1
             return QuadratureResult(0.0 + 0.0j, 0.0, 0)
-        swing = float(np.dot(np.abs(amps), self.swing_scale))
-        start = 2 if swing > 2.0 else (1 if swing > 1e-3 else 0)
-        rungs = self.ladder[start:]
+        scaled = amps * self.swing_scale
+        swing = float(np.sum(np.abs(scaled)))
+        piece = self._series_piece(scaled, swing, tol_cell)
+        if piece is not None:
+            self.paths["series"] += 1
+            return piece
+        rungs = self.ladder[2 if swing > 2.0 else 1:]
         parts = self.signs.bind(amps)
         if rungs:
             v_lo = self._value((rungs[0][0] // 2, rungs[0][1]), parts)
@@ -428,9 +588,11 @@ class PieceFamily:
             v_hi = self._value(key, parts)
             delta = abs(v_hi - v_lo)
             if delta <= tol_cell:
+                self.paths["ladder"] += 1
                 return QuadratureResult(v_hi, delta, panels)
             v_lo = v_hi
             panels += 1
+        self.paths["fallback"] += 1
         phase = _Phase(self.expo, amps, self.signs)
         return adaptive_box(phase.integrand(),
                             [LOG_QUARTER] * self.n, [LOG_TWO] * self.n,
@@ -623,6 +785,7 @@ class SumProbeResult:
     skipped_bound: float    # total prune bound mass that was skipped
     rows: list              # (radius, max-over-ξ partial sum, skipped)
     unconverged: int        # pieces whose quadrature hit the cell cap
+    pieces: dict            # pieces pruned, and evaluated per path
 
 
 def _prune_bounds(monos, xi, jm: np.ndarray) -> np.ndarray:
@@ -661,7 +824,9 @@ def multiplier_sum_probe(p, xi_samples, radius: int,
     so plateaus are visible.  Pieces below the rigorous prune bound are
     skipped and their bound mass is accumulated, never silently dropped;
     pieces whose quadrature hit the cell cap are counted in `unconverged`.
-    Summation is pairwise in fixed lexicographic J order."""
+    `pieces` counts the pruned pieces and the evaluated ones per path
+    (series, ladder, fallback).  Summation is pairwise in fixed
+    lexicographic J order."""
     spec = p.spec
     improper = tuple(poly.improper_face()
                      for poly in p.lambda_tuple().polyhedra)
@@ -678,6 +843,7 @@ def multiplier_sum_probe(p, xi_samples, radius: int,
     partial = []
     skipped_total = 0.0
     unconverged = 0
+    pruned = 0
     for xi in xi_samples:
         vals = np.zeros(len(all_j))
         skipped = 0.0
@@ -685,6 +851,7 @@ def multiplier_sum_probe(p, xi_samples, radius: int,
         for idx, bound in enumerate(_prune_bounds(monos, xi, jm)):
             if bound < PRUNE_TOL:
                 skipped += float(bound)
+                pruned += 1
                 continue
             piece = family.evaluate(amps[idx])
             unconverged += not piece.converged
@@ -696,4 +863,5 @@ def multiplier_sum_probe(p, xi_samples, radius: int,
     max_sum = max((s[radius] for s in partial), default=0.0)
     rows = [(r, max((s[r] for s in partial), default=0.0), skipped_total)
             for r in report_radii]
-    return SumProbeResult(partial, max_sum, skipped_total, rows, unconverged)
+    return SumProbeResult(partial, max_sum, skipped_total, rows, unconverged,
+                          dict(family.paths, pruned=pruned))

@@ -12,6 +12,8 @@
   against which the GF(2) enumeration of the parity form is checked.
 - The per-J prune bound and the per-J amplitudes, against which the array
   versions over a whole J box are checked bit for bit.
+- The terms of the moment series by a scan of every exponent vector p up
+  to a degree, against which the cached term table is checked.
 - Fixtures built on the harness: the odd cutoff h(u) = η(u)/u and the
   partition-of-unity deviation of η, the σ-folded principal-value integral
   over an annulus box, and a single dyadic piece.
@@ -19,6 +21,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Optional
 
@@ -32,6 +35,7 @@ from nh.oscillatory import (
     QuadratureResult,
     _amplitudes,
     _j_dot_m,
+    _moment,
     _monomial_list,
     _Phase,
     _SignSum,
@@ -114,6 +118,27 @@ def odd_subsets_by_scan(points, n: int) -> tuple:
         if all(x % 2 for x in sums):
             odd.append(mask)
     return len(sums_mod2).bit_length() - 1, odd
+
+
+def series_terms_by_scan(monomials, n: int, degree: int) -> dict:
+    """{p: c_p} over every p ∈ ℕ^K with |p| ≤ degree whose exponent sum
+    v = Σ_k p_k m_k is all-odd, by a scan of all (degree + 1)^K vectors:
+    c_p = 2ⁿ i^{|p|} ∏_ℓ M(v_ℓ)/p! / ∏_k 2^{p_k |m_k|₁}, the coefficient
+    of ∏_k (A_k 2^{|m_k|₁})^{p_k}, with M(a) = 2^a μ(a)."""
+    terms = {}
+    for p in itertools.product(range(degree + 1), repeat=len(monomials)):
+        if sum(p) > degree:
+            continue
+        v = [sum(pk * m[axis] for pk, m in zip(p, monomials))
+             for axis in range(n)]
+        if not all(x % 2 for x in v):
+            continue
+        moments = math.prod(2.0 ** x * _moment(x) for x in v)
+        scale = math.prod(2.0 ** (pk * sum(m))
+                          for pk, m in zip(p, monomials))
+        terms[p] = (2 ** n * 1j ** sum(p) * moments
+                    / math.prod(math.factorial(pk) for pk in p) / scale)
+    return terms
 
 
 def complex_exp_integrand(exponents: np.ndarray, amplitudes: np.ndarray,

@@ -453,6 +453,27 @@ def test_probe_sum_reports_unconverged(runner, tmp_path, monkeypatch):
     assert json.loads(res.output)["unconverged"] > 0
 
 
+def test_probe_sum_counts_pieces_per_path(runner, tmp_path, monkeypatch):
+    """`stats.pieces` splits the J box of every ξ into pruned pieces and
+    pieces evaluated by the series, a ladder rung or the fallback, and
+    repeats the unconverged count."""
+    payload = {"n": 2, "S": [1, 2], "lambda": [[[1, 1]]],
+               "mode": "probe-sum", "radius": 10, "xi": [[64.0], [1e-6]]}
+    path = _write(tmp_path, payload)
+    monkeypatch.setattr(osc, "MAX_CELLS", 2)
+    res = runner.invoke(main, ["probe-sum", "--input", path])
+    assert res.exit_code == EXIT_BOUNDED
+    report = json.loads(res.output)
+    pieces = report["stats"]["pieces"]
+    assert sorted(pieces) == ["fallback", "ladder", "pruned", "series",
+                              "unconverged"]
+    assert sum(pieces[k] for k in ("pruned", "series", "ladder",
+                                   "fallback")) == 2 * 11 ** 2
+    assert min(pieces["pruned"], pieces["series"], pieces["fallback"]) > 0
+    assert 0 < pieces["unconverged"] == report["unconverged"] \
+        <= pieces["fallback"]
+
+
 def test_text_format(runner, tmp_path):
     res = runner.invoke(main, ["decide", "--format", "text", "--input",
                                _write(tmp_path, GLOBAL_PAIR)])

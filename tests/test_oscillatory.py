@@ -13,9 +13,12 @@ from nh.parity import is_even, odd_subsets
 from nh.oscillatory import (
     _CHUNK_NODES,
     _LADDER,
+    _MAX_MOMENT,
     CELL_TOL,
     LOG_QUARTER,
     LOG_TWO,
+    MOMENT_REL_ERR,
+    SERIES_TERMS,
     CutoffSpec,
     PieceFamily,
     _Phase,
@@ -25,11 +28,14 @@ from nh.oscillatory import (
     _eta_of_log,
     _j_dot_m,
     _lattice_phase,
+    _moment,
     _monomial_list,
     _prune_bounds,
     _row_hermite,
     _lattice_coords,
+    _series_table,
     _shell_rule,
+    _tensor_rules,
     adaptive_box,
     decay_check,
     divergence_probe,
@@ -46,6 +52,7 @@ from quadrature_oracle import (
     partition_deviation,
     prune_bound,
     pv_integral,
+    series_terms_by_scan,
 )
 
 
@@ -408,9 +415,12 @@ def _assert_kernel_matches_complex_exp(family, amps, rng):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_ladder_skips_rungs_above_the_node_limit(monkeypatch, n):
-    """A piece that never settles climbs every rung of at most
-    MAX_RUNG_NODES nodes, from each starting rung, and then goes to the
-    fallback: for n = 4 that skips (16, 2) alone, for n = 3 nothing."""
+    """A piece that the series declines and that never settles climbs
+    every rung of at most MAX_RUNG_NODES nodes, from (16, 0) up to a swing
+    of 2 and from (32, 0) above, and then goes to the fallback: for n = 4
+    that skips (16, 2) alone, for n = 3 nothing.  No rounding bound meets
+    a tolerance of 1e-20, so the series declines every piece there; at
+    CELL_TOL it takes the two small pieces."""
     p = VectorPolynomial({(0, (1,) * n): 1, (0, (2,) + (1,) * (n - 1)): 1},
                          d=1, spec=DomainSpec.of(n, list(range(n))))
     family = PieceFamily(p, _improper_tuple(p))
@@ -422,14 +432,132 @@ def test_ladder_skips_rungs_above_the_node_limit(monkeypatch, n):
 
     monkeypatch.setattr(family, "_value", never_settles)
     monkeypatch.setattr(osc, "adaptive_box", lambda *args, **kw: "fallback")
-    for amp, start in ((0.0, 0), (0.01, 1), (1.0, 2)):
+    for amp, start in ((0.0, 1), (0.01, 1), (1.0, 2)):
         asked.clear()
-        assert family.evaluate(np.full(2, amp)) == "fallback"
+        assert family.evaluate(np.full(2, amp), 1e-20) == "fallback"
         rungs = [key for key in _LADDER[start:]
                  if n == 3 or key != (16, 2)]
         assert asked == [(rungs[0][0] // 2, rungs[0][1])] + rungs
         assert all((order * 2 ** level) ** n <= osc.MAX_RUNG_NODES
                    for order, level in asked)
+    assert family.paths == {"series": 0, "ladder": 0, "fallback": 3}
+    for amp in (0.0, 0.01):
+        assert family.evaluate(np.full(2, amp)).panels == 0
+    assert family.paths["series"] == 2
+
+
+# ---------------------------------------------------------------------------
+# the moment series
+# ---------------------------------------------------------------------------
+
+def test_moments_of_the_cutoff():
+    """M(0) = ∫η(t)dt/t = log 2 (η telescopes) and M(1) = ∫η(t)dt = 5/8
+    (ψ's glue on [1/2, 2] is symmetric about 5/4, so ∫ψ = 5/4), each to
+    1e-15; and μ(a) = 2^{−a}M(a) agrees with a rule of twice the panels
+    to MOMENT_REL_ERR on every a ≤ 64 and every 16th a up to
+    _MAX_MOMENT."""
+    assert abs(_moment(0) - math.log(2.0)) <= 1e-15
+    assert abs(2.0 * _moment(1) - 0.625) <= 1e-15
+    edges = np.concatenate([np.linspace(0.25, 0.5, 129),
+                            np.linspace(0.5, 1.0, 129)[1:],
+                            np.linspace(1.0, 2.0, 129)[1:]])
+    pts, wts = _tensor_rules(edges[:-1, None], edges[1:, None], 16,
+                             lambda t: CutoffSpec.eta(t) / t)
+    half, wts = 0.5 * pts.ravel(), wts.ravel()
+    for a in sorted(set(range(65)) | set(range(0, _MAX_MOMENT + 1, 16))):
+        fine = math.fsum(wts * half ** a)
+        assert abs(_moment(a) - fine) <= MOMENT_REL_ERR * fine, a
+
+
+def _random_monomials(rng, n, count):
+    """`count` distinct nonzero exponents in {0..3}ⁿ ({0..6} for n = 1)
+    whose list is odd."""
+    top = 6 if n == 1 else 3
+    while True:
+        monos = sorted({tuple(rng.randint(0, top) for _ in range(n))
+                        for _ in range(count)})
+        if (len(monos) == count and all(any(m) for m in monos)
+                and not is_even(monos)):
+            return monos
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_series_table_matches_the_scan(n):
+    """The cached term table, degree by degree, holds exactly the p with
+    all-odd Σ p_k m_k that a scan of every p finds, with the same
+    coefficients; it stays within SERIES_TERMS terms, and a list of more
+    odd subsets than that gets degree 0 alone."""
+    many = tuple((k,) * n for k in range(1, 15))       # 2^13 odd subsets
+    assert _series_table(many, n).ends == (0,)
+    rng = random.Random(70 + n)
+    for count in range(1, 6):
+        monos = _random_monomials(rng, n, count)
+        table = _series_table(tuple(monos), n)
+        assert table.ends[-1] == len(table.coef) <= SERIES_TERMS
+        top = len(table.ends) - 1
+        degree = min(top, int(2e5 ** (1 / count)) - 1)
+        scan = series_terms_by_scan(monos, n, degree)
+        powers = table.index - len(table.ends) * np.arange(count)
+        got = {tuple(map(int, p)): c for p, c in zip(
+            powers[:table.ends[degree]], table.coef)}
+        assert got.keys() == scan.keys()
+        for p, c in scan.items():
+            assert abs(got[p] - c) <= 1e-14 * abs(c), p
+        assert [sum(1 for p in scan if sum(p) <= d)
+                for d in range(degree + 1)] == list(table.ends[:degree + 1])
+        assert list(powers.sum(axis=1)) == sorted(powers.sum(axis=1))
+
+
+def _series_range(family, direction) -> float:
+    """The largest swing, to 1e-6, up to which the series takes the
+    pieces with amplitudes along `direction` (its bound grows with s)."""
+    scale = np.dot(np.abs(direction), family.swing_scale)
+    lo, hi = 0.0, 64.0
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        scaled = direction * mid / scale * family.swing_scale
+        if family._series_piece(scaled, mid, CELL_TOL) is None:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_series_matches_the_depth_first_oracle(n):
+    """On random lists (K ≤ 5), pieces whose swings spread over the range
+    the series takes agree with the depth-first oracle to the series
+    bound plus the oracle's error estimate.  That range reaches s = 1 on
+    every list, and a piece of swing 1e-3 meets the bound at degree 2 or
+    less."""
+    rng = random.Random(80 + n)
+    # the 3-d oracle takes seconds a piece: one piece at the range's end
+    fractions = (0.1, 0.5, 1.0) if n < 3 else (1.0,)
+    for count in range(1, 6) if n < 3 else (2, 4):
+        monos = _random_monomials(rng, n, count)
+        p = VectorPolynomial({(0, m): rng.choice((1, -2, 3)) for m in monos},
+                             d=1, spec=DomainSpec.of(n, list(range(n))))
+        family = PieceFamily(p, _improper_tuple(p))
+        groups = sigma_groups([m for _, m, _ in family.monos], n)
+        direction = np.array([rng.uniform(0.2, 1.0) * rng.choice((-1, 1))
+                              for _ in monos])
+        top = _series_range(family, direction)
+        assert top >= 1.0
+        scale = np.dot(np.abs(direction), family.swing_scale)
+        small = family.evaluate(direction * 1e-3 / scale)
+        # the degree-D tail is H_MASSⁿ·s^{D+1}/(D+1)!, and the rounding
+        # part is far below the degree-3 tail
+        assert small.abs_error_estimate >= osc.H_MASS ** n * 1e-9 / 6.0
+        for fraction in fractions:
+            amps = direction * fraction * top / scale
+            got = family.evaluate(amps)
+            ref = adaptive_box_depth_first(
+                complex_exp_integrand(family.expo, amps, groups),
+                [LOG_QUARTER] * n, [LOG_TWO] * n,
+                weight=_eta_product, order=32)
+            assert abs(got.value - ref.value) <= \
+                got.abs_error_estimate + ref.abs_error_estimate
+        assert family.paths["series"] == 1 + len(fractions)
 
 
 # ---------------------------------------------------------------------------
