@@ -8,9 +8,15 @@ A dyadic piece takes the first of three paths that meets its tolerance:
   I_J = 2ⁿ Σ_p i^{|p|} A^p/p! ∏_ℓ M((Σ_k p_k m_k)_ℓ) over the p whose
   exponent sum is all-odd, M(a) = ∫ η(e^u) e^{au} du; it is taken when
   its truncation and rounding bound, which grows with the swing s, meets
-  the tolerance (`PieceFamily._series_piece`);
+  the tolerance at some degree D (`PieceFamily._series_degrees`);
 - a ladder of cached tensor Gauss–Legendre rules on the shell;
 - adaptive tensor Gauss–Legendre panels (`adaptive_box`).
+
+Pieces are evaluated per batch (`PieceFamily.evaluate`): the sum probe
+passes all unpruned pieces of one ξ at once.  The series rows of a batch
+are grouped by their degree D, and each row's series is evaluated only to
+its own degree, with the amplitudes raised to the powers 0..D alone; the
+rows the series declines go through the last two paths one at a time.
 
 The folded integrand Σ_σ(−1)^{|σ|} e^{iΣ_k σ^{m_k}θ_k} of the last two has
 two exact forms, and both quadrature paths evaluate it in the one with
@@ -46,7 +52,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .engine import FaceTuple
 from .exact_numeric import rank
 from .parity import odd_subsets
 
@@ -395,6 +400,11 @@ _SERIES_DEGREE = 64
 MOMENT_REL_ERR = 1e-15
 _MAX_MOMENT = 1024
 _EPS = float(np.finfo(float).eps)
+# Factors per gather block of the batched series: a block of rows takes its
+# (rows × terms × K) factors out of the table of powers at once, so the
+# rows are split into blocks of at most this many factors, 512 KiB of
+# doubles, and peak memory does not grow with the number of rows.
+_GATHER_ELEMENTS = 2 ** 16
 
 
 @functools.cache
@@ -503,15 +513,18 @@ class PieceFamily:
     nodes, η-weights, the sign-sum form, and the J-independent monomial
     arrays t^m on each quadrature rule are computed once, so sweeping
     (J, ξ) only costs one sign sum per rule.  A piece is given by its
-    amplitudes c·ξ·2^{−J·m} over `monos` (`_amplitudes`)."""
+    amplitudes c·ξ·2^{−J·m} over `monos` (`_amplitudes`).  A face tuple
+    of None selects every monomial of P, as the improper faces do."""
 
     def __init__(self, p, face_tuple):
-        if len(face_tuple.faces) != p.d:
+        if face_tuple is not None and len(face_tuple.faces) != p.d:
             raise ValueError(
                 "face tuple arity does not match the polynomial")
         self.n = p.spec.n
-        restrict = _face_restriction(face_tuple, p.d)
-        self.monos = _monomial_list(p, restrict) if any(restrict) else []
+        restrict = (None if face_tuple is None
+                    else _face_restriction(face_tuple, p.d))
+        self.monos = (_monomial_list(p, restrict)
+                      if restrict is None or any(restrict) else [])
         self.signs = _SignSum([m for _, m, _ in self.monos], self.n)
         self.trivial = self.signs.empty
         # pieces evaluated by the series (of no terms, for an even list),
@@ -539,46 +552,64 @@ class PieceFamily:
         wts, mono = self._rule(key)
         return _sign_sum(parts, mono, wts)
 
-    def _series_piece(self, scaled: np.ndarray, swing: float,
-                      tol_cell: float) -> Optional[QuadratureResult]:
-        """The piece as its moment series truncated at the least degree D
-        of the table whose error bound meets tol_cell, else None.  Since
-        |φ_σ| ≤ s on the shell for every σ and ∫∏η(e^{u_ℓ})du = (log 2)ⁿ,
-        the tail is at most H_MASSⁿ·s^{D+1}/(D+1)! (Taylor's remainder of
-        e^{ix} for real x), and every term is bounded by the majorant of
-        total mass H_MASSⁿ·e^s, so rounding adds at most
-        ((T + K·D)·ε + n·MOMENT_REL_ERR)·H_MASSⁿ·e^s over T terms."""
-        table = self.series
+    def _series_degrees(self, scaled: np.ndarray, swing: np.ndarray,
+                        tol_cell: float):
+        """Per row, the least degree D of the table whose error bound meets
+        tol_cell (−1 if none does), and that bound.  Since |φ_σ| ≤ s on
+        the shell for every σ and ∫∏η(e^{u_ℓ})du = (log 2)ⁿ, the tail is at
+        most H_MASSⁿ·s^{D+1}/(D+1)! (Taylor's remainder of e^{ix} for real
+        x), and every term is bounded by the majorant of total mass
+        H_MASSⁿ·e^s, so rounding adds at most
+        ((T + K·D)·ε + n·MOMENT_REL_ERR)·H_MASSⁿ·e^s over T terms.  The
+        degree-D tail is the degree-(D − 1) one times s/(D + 1), taken as
+        a running product, so each row's bound is the double that a
+        degree-by-degree loop reaches."""
+        ends = np.array(self.series.ends)
+        degrees = np.arange(len(ends))
         mass = H_MASS ** self.n
-        growth = mass * math.exp(swing) if swing < 700.0 else math.inf
-        tail = mass * swing
-        for degree, end in enumerate(table.ends):
-            rounding = growth * ((end + len(scaled) * degree) * _EPS
-                                 + self.n * MOMENT_REL_ERR)
-            if rounding > tol_cell:
-                return None
-            if tail + rounding <= tol_cell:
-                powers = scaled[:, None] ** np.arange(len(table.ends))
-                terms = powers.ravel()[table.index[:end]].prod(axis=1)
-                return QuadratureResult(complex(terms @ table.coef[:end]),
-                                        tail + rounding, 0)
-            tail *= swing / (degree + 2)
-        return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            growth = np.where(swing < 700.0,
+                              mass * np.exp(np.minimum(swing, 700.0)),
+                              np.inf)
+            factors = np.empty((len(swing), len(ends)))
+            factors[:, 0] = mass * swing
+            factors[:, 1:] = swing[:, None] / (degrees[1:] + 1)
+            tail = np.cumprod(factors, axis=1)
+            rounding = growth[:, None] * (
+                (ends + scaled.shape[1] * degrees) * _EPS
+                + self.n * MOMENT_REL_ERR)
+            bound = tail + rounding
+        # rounding grows with D, so once it passes tol_cell no later
+        # degree is taken either
+        meets = bound <= tol_cell
+        degree = np.where(meets.any(axis=1), np.argmax(meets, axis=1), -1)
+        rows = np.arange(len(swing))
+        return degree, bound[rows, np.maximum(degree, 0)]
 
-    def evaluate(self, amps: np.ndarray,
-                 tol_cell: float = CELL_TOL) -> QuadratureResult:
-        """I_J from the moment series when its error bound meets
-        tol_cell, else from the first ladder rung that agrees with the one
+    def _series_values(self, scaled: np.ndarray, degree: int) -> np.ndarray:
+        """The series truncated at `degree` for each row of `scaled`: the
+        amplitudes are raised to the powers 0..degree alone, and the terms
+        are gathered in row blocks of at most _GATHER_ELEMENTS factors."""
+        table = self.series
+        width = len(table.ends)
+        end = table.ends[degree]
+        index, coef = table.index[:end], table.coef[:end]
+        count, per_row = len(scaled), max(1, index.size)
+        step = max(1, _GATHER_ELEMENTS // per_row)
+        out = np.empty(count, dtype=complex)
+        for b in range(0, count, step):
+            block = scaled[b:b + step]
+            powers = np.zeros(block.shape + (width,))
+            powers[:, :, :degree + 1] = (block[:, :, None]
+                                         ** np.arange(degree + 1))
+            flat = powers.reshape(len(block), -1)
+            out[b:b + step] = flat[:, index].prod(axis=2) @ coef
+        return out
+
+    def _quadrature(self, amps: np.ndarray, swing: float,
+                    tol_cell: float) -> QuadratureResult:
+        """One piece from the first ladder rung that agrees with the one
         before it to tol_cell, else from `adaptive_box`."""
-        if self.trivial:
-            self.paths["series"] += 1
-            return QuadratureResult(0.0 + 0.0j, 0.0, 0)
-        scaled = amps * self.swing_scale
-        swing = float(np.sum(np.abs(scaled)))
-        piece = self._series_piece(scaled, swing, tol_cell)
-        if piece is not None:
-            self.paths["series"] += 1
-            return piece
         rungs = self.ladder[2 if swing > 2.0 else 1:]
         parts = self.signs.bind(amps)
         if rungs:
@@ -598,6 +629,31 @@ class PieceFamily:
                             [LOG_QUARTER] * self.n, [LOG_TWO] * self.n,
                             tol_cell, order=32 if swing > 20.0 else 16,
                             axis_weight=_eta_of_log)
+
+    def evaluate(self, amps: np.ndarray,
+                 tol_cell: float = CELL_TOL) -> list:
+        """I_J for each row of amplitudes `amps`, (N, K), one result per
+        row: from the moment series when its error bound meets tol_cell
+        (the rows are grouped by the degree they need), else from the
+        ladder or `adaptive_box`, one row at a time (`_quadrature`)."""
+        if self.trivial:
+            self.paths["series"] += len(amps)
+            return [QuadratureResult(0.0 + 0.0j, 0.0, 0) for _ in amps]
+        scaled = amps * self.swing_scale
+        swing = np.sum(np.abs(scaled), axis=1)
+        degree, bound = self._series_degrees(scaled, swing, tol_cell)
+        out: list = [None] * len(amps)
+        for top in sorted(set(degree.tolist()) - {-1}):
+            rows = np.flatnonzero(degree == top)
+            values = self._series_values(scaled[rows], top)
+            for row, value, err in zip(rows.tolist(), values.tolist(),
+                                       bound[rows].tolist()):
+                out[row] = QuadratureResult(value, err, 0)
+            self.paths["series"] += len(rows)
+        for row in np.flatnonzero(degree < 0).tolist():
+            out[row] = self._quadrature(amps[row], float(swing[row]),
+                                        tol_cell)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -750,8 +806,7 @@ def decay_check(p, face_tuple, ray, xi, k_max: int = 12) -> DecayResult:
     args = np.abs(_amplitudes(chosen, xi, _j_dot_m(chosen, js)))
     samples = []
     unconverged = 0
-    for k in range(k_max + 1):
-        piece = family.evaluate(amps[k])
+    for k, piece in enumerate(family.evaluate(amps)):
         unconverged += not piece.converged
         arg = float(args[k].min()) if chosen else 0.0
         samples.append((k, abs(piece.value), arg))
@@ -828,9 +883,7 @@ def multiplier_sum_probe(p, xi_samples, radius: int,
     (series, ladder, fallback).  Summation is pairwise in fixed
     lexicographic J order."""
     spec = p.spec
-    improper = tuple(poly.improper_face()
-                     for poly in p.lambda_tuple().polyhedra)
-    family = PieceFamily(p, FaceTuple(improper, 0, None))
+    family = PieceFamily(p, None)
     monos = family.monos
     if report_radii is None:
         report_radii = sorted({radius, max(radius - 5, 0)})
@@ -846,16 +899,15 @@ def multiplier_sum_probe(p, xi_samples, radius: int,
     pruned = 0
     for xi in xi_samples:
         vals = np.zeros(len(all_j))
-        skipped = 0.0
-        amps = _amplitudes(monos, xi, jm)
-        for idx, bound in enumerate(_prune_bounds(monos, xi, jm)):
-            if bound < PRUNE_TOL:
-                skipped += float(bound)
-                pruned += 1
-                continue
-            piece = family.evaluate(amps[idx])
-            unconverged += not piece.converged
-            vals[idx] = abs(piece.value)
+        bounds = _prune_bounds(monos, xi, jm)
+        cut = bounds < PRUNE_TOL
+        # the skipped mass added up in J order, as a running sum
+        skipped = float(np.cumsum(bounds[cut])[-1]) if cut.any() else 0.0
+        pruned += int(np.count_nonzero(cut))
+        live = np.flatnonzero(~cut)
+        pieces = family.evaluate(_amplitudes(monos, xi, jm)[live])
+        unconverged += sum(not piece.converged for piece in pieces)
+        vals[live] = [abs(piece.value) for piece in pieces]
         partial.append({r: float(np.sum(vals[j_norm <= r]))
                         for r in report_radii})
         skipped_total += skipped

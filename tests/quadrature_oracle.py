@@ -14,6 +14,9 @@
   versions over a whole J box are checked bit for bit.
 - The terms of the moment series by a scan of every exponent vector p up
   to a degree, against which the cached term table is checked.
+- One piece's moment series by a degree-by-degree loop over its error
+  bound, evaluated with every power the table holds, against which the
+  batched series of `PieceFamily.evaluate` is checked row by row.
 - Fixtures built on the harness: the odd cutoff h(u) = η(u)/u and the
   partition-of-unity deviation of η, the σ-folded principal-value integral
   over an annulus box, and a single dyadic piece.
@@ -28,8 +31,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from nh.oscillatory import (
+    _EPS,
     CELL_TOL,
     H_MASS,
+    MOMENT_REL_ERR,
     CutoffSpec,
     PieceFamily,
     QuadratureResult,
@@ -87,7 +92,32 @@ def dyadic_piece(p, face_tuple, j, xi,
     integrated against ∏h(t_ℓ)dt_ℓ over the shells |t_ℓ| ∈ [1/4, 2]."""
     family = PieceFamily(p, face_tuple)
     jm = _j_dot_m(family.monos, np.array([j]))
-    return family.evaluate(_amplitudes(family.monos, xi, jm)[0], tol_cell)
+    return family.evaluate(_amplitudes(family.monos, xi, jm), tol_cell)[0]
+
+
+def series_piece(family, scaled: np.ndarray, swing: float,
+                 tol_cell: float) -> Optional[QuadratureResult]:
+    """One piece of `family` as its moment series truncated at the least
+    degree D whose bound meets tol_cell, else None: the tail
+    H_MASSⁿ·s^{D+1}/(D+1)! plus the rounding bound
+    ((T + K·D)·ε + n·MOMENT_REL_ERR)·H_MASSⁿ·e^s, degree by degree, with
+    `scaled` = A·2^{|m|₁} raised to every power of the table."""
+    table = family.series
+    mass = H_MASS ** family.n
+    growth = mass * math.exp(swing) if swing < 700.0 else math.inf
+    tail = mass * swing
+    for degree, end in enumerate(table.ends):
+        rounding = growth * ((end + len(scaled) * degree) * _EPS
+                             + family.n * MOMENT_REL_ERR)
+        if rounding > tol_cell:
+            return None
+        if tail + rounding <= tol_cell:
+            powers = scaled[:, None] ** np.arange(len(table.ends))
+            terms = powers.ravel()[table.index[:end]].prod(axis=1)
+            return QuadratureResult(complex(terms @ table.coef[:end]),
+                                    tail + rounding, 0)
+        tail *= swing / (degree + 2)
+    return None
 
 
 def amplitudes_per_j(monos, xi, j=None) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Unit tests for the oscillatory-multiplier harness."""
 
+import importlib
 import math
 import random
 
@@ -18,6 +19,7 @@ from nh.oscillatory import (
     LOG_QUARTER,
     LOG_TWO,
     MOMENT_REL_ERR,
+    PRUNE_TOL,
     SERIES_TERMS,
     CutoffSpec,
     PieceFamily,
@@ -52,8 +54,10 @@ from quadrature_oracle import (
     partition_deviation,
     prune_bound,
     pv_integral,
+    series_piece,
     series_terms_by_scan,
 )
+from test_acceptance import WORKED_L1, WORKED_L2
 
 
 def _vp(monomials, n, S, d=1, coeffs=None):
@@ -252,7 +256,7 @@ def test_piece_matches_adaptive_reference():
     for _ in range(6):
         j = (rng.randint(0, 4), rng.randint(0, 4))
         xi = [rng.uniform(-3, 3)]
-        got = family.evaluate(amplitudes_per_j(monos, xi, j))
+        got = family.evaluate(amplitudes_per_j(monos, xi, j)[None])[0]
         ref = adaptive_box_depth_first(
             complex_exp_integrand(
                 np.array([m for _, m, _ in monos], dtype=float),
@@ -434,7 +438,8 @@ def test_ladder_skips_rungs_above_the_node_limit(monkeypatch, n):
     monkeypatch.setattr(osc, "adaptive_box", lambda *args, **kw: "fallback")
     for amp, start in ((0.0, 1), (0.01, 1), (1.0, 2)):
         asked.clear()
-        assert family.evaluate(np.full(2, amp), 1e-20) == "fallback"
+        assert family.evaluate(np.full((1, 2), amp), 1e-20)[0] == \
+            "fallback"
         rungs = [key for key in _LADDER[start:]
                  if n == 3 or key != (16, 2)]
         assert asked == [(rungs[0][0] // 2, rungs[0][1])] + rungs
@@ -442,7 +447,7 @@ def test_ladder_skips_rungs_above_the_node_limit(monkeypatch, n):
                    for order, level in asked)
     assert family.paths == {"series": 0, "ladder": 0, "fallback": 3}
     for amp in (0.0, 0.01):
-        assert family.evaluate(np.full(2, amp)).panels == 0
+        assert family.evaluate(np.full((1, 2), amp))[0].panels == 0
     assert family.paths["series"] == 2
 
 
@@ -510,16 +515,23 @@ def test_series_table_matches_the_scan(n):
 
 def _series_range(family, direction) -> float:
     """The largest swing, to 1e-6, up to which the series takes the
-    pieces with amplitudes along `direction` (its bound grows with s)."""
+    pieces with amplitudes along `direction` (its bound grows with s),
+    bisected on one-row `evaluate` calls by the path count; a declined
+    piece settles at its first ladder rung, and `paths` is restored."""
     scale = np.dot(np.abs(direction), family.swing_scale)
+    paths = dict(family.paths)
+    family._value = lambda key, parts: 0j
     lo, hi = 0.0, 64.0
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        scaled = direction * mid / scale * family.swing_scale
-        if family._series_piece(scaled, mid, CELL_TOL) is None:
+        series = family.paths["series"]
+        family.evaluate((direction * mid / scale)[None], CELL_TOL)
+        if family.paths["series"] == series:
             hi = mid
         else:
             lo = mid
+    del family._value
+    family.paths = paths
     return lo
 
 
@@ -544,13 +556,13 @@ def test_series_matches_the_depth_first_oracle(n):
         top = _series_range(family, direction)
         assert top >= 1.0
         scale = np.dot(np.abs(direction), family.swing_scale)
-        small = family.evaluate(direction * 1e-3 / scale)
+        small = family.evaluate((direction * 1e-3 / scale)[None])[0]
         # the degree-D tail is H_MASSⁿ·s^{D+1}/(D+1)!, and the rounding
         # part is far below the degree-3 tail
         assert small.abs_error_estimate >= osc.H_MASS ** n * 1e-9 / 6.0
         for fraction in fractions:
             amps = direction * fraction * top / scale
-            got = family.evaluate(amps)
+            got = family.evaluate(amps[None])[0]
             ref = adaptive_box_depth_first(
                 complex_exp_integrand(family.expo, amps, groups),
                 [LOG_QUARTER] * n, [LOG_TWO] * n,
@@ -558,6 +570,77 @@ def test_series_matches_the_depth_first_oracle(n):
             assert abs(got.value - ref.value) <= \
                 got.abs_error_estimate + ref.abs_error_estimate
         assert family.paths["series"] == 1 + len(fractions)
+
+
+# Swings of the batch rows: from amplitudes near 1e-300 through the series
+# range to past it, where the ladder and then the fallback take the piece
+# at a tolerance of 1e-4.
+_BATCH_SWINGS = (1e-300, 1e-3, 0.5, 2.0, 6.0, 12.0, 24.0, 32.0, 48.0,
+                 1000.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_evaluate_matches_the_one_piece_oracle(monkeypatch, n):
+    """On random lists (K ≤ 5), one batched `evaluate` call agrees row by
+    row with the scalar series oracle and with one-row calls: the same
+    path for every row, series values within 1e-15·H_MASSⁿ·e^s of the
+    oracle, ladder and fallback rows bit for bit, and the path counts of
+    the batch equal the sum over the one-row calls.  A row with one
+    amplitude near 1e-300 and the others of a moderate swing is in every
+    batch, and every batch holds rows of all three paths.  The series rows
+    gathered one row per block give the same values within that bound."""
+    rng = random.Random(90 + n)
+    tol = 1e-4
+    for count in range(1, 6):
+        monos = _random_monomials(rng, n, count)
+        p = VectorPolynomial({(0, m): rng.choice((1, -2, 3)) for m in monos},
+                             d=1, spec=DomainSpec.of(n, list(range(n))))
+        family = PieceFamily(p, None)
+        rows = []
+        for swing in _BATCH_SWINGS:
+            direction = np.array([rng.uniform(0.2, 1.0) * rng.choice((-1, 1))
+                                  for _ in monos])
+            scale = np.dot(np.abs(direction), family.swing_scale)
+            rows.append(direction * swing / scale)
+        mixed = rows[3].copy()
+        mixed[0] = 1e-300
+        rows.append(mixed)
+        rng.shuffle(rows)
+        amps = np.array(rows)
+
+        paths, singles = [], []
+        for row in amps:
+            before = dict(family.paths)
+            singles.append(family.evaluate(row[None], tol)[0])
+            paths.append(next(key for key, used in family.paths.items()
+                              if used > before[key]))
+        summed = dict(family.paths)
+        family.paths = dict.fromkeys(summed, 0)
+        batch = family.evaluate(amps, tol)
+        assert family.paths == summed
+        assert set(paths) == {"series", "ladder", "fallback"}
+
+        for row, path, single, got in zip(amps, paths, singles, batch):
+            scaled = row * family.swing_scale
+            swing = float(np.sum(np.abs(scaled)))
+            oracle = series_piece(family, scaled, swing, tol)
+            assert (path == "series") == (oracle is not None)
+            if oracle is None:
+                assert got == single
+                continue
+            assert got.panels == 0
+            assert got.abs_error_estimate == oracle.abs_error_estimate
+            assert abs(got.value - oracle.value) <= \
+                1e-15 * osc.H_MASS ** n * math.exp(swing)
+
+        series = [i for i, path in enumerate(paths) if path == "series"]
+        with monkeypatch.context() as patch:
+            patch.setattr(osc, "_GATHER_ELEMENTS", 1)
+            blocked = family.evaluate(amps[series], tol)
+        for i, got in zip(series, blocked):
+            swing = float(np.sum(np.abs(amps[i] * family.swing_scale)))
+            assert abs(got.value - batch[i].value) <= \
+                1e-15 * osc.H_MASS ** n * math.exp(swing)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +689,7 @@ def test_even_list_has_no_terms_in_either_form():
         p = _vp(pts, n, list(range(n)))
         family = PieceFamily(p, _improper_tuple(p))
         assert family.trivial and sigma_groups(pts, n) == []
-        assert family.evaluate(np.ones(len(pts))).value == 0.0
+        assert family.evaluate(np.ones((1, len(pts))))[0].value == 0.0
 
 
 @pytest.mark.parametrize("n,points,parity", [
@@ -751,3 +834,64 @@ def test_sum_probe_reports_nested_radii():
     assert res.rows[0][1] <= res.rows[1][1]
     assert res.max_sum == res.rows[1][1]
     assert res.skipped_bound >= 0.0
+
+
+def test_every_monomial_family_is_the_improper_face_family():
+    """A face tuple of None selects the monomials the improper faces
+    select, on random polynomials (n ≤ 4, d ≤ 3, zero exponents and
+    lower-dimensional supports included)."""
+    rng = random.Random(31)
+    for _ in range(200):
+        n, d = rng.randint(1, 4), rng.randint(1, 3)
+        cmap = {(nu, tuple(rng.randint(0, 3) for _ in range(n))):
+                rng.choice((-3, -1, 1, 2))
+                for nu in range(d) for _ in range(rng.randint(1, 4))}
+        spec = DomainSpec.of(n, [j for j in range(n) if rng.random() < 0.5])
+        p = VectorPolynomial(cmap, d=d, spec=spec)
+        assert PieceFamily(p, None).monos == \
+            PieceFamily(p, _improper_tuple(p)).monos
+
+
+def _sums_by_piece(p, xi, radius: int) -> dict:
+    """Σ_{|J|≤r} |I_J(ξ)| for r = 0..radius, one `dyadic_piece` per J of
+    the box on the improper face tuple, pruned pieces counted as 0."""
+    ft = _improper_tuple(p)
+    monos = _monomial_list(p)
+    js = np.array(list(_box_indices(p.spec, radius)), dtype=np.int64)
+    bounds = _prune_bounds(monos, xi, _j_dot_m(monos, js))
+    vals = np.array([0.0 if bound < PRUNE_TOL
+                     else abs(dyadic_piece(p, ft, tuple(j), xi).value)
+                     for j, bound in zip(js.tolist(), bounds)])
+    norm = np.abs(js).max(axis=1)
+    return {r: float(np.sum(vals[norm <= r])) for r in range(radius + 1)}
+
+
+def test_sum_probe_builds_no_polyhedra(monkeypatch):
+    """`multiplier_sum_probe` reaches no hull, face-lattice or LP code at
+    any binding, and on the criterion-9 pair and the (1, 1) control at
+    radius 3 it gives the partial sums of one piece at a time on the
+    improper face tuple."""
+    pair = VectorPolynomial(
+        {(nu, m): 1 for nu, pts in enumerate([WORKED_L1, WORKED_L2])
+         for m in pts}, d=2, spec=DomainSpec.of(3, [0, 1, 2]))
+    control = _vp([(1, 1)], 2, [0, 1])
+    cases = [(pair, [[0.2, -0.1], [-0.05, 0.25]]), (control, [[64.0]])]
+    want = [[_sums_by_piece(p, xi, 3) for xi in xis] for p, xis in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sum probe reached hull/lattice/LP code")
+
+    for module in ("nh.cli", "nh.engine", "nh.newton_poly",
+                   "nh.exact_numeric", "nh.oscillatory", "nh.parity"):
+        mod = importlib.import_module(module)
+        for name in ("build_newton", "enumerate_faces", "solve_strict"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, forbidden)
+    for (p, xis), sums in zip(cases, want):
+        res = multiplier_sum_probe(p, xis, radius=3, report_radii=range(4))
+        assert res.pieces["series"] + res.pieces["ladder"] \
+            + res.pieces["fallback"] > 0
+        for got, ref in zip(res.partial_sums, sums):
+            assert got.keys() == ref.keys()
+            for r, value in ref.items():
+                assert abs(got[r] - value) <= 1e-15 * max(value, 1.0), r
