@@ -30,7 +30,6 @@ from .newton_poly import (
 )
 from .engine import (
     DepthCapHit,
-    FaceTuple,
     LambdaTuple,
     NotDisjoint,
     VectorPolynomial,
@@ -636,9 +635,6 @@ def probe_decay(input_path, fmt, seed):
         started = time.time()
         problem = _load(input_path)
         p = problem.polynomial()
-        lam = problem.lambda_tuple()
-        ft = FaceTuple(tuple(poly.improper_face()
-                             for poly in lam.polyhedra), 0, None)
         ray = problem.raw.get("ray", [1] * problem.n)
         if not isinstance(ray, list) or len(ray) != problem.n or not all(
                 _is_finite_real(x) for x in ray):
@@ -649,7 +645,7 @@ def probe_decay(input_path, fmt, seed):
             raise InputError("E_MALFORMED",
                              f"k_max {k_max!r} must be an integer >= 0")
         xi = _xi_samples(problem, seed, 1)[0]
-        res = osc.decay_check(p, ft, ray, xi, k_max=k_max)
+        res = osc.decay_check(p, ray, xi, k_max=k_max)
         report = _report(problem, {
             "delta": res.delta, "constant": res.constant,
             "unconverged": res.unconverged,

@@ -494,13 +494,6 @@ def _series_table(monomials: tuple, n: int) -> _SeriesTable:
     return _SeriesTable(index, coef, tuple(ends))
 
 
-def _face_restriction(face_tuple, d: int):
-    restrict = [set() for _ in range(d)]
-    for nu, f in enumerate(face_tuple.faces):
-        restrict[nu].update(f.lambda_points())
-    return restrict
-
-
 # The (order, level) rules a piece climbs before the adaptive fallback, of
 # (order·2^level)^n nodes, which never decrease along the ladder; a rung
 # above MAX_RUNG_NODES is skipped, so a family keeps a prefix of it.
@@ -509,22 +502,15 @@ MAX_RUNG_NODES = 2 ** 20
 
 
 class PieceFamily:
-    """Dyadic pieces I_J(P_F, ξ) over a fixed (polynomial, face tuple):
+    """Dyadic pieces I_J(P, ξ) over every monomial of a fixed polynomial:
     nodes, η-weights, the sign-sum form, and the J-independent monomial
     arrays t^m on each quadrature rule are computed once, so sweeping
     (J, ξ) only costs one sign sum per rule.  A piece is given by its
-    amplitudes c·ξ·2^{−J·m} over `monos` (`_amplitudes`).  A face tuple
-    of None selects every monomial of P, as the improper faces do."""
+    amplitudes c·ξ·2^{−J·m} over `monos` (`_amplitudes`)."""
 
-    def __init__(self, p, face_tuple):
-        if face_tuple is not None and len(face_tuple.faces) != p.d:
-            raise ValueError(
-                "face tuple arity does not match the polynomial")
+    def __init__(self, p):
         self.n = p.spec.n
-        restrict = (None if face_tuple is None
-                    else _face_restriction(face_tuple, p.d))
-        self.monos = (_monomial_list(p, restrict)
-                      if restrict is None or any(restrict) else [])
+        self.monos = _monomial_list(p)
         self.signs = _SignSum([m for _, m, _ in self.monos], self.n)
         self.trivial = self.signs.empty
         # pieces evaluated by the series (of no terms, for an even list),
@@ -568,9 +554,11 @@ class PieceFamily:
         degrees = np.arange(len(ends))
         mass = H_MASS ** self.n
         with np.errstate(over="ignore", invalid="ignore"):
-            growth = np.where(swing < 700.0,
-                              mass * np.exp(np.minimum(swing, 700.0)),
-                              np.inf)
+            # math.exp per row, as a one-piece bound takes it: numpy's
+            # vectorised exp differs from it in the last place on some rows
+            growth = np.where(swing < 700.0, mass * np.fromiter(
+                map(math.exp, np.minimum(swing, 700.0).tolist()), float,
+                len(swing)), np.inf)
             factors = np.empty((len(swing), len(ends)))
             factors[:, 0] = mass * swing
             factors[:, 1:] = swing[:, None] / (degrees[1:] + 1)
@@ -709,7 +697,8 @@ def _lattice_phase(p, witness, xi):
     exponents in lattice coordinates α, amplitudes c·ξ, and the sign sum
     of the original exponents (the sign folding acts on t, not on the
     lattice coordinates).  Returns (phase, m)."""
-    monos = _monomial_list(p, _face_restriction(witness, p.d))
+    monos = _monomial_list(p, [set(f.lambda_points())
+                               for f in witness.faces])
     points = sorted({m for _, m, _ in monos})
     basis = _row_hermite(points)
     assert len(basis) == rank(points) <= p.spec.n - 1, \
@@ -790,19 +779,19 @@ class DecayResult:
     unconverged: int  # pieces whose quadrature hit the cell cap
 
 
-def decay_check(p, face_tuple, ray, xi, k_max: int = 12) -> DecayResult:
+def decay_check(p, ray, xi, k_max: int = 12) -> DecayResult:
     """Van der Corput decay table along J = k·ray: |I_J| against the
     fitted envelope C·min_ν min{|2^{−J·m_ν}ξ_ν|^{−δ}, 1} with δ fitted by
     least squares on the decaying range (δ is existential in the source
     estimate, so it is measured, not assumed)."""
     p.lambda_tuple().require_disjoint()
     js = np.arange(k_max + 1)[:, None] * np.array([float(x) for x in ray])
-    family = PieceFamily(p, face_tuple)
+    family = PieceFamily(p)
     amps = _amplitudes(family.monos, xi, _j_dot_m(family.monos, js))
-    # |2^{−J·m_ν} ξ_ν|, m_ν the lexicographically least point of F_ν ∩ Λ_ν:
+    # |2^{−J·m_ν} ξ_ν|, m_ν the lexicographically least point of Λ_ν:
     # amplitudes with c = 1
-    chosen = [(nu, f.lambda_points()[0], 1.0)
-              for nu, f in enumerate(face_tuple.faces) if f.lambda_points()]
+    chosen = [(nu, min(p.support(nu)), 1.0)
+              for nu in range(p.d) if p.support(nu)]
     args = np.abs(_amplitudes(chosen, xi, _j_dot_m(chosen, js)))
     samples = []
     unconverged = 0
@@ -883,7 +872,7 @@ def multiplier_sum_probe(p, xi_samples, radius: int,
     (series, ladder, fallback).  Summation is pairwise in fixed
     lexicographic J order."""
     spec = p.spec
-    family = PieceFamily(p, None)
+    family = PieceFamily(p)
     monos = family.monos
     if report_radii is None:
         report_radii = sorted({radius, max(radius - 5, 0)})

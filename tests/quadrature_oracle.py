@@ -19,7 +19,8 @@
   batched series of `PieceFamily.evaluate` is checked row by row.
 - Fixtures built on the harness: the odd cutoff h(u) = η(u)/u and the
   partition-of-unity deviation of η, the σ-folded principal-value integral
-  over an annulus box, and a single dyadic piece.
+  over an annulus box, a single dyadic piece, and the polynomial P_F of
+  the monomials on a face tuple, on which a face's pieces are taken.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from nh.engine import VectorPolynomial
 from nh.oscillatory import (
     _EPS,
     CELL_TOL,
@@ -86,11 +88,18 @@ def pv_integral(p, xi, a, b, tol_cell: float = CELL_TOL) -> QuadratureResult:
     return adaptive_box(phase.integrand(), lo, hi, tol_cell)
 
 
-def dyadic_piece(p, face_tuple, j, xi,
-                 tol_cell: float = CELL_TOL) -> QuadratureResult:
-    """I_J(P_F, ξ): only monomials m ∈ F_ν ∩ Λ_ν, scaled by 2^{−J·m},
-    integrated against ∏h(t_ℓ)dt_ℓ over the shells |t_ℓ| ∈ [1/4, 2]."""
-    family = PieceFamily(p, face_tuple)
+def face_polynomial(p, face_tuple) -> VectorPolynomial:
+    """P_F: the monomials c·t^m of P with m ∈ F_ν ∩ Λ_ν, per component."""
+    on_face = [set(f.lambda_points()) for f in face_tuple.faces]
+    coef = {(nu, m): c for (nu, m), c in p.coefficients.items()
+            if m in on_face[nu]}
+    return VectorPolynomial(coef, p.d, p.spec)
+
+
+def dyadic_piece(p, j, xi, tol_cell: float = CELL_TOL) -> QuadratureResult:
+    """I_J(P, ξ): every monomial m of P, scaled by 2^{−J·m}, integrated
+    against ∏h(t_ℓ)dt_ℓ over the shells |t_ℓ| ∈ [1/4, 2]."""
+    family = PieceFamily(p)
     jm = _j_dot_m(family.monos, np.array([j]))
     return family.evaluate(_amplitudes(family.monos, xi, jm), tol_cell)[0]
 

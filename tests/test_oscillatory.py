@@ -1,13 +1,16 @@
 """Unit tests for the oscillatory-multiplier harness."""
 
 import importlib
+import json
 import math
 import random
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from nh import oscillatory as osc
+from nh.cli import EXIT_BOUNDED, main
 from nh.engine import FaceTuple, VectorPolynomial
 from nh.newton_poly import DomainSpec
 from nh.parity import is_even, odd_subsets
@@ -231,7 +234,7 @@ def test_adaptive_box_cell_cap_flags_result():
 
 def test_piece_zero_frequency():
     p = _vp([(1, 1)], 2, [0, 1])
-    r = dyadic_piece(p, _improper_tuple(p), (0, 0), [0.0])
+    r = dyadic_piece(p, (0, 0), [0.0])
     assert abs(r.value) == 0.0
 
 
@@ -241,7 +244,7 @@ def test_piece_even_tuple_vanishes():
     for _ in range(10):
         j = (rng.randint(0, 6), rng.randint(0, 6))
         xi = [rng.uniform(-4, 4)]
-        r = dyadic_piece(p, _improper_tuple(p), j, xi)
+        r = dyadic_piece(p, j, xi)
         assert abs(r.value) < 1e-8 * 2.0
 
 
@@ -250,7 +253,7 @@ def test_piece_matches_adaptive_reference():
     integration of the same η-weighted integrand."""
     rng = random.Random(21)
     p = _vp([(1, 1), (3, 0)], 2, [0, 1])
-    family = PieceFamily(p, _improper_tuple(p))
+    family = PieceFamily(p)
     monos = _monomial_list(p)
     groups = sigma_groups([m for _, m, _ in monos], 2)
     for _ in range(6):
@@ -270,20 +273,18 @@ def test_piece_scaling_covariance():
     """Single-monomial pieces: (J, ξ) and (0, 2^{−J·m}ξ) are the same
     integral after t → 2^{−J}t."""
     p = _vp([(1, 1)], 2, [0, 1])
-    ft = _improper_tuple(p)
     rng = random.Random(4)
     for _ in range(8):
         j = (rng.randint(0, 8), rng.randint(0, 8))
         xi = rng.uniform(0.5, 4.0)
         scaled = xi * 2.0 ** (-float(j[0] + j[1]))
-        a = dyadic_piece(p, ft, j, [xi])
-        b = dyadic_piece(p, ft, (0, 0), [scaled])
+        a = dyadic_piece(p, j, [xi])
+        b = dyadic_piece(p, (0, 0), [scaled])
         assert a.value == b.value     # identical amplitudes, same rule
 
 
 def test_prune_bound_is_rigorous():
     p = _vp([(1, 1), (3, 0)], 2, [0, 1])
-    ft = _improper_tuple(p)
     monos = _monomial_list(p)
     rng = random.Random(12)
     js = np.array([(rng.randint(-2, 10), rng.randint(-2, 10))
@@ -292,7 +293,7 @@ def test_prune_bound_is_rigorous():
         xi = [rng.uniform(-2, 2)]
         for j, bound in zip(js, _prune_bounds(monos, xi,
                                               _j_dot_m(monos, js))):
-            r = dyadic_piece(p, ft, tuple(j.tolist()), xi)
+            r = dyadic_piece(p, tuple(j.tolist()), xi)
             assert abs(r.value) <= bound + 1e-7 + r.abs_error_estimate
 
 
@@ -386,7 +387,7 @@ def test_sign_group_kernel_matches_complex_exp(n, monos, amps):
     d = 1 + max(nu for nu, _m in monos)
     p = VectorPolynomial({t: 1 for t in monos}, d=d,
                          spec=DomainSpec.of(n, list(range(n))))
-    family = PieceFamily(p, _improper_tuple(p))
+    family = PieceFamily(p)
     points = [m for _nu, m, _c in family.monos]
     r, _subsets = odd_subsets_by_scan(points, n)
     assert family.signs.parity == (len(points) <= 2 * r)
@@ -427,7 +428,7 @@ def test_ladder_skips_rungs_above_the_node_limit(monkeypatch, n):
     CELL_TOL it takes the two small pieces."""
     p = VectorPolynomial({(0, (1,) * n): 1, (0, (2,) + (1,) * (n - 1)): 1},
                          d=1, spec=DomainSpec.of(n, list(range(n))))
-    family = PieceFamily(p, _improper_tuple(p))
+    family = PieceFamily(p)
     asked = []
 
     def never_settles(key, parts):
@@ -549,7 +550,7 @@ def test_series_matches_the_depth_first_oracle(n):
         monos = _random_monomials(rng, n, count)
         p = VectorPolynomial({(0, m): rng.choice((1, -2, 3)) for m in monos},
                              d=1, spec=DomainSpec.of(n, list(range(n))))
-        family = PieceFamily(p, _improper_tuple(p))
+        family = PieceFamily(p)
         groups = sigma_groups([m for _, m, _ in family.monos], n)
         direction = np.array([rng.uniform(0.2, 1.0) * rng.choice((-1, 1))
                               for _ in monos])
@@ -595,7 +596,7 @@ def test_batched_evaluate_matches_the_one_piece_oracle(monkeypatch, n):
         monos = _random_monomials(rng, n, count)
         p = VectorPolynomial({(0, m): rng.choice((1, -2, 3)) for m in monos},
                              d=1, spec=DomainSpec.of(n, list(range(n))))
-        family = PieceFamily(p, None)
+        family = PieceFamily(p)
         rows = []
         for swing in _BATCH_SWINGS:
             direction = np.array([rng.uniform(0.2, 1.0) * rng.choice((-1, 1))
@@ -643,6 +644,34 @@ def test_batched_evaluate_matches_the_one_piece_oracle(monkeypatch, n):
                 1e-15 * osc.H_MASS ** n * math.exp(swing)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_series_bounds_match_the_one_piece_oracle(n):
+    """Over 400 rows of swings from 1e-6 to 50 on random lists (K ≤ 5),
+    at CELL_TOL and at 1e-4, the batch takes the series on exactly the
+    rows the scalar oracle takes it on, with the same error bound bit
+    for bit: the e^s of the rounding bound is the same double."""
+    rng = random.Random(70 + n)
+    for count in range(1, 6):
+        monos = _random_monomials(rng, n, count)
+        p = VectorPolynomial({(0, m): rng.choice((1, -2, 3)) for m in monos},
+                             d=1, spec=DomainSpec.of(n, list(range(n))))
+        family = PieceFamily(p)
+        scaled = np.array([
+            [rng.uniform(0.2, 1.0) * rng.choice((-1, 1)) for _ in monos]
+            for _ in range(400)])
+        scaled *= (np.exp(np.linspace(math.log(1e-6), math.log(50.0), 400))
+                   / np.sum(np.abs(scaled), axis=1))[:, None]
+        swing = np.sum(np.abs(scaled), axis=1)
+        for tol in (CELL_TOL, 1e-4):
+            degree, bound = family._series_degrees(scaled, swing, tol)
+            for row, s, got_degree, got_bound in zip(scaled, swing.tolist(),
+                                                     degree, bound):
+                oracle = series_piece(family, row, s, tol)
+                assert (got_degree >= 0) == (oracle is not None)
+                if oracle is not None:
+                    assert got_bound == oracle.abs_error_estimate
+
+
 # ---------------------------------------------------------------------------
 # the two forms of the sign sum, and the rule that picks one
 # ---------------------------------------------------------------------------
@@ -687,7 +716,7 @@ def test_even_list_has_no_terms_in_either_form():
     for n, pts in ((2, [(2, 0), (0, 2)]), (2, [(2, 1), (2, 3), (4, 1)]),
                    (3, [(1, 1, 0)])):
         p = _vp(pts, n, list(range(n)))
-        family = PieceFamily(p, _improper_tuple(p))
+        family = PieceFamily(p)
         assert family.trivial and sigma_groups(pts, n) == []
         assert family.evaluate(np.ones((1, len(pts))))[0].value == 0.0
 
@@ -794,14 +823,14 @@ def test_divergence_probe_even_control():
 
 def test_decay_even_set_zero_table():
     p = _vp([(1, 2)], 2, [0, 1])
-    res = decay_check(p, _improper_tuple(p), (1, 1), [100.0], k_max=6)
+    res = decay_check(p, (1, 1), [100.0], k_max=6)
     assert len(res.rows) == 7
     assert all(v == 0.0 for _k, v, _b in res.rows)
 
 
 def test_decay_odd_monomial():
     p = _vp([(1, 1)], 2, [0, 1])
-    res = decay_check(p, _improper_tuple(p), (1, 1), [100.0], k_max=8)
+    res = decay_check(p, (1, 1), [100.0], k_max=8)
     vals = [v for _k, v, _b in res.rows]
     assert res.delta >= 0.05
     # decaying beyond the stationary scale, and below the fitted envelope
@@ -815,7 +844,7 @@ def test_decay_requires_disjoint():
         {(0, (1, 1)): 1, (1, (1, 1)): 1}, d=2,
         spec=DomainSpec.of(2, [0, 1]))
     with pytest.raises(ValueError):
-        decay_check(p, _improper_tuple(p), (1, 1), [1.0, 1.0])
+        decay_check(p, (1, 1), [1.0, 1.0])
 
 
 def test_sum_probe_even_monomial_zero():
@@ -836,10 +865,12 @@ def test_sum_probe_reports_nested_radii():
     assert res.skipped_bound >= 0.0
 
 
-def test_every_monomial_family_is_the_improper_face_family():
-    """A face tuple of None selects the monomials the improper faces
-    select, on random polynomials (n ≤ 4, d ≤ 3, zero exponents and
-    lower-dimensional supports included)."""
+def test_every_monomial_lies_on_the_improper_faces():
+    """The improper face N(Λ_ν) holds every point of Λ_ν: the monomials
+    on the improper faces are all of `PieceFamily(p).monos`, and the
+    least point of each is the least point of the support that
+    `decay_check` scales by.  On random polynomials (n ≤ 4, d ≤ 3, zero
+    exponents and lower-dimensional supports included)."""
     rng = random.Random(31)
     for _ in range(200):
         n, d = rng.randint(1, 4), rng.randint(1, 3)
@@ -848,19 +879,40 @@ def test_every_monomial_family_is_the_improper_face_family():
                 for nu in range(d) for _ in range(rng.randint(1, 4))}
         spec = DomainSpec.of(n, [j for j in range(n) if rng.random() < 0.5])
         p = VectorPolynomial(cmap, d=d, spec=spec)
-        assert PieceFamily(p, None).monos == \
-            PieceFamily(p, _improper_tuple(p)).monos
+        faces = _improper_tuple(p).faces
+        assert PieceFamily(p).monos == _monomial_list(
+            p, [set(f.lambda_points()) for f in faces])
+        assert [min(p.support(nu)) for nu in range(d)] == \
+            [f.lambda_points()[0] for f in faces]
+
+
+def _forbid_hull_code(monkeypatch):
+    """Make `build_newton`, `enumerate_faces` and `solve_strict` raise at
+    every nh binding."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a probe reached hull/lattice/LP code")
+
+    for module in ("nh.cli", "nh.engine", "nh.newton_poly",
+                   "nh.exact_numeric", "nh.oscillatory", "nh.parity"):
+        mod = importlib.import_module(module)
+        for name in ("build_newton", "enumerate_faces", "solve_strict"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, forbidden)
+
+
+_WORKED_PAIR = VectorPolynomial(
+    {(nu, m): 1 for nu, pts in enumerate([WORKED_L1, WORKED_L2])
+     for m in pts}, d=2, spec=DomainSpec.of(3, [0, 1, 2]))
 
 
 def _sums_by_piece(p, xi, radius: int) -> dict:
     """Σ_{|J|≤r} |I_J(ξ)| for r = 0..radius, one `dyadic_piece` per J of
-    the box on the improper face tuple, pruned pieces counted as 0."""
-    ft = _improper_tuple(p)
+    the box, pruned pieces counted as 0."""
     monos = _monomial_list(p)
     js = np.array(list(_box_indices(p.spec, radius)), dtype=np.int64)
     bounds = _prune_bounds(monos, xi, _j_dot_m(monos, js))
     vals = np.array([0.0 if bound < PRUNE_TOL
-                     else abs(dyadic_piece(p, ft, tuple(j), xi).value)
+                     else abs(dyadic_piece(p, tuple(j), xi).value)
                      for j, bound in zip(js.tolist(), bounds)])
     norm = np.abs(js).max(axis=1)
     return {r: float(np.sum(vals[norm <= r])) for r in range(radius + 1)}
@@ -869,24 +921,12 @@ def _sums_by_piece(p, xi, radius: int) -> dict:
 def test_sum_probe_builds_no_polyhedra(monkeypatch):
     """`multiplier_sum_probe` reaches no hull, face-lattice or LP code at
     any binding, and on the criterion-9 pair and the (1, 1) control at
-    radius 3 it gives the partial sums of one piece at a time on the
-    improper face tuple."""
-    pair = VectorPolynomial(
-        {(nu, m): 1 for nu, pts in enumerate([WORKED_L1, WORKED_L2])
-         for m in pts}, d=2, spec=DomainSpec.of(3, [0, 1, 2]))
+    radius 3 it gives the partial sums of one piece at a time."""
     control = _vp([(1, 1)], 2, [0, 1])
-    cases = [(pair, [[0.2, -0.1], [-0.05, 0.25]]), (control, [[64.0]])]
+    cases = [(_WORKED_PAIR, [[0.2, -0.1], [-0.05, 0.25]]),
+             (control, [[64.0]])]
     want = [[_sums_by_piece(p, xi, 3) for xi in xis] for p, xis in cases]
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the sum probe reached hull/lattice/LP code")
-
-    for module in ("nh.cli", "nh.engine", "nh.newton_poly",
-                   "nh.exact_numeric", "nh.oscillatory", "nh.parity"):
-        mod = importlib.import_module(module)
-        for name in ("build_newton", "enumerate_faces", "solve_strict"):
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, forbidden)
+    _forbid_hull_code(monkeypatch)
     for (p, xis), sums in zip(cases, want):
         res = multiplier_sum_probe(p, xis, radius=3, report_radii=range(4))
         assert res.pieces["series"] + res.pieces["ladder"] \
@@ -895,3 +935,29 @@ def test_sum_probe_builds_no_polyhedra(monkeypatch):
             assert got.keys() == ref.keys()
             for r, value in ref.items():
                 assert abs(got[r] - value) <= 1e-15 * max(value, 1.0), r
+
+
+def test_decay_probe_builds_no_polyhedra(monkeypatch, tmp_path):
+    """`decay_check` and `nh probe-decay` reach no hull, face-lattice or
+    LP code at any binding.  On the criterion-9 pair along (1, 1, 1) each
+    row holds the value of one piece at a time, and its envelope scales
+    by the least point of each improper face."""
+    p, ray, xi, k_max = _WORKED_PAIR, (1, 1, 1), [0.2, -0.1], 5
+    values = [abs(dyadic_piece(p, (k,) * 3, xi).value)
+              for k in range(k_max + 1)]
+    least = [f.lambda_points()[0] for f in _improper_tuple(p).faces]
+    args = [min(abs(x) * 2.0 ** (-k * sum(m)) for x, m in zip(xi, least))
+            for k in range(k_max + 1)]
+    _forbid_hull_code(monkeypatch)
+    res = decay_check(p, ray, xi, k_max=k_max)
+    for (k, value, bound), want, arg in zip(res.rows, values, args):
+        assert abs(value - want) <= 1e-15 * max(want, 1.0), k
+        assert bound == res.constant * min(arg ** -res.delta, 1.0)
+
+    payload = {"n": 2, "S": [1, 2], "lambda": [[[1, 1]]],
+               "mode": "probe-decay", "xi": [100.0], "k_max": 6}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    out = CliRunner().invoke(main, ["probe-decay", "--input", str(path)])
+    assert out.exit_code == EXIT_BOUNDED, out.output
+    assert len(json.loads(out.output)["table"]) == 7
