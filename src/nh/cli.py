@@ -52,6 +52,14 @@ EXIT_UNBOUNDED = 3
 MODES = ("decide", "decide-graph", "decide-general", "faces", "decompose",
          "probe-divergence", "probe-sum", "probe-decay")
 
+# Probe sizes refused before anything is allocated.  `probe-sum` holds its
+# J box as (pieces × n) indices and (pieces × K) exponents and amplitudes,
+# so 2^20 pieces already take some hundred MB; `probe-decay` evaluates its
+# k_max + 1 pieces in one batch; seeded ξ samples are drawn all at once.
+MAX_BOX_PIECES = 2 ** 20
+MAX_K = 1000
+MAX_XI_COUNT = 10 ** 4
+
 
 class InputError(Exception):
     def __init__(self, code: str, message: str):
@@ -597,6 +605,10 @@ def probe_sum(input_path, fmt, seed):
         if not _is_int(radius) or radius < 0:
             raise InputError("E_RADIUS",
                              f"radius {radius!r} must be an integer >= 0")
+        if osc.box_size(problem.n, len(problem.spec.S),
+                        radius) > MAX_BOX_PIECES:
+            raise InputError("E_RADIUS", f"radius {radius} gives a J box of "
+                                         f"more than {MAX_BOX_PIECES} pieces")
         report_radii = problem.raw.get("report_radii")
         if report_radii is not None and (
                 not isinstance(report_radii, list) or not all(
@@ -605,9 +617,9 @@ def probe_sum(input_path, fmt, seed):
                 "E_RADIUS", f"report_radii {report_radii!r} must be a list "
                             f"of integers in 0..{radius}")
         xi_count = problem.raw.get("xi_count", 20)
-        if not _is_int(xi_count) or xi_count < 1:
-            raise InputError("E_MALFORMED",
-                             f"xi_count {xi_count!r} must be an integer >= 1")
+        if not _is_int(xi_count) or not 1 <= xi_count <= MAX_XI_COUNT:
+            raise InputError("E_MALFORMED", f"xi_count {xi_count!r} must be "
+                                            f"an integer in 1..{MAX_XI_COUNT}")
         xis = _xi_samples(problem, seed, xi_count)
         res = osc.multiplier_sum_probe(p, xis, radius, report_radii)
         report = _report(problem, {
@@ -641,9 +653,9 @@ def probe_decay(input_path, fmt, seed):
             raise InputError("E_MALFORMED", f"ray {ray!r} must hold "
                                             f"{problem.n} finite numbers")
         k_max = problem.raw.get("k_max", 12)
-        if not _is_int(k_max) or k_max < 0:
-            raise InputError("E_MALFORMED",
-                             f"k_max {k_max!r} must be an integer >= 0")
+        if not _is_int(k_max) or not 0 <= k_max <= MAX_K:
+            raise InputError("E_MALFORMED", f"k_max {k_max!r} must be an "
+                                            f"integer in 0..{MAX_K}")
         xi = _xi_samples(problem, seed, 1)[0]
         res = osc.decay_check(p, ray, xi, k_max=k_max)
         report = _report(problem, {

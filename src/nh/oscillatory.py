@@ -13,10 +13,17 @@ A dyadic piece takes the first of three paths that meets its tolerance:
 - adaptive tensor Gauss–Legendre panels (`adaptive_box`).
 
 Pieces are evaluated per batch (`PieceFamily.evaluate`): the sum probe
-passes all unpruned pieces of one ξ at once.  The series rows of a batch
+passes all unpruned pieces of one ξ at once and gets their values, error
+bounds and converged flags back as arrays.  The series rows of a batch
 are grouped by their degree D, and each row's series is evaluated only to
-its own degree, with the amplitudes raised to the powers 0..D alone; the
-rows the series declines go through the last two paths one at a time.
+its own degree, with the amplitudes raised to the powers 0..D alone.  The
+rows the series declines go through the last two paths once per distinct
+row: a piece depends on J only through J·m, so when the exponents have
+rank below n many J share one amplitude row, and its result is scattered
+to all of them.  The fallback builds its cells from per-axis factors: per
+level, the per-axis nodes and η-weighted weights of all pending cells,
+and a cell's t^m and tensor weights as outer products of exp(u_ℓ·e_kℓ)
+and of those weights.
 
 The folded integrand Σ_σ(−1)^{|σ|} e^{iΣ_k σ^{m_k}θ_k} of the last two has
 two exact forms, and both quadrature paths evaluate it in the one with
@@ -106,35 +113,61 @@ class QuadratureResult:
     converged: bool = True
 
 
+@dataclass
+class Pieces:
+    """Dyadic pieces of one `PieceFamily.evaluate` call, one entry per
+    amplitude row."""
+
+    values: np.ndarray      # (N,) complex
+    errors: np.ndarray      # (N,) error bounds
+    converged: np.ndarray   # (N,) bool: False where the cell cap was hit
+
+
 @functools.cache
 def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _tensor_rules(lo: np.ndarray, hi: np.ndarray, order: int,
-                  axis_weight: Optional[Callable] = None):
-    """Order-`order` tensor Gauss–Legendre rules on C boxes ∏[lo_i, hi_i]:
-    nodes (C, qⁿ, n) and weights (C, qⁿ), node index in C order over the
-    axes.  `axis_weight(u)` (elementwise on the (C, n, q) per-axis nodes)
-    multiplies the per-axis weights, giving the rule for the separable
-    weight w(u_1)⋯w(u_n)."""
+def _axis_rules(lo: np.ndarray, hi: np.ndarray, order: int,
+                axis_weight: Optional[Callable] = None):
+    """The per-axis part of an order-`order` tensor Gauss–Legendre rule on
+    C boxes ∏[lo_i, hi_i]: nodes and weights (C, n, q).  `axis_weight(u)`
+    (elementwise on the nodes) multiplies the weights, giving the rule for
+    the separable weight w(u_1)⋯w(u_n)."""
     x, w = _leggauss(order)
-    count, n = lo.shape
     lo = lo[:, :, None]
     hi = hi[:, :, None]
     axes_x = 0.5 * (hi - lo) * x + 0.5 * (lo + hi)       # (C, n, q)
     axes_w = 0.5 * (hi - lo) * w
     if axis_weight is not None:
         axes_w = axes_w * axis_weight(axes_x)
-    grid = (count,) + (order,) * n
-    pts = np.empty(grid + (n,))
-    wts = np.ones(grid)
+    return axes_x, axes_w
+
+
+def _outer(axes: np.ndarray) -> np.ndarray:
+    """Per-axis factors (C, n, q, ...) to their products over the tensor
+    grid, (C, qⁿ, ...), node index in C order over the axes; the factors
+    are multiplied in axis order."""
+    out = axes[:, 0]
+    for i in range(1, axes.shape[1]):
+        along = axes[:, i]
+        out = (out[:, :, None] * along[:, None]).reshape(
+            (len(out), -1) + along.shape[2:])
+    return out
+
+
+def _tensor_rules(lo: np.ndarray, hi: np.ndarray, order: int,
+                  axis_weight: Optional[Callable] = None):
+    """Order-`order` tensor Gauss–Legendre rules on C boxes ∏[lo_i, hi_i]:
+    nodes (C, qⁿ, n) and weights (C, qⁿ), from `_axis_rules`."""
+    axes_x, axes_w = _axis_rules(lo, hi, order, axis_weight)
+    count, n = lo.shape
+    pts = np.empty((count,) + (order,) * n + (n,))
     for i in range(n):
         along_i = [count] + [1] * n
         along_i[1 + i] = order
         pts[..., i] = axes_x[:, i].reshape(along_i)
-        wts = wts * axes_w[:, i].reshape(along_i)
-    return pts.reshape(count, -1, n), wts.reshape(count, -1)
+    return pts.reshape(count, -1, n), _outer(axes_w)
 
 
 # Nodes per block, on both quadrature paths: a batch of cells goes to the
@@ -146,36 +179,46 @@ def _tensor_rules(lo: np.ndarray, hi: np.ndarray, order: int,
 _CHUNK_NODES = 2 ** 13
 
 
-def _cell_values(fun: Callable, lo: np.ndarray, hi: np.ndarray, order: int,
+def _cell_values(parts: Callable, expo: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, order: int,
                  axis_weight: Optional[Callable]) -> np.ndarray:
-    """Order-`order` tensor Gauss–Legendre value on each of the C boxes."""
+    """Order-`order` tensor Gauss–Legendre value of the sign sum `parts`
+    (`_SignSum.bind`) on each of the C boxes, for exponents `expo` (K, n).
+    The per-axis nodes and weights are built once for all the boxes; a
+    box's t^m and tensor weights are the outer products of its per-axis
+    factors exp(u_ℓ·e_kℓ) and weights."""
     count, n = lo.shape
+    axes_x, axes_w = _axis_rules(lo, hi, order, axis_weight)
     step = max(1, _CHUNK_NODES // order ** n)
     out = np.empty(count, dtype=complex)
     for c in range(0, count, step):
-        pts, wts = _tensor_rules(lo[c:c + step], hi[c:c + step], order,
-                                 axis_weight)
-        vals = fun(pts.reshape(-1, n)).reshape(wts.shape)
-        out[c:c + step] = np.einsum("cq,cq->c", wts, vals)
+        factors = np.exp(axes_x[c:c + step, :, :, None] * expo.T[:, None])
+        mono = _outer(factors)                  # (cells, qⁿ, K)
+        wts = _outer(axes_w[c:c + step])
+        vals = _sign_sum(parts, mono.reshape(-1, len(expo)))
+        out[c:c + step] = np.einsum("cq,cq->c", wts,
+                                    vals.reshape(wts.shape))
     return out
 
 
-def adaptive_box(fun: Callable, lo, hi, tol_cell: float = CELL_TOL,
+def adaptive_box(phase: _Phase, lo, hi, tol_cell: float = CELL_TOL,
                  cell_cap: Optional[int] = None,
                  order: int = 32,
                  axis_weight: Optional[Callable] = None) -> QuadratureResult:
-    """Adaptive tensor Gauss–Legendre for ∫ fun(u) w(u_1)⋯w(u_n) du on a
-    box (w ≡ 1 without `axis_weight`).  A cell is accepted when its
-    order-`order` and order-`order`/2 values agree to tol_cell, else it is
-    bisected along its widest axis (ties to the first).  Refinement is
-    breadth-first: all cells pending at a level are evaluated together,
-    one `fun` call per rule on the stacked nodes of up to _CHUNK_NODES,
-    and the rejected ones are split together into the next level.  The
+    """Adaptive tensor Gauss–Legendre for ∫ f(u) w(u_1)⋯w(u_n) du on a
+    box, f the sign-folded integrand of `phase` (w ≡ 1 without
+    `axis_weight`).  A cell is accepted when its order-`order` and
+    order-`order`/2 values agree to tol_cell, else it is bisected along its
+    widest axis (ties to the first).  Refinement is breadth-first: all
+    cells pending at a level are evaluated together (`_cell_values`), and
+    the rejected ones are split together into the next level.  The
     separable weight enters the per-axis weights, q·n evaluations per cell
     rather than qⁿ.  When splitting would take the cell count past the
     cell cap, the level's rejected cells are accepted as they are and the
     result is flagged unconverged instead of raising."""
     cell_cap = cell_cap if cell_cap is not None else MAX_CELLS
+    parts = phase.signs.bind(phase.amplitudes)
+    expo = phase.exponents
     clo = np.asarray(lo, dtype=float).reshape(1, -1)
     chi = np.asarray(hi, dtype=float).reshape(1, -1)
     value = 0.0 + 0.0j
@@ -183,8 +226,8 @@ def adaptive_box(fun: Callable, lo, hi, tol_cell: float = CELL_TOL,
     panels = 0
     converged = True
     while len(clo):
-        v_hi = _cell_values(fun, clo, chi, order, axis_weight)
-        v_lo = _cell_values(fun, clo, chi, order // 2, axis_weight)
+        v_hi = _cell_values(parts, expo, clo, chi, order, axis_weight)
+        v_lo = _cell_values(parts, expo, clo, chi, order // 2, axis_weight)
         delta = np.abs(v_hi - v_lo)
         panels += len(clo)
         split = ~(delta <= tol_cell)        # a NaN value is not accepted
@@ -321,14 +364,6 @@ class _Phase:
     exponents: np.ndarray          # (K, dim) float exponents in u-coords
     amplitudes: np.ndarray         # (K,) real amplitudes (c·ξ·2^{−J·m})
     signs: _SignSum                # built on the original exponents
-
-    def integrand(self) -> Callable:
-        expo = self.exponents
-        parts = self.signs.bind(self.amplitudes)
-
-        def fun(pts: np.ndarray) -> np.ndarray:
-            return _sign_sum(parts, np.exp(pts @ expo.T))
-        return fun
 
 
 def _monomial_list(p, restrict: Optional[Sequence[set]] = None):
@@ -577,27 +612,35 @@ class PieceFamily:
     def _series_values(self, scaled: np.ndarray, degree: int) -> np.ndarray:
         """The series truncated at `degree` for each row of `scaled`: the
         amplitudes are raised to the powers 0..degree alone, and the terms
-        are gathered in row blocks of at most _GATHER_ELEMENTS factors."""
+        are gathered in row blocks of at most _GATHER_ELEMENTS factors.
+        Each row's terms are added one after another, in table order, as a
+        running sum: a matrix product or a pairwise sum would order the
+        additions by the number of rows, so a row's value would depend on
+        the batch it comes in."""
         table = self.series
         width = len(table.ends)
         end = table.ends[degree]
+        count = len(scaled)
+        out = np.zeros(count, dtype=complex)
+        if not end:
+            return out
         index, coef = table.index[:end], table.coef[:end]
-        count, per_row = len(scaled), max(1, index.size)
-        step = max(1, _GATHER_ELEMENTS // per_row)
-        out = np.empty(count, dtype=complex)
+        step = max(1, _GATHER_ELEMENTS // index.size)
         for b in range(0, count, step):
             block = scaled[b:b + step]
             powers = np.zeros(block.shape + (width,))
             powers[:, :, :degree + 1] = (block[:, :, None]
                                          ** np.arange(degree + 1))
             flat = powers.reshape(len(block), -1)
-            out[b:b + step] = flat[:, index].prod(axis=2) @ coef
+            terms = flat[:, index].prod(axis=2) * coef
+            out[b:b + step] = np.cumsum(terms, axis=1)[:, -1]
         return out
 
     def _quadrature(self, amps: np.ndarray, swing: float,
-                    tol_cell: float) -> QuadratureResult:
+                    tol_cell: float):
         """One piece from the first ladder rung that agrees with the one
-        before it to tol_cell, else from `adaptive_box`."""
+        before it to tol_cell, else from `adaptive_box`, with the name of
+        the path taken."""
         rungs = self.ladder[2 if swing > 2.0 else 1:]
         parts = self.signs.bind(amps)
         if rungs:
@@ -607,40 +650,46 @@ class PieceFamily:
             v_hi = self._value(key, parts)
             delta = abs(v_hi - v_lo)
             if delta <= tol_cell:
-                self.paths["ladder"] += 1
-                return QuadratureResult(v_hi, delta, panels)
+                return "ladder", QuadratureResult(v_hi, delta, panels)
             v_lo = v_hi
             panels += 1
-        self.paths["fallback"] += 1
         phase = _Phase(self.expo, amps, self.signs)
-        return adaptive_box(phase.integrand(),
-                            [LOG_QUARTER] * self.n, [LOG_TWO] * self.n,
-                            tol_cell, order=32 if swing > 20.0 else 16,
-                            axis_weight=_eta_of_log)
+        return "fallback", adaptive_box(
+            phase, [LOG_QUARTER] * self.n, [LOG_TWO] * self.n, tol_cell,
+            order=32 if swing > 20.0 else 16, axis_weight=_eta_of_log)
 
     def evaluate(self, amps: np.ndarray,
-                 tol_cell: float = CELL_TOL) -> list:
-        """I_J for each row of amplitudes `amps`, (N, K), one result per
-        row: from the moment series when its error bound meets tol_cell
-        (the rows are grouped by the degree they need), else from the
-        ladder or `adaptive_box`, one row at a time (`_quadrature`)."""
+                 tol_cell: float = CELL_TOL) -> Pieces:
+        """I_J for each row of amplitudes `amps`, (N, K): from the moment
+        series when its error bound meets tol_cell (the rows are grouped by
+        the degree they need), else from the ladder or `adaptive_box`
+        (`_quadrature`), once per distinct row, the result scattered to
+        every row equal to it.  `paths` counts every row."""
+        count = len(amps)
+        out = Pieces(np.zeros(count, dtype=complex), np.zeros(count),
+                     np.ones(count, dtype=bool))
         if self.trivial:
-            self.paths["series"] += len(amps)
-            return [QuadratureResult(0.0 + 0.0j, 0.0, 0) for _ in amps]
+            self.paths["series"] += count
+            return out
         scaled = amps * self.swing_scale
         swing = np.sum(np.abs(scaled), axis=1)
         degree, bound = self._series_degrees(scaled, swing, tol_cell)
-        out: list = [None] * len(amps)
         for top in sorted(set(degree.tolist()) - {-1}):
             rows = np.flatnonzero(degree == top)
-            values = self._series_values(scaled[rows], top)
-            for row, value, err in zip(rows.tolist(), values.tolist(),
-                                       bound[rows].tolist()):
-                out[row] = QuadratureResult(value, err, 0)
+            out.values[rows] = self._series_values(scaled[rows], top)
+            out.errors[rows] = bound[rows]
             self.paths["series"] += len(rows)
+        # keyed by the bytes, not np.unique: that imports numpy.ma
+        shared: dict = {}
         for row in np.flatnonzero(degree < 0).tolist():
-            out[row] = self._quadrature(amps[row], float(swing[row]),
-                                        tol_cell)
+            shared.setdefault(amps[row].tobytes(), []).append(row)
+        for rows in shared.values():
+            path, piece = self._quadrature(amps[rows[0]],
+                                           float(swing[rows[0]]), tol_cell)
+            out.values[rows] = piece.value
+            out.errors[rows] = piece.abs_error_estimate
+            out.converged[rows] = piece.converged
+            self.paths[path] += len(rows)
         return out
 
 
@@ -747,7 +796,7 @@ def divergence_probe(p, witness, xi, shrink_sequence,
             continue
         lo = [math.log(a[i]) for i in range(m_rank)]
         hi = [math.log(b[i]) for i in range(m_rank)]
-        core = adaptive_box(phase.integrand(), lo, hi, tol_cell)
+        core = adaptive_box(phase, lo, hi, tol_cell)
         unconverged += not core.converged
         rows.append((free_log, abs(core.value) * free_log,
                      core.abs_error_estimate * free_log))
@@ -793,12 +842,9 @@ def decay_check(p, ray, xi, k_max: int = 12) -> DecayResult:
     chosen = [(nu, min(p.support(nu)), 1.0)
               for nu in range(p.d) if p.support(nu)]
     args = np.abs(_amplitudes(chosen, xi, _j_dot_m(chosen, js)))
-    samples = []
-    unconverged = 0
-    for k, piece in enumerate(family.evaluate(amps)):
-        unconverged += not piece.converged
-        arg = float(args[k].min()) if chosen else 0.0
-        samples.append((k, abs(piece.value), arg))
+    pieces = family.evaluate(amps)
+    samples = [(k, v, float(args[k].min()) if chosen else 0.0)
+               for k, v in enumerate(np.abs(pieces.values).tolist())]
 
     fit_pts = [(math.log(arg), math.log(v))
                for _k, v, arg in samples if arg > 1.0 and v > 1e-13]
@@ -815,7 +861,8 @@ def decay_check(p, ray, xi, k_max: int = 12) -> DecayResult:
     rows = [(k, v, constant * (min(arg ** (-delta), 1.0) if arg > 0
                                else 1.0))
             for k, v, arg in samples]
-    return DecayResult(delta, constant, rows, unconverged)
+    return DecayResult(delta, constant, rows,
+                       int(np.count_nonzero(~pieces.converged)))
 
 
 # ---------------------------------------------------------------------------
@@ -848,6 +895,12 @@ def _prune_bounds(monos, xi, jm: np.ndarray) -> np.ndarray:
         term = abs(c * float(xi[nu])) * pow2[:, k]
         tot += np.where(expo[k] > 0, term[:, None], 0.0)
     return (H_MASS ** n) * np.minimum(tot.min(axis=1), 1.0)
+
+
+def box_size(n: int, s_count: int, radius: int) -> int:
+    """Number of lattice J with |J|_∞ ≤ radius inside Z(S), |S| = s_count:
+    the length of `_box_indices`."""
+    return (radius + 1) ** s_count * (2 * radius + 1) ** (n - s_count)
 
 
 def _box_indices(spec, radius: int):
@@ -895,8 +948,8 @@ def multiplier_sum_probe(p, xi_samples, radius: int,
         pruned += int(np.count_nonzero(cut))
         live = np.flatnonzero(~cut)
         pieces = family.evaluate(_amplitudes(monos, xi, jm)[live])
-        unconverged += sum(not piece.converged for piece in pieces)
-        vals[live] = [abs(piece.value) for piece in pieces]
+        unconverged += int(np.count_nonzero(~pieces.converged))
+        vals[live] = np.abs(pieces.values)
         partial.append({r: float(np.sum(vals[j_norm <= r]))
                         for r in report_radii})
         skipped_total += skipped

@@ -5,6 +5,10 @@
   refines breadth-first in batches and applies a separable weight per
   axis; the two use the same accept test and the same bisection, so they
   accept the same cells and differ only in summation order.
+- A phase's sign-folded integrand at given nodes, with t^m = exp(u·e_k)
+  from the full exponent sum at each node, and the tensor rule's value on
+  a batch of cells from the full node grid, against which the fallback's
+  cells, built from per-axis factors, are checked cell by cell.
 - The sign-group integrand Σ_g w_g exp(i·φ_g) as one complex exponential
   per group, against which both forms of the real-arithmetic sign-sum
   kernel are checked.
@@ -17,6 +21,9 @@
 - One piece's moment series by a degree-by-degree loop over its error
   bound, evaluated with every power the table holds, against which the
   batched series of `PieceFamily.evaluate` is checked row by row.
+- The sum probe with every unpruned piece from its own one-row
+  `evaluate` call, against which the probe's batches, which evaluate a
+  row shared by several pieces once, are checked bit for bit.
 - Fixtures built on the harness: the odd cutoff h(u) = η(u)/u and the
   partition-of-unity deviation of η, the σ-folded principal-value integral
   over an annulus box, a single dyadic piece, and the polynomial P_F of
@@ -33,19 +40,25 @@ import numpy as np
 
 from nh.engine import VectorPolynomial
 from nh.oscillatory import (
+    _CHUNK_NODES,
     _EPS,
     CELL_TOL,
     H_MASS,
     MOMENT_REL_ERR,
+    PRUNE_TOL,
     CutoffSpec,
     PieceFamily,
     QuadratureResult,
     _amplitudes,
+    _box_indices,
     _j_dot_m,
     _moment,
     _monomial_list,
     _Phase,
+    _prune_bounds,
+    _sign_sum,
     _SignSum,
+    _tensor_rules,
     adaptive_box,
 )
 
@@ -85,7 +98,7 @@ def pv_integral(p, xi, a, b, tol_cell: float = CELL_TOL) -> QuadratureResult:
                    amplitudes_per_j(monos, xi), signs)
     lo = [math.log(x) for x in a]
     hi = [math.log(x) for x in b]
-    return adaptive_box(phase.integrand(), lo, hi, tol_cell)
+    return adaptive_box(phase, lo, hi, tol_cell)
 
 
 def face_polynomial(p, face_tuple) -> VectorPolynomial:
@@ -96,12 +109,45 @@ def face_polynomial(p, face_tuple) -> VectorPolynomial:
     return VectorPolynomial(coef, p.d, p.spec)
 
 
-def dyadic_piece(p, j, xi, tol_cell: float = CELL_TOL) -> QuadratureResult:
+def dyadic_piece(p, j, xi, tol_cell: float = CELL_TOL):
     """I_J(P, ξ): every monomial m of P, scaled by 2^{−J·m}, integrated
-    against ∏h(t_ℓ)dt_ℓ over the shells |t_ℓ| ∈ [1/4, 2]."""
+    against ∏h(t_ℓ)dt_ℓ over the shells |t_ℓ| ∈ [1/4, 2]; the one-row
+    `Pieces` of `PieceFamily.evaluate`."""
     family = PieceFamily(p)
     jm = _j_dot_m(family.monos, np.array([j]))
-    return family.evaluate(_amplitudes(family.monos, xi, jm), tol_cell)[0]
+    return family.evaluate(_amplitudes(family.monos, xi, jm), tol_cell)
+
+
+def sum_probe_by_row(p, xi_samples, radius: int, report_radii) -> tuple:
+    """(partial sums per ξ, skipped bound, unconverged, pieces) of
+    `multiplier_sum_probe`, with every unpruned piece taken from its own
+    one-row `PieceFamily.evaluate` call; the pruning, the sums and the
+    counts are the probe's."""
+    family = PieceFamily(p)
+    monos = family.monos
+    js = np.array(list(_box_indices(p.spec, radius)), dtype=np.int64)
+    norm = np.abs(js).max(axis=1)
+    jm = _j_dot_m(monos, js)
+    partial = []
+    skipped = 0.0
+    unconverged = pruned = 0
+    for xi in xi_samples:
+        bounds = _prune_bounds(monos, xi, jm)
+        cut = bounds < PRUNE_TOL
+        skipped += float(np.cumsum(bounds[cut])[-1]) if cut.any() else 0.0
+        pruned += int(np.count_nonzero(cut))
+        live = np.flatnonzero(~cut)
+        amps = _amplitudes(monos, xi, jm)
+        values = np.empty(len(live), dtype=complex)
+        for i, row in enumerate(live):
+            piece = family.evaluate(amps[row][None])
+            values[i] = piece.values[0]
+            unconverged += not piece.converged[0]
+        vals = np.zeros(len(js))
+        vals[live] = np.abs(values)
+        partial.append({r: float(np.sum(vals[norm <= r]))
+                        for r in report_radii})
+    return partial, skipped, unconverged, dict(family.paths, pruned=pruned)
 
 
 def series_piece(family, scaled: np.ndarray, swing: float,
@@ -178,6 +224,34 @@ def series_terms_by_scan(monomials, n: int, degree: int) -> dict:
         terms[p] = (2 ** n * 1j ** sum(p) * moments
                     / math.prod(math.factorial(pk) for pk in p) / scale)
     return terms
+
+
+def phase_integrand(phase: _Phase) -> Callable:
+    """u ↦ the sign-folded integrand of `phase` at nodes (N, dim), with
+    t^m = exp(u·e_k) from the full exponent sum at each node."""
+    expo = phase.exponents
+    parts = phase.signs.bind(phase.amplitudes)
+
+    def fun(pts: np.ndarray) -> np.ndarray:
+        return _sign_sum(parts, np.exp(pts @ expo.T))
+    return fun
+
+
+def cell_values_pointwise(fun: Callable, lo: np.ndarray, hi: np.ndarray,
+                          order: int,
+                          axis_weight: Optional[Callable]) -> np.ndarray:
+    """Order-`order` tensor Gauss–Legendre value of `fun` on each of the
+    C boxes, from the full node grid of `_tensor_rules`, in chunks of at
+    most _CHUNK_NODES nodes."""
+    count, n = lo.shape
+    step = max(1, _CHUNK_NODES // order ** n)
+    out = np.empty(count, dtype=complex)
+    for c in range(0, count, step):
+        pts, wts = _tensor_rules(lo[c:c + step], hi[c:c + step], order,
+                                 axis_weight)
+        vals = fun(pts.reshape(-1, n)).reshape(wts.shape)
+        out[c:c + step] = np.einsum("cq,cq->c", wts, vals)
+    return out
 
 
 def complex_exp_integrand(exponents: np.ndarray, amplitudes: np.ndarray,

@@ -2,6 +2,8 @@
 
 import gc
 import json
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner, _NamedTextIOWrapper
@@ -409,6 +411,11 @@ DECAY_PROBE = {"n": 2, "S": [1, 2], "lambda": [[[1, 1]]],
     ("probe-sum", dict(PAIR_PROBE, xi_count=0), "E_MALFORMED"),
     ("probe-sum", dict(PAIR_PROBE, report_radii=[3]), "E_RADIUS"),
     ("probe-sum", dict(PAIR_PROBE, report_radii=2), "E_RADIUS"),
+    # sizes refused before the work is allocated: a J box of
+    # (10⁶ + 1)² pieces, 10⁴ + 1 ξ samples, 1002 decay rows
+    ("probe-sum", dict(PAIR_PROBE, radius=10 ** 6), "E_RADIUS"),
+    ("probe-sum", dict(PAIR_PROBE, xi_count=10 ** 4 + 1), "E_MALFORMED"),
+    ("probe-decay", dict(DECAY_PROBE, k_max=1001), "E_MALFORMED"),
 ])
 def test_probe_rejects_bad_fields(runner, tmp_path, command, payload, code):
     res = runner.invoke(main, [command, "--input",
@@ -451,6 +458,27 @@ def test_probe_sum_reports_unconverged(runner, tmp_path, monkeypatch):
     res = runner.invoke(main, ["probe-sum", "--input", path])
     assert res.exit_code == EXIT_BOUNDED
     assert json.loads(res.output)["unconverged"] > 0
+
+
+def test_probe_sum_imports_no_numpy_ma(tmp_path):
+    """`nh probe-sum` on the (1, 1) control, which reaches the adaptive
+    fallback, leaves `numpy.ma` unimported (`np.unique` would import it,
+    at about 1.2 MB of peak memory).  A fresh interpreter runs it, since
+    this test session may have imported `numpy.ma` already."""
+    path = _write(tmp_path, {"n": 2, "S": [1, 2], "lambda": [[[1, 1]]],
+                             "mode": "probe-sum", "radius": 3,
+                             "xi": [[64.0]]})
+    code = ("import sys\n"
+            "from nh.cli import main\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, 'numpy.ma' in sys.modules,\n"
+            "          file=sys.stderr)\n")
+    run = subprocess.run([sys.executable, "-c", code, "probe-sum", "--input",
+                          path], capture_output=True, text=True)
+    assert json.loads(run.stdout)["stats"]["pieces"]["fallback"] > 0
+    assert run.stderr.split() == [str(EXIT_BOUNDED), "False"], run.stderr
 
 
 def test_probe_sum_counts_pieces_per_path(runner, tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from nh import oscillatory as osc
 from nh.cli import EXIT_BOUNDED, main
 from nh.engine import FaceTuple, VectorPolynomial
+from nh.exact_numeric import rank
 from nh.newton_poly import DomainSpec
 from nh.parity import is_even, odd_subsets
 from nh.oscillatory import (
@@ -30,6 +31,7 @@ from nh.oscillatory import (
     _SignSum,
     _amplitudes,
     _box_indices,
+    _cell_values,
     _eta_of_log,
     _j_dot_m,
     _lattice_phase,
@@ -50,15 +52,18 @@ from nh.oscillatory import (
 from quadrature_oracle import (
     adaptive_box_depth_first,
     amplitudes_per_j,
+    cell_values_pointwise,
     complex_exp_integrand,
     cutoff_h,
     dyadic_piece,
     odd_subsets_by_scan,
     partition_deviation,
+    phase_integrand,
     prune_bound,
     pv_integral,
     series_piece,
     series_terms_by_scan,
+    sum_probe_by_row,
 )
 from test_acceptance import WORKED_L1, WORKED_L2
 
@@ -204,7 +209,7 @@ def test_adaptive_box_matches_depth_first(n, order, weighted):
             lo = [rng.uniform(-3.0, 0.0) for _ in range(n)]
             hi = [x + rng.uniform(0.5, 2.5) for x in lo]
         phase, groups = _random_phase(rng, n)
-        got = adaptive_box(phase.integrand(), lo, hi, tol, order=order,
+        got = adaptive_box(phase, lo, hi, tol, order=order,
                            axis_weight=_eta_of_log if weighted else None)
         ref = adaptive_box_depth_first(
             complex_exp_integrand(phase.exponents, phase.amplitudes,
@@ -220,12 +225,46 @@ def test_adaptive_box_matches_depth_first(n, order, weighted):
 def test_adaptive_box_cell_cap_flags_result():
     phase = _Phase(np.array([[1.0, 1.0]]), np.array([2000.0]),
                    _SignSum([(1, 1)], 2))
-    r = adaptive_box(phase.integrand(), [LOG_QUARTER] * 2, [LOG_TWO] * 2,
-                     cell_cap=7)
+    r = adaptive_box(phase, [LOG_QUARTER] * 2, [LOG_TWO] * 2, cell_cap=7)
     assert not r.converged
     assert 1 <= r.panels <= 7
     assert math.isfinite(r.value.real) and math.isfinite(r.value.imag)
     assert math.isfinite(r.abs_error_estimate)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("order", [16, 32])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_separable_cells_match_the_pointwise_oracle(n, order, weighted):
+    """The fallback's cell values, with t^m and the tensor weights taken as
+    outer products of per-axis factors, agree on every cell with the full
+    node grid and the pointwise integrand to 1e-15·2ⁿ·Σ|w|: Σ|w| is the
+    cell's weight mass and 2ⁿ bounds the sign-folded integrand, so this is
+    a relative error of 1e-15 at every node.  Random sub-boxes of a random
+    box (of the shell, with the η weight), more of them than one chunk of
+    _CHUNK_NODES holds."""
+    rng = random.Random(200 + 10 * n + order + weighted)
+    weight = _eta_of_log if weighted else None
+    count = 2 * max(1, _CHUNK_NODES // order ** n) + 3
+    for _ in range(3):
+        phase, _groups = _random_phase(rng, n)
+        if weighted:
+            lo, hi = np.full(n, LOG_QUARTER), np.full(n, LOG_TWO)
+        else:
+            lo = np.array([rng.uniform(-3.0, 0.0) for _ in range(n)])
+            hi = lo + np.array([rng.uniform(0.5, 2.5) for _ in range(n)])
+        ends = np.sort(np.array([[[rng.random() for _ in range(n)]
+                                  for _ in range(2)]
+                                 for _ in range(count)]), axis=1)
+        cell_lo = lo + (hi - lo) * ends[:, 0]
+        cell_hi = lo + (hi - lo) * ends[:, 1]
+        got = _cell_values(phase.signs.bind(phase.amplitudes),
+                           phase.exponents, cell_lo, cell_hi, order, weight)
+        ref = cell_values_pointwise(phase_integrand(phase), cell_lo,
+                                    cell_hi, order, weight)
+        _pts, wts = _tensor_rules(cell_lo, cell_hi, order, weight)
+        assert np.all(np.abs(got - ref)
+                      <= 1e-15 * 2.0 ** n * np.abs(wts).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +274,7 @@ def test_adaptive_box_cell_cap_flags_result():
 def test_piece_zero_frequency():
     p = _vp([(1, 1)], 2, [0, 1])
     r = dyadic_piece(p, (0, 0), [0.0])
-    assert abs(r.value) == 0.0
+    assert abs(r.values[0]) == 0.0
 
 
 def test_piece_even_tuple_vanishes():
@@ -245,7 +284,7 @@ def test_piece_even_tuple_vanishes():
         j = (rng.randint(0, 6), rng.randint(0, 6))
         xi = [rng.uniform(-4, 4)]
         r = dyadic_piece(p, j, xi)
-        assert abs(r.value) < 1e-8 * 2.0
+        assert abs(r.values[0]) < 1e-8 * 2.0
 
 
 def test_piece_matches_adaptive_reference():
@@ -259,14 +298,14 @@ def test_piece_matches_adaptive_reference():
     for _ in range(6):
         j = (rng.randint(0, 4), rng.randint(0, 4))
         xi = [rng.uniform(-3, 3)]
-        got = family.evaluate(amplitudes_per_j(monos, xi, j)[None])[0]
+        got = family.evaluate(amplitudes_per_j(monos, xi, j)[None])
         ref = adaptive_box_depth_first(
             complex_exp_integrand(
                 np.array([m for _, m, _ in monos], dtype=float),
                 amplitudes_per_j(monos, xi, j), groups),
             [LOG_QUARTER] * 2, [LOG_TWO] * 2, weight=_eta_product)
-        assert abs(got.value - ref.value) <= \
-            1e-7 + got.abs_error_estimate + ref.abs_error_estimate
+        assert abs(got.values[0] - ref.value) <= \
+            1e-7 + got.errors[0] + ref.abs_error_estimate
 
 
 def test_piece_scaling_covariance():
@@ -280,7 +319,7 @@ def test_piece_scaling_covariance():
         scaled = xi * 2.0 ** (-float(j[0] + j[1]))
         a = dyadic_piece(p, j, [xi])
         b = dyadic_piece(p, (0, 0), [scaled])
-        assert a.value == b.value     # identical amplitudes, same rule
+        assert a.values[0] == b.values[0]   # same amplitudes, same rule
 
 
 def test_prune_bound_is_rigorous():
@@ -294,7 +333,7 @@ def test_prune_bound_is_rigorous():
         for j, bound in zip(js, _prune_bounds(monos, xi,
                                               _j_dot_m(monos, js))):
             r = dyadic_piece(p, tuple(j.tolist()), xi)
-            assert abs(r.value) <= bound + 1e-7 + r.abs_error_estimate
+            assert abs(r.values[0]) <= bound + 1e-7 + r.errors[0]
 
 
 def _random_j_boxes(rng, n, tries):
@@ -399,8 +438,8 @@ def test_sign_group_kernel_matches_complex_exp(n, monos, amps):
 
 def _assert_kernel_matches_complex_exp(family, amps, rng):
     """Every ladder rung and half-order rung of PieceFamily._value (for
-    n = 4 those of at most 2^16 nodes), and _Phase.integrand on more nodes
-    than one block, agree with Σ_g w_g exp(iφ_g) to 1e-13."""
+    n = 4 those of at most 2^16 nodes), and the pointwise integrand on
+    more nodes than one block, agree with Σ_g w_g exp(iφ_g) to 1e-13."""
     n = family.n
     oracle = complex_exp_integrand(
         family.expo, amps,
@@ -414,7 +453,7 @@ def _assert_kernel_matches_complex_exp(family, amps, rng):
         assert abs(got - np.dot(wts, oracle(pts))) <= 1e-13, (order, level)
 
     pts = rng.uniform(LOG_QUARTER, LOG_TWO, size=(2 * _CHUNK_NODES + 5, n))
-    got = _Phase(family.expo, amps, family.signs).integrand()(pts)
+    got = phase_integrand(_Phase(family.expo, amps, family.signs))(pts)
     assert np.max(np.abs(got - oracle(pts))) <= 1e-13
 
 
@@ -436,11 +475,13 @@ def test_ladder_skips_rungs_above_the_node_limit(monkeypatch, n):
         return complex(len(asked))
 
     monkeypatch.setattr(family, "_value", never_settles)
-    monkeypatch.setattr(osc, "adaptive_box", lambda *args, **kw: "fallback")
+    marker = osc.QuadratureResult(-7.0 + 0.5j, 0.25, 1, False)
+    monkeypatch.setattr(osc, "adaptive_box", lambda *args, **kw: marker)
     for amp, start in ((0.0, 1), (0.01, 1), (1.0, 2)):
         asked.clear()
-        assert family.evaluate(np.full((1, 2), amp), 1e-20)[0] == \
-            "fallback"
+        got = family.evaluate(np.full((1, 2), amp), 1e-20)
+        assert (got.values[0], got.errors[0], got.converged[0]) == \
+            (marker.value, marker.abs_error_estimate, marker.converged)
         rungs = [key for key in _LADDER[start:]
                  if n == 3 or key != (16, 2)]
         assert asked == [(rungs[0][0] // 2, rungs[0][1])] + rungs
@@ -448,8 +489,10 @@ def test_ladder_skips_rungs_above_the_node_limit(monkeypatch, n):
                    for order, level in asked)
     assert family.paths == {"series": 0, "ladder": 0, "fallback": 3}
     for amp in (0.0, 0.01):
-        assert family.evaluate(np.full((1, 2), amp))[0].panels == 0
-    assert family.paths["series"] == 2
+        asked.clear()
+        family.evaluate(np.full((1, 2), amp))
+        assert asked == []
+    assert family.paths == {"series": 2, "ladder": 0, "fallback": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -557,19 +600,19 @@ def test_series_matches_the_depth_first_oracle(n):
         top = _series_range(family, direction)
         assert top >= 1.0
         scale = np.dot(np.abs(direction), family.swing_scale)
-        small = family.evaluate((direction * 1e-3 / scale)[None])[0]
+        small = family.evaluate((direction * 1e-3 / scale)[None])
         # the degree-D tail is H_MASSⁿ·s^{D+1}/(D+1)!, and the rounding
         # part is far below the degree-3 tail
-        assert small.abs_error_estimate >= osc.H_MASS ** n * 1e-9 / 6.0
+        assert small.errors[0] >= osc.H_MASS ** n * 1e-9 / 6.0
         for fraction in fractions:
             amps = direction * fraction * top / scale
-            got = family.evaluate(amps[None])[0]
+            got = family.evaluate(amps[None])
             ref = adaptive_box_depth_first(
                 complex_exp_integrand(family.expo, amps, groups),
                 [LOG_QUARTER] * n, [LOG_TWO] * n,
                 weight=_eta_product, order=32)
-            assert abs(got.value - ref.value) <= \
-                got.abs_error_estimate + ref.abs_error_estimate
+            assert abs(got.values[0] - ref.value) <= \
+                got.errors[0] + ref.abs_error_estimate
         assert family.paths["series"] == 1 + len(fractions)
 
 
@@ -612,7 +655,9 @@ def test_batched_evaluate_matches_the_one_piece_oracle(monkeypatch, n):
         paths, singles = [], []
         for row in amps:
             before = dict(family.paths)
-            singles.append(family.evaluate(row[None], tol)[0])
+            single = family.evaluate(row[None], tol)
+            singles.append((single.values[0], single.errors[0],
+                            single.converged[0]))
             paths.append(next(key for key, used in family.paths.items()
                               if used > before[key]))
         summed = dict(family.paths)
@@ -621,7 +666,8 @@ def test_batched_evaluate_matches_the_one_piece_oracle(monkeypatch, n):
         assert family.paths == summed
         assert set(paths) == {"series", "ladder", "fallback"}
 
-        for row, path, single, got in zip(amps, paths, singles, batch):
+        got_rows = zip(batch.values, batch.errors, batch.converged)
+        for row, path, single, got in zip(amps, paths, singles, got_rows):
             scaled = row * family.swing_scale
             swing = float(np.sum(np.abs(scaled)))
             oracle = series_piece(family, scaled, swing, tol)
@@ -629,18 +675,19 @@ def test_batched_evaluate_matches_the_one_piece_oracle(monkeypatch, n):
             if oracle is None:
                 assert got == single
                 continue
-            assert got.panels == 0
-            assert got.abs_error_estimate == oracle.abs_error_estimate
-            assert abs(got.value - oracle.value) <= \
+            value, err, converged = got
+            assert converged
+            assert err == oracle.abs_error_estimate
+            assert abs(value - oracle.value) <= \
                 1e-15 * osc.H_MASS ** n * math.exp(swing)
 
         series = [i for i, path in enumerate(paths) if path == "series"]
         with monkeypatch.context() as patch:
             patch.setattr(osc, "_GATHER_ELEMENTS", 1)
             blocked = family.evaluate(amps[series], tol)
-        for i, got in zip(series, blocked):
+        for i, got in zip(series, blocked.values):
             swing = float(np.sum(np.abs(amps[i] * family.swing_scale)))
-            assert abs(got.value - batch[i].value) <= \
+            assert abs(got - batch.values[i]) <= \
                 1e-15 * osc.H_MASS ** n * math.exp(swing)
 
 
@@ -718,7 +765,9 @@ def test_even_list_has_no_terms_in_either_form():
         p = _vp(pts, n, list(range(n)))
         family = PieceFamily(p)
         assert family.trivial and sigma_groups(pts, n) == []
-        assert family.evaluate(np.ones((1, len(pts))))[0].value == 0.0
+        got = family.evaluate(np.ones((1, len(pts))))
+        assert got.values[0] == 0.0 and got.errors[0] == 0.0
+        assert family.paths["series"] == 1
 
 
 @pytest.mark.parametrize("n,points,parity", [
@@ -740,7 +789,7 @@ def test_lattice_phase_matches_complex_exp(n, points, parity):
                                    sigma_groups(sorted(points), n))
     rng = np.random.default_rng(n + len(points))
     pts = rng.uniform(-3.0, 0.5, size=(2 * _CHUNK_NODES + 5, m_rank))
-    got = phase.integrand()(pts)
+    got = phase_integrand(phase)(pts)
     assert np.max(np.abs(got - oracle(pts))) <= 1e-13
 
 
@@ -865,6 +914,77 @@ def test_sum_probe_reports_nested_radii():
     assert res.skipped_bound >= 0.0
 
 
+def _rank_deficient_list(rng, n: int, top: int, degree: int):
+    """A random odd polynomial in n variables whose exponents span a
+    lattice of rank r < n: combinations, with coefficients in 0..top, of
+    r random rows of {0..top}ⁿ, each of total degree at most `degree`."""
+    while True:
+        base = [[rng.randint(0, top) for _ in range(n)]
+                for _ in range(rng.randint(1, n - 1))]
+        monos = {tuple(sum(c * b[axis] for c, b in zip(coefs, base))
+                       for axis in range(n))
+                 for coefs in ([rng.randint(0, top) for _ in base]
+                               for _ in range(rng.randint(1, 3)))}
+        monos = sorted(m for m in monos if any(m))
+        if monos and not is_even(monos) and rank(monos) < n \
+                and max(map(sum, monos)) <= degree:
+            return VectorPolynomial(
+                {(0, m): rng.choice((1, -2, 3)) for m in monos}, d=1,
+                spec=DomainSpec.of(n, list(range(n))))
+
+
+def test_sum_probe_evaluates_each_distinct_row_once(monkeypatch):
+    """On the (1, 1) control at ξ ∈ {16, 64} and on random rank-deficient
+    lists (n ≤ 3), whose pieces share amplitude rows, the probe's partial
+    sums, skipped bound, unconverged count and piece counts equal (==)
+    those of one-row `evaluate` calls.  Per ξ, the ladder and the fallback
+    are entered once per distinct row that the series declines, and
+    `adaptive_box` once per distinct row that reaches it.  (The 3-d lists
+    keep small exponents, ξ and radius: a 3-d fallback piece can take a
+    second.)"""
+    rng = random.Random(17)
+    cases = [(_vp([(1, 1)], 2, [0, 1]), [[16.0], [64.0]], 3)]
+    cases += [(_rank_deficient_list(rng, 2, 3, 6),
+               [[rng.choice((-1, 1)) * rng.uniform(1.0, 16.0)]], 3)
+              for _ in range(4)]
+    cases += [(_rank_deficient_list(rng, 3, 1, 3),
+               [[rng.choice((-1, 1)) * rng.uniform(1.0, 4.0)]], 1)]
+    declined, fallback = [], []
+    quadrature, box = PieceFamily._quadrature, osc.adaptive_box
+
+    def count_declined(self, amps, *args):
+        declined.append(amps.tobytes())
+        return quadrature(self, amps, *args)
+
+    def count_fallback(phase, *args, **kwargs):
+        fallback.append(phase.amplitudes.tobytes())
+        return box(phase, *args, **kwargs)
+
+    monkeypatch.setattr(PieceFamily, "_quadrature", count_declined)
+    monkeypatch.setattr(osc, "adaptive_box", count_fallback)
+    shared = 0
+    for p, xis, radius in cases:
+        radii = list(range(radius + 1))
+        # all ξ in one probe, then one ξ at a time for the call counts
+        groups = [[xi] for xi in xis]
+        for group in groups if len(xis) == 1 else [xis] + groups:
+            declined.clear()
+            fallback.clear()
+            res = multiplier_sum_probe(p, group, radius, radii)
+            once = (list(declined), list(fallback))
+            declined.clear()
+            fallback.clear()
+            assert (res.partial_sums, res.skipped_bound, res.unconverged,
+                    res.pieces) == sum_probe_by_row(p, group, radius, radii)
+            if len(group) > 1:
+                continue
+            for got, per_piece in zip(once, (declined, fallback)):
+                assert len(set(got)) == len(got)
+                assert set(got) == set(per_piece)
+            shared += len(declined) - len(once[0])
+    assert shared > 0       # some rows were evaluated once for many pieces
+
+
 def test_every_monomial_lies_on_the_improper_faces():
     """The improper face N(Λ_ν) holds every point of Λ_ν: the monomials
     on the improper faces are all of `PieceFamily(p).monos`, and the
@@ -912,7 +1032,7 @@ def _sums_by_piece(p, xi, radius: int) -> dict:
     js = np.array(list(_box_indices(p.spec, radius)), dtype=np.int64)
     bounds = _prune_bounds(monos, xi, _j_dot_m(monos, js))
     vals = np.array([0.0 if bound < PRUNE_TOL
-                     else abs(dyadic_piece(p, tuple(j), xi).value)
+                     else abs(dyadic_piece(p, tuple(j), xi).values[0])
                      for j, bound in zip(js.tolist(), bounds)])
     norm = np.abs(js).max(axis=1)
     return {r: float(np.sum(vals[norm <= r])) for r in range(radius + 1)}
@@ -943,7 +1063,7 @@ def test_decay_probe_builds_no_polyhedra(monkeypatch, tmp_path):
     row holds the value of one piece at a time, and its envelope scales
     by the least point of each improper face."""
     p, ray, xi, k_max = _WORKED_PAIR, (1, 1, 1), [0.2, -0.1], 5
-    values = [abs(dyadic_piece(p, (k,) * 3, xi).value)
+    values = [abs(dyadic_piece(p, (k,) * 3, xi).values[0])
               for k in range(k_max + 1)]
     least = [f.lambda_points()[0] for f in _improper_tuple(p).faces]
     args = [min(abs(x) * 2.0 ** (-k * sum(m)) for x, m in zip(xi, least))
