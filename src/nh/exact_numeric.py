@@ -4,8 +4,9 @@ Vectors are sequences of ints and ``fractions.Fraction``s (any other number
 is taken at its exact ``Fraction`` value).  Everything here is pure and
 immutable: rank and nullspaces by fraction-free elimination, exact
 Gram–Schmidt, strict-inequality feasibility by a fraction-free simplex on
-Python integers with Bland's rule, and GF(2) elimination (all subsets of
-a list of vectors that sum to a target).
+Python integers with Bland's rule (a sign bound x_j ≥ 0 is a nonnegative
+column, not a row), and GF(2) elimination (all subsets of a list of
+vectors that sum to a target).
 """
 
 from __future__ import annotations
@@ -338,73 +339,93 @@ def _simplex_max(A: list[list], b: list,
     return True, z, value
 
 
+def _sign_bound(a: RVector, b) -> Optional[int]:
+    """j when the weak row a·x ≥ b reads c·x_j ≥ 0 with c > 0, else None."""
+    if b != 0:
+        return None
+    nonzero = [j for j, x in enumerate(a) if x != 0]
+    if len(nonzero) == 1 and a[nonzero[0]] > 0:
+        return nonzero[0]
+    return None
+
+
 def solve_strict(sys: StrictSystem) -> Optional[tuple]:
     """Witness x for the system, or None.
 
     Slack formulation: maximize t subject to a·x − t ≥ b per strict row and
-    t ≤ 1; feasible with optimum t > 0 iff a strict witness exists.  The
-    witness is re-checked exactly before being returned.
+    t ≤ 1; feasible with optimum t > 0 iff a strict witness exists.  A weak
+    row c·x_j ≥ 0 with c > 0 is a sign bound: x_j is then one nonnegative
+    column and the row adds nothing to the tableau.  Columns: x_j or u_j
+    at position j, then v_j for each x_j without a sign bound (x_j =
+    u_j − v_j), then [tp, tn] (t = tp − tn) if strict rows exist, then one
+    surplus per other weak row, per strict row, and one slack for the cap
+    t ≤ 1.  With no row left, x = 0.  The witness is re-checked exactly
+    against the whole system, sign bounds included, before being returned.
     """
     n = sys.dim
+    bounded = set()
+    weak = []
+    for a_, b_ in sys.weak:
+        j = _sign_bound(a_, b_)
+        if j is None:
+            weak.append((a_, b_))
+        else:
+            bounded.add(j)
     has_strict = bool(sys.strict)
-    if not (sys.equalities or sys.weak or sys.strict):
+    if not (sys.equalities or weak or has_strict):
         return tuple(Fraction(0) for _ in range(n))
 
-    # variables: u(n), v(n) with x = u − v, then [tp, tn] if strict rows
-    # exist, then one surplus per weak row, per strict row, and one slack
-    # for the cap t ≤ 1.
-    nuv = 2 * n
+    neg = {j: n + i
+           for i, j in enumerate(j for j in range(n) if j not in bounded)}
+    nx = n + len(neg)
     nt = 2 if has_strict else 0
-    n_weak = len(sys.weak)
+    n_weak = len(weak)
     n_strict = len(sys.strict)
-    ncols = nuv + nt + n_weak + n_strict + (1 if has_strict else 0)
+    ncols = nx + nt + n_weak + n_strict + (1 if has_strict else 0)
 
     A: list[list] = []
     b: list = []
 
     def row(coeff_x: RVector, t_coeff: int, surplus_col: Optional[int],
-            slack_col: Optional[int], rhs) -> None:
+            rhs) -> None:
         r = [0] * ncols
         for j, a in enumerate(coeff_x):
             a = _rat(a)
             r[j] = a
-            r[n + j] = -a
-        if has_strict and t_coeff:
-            r[nuv] = t_coeff
-            r[nuv + 1] = -t_coeff
+            if j in neg:
+                r[neg[j]] = -a
+        if t_coeff:
+            r[nx] = t_coeff
+            r[nx + 1] = -t_coeff
         if surplus_col is not None:
             r[surplus_col] = -1
-        if slack_col is not None:
-            r[slack_col] = 1
         A.append(r)
         b.append(_rat(rhs))
 
-    base = nuv + nt
+    base = nx + nt
     for a_, b_ in sys.equalities:
-        row(a_, 0, None, None, b_)
-    for i, (a_, b_) in enumerate(sys.weak):
-        row(a_, 0, base + i, None, b_)
+        row(a_, 0, None, b_)
+    for i, (a_, b_) in enumerate(weak):
+        row(a_, 0, base + i, b_)
     for i, (a_, b_) in enumerate(sys.strict):
-        row(a_, -1, base + n_weak + i, None, b_)
+        row(a_, -1, base + n_weak + i, b_)
+    c = [0] * ncols
     if has_strict:
         r = [0] * ncols
-        r[nuv] = 1
-        r[nuv + 1] = -1
+        r[nx] = 1
+        r[nx + 1] = -1
         r[-1] = 1
         A.append(r)
         b.append(1)
-
-    c = [0] * ncols
-    if has_strict:
-        c[nuv] = 1
-        c[nuv + 1] = -1
+        c[nx] = 1
+        c[nx + 1] = -1
 
     feasible, z, value = _simplex_max(A, b, c)
     if not feasible:
         return None
     if has_strict and value <= 0:
         return None
-    x = tuple(z[j] - z[n + j] for j in range(n))
+    x = tuple(z[j] - z[neg[j]] if j in neg else z[j] for j in range(n))
     assert sys.satisfied_by(x), "simplex witness failed exact re-check"
     return x
 

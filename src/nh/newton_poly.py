@@ -20,6 +20,7 @@ incidences (Kaibel and Pfetsch, Comput. Geom. 2002).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -184,17 +185,16 @@ class NewtonPolyhedron:
 # ---------------------------------------------------------------------------
 
 def _is_extreme(p, others, rays) -> bool:
-    """p not a convex combination of `others` plus nonnegative ray moves."""
-    nvars = len(others) + len(rays)
-    n = len(p)
-    eqs = []
-    for coord in range(n):
-        a = [Fraction(o[coord]) for o in others] + \
-            [Fraction(r[coord]) for r in rays]
-        eqs.append((tuple(a), Fraction(p[coord])))
-    eqs.append((tuple([Fraction(1)] * len(others) + [Fraction(0)] * len(rays)),
-                Fraction(1)))
-    weak = tuple((unit(nvars, j), Fraction(0)) for j in range(nvars))
+    """p not a convex combination of `others` plus nonnegative ray moves:
+    no λ, μ ≥ 0 with Σλ_i o_i + Σμ_j r_j = p and Σλ_i = 1.  The equality
+    rows are the integer exponents themselves; λ, μ ≥ 0 are sign bounds,
+    which `solve_strict` takes as nonnegative columns, so the tableau has
+    n + 1 rows."""
+    gens = list(others) + list(rays)
+    nvars = len(gens)
+    eqs = [(tuple(g[coord] for g in gens), x) for coord, x in enumerate(p)]
+    eqs.append(((1,) * len(others) + (0,) * len(rays), 1))
+    weak = tuple((unit(nvars, j), 0) for j in range(nvars))
     sys = StrictSystem(dim=nvars, equalities=tuple(eqs), weak=weak)
     return solve_strict(sys) is None
 
@@ -473,11 +473,18 @@ def cones_interior_intersection(faces: Sequence[Face]) -> Optional[tuple]:
 def minimal_points(x: Sequence, points: Iterable, rays: Iterable) -> tuple:
     """The face x ∈ Z(S) cuts out of N(points, S), rays = the e_j (j ∈ S),
     without a hull: (the x-minimal points, the rays with x·r = 0); exact,
-    as `dot` reads every entry as a rational."""
-    levels = {m: dot(x, m) for m in points}
+    as `dot` reads every entry as a rational.  An integer x, such as a
+    facet normal, takes plain integer sums over the integer exponents."""
+    if all(type(c) is int for c in x):
+        def level(m):
+            return sum(map(operator.mul, x, m))
+    else:
+        def level(m):
+            return dot(x, m)
+    levels = {m: level(m) for m in points}
     low = min(levels.values())
     return ([m for m, lv in levels.items() if lv == low],
-            [r for r in rays if dot(x, r) == 0])
+            [r for r in rays if level(r) == 0])
 
 
 def face_by_cone_interior(p: NewtonPolyhedron, x: Sequence) -> Face:

@@ -3,24 +3,46 @@
 `build_newton_pairwise` draws candidate facet normals from exact nullspaces
 of (m−1)-subsets of all pairwise vertex differences and rays;
 `enumerate_faces_subsets` intersects the tight sets of every one of the 2^k
-facet subsets.  Both are exponential and slow, and share nothing with the
-production hull and lattice except the vertex LP and the data classes.
+facet subsets.  Both are exponential and slow.  The vertex test is
+`is_extreme_split`: the convex-combination LP with every variable split
+into u − v and λ, μ ≥ 0 as rows, solved by the rational-tableau simplex of
+`simplex_oracle`.  The oracle shares nothing with the production hull,
+lattice and LP except the exact linear algebra and the data classes.
 """
 
 import itertools
 from fractions import Fraction
 
-from nh.exact_numeric import dot, is_zero, nullspace, primitive, rank, vsub
-from nh.newton_poly import Face, NewtonPolyhedron, _is_extreme
+from nh.exact_numeric import (
+    StrictSystem, dot, is_zero, nullspace, primitive, rank, unit, vsub)
+from nh.newton_poly import Face, NewtonPolyhedron
+from simplex_oracle import split_solve_strict
+
+
+def is_extreme_split(p, others, rays) -> bool:
+    """p not a convex combination of `others` plus nonnegative ray moves."""
+    gens = [tuple(map(Fraction, g)) for g in list(others) + list(rays)]
+    nvars = len(gens)
+    eqs = [(tuple(g[coord] for g in gens), Fraction(x))
+           for coord, x in enumerate(p)]
+    eqs.append((tuple(Fraction(int(i < len(others))) for i in range(nvars)),
+                Fraction(1)))
+    weak = tuple((unit(nvars, j), Fraction(0)) for j in range(nvars))
+    return split_solve_strict(StrictSystem(
+        dim=nvars, equalities=tuple(eqs), weak=weak)) is None
+
+
+def vertices_split(omega, spec) -> list:
+    """The points of Ω that `is_extreme_split` keeps, sorted."""
+    pts = omega.sorted_points()
+    return [p for p in pts
+            if is_extreme_split(p, [q for q in pts if q != p], spec.rays())]
 
 
 def build_newton_pairwise(omega, spec) -> NewtonPolyhedron:
     n = spec.n
     rays = spec.rays()
-    pts = omega.sorted_points()
-
-    verts = [p for p in pts
-             if _is_extreme(p, [q for q in pts if q != p], rays)]
+    verts = vertices_split(omega, spec)
     v0 = verts[0]
     directions = [vsub(v, v0) for v in verts[1:]] + [tuple(map(Fraction, r))
                                                     for r in rays]

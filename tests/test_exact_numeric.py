@@ -4,8 +4,9 @@ Oracles: rank against minor enumeration (minors by the Leibniz formula),
 the fraction-free nullspace against the `Fraction` Gauss–Jordan one in
 `rref_oracle`, strict-system feasibility against a dense rational grid
 scan, the fraction-free simplex against the rational tableau simplex in
-`simplex_oracle`, GF(2) solution sets against explicit enumeration of all
-2^k combinations.
+`simplex_oracle`, sign bounds as nonnegative columns against the split
+formulation of `simplex_oracle`, GF(2) solution sets against explicit
+enumeration of all 2^k combinations.
 """
 
 import itertools
@@ -34,7 +35,7 @@ from nh.exact_numeric import (
     vsub,
 )
 from rref_oracle import fraction_nullspace
-from simplex_oracle import fraction_simplex_max
+from simplex_oracle import fraction_simplex_max, split_solve_strict
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +352,100 @@ def test_solve_strict_same_witness(seed):
     dim = rng.randint(1, 4)
     groups = [_random_rows(rng, rng.randint(0, k), dim) for k in (2, 3, 3)]
     _assert_same_witness(StrictSystem(dim, *map(tuple, groups)))
+
+
+# ---------------------------------------------------------------------------
+# sign bounds as nonnegative columns vs. the split formulation
+# ---------------------------------------------------------------------------
+
+def _assert_same_feasibility_as_split(sys):
+    got = solve_strict(sys)
+    want = split_solve_strict(sys)
+    assert (got is None) == (want is None), (sys, got, want)
+    if got is not None:
+        assert sys.satisfied_by(got) and all(type(x) is Fraction
+                                             for x in got), sys
+    return got
+
+
+def _random_sign_bound(rng, dim):
+    """c·x_j ≥ 0 with c > 0, as an int or a Fraction row."""
+    j = rng.randrange(dim)
+    c = rng.choice((1, 2, Fraction(3, 4), Fraction(5)))
+    return tuple(c if i == j else 0 for i in range(dim)), rng.choice(
+        (0, Fraction(0)))
+
+
+def _near_miss(rng, dim):
+    """A weak row that is not a sign bound: a negative c, a nonzero rhs or
+    a second nonzero entry."""
+    j = rng.randrange(dim)
+    kind = rng.randrange(3 if dim > 1 else 2)
+    a = [0] * dim
+    a[j] = rng.choice((-1, Fraction(-2, 3))) if kind == 0 else 1
+    if kind == 2:
+        a[(j + 1) % dim] = rng.choice((-1, 1))
+    return tuple(a), rng.choice((-1, 1, Fraction(1, 2))) if kind == 1 else 0
+
+
+SIGN_BOUND_CASES = [
+    # sign bounds only, with a duplicate: no tableau row, x = 0
+    StrictSystem(dim=2, weak=(((1, 0), 0), ((Fraction(1, 2), 0), 0),
+                              ((0, 3), Fraction(0)))),
+    # a sign bound against an equality: infeasible
+    StrictSystem(dim=2, equalities=(((1, 1), -1),),
+                 weak=(((1, 0), 0), ((0, 1), 0))),
+    # one bounded and one free coordinate meet a strict row
+    StrictSystem(dim=2, equalities=(((1, 1), 0),), weak=(((1, 0), 0),),
+                 strict=(((1, 0), 0),)),
+    # the strict row asks for the bounded coordinate to be negative
+    StrictSystem(dim=2, weak=(((2, 0), 0), ((2, 0), 0)),
+                 strict=(((-1, 0), 0),)),
+    # near misses keep their rows: c < 0, a nonzero rhs, two entries
+    StrictSystem(dim=2, weak=(((-1, 0), 0), ((0, 1), 1), ((1, -1), 0)),
+                 strict=(((1, 1), Fraction(-7, 2)),)),
+    # the all-empty tuple's sweep: e_j ≥ 0 per face, then a signed e_k > 0
+    StrictSystem(dim=3, weak=(((1, 0, 0), 0), ((0, 0, 1), 0)) * 3,
+                 strict=(((-1, 0, 0), 0),)),
+]
+
+
+@pytest.mark.parametrize("sys", SIGN_BOUND_CASES)
+def test_sign_bound_columns_cases(sys):
+    _assert_same_feasibility_as_split(sys)
+
+
+def test_sign_bound_columns_known_witnesses():
+    assert solve_strict(SIGN_BOUND_CASES[0]) == (0, 0)
+    assert solve_strict(SIGN_BOUND_CASES[1]) is None
+    assert solve_strict(SIGN_BOUND_CASES[3]) is None
+    x = solve_strict(SIGN_BOUND_CASES[2])
+    assert x[0] > 0 and x[1] == -x[0]
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_sign_bound_columns_match_the_split_oracle(seed):
+    """Random systems (dim ≤ 4) in which at least half the weak rows are
+    sign bounds c·x_j ≥ 0, c > 0, with duplicates; a fifth hold sign
+    bounds only.  The rest add near misses, random weak rows, equalities
+    and strict rows."""
+    rng = random.Random(seed)
+    dim = rng.randint(1, 4)
+    # up to 2·dim draws of j among dim coordinates, so duplicates occur
+    weak = [_random_sign_bound(rng, dim)
+            for _ in range(rng.randint(1, 2 * dim))]
+    if rng.random() < 0.2:
+        sys = StrictSystem(dim, weak=tuple(weak))
+        assert _assert_same_feasibility_as_split(sys) == (0,) * dim
+        return
+    others = [_near_miss(rng, dim) if rng.random() < 0.5 else row
+              for row in _random_rows(rng, rng.randint(0, len(weak)), dim)]
+    weak += others
+    rng.shuffle(weak)
+    eqs, strict = (_random_rows(rng, rng.randint(0, k), dim) for k in (2, 2))
+    _assert_same_feasibility_as_split(
+        StrictSystem(dim, tuple(eqs), tuple(weak), tuple(strict)))
 
 
 # ---------------------------------------------------------------------------

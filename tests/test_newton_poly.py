@@ -1,7 +1,8 @@
 """Unit tests for Newton polyhedra: construction, faces, dual cones.
 
-Oracles: the pairwise-direction hull and the 2^k facet-subset lattice in
-`hull_oracle`; the open-cone test, the joint-interior LP and S₀ written
+Oracles: the pairwise-direction hull, the 2^k facet-subset lattice and the
+split-variable vertex LP in `hull_oracle`; the split strict-feasibility LP
+in `simplex_oracle`; the open-cone test, the joint-interior LP and S₀ written
 against the supporting levels ρ in `geom_checks`.
 """
 
@@ -21,8 +22,12 @@ from geom_checks import (
     rho_interior_contains,
     run_all_checks,
 )
-from hull_oracle import build_newton_pairwise, enumerate_faces_subsets
-from nh.exact_numeric import dot, rank
+from hull_oracle import (
+    build_newton_pairwise,
+    enumerate_faces_subsets,
+    vertices_split,
+)
+from nh.exact_numeric import StrictSystem, dot, rank, unit
 from nh.newton_poly import (
     DomainSpec,
     ExponentSet,
@@ -34,8 +39,10 @@ from nh.newton_poly import (
     face_by_cone_interior,
     face_closure_structure,
     interior_contains,
+    minimal_points,
     minkowski_faces,
 )
+from simplex_oracle import split_solve_strict
 
 
 def _poly(points, n, S):
@@ -347,6 +354,60 @@ def test_hull_and_lattice_match_the_subset_oracle():
         seen_dims.add((spec.n, p.dim))
     # every dimension 0..n occurs for n = 2, 3, 4
     assert {(n, m) for n in (2, 3, 4) for m in range(n + 1)} <= seen_dims
+
+
+def test_vertices_match_the_split_oracle():
+    """The vertex LP on sign-bounded columns keeps the points the split
+    formulation keeps."""
+    rng = random.Random(1717)
+    dropped = 0
+    for _ in range(1000):
+        omega, spec = random_instance(rng, n_max=4, max_points=5)
+        want = vertices_split(omega, spec)
+        assert build_newton(omega, spec).vertices == frozenset(want), (
+            omega.sorted_points(), sorted(spec.S))
+        dropped += len(omega) - len(want)
+    assert dropped >= 600
+
+
+def test_all_empty_sweep_witness_matches_the_split_oracle():
+    """The all-empty tuple's sweep (e_j ≥ 0 for j ∈ S per face, so d
+    copies of each bound, then a signed e_k > 0) is the one production LP
+    with both sign bounds and strict rows, and `decompose` prints its
+    witness: it is the split formulation's, for every n ≤ 4, every S and
+    d ≤ 3."""
+    for n in range(1, 5):
+        for S in itertools.chain.from_iterable(
+                itertools.combinations(range(n), k) for k in range(n + 1)):
+            spec = DomainSpec.of(n, S)
+            for d in range(1, 4):
+                faces = [build_newton(ExponentSet.of([unit(n, nu % n)], n),
+                                      spec).empty_face() for nu in range(d)]
+                weak = tuple((unit(n, j), 0) for _ in faces for j in S)
+                sweep = (split_solve_strict(StrictSystem(n, weak=weak, strict=(
+                    (tuple(sign * c for c in unit(n, k)), 0),)))
+                    for k in range(n) for sign in (1, -1))
+                want = next((x for x in sweep if x is not None), None)
+                assert cones_interior_intersection(faces) == want, (n, S, d)
+
+
+def test_minimal_points_integer_path_matches_dot():
+    """An integer x takes integer sums; the sets are those `dot` gives, and
+    those of the same x as Fractions."""
+    rng = random.Random(17)
+    for _ in range(300):
+        omega, spec = random_instance(rng, n_max=4, max_points=6)
+        pts, rays = omega.sorted_points(), spec.rays()
+        x = tuple(rng.randint(-5, 5) for _ in range(spec.n))
+        xf = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                   for _ in range(spec.n))
+        for y in (x, tuple(map(Fraction, x)), xf):
+            levels = [dot(y, m) for m in pts]
+            want = ([m for m, lv in zip(pts, levels) if lv == min(levels)],
+                    [r for r in rays if dot(y, r) == 0])
+            assert minimal_points(y, pts, rays) == want, (pts, y)
+            low, zero = minimal_points(y, omega.points, rays)
+            assert (set(low), zero) == (set(want[0]), want[1]), (pts, y)
 
 
 def test_cyclic_polytope_f_vector():
