@@ -472,19 +472,13 @@ def cones_interior_intersection(faces: Sequence[Face]) -> Optional[tuple]:
 
 def minimal_points(x: Sequence, points: Iterable, rays: Iterable) -> tuple:
     """The face x ∈ Z(S) cuts out of N(points, S), rays = the e_j (j ∈ S),
-    without a hull: (the x-minimal points, the rays with x·r = 0); exact,
-    as `dot` reads every entry as a rational.  An integer x, such as a
-    facet normal, takes plain integer sums over the integer exponents."""
-    if all(type(c) is int for c in x):
-        def level(m):
-            return sum(map(operator.mul, x, m))
-    else:
-        def level(m):
-            return dot(x, m)
-    levels = {m: level(m) for m in points}
+    without a hull: (the x-minimal points, the rays with x·r = 0).  x holds
+    ints or Fractions, so the plain sums of products are exact; an integer
+    x, such as a facet normal, sums in ints over the integer exponents."""
+    levels = {m: sum(map(operator.mul, x, m)) for m in points}
     low = min(levels.values())
     return ([m for m, lv in levels.items() if lv == low],
-            [r for r in rays if level(r) == 0])
+            [r for r in rays if sum(map(operator.mul, x, r)) == 0])
 
 
 def face_by_cone_interior(p: NewtonPolyhedron, x: Sequence) -> Face:

@@ -354,20 +354,17 @@ def test_hull_and_lattice_match_the_subset_oracle():
         seen_dims.add((spec.n, p.dim))
     # every dimension 0..n occurs for n = 2, 3, 4
     assert {(n, m) for n in (2, 3, 4) for m in range(n + 1)} <= seen_dims
-
-
-def test_vertices_match_the_split_oracle():
-    """The vertex LP on sign-bounded columns keeps the points the split
-    formulation keeps."""
-    rng = random.Random(1717)
+    # the vertex LP alone on many more draws; up to 3 points in a 3-box
+    # keep the oracle's rational split LPs to a few seconds
     dropped = 0
     for _ in range(1000):
-        omega, spec = random_instance(rng, n_max=4, max_points=5)
+        omega, spec = random_instance(rng, n_max=4, max_points=3,
+                                      coord_max=3)
         want = vertices_split(omega, spec)
         assert build_newton(omega, spec).vertices == frozenset(want), (
             omega.sorted_points(), sorted(spec.S))
         dropped += len(omega) - len(want)
-    assert dropped >= 600
+    assert dropped >= 200
 
 
 def test_all_empty_sweep_witness_matches_the_split_oracle():
@@ -391,9 +388,9 @@ def test_all_empty_sweep_witness_matches_the_split_oracle():
                 assert cones_interior_intersection(faces) == want, (n, S, d)
 
 
-def test_minimal_points_integer_path_matches_dot():
-    """An integer x takes integer sums; the sets are those `dot` gives, and
-    those of the same x as Fractions."""
+def test_minimal_points_matches_dot():
+    """The plain sums give the sets `dot` gives, for an integer x, the same
+    x as Fractions and a Fraction x."""
     rng = random.Random(17)
     for _ in range(300):
         omega, spec = random_instance(rng, n_max=4, max_points=6)
