@@ -2,32 +2,31 @@
 
 Evaluates the multiplier integrals and their dyadic pieces in
 log-coordinates, after folding the 2ⁿ sign orthants onto the positive box.
-A dyadic piece takes the first of three paths that meets its tolerance:
+A dyadic piece takes one of two paths:
 
 - the moment series: with θ_k = A_k t^{m_k}, expanding e^{iφ} gives
   I_J = 2ⁿ Σ_p i^{|p|} A^p/p! ∏_ℓ M((Σ_k p_k m_k)_ℓ) over the p whose
   exponent sum is all-odd, M(a) = ∫ η(e^u) e^{au} du; it is taken when
   its truncation and rounding bound, which grows with the swing s, meets
   the tolerance at some degree D (`PieceFamily._series_degrees`);
-- a ladder of cached tensor Gauss–Legendre rules on the shell;
-- adaptive tensor Gauss–Legendre panels (`adaptive_box`).
+- else adaptive tensor Gauss–Legendre panels (`adaptive_box`).
 
 Pieces are evaluated per batch (`PieceFamily.evaluate`): the sum probe
 passes all unpruned pieces of one ξ at once and gets their values, error
 bounds and converged flags back as arrays.  The series rows of a batch
 are grouped by their degree D, and each row's series is evaluated only to
 its own degree, with the amplitudes raised to the powers 0..D alone.  The
-rows the series declines go through the last two paths once per distinct
-row: a piece depends on J only through J·m, so when the exponents have
-rank below n many J share one amplitude row, and its result is scattered
-to all of them.  The fallback builds its cells from per-axis factors: per
+rows the series declines go to the fallback once per distinct row: a
+piece depends on J only through J·m, so when the exponents have rank
+below n many J share one amplitude row, and its result is scattered to
+all of them.  The fallback builds its cells from per-axis factors: per
 level, the per-axis nodes and η-weighted weights of all pending cells,
 and a cell's t^m and tensor weights as outer products of exp(u_ℓ·e_kℓ)
 and of those weights.
 
-The folded integrand Σ_σ(−1)^{|σ|} e^{iΣ_k σ^{m_k}θ_k} of the last two has
-two exact forms, and both quadrature paths evaluate it in the one with
-fewer terms (`_SignSum`).  Let r be the GF(2) rank of the exponents mod 2:
+The folded integrand Σ_σ(−1)^{|σ|} e^{iΣ_k σ^{m_k}θ_k} of the fallback
+has two exact forms, and it is evaluated in the one with fewer terms
+(`_SignSum`).  Let r be the GF(2) rank of the exponents mod 2:
 
 - sign groups: Σ_g w_g e^{iφ_g}, grouping σ by the induced monomial sign
   pattern, G = 2^r groups;
@@ -67,7 +66,11 @@ LOG_TWO = math.log(2.0)
 CELL_TOL = 1e-9
 PRUNE_TOL = 1e-10
 H_MASS = 2.0 * math.log(2.0)          # ∫|h| per axis
-MAX_CELLS = 2 ** 22                   # adaptive_box's default cell cap
+# adaptive_box's cell cap.  Tier-1's largest call takes 6,857 cells and
+# the probe-sum benchmark's 215.  The one (1, 1) piece at ξ = 1e6 ends
+# unconverged either way: at this cap after 3 s, at 2²² cells after 144 s
+# (2-vCPU Xeon).
+MAX_CELLS = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -156,26 +159,12 @@ def _outer(axes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tensor_rules(lo: np.ndarray, hi: np.ndarray, order: int,
-                  axis_weight: Optional[Callable] = None):
-    """Order-`order` tensor Gauss–Legendre rules on C boxes ∏[lo_i, hi_i]:
-    nodes (C, qⁿ, n) and weights (C, qⁿ), from `_axis_rules`."""
-    axes_x, axes_w = _axis_rules(lo, hi, order, axis_weight)
-    count, n = lo.shape
-    pts = np.empty((count,) + (order,) * n + (n,))
-    for i in range(n):
-        along_i = [count] + [1] * n
-        along_i[1 + i] = order
-        pts[..., i] = axes_x[:, i].reshape(along_i)
-    return pts.reshape(count, -1, n), _outer(axes_w)
-
-
-# Nodes per block, on both quadrature paths: a batch of cells goes to the
-# integrand in chunks of at most this many nodes (more only when one cell
-# is larger), and the sign-sum kernel sums its nodes in blocks of this
-# size, so its per-block arrays stay in cache: (nodes × groups) phases,
-# cosines and sines in the sign-group form, (nodes × columns) cosines and
-# sines and (nodes × terms) products in the parity form.
+# Nodes per block: a batch of cells goes to the integrand in chunks of at
+# most this many nodes (more only when one cell is larger), and the
+# sign-sum kernel sums its nodes in blocks of this size, so its per-block
+# arrays stay in cache: (nodes × groups) phases, cosines and sines in the
+# sign-group form, (nodes × columns) cosines and sines and (nodes × terms)
+# products in the parity form.
 _CHUNK_NODES = 2 ** 13
 
 
@@ -202,7 +191,6 @@ def _cell_values(parts: Callable, expo: np.ndarray, lo: np.ndarray,
 
 
 def adaptive_box(phase: _Phase, lo, hi, tol_cell: float = CELL_TOL,
-                 cell_cap: Optional[int] = None,
                  order: int = 32,
                  axis_weight: Optional[Callable] = None) -> QuadratureResult:
     """Adaptive tensor Gauss–Legendre for ∫ f(u) w(u_1)⋯w(u_n) du on a
@@ -213,10 +201,9 @@ def adaptive_box(phase: _Phase, lo, hi, tol_cell: float = CELL_TOL,
     cells pending at a level are evaluated together (`_cell_values`), and
     the rejected ones are split together into the next level.  The
     separable weight enters the per-axis weights, q·n evaluations per cell
-    rather than qⁿ.  When splitting would take the cell count past the
-    cell cap, the level's rejected cells are accepted as they are and the
+    rather than qⁿ.  When splitting would take the cell count past
+    MAX_CELLS, the level's rejected cells are accepted as they are and the
     result is flagged unconverged instead of raising."""
-    cell_cap = cell_cap if cell_cap is not None else MAX_CELLS
     parts = phase.signs.bind(phase.amplitudes)
     expo = phase.exponents
     clo = np.asarray(lo, dtype=float).reshape(1, -1)
@@ -231,7 +218,7 @@ def adaptive_box(phase: _Phase, lo, hi, tol_cell: float = CELL_TOL,
         delta = np.abs(v_hi - v_lo)
         panels += len(clo)
         split = ~(delta <= tol_cell)        # a NaN value is not accepted
-        if panels + 2 * np.count_nonzero(split) > cell_cap:
+        if panels + 2 * np.count_nonzero(split) > MAX_CELLS:
             converged = converged and not split.any()
             split[:] = False
         keep = ~split
@@ -335,26 +322,16 @@ class _SignSum:
         return parity_form
 
 
-def _sign_sum(parts: Callable, mono: np.ndarray,
-              wts: Optional[np.ndarray] = None):
-    """The sign-folded sum at each node, (N,), or its sum against `wts`
-    when given, from t^m at the nodes, (N, K): the nodes go through
-    `parts` (`_SignSum.bind`) in blocks of _CHUNK_NODES."""
-    count = mono.shape[0]
-    if wts is None:
-        out = np.empty(count, dtype=complex)
-    else:
-        re_sum = im_sum = 0.0
-    for b in range(0, count, _CHUNK_NODES):
+def _sign_sum(parts: Callable, mono: np.ndarray) -> np.ndarray:
+    """The sign-folded sum at each node, (N,), from t^m at the nodes,
+    (N, K): the nodes go through `parts` (`_SignSum.bind`) in blocks of
+    _CHUNK_NODES."""
+    out = np.empty(mono.shape[0], dtype=complex)
+    for b in range(0, mono.shape[0], _CHUNK_NODES):
         re_part, im_part = parts(mono[b:b + _CHUNK_NODES])
-        if wts is None:
-            out.real[b:b + _CHUNK_NODES] = re_part
-            out.imag[b:b + _CHUNK_NODES] = im_part
-        else:
-            w = wts[b:b + _CHUNK_NODES]
-            re_sum += float(w @ re_part)
-            im_sum += float(w @ im_part)
-    return out if wts is None else complex(re_sum, im_sum)
+        out.real[b:b + _CHUNK_NODES] = re_part
+        out.imag[b:b + _CHUNK_NODES] = im_part
+    return out
 
 
 @dataclass
@@ -400,29 +377,16 @@ def _eta_of_log(u):
     return CutoffSpec.eta(np.exp(u))
 
 
-@functools.cache
-def _shell_rule(n: int, order: int, level: int):
-    """Order-`order` tensor rule on a uniform 2^level-per-axis subdivision
-    of the dyadic shell [log 1/4, log 2]ⁿ, all subcells concatenated, with
-    the ∏η(e^{u_ℓ}) weight absorbed (h(t)·t = η(t)); cached."""
-    edges = np.linspace(LOG_QUARTER, LOG_TWO, 2 ** level + 1)
-    corners = np.array(list(itertools.product(range(2 ** level), repeat=n)))
-    pts, wts = _tensor_rules(edges[corners], edges[corners + 1], order,
-                             _eta_of_log)
-    return pts.reshape(-1, n), wts.ravel()
-
-
 # ---------------------------------------------------------------------------
 # small-swing pieces: the moment series
 # ---------------------------------------------------------------------------
 
 # Terms per monomial list in a series table.  Timed per piece on random
 # lists (n ∈ {2, 3}, K ≤ 6, 2-vCPU Xeon), the series costs about
-# 10 µs + 0.03 µs per term, so about 130 µs here; the cheapest ladder
-# outcome, rungs (8, 0) and (16, 0) agreeing, costs 150–590 µs at n = 3
-# and 40–65 µs at n = 2, and a piece the ladder declines costs milliseconds
-# in the fallback.  8192 and 16384 terms left criterion 9's time as it
-# was: the rounding bound, not the table, ends the series' swing range.
+# 10 µs + 0.03 µs per term, so about 130 µs here, where a piece costs
+# milliseconds in the fallback.  8192 and 16384 terms left criterion 9's
+# time as it was: the rounding bound, not the table, ends the series'
+# swing range.
 SERIES_TERMS = 4096
 # No table goes past this degree: the degree-D tail needs D ≈ e·s, and
 # beyond s ≈ 15 the rounding bound H_MASSⁿ·e^s·ε alone exceeds CELL_TOL.
@@ -450,8 +414,8 @@ def _moment_rule():
     edges = np.concatenate([np.linspace(0.25, 0.5, 65),
                             np.linspace(0.5, 1.0, 65)[1:],
                             np.linspace(1.0, 2.0, 65)[1:]])
-    pts, wts = _tensor_rules(edges[:-1, None], edges[1:, None], 16,
-                             lambda t: CutoffSpec.eta(t) / t)
+    pts, wts = _axis_rules(edges[:-1, None], edges[1:, None], 16,
+                           lambda t: CutoffSpec.eta(t) / t)
     return 0.5 * pts.ravel(), wts.ravel()
 
 
@@ -529,28 +493,21 @@ def _series_table(monomials: tuple, n: int) -> _SeriesTable:
     return _SeriesTable(index, coef, tuple(ends))
 
 
-# The (order, level) rules a piece climbs before the adaptive fallback, of
-# (order·2^level)^n nodes, which never decrease along the ladder; a rung
-# above MAX_RUNG_NODES is skipped, so a family keeps a prefix of it.
-_LADDER = ((8, 0), (16, 0), (32, 0), (16, 1), (16, 2))
-MAX_RUNG_NODES = 2 ** 20
-
-
 class PieceFamily:
     """Dyadic pieces I_J(P, ξ) over every monomial of a fixed polynomial:
-    nodes, η-weights, the sign-sum form, and the J-independent monomial
-    arrays t^m on each quadrature rule are computed once, so sweeping
-    (J, ξ) only costs one sign sum per rule.  A piece is given by its
-    amplitudes c·ξ·2^{−J·m} over `monos` (`_amplitudes`)."""
+    the sign-sum form and the moment-series table are built once, so
+    sweeping (J, ξ) only costs the series or a fallback per piece.  A
+    piece is given by its amplitudes c·ξ·2^{−J·m} over `monos`
+    (`_amplitudes`)."""
 
     def __init__(self, p):
         self.n = p.spec.n
         self.monos = _monomial_list(p)
         self.signs = _SignSum([m for _, m, _ in self.monos], self.n)
         self.trivial = self.signs.empty
-        # pieces evaluated by the series (of no terms, for an even list),
-        # a ladder rung and the fallback
-        self.paths = {"series": 0, "ladder": 0, "fallback": 0}
+        # pieces evaluated by the series (of no terms, for an even list)
+        # and by the fallback
+        self.paths = {"series": 0, "fallback": 0}
         if self.trivial:
             return
         self.expo = np.array([m for _, m, _ in self.monos], dtype=float)
@@ -558,20 +515,6 @@ class PieceFamily:
             np.sum(np.abs(self.expo), axis=1) * LOG_TWO)
         self.series = _series_table(tuple(m for _, m, _ in self.monos),
                                     self.n)
-        self.ladder = [(order, level) for order, level in _LADDER
-                       if (order << level) ** self.n <= MAX_RUNG_NODES]
-        self._rules: dict = {}
-
-    def _rule(self, key):
-        if key not in self._rules:
-            order, level = key
-            pts, wts = _shell_rule(self.n, order, level)
-            self._rules[key] = (wts, np.exp(pts @ self.expo.T))
-        return self._rules[key]
-
-    def _value(self, key, parts: Callable) -> complex:
-        wts, mono = self._rule(key)
-        return _sign_sum(parts, mono, wts)
 
     def _series_degrees(self, scaled: np.ndarray, swing: np.ndarray,
                         tol_cell: float):
@@ -636,35 +579,13 @@ class PieceFamily:
             out[b:b + step] = np.cumsum(terms, axis=1)[:, -1]
         return out
 
-    def _quadrature(self, amps: np.ndarray, swing: float,
-                    tol_cell: float):
-        """One piece from the first ladder rung that agrees with the one
-        before it to tol_cell, else from `adaptive_box`, with the name of
-        the path taken."""
-        rungs = self.ladder[2 if swing > 2.0 else 1:]
-        parts = self.signs.bind(amps)
-        if rungs:
-            v_lo = self._value((rungs[0][0] // 2, rungs[0][1]), parts)
-        panels = 1
-        for key in rungs:
-            v_hi = self._value(key, parts)
-            delta = abs(v_hi - v_lo)
-            if delta <= tol_cell:
-                return "ladder", QuadratureResult(v_hi, delta, panels)
-            v_lo = v_hi
-            panels += 1
-        phase = _Phase(self.expo, amps, self.signs)
-        return "fallback", adaptive_box(
-            phase, [LOG_QUARTER] * self.n, [LOG_TWO] * self.n, tol_cell,
-            order=32 if swing > 20.0 else 16, axis_weight=_eta_of_log)
-
     def evaluate(self, amps: np.ndarray,
                  tol_cell: float = CELL_TOL) -> Pieces:
         """I_J for each row of amplitudes `amps`, (N, K): from the moment
         series when its error bound meets tol_cell (the rows are grouped by
-        the degree they need), else from the ladder or `adaptive_box`
-        (`_quadrature`), once per distinct row, the result scattered to
-        every row equal to it.  `paths` counts every row."""
+        the degree they need), else from `adaptive_box` of order 16, or 32
+        above a swing of 20, once per distinct row, the result scattered
+        to every row equal to it.  `paths` counts every row."""
         count = len(amps)
         out = Pieces(np.zeros(count, dtype=complex), np.zeros(count),
                      np.ones(count, dtype=bool))
@@ -684,12 +605,15 @@ class PieceFamily:
         for row in np.flatnonzero(degree < 0).tolist():
             shared.setdefault(amps[row].tobytes(), []).append(row)
         for rows in shared.values():
-            path, piece = self._quadrature(amps[rows[0]],
-                                           float(swing[rows[0]]), tol_cell)
+            piece = adaptive_box(
+                _Phase(self.expo, amps[rows[0]], self.signs),
+                [LOG_QUARTER] * self.n, [LOG_TWO] * self.n, tol_cell,
+                order=32 if swing[rows[0]] > 20.0 else 16,
+                axis_weight=_eta_of_log)
             out.values[rows] = piece.value
             out.errors[rows] = piece.abs_error_estimate
             out.converged[rows] = piece.converged
-            self.paths[path] += len(rows)
+            self.paths["fallback"] += len(rows)
         return out
 
 
@@ -922,7 +846,7 @@ def multiplier_sum_probe(p, xi_samples, radius: int,
     skipped and their bound mass is accumulated, never silently dropped;
     pieces whose quadrature hit the cell cap are counted in `unconverged`.
     `pieces` counts the pruned pieces and the evaluated ones per path
-    (series, ladder, fallback).  Summation is pairwise in fixed
+    (series, fallback).  Summation is pairwise in fixed
     lexicographic J order."""
     spec = p.spec
     family = PieceFamily(p)

@@ -32,6 +32,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, Optional
@@ -58,7 +59,6 @@ from nh.oscillatory import (
     _prune_bounds,
     _sign_sum,
     _SignSum,
-    _tensor_rules,
     adaptive_box,
 )
 
@@ -241,16 +241,17 @@ def cell_values_pointwise(fun: Callable, lo: np.ndarray, hi: np.ndarray,
                           order: int,
                           axis_weight: Optional[Callable]) -> np.ndarray:
     """Order-`order` tensor Gauss–Legendre value of `fun` on each of the
-    C boxes, from the full node grid of `_tensor_rules`, in chunks of at
-    most _CHUNK_NODES nodes."""
+    C boxes, from the full node grid of `tensor_rule` of each box, in
+    chunks of at most _CHUNK_NODES nodes."""
     count, n = lo.shape
     step = max(1, _CHUNK_NODES // order ** n)
     out = np.empty(count, dtype=complex)
     for c in range(0, count, step):
-        pts, wts = _tensor_rules(lo[c:c + step], hi[c:c + step], order,
-                                 axis_weight)
-        vals = fun(pts.reshape(-1, n)).reshape(wts.shape)
-        out[c:c + step] = np.einsum("cq,cq->c", wts, vals)
+        rules = [tensor_rule(a, b, order, axis_weight)
+                 for a, b in zip(lo[c:c + step], hi[c:c + step])]
+        wts = np.stack([w for _pts, w in rules])
+        vals = fun(np.concatenate([pts for pts, _w in rules]))
+        out[c:c + step] = np.einsum("cq,cq->c", wts, vals.reshape(wts.shape))
     return out
 
 
@@ -281,13 +282,21 @@ def prune_bound(monos, xi, j, n: int) -> float:
     return (H_MASS ** n) * min(best, 1.0)
 
 
-def tensor_rule(lo, hi, order: int):
-    """Nodes (N, n) and weights (N,) for ∏[lo_i, hi_i]."""
+_leggauss = functools.cache(np.polynomial.legendre.leggauss)
+
+
+def tensor_rule(lo, hi, order: int,
+                axis_weight: Optional[Callable] = None):
+    """Nodes (N, n) and weights (N,) for ∏[lo_i, hi_i].  `axis_weight(u)`
+    (elementwise on one axis's nodes) multiplies that axis's weights,
+    giving the rule for the separable weight w(u_1)⋯w(u_n)."""
     axes_x, axes_w = [], []
+    x, w = _leggauss(order)
     for a, b in zip(lo, hi):
-        x, w = np.polynomial.legendre.leggauss(order)
         axes_x.append(0.5 * (b - a) * x + 0.5 * (a + b))
         axes_w.append(0.5 * (b - a) * w)
+        if axis_weight is not None:
+            axes_w[-1] = axes_w[-1] * axis_weight(axes_x[-1])
     grids = np.meshgrid(*axes_x, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     wts = axes_w[0]

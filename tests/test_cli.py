@@ -460,6 +460,20 @@ def test_probe_sum_reports_unconverged(runner, tmp_path, monkeypatch):
     assert json.loads(res.output)["unconverged"] > 0
 
 
+def test_probe_sum_caps_a_large_frequency_piece(runner, tmp_path):
+    """One (1, 1) piece at ξ = 1e6 oscillates too fast for the cell cap:
+    the fallback stops at MAX_CELLS cells, in seconds, and the report
+    flags the piece unconverged."""
+    payload = {"n": 2, "S": [1, 2], "lambda": [[[1, 1]]],
+               "mode": "probe-sum", "radius": 0, "xi": [[1e6]]}
+    res = runner.invoke(main, ["probe-sum", "--input",
+                               _write(tmp_path, payload)])
+    assert res.exit_code == EXIT_BOUNDED, res.output
+    report = json.loads(res.output)
+    assert report["unconverged"] == 1
+    assert report["stats"]["pieces"]["fallback"] == 1
+
+
 def test_probe_sum_imports_no_numpy_ma(tmp_path):
     """`nh probe-sum` on the (1, 1) control, which reaches the adaptive
     fallback, leaves `numpy.ma` unimported (`np.unique` would import it,
@@ -483,8 +497,8 @@ def test_probe_sum_imports_no_numpy_ma(tmp_path):
 
 def test_probe_sum_counts_pieces_per_path(runner, tmp_path, monkeypatch):
     """`stats.pieces` splits the J box of every ξ into pruned pieces and
-    pieces evaluated by the series, a ladder rung or the fallback, and
-    repeats the unconverged count."""
+    pieces evaluated by the series or the fallback, and repeats the
+    unconverged count."""
     payload = {"n": 2, "S": [1, 2], "lambda": [[[1, 1]]],
                "mode": "probe-sum", "radius": 10, "xi": [[64.0], [1e-6]]}
     path = _write(tmp_path, payload)
@@ -493,10 +507,9 @@ def test_probe_sum_counts_pieces_per_path(runner, tmp_path, monkeypatch):
     assert res.exit_code == EXIT_BOUNDED
     report = json.loads(res.output)
     pieces = report["stats"]["pieces"]
-    assert sorted(pieces) == ["fallback", "ladder", "pruned", "series",
-                              "unconverged"]
-    assert sum(pieces[k] for k in ("pruned", "series", "ladder",
-                                   "fallback")) == 2 * 11 ** 2
+    assert sorted(pieces) == ["fallback", "pruned", "series", "unconverged"]
+    assert sum(pieces[k] for k in ("pruned", "series", "fallback")) \
+        == 2 * 11 ** 2
     assert min(pieces["pruned"], pieces["series"], pieces["fallback"]) > 0
     assert 0 < pieces["unconverged"] == report["unconverged"] \
         <= pieces["fallback"]

@@ -1,6 +1,7 @@
 """Unit tests for the oscillatory-multiplier harness."""
 
 import importlib
+import itertools
 import json
 import math
 import random
@@ -17,7 +18,6 @@ from nh.newton_poly import DomainSpec
 from nh.parity import is_even, odd_subsets
 from nh.oscillatory import (
     _CHUNK_NODES,
-    _LADDER,
     _MAX_MOMENT,
     CELL_TOL,
     LOG_QUARTER,
@@ -41,8 +41,6 @@ from nh.oscillatory import (
     _row_hermite,
     _lattice_coords,
     _series_table,
-    _shell_rule,
-    _tensor_rules,
     adaptive_box,
     decay_check,
     divergence_probe,
@@ -64,6 +62,7 @@ from quadrature_oracle import (
     series_piece,
     series_terms_by_scan,
     sum_probe_by_row,
+    tensor_rule,
 )
 from test_acceptance import WORKED_L1, WORKED_L2
 
@@ -222,10 +221,11 @@ def test_adaptive_box_matches_depth_first(n, order, weighted):
         assert abs(got.abs_error_estimate - ref.abs_error_estimate) <= 1e-12
 
 
-def test_adaptive_box_cell_cap_flags_result():
+def test_adaptive_box_cell_cap_flags_result(monkeypatch):
     phase = _Phase(np.array([[1.0, 1.0]]), np.array([2000.0]),
                    _SignSum([(1, 1)], 2))
-    r = adaptive_box(phase, [LOG_QUARTER] * 2, [LOG_TWO] * 2, cell_cap=7)
+    monkeypatch.setattr(osc, "MAX_CELLS", 7)
+    r = adaptive_box(phase, [LOG_QUARTER] * 2, [LOG_TWO] * 2)
     assert not r.converged
     assert 1 <= r.panels <= 7
     assert math.isfinite(r.value.real) and math.isfinite(r.value.imag)
@@ -262,9 +262,9 @@ def test_separable_cells_match_the_pointwise_oracle(n, order, weighted):
                            phase.exponents, cell_lo, cell_hi, order, weight)
         ref = cell_values_pointwise(phase_integrand(phase), cell_lo,
                                     cell_hi, order, weight)
-        _pts, wts = _tensor_rules(cell_lo, cell_hi, order, weight)
-        assert np.all(np.abs(got - ref)
-                      <= 1e-15 * 2.0 ** n * np.abs(wts).sum(axis=1))
+        mass = np.array([np.abs(tensor_rule(a, b, order, weight)[1]).sum()
+                         for a, b in zip(cell_lo, cell_hi)])
+        assert np.all(np.abs(got - ref) <= 1e-15 * 2.0 ** n * mass)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +288,8 @@ def test_piece_even_tuple_vanishes():
 
 
 def test_piece_matches_adaptive_reference():
-    """The cached-rule ladder must agree with a from-scratch adaptive
-    integration of the same η-weighted integrand."""
+    """A piece must agree with a from-scratch adaptive integration of the
+    same η-weighted integrand."""
     rng = random.Random(21)
     p = _vp([(1, 1), (3, 0)], 2, [0, 1])
     family = PieceFamily(p)
@@ -437,20 +437,29 @@ def test_sign_group_kernel_matches_complex_exp(n, monos, amps):
 
 
 def _assert_kernel_matches_complex_exp(family, amps, rng):
-    """Every ladder rung and half-order rung of PieceFamily._value (for
-    n = 4 those of at most 2^16 nodes), and the pointwise integrand on
-    more nodes than one block, agree with Σ_g w_g exp(iφ_g) to 1e-13."""
+    """The η-weighted cell values of `_cell_values` at orders 8, 16 and 32
+    on the shell and on its 2ⁿ halves (for n = 4 those of at most 2^16
+    nodes), and the pointwise integrand on more nodes than one block,
+    agree with Σ_g w_g exp(iφ_g) to 1e-13, cell by cell."""
     n = family.n
     oracle = complex_exp_integrand(
         family.expo, amps,
         sigma_groups([m for _nu, m, _c in family.monos], n))
-    rungs = set(_LADDER) | {(order // 2, level) for order, level in _LADDER}
-    for order, level in sorted(rungs):
-        if n == 4 and (order * 2 ** level) ** n > 2 ** 16:
-            continue
-        pts, wts = _shell_rule(n, order, level)
-        got = family._value((order, level), family.signs.bind(amps))
-        assert abs(got - np.dot(wts, oracle(pts))) <= 1e-13, (order, level)
+    parts = family.signs.bind(amps)
+    edges = np.linspace(LOG_QUARTER, LOG_TWO, 3)
+    corners = np.array(list(itertools.product(range(2), repeat=n)))
+    shells = ((np.full((1, n), LOG_QUARTER), np.full((1, n), LOG_TWO)),
+              (edges[corners], edges[corners + 1]))
+    for order in (8, 16, 32):
+        for lo, hi in shells:
+            if n == 4 and len(lo) * order ** n > 2 ** 16:
+                continue
+            got = _cell_values(parts, family.expo, lo, hi, order,
+                               _eta_of_log)
+            for cell_lo, cell_hi, value in zip(lo, hi, got):
+                pts, wts = tensor_rule(cell_lo, cell_hi, order, _eta_of_log)
+                assert abs(value - np.dot(wts, oracle(pts))) <= 1e-13, \
+                    (order, len(lo))
 
     pts = rng.uniform(LOG_QUARTER, LOG_TWO, size=(2 * _CHUNK_NODES + 5, n))
     got = phase_integrand(_Phase(family.expo, amps, family.signs))(pts)
@@ -458,41 +467,59 @@ def _assert_kernel_matches_complex_exp(family, amps, rng):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_ladder_skips_rungs_above_the_node_limit(monkeypatch, n):
-    """A piece that the series declines and that never settles climbs
-    every rung of at most MAX_RUNG_NODES nodes, from (16, 0) up to a swing
-    of 2 and from (32, 0) above, and then goes to the fallback: for n = 4
-    that skips (16, 2) alone, for n = 3 nothing.  No rounding bound meets
-    a tolerance of 1e-20, so the series declines every piece there; at
-    CELL_TOL it takes the two small pieces."""
+def test_declined_rows_reach_the_fallback_once(monkeypatch, n):
+    """In one batch at CELL_TOL, each distinct row that the series
+    declines reaches `adaptive_box` once, on the shell with the η weight
+    and the caller's tolerance, of order 16 up to a swing of 20 and 32
+    above, and its result goes to every row equal to it; series rows never
+    reach it, and `paths` counts every row.  No rounding bound meets a
+    tolerance of 1e-20, so there the series declines every row, zero
+    amplitudes included."""
     p = VectorPolynomial({(0, (1,) * n): 1, (0, (2,) + (1,) * (n - 1)): 1},
                          d=1, spec=DomainSpec.of(n, list(range(n))))
     family = PieceFamily(p)
-    asked = []
+    calls = []
 
-    def never_settles(key, parts):
-        asked.append(key)
-        return complex(len(asked))
+    def marked(phase, lo, hi, tol_cell=CELL_TOL, order=32,
+               axis_weight=None):
+        assert (lo, hi) == ([LOG_QUARTER] * n, [LOG_TWO] * n)
+        assert axis_weight is _eta_of_log
+        calls.append((phase.amplitudes.tobytes(), order, tol_cell))
+        k = len(calls)
+        return osc.QuadratureResult(complex(k, -k), 0.25 * k, k, k % 2 == 0)
 
-    monkeypatch.setattr(family, "_value", never_settles)
-    marker = osc.QuadratureResult(-7.0 + 0.5j, 0.25, 1, False)
-    monkeypatch.setattr(osc, "adaptive_box", lambda *args, **kw: marker)
-    for amp, start in ((0.0, 1), (0.01, 1), (1.0, 2)):
-        asked.clear()
-        got = family.evaluate(np.full((1, 2), amp), 1e-20)
-        assert (got.values[0], got.errors[0], got.converged[0]) == \
-            (marker.value, marker.abs_error_estimate, marker.converged)
-        rungs = [key for key in _LADDER[start:]
-                 if n == 3 or key != (16, 2)]
-        assert asked == [(rungs[0][0] // 2, rungs[0][1])] + rungs
-        assert all((order * 2 ** level) ** n <= osc.MAX_RUNG_NODES
-                   for order, level in asked)
-    assert family.paths == {"series": 0, "ladder": 0, "fallback": 3}
-    for amp in (0.0, 0.01):
-        asked.clear()
-        family.evaluate(np.full((1, 2), amp))
-        assert asked == []
-    assert family.paths == {"series": 2, "ladder": 0, "fallback": 3}
+    monkeypatch.setattr(osc, "adaptive_box", marked)
+    direction = np.array([0.75, -0.25])
+    scale = np.dot(np.abs(direction), family.swing_scale)
+    small = [direction * s / scale for s in (0.01, 0.5)]
+    large = [direction * s / scale for s in (12.0, 20.0, 20.5, 40.0)]
+    amps = np.array(small + large + large[::-1])
+    got = family.evaluate(amps, CELL_TOL)
+    assert family.paths == {"series": 2, "fallback": 8}
+    swing = np.sum(np.abs(amps * family.swing_scale), axis=1)
+    order = {row.tobytes(): 32 if s > 20.0 else 16
+             for row, s in zip(amps, swing.tolist())}
+    assert [(key, o) for key, o, _t in calls] == \
+        [(r.tobytes(), order[r.tobytes()]) for r in large]
+    assert {o for _key, o, _t in calls} == {16, 32}
+    assert {t for _key, _o, t in calls} == {CELL_TOL}
+    for i, row in enumerate(amps):
+        k = next((k for k, call in enumerate(calls, 1)
+                  if call[0] == row.tobytes()), None)
+        if k is None:
+            assert i < len(small) and got.converged[i]
+            continue
+        assert (got.values[i], got.errors[i], got.converged[i]) == \
+            (complex(k, -k), 0.25 * k, k % 2 == 0)
+
+    calls.clear()
+    got = family.evaluate(np.zeros((3, 2)), 1e-20)
+    assert [(o, t) for _key, o, t in calls] == [(16, 1e-20)]
+    assert got.values.tolist() == [1 - 1j] * 3
+    assert family.paths == {"series": 2, "fallback": 11}
+    family.evaluate(np.zeros((3, 2)))
+    assert len(calls) == 1
+    assert family.paths == {"series": 5, "fallback": 11}
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +537,10 @@ def test_moments_of_the_cutoff():
     edges = np.concatenate([np.linspace(0.25, 0.5, 129),
                             np.linspace(0.5, 1.0, 129)[1:],
                             np.linspace(1.0, 2.0, 129)[1:]])
-    pts, wts = _tensor_rules(edges[:-1, None], edges[1:, None], 16,
-                             lambda t: CutoffSpec.eta(t) / t)
-    half, wts = 0.5 * pts.ravel(), wts.ravel()
+    rules = [tensor_rule([a], [b], 16, lambda t: CutoffSpec.eta(t) / t)
+             for a, b in zip(edges[:-1], edges[1:])]
+    half = 0.5 * np.concatenate([pts.ravel() for pts, _w in rules])
+    wts = np.concatenate([w for _p, w in rules])
     for a in sorted(set(range(65)) | set(range(0, _MAX_MOMENT + 1, 16))):
         fine = math.fsum(wts * half ** a)
         assert abs(_moment(a) - fine) <= MOMENT_REL_ERR * fine, a
@@ -561,20 +589,22 @@ def _series_range(family, direction) -> float:
     """The largest swing, to 1e-6, up to which the series takes the
     pieces with amplitudes along `direction` (its bound grows with s),
     bisected on one-row `evaluate` calls by the path count; a declined
-    piece settles at its first ladder rung, and `paths` is restored."""
+    piece gets a stub in place of `adaptive_box`, and `paths` is
+    restored."""
     scale = np.dot(np.abs(direction), family.swing_scale)
     paths = dict(family.paths)
-    family._value = lambda key, parts: 0j
     lo, hi = 0.0, 64.0
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        series = family.paths["series"]
-        family.evaluate((direction * mid / scale)[None], CELL_TOL)
-        if family.paths["series"] == series:
-            hi = mid
-        else:
-            lo = mid
-    del family._value
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(osc, "adaptive_box", lambda *args, **kwargs:
+                      osc.QuadratureResult(0j, 0.0, 1))
+        while hi - lo > 1e-6:
+            mid = 0.5 * (lo + hi)
+            series = family.paths["series"]
+            family.evaluate((direction * mid / scale)[None], CELL_TOL)
+            if family.paths["series"] == series:
+                hi = mid
+            else:
+                lo = mid
     family.paths = paths
     return lo
 
@@ -617,8 +647,8 @@ def test_series_matches_the_depth_first_oracle(n):
 
 
 # Swings of the batch rows: from amplitudes near 1e-300 through the series
-# range to past it, where the ladder and then the fallback take the piece
-# at a tolerance of 1e-4.
+# range to past it, where the fallback takes the piece at a tolerance of
+# 1e-4.
 _BATCH_SWINGS = (1e-300, 1e-3, 0.5, 2.0, 6.0, 12.0, 24.0, 32.0, 48.0,
                  1000.0)
 
@@ -628,10 +658,10 @@ def test_batched_evaluate_matches_the_one_piece_oracle(monkeypatch, n):
     """On random lists (K ≤ 5), one batched `evaluate` call agrees row by
     row with the scalar series oracle and with one-row calls: the same
     path for every row, series values within 1e-15·H_MASSⁿ·e^s of the
-    oracle, ladder and fallback rows bit for bit, and the path counts of
-    the batch equal the sum over the one-row calls.  A row with one
-    amplitude near 1e-300 and the others of a moderate swing is in every
-    batch, and every batch holds rows of all three paths.  The series rows
+    oracle, fallback rows bit for bit, and the path counts of the batch
+    equal the sum over the one-row calls.  A row with one amplitude near
+    1e-300 and the others of a moderate swing is in every batch, and
+    every batch holds rows of both paths.  The series rows
     gathered one row per block give the same values within that bound."""
     rng = random.Random(90 + n)
     tol = 1e-4
@@ -664,7 +694,7 @@ def test_batched_evaluate_matches_the_one_piece_oracle(monkeypatch, n):
         family.paths = dict.fromkeys(summed, 0)
         batch = family.evaluate(amps, tol)
         assert family.paths == summed
-        assert set(paths) == {"series", "ladder", "fallback"}
+        assert set(paths) == {"series", "fallback"}
 
         got_rows = zip(batch.values, batch.errors, batch.converged)
         for row, path, single, got in zip(amps, paths, singles, got_rows):
@@ -937,9 +967,8 @@ def test_sum_probe_evaluates_each_distinct_row_once(monkeypatch):
     """On the (1, 1) control at ξ ∈ {16, 64} and on random rank-deficient
     lists (n ≤ 3), whose pieces share amplitude rows, the probe's partial
     sums, skipped bound, unconverged count and piece counts equal (==)
-    those of one-row `evaluate` calls.  Per ξ, the ladder and the fallback
-    are entered once per distinct row that the series declines, and
-    `adaptive_box` once per distinct row that reaches it.  (The 3-d lists
+    those of one-row `evaluate` calls.  Per ξ, `adaptive_box` is entered
+    once per distinct row that the series declines.  (The 3-d lists
     keep small exponents, ξ and radius: a 3-d fallback piece can take a
     second.)"""
     rng = random.Random(17)
@@ -949,18 +978,13 @@ def test_sum_probe_evaluates_each_distinct_row_once(monkeypatch):
               for _ in range(4)]
     cases += [(_rank_deficient_list(rng, 3, 1, 3),
                [[rng.choice((-1, 1)) * rng.uniform(1.0, 4.0)]], 1)]
-    declined, fallback = [], []
-    quadrature, box = PieceFamily._quadrature, osc.adaptive_box
-
-    def count_declined(self, amps, *args):
-        declined.append(amps.tobytes())
-        return quadrature(self, amps, *args)
+    fallback = []
+    box = osc.adaptive_box
 
     def count_fallback(phase, *args, **kwargs):
         fallback.append(phase.amplitudes.tobytes())
         return box(phase, *args, **kwargs)
 
-    monkeypatch.setattr(PieceFamily, "_quadrature", count_declined)
     monkeypatch.setattr(osc, "adaptive_box", count_fallback)
     shared = 0
     for p, xis, radius in cases:
@@ -968,20 +992,17 @@ def test_sum_probe_evaluates_each_distinct_row_once(monkeypatch):
         # all ξ in one probe, then one ξ at a time for the call counts
         groups = [[xi] for xi in xis]
         for group in groups if len(xis) == 1 else [xis] + groups:
-            declined.clear()
             fallback.clear()
             res = multiplier_sum_probe(p, group, radius, radii)
-            once = (list(declined), list(fallback))
-            declined.clear()
+            once = list(fallback)
             fallback.clear()
             assert (res.partial_sums, res.skipped_bound, res.unconverged,
                     res.pieces) == sum_probe_by_row(p, group, radius, radii)
             if len(group) > 1:
                 continue
-            for got, per_piece in zip(once, (declined, fallback)):
-                assert len(set(got)) == len(got)
-                assert set(got) == set(per_piece)
-            shared += len(declined) - len(once[0])
+            assert len(set(once)) == len(once)
+            assert set(once) == set(fallback)
+            shared += len(fallback) - len(once)
     assert shared > 0       # some rows were evaluated once for many pieces
 
 
@@ -1049,8 +1070,7 @@ def test_sum_probe_builds_no_polyhedra(monkeypatch):
     _forbid_hull_code(monkeypatch)
     for (p, xis), sums in zip(cases, want):
         res = multiplier_sum_probe(p, xis, radius=3, report_radii=range(4))
-        assert res.pieces["series"] + res.pieces["ladder"] \
-            + res.pieces["fallback"] > 0
+        assert res.pieces["series"] + res.pieces["fallback"] > 0
         for got, ref in zip(res.partial_sums, sums):
             assert got.keys() == ref.keys()
             for r, value in ref.items():
