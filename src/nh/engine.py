@@ -48,9 +48,14 @@ class DepthCapHit(RuntimeError):
 
 
 class LambdaTuple:
-    """Λ = (Λ₁,…,Λ_d) over a common ambient spec, with built polyhedra."""
+    """Λ = (Λ₁,…,Λ_d) over a common ambient spec, with built polyhedra.
 
-    def __init__(self, lambdas: Sequence[ExponentSet], spec: DomainSpec):
+    `memo` holds N(Λ_ν, S) by support (a frozenset) and `minkowski_faces`
+    of a sum by the tuple of its summands' supports; tuples over one spec
+    may share it, so that each is built once."""
+
+    def __init__(self, lambdas: Sequence[ExponentSet], spec: DomainSpec,
+                 memo: Optional[dict] = None):
         if not lambdas:
             raise ValueError("need at least one exponent set")
         for lam in lambdas:
@@ -58,6 +63,7 @@ class LambdaTuple:
                 raise ValueError("ambient dimension mismatch")
         self.lambdas = tuple(lambdas)
         self.spec = spec
+        self._memo = {} if memo is None else memo
         self._polyhedra: Optional[tuple] = None
 
     @property
@@ -82,9 +88,20 @@ class LambdaTuple:
     @property
     def polyhedra(self) -> tuple:
         if self._polyhedra is None:
-            self._polyhedra = tuple(
-                build_newton(lam, self.spec) for lam in self.lambdas)
+            for lam in self.lambdas:
+                if lam.points not in self._memo:
+                    self._memo[lam.points] = build_newton(lam, self.spec)
+            self._polyhedra = tuple(self._memo[lam.points]
+                                    for lam in self.lambdas)
         return self._polyhedra
+
+    def sum_faces(self, subset: Sequence[int]) -> list:
+        """`minkowski_faces` of ∑_{ν ∈ subset} N(Λ_ν, S)."""
+        key = tuple(self.lambdas[nu].points for nu in subset)
+        if key not in self._memo:
+            self._memo[key] = minkowski_faces(
+                [self.polyhedra[nu] for nu in subset])
+        return self._memo[key]
 
 
 @dataclass(frozen=True)
@@ -172,17 +189,8 @@ class GLClass:
 # low-rank / overlapping tuples
 # ---------------------------------------------------------------------------
 
-def _face_points(f: Face) -> list:
-    if f.is_empty:
-        return []
-    return sorted(f.vertex_set) + sorted(f.ray_set)
-
-
 def union_point_rank(faces: Sequence[Face]) -> int:
-    pts: list = []
-    for f in faces:
-        pts.extend(_face_points(f))
-    return rank(pts)
+    return rank([row for f in faces for row in f.point_basis()])
 
 
 def enumerate_lo_tuples(lam: LambdaTuple) -> Iterator[FaceTuple]:
@@ -208,8 +216,7 @@ def enumerate_lo_tuples(lam: LambdaTuple) -> Iterator[FaceTuple]:
     found = [(empties, None, lam.spec.rays())]
     for size in range(1, lam.d + 1):
         for subset in itertools.combinations(range(lam.d), size):
-            for faces, w, normals in minkowski_faces(
-                    [polys[nu] for nu in subset]):
+            for faces, w, normals in lam.sum_faces(subset):
                 chosen = list(empties)
                 for nu, f in zip(subset, faces):
                     chosen[nu] = f
@@ -274,18 +281,18 @@ def decide_graph(lambda_last: ExponentSet, spec: DomainSpec) -> Verdict:
     units = [unit(n, j) for j in range(n)]
     examined = candidates = 0
     for f in p.faces():
-        fpts = _face_points(f)
+        fbasis = list(f.point_basis())
         flam = f.lambda_points()
         for size in range(n + 1):
             for axes in itertools.combinations(range(n), size):
                 examined += 1
                 a_vecs = [units[j] for j in axes]
-                if rank(fpts + a_vecs) > n - 1:
+                if rank(fbasis + a_vecs) > n - 1:
                     continue
                 candidates += 1
                 u = sorted(set(flam) | set(a_vecs))
                 if not is_even(u):
-                    ft = FaceTuple((f,), rank(fpts + a_vecs), next(
+                    ft = FaceTuple((f,), rank(fbasis + a_vecs), next(
                         w for (g,), w, _ in minkowski_faces([p]) if g == f))
                     return Verdict(
                         kind="unbounded", face_tuple=ft,
@@ -366,15 +373,17 @@ def decide_general(p: VectorPolynomial) -> Verdict:
     empty under elimination are dropped (they contribute the constant 0
     to the phase).  An odd class is a verdict even if the class search
     hit its depth cap; a capped search with every class bounded raises
-    DepthCapHit."""
+    DepthCapHit.  The classes share one memo of their polyhedra and
+    Minkowski sums (`LambdaTuple`), which lives for this call only."""
     classes, cap_hit = enumerate_support_classes(p)
     count = 0
+    memo: dict = {}     # the classes' polyhedra and sums, shared by support
     for cls in classes:
         live = [s for s in cls.supports if s]
         if not live:
             continue
         lam = LambdaTuple(
-            [ExponentSet.of(s, p.spec.n) for s in live], p.spec)
+            [ExponentSet.of(s, p.spec.n) for s in live], p.spec, memo)
         ft, odd, scanned = _lo_scan(lam)
         count += scanned
         if ft is not None:

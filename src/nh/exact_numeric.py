@@ -12,6 +12,7 @@ vectors that sum to a target).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -52,6 +53,8 @@ def dot(a: RVector, b: RVector) -> Fraction:
 def vsub(a: RVector, b: RVector) -> tuple:
     if len(a) != len(b):
         raise ValueError("dimension mismatch")
+    if {*map(type, a), *map(type, b)} == {int}:
+        return tuple(map(operator.sub, a, b))
     return tuple(_rat(x) - _rat(y) for x, y in zip(a, b))
 
 
@@ -133,6 +136,14 @@ def _echelon(rows: RMatrix) -> tuple[list[list[int]], list[int]]:
 def rank(rows: RMatrix) -> int:
     """Row rank by fraction-free integer Gaussian elimination."""
     return len(_echelon(rows)[1])
+
+
+def row_basis(rows: RMatrix) -> tuple:
+    """The nonzero rows of an integer echelon form of `rows`: a basis of
+    their row space, so stacking the bases of several lists of rows keeps
+    the rank of the stacked lists."""
+    mat, pivots = _echelon(rows)
+    return tuple(map(tuple, mat[:len(pivots)]))
 
 
 def nullspace(rows: RMatrix, n: Optional[int] = None) -> list[tuple]:

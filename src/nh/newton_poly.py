@@ -14,7 +14,8 @@ more generators from a vertex, or m−1 summand edge directions, and the Πb
 rows — and is kept when the faces it cuts out (`minimal_points`) span m−1
 directions.  One closure gives both face lattices (`_closure`): the
 improper face closed under intersection with the facets' vertex/ray
-incidences (Kaibel and Pfetsch, Comput. Geom. 2002).
+incidences (Kaibel and Pfetsch, Comput. Geom. 2002), on bitmasks, and
+graded by its own order.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .exact_numeric import (
     orthogonal_basis,
     primitive,
     rank,
+    row_basis,
     solve_strict,
     unit,
     vsub,
@@ -102,9 +104,14 @@ class Face:
     dim: int
     is_empty: bool = False
     is_improper: bool = False
-    # F ∩ Ω, filled by the first `lambda_points()`
+    # F ∩ Ω, the echelon rows of F's points and F's dual-cone rows, filled
+    # by the first `lambda_points()`, `point_basis()` and `dual_cone_rows`
     _lambda: Optional[tuple] = field(default=None, init=False, compare=False,
                                      repr=False)
+    _basis: Optional[tuple] = field(default=None, init=False, compare=False,
+                                    repr=False)
+    _cone: Optional[tuple] = field(default=None, init=False, compare=False,
+                                   repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, Face):
@@ -138,6 +145,15 @@ class Face:
                 if all(dot(p.facets_a[i][0], m) == p.facets_a[i][1]
                        for i in self.generator_idx)))
         return list(self._lambda)
+
+    def point_basis(self) -> tuple:
+        """Echelon rows spanning the face's vertices and rays (none on the
+        empty face), so the rank of a union of faces is the rank of their
+        stacked bases; computed once per face."""
+        if self._basis is None:
+            object.__setattr__(self, "_basis", row_basis(
+                sorted(self.vertex_set) + sorted(self.ray_set)))
+        return self._basis
 
 
 @dataclass(frozen=True)
@@ -294,20 +310,53 @@ def _closure(top: tuple, facets: Sequence) -> dict:
     set) per summand; G ∩ G′ is nonempty iff each pair of summand faces
     shares a vertex, and a facet passes through G iff the intersection is
     G itself, so G's list is complete once G is popped.  Returns
-    {key: indices of the facets through it, ascending}."""
-    through = {top: []}
-    stack = [top]
+    {key: (indices of the facets through it, ascending, its dimension)}.
+
+    The closure runs on one int per key, a bit per vertex and per ray of
+    each summand (a vertex and a ray may be the same vector, so they get
+    separate bits).  The sum is pointed, so a face with no proper nonempty
+    subface is a vertex, of dimension 0, and any other face has dimension
+    1 + the largest among its proper subfaces; those include its facets,
+    each the face's meet with one of the sum's facets."""
+    bits = [(nu, kind, x) for nu, pair in enumerate(top)
+            for kind, part in enumerate(pair) for x in sorted(part)]
+    bit = {b: 1 << i for i, b in enumerate(bits)}
+
+    def mask(key) -> int:
+        return sum(bit[nu, kind, x] for nu, pair in enumerate(key)
+                   for kind, part in enumerate(pair) for x in part)
+
+    vertex_masks = [sum(bit[nu, 0, v] for v in vs)
+                    for nu, (vs, _) in enumerate(top)]
+    facet_masks = [mask(fkey) for _, fkey in facets]
+    full = (1 << len(bits)) - 1
+    through = {full: []}
+    stack = [full]
     while stack:
         key = stack.pop()
-        for i, (_, fkey) in enumerate(facets):
-            meet = tuple((vs & fv, rs & fr)
-                         for (vs, rs), (fv, fr) in zip(key, fkey))
+        for i, fm in enumerate(facet_masks):
+            meet = key & fm
             if meet == key:
                 through[key].append(i)
-            elif all(vs for vs, _ in meet) and meet not in through:
+            elif meet not in through and all(meet & vm
+                                              for vm in vertex_masks):
                 through[meet] = []
                 stack.append(meet)
-    return through
+    # a proper subface has fewer bits; the face itself and the empty meets
+    # are not graded yet when it is, so they count as −1
+    dims: dict = {}
+    for key in sorted(through, key=int.bit_count):
+        dims[key] = 1 + max((dims.get(key & fm, -1) for fm in facet_masks),
+                            default=-1)
+
+    def unmask(key) -> tuple:
+        parts = [(set(), set()) for _ in top]
+        for i, (nu, kind, x) in enumerate(bits):
+            if key >> i & 1:
+                parts[nu][kind].add(x)
+        return tuple((frozenset(vs), frozenset(rs)) for vs, rs in parts)
+
+    return {unmask(key): (idx, dims[key]) for key, idx in through.items()}
 
 
 def enumerate_faces(p: NewtonPolyhedron) -> list:
@@ -318,11 +367,10 @@ def enumerate_faces(p: NewtonPolyhedron) -> list:
     incidence = [(q, (tuple(map(frozenset, minimal_points(
         q, p.vertices, p.rays))),)) for q, _ in p.facets_a]
     found = []
-    for key, idx in _closure(top, incidence).items():
+    for key, (idx, dim) in _closure(top, incidence).items():
         (vs, rs), = key
         found.append(Face(parent=p, generator_idx=frozenset(idx),
-                          vertex_set=vs, ray_set=rs,
-                          dim=rank(_directions(vs, rs)),
+                          vertex_set=vs, ray_set=rs, dim=dim,
                           is_improper=key == top))
     faces = sorted(found, key=Face.sort_key)
     # frozen dataclass: the caches are set once, here
@@ -381,10 +429,11 @@ def _sum_faces(polys: Sequence[NewtonPolyhedron]) -> tuple:
         (list(sub) + basis_b
          for sub in (itertools.combinations(edges, m - 1) if m else ())),
         [(p.vertices, p.rays) for p in polys], m, n)
+    # the keys hold each summand's own vertex and ray tuples
     return basis_b, [
-        (tuple(p.face_by_key(vs, rs) for p, (vs, rs) in zip(polys, key)),
+        (tuple(p._face_index[part] for p, part in zip(polys, key)),
          [facets[i][0] for i in idx])
-        for key, idx in _closure(
+        for key, (idx, _) in _closure(
             tuple((p.vertices, p.rays) for p in polys), facets).items()]
 
 
@@ -401,14 +450,20 @@ def dual_cone_rows(f: Face) -> tuple:
     ge: w − v₀ for P's other vertices and P's other rays; e_j for j ∈ S
     on the empty face, whose dual is Z(S).  The open cone (F*)° holds
     the x ≠ 0 with every eq row 0 and every ge row > 0 (≥ 0 on the empty
-    face; the improper face has no ge rows)."""
-    p = f.parent
-    if f.is_empty:
-        return [], [unit(p.spec.n, j) for j in sorted(p.spec.S)]
-    v0 = min(f.vertex_set)
-    ge = ([vsub(w, v0) for w in sorted(p.vertices - f.vertex_set)]
-          + sorted(p.rays - f.ray_set))
-    return _directions(f.vertex_set, f.ray_set), ge
+    face; the improper face has no ge rows).  Computed once per face."""
+    if f._cone is None:
+        p = f.parent
+        if f.is_empty:
+            rows = (), tuple(unit(p.spec.n, j) for j in sorted(p.spec.S))
+        else:
+            v0 = min(f.vertex_set)
+            rows = (tuple(_directions(f.vertex_set, f.ray_set)),
+                    tuple([vsub(w, v0) for w in sorted(p.vertices
+                                                       - f.vertex_set)]
+                          + sorted(p.rays - f.ray_set)))
+        # frozen dataclass: the cache is set once, here
+        object.__setattr__(f, "_cone", rows)
+    return f._cone
 
 
 def interior_contains(f: Face, x: Sequence) -> bool:

@@ -1,0 +1,45 @@
+"""Oracle for `nh.engine.decide_general`: the criterion with no geometry
+shared between support classes.
+
+Each class gets its own `LambdaTuple`, so every class rebuilds its Newton
+polyhedra and Minkowski-sum lattices.  The class order, the in-class tuple
+order and the verdict fields are those of `decide_general`, so the two
+give byte-identical reports.
+"""
+
+from nh.engine import (
+    DEPTH_CAP_BASE,
+    DepthCapHit,
+    LambdaTuple,
+    Verdict,
+    enumerate_lo_tuples,
+    enumerate_support_classes,
+)
+from nh.newton_poly import ExponentSet
+from nh.parity import is_even, odd_witness
+
+
+def decide_general_per_class(p) -> Verdict:
+    classes, cap_hit = enumerate_support_classes(p)
+    count = 0
+    for cls in classes:
+        live = [s for s in cls.supports if s]
+        if not live:
+            continue
+        lam = LambdaTuple(
+            [ExponentSet.of(s, p.spec.n) for s in live], p.spec)
+        for ft in enumerate_lo_tuples(lam):
+            count += 1
+            u = ft.union_lambda()
+            if not is_even(u):
+                return Verdict(kind="unbounded", face_tuple=ft,
+                               odd_subset=odd_witness(u),
+                               union_rank=ft.union_rank,
+                               gl_matrix=cls.matrix,
+                               gl_class_count=len(classes),
+                               tuples_examined=count, lo_tuples=count)
+    if cap_hit:
+        raise DepthCapHit(f"class search cut {DEPTH_CAP_BASE ** p.d} steps "
+                          f"deep with all {len(classes)} classes bounded")
+    return Verdict(kind="bounded", tuples_examined=count, lo_tuples=count,
+                   gl_class_count=len(classes))

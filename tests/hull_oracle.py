@@ -8,6 +8,8 @@ facet subsets.  Both are exponential and slow.  The vertex test is
 into u − v and λ, μ ≥ 0 as rows, solved by the rational-tableau simplex of
 `simplex_oracle`.  The oracle shares nothing with the production hull,
 lattice and LP except the exact linear algebra and the data classes.
+`closure_frozensets` is the Kaibel–Pfetsch closure on (vertex set, ray
+set) keys, the reference for the bitmask closure of `nh.newton_poly`.
 """
 
 import itertools
@@ -126,3 +128,23 @@ def enumerate_faces_subsets(p: NewtonPolyhedron) -> list:
                       vertex_set=frozenset(), ray_set=frozenset(),
                       dim=-1, is_empty=True))
     return faces
+
+
+def closure_frozensets(top: tuple, facets) -> dict:
+    """The closure of the improper face `top` (one (vertex set, ray set)
+    pair per summand) under intersection with the facets, given as
+    (normal, key) pairs: {key: indices of the facets through it}, in the
+    order the depth-first search finds the keys."""
+    through = {top: []}
+    stack = [top]
+    while stack:
+        key = stack.pop()
+        for i, (_, fkey) in enumerate(facets):
+            meet = tuple((vs & fv, rs & fr)
+                         for (vs, rs), (fv, fr) in zip(key, fkey))
+            if meet == key:
+                through[key].append(i)
+            elif all(vs for vs, _ in meet) and meet not in through:
+                through[meet] = []
+                stack.append(meet)
+    return through

@@ -30,6 +30,7 @@ from nh.exact_numeric import (
     primitive,
     rank,
     reduce_mod,
+    row_basis,
     solve_strict,
     unit,
     vsub,
@@ -89,6 +90,45 @@ def test_rank_edge_cases():
     assert rank([(0, 0, 0)]) == 0
     assert rank([(2, 0, 3)]) == 1
     assert rank([(1, 0), (0, 1), (1, 1)]) == 2
+
+
+def test_stacked_row_bases_keep_the_rank():
+    """rank(A ∪ B) = rank(row_basis(A) ∪ row_basis(B)), and a basis has
+    rank(A) independent integer rows."""
+    rng = random.Random(8)
+    for _ in range(200):
+        ncols = rng.randint(1, 5)
+        a, b = ([tuple(rng.choice([-2, 0, 0, 1, Fraction(3, 2)])
+                       for _ in range(ncols))
+                 for _ in range(rng.randint(0, 4))] for _ in range(2))
+        ba, bb = row_basis(a), row_basis(b)
+        assert len(ba) == rank(ba) == rank(a), a
+        assert all(type(x) is int for row in ba for x in row)
+        assert rank(list(ba) + list(bb)) == rank(a + b), (a, b)
+
+
+def test_vsub_is_exact_on_every_input_kind():
+    """The all-int path, Fraction and mixed inputs, and a float read at its
+    exact value give the Fraction-wrapped difference; an entry is an int
+    exactly when both operands are."""
+    rng = random.Random(9)
+    kinds = (lambda: rng.randint(-5, 5),
+             lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+             lambda: rng.randint(-8, 8) / 4)
+    for _ in range(300):
+        n = rng.randint(0, 4)
+        pick = rng.sample(kinds, rng.randint(1, 3))
+        a = tuple(rng.choice(pick)() for _ in range(n))
+        b = [rng.choice(pick)() for _ in range(n)]
+        got = vsub(a, b)
+        assert type(got) is tuple
+        assert got == tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b))
+        assert [type(z) for z in got] == [
+            int if type(x) is int and type(y) is int else Fraction
+            for x, y in zip(a, b)], (a, b)
+    assert vsub((3, 1), (1, 4)) == (2, -3)
+    with pytest.raises(ValueError):
+        vsub((1, 2), (1,))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Unit tests for Newton polyhedra: construction, faces, dual cones.
 
-Oracles: the pairwise-direction hull, the 2^k facet-subset lattice and the
-split-variable vertex LP in `hull_oracle`; the split strict-feasibility LP
+Oracles: the pairwise-direction hull, the 2^k facet-subset lattice, the
+split-variable vertex LP and the frozenset closure in `hull_oracle`; the split strict-feasibility LP
 in `simplex_oracle`; the open-cone test, the joint-interior LP and S₀ written
 against the supporting levels ρ in `geom_checks`.
 """
@@ -24,10 +24,11 @@ from geom_checks import (
 )
 from hull_oracle import (
     build_newton_pairwise,
+    closure_frozensets,
     enumerate_faces_subsets,
     vertices_split,
 )
-from nh.exact_numeric import StrictSystem, dot, rank, unit
+from nh.exact_numeric import StrictSystem, dot, rank, unit, vsub
 from nh.newton_poly import (
     DomainSpec,
     ExponentSet,
@@ -41,6 +42,7 @@ from nh.newton_poly import (
     interior_contains,
     minimal_points,
     minkowski_faces,
+    _closure,
 )
 from simplex_oracle import split_solve_strict
 
@@ -414,6 +416,86 @@ def test_cyclic_polytope_f_vector():
     faces = enumerate_faces(p)
     f_vector = [sum(1 for f in faces if f.dim == d) for d in range(4)]
     assert f_vector == [8, 28, 40, 20]
+
+
+def _span_rank(keys) -> int:
+    """Dimension of the sum of the faces with these (vertex set, ray set)
+    keys: the rank of their directions, each vertex set read from its least
+    vertex."""
+    rows = []
+    for vs, rs in keys:
+        vs = sorted(vs)
+        rows += [vsub(v, vs[0]) for v in vs[1:]] + sorted(rs)
+    return rank(rows)
+
+
+def test_face_dims_from_the_lattice_match_rank():
+    """`enumerate_faces` grades the lattice (a vertex has dimension 0, any
+    other face 1 + the largest among its proper subfaces) instead of taking
+    a rank per face; on random polyhedra up to n = 5, with and without
+    rays, full- and lower-dimensional, the grades are the ranks."""
+    rng = random.Random(2019)
+    kinds, faces_seen = set(), 0
+    for _ in range(150):
+        p = build_newton(*random_instance(rng, n_max=5, max_points=8))
+        for f in p.faces()[:-1]:
+            assert f.dim == _span_rank([(f.vertex_set, f.ray_set)]), (
+                p.omega.sorted_points(), sorted(p.spec.S))
+            faces_seen += 1
+        kinds.add((p.spec.n, bool(p.rays), p.dim < p.spec.n))
+    assert {(5, rays, low) for rays in (False, True)
+            for low in (False, True)} <= kinds
+    assert faces_seen >= 1000
+
+
+def _closure_input(polys):
+    """The improper face of P₁+⋯+P_k and the facets of the sum, from the
+    hull of the point sums, each with its summand faces as keys."""
+    spec = polys[0].spec
+    sums = {tuple(map(sum, zip(*combo))) for combo in itertools.product(
+        *[p.omega.points for p in polys])}
+    total = build_newton(ExponentSet.of(sums, spec.n), spec)
+    facets = [(q, tuple((frozenset(vs), frozenset(rs)) for vs, rs in (
+        minimal_points(q, p.vertices, p.rays) for p in polys)))
+        for q, _ in total.facets_a]
+    return tuple((p.vertices, p.rays) for p in polys), facets
+
+
+def test_bitmask_closure_matches_the_frozenset_closure():
+    """`_closure` on int bitmasks against the frozenset closure: the same
+    keys in the same order, the same facets through each, and dimensions
+    equal to the ranks.  Some summands have a vertex that is also a ray
+    (e_j with j ∈ S), which needs bits of its own."""
+    rng = random.Random(2020)
+    cases = [
+        (2, [0], [[(1, 0), (0, 2)]]),
+        (2, [0], [[(1, 0), (0, 2)], [(1, 0), (2, 1)]]),
+        (3, [0, 2], [[(1, 0, 0), (0, 2, 1)], [(0, 0, 1), (1, 1, 0)],
+                     [(2, 0, 0), (0, 1, 2)]]),
+    ]
+    for _ in range(50):
+        n = rng.randint(1, 4)
+        S = [j for j in range(n) if rng.random() < 0.5]
+        units = [unit(n, j) for j in S]
+        cases.append((n, S, [
+            list({tuple(rng.randint(0, 3) for _ in range(n))
+                  for _ in range(rng.randint(1, 3))}
+                 | set(rng.sample(units, min(len(units), 1))))
+            for _ in range(rng.randint(1, 3))]))
+    shared = set()
+    for n, S, sets in cases:
+        spec = DomainSpec.of(n, S)
+        polys = [build_newton(ExponentSet.of(pts, n), spec) for pts in sets]
+        top, facets = _closure_input(polys)
+        got = _closure(top, facets)
+        want = closure_frozensets(top, facets)
+        assert list(got) == list(want), (sets, S)
+        assert [idx for idx, _ in got.values()] == list(want.values())
+        for key, (_, dim) in got.items():
+            assert dim == _span_rank(key), (sets, S, key)
+        if any(p.vertices & p.rays for p in polys):
+            shared.add(len(polys))
+    assert shared == {1, 2, 3}
 
 
 # ---------------------------------------------------------------------------
