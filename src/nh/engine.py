@@ -190,7 +190,16 @@ class GLClass:
 # ---------------------------------------------------------------------------
 
 def union_point_rank(faces: Sequence[Face]) -> int:
-    return rank([row for f in faces for row in f.point_basis()])
+    """rank of the faces' vertices and rays from their cached bases: the
+    longest basis when it is the only nonempty one or has length n, else
+    the rank of the stacked bases."""
+    bases = [b for b in (f.point_basis() for f in faces) if b]
+    if not bases:
+        return 0
+    longest = max(map(len, bases))
+    if len(bases) == 1 or longest == len(bases[0][0]):
+        return longest
+    return rank([row for b in bases for row in b])
 
 
 def enumerate_lo_tuples(lam: LambdaTuple) -> Iterator[FaceTuple]:
@@ -287,12 +296,13 @@ def decide_graph(lambda_last: ExponentSet, spec: DomainSpec) -> Verdict:
             for axes in itertools.combinations(range(n), size):
                 examined += 1
                 a_vecs = [units[j] for j in axes]
-                if rank(fbasis + a_vecs) > n - 1:
+                r = rank(fbasis + a_vecs)
+                if r > n - 1:
                     continue
                 candidates += 1
                 u = sorted(set(flam) | set(a_vecs))
                 if not is_even(u):
-                    ft = FaceTuple((f,), rank(fbasis + a_vecs), next(
+                    ft = FaceTuple((f,), r, next(
                         w for (g,), w, _ in minkowski_faces([p]) if g == f))
                     return Verdict(
                         kind="unbounded", face_tuple=ft,

@@ -2,15 +2,16 @@
 
 Vectors are sequences of ints and ``fractions.Fraction``s (any other number
 is taken at its exact ``Fraction`` value).  Everything here is pure and
-immutable: rank and nullspaces by fraction-free elimination, exact
-Gram–Schmidt, strict-inequality feasibility by a fraction-free simplex on
-Python integers with Bland's rule (a sign bound x_j ≥ 0 is a nonnegative
-column, not a row), and GF(2) elimination (all subsets of a list of
-vectors that sum to a target).
+immutable: rank and nullspaces by Bareiss's fraction-free elimination on
+Python integers, exact Gram–Schmidt, strict-inequality feasibility by a
+simplex that pivots by the same scheme, with Bland's rule (a sign bound
+x_j ≥ 0 is a nonnegative column, not a row), and GF(2) elimination (all
+subsets of a list of vectors that sum to a target).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -68,26 +69,16 @@ def unit(n: int, j: int) -> tuple:
 
 def _clear_denominators(v: RVector) -> tuple:
     """Integer vector on the same ray through the origin (sign preserved)."""
-    if all(type(x) is int for x in v):
-        return tuple(v)
-    fr = [Fraction(x) for x in v]
-    if not fr:
-        return ()
-    lcm = 1
-    for x in fr:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    return tuple(int(x * lcm) for x in fr)
+    fr = [_rat(x) for x in v]
+    lcm = math.lcm(*(x.denominator for x in fr))
+    return tuple(x.numerator * (lcm // x.denominator) for x in fr)
 
 
 def primitive(v: RVector) -> tuple:
     """Primitive integer vector with the same direction (orientation kept)."""
     iv = _clear_denominators(v)
-    g = 0
-    for x in iv:
-        g = math.gcd(g, abs(x))
-    if g == 0:
-        return iv
-    return tuple(x // g for x in iv)
+    g = math.gcd(*iv)
+    return tuple(x // g for x in iv) if g > 1 else iv
 
 
 # ---------------------------------------------------------------------------
@@ -96,45 +87,55 @@ def primitive(v: RVector) -> tuple:
 
 def _reduced(row: list) -> list:
     """The integer row divided by the gcd of its entries."""
-    g = 0
-    for x in row:
-        g = math.gcd(g, abs(x))
+    g = math.gcd(*row)
     return [x // g for x in row] if g > 1 else row
 
 
-def _echelon(rows: RMatrix) -> tuple[list[list[int]], list[int]]:
-    """Integer row echelon form by fraction-free elimination: the rows
-    (the first len(pivots) of them nonzero) and the pivot columns."""
-    mat = [list(_clear_denominators(r)) for r in rows]
+def _echelon(rows: RMatrix) -> tuple[list, list[int]]:
+    """Integer row echelon form by Bareiss's fraction-free elimination, the
+    scheme `_simplex_max` pivots by: the rows (the first len(pivots) of
+    them nonzero) and the pivot columns.  A matrix with a non-int entry is
+    scaled to integers row by row first.  A step with pivot row r and pivot
+    p = r[c] sets each row below to (p·row − row[c]·r) // p′, p′ the
+    previous pivot (1 at first); the division is exact, since every entry
+    is then a minor of the input (Sylvester's identity)."""
+    mat = list(rows)
     pivots: list[int] = []
     if not mat:
         return mat, pivots
-    ncols = len(mat[0])
-    for r in mat:
-        if len(r) != ncols:
-            raise ValueError("ragged matrix")
-    rk = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rk, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
+    if len(set(map(len, mat))) != 1:
+        raise ValueError("ragged matrix")
+    if set(map(type, itertools.chain.from_iterable(mat))) - {int}:
+        mat = list(map(_clear_denominators, mat))
+    nrows = len(mat)
+    prev = 1
+    for col in range(len(mat[0])):
+        rk = len(pivots)
+        for piv in range(rk, nrows):
+            if mat[piv][col]:
+                break
+        else:
             continue
-        mat[rk], mat[piv] = mat[piv], mat[rk]
-        p = mat[rk][col]
-        for i in range(rk + 1, len(mat)):
-            if mat[i][col] == 0:
-                continue
-            q = mat[i][col]
-            mat[i] = _reduced([p * a - q * b
-                               for a, b in zip(mat[i], mat[rk])])
+        prow = mat[piv]
+        mat[piv] = mat[rk]
+        mat[rk] = prow
+        p = prow[col]
+        for i in range(rk + 1, nrows):
+            row = mat[i]
+            q = row[col]
+            if q:
+                mat[i] = [(p * a - q * b) // prev for a, b in zip(row, prow)]
+            elif p != prev:
+                mat[i] = [p * a // prev for a in row]
+        prev = p
         pivots.append(col)
-        rk += 1
-        if rk == len(mat):
+        if rk + 1 == nrows:
             break
     return mat, pivots
 
 
 def rank(rows: RMatrix) -> int:
-    """Row rank by fraction-free integer Gaussian elimination."""
+    """Row rank by fraction-free integer elimination (`_echelon`)."""
     return len(_echelon(rows)[1])
 
 
@@ -175,7 +176,7 @@ def nullspace(rows: RMatrix, n: Optional[int] = None) -> list[tuple]:
         x[f] = scale
         for i, pc in enumerate(pivots):
             x[pc] = -mat[i][f] * (scale // mat[i][pc])
-        basis.append(primitive(x))
+        basis.append(tuple(_reduced(x)))
     return basis
 
 

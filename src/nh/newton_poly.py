@@ -139,11 +139,12 @@ class Face:
         sorted; computed once per face."""
         if self._lambda is None:
             p = self.parent
+            tight = [p.facets_a[i] for i in self.generator_idx]
             # frozen dataclass: the cache is set once, here
             object.__setattr__(self, "_lambda", () if self.is_empty else tuple(
                 m for m in p.omega.sorted_points()
-                if all(dot(p.facets_a[i][0], m) == p.facets_a[i][1]
-                       for i in self.generator_idx)))
+                if all(sum(map(operator.mul, q, m)) == level
+                       for q, level in tight)))
         return list(self._lambda)
 
     def point_basis(self) -> tuple:
@@ -283,7 +284,7 @@ def _facets(candidates: Iterable, summands: Sequence, m: int,
         flipped = tuple(-x for x in normal)
         tried.update((normal, flipped))
         for q in (normal, flipped):
-            if any(dot(q, r) < 0 for r in rays):
+            if any(sum(map(operator.mul, q, r)) < 0 for r in rays):
                 continue
             keys = tuple((frozenset(vs), frozenset(rs)) for vs, rs in (
                 minimal_points(q, *summand) for summand in summands))
@@ -349,14 +350,18 @@ def _closure(top: tuple, facets: Sequence) -> dict:
         dims[key] = 1 + max((dims.get(key & fm, -1) for fm in facet_masks),
                             default=-1)
 
-    def unmask(key) -> tuple:
-        parts = [(set(), set()) for _ in top]
-        for i, (nu, kind, x) in enumerate(bits):
-            if key >> i & 1:
-                parts[nu][kind].add(x)
-        return tuple((frozenset(vs), frozenset(rs)) for vs, rs in parts)
-
-    return {unmask(key): (idx, dims[key]) for key, idx in through.items()}
+    # decode each (summand, sub-mask) pair once
+    parts = []
+    for nu, pair in enumerate(top):
+        vbits, rbits = ([(bit[nu, kind, x], x) for x in part]
+                        for kind, part in enumerate(pair))
+        ones = sum(b for b, _ in vbits + rbits)
+        parts.append((ones, {
+            sub: (frozenset([x for b, x in vbits if sub & b]),
+                  frozenset([x for b, x in rbits if sub & b]))
+            for sub in {key & ones for key in through}}))
+    return {tuple(part[key & ones] for ones, part in parts): (idx, dims[key])
+            for key, idx in through.items()}
 
 
 def enumerate_faces(p: NewtonPolyhedron) -> list:
@@ -468,15 +473,15 @@ def dual_cone_rows(f: Face) -> tuple:
 
 def interior_contains(f: Face, x: Sequence) -> bool:
     """x ∈ (F*)°, the open dual cone of the face, in the full-space sense
-    (exact: `dot` reads every entry as a rational)."""
+    (exact: x holds ints or Fractions, the rows ints)."""
     if len(x) != f.parent.spec.n:
         raise ValueError("ambient dimension mismatch")
     eq, ge = dual_cone_rows(f)
-    if is_zero(x) or any(dot(a, x) != 0 for a in eq):
+    if is_zero(x) or any(sum(map(operator.mul, a, x)) for a in eq):
         return False
     if f.is_empty:
-        return all(dot(a, x) >= 0 for a in ge)
-    return all(dot(a, x) > 0 for a in ge)
+        return all(sum(map(operator.mul, a, x)) >= 0 for a in ge)
+    return all(sum(map(operator.mul, a, x)) > 0 for a in ge)
 
 
 def cones_interior_intersection(faces: Sequence[Face]) -> Optional[tuple]:

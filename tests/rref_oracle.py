@@ -1,5 +1,6 @@
-"""Oracle for `nh.exact_numeric.nullspace`: the nullspace read off the
-reduced row echelon form, computed by Gauss–Jordan over `Fraction`s."""
+"""Oracle for `nh.exact_numeric.rank` and `nullspace`: the rank and the
+nullspace read off the reduced row echelon form, computed by Gauss–Jordan
+over `Fraction`s."""
 
 from fractions import Fraction
 
@@ -30,6 +31,11 @@ def rref(rows):
         if r == len(mat):
             break
     return mat, pivots
+
+
+def fraction_rank(rows) -> int:
+    """The number of pivots of the RREF."""
+    return len(rref(rows)[1])
 
 
 def fraction_nullspace(rows, n=None):

@@ -27,9 +27,10 @@ from nh.engine import (
     enumerate_support_classes,
     union_point_rank,
 )
-from nh.exact_numeric import rank, unit
+from nh.exact_numeric import unit
 from nh.newton_poly import DomainSpec, ExponentSet, interior_contains
 from nh.parity import is_even
+from rref_oracle import fraction_rank
 from walk_oracle import walk_lo_tuples
 
 
@@ -86,7 +87,7 @@ def test_lo_tuples_exclude_closed_only_overlaps():
         for f in ft.faces:
             if not f.is_empty:
                 pts.extend(sorted(f.vertex_set) + sorted(f.ray_set))
-        assert rank(pts) == ft.union_rank
+        assert fraction_rank(pts) == ft.union_rank
 
 
 def _sum_lattice_instance(rng):
@@ -135,6 +136,33 @@ def test_sum_lattice_tuples_equal_the_walk():
                        for f in ft.faces), (sets, S, ft.faces)
         total += len(got)
     assert total > 1000
+
+
+@pytest.mark.parametrize("sets, n, S", [
+    ([[(2, 0, 1), (0, 2, 2), (1, 1, 0), (3, 1, 2)], [(0, 0, 2), (1, 0, 0)]],
+     3, []),
+    ([[(1, 2, 0)], [(2, 0, 1), (0, 1, 3)], [(0, 2, 2)]], 3, [0]),
+])
+def test_union_rank_shortcuts_equal_the_rref(sets, n, S):
+    """`union_point_rank` reads the rank off the faces' bases when only one
+    is nonempty or one has length n, and stacks them otherwise.  On every
+    face tuple it equals the Fraction RREF rank of the union of the faces'
+    points, and the walk equals the product walk.  Both shortcuts occur:
+    a yielded tuple with one nonempty face, and a tuple holding a face of
+    rank n, which the walk drops."""
+    lam = _lam(sets, n, S)
+    full_rank = []
+    for combo in itertools.product(*[p.faces() for p in lam.polyhedra]):
+        r = fraction_rank([x for f in combo
+                           for x in sorted(f.vertex_set) + sorted(f.ray_set)])
+        assert union_point_rank(combo) == r, combo
+        if any(len(f.point_basis()) == n for f in combo):
+            full_rank.append(combo)
+    got = [(ft.faces, ft.union_rank) for ft in enumerate_lo_tuples(lam)]
+    assert got == [(ft.faces, ft.union_rank) for ft in walk_lo_tuples(lam)]
+    assert any(sum(bool(f.point_basis()) for f in faces) == 1
+               for faces, _ in got)
+    assert full_rank and not {faces for faces, _ in got} & set(full_rank)
 
 
 def test_all_empty_tuple_yielded():

@@ -2,11 +2,12 @@
 
 Oracles: rank against minor enumeration (minors by the Leibniz formula),
 the fraction-free nullspace against the `Fraction` Gauss–Jordan one in
-`rref_oracle`, strict-system feasibility against a dense rational grid
-scan, the fraction-free simplex against the rational tableau simplex in
-`simplex_oracle`, sign bounds as nonnegative columns against the split
-formulation of `simplex_oracle`, GF(2) solution sets against explicit
-enumeration of all 2^k combinations.
+`rref_oracle`, the Bareiss elimination under both against both (and its
+pivots against the minors they must equal), strict-system feasibility
+against a dense rational grid scan, the fraction-free simplex against the
+rational tableau simplex in `simplex_oracle`, sign bounds as nonnegative
+columns against the split formulation of `simplex_oracle`, GF(2) solution
+sets against explicit enumeration of all 2^k combinations.
 """
 
 import itertools
@@ -15,12 +16,13 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nh import exact_numeric
 from nh.exact_numeric import (
     StrictSystem,
+    _echelon,
     _simplex_max,
     _Unbounded,
     dot,
@@ -35,7 +37,7 @@ from nh.exact_numeric import (
     unit,
     vsub,
 )
-from rref_oracle import fraction_nullspace
+from rref_oracle import fraction_nullspace, fraction_rank
 from simplex_oracle import fraction_simplex_max, split_solve_strict
 
 
@@ -105,6 +107,58 @@ def test_stacked_row_bases_keep_the_rank():
         assert len(ba) == rank(ba) == rank(a), a
         assert all(type(x) is int for row in ba for x in row)
         assert rank(list(ba) + list(bb)) == rank(a + b), (a, b)
+
+
+_SMALL = st.integers(-3, 3)
+_LARGE = st.integers(-10 ** 6, 10 ** 6)
+_INT = st.one_of(st.just(0), _SMALL, _LARGE)
+_MIXED = st.one_of(_INT, st.builds(Fraction, st.one_of(_SMALL, _LARGE),
+                                   st.integers(1, 12)))
+
+
+@st.composite
+def _kernel_matrices(draw, entries):
+    """(rows, ncols), up to 6×5: zero rows and columns, a zero leading
+    entry (the first pivot needs a swap), a row combining two others."""
+    ncols, nrows = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for r in rows:
+            r[j] = 0
+    if rows and draw(st.booleans()):
+        rows[0][0] = 0
+    if len(rows) >= 2 and draw(st.booleans()):
+        a, b = draw(st.sampled_from([(-2, 1), (1, 1), (3, -1), (0, 0)]))
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
+    return [tuple(r) for r in rows], ncols
+
+
+@given(st.one_of(_kernel_matrices(_INT), _kernel_matrices(_MIXED)))
+@example(([(0, 1, 2), (0, 0, 3), (5, 1, 1)], 3))     # swaps at two steps
+@example(([(-2, 3, 1), (4, -1, 5), (1, 1, -7)], 3))  # negative pivots
+@example(([(0, 0), (0, 0)], 2))
+@settings(max_examples=200, deadline=None)
+def test_bareiss_kernel_matches_the_oracles(drawn):
+    """rank against the minors and the Fraction RREF, nullspace equal to
+    the RREF's, stacked row bases keep the rank and the row space, and the
+    last pivot of a matrix of full row rank is ± the determinant on the
+    pivot columns (of the rows scaled to integers): Bareiss's exact
+    division keeps every pivot a minor."""
+    rows, ncols = drawn
+    r = fraction_rank(rows)
+    assert rank(rows) == r == _rank_by_minors(rows)
+    assert nullspace(rows, n=ncols) == fraction_nullspace(rows, ncols)
+    a, b = rows[:len(rows) // 2], rows[len(rows) // 2:]
+    ba, bb = row_basis(a), row_basis(b)
+    assert all(type(x) is int for row in ba + bb for x in row)
+    assert len(ba) == fraction_rank(ba) == fraction_rank(list(ba) + a) \
+        == fraction_rank(a)
+    assert fraction_rank(list(ba) + list(bb)) == r
+    mat, pivots = _echelon(rows)
+    if rows and r == len(rows):
+        scaled = [exact_numeric._clear_denominators(row) for row in rows]
+        assert abs(mat[-1][pivots[-1]]) == abs(
+            _det([[row[c] for c in pivots] for row in scaled]))
 
 
 def test_vsub_is_exact_on_every_input_kind():

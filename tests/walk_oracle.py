@@ -5,12 +5,13 @@ prunes a prefix whose point union already has rank n, and asks one exact
 joint-interior LP (`cones_interior_intersection`) per leaf.  Same tuples,
 same lexicographic face-index order and same union ranks as
 `engine.enumerate_lo_tuples`; the witnesses are LP solutions, so they may
-be other points of the same open cones.
+be other points of the same open cones.  The ranks come from the
+`Fraction` RREF of `rref_oracle`, not from the exact kernel under test.
 """
 
 from nh.engine import FaceTuple, LambdaTuple
-from nh.exact_numeric import rank
 from nh.newton_poly import cones_interior_intersection
+from rref_oracle import fraction_rank
 
 
 def _face_points(f) -> list:
@@ -25,7 +26,7 @@ def walk_lo_tuples(lam: LambdaTuple):
 
     def walk(level: int, chosen: list, pts: list):
         if level == lam.d:
-            r = rank(pts)
+            r = fraction_rank(pts)
             if r <= n - 1:
                 witness = cones_interior_intersection(chosen)
                 if witness is not None:
@@ -33,7 +34,7 @@ def walk_lo_tuples(lam: LambdaTuple):
             return
         for f in face_lists[level]:
             new_pts = pts + _face_points(f)
-            if rank(new_pts) >= n and level + 1 < lam.d:
+            if fraction_rank(new_pts) >= n and level + 1 < lam.d:
                 continue  # rank is monotone in the union: sound prune
             yield from walk(level + 1, chosen + [f], new_pts)
 
