@@ -627,7 +627,8 @@ def probe_sum(input_path, fmt, seed):
             "skipped_bound": res.skipped_bound,
             "unconverged": res.unconverged,
             "stats": {"pieces": dict(res.pieces,
-                                     unconverged=res.unconverged)},
+                                     unconverged=res.unconverged),
+                      "fallback_cells": res.fallback_cells},
             "partial_sums": [
                 {str(r): s for r, s in sums.items()}
                 for sums in res.partial_sums],

@@ -9,38 +9,24 @@ A dyadic piece takes one of two paths:
   exponent sum is all-odd, M(a) = ∫ η(e^u) e^{au} du; it is taken when
   its truncation and rounding bound, which grows with the swing s, meets
   the tolerance at some degree D (`PieceFamily._series_degrees`);
-- else adaptive tensor Gauss–Legendre panels (`adaptive_box`).
+- else adaptive tensor Gauss–Legendre of order 32 (`adaptive_box`) on
+  the shell [log ¼, log 2]ⁿ, a rejected cell first cut at u = log ½ and
+  u = 0, where η(e^u) is not analytic (ETA_BREAKS), then bisected.
 
-Pieces are evaluated per batch (`PieceFamily.evaluate`): the sum probe
-passes all unpruned pieces of one ξ at once and gets their values, error
-bounds and converged flags back as arrays.  The series rows of a batch
-are grouped by their degree D, and each row's series is evaluated only to
-its own degree, with the amplitudes raised to the powers 0..D alone.  The
-rows the series declines go to the fallback once per distinct row: a
-piece depends on J only through J·m, so when the exponents have rank
-below n many J share one amplitude row, and its result is scattered to
-all of them.  The fallback builds its cells from per-axis factors: per
-level, the per-axis nodes and η-weighted weights of all pending cells,
-and a cell's t^m and tensor weights as outer products of exp(u_ℓ·e_kℓ)
-and of those weights.
+Pieces are evaluated per batch (`PieceFamily.evaluate`), all unpruned
+pieces of one ξ at once, with array results.  Series rows are grouped by
+the degree D they need.  Declined rows go to the fallback once per
+distinct row: a piece depends on J only through J·m, so when the
+exponents have rank below n many J share one amplitude row.
 
-The folded integrand Σ_σ(−1)^{|σ|} e^{iΣ_k σ^{m_k}θ_k} of the fallback
-has two exact forms, and it is evaluated in the one with fewer terms
-(`_SignSum`).  Let r be the GF(2) rank of the exponents mod 2:
-
-- sign groups: Σ_g w_g e^{iφ_g}, grouping σ by the induced monomial sign
-  pattern, G = 2^r groups;
-- parity form: 2ⁿ Σ_T i^{|T|} ∏_{k∈T} sin θ_k ∏_{k∉T} cos θ_k over the
-  2^{K−r} subsets T whose exponents sum to an all-odd vector.
-
-The parity form is used iff K ≤ 2r, where it has no more terms than
-there are groups.  Timed per node on random lists with n ≤ 4, this rule
-picked the faster form on every list with K ≠ 2r, and at K = 2r the
-parity form was at most 1.4× slower; for K > 2r its term count
-2^{K−r} grows without bound in K, so the odd subsets are not even built
-there.  Either way the parity cancellation (even exponent sets give an
-identically zero integrand) happens exactly, before any quadrature error
-enters.
+The fallback's folded integrand Σ_σ(−1)^{|σ|} e^{iΣ_k σ^{m_k}θ_k} is
+evaluated in the exact form with fewer terms (`_SignSum`), r the GF(2)
+rank of the exponents mod 2: the 2^r sign groups Σ_g w_g e^{iφ_g}
+(σ grouped by the induced monomial sign pattern), or, iff K ≤ 2r, the
+parity form 2ⁿ Σ_T i^{|T|} ∏_{k∈T} sin θ_k ∏_{k∉T} cos θ_k over the
+2^{K−r} subsets T whose exponents sum to an all-odd vector (timings in
+the README).  Either way the parity cancellation (even exponent sets
+give an identically zero integrand) is exact.
 
 Probes: log-divergence along odd witnesses (in the rank-m lattice normal
 form of the face span, where the free directions factor out as exact
@@ -63,13 +49,14 @@ from .parity import odd_subsets
 
 LOG_QUARTER = math.log(0.25)
 LOG_TWO = math.log(2.0)
+ETA_BREAKS = (-LOG_TWO, 0.0)        # u where η(e^u) is not analytic
 CELL_TOL = 1e-9
 PRUNE_TOL = 1e-10
 H_MASS = 2.0 * math.log(2.0)          # ∫|h| per axis
-# adaptive_box's cell cap.  Tier-1's largest call takes 6,857 cells and
-# the probe-sum benchmark's 215.  The one (1, 1) piece at ξ = 1e6 ends
-# unconverged either way: at this cap after 3 s, at 2²² cells after 144 s
-# (2-vCPU Xeon).
+# adaptive_box's cell cap.  Tier-1's largest converged call takes 7,362
+# cells and the probe-sum benchmark's 40.  The (1, 1) piece at ξ = 1e6
+# stops unconverged here, after 4 s (2-vCPU Xeon); without the cuts, a
+# cap of 2²² cells took 144 s and did not converge either.
 MAX_CELLS = 2 ** 16
 
 
@@ -102,6 +89,11 @@ class CutoffSpec:
     @classmethod
     def eta(cls, u):
         return cls.psi(u) - cls.psi(2.0 * np.asarray(u, dtype=float))
+
+
+def _eta_of_log(u):
+    """η(e^u): the per-axis shell weight in log coordinates (h(t)·t = η(t))."""
+    return CutoffSpec.eta(np.exp(u))
 
 
 # ---------------------------------------------------------------------------
@@ -190,40 +182,54 @@ def _cell_values(parts: Callable, expo: np.ndarray, lo: np.ndarray,
     return out
 
 
+def _cut_cells(lo: np.ndarray, hi: np.ndarray, cuts: np.ndarray):
+    """Each box ∏[lo_i, hi_i] cut on every axis at each point of `cuts`
+    strictly inside: the cells' lo and hi."""
+    cells = [cell for a, b in zip(lo, hi) for cell in itertools.product(
+        *[list(itertools.pairwise([x, *cuts[(x < cuts) & (cuts < y)], y]))
+          for x, y in zip(a, b)])]
+    cells = np.array(cells).reshape(-1, lo.shape[1], 2)
+    return cells[:, :, 0], cells[:, :, 1]
+
+
 def adaptive_box(phase: _Phase, lo, hi, tol_cell: float = CELL_TOL,
-                 order: int = 32,
-                 axis_weight: Optional[Callable] = None) -> QuadratureResult:
+                 order: int = 32, axis_weight: Optional[Callable] = None,
+                 cuts: Sequence[float] = ()) -> QuadratureResult:
     """Adaptive tensor Gauss–Legendre for ∫ f(u) w(u_1)⋯w(u_n) du on a
     box, f the sign-folded integrand of `phase` (w ≡ 1 without
     `axis_weight`).  A cell is accepted when its order-`order` and
-    order-`order`/2 values agree to tol_cell, else it is bisected along its
-    widest axis (ties to the first).  Refinement is breadth-first: all
-    cells pending at a level are evaluated together (`_cell_values`), and
-    the rejected ones are split together into the next level.  The
-    separable weight enters the per-axis weights, q·n evaluations per cell
-    rather than qⁿ.  When splitting would take the cell count past
-    MAX_CELLS, the level's rejected cells are accepted as they are and the
-    result is flagged unconverged instead of raising."""
+    order-`order`/2 values agree to tol_cell.  A rejected cell is cut at
+    the points of `cuts` (ascending) strictly inside it (`_cut_cells`),
+    where w need not be analytic, if it has any, else bisected along its
+    widest axis (ties to the first).  Refinement is breadth-first: each
+    level's cells are evaluated together (`_cell_values`), w in the
+    per-axis weights.  When the cuts and bisections would take the cell
+    count past MAX_CELLS, the level's rejected cells are accepted as they
+    are and the result is flagged unconverged instead of raising."""
     parts = phase.signs.bind(phase.amplitudes)
     expo = phase.exponents
+    cuts = np.asarray(cuts, dtype=float)
     clo = np.asarray(lo, dtype=float).reshape(1, -1)
     chi = np.asarray(hi, dtype=float).reshape(1, -1)
-    value = 0.0 + 0.0j
-    err = 0.0
-    panels = 0
-    converged = True
+    value, err, panels, converged = 0j, 0.0, 0, True
     while len(clo):
         v_hi = _cell_values(parts, expo, clo, chi, order, axis_weight)
         v_lo = _cell_values(parts, expo, clo, chi, order // 2, axis_weight)
         delta = np.abs(v_hi - v_lo)
         panels += len(clo)
         split = ~(delta <= tol_cell)        # a NaN value is not accepted
-        if panels + 2 * np.count_nonzero(split) > MAX_CELLS:
+        inside = np.count_nonzero((clo[:, :, None] < cuts)
+                                  & (cuts < chi[:, :, None]), axis=2)
+        cut = split & inside.any(axis=1)
+        children = np.where(cut, np.prod(inside + 1, axis=1), 2)
+        if panels + np.sum(children[split]) > MAX_CELLS:
             converged = converged and not split.any()
-            split[:] = False
+            split[:] = cut[:] = False
         keep = ~split
         value += complex(np.sum(v_hi[keep]))
         err += float(np.sum(delta[keep]))
+        cut_lo, cut_hi = _cut_cells(clo[cut], chi[cut], cuts)
+        split &= ~cut
         clo, chi = clo[split], chi[split]
         rows = np.arange(len(clo))
         axis = np.argmax(chi - clo, axis=1)
@@ -232,8 +238,8 @@ def adaptive_box(phase: _Phase, lo, hi, tol_cell: float = CELL_TOL,
         left_hi[rows, axis] = mid
         right_lo = clo.copy()
         right_lo[rows, axis] = mid
-        clo = np.concatenate([clo, right_lo])
-        chi = np.concatenate([left_hi, chi])
+        clo = np.concatenate([clo, right_lo, cut_lo])
+        chi = np.concatenate([left_hi, chi, cut_hi])
     return QuadratureResult(value, err, panels, converged)
 
 
@@ -369,15 +375,6 @@ def _amplitudes(monos, xi, jm: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# dyadic pieces
-# ---------------------------------------------------------------------------
-
-def _eta_of_log(u):
-    """η(e^u): the per-axis shell weight in log coordinates (h(t)·t = η(t))."""
-    return CutoffSpec.eta(np.exp(u))
-
-
-# ---------------------------------------------------------------------------
 # small-swing pieces: the moment series
 # ---------------------------------------------------------------------------
 
@@ -506,8 +503,9 @@ class PieceFamily:
         self.signs = _SignSum([m for _, m, _ in self.monos], self.n)
         self.trivial = self.signs.empty
         # pieces evaluated by the series (of no terms, for an even list)
-        # and by the fallback
+        # and by the fallback, and the fallback's cells
         self.paths = {"series": 0, "fallback": 0}
+        self.cells = 0
         if self.trivial:
             return
         self.expo = np.array([m for _, m, _ in self.monos], dtype=float)
@@ -583,9 +581,10 @@ class PieceFamily:
                  tol_cell: float = CELL_TOL) -> Pieces:
         """I_J for each row of amplitudes `amps`, (N, K): from the moment
         series when its error bound meets tol_cell (the rows are grouped by
-        the degree they need), else from `adaptive_box` of order 16, or 32
-        above a swing of 20, once per distinct row, the result scattered
-        to every row equal to it.  `paths` counts every row."""
+        the degree they need), else from `adaptive_box` of order 32 on the
+        shell, cut at ETA_BREAKS, once per distinct row, the result
+        scattered to every row equal to it.  `paths` counts every row,
+        `cells` the fallback's cells."""
         count = len(amps)
         out = Pieces(np.zeros(count, dtype=complex), np.zeros(count),
                      np.ones(count, dtype=bool))
@@ -608,12 +607,12 @@ class PieceFamily:
             piece = adaptive_box(
                 _Phase(self.expo, amps[rows[0]], self.signs),
                 [LOG_QUARTER] * self.n, [LOG_TWO] * self.n, tol_cell,
-                order=32 if swing[rows[0]] > 20.0 else 16,
-                axis_weight=_eta_of_log)
+                axis_weight=_eta_of_log, cuts=ETA_BREAKS)
             out.values[rows] = piece.value
             out.errors[rows] = piece.abs_error_estimate
             out.converged[rows] = piece.converged
             self.paths["fallback"] += len(rows)
+            self.cells += piece.panels
         return out
 
 
@@ -646,7 +645,7 @@ def _row_hermite(rows: Sequence[Sequence[int]]):
         if mat[row_idx][col] < 0:
             mat[row_idx] = [-x for x in mat[row_idx]]
         row_idx += 1
-    return [r for r in mat[:row_idx]]
+    return mat[:row_idx]
 
 
 def _lattice_coords(point, basis):
@@ -801,6 +800,7 @@ class SumProbeResult:
     rows: list              # (radius, max-over-ξ partial sum, skipped)
     unconverged: int        # pieces whose quadrature hit the cell cap
     pieces: dict            # pieces pruned, and evaluated per path
+    fallback_cells: int     # adaptive_box cells over all ξ
 
 
 def _prune_bounds(monos, xi, jm: np.ndarray) -> np.ndarray:
@@ -846,8 +846,8 @@ def multiplier_sum_probe(p, xi_samples, radius: int,
     skipped and their bound mass is accumulated, never silently dropped;
     pieces whose quadrature hit the cell cap are counted in `unconverged`.
     `pieces` counts the pruned pieces and the evaluated ones per path
-    (series, fallback).  Summation is pairwise in fixed
-    lexicographic J order."""
+    (series, fallback), and `fallback_cells` the fallback's cells.
+    Summation is pairwise in fixed lexicographic J order."""
     spec = p.spec
     family = PieceFamily(p)
     monos = family.monos
@@ -882,4 +882,4 @@ def multiplier_sum_probe(p, xi_samples, radius: int,
     rows = [(r, max((s[r] for s in partial), default=0.0), skipped_total)
             for r in report_radii]
     return SumProbeResult(partial, max_sum, skipped_total, rows, unconverged,
-                          dict(family.paths, pruned=pruned))
+                          dict(family.paths, pruned=pruned), family.cells)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -308,12 +308,15 @@ def tensor_rule(lo, hi, order: int,
 def adaptive_box_depth_first(fun: Callable, lo, hi,
                              tol_cell: float = CELL_TOL,
                              cell_cap: int = 2 ** 22, order: int = 32,
-                             weight: Optional[Callable] = None
+                             weight: Optional[Callable] = None,
+                             cuts: Sequence[float] = ()
                              ) -> QuadratureResult:
     """∫ fun(u)·weight(u) du on a box: each cell is accepted when the
-    order-`order` and order-`order`/2 values agree to tol_cell, else
-    bisected along its widest axis (ties to the first).  `weight` maps
-    nodes (N, n) to (N,) and multiplies the integrand at each node."""
+    order-`order` and order-`order`/2 values agree to tol_cell, else cut
+    on every axis at every point of `cuts` strictly inside, if there is
+    one, and else bisected along its widest axis (ties to the first).
+    `weight` maps nodes (N, n) to (N,) and multiplies the integrand at
+    each node."""
     def weighted(pts):
         out = fun(pts)
         return out if weight is None else out * weight(pts)
@@ -336,6 +339,15 @@ def adaptive_box_depth_first(fun: Callable, lo, hi,
                 converged = False
             value += v_hi
             err += delta
+            continue
+        inner = [sorted(c for c in cuts if a < c < b)
+                 for a, b in zip(clo, chi)]
+        if any(inner):
+            edges = [[a, *c, b] for a, b, c in zip(clo, chi, inner)]
+            for cell in itertools.product(
+                    *[list(zip(e[:-1], e[1:])) for e in edges]):
+                stack.append((tuple(a for a, _ in cell),
+                              tuple(b for _, b in cell)))
             continue
         axis = max(range(len(clo)), key=lambda i: chi[i] - clo[i])
         mid = 0.5 * (clo[axis] + chi[axis])

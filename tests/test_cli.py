@@ -515,6 +515,21 @@ def test_probe_sum_counts_pieces_per_path(runner, tmp_path, monkeypatch):
         <= pieces["fallback"]
 
 
+def test_probe_sum_reports_fallback_cells(runner, tmp_path):
+    """`stats.fallback_cells` counts the fallback's cells over every ξ:
+    positive on the (1, 1) control at ξ = 64, 0 where the moment series
+    takes every piece."""
+    for xi, positive in ((64.0, True), (1e-3, False)):
+        payload = {"n": 2, "S": [1, 2], "lambda": [[[1, 1]]],
+                   "mode": "probe-sum", "radius": 3, "xi": [[xi]]}
+        res = runner.invoke(main, ["probe-sum", "--input",
+                                   _write(tmp_path, payload)])
+        assert res.exit_code == EXIT_BOUNDED
+        stats = json.loads(res.output)["stats"]
+        assert (stats["fallback_cells"] > 0) == positive
+        assert (stats["pieces"]["fallback"] > 0) == positive
+
+
 def test_text_format(runner, tmp_path):
     res = runner.invoke(main, ["decide", "--format", "text", "--input",
                                _write(tmp_path, GLOBAL_PAIR)])

@@ -1,6 +1,7 @@
 """Unit tests for the oscillatory-multiplier harness."""
 
 import importlib
+import inspect
 import itertools
 import json
 import math
@@ -20,6 +21,7 @@ from nh.oscillatory import (
     _CHUNK_NODES,
     _MAX_MOMENT,
     CELL_TOL,
+    ETA_BREAKS,
     LOG_QUARTER,
     LOG_TWO,
     MOMENT_REL_ERR,
@@ -198,9 +200,11 @@ def _random_phase(rng, n):
 @pytest.mark.parametrize("weighted", [False, True])
 def test_adaptive_box_matches_depth_first(n, order, weighted):
     """Breadth-first batches accept exactly the cells the depth-first
-    oracle accepts; only the summation order differs."""
+    oracle accepts; only the summation order differs.  The η-weighted
+    cases run on the shell cut at ETA_BREAKS, as the fallback does."""
     rng = random.Random(100 * n + order + weighted)
     tol = 1e-6 if n == 3 else CELL_TOL      # keeps the 3-d oracle quick
+    cuts = ETA_BREAKS if weighted else ()
     if weighted:
         lo, hi = [LOG_QUARTER] * n, [LOG_TWO] * n
     for _ in range(3 if n < 3 else 1):
@@ -209,16 +213,19 @@ def test_adaptive_box_matches_depth_first(n, order, weighted):
             hi = [x + rng.uniform(0.5, 2.5) for x in lo]
         phase, groups = _random_phase(rng, n)
         got = adaptive_box(phase, lo, hi, tol, order=order,
-                           axis_weight=_eta_of_log if weighted else None)
+                           axis_weight=_eta_of_log if weighted else None,
+                           cuts=cuts)
         ref = adaptive_box_depth_first(
             complex_exp_integrand(phase.exponents, phase.amplitudes,
                                   groups),
             lo, hi, tol, order=order,
-            weight=_eta_product if weighted else None)
+            weight=_eta_product if weighted else None, cuts=cuts)
         assert got.panels == ref.panels
         assert got.converged == ref.converged
         assert abs(got.value - ref.value) <= 1e-12
         assert abs(got.abs_error_estimate - ref.abs_error_estimate) <= 1e-12
+        if weighted:        # the shell was rejected and cut
+            assert got.panels >= 1 + 3 ** n
 
 
 def test_adaptive_box_cell_cap_flags_result(monkeypatch):
@@ -230,6 +237,59 @@ def test_adaptive_box_cell_cap_flags_result(monkeypatch):
     assert 1 <= r.panels <= 7
     assert math.isfinite(r.value.real) and math.isfinite(r.value.imag)
     assert math.isfinite(r.abs_error_estimate)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cut_cells_count_toward_the_cell_cap(monkeypatch, n):
+    """A rejected shell cut at ETA_BREAKS makes 3ⁿ cells, and the cap
+    counts them all: below 1 + 3ⁿ the cut is not made and the result is
+    flagged unconverged; at 1 + 3ⁿ it is made, and the cap stops the
+    bisections that would follow."""
+    phase = _Phase(np.ones((1, n)), np.array([2000.0]),
+                   _SignSum([(1,) * n], n))
+    shell = [LOG_QUARTER] * n, [LOG_TWO] * n
+    for cap, panels in ((3, 1), (3 ** n, 1), (1 + 3 ** n, 1 + 3 ** n)):
+        monkeypatch.setattr(osc, "MAX_CELLS", cap)
+        r = adaptive_box(phase, *shell, axis_weight=_eta_of_log,
+                         cuts=ETA_BREAKS)
+        assert (r.panels, r.converged) == (panels, False)
+        assert math.isfinite(abs(r.value))
+
+
+# (Λ, ξ, J, cell ceiling): the (1, 1) control of the probe-sum benchmark
+# at amplitudes −4, −8 and −16 (40, 34 and 40 cells), and the criterion-9
+# pair at ξ = (0.9, −1.3), J = (2, −1, 2) (30 cells).
+_WORKED_PAIR = [[(0, 0, 2), (3, 3, 0)], [(0, 0, 3), (3, 2, 1)]]
+_FALLBACK_ROWS = [([[(1, 1)]], (-4.0,), (0, 0), 46),
+                  ([[(1, 1)]], (-8.0,), (0, 0), 39),
+                  ([[(1, 1)]], (-16.0,), (0, 0), 46),
+                  (_WORKED_PAIR, (0.9, -1.3), (2, -1, 2), 35)]
+
+
+@pytest.mark.parametrize("lams, xi, j, ceiling", _FALLBACK_ROWS,
+                         ids=["control-4", "control-8", "control-16",
+                              "worked-pair"])
+def test_fallback_cells_and_accuracy_on_probe_rows(lams, xi, j, ceiling):
+    """Rows the series declines stay within a cell ceiling, and on the
+    2-d rows the value agrees with the depth-first oracle on the cut
+    shell at tolerance 1e-12 to within CELL_TOL."""
+    n = len(j)
+    p = VectorPolynomial({(nu, m): 1 for nu, ms in enumerate(lams)
+                          for m in ms}, d=len(lams),
+                         spec=DomainSpec.of(n, list(range(n))))
+    family = PieceFamily(p)
+    amps = _amplitudes(family.monos, xi,
+                       _j_dot_m(family.monos, np.array([j])))
+    got = family.evaluate(amps)
+    assert family.paths["fallback"] == 1 and got.converged[0]
+    assert family.cells <= ceiling
+    if n == 2:
+        phase = _Phase(family.expo, amps[0], family.signs)
+        ref = adaptive_box_depth_first(
+            phase_integrand(phase), [LOG_QUARTER] * n, [LOG_TWO] * n, 1e-12,
+            weight=_eta_product, cuts=ETA_BREAKS)
+        assert ref.converged
+        assert abs(got.values[0] - ref.value) <= CELL_TOL
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -469,22 +529,27 @@ def _assert_kernel_matches_complex_exp(family, amps, rng):
 @pytest.mark.parametrize("n", [3, 4])
 def test_declined_rows_reach_the_fallback_once(monkeypatch, n):
     """In one batch at CELL_TOL, each distinct row that the series
-    declines reaches `adaptive_box` once, on the shell with the η weight
-    and the caller's tolerance, of order 16 up to a swing of 20 and 32
-    above, and its result goes to every row equal to it; series rows never
-    reach it, and `paths` counts every row.  No rounding bound meets a
-    tolerance of 1e-20, so there the series declines every row, zero
-    amplitudes included."""
+    declines reaches `adaptive_box` once, on the shell with the η weight,
+    cut at ETA_BREAKS, and the caller's tolerance, of order 32 at every
+    swing, and its result goes to every row equal to it; series rows never
+    reach it, `paths` counts every row and `cells` the cells of every
+    call.  No rounding bound meets a tolerance of 1e-20, so there the
+    series declines every row, zero amplitudes included."""
     p = VectorPolynomial({(0, (1,) * n): 1, (0, (2,) + (1,) * (n - 1)): 1},
                          d=1, spec=DomainSpec.of(n, list(range(n))))
     family = PieceFamily(p)
     calls = []
+    signature = inspect.signature(osc.adaptive_box)
 
-    def marked(phase, lo, hi, tol_cell=CELL_TOL, order=32,
-               axis_weight=None):
-        assert (lo, hi) == ([LOG_QUARTER] * n, [LOG_TWO] * n)
-        assert axis_weight is _eta_of_log
-        calls.append((phase.amplitudes.tobytes(), order, tol_cell))
+    def marked(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        got = call.arguments
+        assert (got["lo"], got["hi"]) == ([LOG_QUARTER] * n, [LOG_TWO] * n)
+        assert got["axis_weight"] is _eta_of_log
+        assert got["cuts"] == ETA_BREAKS == (math.log(0.5), 0.0)
+        calls.append((got["phase"].amplitudes.tobytes(), got["order"],
+                      got["tol_cell"]))
         k = len(calls)
         return osc.QuadratureResult(complex(k, -k), 0.25 * k, k, k % 2 == 0)
 
@@ -496,12 +561,9 @@ def test_declined_rows_reach_the_fallback_once(monkeypatch, n):
     amps = np.array(small + large + large[::-1])
     got = family.evaluate(amps, CELL_TOL)
     assert family.paths == {"series": 2, "fallback": 8}
-    swing = np.sum(np.abs(amps * family.swing_scale), axis=1)
-    order = {row.tobytes(): 32 if s > 20.0 else 16
-             for row, s in zip(amps, swing.tolist())}
+    assert family.cells == 1 + 2 + 3 + 4
     assert [(key, o) for key, o, _t in calls] == \
-        [(r.tobytes(), order[r.tobytes()]) for r in large]
-    assert {o for _key, o, _t in calls} == {16, 32}
+        [(r.tobytes(), 32) for r in large]
     assert {t for _key, _o, t in calls} == {CELL_TOL}
     for i, row in enumerate(amps):
         k = next((k for k, call in enumerate(calls, 1)
@@ -514,7 +576,7 @@ def test_declined_rows_reach_the_fallback_once(monkeypatch, n):
 
     calls.clear()
     got = family.evaluate(np.zeros((3, 2)), 1e-20)
-    assert [(o, t) for _key, o, t in calls] == [(16, 1e-20)]
+    assert [(o, t) for _key, o, t in calls] == [(32, 1e-20)]
     assert got.values.tolist() == [1 - 1j] * 3
     assert family.paths == {"series": 2, "fallback": 11}
     family.evaluate(np.zeros((3, 2)))
