@@ -9,24 +9,41 @@ A dyadic piece takes one of two paths:
   exponent sum is all-odd, M(a) = ∫ η(e^u) e^{au} du; it is taken when
   its truncation and rounding bound, which grows with the swing s, meets
   the tolerance at some degree D (`PieceFamily._series_degrees`);
-- else adaptive tensor Gauss–Legendre of order 32 (`adaptive_box`) on
-  the shell [log ¼, log 2]ⁿ, a rejected cell first cut at u = log ½ and
-  u = 0, where η(e^u) is not analytic (ETA_BREAKS), then bisected.
+- else adaptive tensor Gauss–Legendre panels of order 32 (`adaptive_box`)
+  on the shell [log ¼, log 2]ⁿ; a rejected shell is cut at u = log ½ and
+  u = 0, where η(e^u) is not analytic (`ETA_BREAKS`), before any
+  bisection.
 
-Pieces are evaluated per batch (`PieceFamily.evaluate`), all unpruned
-pieces of one ξ at once, with array results.  Series rows are grouped by
-the degree D they need.  Declined rows go to the fallback once per
-distinct row: a piece depends on J only through J·m, so when the
-exponents have rank below n many J share one amplitude row.
+Pieces are evaluated per batch (`PieceFamily.evaluate`): the sum probe
+passes all unpruned pieces of one ξ at once and gets their values, error
+bounds and converged flags back as arrays.  The series rows of a batch
+are grouped by their degree D, and each row's series is evaluated only to
+its own degree, with the amplitudes raised to the powers 0..D alone.  The
+rows the series declines go to the fallback once per distinct row: a
+piece depends on J only through J·m, so when the exponents have rank
+below n many J share one amplitude row, and its result is scattered to
+all of them.  The fallback builds its cells from per-axis factors: per
+level, the per-axis nodes and η-weighted weights of all pending cells,
+and a cell's t^m and tensor weights as outer products of exp(u_ℓ·e_kℓ)
+and of those weights.
 
-The fallback's folded integrand Σ_σ(−1)^{|σ|} e^{iΣ_k σ^{m_k}θ_k} is
-evaluated in the exact form with fewer terms (`_SignSum`), r the GF(2)
-rank of the exponents mod 2: the 2^r sign groups Σ_g w_g e^{iφ_g}
-(σ grouped by the induced monomial sign pattern), or, iff K ≤ 2r, the
-parity form 2ⁿ Σ_T i^{|T|} ∏_{k∈T} sin θ_k ∏_{k∉T} cos θ_k over the
-2^{K−r} subsets T whose exponents sum to an all-odd vector (timings in
-the README).  Either way the parity cancellation (even exponent sets
-give an identically zero integrand) is exact.
+The folded integrand Σ_σ(−1)^{|σ|} e^{iΣ_k σ^{m_k}θ_k} of the fallback
+has two exact forms, and it is evaluated in the one with fewer terms
+(`_SignSum`).  Let r be the GF(2) rank of the exponents mod 2:
+
+- sign groups: Σ_g w_g e^{iφ_g}, grouping σ by the induced monomial sign
+  pattern, G = 2^r groups;
+- parity form: 2ⁿ Σ_T i^{|T|} ∏_{k∈T} sin θ_k ∏_{k∉T} cos θ_k over the
+  2^{K−r} subsets T whose exponents sum to an all-odd vector.
+
+The parity form is used iff K ≤ 2r, where it has no more terms than
+there are groups.  Timed per node on random lists with n ≤ 4, this rule
+picked the faster form on every list with K ≠ 2r, and at K = 2r the
+parity form was at most 1.4× slower; for K > 2r its term count
+2^{K−r} grows without bound in K, so the odd subsets are not even built
+there.  Either way the parity cancellation (even exponent sets give an
+identically zero integrand) happens exactly, before any quadrature error
+enters.
 
 Probes: log-divergence along odd witnesses (in the rank-m lattice normal
 form of the face span, where the free directions factor out as exact
@@ -55,9 +72,10 @@ PRUNE_TOL = 1e-10
 H_MASS = 2.0 * math.log(2.0)          # ∫|h| per axis
 # adaptive_box's cell cap.  Tier-1's largest converged call takes 7,362
 # cells and the probe-sum benchmark's 40.  The (1, 1) piece at ξ = 1e6
-# stops unconverged here, after 4 s (2-vCPU Xeon); without the cuts, a
+# stops unconverged here, after 5 s (2-vCPU Xeon); without the cuts, a
 # cap of 2²² cells took 144 s and did not converge either.
 MAX_CELLS = 2 ** 16
+_ORDER = 32                         # adaptive_box's Gauss–Legendre order
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +107,6 @@ class CutoffSpec:
     @classmethod
     def eta(cls, u):
         return cls.psi(u) - cls.psi(2.0 * np.asarray(u, dtype=float))
-
-
-def _eta_of_log(u):
-    """η(e^u): the per-axis shell weight in log coordinates (h(t)·t = η(t))."""
-    return CutoffSpec.eta(np.exp(u))
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +153,14 @@ def _axis_rules(lo: np.ndarray, hi: np.ndarray, order: int,
 
 
 def _outer(axes: np.ndarray) -> np.ndarray:
-    """Per-axis factors (C, n, q, ...) to their products over the tensor
-    grid, (C, qⁿ, ...), node index in C order over the axes; the factors
-    are multiplied in axis order."""
+    """Per-axis factors (C, n, ..., q) to their products over the tensor
+    grid, (C, ..., qⁿ), node index in C order over the axes; the factors
+    are multiplied in axis order.  The node axis is last, so numpy's
+    inner loops run over q nodes, not over a short trailing axis."""
     out = axes[:, 0]
     for i in range(1, axes.shape[1]):
-        along = axes[:, i]
-        out = (out[:, :, None] * along[:, None]).reshape(
-            (len(out), -1) + along.shape[2:])
+        out = (out[..., :, None] * axes[:, i, ..., None, :]).reshape(
+            out.shape[:-1] + (-1,))
     return out
 
 
@@ -173,8 +186,8 @@ def _cell_values(parts: Callable, expo: np.ndarray, lo: np.ndarray,
     step = max(1, _CHUNK_NODES // order ** n)
     out = np.empty(count, dtype=complex)
     for c in range(0, count, step):
-        factors = np.exp(axes_x[c:c + step, :, :, None] * expo.T[:, None])
-        mono = _outer(factors)                  # (cells, qⁿ, K)
+        factors = np.exp(expo.T[:, :, None] * axes_x[c:c + step, :, None])
+        mono = _outer(factors).transpose(0, 2, 1)   # (cells, qⁿ, K)
         wts = _outer(axes_w[c:c + step])
         vals = _sign_sum(parts, mono.reshape(-1, len(expo)))
         out[c:c + step] = np.einsum("cq,cq->c", wts,
@@ -182,55 +195,63 @@ def _cell_values(parts: Callable, expo: np.ndarray, lo: np.ndarray,
     return out
 
 
-def _cut_cells(lo: np.ndarray, hi: np.ndarray, cuts: np.ndarray):
-    """Each box ∏[lo_i, hi_i] cut on every axis at each point of `cuts`
-    strictly inside: the cells' lo and hi."""
-    cells = [cell for a, b in zip(lo, hi) for cell in itertools.product(
-        *[list(itertools.pairwise([x, *cuts[(x < cuts) & (cuts < y)], y]))
-          for x, y in zip(a, b)])]
-    cells = np.array(cells).reshape(-1, lo.shape[1], 2)
+def _eta_grid(lo, hi):
+    """The box ∏[lo_i, hi_i] cut on every axis at the points of
+    ETA_BREAKS strictly inside: its cells' lo and hi, (C, n) each; None
+    when no break is inside."""
+    edges = [[a, *[c for c in ETA_BREAKS if a < c < b], b]
+             for a, b in zip(lo, hi)]
+    if all(len(e) == 2 for e in edges):
+        return None
+    cells = np.array(list(itertools.product(*map(itertools.pairwise,
+                                                 edges))))
     return cells[:, :, 0], cells[:, :, 1]
 
 
 def adaptive_box(phase: _Phase, lo, hi, tol_cell: float = CELL_TOL,
-                 order: int = 32, axis_weight: Optional[Callable] = None,
-                 cuts: Sequence[float] = ()) -> QuadratureResult:
+                 eta: bool = False) -> QuadratureResult:
     """Adaptive tensor Gauss–Legendre for ∫ f(u) w(u_1)⋯w(u_n) du on a
-    box, f the sign-folded integrand of `phase` (w ≡ 1 without
-    `axis_weight`).  A cell is accepted when its order-`order` and
-    order-`order`/2 values agree to tol_cell.  A rejected cell is cut at
-    the points of `cuts` (ascending) strictly inside it (`_cut_cells`),
-    where w need not be analytic, if it has any, else bisected along its
-    widest axis (ties to the first).  Refinement is breadth-first: each
-    level's cells are evaluated together (`_cell_values`), w in the
-    per-axis weights.  When the cuts and bisections would take the cell
-    count past MAX_CELLS, the level's rejected cells are accepted as they
-    are and the result is flagged unconverged instead of raising."""
+    box, f the sign-folded integrand of `phase`, w(u) = η(e^u) with `eta`
+    and w ≡ 1 without.  A cell is accepted when its order-_ORDER and
+    order-_ORDER/2 values agree to tol_cell, else it is bisected along its
+    widest axis (ties to the first); but with `eta`, a rejected box is
+    first cut on every axis at the points of ETA_BREAKS strictly inside
+    it (`_eta_grid`, up to 3ⁿ cells), where w is not analytic.
+    Refinement is breadth-first: all cells pending at a level are
+    evaluated together (`_cell_values`), and the rejected ones are split
+    together into the next level.  The separable weight enters the
+    per-axis weights, q·n evaluations per cell rather than qⁿ.  When
+    splitting would take the cell count past MAX_CELLS, the level's
+    rejected cells are accepted as they are and the result is flagged
+    unconverged instead of raising."""
     parts = phase.signs.bind(phase.amplitudes)
     expo = phase.exponents
-    cuts = np.asarray(cuts, dtype=float)
+    weight = _eta_of_log if eta else None
     clo = np.asarray(lo, dtype=float).reshape(1, -1)
     chi = np.asarray(hi, dtype=float).reshape(1, -1)
-    value, err, panels, converged = 0j, 0.0, 0, True
+    grid = _eta_grid(clo[0], chi[0]) if eta else None
+    value = 0.0 + 0.0j
+    err = 0.0
+    panels = 0
+    converged = True
     while len(clo):
-        v_hi = _cell_values(parts, expo, clo, chi, order, axis_weight)
-        v_lo = _cell_values(parts, expo, clo, chi, order // 2, axis_weight)
+        v_hi = _cell_values(parts, expo, clo, chi, _ORDER, weight)
+        v_lo = _cell_values(parts, expo, clo, chi, _ORDER // 2, weight)
         delta = np.abs(v_hi - v_lo)
         panels += len(clo)
         split = ~(delta <= tol_cell)        # a NaN value is not accepted
-        inside = np.count_nonzero((clo[:, :, None] < cuts)
-                                  & (cuts < chi[:, :, None]), axis=2)
-        cut = split & inside.any(axis=1)
-        children = np.where(cut, np.prod(inside + 1, axis=1), 2)
-        if panels + np.sum(children[split]) > MAX_CELLS:
+        children = 2 * np.count_nonzero(split) if grid is None \
+            else len(grid[0])
+        if panels + children > MAX_CELLS:
             converged = converged and not split.any()
-            split[:] = cut[:] = False
+            split[:] = False
         keep = ~split
         value += complex(np.sum(v_hi[keep]))
         err += float(np.sum(delta[keep]))
-        cut_lo, cut_hi = _cut_cells(clo[cut], chi[cut], cuts)
-        split &= ~cut
         clo, chi = clo[split], chi[split]
+        if grid is not None and len(clo):   # the rejected box: cut
+            (clo, chi), grid = grid, None
+            continue
         rows = np.arange(len(clo))
         axis = np.argmax(chi - clo, axis=1)
         mid = 0.5 * (clo[rows, axis] + chi[rows, axis])
@@ -238,8 +259,8 @@ def adaptive_box(phase: _Phase, lo, hi, tol_cell: float = CELL_TOL,
         left_hi[rows, axis] = mid
         right_lo = clo.copy()
         right_lo[rows, axis] = mid
-        clo = np.concatenate([clo, right_lo, cut_lo])
-        chi = np.concatenate([left_hi, chi, cut_hi])
+        clo = np.concatenate([clo, right_lo])
+        chi = np.concatenate([left_hi, chi])
     return QuadratureResult(value, err, panels, converged)
 
 
@@ -372,6 +393,15 @@ def _amplitudes(monos, xi, jm: np.ndarray) -> np.ndarray:
     jm = `_j_dot_m(monos, js)`: (NJ, K), the exponent clipped to ±500."""
     cxi = np.array([c * float(xi[nu]) for nu, _m, c in monos], dtype=float)
     return cxi * np.exp2(np.clip(-jm, -500, 500))
+
+
+# ---------------------------------------------------------------------------
+# dyadic pieces
+# ---------------------------------------------------------------------------
+
+def _eta_of_log(u):
+    """η(e^u): the per-axis shell weight in log coordinates (h(t)·t = η(t))."""
+    return CutoffSpec.eta(np.exp(u))
 
 
 # ---------------------------------------------------------------------------
@@ -581,10 +611,10 @@ class PieceFamily:
                  tol_cell: float = CELL_TOL) -> Pieces:
         """I_J for each row of amplitudes `amps`, (N, K): from the moment
         series when its error bound meets tol_cell (the rows are grouped by
-        the degree they need), else from `adaptive_box` of order 32 on the
-        shell, cut at ETA_BREAKS, once per distinct row, the result
-        scattered to every row equal to it.  `paths` counts every row,
-        `cells` the fallback's cells."""
+        the degree they need), else from `adaptive_box` on the η-weighted
+        shell, cut at ETA_BREAKS when rejected, once per distinct row, the
+        result scattered to every row equal to it.  `paths` counts every
+        row, `cells` the fallback's cells."""
         count = len(amps)
         out = Pieces(np.zeros(count, dtype=complex), np.zeros(count),
                      np.ones(count, dtype=bool))
@@ -607,7 +637,7 @@ class PieceFamily:
             piece = adaptive_box(
                 _Phase(self.expo, amps[rows[0]], self.signs),
                 [LOG_QUARTER] * self.n, [LOG_TWO] * self.n, tol_cell,
-                axis_weight=_eta_of_log, cuts=ETA_BREAKS)
+                eta=True)
             out.values[rows] = piece.value
             out.errors[rows] = piece.abs_error_estimate
             out.converged[rows] = piece.converged
@@ -645,7 +675,7 @@ def _row_hermite(rows: Sequence[Sequence[int]]):
         if mat[row_idx][col] < 0:
             mat[row_idx] = [-x for x in mat[row_idx]]
         row_idx += 1
-    return mat[:row_idx]
+    return [r for r in mat[:row_idx]]
 
 
 def _lattice_coords(point, basis):

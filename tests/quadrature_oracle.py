@@ -312,11 +312,11 @@ def adaptive_box_depth_first(fun: Callable, lo, hi,
                              cuts: Sequence[float] = ()
                              ) -> QuadratureResult:
     """∫ fun(u)·weight(u) du on a box: each cell is accepted when the
-    order-`order` and order-`order`/2 values agree to tol_cell, else cut
-    on every axis at every point of `cuts` strictly inside, if there is
-    one, and else bisected along its widest axis (ties to the first).
-    `weight` maps nodes (N, n) to (N,) and multiplies the integrand at
-    each node."""
+    order-`order` and order-`order`/2 values agree to tol_cell, else
+    bisected along its widest axis (ties to the first); but a rejected
+    box is first cut on every axis at every point of `cuts` strictly
+    inside it, if there is one.  `weight` maps nodes (N, n) to (N,) and
+    multiplies the integrand at each node."""
     def weighted(pts):
         out = fun(pts)
         return out if weight is None else out * weight(pts)
@@ -342,7 +342,7 @@ def adaptive_box_depth_first(fun: Callable, lo, hi,
             continue
         inner = [sorted(c for c in cuts if a < c < b)
                  for a, b in zip(clo, chi)]
-        if any(inner):
+        if panels == 1 and any(inner):
             edges = [[a, *c, b] for a, b, c in zip(clo, chi, inner)]
             for cell in itertools.product(
                     *[list(zip(e[:-1], e[1:])) for e in edges]):

@@ -1,7 +1,6 @@
 """Unit tests for the oscillatory-multiplier harness."""
 
 import importlib
-import inspect
 import itertools
 import json
 import math
@@ -198,10 +197,11 @@ def _random_phase(rng, n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("order", [16, 32])
 @pytest.mark.parametrize("weighted", [False, True])
-def test_adaptive_box_matches_depth_first(n, order, weighted):
+def test_adaptive_box_matches_depth_first(monkeypatch, n, order, weighted):
     """Breadth-first batches accept exactly the cells the depth-first
     oracle accepts; only the summation order differs.  The η-weighted
     cases run on the shell cut at ETA_BREAKS, as the fallback does."""
+    monkeypatch.setattr(osc, "_ORDER", order)
     rng = random.Random(100 * n + order + weighted)
     tol = 1e-6 if n == 3 else CELL_TOL      # keeps the 3-d oracle quick
     cuts = ETA_BREAKS if weighted else ()
@@ -212,9 +212,7 @@ def test_adaptive_box_matches_depth_first(n, order, weighted):
             lo = [rng.uniform(-3.0, 0.0) for _ in range(n)]
             hi = [x + rng.uniform(0.5, 2.5) for x in lo]
         phase, groups = _random_phase(rng, n)
-        got = adaptive_box(phase, lo, hi, tol, order=order,
-                           axis_weight=_eta_of_log if weighted else None,
-                           cuts=cuts)
+        got = adaptive_box(phase, lo, hi, tol, eta=weighted)
         ref = adaptive_box_depth_first(
             complex_exp_integrand(phase.exponents, phase.amplitudes,
                                   groups),
@@ -250,8 +248,7 @@ def test_cut_cells_count_toward_the_cell_cap(monkeypatch, n):
     shell = [LOG_QUARTER] * n, [LOG_TWO] * n
     for cap, panels in ((3, 1), (3 ** n, 1), (1 + 3 ** n, 1 + 3 ** n)):
         monkeypatch.setattr(osc, "MAX_CELLS", cap)
-        r = adaptive_box(phase, *shell, axis_weight=_eta_of_log,
-                         cuts=ETA_BREAKS)
+        r = adaptive_box(phase, *shell, eta=True)
         assert (r.panels, r.converged) == (panels, False)
         assert math.isfinite(abs(r.value))
 
@@ -529,27 +526,22 @@ def _assert_kernel_matches_complex_exp(family, amps, rng):
 @pytest.mark.parametrize("n", [3, 4])
 def test_declined_rows_reach_the_fallback_once(monkeypatch, n):
     """In one batch at CELL_TOL, each distinct row that the series
-    declines reaches `adaptive_box` once, on the shell with the η weight,
-    cut at ETA_BREAKS, and the caller's tolerance, of order 32 at every
-    swing, and its result goes to every row equal to it; series rows never
-    reach it, `paths` counts every row and `cells` the cells of every
-    call.  No rounding bound meets a tolerance of 1e-20, so there the
+    declines reaches `adaptive_box` once, on the shell with the η weight
+    (so cut at ETA_BREAKS, and of order 32 at every swing) and the
+    caller's tolerance, and its result goes to every row equal to it;
+    series rows never reach it, `paths` counts every row and `cells` the
+    cells of every call.  No rounding bound meets a tolerance of 1e-20, so there the
     series declines every row, zero amplitudes included."""
     p = VectorPolynomial({(0, (1,) * n): 1, (0, (2,) + (1,) * (n - 1)): 1},
                          d=1, spec=DomainSpec.of(n, list(range(n))))
     family = PieceFamily(p)
     calls = []
-    signature = inspect.signature(osc.adaptive_box)
+    assert ETA_BREAKS == (math.log(0.5), 0.0) and osc._ORDER == 32
 
-    def marked(*args, **kwargs):
-        call = signature.bind(*args, **kwargs)
-        call.apply_defaults()
-        got = call.arguments
-        assert (got["lo"], got["hi"]) == ([LOG_QUARTER] * n, [LOG_TWO] * n)
-        assert got["axis_weight"] is _eta_of_log
-        assert got["cuts"] == ETA_BREAKS == (math.log(0.5), 0.0)
-        calls.append((got["phase"].amplitudes.tobytes(), got["order"],
-                      got["tol_cell"]))
+    def marked(phase, lo, hi, tol_cell=CELL_TOL, eta=False):
+        assert (lo, hi) == ([LOG_QUARTER] * n, [LOG_TWO] * n)
+        assert eta is True
+        calls.append((phase.amplitudes.tobytes(), tol_cell))
         k = len(calls)
         return osc.QuadratureResult(complex(k, -k), 0.25 * k, k, k % 2 == 0)
 
@@ -562,9 +554,8 @@ def test_declined_rows_reach_the_fallback_once(monkeypatch, n):
     got = family.evaluate(amps, CELL_TOL)
     assert family.paths == {"series": 2, "fallback": 8}
     assert family.cells == 1 + 2 + 3 + 4
-    assert [(key, o) for key, o, _t in calls] == \
-        [(r.tobytes(), 32) for r in large]
-    assert {t for _key, _o, t in calls} == {CELL_TOL}
+    assert [key for key, _t in calls] == [r.tobytes() for r in large]
+    assert {t for _key, t in calls} == {CELL_TOL}
     for i, row in enumerate(amps):
         k = next((k for k, call in enumerate(calls, 1)
                   if call[0] == row.tobytes()), None)
@@ -576,7 +567,7 @@ def test_declined_rows_reach_the_fallback_once(monkeypatch, n):
 
     calls.clear()
     got = family.evaluate(np.zeros((3, 2)), 1e-20)
-    assert [(o, t) for _key, o, t in calls] == [(32, 1e-20)]
+    assert [t for _key, t in calls] == [1e-20]
     assert got.values.tolist() == [1 - 1j] * 3
     assert family.paths == {"series": 2, "fallback": 11}
     family.evaluate(np.zeros((3, 2)))
