@@ -6,6 +6,10 @@ and emits deterministic reports: JSON with sorted keys, rationals as
 "p/q", probe tables as CSV.  Unbounded verdicts carry a certificate that
 the `verify` subcommand re-validates from its overlap witness x alone:
 no Newton polyhedron, face lattice or LP is built to check it.
+
+Only the three `probe-*` subcommands import `oscillatory`, and with it
+numpy, and only when they run.  The exact subcommands never load numpy,
+whose import takes longer and more memory than a small `decide` needs.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import time
 from fractions import Fraction
 
 import click
-import numpy as np
 
 from . import __version__
 from .exact_numeric import is_zero, rank, unit, vsub
@@ -42,7 +45,6 @@ from .engine import (
     enumerate_lo_tuples,
 )
 from .parity import is_even
-from . import oscillatory as osc
 
 EXIT_BOUNDED = 0
 EXIT_INPUT = 1
@@ -148,7 +150,7 @@ class ProblemInput:
             return None
         if not isinstance(raw, dict):
             raise InputError("E_MALFORMED", "'coefficients' must be a map")
-        out = {}
+        out, keys = {}, {}
         supports = [set(lam.points) for lam in self.lambdas]
         for key, val in raw.items():
             m_key = _COEFF_KEY.match(key.replace(" ", ""))
@@ -158,6 +160,11 @@ class ProblemInput:
                     f"coefficient key {key!r} is not 'nu:(m1,...,mn)'")
             nu = int(m_key.group(1)) - 1
             m = tuple(int(x) for x in m_key.group(2).split(","))
+            if (nu, m) in keys:
+                raise InputError(
+                    "E_MALFORMED", f"coefficient keys {keys[nu, m]!r} and "
+                                   f"{key!r} name the same monomial")
+            keys[nu, m] = key
             if not (0 <= nu < len(self.lambdas)):
                 raise InputError(
                     "E_S_RANGE", f"component index {nu + 1} out of range")
@@ -308,14 +315,23 @@ def _common(fn):
     fn = click.option("--format", "fmt",
                       type=click.Choice(["json", "text", "csv"]),
                       default="json", show_default=True)(fn)
-    fn = click.option("--input", "input_path", required=True,
-                      type=click.Path(exists=True, dir_okay=False))(fn)
+    fn = click.option("--input", "input_path", default="-",
+                      show_default=True, help="JSON input file; - is stdin.",
+                      type=click.Path(exists=True, dir_okay=False,
+                                      allow_dash=True))(fn)
     return fn
 
 
-def _load(input_path: str) -> ProblemInput:
+def _read(input_path: str) -> bytes:
+    """The bytes of the input file, or of stdin for `-`."""
+    if input_path == "-":
+        return sys.stdin.buffer.read()
     with open(input_path, "rb") as fh:
-        return parse_input(fh.read())
+        return fh.read()
+
+
+def _load(input_path: str) -> ProblemInput:
+    return parse_input(_read(input_path))
 
 
 def _out(text: str) -> None:
@@ -524,14 +540,12 @@ def decompose(input_path, fmt):
 # probes
 # ---------------------------------------------------------------------------
 
-def _xi_samples(problem: ProblemInput, seed: int, count: int) -> list:
-    """The input's `xi` (one frequency vector or a list of them), else
-    `count` seeded samples; every vector has d finite components."""
+def _given_xi(problem: ProblemInput):
+    """The input's `xi` (one frequency vector or a list of them) as a list
+    of vectors of d finite components; None when the input has no `xi`."""
     d = len(problem.lambdas)
     if "xi" not in problem.raw:
-        rng = np.random.default_rng(seed)
-        return [list(rng.uniform(-0.25, 0.25, size=d))
-                for _ in range(count)]
+        return None
     xs = problem.raw["xi"]
     if isinstance(xs, list) and xs and not isinstance(xs[0], list):
         xs = [xs]
@@ -561,6 +575,8 @@ def _is_finite_real(x) -> bool:
 @_seed
 def probe_divergence(input_path, fmt, seed):
     """Log-divergence probe along the engine's odd witness tuple."""
+    from . import oscillatory as osc
+
     def body():
         started = time.time()
         problem = _load(input_path)
@@ -569,7 +585,8 @@ def probe_divergence(input_path, fmt, seed):
         if verdict.bounded:
             raise InputError("E_MALFORMED",
                              "divergence probe needs an unbounded input")
-        xi = _xi_samples(problem, seed, 1)[0]
+        xi = (_given_xi(problem)
+              or osc.sample_xi(seed, 1, len(problem.lambdas)))[0]
         ks = problem.raw.get("shrink_levels", list(range(4, 15)))
         if not isinstance(ks, list) or not all(
                 _is_int(k) and 1 <= k <= 1000 for k in ks) \
@@ -597,6 +614,8 @@ def probe_divergence(input_path, fmt, seed):
 @_seed
 def probe_sum(input_path, fmt, seed):
     """Dyadic multiplier-sum plateau probe."""
+    from . import oscillatory as osc
+
     def body():
         started = time.time()
         problem = _load(input_path)
@@ -620,7 +639,8 @@ def probe_sum(input_path, fmt, seed):
         if not _is_int(xi_count) or not 1 <= xi_count <= MAX_XI_COUNT:
             raise InputError("E_MALFORMED", f"xi_count {xi_count!r} must be "
                                             f"an integer in 1..{MAX_XI_COUNT}")
-        xis = _xi_samples(problem, seed, xi_count)
+        xis = (_given_xi(problem)
+               or osc.sample_xi(seed, xi_count, len(problem.lambdas)))
         res = osc.multiplier_sum_probe(p, xis, radius, report_radii)
         report = _report(problem, {
             "max_sum": res.max_sum,
@@ -644,6 +664,8 @@ def probe_sum(input_path, fmt, seed):
 @_seed
 def probe_decay(input_path, fmt, seed):
     """Van der Corput decay table along a cone ray."""
+    from . import oscillatory as osc
+
     def body():
         started = time.time()
         problem = _load(input_path)
@@ -657,7 +679,8 @@ def probe_decay(input_path, fmt, seed):
         if not _is_int(k_max) or not 0 <= k_max <= MAX_K:
             raise InputError("E_MALFORMED", f"k_max {k_max!r} must be an "
                                             f"integer in 0..{MAX_K}")
-        xi = _xi_samples(problem, seed, 1)[0]
+        xi = (_given_xi(problem)
+              or osc.sample_xi(seed, 1, len(problem.lambdas)))[0]
         res = osc.decay_check(p, ray, xi, k_max=k_max)
         report = _report(problem, {
             "delta": res.delta, "constant": res.constant,
@@ -815,8 +838,7 @@ def verify(input_path, fmt):
     certificate object)."""
     def body():
         started = time.time()
-        with open(input_path, "rb") as fh:
-            raw = _decode(fh.read())
+        raw = _decode(_read(input_path))
         cert = raw.get("certificate", raw) if isinstance(raw, dict) else None
         if not isinstance(cert, dict) or cert.get("kind") != "unbounded":
             raise InputError("E_MALFORMED",

@@ -646,6 +646,13 @@ class PieceFamily:
         return out
 
 
+def sample_xi(seed: int, count: int, d: int) -> list:
+    """`count` seeded frequency vectors of d components, each uniform on
+    [−¼, ¼): the probes' ξ when the input gives none."""
+    rng = np.random.default_rng(seed)
+    return [list(rng.uniform(-0.25, 0.25, size=d)) for _ in range(count)]
+
+
 # ---------------------------------------------------------------------------
 # divergence probe
 # ---------------------------------------------------------------------------

@@ -90,6 +90,34 @@ def test_coefficients_default_to_one():
     assert p.polynomial().coefficients[(0, (1, 1))] == 1
 
 
+def test_coefficient_keys_naming_one_monomial_are_rejected(runner,
+                                                           tmp_path):
+    """Spaces inside a key are ignored, so these two keys name one
+    monomial; neither value may win silently."""
+    payload = dict(ODD_POINT, coefficients={"1:(1,1)": "1",
+                                            "1: (1,1)": "-1"})
+    res = runner.invoke(main, ["decide-general", "--input",
+                               _write(tmp_path, payload)])
+    assert res.exit_code == EXIT_INPUT
+    assert "input error: E_MALFORMED:" in res.output
+    assert "'1:(1,1)' and '1: (1,1)'" in res.output
+
+
+# ---------------------------------------------------------------------------
+# input from stdin
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("args", [["--input", "-"], []])
+def test_input_from_stdin(runner, args):
+    res = runner.invoke(main, ["decide"] + args,
+                        input='{"n":2,"S":[1,2],"lambda":[[[1,1]]]}')
+    assert res.exit_code == EXIT_UNBOUNDED, res.output
+    assert json.loads(res.stdout)["verdict"] == "unbounded"
+    res = runner.invoke(main, ["verify"] + args, input=res.stdout)
+    assert res.exit_code == EXIT_BOUNDED, res.output
+    assert json.loads(res.stdout)["valid"] is True
+
+
 # ---------------------------------------------------------------------------
 # decide family
 # ---------------------------------------------------------------------------
@@ -493,6 +521,56 @@ def test_probe_sum_imports_no_numpy_ma(tmp_path):
                           path], capture_output=True, text=True)
     assert json.loads(run.stdout)["stats"]["pieces"]["fallback"] > 0
     assert run.stderr.split() == [str(EXIT_BOUNDED), "False"], run.stderr
+
+
+def test_probe_sum_samples_xi_from_the_seed(runner, tmp_path):
+    """Without `xi`, probe-sum draws `xi_count` vectors from
+    numpy's `default_rng(seed).uniform(-0.25, 0.25, size=d)`; these
+    partial sums pin the draws of seeds 0 and 5."""
+    path = _write(tmp_path, dict(PAIR_PROBE, xi_count=2))
+    expected = {
+        0: [{"0": 0.1049582112336943, "2": 0.3241308721990273},
+            {"0": 0.32777369865361405, "2": 1.0452100947942844}],
+        5: [{"0": 0.22957557284511312, "2": 0.7148408327502159},
+            {"0": 0.011783913950995302, "2": 0.03633396452293478}],
+    }
+    for seed, sums in expected.items():
+        res = runner.invoke(main, ["probe-sum", "--seed", str(seed),
+                                   "--input", path])
+        assert res.exit_code == EXIT_BOUNDED, res.output
+        got = json.loads(res.output)["partial_sums"]
+        assert got == [{r: pytest.approx(v, rel=1e-12)
+                        for r, v in row.items()} for row in sums]
+
+
+def test_exact_subcommands_load_no_numpy(tmp_path):
+    """Importing `nh.cli` and running every exact subcommand leaves numpy
+    and `nh.oscillatory` unloaded: only the probes import them.  A fresh
+    interpreter runs it, since this test session has imported both."""
+    worked = _write(tmp_path, WORKED_PAIR)
+    odd = _write(tmp_path, dict(ODD_POINT, coefficients={"1:(1,1)": "2"}),
+                 "odd.json")
+    code = ("import json, sys\n"
+            "from click.testing import CliRunner\n"
+            "from nh.cli import main\n"
+            "worked, odd = sys.argv[1:]\n"
+            "runner = CliRunner()\n"
+            "codes = [runner.invoke(main, [cmd, '--input', path]).exit_code\n"
+            "         for cmd, path in [('decide', odd),\n"
+            "                           ('decide-general', odd),\n"
+            "                           ('decide-graph', odd),\n"
+            "                           ('faces', worked),\n"
+            "                           ('decompose', worked)]]\n"
+            "report = runner.invoke(main, ['decide', '--input', odd])\n"
+            "codes.append(runner.invoke(main, ['verify'],\n"
+            "                           input=report.stdout).exit_code)\n"
+            "print(json.dumps([codes, 'numpy' in sys.modules,\n"
+            "                  'nh.oscillatory' in sys.modules]))\n")
+    run = subprocess.run([sys.executable, "-c", code, worked, odd],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [[EXIT_UNBOUNDED] * 3
+                                      + [EXIT_BOUNDED] * 3, False, False]
 
 
 def test_probe_sum_counts_pieces_per_path(runner, tmp_path, monkeypatch):

@@ -6,7 +6,10 @@
   `@main.command` counts as referenced; `main` itself is the entry point.
   Test oracles and fixtures live under `tests/`.
 - Imports sit at module level, and no module imports another module's
-  private (underscore) names.
+  private (underscore) names.  The one exception is
+  `from . import oscillatory as osc` at the top of the three probe
+  subcommands of `cli.py`, so that the exact subcommands never load
+  numpy.
 - Every name a module of the package or of `tests/` imports is used in
   that module.
 - `nh verify` checks a certificate without the engine's hull, face-lattice
@@ -69,6 +72,20 @@ def test_every_definition_has_a_caller_in_the_package():
     assert unused == [], f"only tests (or nobody) call: {unused}"
 
 
+PROBES = {"probe_divergence", "probe_sum", "probe_decay"}
+
+
+def _lazy_probe_import(fname: str, func, stmt) -> bool:
+    """`from . import oscillatory as osc` as the first statement of one of
+    the probe subcommands of `cli.py`."""
+    return (fname == "cli.py" and func.name in PROBES and _registered(func)
+            and func.body[1:2] == [stmt]     # body[0] is the docstring
+            and isinstance(stmt, ast.ImportFrom) and stmt.level == 1
+            and stmt.module is None
+            and [(a.name, a.asname) for a in stmt.names]
+            == [("oscillatory", "osc")])
+
+
 def test_imports_are_module_level_and_public():
     bad = set()
     for fname, tree in _trees().items():
@@ -76,7 +93,8 @@ def test_imports_are_module_level_and_public():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 bad.update(f"{fname}:{sub.lineno}: import inside {node.name}"
                            for sub in ast.walk(node)
-                           if isinstance(sub, (ast.Import, ast.ImportFrom)))
+                           if isinstance(sub, (ast.Import, ast.ImportFrom))
+                           and not _lazy_probe_import(fname, node, sub))
             elif isinstance(node, ast.ImportFrom) and node.level:
                 bad.update(f"{fname}:{node.lineno}: private {alias.name}"
                            for alias in node.names
