@@ -167,7 +167,9 @@ class ProblemInput:
             keys[nu, m] = key
             if not (0 <= nu < len(self.lambdas)):
                 raise InputError(
-                    "E_S_RANGE", f"component index {nu + 1} out of range")
+                    "E_MALFORMED",
+                    f"coefficient key {key!r}: component index {nu + 1} "
+                    f"outside 1..{len(self.lambdas)}")
             if len(m) != self.n or m not in supports[nu]:
                 raise InputError(
                     "E_MALFORMED",

@@ -15,7 +15,7 @@ and the descending face / ascending cone chains.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -50,9 +50,11 @@ class DepthCapHit(RuntimeError):
 class LambdaTuple:
     """Λ = (Λ₁,…,Λ_d) over a common ambient spec, with built polyhedra.
 
-    `memo` holds N(Λ_ν, S) by support (a frozenset) and `minkowski_faces`
-    of a sum by the tuple of its summands' supports; tuples over one spec
-    may share it, so that each is built once."""
+    `memo` holds N(Λ_ν, S) by support (a frozenset), `minkowski_faces`
+    of a sum by the tuple of its summands' supports, and, for
+    `decide_general`, the lo tuples of an even set T of components under
+    ("lo", *that tuple); tuples over one spec may share it, so that each
+    is built or walked once."""
 
     def __init__(self, lambdas: Sequence[ExponentSet], spec: DomainSpec,
                  memo: Optional[dict] = None):
@@ -202,9 +204,38 @@ def union_point_rank(faces: Sequence[Face]) -> int:
     return rank([row for b in bases for row in b])
 
 
-def enumerate_lo_tuples(lam: LambdaTuple) -> Iterator[FaceTuple]:
+def component_subsets(d: int) -> Iterator[tuple]:
+    """Every T ⊆ {0,…,d−1} as a sorted tuple, by size, the empty T first."""
+    for size in range(d + 1):
+        yield from itertools.combinations(range(d), size)
+
+
+def _walk_order(lam: LambdaTuple):
+    """The sort key of the walk on d-tuples of faces: their face indices,
+    the empty face last."""
+    position = [{f: i for i, f in enumerate(p.faces())}
+                for p in lam.polyhedra]
+    return lambda faces: [pos[f] for pos, f in zip(position, faces)]
+
+
+def _placed(empties: tuple, subset: Sequence[int], faces) -> tuple:
+    """The d-tuple with `faces` at the components in `subset`, `empties`
+    elsewhere."""
+    chosen = list(empties)
+    for nu, f in zip(subset, faces):
+        chosen[nu] = f
+    return tuple(chosen)
+
+
+def enumerate_lo_tuples(lam: LambdaTuple,
+                        subsets: Optional[Sequence[tuple]] = None,
+                        by_t: Optional[defaultdict] = None
+                        ) -> Iterator[FaceTuple]:
     """All d-tuples (F_ν), F_ν a face of N(Λ_ν,S) or empty, with
-    rank(⋃F_ν) ≤ n−1 and a joint cone-interior witness attached.
+    rank(⋃F_ν) ≤ n−1 and a joint cone-interior witness attached; with
+    `subsets`, only those whose nonempty components are one T listed there
+    (the empty T: the all-empty tuple).  `by_t` collects the yielded
+    tuples by T, each as its faces at the components in T.
 
     A tuple whose nonempty components are ν ∈ T has a joint open-cone
     point exactly when it is the summand decomposition of a face of the
@@ -219,20 +250,19 @@ def enumerate_lo_tuples(lam: LambdaTuple) -> Iterator[FaceTuple]:
     yielded.
     """
     n = lam.spec.n
-    polys = lam.polyhedra
-    position = [{f: i for i, f in enumerate(p.faces())} for p in polys]
-    empties = tuple(p.empty_face() for p in polys)
-    found = [(empties, None, lam.spec.rays())]
-    for size in range(1, lam.d + 1):
-        for subset in itertools.combinations(range(lam.d), size):
-            for faces, w, normals in lam.sum_faces(subset):
-                chosen = list(empties)
-                for nu, f in zip(subset, faces):
-                    chosen[nu] = f
-                found.append((tuple(chosen), w, normals))
-    found.sort(key=lambda item: [pos[f] for pos, f in zip(position,
-                                                          item[0])])
-    for faces, w, normals in found:
+    empties = tuple(p.empty_face() for p in lam.polyhedra)
+    found = []
+    for subset in (component_subsets(lam.d) if subsets is None
+                   else subsets):
+        if not subset:
+            found.append((empties, None, lam.spec.rays(), (), ()))
+            continue
+        for part, w, normals in lam.sum_faces(subset):
+            found.append((_placed(empties, subset, part), w, normals,
+                          subset, part))
+    order = _walk_order(lam)
+    found.sort(key=lambda item: order(item[0]))
+    for faces, w, normals, subset, part in found:
         r = union_point_rank(faces)
         if r > n - 1:
             continue
@@ -242,14 +272,20 @@ def enumerate_lo_tuples(lam: LambdaTuple) -> Iterator[FaceTuple]:
             assert all(interior_contains(f, w) for f in faces), \
                 "Minkowski-sum witness failed exact re-check"
         if w is not None:
+            if by_t is not None:
+                by_t[subset].append(part)
             yield FaceTuple(faces, r, w, tuple(normals))
 
 
-def _lo_scan(lam: LambdaTuple):
+def _lo_scan(lam: LambdaTuple, subsets: Optional[Sequence[tuple]] = None,
+             by_t: Optional[defaultdict] = None):
     """First odd low-rank overlapping tuple (deterministic), its odd
-    subset, and the number of tuples scanned."""
+    subset, and the number of tuples scanned, over the T's in `subsets`
+    (default all), collecting them in `by_t` (`enumerate_lo_tuples`).
+    `decide_general` scans only a class's unwalked T's and keeps `by_t`
+    in its memo, so that a bounded class is the sum of its T counts."""
     count = 0
-    for ft in enumerate_lo_tuples(lam):
+    for ft in enumerate_lo_tuples(lam, subsets, by_t):
         count += 1
         u = ft.union_lambda()
         if not is_even(u):
@@ -383,25 +419,57 @@ def decide_general(p: VectorPolynomial) -> Verdict:
     empty under elimination are dropped (they contribute the constant 0
     to the phase).  An odd class is a verdict even if the class search
     hit its depth cap; a capped search with every class bounded raises
-    DepthCapHit.  The classes share one memo of their polyhedra and
-    Minkowski sums (`LambdaTuple`), which lives for this call only."""
+    DepthCapHit.
+
+    The classes share one memo (`LambdaTuple`), which lives for this call
+    only: their polyhedra and Minkowski sums, and the lo tuples of each
+    even T-support tuple (the supports of the rows in a set T of rows),
+    on which alone a T's tuples and their unions depend.  A class walks,
+    in one sorted scan, only the T's no earlier class has walked, one per
+    T-support tuple; if they are all even, the class is bounded and adds
+    the counts of all its T's, the all-empty tuple included.  So each
+    T-support tuple is walked once and the all-empty tuple's LP runs
+    once.  In an odd class the scan stops at the first odd tuple of the
+    class's sorted walk, and the count adds the lo tuples of T's walked
+    earlier that sort before it; only when the class has two T's of one
+    T-support tuple, and the scan took one for both, is the class walked
+    again in full by `_lo_scan`."""
     classes, cap_hit = enumerate_support_classes(p)
     count = 0
-    memo: dict = {}     # the classes' polyhedra and sums, shared by support
+    memo: dict = {}     # the classes' polyhedra, sums and even T's tuples
     for cls in classes:
         live = [s for s in cls.supports if s]
         if not live:
             continue
         lam = LambdaTuple(
             [ExponentSet.of(s, p.spec.n) for s in live], p.spec, memo)
-        ft, odd, scanned = _lo_scan(lam)
+        keys = {t: ("lo", *(lam.lambdas[nu].points for nu in t))
+                for t in component_subsets(lam.d)}
+        old = [t for t, key in keys.items() if key in memo]
+        new: dict = {}      # one unwalked T per key
+        for t, key in keys.items():
+            if key not in memo:
+                new.setdefault(key, t)
+        by_t: defaultdict = defaultdict(list)
+        ft, odd, scanned = _lo_scan(lam, list(new.values()), by_t)
+        if ft is None:
+            memo.update((key, by_t[t]) for key, t in new.items())
+            count += sum(len(memo[key]) for key in keys.values())
+            continue
+        if len(old) + len(new) < len(keys):
+            ft, odd, scanned = _lo_scan(lam)
+        else:
+            order = _walk_order(lam)
+            empties = tuple(q.empty_face() for q in lam.polyhedra)
+            bound = order(ft.faces)
+            scanned += sum(order(_placed(empties, t, faces)) < bound
+                           for t in old for faces in memo[keys[t]])
         count += scanned
-        if ft is not None:
-            return Verdict(kind="unbounded", face_tuple=ft, odd_subset=odd,
-                           union_rank=ft.union_rank,
-                           gl_matrix=cls.matrix,
-                           gl_class_count=len(classes),
-                           tuples_examined=count, lo_tuples=count)
+        return Verdict(kind="unbounded", face_tuple=ft, odd_subset=odd,
+                       union_rank=ft.union_rank,
+                       gl_matrix=cls.matrix,
+                       gl_class_count=len(classes),
+                       tuples_examined=count, lo_tuples=count)
     if cap_hit:
         raise DepthCapHit(f"class search cut {DEPTH_CAP_BASE ** p.d} steps "
                           f"deep with all {len(classes)} classes bounded")

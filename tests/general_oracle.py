@@ -1,10 +1,13 @@
-"""Oracle for `nh.engine.decide_general`: the criterion with no geometry
+"""Oracle for `nh.engine.decide_general`: the criterion with nothing
 shared between support classes.
 
-Each class gets its own `LambdaTuple`, so every class rebuilds its Newton
-polyhedra and Minkowski-sum lattices.  The class order, the in-class tuple
-order and the verdict fields are those of `decide_general`, so the two
-give byte-identical reports.
+Each class gets its own `LambdaTuple` and is walked in full, in the sorted
+order of `enumerate_lo_tuples`, so every class rebuilds its Newton
+polyhedra and Minkowski-sum lattices and rewalks every set T of rows;
+`decide_general` instead walks each T-support tuple once per call and
+adds up the counts of a bounded class.  The class order, the in-class
+tuple order and the verdict fields are those of `decide_general`, so the
+two give byte-identical reports.
 """
 
 from nh.engine import (

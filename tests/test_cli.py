@@ -103,6 +103,21 @@ def test_coefficient_keys_naming_one_monomial_are_rejected(runner,
     assert "'1:(1,1)' and '1: (1,1)'" in res.output
 
 
+@pytest.mark.parametrize("index", [0, 3])
+def test_coefficient_component_index_outside_1_to_d(runner, tmp_path,
+                                                    index):
+    """A key's component index outside 1..d is a malformed key, not an
+    S entry out of range (`E_S_RANGE`)."""
+    key = f"{index}:(1,1)"
+    payload = {"n": 2, "S": [1], "lambda": [[[1, 1]], [[2, 0]]],
+               "coefficients": {key: "1"}}
+    res = runner.invoke(main, ["decide-general", "--input",
+                               _write(tmp_path, payload)])
+    assert res.exit_code == EXIT_INPUT
+    assert "input error: E_MALFORMED:" in res.output
+    assert repr(key) in res.output
+
+
 # ---------------------------------------------------------------------------
 # input from stdin
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
-"""`decide_general` builds each polyhedron and each Minkowski-sum lattice
-once per call, shared by every support class that uses it.
+"""`decide_general` builds each polyhedron and each Minkowski-sum
+lattice, and walks the tuples of each set T of rows, once per call,
+shared by every support class that uses them.
 
-Oracle: `general_oracle.decide_general_per_class`, which rebuilds the
-geometry of every class.  The two give byte-identical `decide-general`
+Oracle: `general_oracle.decide_general_per_class`, which rebuilds and
+rewalks every class.  The two give byte-identical `decide-general`
 reports, the timing field masked, and `nh verify` accepts every unbounded
-one.  Counting wrappers on the engine's bindings show one `build_newton`
-per distinct support and one `minkowski_faces` per distinct tuple of
-summand supports, and that no memo outlives a call.
+one; among the unbounded inputs are ones whose first odd tuple sorts
+after lo tuples of other T's in its class, which `lo_tuples` must count.
+Counting wrappers on the engine's bindings show, on bounded inputs, one
+`build_newton` per distinct support, one `minkowski_faces` per distinct
+tuple of summand supports, one walk per distinct T-support tuple and one
+all-empty LP per call, and that no memo outlives a call.
 """
 
 import itertools
@@ -18,10 +22,18 @@ from collections import Counter
 import pytest
 from click.testing import CliRunner
 
+from general_inputs import d4_general_input
 from general_oracle import decide_general_per_class
 from nh import cli, engine
 from nh.cli import EXIT_BOUNDED, EXIT_UNBOUNDED, ProblemInput, main
-from nh.engine import decide_general, enumerate_support_classes
+from nh.engine import (
+    LambdaTuple,
+    component_subsets,
+    decide_general,
+    enumerate_lo_tuples,
+    enumerate_support_classes,
+)
+from nh.newton_poly import ExponentSet
 
 TIMING = re.compile(r'"timing_seconds": [-0-9.e]+')
 
@@ -68,6 +80,56 @@ def _hidden_odd_input(rng, d: int) -> dict:
             "coefficients": coef}
 
 
+def _pair_odd_input(rng, d: int) -> dict:
+    """n = 3.  Row 1 is {a, u}, row 2 is λ·{a, u} plus {b, c}, with b the
+    midpoint of the edge [a, c], a and c even, and u ≡ (1, 0, 0),
+    b ≡ (0, 1, 1) mod 2, so that only a union holding both u and b is
+    odd.  In the identity class every face of row 2 through b holds a and
+    c, so such a union has rank 3 when u, a, c are independent.
+    Cancelling a from row 2 cancels u with it and makes b a vertex; the
+    pair sum then has the rank-2 face ({u}, {b}), which is odd and sorts
+    after the lo tuples of row 1 alone whose face comes before {u}."""
+    a = (0, 2, 0)
+    b = (2 * rng.randint(1, 2), 2 * rng.randint(0, 1) + 1,
+         2 * rng.randint(0, 1) + 1)
+    c = tuple(2 * x - y for x, y in zip(b, a))
+    u = (2 * rng.randint(0, 1) + 1, 2 * rng.randint(0, 1),
+         2 * rng.randint(0, 1))
+    row1 = {a: rng.choice([-2, 1, 3]), u: rng.choice([-2, 1, 3])}
+    lam = rng.choice([-2, 1, 3])
+    rows = [row1, {**{m: lam * x for m, x in row1.items()},
+                   b: rng.choice([-2, 1, 3]), c: rng.choice([-2, 1, 3])}]
+    for _ in range(d - 2):
+        pts = {(2 * rng.randint(0, 1), rng.randint(0, 2), rng.randint(0, 2))
+               for _ in range(2)} - {(0, 0, 0)}
+        rows.append({m: rng.choice([-2, 1, 3]) for m in pts or [(2, 1, 0)]})
+    return {"n": 3, "S": [j + 1 for j in range(3) if rng.random() < 0.3],
+            "lambda": [[list(m) for m in sorted(row)] for row in rows],
+            "coefficients": {f"{nu + 1}:({','.join(map(str, m))})": str(x)
+                             for nu, row in enumerate(rows)
+                             for m, x in row.items()}}
+
+
+def _nonempty(faces) -> tuple:
+    """T: the components where a face tuple is not empty."""
+    return tuple(nu for nu, f in enumerate(faces) if not f.is_empty)
+
+
+def _odd_tuple_place(p, verdict) -> tuple:
+    """(|T|, the number of lo tuples of other T's walked before it) for
+    the first odd tuple of an unbounded `decide_general` verdict, T its
+    set of nonempty components in the odd class."""
+    live = [s for s in p.transformed(verdict.gl_matrix).supports() if s]
+    lam = LambdaTuple([ExponentSet.of(s, p.spec.n) for s in live], p.spec)
+    t = _nonempty(verdict.face_tuple.faces)
+    before = 0
+    for ft in enumerate_lo_tuples(lam):
+        if ft.faces == verdict.face_tuple.faces:
+            return len(t), before
+        before += _nonempty(ft.faces) != t
+    raise AssertionError("the odd tuple is not in its class's walk")
+
+
 def _write(tmp_path, payload) -> str:
     path = tmp_path / "in.json"
     path.write_text(json.dumps(payload))
@@ -81,24 +143,44 @@ def _run(runner, *args):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of the engine's `build_newton` and `minkowski_faces`."""
+    """Calls of the engine's `build_newton`, `minkowski_faces` and
+    `cones_interior_intersection`; its full walks ("walk"); and its walks
+    of one T, keyed by ("walk", T's supports)."""
     seen = Counter()
-    for name in ("build_newton", "minkowski_faces"):
+    for name in ("build_newton", "minkowski_faces",
+                 "cones_interior_intersection"):
         def counted(*args, _fn=getattr(engine, name), _name=name):
             seen[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(engine, name, counted)
+
+    def walk(lam, subsets=None, *rest, _fn=engine.enumerate_lo_tuples):
+        if subsets is None:
+            seen["walk"] += 1
+        for t in subsets or ():
+            seen["walk", tuple(lam.lambdas[nu].points for nu in t)] += 1
+        return _fn(lam, subsets, *rest)
+    monkeypatch.setattr(engine, "enumerate_lo_tuples", walk)
     return seen
+
+
+def _t_walks(counts) -> dict:
+    """Walks of one T, by T's supports."""
+    return {key[1]: c for key, c in counts.items()
+            if isinstance(key, tuple) and key[0] == "walk"}
 
 
 def test_reports_match_the_per_class_oracle(tmp_path, monkeypatch):
     runner = CliRunner()
     rng = random.Random(1906)
     seen = Counter()
+    late = Counter()    # odd tuples after other T's, by (|T| > 1, d = 4)
+    odd_scans = Counter()   # how the odd class's tuples before it counted
     moved = 0
     inputs = [_hidden_odd_input(rng, d) for d in (2, 3, 4)] + [
         _random_input(rng, d, rng.random() < 0.5)
-        for d in rng.choices([2, 3, 4], k=60)]
+        for d in rng.choices([2, 3, 4], k=60)] + [
+        _pair_odd_input(rng, d) for d in (2, 2, 3, 3, 4, 4, 4, 4)]
     for payload in inputs:
         d = len(payload["lambda"])
         path = _write(tmp_path, payload)
@@ -111,6 +193,20 @@ def test_reports_match_the_per_class_oracle(tmp_path, monkeypatch):
         assert code == (EXIT_BOUNDED if kind == "bounded" else
                         EXIT_UNBOUNDED), report
         if kind == "unbounded":
+            p = ProblemInput(payload).polynomial()
+            scans = []
+
+            def scan(lam, subsets=None, *rest, _fn=engine._lo_scan):
+                scans.append(subsets)
+                return _fn(lam, subsets, *rest)
+            with monkeypatch.context() as m:
+                m.setattr(engine, "_lo_scan", scan)
+                verdict = decide_general(p)
+            odd_scans["rescan" if scans[-1] is None else
+                      "earlier" if len(scans[-1]) < 2 ** len(
+                          verdict.face_tuple.faces) else "first"] += 1
+            size, before = _odd_tuple_place(p, verdict)
+            late[size > 1, d == 4] += before > 0
             matrix = json.loads(report)["certificate"]["gl_matrix"]
             moved += any(x != ("1/1" if i == j else "0/1")
                          for i, row in enumerate(matrix)
@@ -123,6 +219,8 @@ def test_reports_match_the_per_class_oracle(tmp_path, monkeypatch):
     assert min(seen[d, kind] for d in (2, 3, 4)
                for kind in ("bounded", "unbounded")) >= 4, seen
     assert moved >= 3, moved
+    assert min(late.values()) >= 2 and len(late) == 4, late
+    assert min(odd_scans.values()) >= 2 and len(odd_scans) == 3, odd_scans
 
 
 def test_each_support_and_each_sum_is_built_once(counts):
@@ -146,9 +244,38 @@ def test_each_support_and_each_sum_is_built_once(counts):
     assert shared >= 10, shared
 
 
+def test_each_t_support_tuple_is_walked_once(counts):
+    """Over all classes of a bounded call, one walk per distinct tuple of
+    the supports of a set T of rows (the empty T included), no full walk,
+    and one all-empty LP."""
+    rng = random.Random(1909)
+    shared = Counter()
+    for d in [2, 3, 4] * 10:
+        p = ProblemInput(_random_input(rng, d, True)).polynomial()
+        classes, _ = enumerate_support_classes(p)
+        lives = [[s for s in cls.supports if s] for cls in classes]
+        keys = [tuple(live[nu] for nu in t) for live in lives
+                for t in component_subsets(len(live))]
+        counts.clear()
+        assert decide_general(p).bounded
+        assert _t_walks(counts) == dict.fromkeys(keys, 1), p.coefficients
+        assert (counts["walk"], counts["cones_interior_intersection"]) == (
+            0, 1)
+        shared[d] += len(keys) > len(set(keys))
+    assert min(shared[d] for d in (2, 3, 4)) >= 3, shared
+
+
+def test_d4_family_seed_8_is_pinned():
+    """`general_inputs.d4_general_input(8)`: the class count and lo-tuple
+    count `decide_general` gave before the T walks were shared."""
+    verdict = decide_general(ProblemInput(d4_general_input(8)).polynomial())
+    assert (verdict.kind, verdict.gl_class_count, verdict.lo_tuples) == (
+        "bounded", 394, 31156)
+
+
 def test_no_memo_outlives_a_call(counts, tmp_path):
-    """Two in-process runs of one input build the same polyhedra: the
-    second finds nothing left over from the first."""
+    """Two in-process runs of one input build the same polyhedra and walk
+    the same T's: the second finds nothing left over from the first."""
     runner = CliRunner()
     rng = random.Random(1908)
     payload = _random_input(rng, 3, True)
@@ -161,5 +288,5 @@ def test_no_memo_outlives_a_call(counts, tmp_path):
         counts.clear()
         code, report = _run(runner, "decide-general", "--input", path)
         assert code == EXIT_BOUNDED, report
-        runs.append(counts["build_newton"])
-    assert runs[0] == runs[1] > 0
+        runs.append((counts["build_newton"], sum(_t_walks(counts).values())))
+    assert runs[0] == runs[1] and min(runs[0]) > 0, runs
