@@ -375,7 +375,9 @@ def enumerate_support_classes(p: VectorPolynomial):
     deduplicated by support pattern.  Each step subtracts the multiple of
     row k that cancels a monomial m of row j > k, on the exact
     coefficients, so U is lower unitriangular and U·P has the recorded
-    supports.
+    supports.  The step changes only row j, to row j + a·row k, so that
+    row's support is found first, on row k's monomials, and U·P and U are
+    built only for a support pattern not seen before.
 
     Returns (classes, cap_hit) where classes is a list of GLClass.
     """
@@ -392,18 +394,24 @@ def enumerate_support_classes(p: VectorPolynomial):
             continue
         coef = cls.poly.coefficients
         for k in range(d):
-            for m in sorted(cls.supports[k]):
+            row_k = sorted(cls.supports[k])
+            for m in row_k:
                 for j in range(k + 1, d):
                     if m not in cls.supports[j]:
                         continue
-                    elem = [list(row) for row in _identity(d)]
-                    elem[j][k] = -coef[(j, m)] / coef[(k, m)]
-                    poly = cls.poly.transformed(elem)
-                    supports = poly.supports()
-                    if supports in classes:
+                    a = -coef[(j, m)] / coef[(k, m)]
+                    row_j = (cls.supports[j] - cls.supports[k]).union(
+                        x for x in row_k
+                        if coef.get((j, x), 0) + a * coef[(k, x)])
+                    if cls.supports[:j] + (row_j,) + cls.supports[j + 1:] \
+                            in classes:
                         continue
-                    nxt = GLClass(_matmul(elem, cls.matrix), poly, supports)
-                    classes[supports] = nxt
+                    elem = [list(row) for row in _identity(d)]
+                    elem[j][k] = a
+                    poly = cls.poly.transformed(elem)
+                    nxt = GLClass(_matmul(elem, cls.matrix), poly,
+                                  poly.supports())
+                    classes[nxt.supports] = nxt
                     queue.append((nxt, depth + 1))
     return list(classes.values()), cap_hit
 

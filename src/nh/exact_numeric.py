@@ -3,10 +3,11 @@
 Vectors are sequences of ints and ``fractions.Fraction``s (any other number
 is taken at its exact ``Fraction`` value).  Everything here is pure and
 immutable: rank and nullspaces by Bareiss's fraction-free elimination on
-Python integers, exact Gram–Schmidt, strict-inequality feasibility by a
-simplex that pivots by the same scheme, with Bland's rule (a sign bound
-x_j ≥ 0 is a nonnegative column, not a row), and GF(2) elimination (all
-subsets of a list of vectors that sum to a target).
+Python integers, the null line of n−1 rows by their signed maximal minors,
+exact Gram–Schmidt, strict-inequality feasibility by a simplex that pivots
+by the same scheme, with Bland's rule (a sign bound x_j ≥ 0 is a
+nonnegative column, not a row), and GF(2) elimination (all subsets of a
+list of vectors that sum to a target).
 """
 
 from __future__ import annotations
@@ -178,6 +179,37 @@ def nullspace(rows: RMatrix, n: Optional[int] = None) -> list[tuple]:
             x[pc] = -mat[i][f] * (scale // mat[i][pc])
         basis.append(tuple(_reduced(x)))
     return basis
+
+
+def null_line(rows: RMatrix, n: int) -> Optional[tuple]:
+    """The primitive integer generator, up to sign, of {x : A x = 0} for
+    n−1 integer rows of length n, or None when they have rank < n−1.  Its
+    entries are A's signed maximal minors, x_j = (−1)^j det(A without
+    column j) (for n = 3 the cross product), so x·a = det(a over A) = 0
+    for each row a.  The minors of the first rows grow one row at a time,
+    by column bitmask: appending column c to a set of columns flips the
+    sign once per column above c."""
+    if len(rows) != n - 1:
+        raise ValueError(f"{len(rows)} rows for a line in {n} dimensions")
+    minors = [(0, 1)]
+    for row in rows:
+        grown: dict = {}
+        for cols, w in minors:
+            for c in range(n - 1, -1, -1):
+                if cols >> c & 1:
+                    w = -w
+                elif row[c]:
+                    key = cols | 1 << c
+                    grown[key] = grown.get(key, 0) + w * row[c]
+        minors = grown.items()
+    x = [0] * n
+    for cols, w in minors:
+        j = (~cols & (1 << n) - 1).bit_length() - 1
+        x[j] = -w if j & 1 else w
+    g = math.gcd(*x)
+    if not g:
+        return None
+    return tuple(v // g for v in x) if g > 1 else tuple(x)
 
 
 def reduce_mod(w: RVector, basis: Sequence) -> tuple:

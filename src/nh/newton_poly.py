@@ -9,13 +9,13 @@ face's dual cone F* has one H-description, `dual_cone_rows`; membership in
 (F*)° and the joint cone-interior LP are read from its rows.
 
 One facet test serves a polyhedron and a Minkowski sum alike (`_facets`):
-a candidate normal spans the nullspace of n−1 rows — directions to m−1
-more generators from a vertex, or m−1 summand edge directions, and the Πb
-rows — and is kept when the faces it cuts out (`minimal_points`) span m−1
-directions.  One closure gives both face lattices (`_closure`): the
-improper face closed under intersection with the facets' vertex/ray
-incidences (Kaibel and Pfetsch, Comput. Geom. 2002), on bitmasks, and
-graded by its own order.
+a candidate normal ±q is the null line (`null_line`) of n−1 rows —
+directions to m−1 more generators from a vertex, or m−1 summand edge
+directions, and the Πb rows — and is kept when the faces it cuts out span
+m−1 directions (a sum reads that off its summands' faces).  One closure
+gives both face lattices (`_closure`): the improper face closed under
+intersection with the facets' vertex/ray incidences (Kaibel and Pfetsch,
+Comput. Geom. 2002), on bitmasks, and graded from the meets it reaches.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .exact_numeric import (
     StrictSystem,
     dot,
     is_zero,
+    null_line,
     nullspace,
     orthogonal_basis,
     primitive,
@@ -104,12 +105,15 @@ class Face:
     dim: int
     is_empty: bool = False
     is_improper: bool = False
-    # F ∩ Ω, the echelon rows of F's points and F's dual-cone rows, filled
-    # by the first `lambda_points()`, `point_basis()` and `dual_cone_rows`
+    # F ∩ Ω, the echelon rows of F's points and of its directions, and F's
+    # dual-cone rows, filled by the first `lambda_points()`,
+    # `point_basis()`, `direction_basis()` and `dual_cone_rows`
     _lambda: Optional[tuple] = field(default=None, init=False, compare=False,
                                      repr=False)
     _basis: Optional[tuple] = field(default=None, init=False, compare=False,
                                     repr=False)
+    _span: Optional[tuple] = field(default=None, init=False, compare=False,
+                                   repr=False)
     _cone: Optional[tuple] = field(default=None, init=False, compare=False,
                                    repr=False)
 
@@ -156,6 +160,14 @@ class Face:
                 sorted(self.vertex_set) + sorted(self.ray_set)))
         return self._basis
 
+    def direction_basis(self) -> tuple:
+        """Echelon rows spanning the face's directions (`_directions`);
+        computed once per face."""
+        if self._span is None:
+            object.__setattr__(self, "_span", row_basis(
+                _directions(self.vertex_set, self.ray_set)))
+        return self._span
+
 
 @dataclass(frozen=True)
 class NewtonPolyhedron:
@@ -167,10 +179,12 @@ class NewtonPolyhedron:
     basis_b: tuple      # ((normal, level), ...) spanning V⊥(P), pairwise ⊥
     dim: int
     # the face list and its nonempty faces by (vertex_set, ray_set), filled
-    # by the first `enumerate_faces(self)`
+    # by the first `enumerate_faces(self)`, and the edge directions
     _faces: Optional[list] = field(default=None, init=False, compare=False,
                                    repr=False)
     _face_index: Optional[dict] = field(default=None, init=False,
+                                        compare=False, repr=False)
+    _edges: Optional[frozenset] = field(default=None, init=False,
                                         compare=False, repr=False)
 
     # -- basic queries ----------------------------------------------------
@@ -195,6 +209,18 @@ class NewtonPolyhedron:
         return self._face_index.get(
             (frozenset(_ivec(v) for v in vertex_set),
              frozenset(_ivec(r) for r in ray_set)))
+
+    def edge_directions(self) -> frozenset:
+        """The primitive directions of the edges, each as the larger of
+        ±d; computed once per polyhedron."""
+        if self._edges is None:
+            # frozen dataclass: the cache is set once, here
+            object.__setattr__(self, "_edges", frozenset(
+                max(d, tuple(-x for x in d))
+                for f in self.faces() if f.dim == 1
+                for d in map(primitive, _directions(f.vertex_set,
+                                                    f.ray_set))))
+        return self._edges
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +275,8 @@ def build_newton(omega: ExponentSet, spec: DomainSpec) -> NewtonPolyhedron:
     facets = _facets(
         ([vsub(gens[i], gens[sub[0]]) if i < len(verts) else gens[i]
           for i in sub[1:]] + perp_rows for sub in subsets),
-        [(verts, rays)], m, n)
+        [(verts, rays)], n,
+        lambda keys: rank(_directions(*keys[0])) == m - 1)
     facets_a = tuple((q, dot(q, min(vs))) for q, ((vs, _),) in facets)
 
     p = NewtonPolyhedron(
@@ -264,33 +291,56 @@ def build_newton(omega: ExponentSet, spec: DomainSpec) -> NewtonPolyhedron:
     return p
 
 
-def _facets(candidates: Iterable, summands: Sequence, m: int,
-            n: int) -> list:
+def _facets(candidates: Iterable, summands: Sequence, n: int,
+            spans) -> list:
     """The facets of the m-dimensional sum of the polyhedra `summands`,
     given as (vertices, rays) pairs with the same rays, as sorted pairs
     (normal q, the q-minimal face of each summand as a (vertex set, ray
-    set) key).  A candidate is a list of rows whose nullspace, when it is
-    a line, gives the normal ±q; q is kept when it is ≥ 0 on the rays and
-    the summands' q-minimal faces (`minimal_points`) together span m−1
-    directions."""
+    set) key).  A candidate is n−1 integer rows whose null line
+    (`null_line`) gives the normal ±q.  One pass of levels per summand
+    gives both orientations: the vertices at the least level of q are
+    q-minimal, those at the greatest (−q)-minimal, and the rays with
+    q·r = 0 lie on both faces.  q is kept when it is ≥ 0 on the rays and
+    `spans(keys)` says that the q-minimal faces span m−1 directions."""
     rays = summands[0][1]
     facets = {}
     tried = set()
     for rows in candidates:
-        null = nullspace(rows, n=n)
-        if len(null) != 1 or null[0] in tried:
+        normal = null_line(rows, n)
+        if normal is None or normal in tried:
             continue
-        normal = null[0]
         flipped = tuple(-x for x in normal)
         tried.update((normal, flipped))
-        for q in (normal, flipped):
-            if any(sum(map(operator.mul, q, r)) < 0 for r in rays):
+        signs = [sum(map(operator.mul, normal, r)) for r in rays]
+        flat = frozenset(r for r, s in zip(rays, signs) if not s)
+        levels = [{v: sum(map(operator.mul, normal, v)) for v in vs}
+                  for vs, _ in summands]
+        for q, ok, pick in ((normal, min(signs, default=0) >= 0, min),
+                            (flipped, max(signs, default=0) <= 0, max)):
+            if not ok:
                 continue
-            keys = tuple((frozenset(vs), frozenset(rs)) for vs, rs in (
-                minimal_points(q, *summand) for summand in summands))
-            if rank([d for key in keys for d in _directions(*key)]) == m - 1:
+            keys = []
+            for lv in levels:
+                at = pick(lv.values())
+                keys.append((frozenset(v for v, x in lv.items() if x == at),
+                             flat))
+            keys = tuple(keys)
+            if spans(keys):
                 facets[q] = keys
     return sorted(facets.items())
+
+
+def _spans_facet(faces: Sequence, m: int) -> bool:
+    """Whether summand faces orthogonal to a candidate normal q (and so,
+    with the sum's Πb rows, to at most m−1 directions) span m−1: yes when
+    one has dimension m−1, no when their dimensions add up to less, else
+    by the rank of their stacked direction bases."""
+    dims = [f.dim for f in faces]
+    if max(dims) == m - 1:
+        return True
+    if sum(dims) < m - 1:
+        return False
+    return rank([row for f in faces for row in f.direction_basis()]) == m - 1
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +365,11 @@ def _closure(top: tuple, facets: Sequence) -> dict:
 
     The closure runs on one int per key, a bit per vertex and per ray of
     each summand (a vertex and a ray may be the same vector, so they get
-    separate bits).  The sum is pointed, so a face with no proper nonempty
-    subface is a vertex, of dimension 0, and any other face has dimension
-    1 + the largest among its proper subfaces; those include its facets,
-    each the face's meet with one of the sum's facets."""
+    separate bits).  Popping a face, it records the nonempty proper meets
+    it reaches, and grades each face from them: the sum is pointed, so a
+    face with no such meet is a vertex, of dimension 0, and any other face
+    has dimension 1 + the largest among its meets, which include its
+    facets."""
     bits = [(nu, kind, x) for nu, pair in enumerate(top)
             for kind, part in enumerate(pair) for x in sorted(part)]
     bit = {b: 1 << i for i, b in enumerate(bits)}
@@ -332,23 +383,29 @@ def _closure(top: tuple, facets: Sequence) -> dict:
     facet_masks = [mask(fkey) for _, fkey in facets]
     full = (1 << len(bits)) - 1
     through = {full: []}
+    below = {}      # each face's nonempty proper meets with the facets
+    nonempty = {}   # each meet reached: is it a face?
     stack = [full]
     while stack:
         key = stack.pop()
+        meets = below[key] = []
         for i, fm in enumerate(facet_masks):
             meet = key & fm
             if meet == key:
                 through[key].append(i)
-            elif meet not in through and all(meet & vm
-                                              for vm in vertex_masks):
-                through[meet] = []
-                stack.append(meet)
-    # a proper subface has fewer bits; the face itself and the empty meets
-    # are not graded yet when it is, so they count as −1
+                continue
+            face = nonempty.get(meet)
+            if face is None:
+                face = nonempty[meet] = all(meet & vm for vm in vertex_masks)
+                if face:
+                    through[meet] = []
+                    stack.append(meet)
+            if face:
+                meets.append(meet)
+    # a proper subface has fewer bits, so it is graded first
     dims: dict = {}
     for key in sorted(through, key=int.bit_count):
-        dims[key] = 1 + max((dims.get(key & fm, -1) for fm in facet_masks),
-                            default=-1)
+        dims[key] = 1 + max([dims[meet] for meet in below[key]], default=-1)
 
     # decode each (summand, sub-mask) pair once
     parts = []
@@ -401,10 +458,11 @@ def minkowski_faces(polys: Sequence[NewtonPolyhedron]) -> list:
 
     One summand: its own faces and facets.  Several: each facet of the sum
     is a sum of summand faces, whose edges span its directions, so its
-    normal spans the nullspace of m−1 summand edge directions and the sum's
-    Πb rows (`_facets`).  The other faces are the Kaibel–Pfetsch closure
-    of the improper face under intersection with the facets, done summand
-    by summand (`_closure`), which also lists the facets through each."""
+    normal is the null line of m−1 summand edge directions and the sum's
+    Πb rows (`_facets`), kept by the summand faces it cuts out
+    (`_spans_facet`).  The other faces are the Kaibel–Pfetsch closure of
+    the improper face under intersection with the facets, done summand by
+    summand (`_closure`), which also lists the facets through each."""
     if len(polys) == 1:
         p = polys[0]
         basis_b = [q for q, _ in p.basis_b]
@@ -424,16 +482,14 @@ def _sum_faces(polys: Sequence[NewtonPolyhedron]) -> tuple:
     basis_b = orthogonal_basis(nullspace(
         [d for p in polys for d in _directions(p.vertices, p.rays)], n=n))
     m = n - len(basis_b)
-    # edge directions up to sign: the larger of ±d
-    edges = sorted({max(d, tuple(-x for x in d))
-                    for p in polys for f in p.faces() if f.dim == 1
-                    for d in map(primitive,
-                                 _directions(f.vertex_set, f.ray_set))})
+    edges = sorted(frozenset().union(*(p.edge_directions() for p in polys)))
     # a point (m = 0) has no facets
     facets = _facets(
         (list(sub) + basis_b
          for sub in (itertools.combinations(edges, m - 1) if m else ())),
-        [(p.vertices, p.rays) for p in polys], m, n)
+        [(p.vertices, p.rays) for p in polys], n,
+        lambda keys: _spans_facet(
+            [p._face_index[key] for p, key in zip(polys, keys)], m))
     # the keys hold each summand's own vertex and ray tuples
     return basis_b, [
         (tuple(p._face_index[part] for p, part in zip(polys, key)),

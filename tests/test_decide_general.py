@@ -10,7 +10,8 @@ after lo tuples of other T's in its class, which `lo_tuples` must count.
 Counting wrappers on the engine's bindings show, on bounded inputs, one
 `build_newton` per distinct support, one `minkowski_faces` per distinct
 tuple of summand supports, one walk per distinct T-support tuple and one
-all-empty LP per call, and that no memo outlives a call.
+all-empty LP per call, and that no memo outlives a call of
+`decide-general` or `decide`.
 """
 
 import itertools
@@ -24,7 +25,7 @@ from click.testing import CliRunner
 
 from general_inputs import d4_general_input
 from general_oracle import decide_general_per_class
-from nh import cli, engine
+from nh import cli, engine, newton_poly
 from nh.cli import EXIT_BOUNDED, EXIT_UNBOUNDED, ProblemInput, main
 from nh.engine import (
     LambdaTuple,
@@ -273,9 +274,19 @@ def test_d4_family_seed_8_is_pinned():
         "bounded", 394, 31156)
 
 
-def test_no_memo_outlives_a_call(counts, tmp_path):
+# n = 3, d = 3, disjoint rows; every first coordinate is even, so the
+# verdict is bounded and `decide` walks every tuple
+_DECIDE_D3 = {"n": 3, "S": [1],
+              "lambda": [[[2, 0, 1], [0, 2, 0], [4, 1, 3]],
+                         [[0, 0, 2], [2, 3, 0], [0, 1, 1]],
+                         [[2, 2, 0], [0, 3, 2], [4, 0, 2]]]}
+
+
+def test_no_memo_outlives_a_call(counts, monkeypatch, tmp_path):
     """Two in-process runs of one input build the same polyhedra and walk
-    the same T's: the second finds nothing left over from the first."""
+    the same T's: the second finds nothing left over from the first.  So
+    do two runs of one d = 3 `decide` input, by the candidate facet
+    normals they compute and the Minkowski sums they build."""
     runner = CliRunner()
     rng = random.Random(1908)
     payload = _random_input(rng, 3, True)
@@ -289,4 +300,18 @@ def test_no_memo_outlives_a_call(counts, tmp_path):
         code, report = _run(runner, "decide-general", "--input", path)
         assert code == EXIT_BOUNDED, report
         runs.append((counts["build_newton"], sum(_t_walks(counts).values())))
+    assert runs[0] == runs[1] and min(runs[0]) > 0, runs
+
+    for name in ("null_line", "_sum_faces"):
+        def counted(*args, _fn=getattr(newton_poly, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(newton_poly, name, counted)
+    path = _write(tmp_path, _DECIDE_D3)
+    runs = []
+    for _ in range(2):
+        counts.clear()
+        code, report = _run(runner, "decide", "--input", path)
+        assert code == EXIT_BOUNDED, report
+        runs.append((counts["null_line"], counts["_sum_faces"]))
     assert runs[0] == runs[1] and min(runs[0]) > 0, runs

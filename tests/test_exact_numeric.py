@@ -3,11 +3,12 @@
 Oracles: rank against minor enumeration (minors by the Leibniz formula),
 the fraction-free nullspace against the `Fraction` Gauss–Jordan one in
 `rref_oracle`, the Bareiss elimination under both against both (and its
-pivots against the minors they must equal), strict-system feasibility
-against a dense rational grid scan, the fraction-free simplex against the
-rational tableau simplex in `simplex_oracle`, sign bounds as nonnegative
-columns against the split formulation of `simplex_oracle`, GF(2) solution
-sets against explicit enumeration of all 2^k combinations.
+pivots against the minors they must equal), the null line of n−1 rows
+against the nullspace, strict-system feasibility against a dense rational
+grid scan, the fraction-free simplex against the rational tableau simplex
+in `simplex_oracle`, sign bounds as nonnegative columns against the split
+formulation of `simplex_oracle`, GF(2) solution sets against explicit
+enumeration of all 2^k combinations.
 """
 
 import itertools
@@ -27,6 +28,7 @@ from nh.exact_numeric import (
     _Unbounded,
     dot,
     gf2_solve,
+    null_line,
     nullspace,
     orthogonal_basis,
     primitive,
@@ -245,6 +247,37 @@ def test_nullspace_equals_the_fraction_rref_oracle():
         assert nullspace(rows, n=ncols) == fraction_nullspace(rows, ncols), \
             rows
     assert deficient >= 50      # rank-deficient inputs are well covered
+
+
+def test_null_line_is_the_nullspace_line():
+    """n−1 random integer rows, n = 1..5: the signed maximal minors give
+    ± the one nullspace vector when the rows have rank n−1 (n = 1: no
+    rows, the line (1,)), and None below that.  Three draws in ten replace
+    a row by a small combination of the rows, which often lowers the
+    rank."""
+    rng = random.Random(24)
+    assert null_line([], 1) == (1,) and nullspace([], n=1) == [(1,)]
+    seen = {"line": set(), "none": set()}
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(n - 1)]
+        if n > 1 and rng.random() < 0.3:
+            a, b = rng.choice(rows), rng.choice(rows)
+            c, d = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[rng.randrange(n - 1)] = tuple(
+                c * x + d * y for x, y in zip(a, b))
+        line = null_line(rows, n)
+        null = nullspace(rows, n=n)
+        if len(null) == 1:
+            assert line in (null[0], tuple(-x for x in null[0])), rows
+            seen["line"].add(n)
+        else:
+            assert rank(rows) < n - 1 and line is None, rows
+            seen["none"].add(n)
+    assert seen == {"line": {1, 2, 3, 4, 5}, "none": {2, 3, 4, 5}}, seen
+    with pytest.raises(ValueError):
+        null_line([(1, 0, 0)], 3)
 
 
 def test_orthogonal_basis_and_reduce_mod():

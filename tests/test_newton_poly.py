@@ -10,6 +10,7 @@ import gc
 import itertools
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from hull_oracle import (
     enumerate_faces_subsets,
     vertices_split,
 )
+from nh import newton_poly
 from nh.exact_numeric import StrictSystem, dot, rank, unit, vsub
 from nh.newton_poly import (
     DomainSpec,
@@ -251,12 +253,26 @@ def test_face_lookups_by_key():
         assert [p.empty_face()] == [f for f in faces if f.is_empty]
 
 
-def test_minkowski_faces_are_the_faces_of_the_built_sum():
+def test_minkowski_faces_are_the_faces_of_the_built_sum(monkeypatch):
     """Against N(Λ₁+⋯+Λ_k, S), built as a hull of the point sums: each
     (summand faces, w, normals) is the w-minimal face of every summand, w
     picks a different face of the sum each time, `normals` are exactly the
     built sum's facet normals through that face, and every face of the sum
-    whose open cone is not {0} is picked."""
+    whose open cone is not {0} is picked.  The sum's facet test
+    (`_spans_facet`) agrees with the rank of the summand faces'
+    directions, and the draws reach each of its branches: a face of
+    dimension m−1, dimensions adding up to less, and the stacked rank."""
+    branches = Counter()
+
+    def spans(faces, m, _fn=newton_poly._spans_facet):
+        dims = [f.dim for f in faces]
+        branches["face" if max(dims) == m - 1 else
+                 "below" if sum(dims) < m - 1 else "stacked"] += 1
+        got = _fn(faces, m)
+        assert got == (rank([d for f in faces
+                             for d in dual_cone_rows(f)[0]]) == m - 1)
+        return got
+    monkeypatch.setattr(newton_poly, "_spans_facet", spans)
     rng = random.Random(8)
     kinds = set()
     for _ in range(60):
@@ -291,6 +307,8 @@ def test_minkowski_faces_are_the_faces_of_the_built_sum():
             [p.omega.sorted_points() for p in polys], sorted(spec.S))
         kinds.add((len(polys), total.dim == spec.n))
     assert kinds == {(k, full) for k in (1, 2, 3) for full in (True, False)}
+    assert set(branches) == {"face", "below", "stacked"} and min(
+        branches.values()) >= 10, branches
 
 
 # ---------------------------------------------------------------------------
