@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
 RVector = Sequence  # a sequence of Rational/int of fixed length
@@ -488,18 +488,25 @@ def _to_mask(bits: Sequence[int]) -> int:
 
 def gf2_solve(rows: Sequence[Sequence[int]],
               target: Sequence[int]) -> tuple[Optional[int], list[int]]:
-    """The subsets of `rows` that sum to `target` over GF(2), by Gaussian
-    elimination on bitmasks: one solution (a bitmask over the row indices,
-    None when target ∉ span) and a basis of the kernel (bitmasks of the
-    subsets that sum to 0).  The rank is len(rows) − len(kernel)."""
+    """`gf2_eliminate` on the parity masks of `rows` and `target`."""
     n = len(target)
+    if any(len(v) != n for v in rows):
+        raise ValueError("GF(2) vector length mismatch")
+    return gf2_eliminate(map(_to_mask, rows), _to_mask(target))
+
+
+def gf2_eliminate(masks: Iterable[int],
+                  target: int) -> tuple[Optional[int], list[int]]:
+    """The subsets of the GF(2) vectors `masks` (bit k: coordinate k) that
+    sum to `target`, by Gaussian elimination on bitmasks: one solution (a
+    bitmask over the vector indices, None when target ∉ span) and a basis
+    of the kernel (bitmasks of the subsets that sum to 0).  The rank is
+    the number of vectors − len(kernel)."""
     # bit position -> (reduced row mask, the subset of rows that sums to it)
     pivots: dict[int, tuple[int, int]] = {}
     kernel = []
-    for idx, v in enumerate(rows):
-        if len(v) != n:
-            raise ValueError("GF(2) vector length mismatch")
-        m, subset = _to_mask(v), 1 << idx
+    for idx, m in enumerate(masks):
+        subset = 1 << idx
         for p, (row, sub) in pivots.items():
             if m >> p & 1:
                 m ^= row
@@ -508,7 +515,7 @@ def gf2_solve(rows: Sequence[Sequence[int]],
             pivots[m.bit_length() - 1] = (m, subset)
         else:
             kernel.append(subset)
-    t, subset = _to_mask(target), 0
+    t, subset = target, 0
     for p, (row, sub) in pivots.items():
         if t >> p & 1:
             t ^= row

@@ -15,7 +15,8 @@ directions, and the Πb rows — and is kept when the faces it cuts out span
 m−1 directions (a sum reads that off its summands' faces).  One closure
 gives both face lattices (`_closure`): the improper face closed under
 intersection with the facets' vertex/ray incidences (Kaibel and Pfetsch,
-Comput. Geom. 2002), on bitmasks, and graded from the meets it reaches.
+Comput. Geom. 2002), graded from the meets it reaches.  From `_facets` on,
+a face is an int mask over each polyhedron's `layout`, indexed by mask.
 """
 
 from __future__ import annotations
@@ -178,12 +179,14 @@ class NewtonPolyhedron:
     facets_a: tuple     # ((normal, level), ...), oriented with P on the ≥ side
     basis_b: tuple      # ((normal, level), ...) spanning V⊥(P), pairwise ⊥
     dim: int
-    # the face list and its nonempty faces by (vertex_set, ray_set), filled
-    # by the first `enumerate_faces(self)`, and the edge directions
+    # the face list and its nonempty faces by mask (`layout`), filled by
+    # the first `enumerate_faces(self)`, the layout and the edge directions
     _faces: Optional[list] = field(default=None, init=False, compare=False,
                                    repr=False)
     _face_index: Optional[dict] = field(default=None, init=False,
                                         compare=False, repr=False)
+    _layout: Optional[tuple] = field(default=None, init=False,
+                                     compare=False, repr=False)
     _edges: Optional[frozenset] = field(default=None, init=False,
                                         compare=False, repr=False)
 
@@ -194,21 +197,33 @@ class NewtonPolyhedron:
                 and all(dot(q, x) == s for q, s in self.basis_b))
 
     def faces(self) -> list:
-        return enumerate_faces(self)
+        return self._faces or enumerate_faces(self)
 
     def improper_face(self) -> Face:
-        self.faces()
-        return self._face_index[(self.vertices, self.rays)]
+        return self.faces()[0]      # the one face of dimension dim(P)
 
     def empty_face(self) -> Face:
         return self.faces()[-1]
 
     def face_by_key(self, vertex_set, ray_set) -> Optional[Face]:
         """The nonempty face with these vertices and rays, or None."""
+        vs = {_ivec(v) for v in vertex_set}
+        rs = {_ivec(r) for r in ray_set}
+        verts, rays = self.layout()
+        mask = sum(1 << i for i, g in enumerate(verts + rays)
+                   if g in (vs if i < len(verts) else rs))
         self.faces()
-        return self._face_index.get(
-            (frozenset(_ivec(v) for v in vertex_set),
-             frozenset(_ivec(r) for r in ray_set)))
+        return (self._face_index.get(mask)
+                if mask.bit_count() == len(vs) + len(rs) else None)
+
+    def layout(self) -> tuple:
+        """(sorted vertices, sorted rays): a face is an int mask with bit i
+        for the i-th vertex and bit len(vertices) + j for the j-th ray (a
+        vertex equal to a ray keeps both bits); computed once."""
+        if self._layout is None:
+            object.__setattr__(self, "_layout", (
+                tuple(sorted(self.vertices)), tuple(sorted(self.rays))))
+        return self._layout
 
     def edge_directions(self) -> frozenset:
         """The primitive directions of the edges, each as the larger of
@@ -263,21 +278,25 @@ def build_newton(omega: ExponentSet, spec: DomainSpec) -> NewtonPolyhedron:
                     for q in orthogonal_basis(nullspace(directions, n=n)))
 
     # Each facet holds a vertex and m−1 more generators (vertices or rays)
-    # that span its affine hull with it, so its normal is orthogonal to
-    # their directions and to Πb.  Generators are the vertices, then the
-    # rays: an m-subset led by a ray holds no vertex, and all later subsets
-    # are led by rays too.  A point (m = 0) has no facets.
+    # that span its affine hull with it, so it has m bits or more and its
+    # normal is orthogonal to their directions and to Πb.  Generators are
+    # the vertices, then the rays: an m-subset led by a ray holds no vertex,
+    # and all later subsets are led by rays too.  A point has no facets.
     gens = verts + rays
     perp_rows = [q for q, _ in basis_b]
     subsets = itertools.takewhile(
         lambda sub: sub[0] < len(verts),
         itertools.combinations(range(len(gens)), m)) if m else ()
+    layout = (tuple(verts), tuple(sorted(rays)))     # as p.layout()
     facets = _facets(
         ([vsub(gens[i], gens[sub[0]]) if i < len(verts) else gens[i]
           for i in sub[1:]] + perp_rows for sub in subsets),
-        [(verts, rays)], n,
-        lambda keys: rank(_directions(*keys[0])) == m - 1)
-    facets_a = tuple((q, dot(q, min(vs))) for q, ((vs, _),) in facets)
+        [layout], n,
+        lambda masks: masks[0].bit_count() >= m and rank(
+            _directions(*_decode(layout, masks[0]))) == m - 1)
+    # a facet's least vertex has its lowest bit
+    facets_a = tuple((q, dot(q, verts[(mask & -mask).bit_length() - 1]))
+                     for q, (mask,) in facets)
 
     p = NewtonPolyhedron(
         omega=omega, spec=spec,
@@ -291,18 +310,18 @@ def build_newton(omega: ExponentSet, spec: DomainSpec) -> NewtonPolyhedron:
     return p
 
 
-def _facets(candidates: Iterable, summands: Sequence, n: int,
+def _facets(candidates: Iterable, layouts: Sequence, n: int,
             spans) -> list:
-    """The facets of the m-dimensional sum of the polyhedra `summands`,
-    given as (vertices, rays) pairs with the same rays, as sorted pairs
-    (normal q, the q-minimal face of each summand as a (vertex set, ray
-    set) key).  A candidate is n−1 integer rows whose null line
-    (`null_line`) gives the normal ±q.  One pass of levels per summand
-    gives both orientations: the vertices at the least level of q are
-    q-minimal, those at the greatest (−q)-minimal, and the rays with
-    q·r = 0 lie on both faces.  q is kept when it is ≥ 0 on the rays and
-    `spans(keys)` says that the q-minimal faces span m−1 directions."""
-    rays = summands[0][1]
+    """The facets of the m-dimensional sum of the polyhedra with these
+    layouts (`NewtonPolyhedron.layout`; all have the same rays), as sorted
+    pairs (normal q, the q-minimal face of each summand as a mask).  A
+    candidate is n−1 integer rows whose null line (`null_line`) gives the
+    normal ±q.  One pass of levels per summand gives both orientations:
+    the vertices at the least level of q are q-minimal, those at the
+    greatest (−q)-minimal, and the rays with q·r = 0 lie on both faces.
+    q is kept when it is ≥ 0 on the rays and `spans(masks)` says that
+    the q-minimal faces span m−1 directions."""
+    rays = layouts[0][1]
     facets = {}
     tried = set()
     for rows in candidates:
@@ -312,21 +331,21 @@ def _facets(candidates: Iterable, summands: Sequence, n: int,
         flipped = tuple(-x for x in normal)
         tried.update((normal, flipped))
         signs = [sum(map(operator.mul, normal, r)) for r in rays]
-        flat = frozenset(r for r, s in zip(rays, signs) if not s)
-        levels = [{v: sum(map(operator.mul, normal, v)) for v in vs}
-                  for vs, _ in summands]
+        flat = sum(1 << j for j, x in enumerate(signs) if not x)
+        levels = [[sum(map(operator.mul, normal, v)) for v in vs]
+                  for vs, _ in layouts]
         for q, ok, pick in ((normal, min(signs, default=0) >= 0, min),
                             (flipped, max(signs, default=0) <= 0, max)):
             if not ok:
                 continue
-            keys = []
+            masks = []
             for lv in levels:
-                at = pick(lv.values())
-                keys.append((frozenset(v for v, x in lv.items() if x == at),
-                             flat))
-            keys = tuple(keys)
-            if spans(keys):
-                facets[q] = keys
+                at = pick(lv)
+                masks.append(sum(1 << i for i, x in enumerate(lv) if x == at)
+                             | flat << len(lv))
+            masks = tuple(masks)
+            if spans(masks):
+                facets[q] = masks
     return sorted(facets.items())
 
 
@@ -354,34 +373,40 @@ def _directions(vertex_set, ray_set) -> list:
     return [vsub(v, vs[0]) for v in vs[1:]] + sorted(ray_set)
 
 
-def _closure(top: tuple, facets: Sequence) -> dict:
-    """Kaibel–Pfetsch: the nonempty faces of a sum of polyhedra are the
-    closure of the improper face `top` under intersection with the facets
-    (`_facets`), summand by summand.  Faces are keys, one (vertex set, ray
-    set) per summand; G ∩ G′ is nonempty iff each pair of summand faces
-    shares a vertex, and a facet passes through G iff the intersection is
-    G itself, so G's list is complete once G is popped.  Returns
-    {key: (indices of the facets through it, ascending, its dimension)}.
+def _decode(layout: tuple, mask: int) -> tuple:
+    """The sorted vertices and rays of the face with this mask."""
+    verts, rays = layout
+    return ([v for i, v in enumerate(verts) if mask >> i & 1],
+            [r for j, r in enumerate(rays, len(verts)) if mask >> j & 1])
 
-    The closure runs on one int per key, a bit per vertex and per ray of
-    each summand (a vertex and a ray may be the same vector, so they get
-    separate bits).  Popping a face, it records the nonempty proper meets
-    it reaches, and grades each face from them: the sum is pointed, so a
+
+def _shifts(layouts: Sequence) -> list:
+    """(shift, ones) per summand: its mask is `key >> shift & ones`."""
+    widths = [len(verts) + len(rays) for verts, rays in layouts]
+    return [(sum(widths[:nu]), (1 << w) - 1) for nu, w in enumerate(widths)]
+
+
+def _closure(layouts: Sequence, facets: Sequence) -> dict:
+    """Kaibel–Pfetsch: the nonempty faces of a sum of polyhedra with these
+    layouts are the closure of the improper face under intersection with
+    the facets, given as one mask per summand (`_facets`).  A face is one
+    int, the summands' masks side by side (`_shifts`); G ∩ G′ is nonempty
+    iff each pair of summand faces shares a vertex, and a facet passes
+    through G iff the intersection is G itself, so G's list is complete
+    once G is popped.  Returns {mask: (indices of the facets through it,
+    ascending, its dimension)}.
+
+    Popping a face, the closure records the nonempty proper meets it
+    reaches, and grades each face from them: the sum is pointed, so a
     face with no such meet is a vertex, of dimension 0, and any other face
     has dimension 1 + the largest among its meets, which include its
     facets."""
-    bits = [(nu, kind, x) for nu, pair in enumerate(top)
-            for kind, part in enumerate(pair) for x in sorted(part)]
-    bit = {b: 1 << i for i, b in enumerate(bits)}
-
-    def mask(key) -> int:
-        return sum(bit[nu, kind, x] for nu, pair in enumerate(key)
-                   for kind, part in enumerate(pair) for x in part)
-
-    vertex_masks = [sum(bit[nu, 0, v] for v in vs)
-                    for nu, (vs, _) in enumerate(top)]
-    facet_masks = [mask(fkey) for _, fkey in facets]
-    full = (1 << len(bits)) - 1
+    shifts = _shifts(layouts)
+    vertex_masks = [((1 << len(verts)) - 1) << shift
+                    for (verts, _), (shift, _) in zip(layouts, shifts)]
+    facet_masks = [sum(m << shift for m, (shift, _) in zip(masks, shifts))
+                   for masks in facets]
+    full = sum(ones << shift for shift, ones in shifts)
     through = {full: []}
     below = {}      # each face's nonempty proper meets with the facets
     nonempty = {}   # each meet reached: is it a face?
@@ -406,42 +431,33 @@ def _closure(top: tuple, facets: Sequence) -> dict:
     dims: dict = {}
     for key in sorted(through, key=int.bit_count):
         dims[key] = 1 + max([dims[meet] for meet in below[key]], default=-1)
-
-    # decode each (summand, sub-mask) pair once
-    parts = []
-    for nu, pair in enumerate(top):
-        vbits, rbits = ([(bit[nu, kind, x], x) for x in part]
-                        for kind, part in enumerate(pair))
-        ones = sum(b for b, _ in vbits + rbits)
-        parts.append((ones, {
-            sub: (frozenset([x for b, x in vbits if sub & b]),
-                  frozenset([x for b, x in rbits if sub & b]))
-            for sub in {key & ones for key in through}}))
-    return {tuple(part[key & ones] for ones, part in parts): (idx, dims[key])
-            for key, idx in through.items()}
+    return {key: (idx, dims[key]) for key, idx in through.items()}
 
 
 def enumerate_faces(p: NewtonPolyhedron) -> list:
     if p._faces is not None:
         return p._faces
 
-    top = ((p.vertices, p.rays),)
-    incidence = [(q, (tuple(map(frozenset, minimal_points(
-        q, p.vertices, p.rays))),)) for q, _ in p.facets_a]
-    found = []
-    for key, (idx, dim) in _closure(top, incidence).items():
-        (vs, rs), = key
-        found.append(Face(parent=p, generator_idx=frozenset(idx),
-                          vertex_set=vs, ray_set=rs, dim=dim,
-                          is_improper=key == top))
-    faces = sorted(found, key=Face.sort_key)
-    # frozen dataclass: the caches are set once, here
-    object.__setattr__(p, "_face_index",
-                       {(f.vertex_set, f.ray_set): f for f in faces})
+    verts, rays = layout = p.layout()
+    # each facet's vertices and rays, from one level pass over the layout
+    incidence = [(sum(1 << i for i, g in enumerate(verts + rays)
+                      if sum(map(operator.mul, q, g)) == (
+                          level if i < len(verts) else 0)),)
+                 for q, level in p.facets_a]
+    index = {}
+    # a facet passes through every face but the improper one
+    for mask, (idx, dim) in _closure([layout], incidence).items():
+        vs, rs = _decode(layout, mask)
+        index[mask] = Face(parent=p, generator_idx=frozenset(idx),
+                           vertex_set=frozenset(vs), ray_set=frozenset(rs),
+                           dim=dim, is_improper=not idx)
+    faces = sorted(index.values(), key=Face.sort_key)
     faces.append(Face(parent=p,
                       generator_idx=frozenset(range(len(incidence))),
                       vertex_set=frozenset(), ray_set=frozenset(),
                       dim=-1, is_empty=True))
+    # frozen dataclass: the caches are set once, here
+    object.__setattr__(p, "_face_index", index)
     object.__setattr__(p, "_faces", faces)
     return faces
 
@@ -482,20 +498,23 @@ def _sum_faces(polys: Sequence[NewtonPolyhedron]) -> tuple:
     basis_b = orthogonal_basis(nullspace(
         [d for p in polys for d in _directions(p.vertices, p.rays)], n=n))
     m = n - len(basis_b)
+    # edge_directions() builds each summand's face index
     edges = sorted(frozenset().union(*(p.edge_directions() for p in polys)))
+    layouts = [p.layout() for p in polys]
     # a point (m = 0) has no facets
     facets = _facets(
         (list(sub) + basis_b
          for sub in (itertools.combinations(edges, m - 1) if m else ())),
-        [(p.vertices, p.rays) for p in polys], n,
-        lambda keys: _spans_facet(
-            [p._face_index[key] for p, key in zip(polys, keys)], m))
-    # the keys hold each summand's own vertex and ray tuples
+        layouts, n,
+        lambda masks: _spans_facet(
+            [p._face_index[mask] for p, mask in zip(polys, masks)], m))
+    parts = [(p._face_index, shift, ones)
+             for p, (shift, ones) in zip(polys, _shifts(layouts))]
     return basis_b, [
-        (tuple(p._face_index[part] for p, part in zip(polys, key)),
+        (tuple(index[key >> shift & ones] for index, shift, ones in parts),
          [facets[i][0] for i in idx])
         for key, (idx, _) in _closure(
-            tuple((p.vertices, p.rays) for p in polys), facets).items()]
+            layouts, [masks for _, masks in facets]).items()]
 
 
 # ---------------------------------------------------------------------------

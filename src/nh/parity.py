@@ -3,7 +3,8 @@
 A finite Ω ⊂ ℤ₊ⁿ is even when every subset sum α₁m₁+⋯+α_N m_N (α_j ∈ {0,1})
 has at least one even component; odd otherwise.  The fast path reduces mod 2:
 Ω is odd iff the all-ones vector lies in the GF(2) span of Γ(Ω) — subset sums
-over ℤ₂ are exactly the GF(2) span.  The equivalence is validated against the
+over ℤ₂ are exactly the GF(2) span — taken as int masks by the one GF(2)
+elimination, `gf2_eliminate`.  The equivalence is validated against the
 explicit subset-sum oracle in the test suite.  The same elimination lists
 every odd subset of a monomial list (`odd_subsets`), which the quadrature
 harness sums over.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from .exact_numeric import gf2_solve
+from .exact_numeric import gf2_eliminate, gf2_solve
 
 
 def parity_signature(q: Sequence[int]) -> tuple:
@@ -22,12 +23,17 @@ def parity_signature(q: Sequence[int]) -> tuple:
 
 
 def is_even(omega) -> bool:
-    pts = sorted(omega)
-    if not pts:
-        return True
-    n = len(pts[0])
-    gammas = [parity_signature(p) for p in pts]
-    return gf2_solve(gammas, (1,) * n)[0] is None
+    """Ω (any iterable of points) even: the all-odd mask ∉ span Γ(Ω)."""
+    pts = list(omega)
+    if len(set(map(len, pts))) > 1:
+        raise ValueError("GF(2) vector length mismatch")
+    masks = []
+    for p in pts:
+        m = 0
+        for c in reversed(p):
+            m = m << 1 | c & 1
+        masks.append(m)
+    return not pts or gf2_eliminate(masks, (1 << len(p)) - 1)[0] is None
 
 
 def odd_witness(omega) -> Optional[list]:

@@ -479,11 +479,34 @@ def _closure_input(polys):
     return tuple((p.vertices, p.rays) for p in polys), facets
 
 
+def _key_mask(layout, key) -> int:
+    """A (vertex set, ray set) key as a mask over `layout` (sorted
+    vertices, then sorted rays)."""
+    verts, rays = layout
+    return (sum(1 << i for i, v in enumerate(verts) if v in key[0])
+            | sum(1 << len(verts) + j for j, r in enumerate(rays)
+                  if r in key[1]))
+
+
+def _mask_keys(layouts, mask) -> tuple:
+    """A mask of a sum, the summands' masks side by side, as one (vertex
+    set, ray set) key per summand."""
+    keys = []
+    for verts, rays in layouts:
+        keys.append((
+            frozenset(v for i, v in enumerate(verts) if mask >> i & 1),
+            frozenset(r for j, r in enumerate(rays, len(verts))
+                      if mask >> j & 1)))
+        mask >>= len(verts) + len(rays)
+    return tuple(keys)
+
+
 def test_bitmask_closure_matches_the_frozenset_closure():
-    """`_closure` on int bitmasks against the frozenset closure: the same
-    keys in the same order, the same facets through each, and dimensions
-    equal to the ranks.  Some summands have a vertex that is also a ray
-    (e_j with j ∈ S), which needs bits of its own."""
+    """`_closure` on the summands' layouts and facet masks against the
+    frozenset closure: the same keys in the same order, the same facets
+    through each, and dimensions equal to the ranks.  Some summands have a
+    vertex that is also a ray (e_j with j ∈ S), which needs bits of its
+    own."""
     rng = random.Random(2020)
     cases = [
         (2, [0], [[(1, 0), (0, 2)]]),
@@ -505,15 +528,74 @@ def test_bitmask_closure_matches_the_frozenset_closure():
         spec = DomainSpec.of(n, S)
         polys = [build_newton(ExponentSet.of(pts, n), spec) for pts in sets]
         top, facets = _closure_input(polys)
-        got = _closure(top, facets)
+        layouts = [p.layout() for p in polys]
+        got = _closure(layouts, [
+            tuple(map(_key_mask, layouts, fkey)) for _, fkey in facets])
         want = closure_frozensets(top, facets)
-        assert list(got) == list(want), (sets, S)
+        keys = [_mask_keys(layouts, mask) for mask in got]
+        assert keys == list(want), (sets, S)
         assert [idx for idx, _ in got.values()] == list(want.values())
-        for key, (_, dim) in got.items():
+        for key, (_, dim) in zip(keys, got.values()):
             assert dim == _span_rank(key), (sets, S, key)
         if any(p.vertices & p.rays for p in polys):
             shared.add(len(polys))
     assert shared == {1, 2, 3}
+
+
+def test_facet_masks_and_the_face_index(monkeypatch):
+    """Faces as masks of each polyhedron's layout: every facet mask that
+    `_facets` returns, for hulls and for 2- and 3-sums (some lying in
+    t_n = 0, some with a vertex equal to a ray), decodes to the points
+    `minimal_points` cuts out of each summand, and the mask index of
+    `enumerate_faces` maps each face's mask back to that face.  A
+    polyhedron built by the pairwise oracle, whose layout is made on first
+    use, enumerates the oracle's faces."""
+    calls = []
+
+    def facets(candidates, layouts, n, spans, _fn=newton_poly._facets):
+        got = _fn(candidates, layouts, n, spans)
+        calls.append((layouts, got))
+        return got
+    monkeypatch.setattr(newton_poly, "_facets", facets)
+    rng = random.Random(2025)
+    kinds = Counter()
+    for _ in range(120):
+        n = rng.randint(1, 4)
+        top = n - 1 if rng.random() < 1 / 3 else n
+        S = [j for j in range(top) if rng.random() < 0.5]
+        spec = DomainSpec.of(n, S)
+        units = [unit(n, j) for j in S if rng.random() < 0.5]
+        polys = [build_newton(ExponentSet.of(
+            {tuple(rng.randint(0, 3) if j < top else 0 for j in range(n))
+             for _ in range(rng.randint(1, 4))} | set(units[:1]), n), spec)
+            for _ in range(rng.randint(1, 3))]
+        for (layout,), _ in calls:
+            assert layout in [p.layout() for p in polys]
+        if len(polys) > 1:
+            minkowski_faces(polys)
+            assert calls[-1][0] == [p.layout() for p in polys]
+        for layouts, got in calls:
+            for q, masks in got:
+                for layout, mask in zip(layouts, masks):
+                    low, zero = minimal_points(q, *layout)
+                    assert _mask_keys([layout], mask) == (
+                        (set(low), set(zero)),), (layout, q)
+                    kinds["facet"] += 1
+        calls.clear()
+        for p in polys:
+            faces = p.faces()
+            assert len(p._face_index) == len(faces) - 1
+            for f in faces[:-1]:
+                assert p._face_index[_key_mask(
+                    p.layout(), (f.vertex_set, f.ray_set))] is f
+            kinds["shared"] += bool(p.vertices & p.rays)
+        kinds[len(polys), top < n] += 1
+        ref = build_newton_pairwise(polys[0].omega, spec)
+        assert _face_data(enumerate_faces(ref)) == _face_data(
+            enumerate_faces_subsets(ref))
+    assert all(kinds[k, low] >= 5 for k in (1, 2, 3) for low in (False, True)
+               ), kinds
+    assert kinds["shared"] >= 10 and kinds["facet"] >= 500, kinds
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
+from nh.exact_numeric import gf2_solve
 from nh.parity import is_even, odd_witness, parity_signature
 
 SIGMA_CAP = 20
@@ -72,6 +75,32 @@ def test_known_cases():
     # contains the all-odd singleton {(3,3)}
     assert not is_even({(2, 2), (3, 3)})
     assert is_even(set())
+
+
+def test_is_even_on_any_iterable():
+    """`is_even` reads one pass over any iterable of points: an unsorted
+    list with repeats, a set and a one-shot generator give the subset-sum
+    oracle's answer and `gf2_solve`'s, for n = 1..4 and empty input."""
+    rng = random.Random(41)
+    seen = {True: 0, False: 0}
+    for _ in range(2400):
+        n = rng.choice([1, 1, 2, 3, 4])
+        pts = [tuple(rng.randint(0, 5) for _ in range(n))
+               for _ in range(rng.randint(0, 7))]
+        pts += rng.sample(pts, min(len(pts), rng.randint(0, 2)))
+        rng.shuffle(pts)
+        expect = _is_even_oracle(set(pts))
+        assert expect == (gf2_solve([parity_signature(p) for p in pts],
+                                    (1,) * n)[0] is None)
+        for omega in (pts, set(pts), (p for p in pts)):
+            assert is_even(omega) == expect, pts
+        seen[expect] += 1
+    assert min(seen.values()) >= 500, seen
+    assert is_even([]) and is_even(iter(()))
+    assert not is_even([(3,)]) and is_even([(2,), (4,)])
+    assert not is_even(p for p in [(2,), (1,), (1,)])
+    with pytest.raises(ValueError):
+        is_even([(1, 1), (1,)])
 
 
 def test_witness_known_cases():
