@@ -43,6 +43,7 @@ from .engine import (
     decide_general,
     decide_graph,
     enumerate_lo_tuples,
+    graph_tuple,
 )
 from .parity import is_even
 
@@ -254,8 +255,6 @@ def _certificate(problem: ProblemInput, verdict: Verdict) -> dict:
         "union_rank": verdict.union_rank,
         "overlap_witness": _vec_out(verdict.face_tuple.overlap_witness),
     }
-    if verdict.graph_axes is not None:
-        cert["graph_axes"] = [j + 1 for j in verdict.graph_axes]
     if verdict.gl_matrix is not None:
         poly = problem.polynomial()
         cert["gl_matrix"] = [[_frac_str(x) for x in row]
@@ -428,12 +427,15 @@ def _graph_block(blocks: list, n: int):
 @_common
 def decide_graph_cmd(input_path, fmt):
     """Graph-case decision: lambda's last block is Λ_{n+1}; the first n
-    blocks, when present, must be the coordinate unit vectors."""
+    blocks, when present, must be the coordinate unit vectors.  The
+    certificate is a `decide` certificate on the unit-augmented tuple."""
     def body():
         started = time.time()
         problem = _load(input_path)
         last = _graph_block(problem.lambdas, problem.n)
         verdict = decide_graph(last, problem.spec)
+        # the certificate lists the tuple decided; the echo stays the input
+        problem.lambdas = list(graph_tuple(last, problem.spec).lambdas)
         _out(emit_report(
             _report(problem, _verdict_body(verdict, problem), started),
             fmt))
@@ -735,13 +737,16 @@ def verify_certificate(cert: dict) -> list:
     - the face: each nonempty listed face's vertices are a nonempty subset
       of those points, its rays are those rays and `dim` their dimension
       (an empty face asks nothing more of x);
-    - the rank: those points and rays, plus a graph certificate's axes,
-      have rank `union_rank` ≤ n−1 (the rank of the vertices and rays,
-      as Λ∩F ⊆ conv V + cone R);
+    - the rank: those points and rays have rank `union_rank` ≤ n−1 (the
+      rank of the vertices and rays, as Λ∩F ⊆ conv V + cone R);
     - the parity: the odd subset is a nonempty subset of them summing to
       an all-odd vector.
-    Λ is a GL certificate's `class_lambda`, which U·P must give, or a
-    graph certificate's Λ_{n+1} with its unit monomials dropped."""
+    Λ is a GL certificate's `class_lambda`, which U·P must give, else
+    `lambda`; a `decide-graph` certificate lists the unit-augmented tuple
+    there.  One with the retired `graph_axes` field is E_MALFORMED."""
+    if "graph_axes" in cert:
+        raise _malformed("'graph_axes' is retired: a graph certificate "
+                         "lists the unit-augmented tuple in 'lambda'")
     try:
         problem = ProblemInput(cert)
     except InputError as exc:
@@ -760,10 +765,6 @@ def verify_certificate(cert: dict) -> list:
         raise _malformed(f"'overlap_witness' must hold {n} rationals")
     witness = tuple(Fraction(x) if _is_int(x) else _parse_rational(x)
                     for x in witness)
-    graph_axes = cert.get("graph_axes")
-    if graph_axes is not None and not (isinstance(graph_axes, list) and all(
-            _is_int(j) and 1 <= j <= n for j in graph_axes)):
-        raise _malformed(f"'graph_axes' must be integers in 1..{n}")
 
     failures = []
     if "gl_matrix" in cert:
@@ -788,19 +789,12 @@ def verify_certificate(cert: dict) -> list:
             failures.append("gl_matrix does not produce class_lambda")
         lambdas = [ExponentSet.of(block, n) for block in claimed]
 
-    if graph_axes is not None:
-        rest = [m for m in _graph_block(lambdas, n).points if sum(m) != 1]
-        if not rest:
-            return failures + ["lambda_{n+1} holds only unit monomials"]
-        lambdas = [ExponentSet.of(rest, n)]
-
     witness_faces = cert.get("witness_faces")
     if not isinstance(witness_faces, list):
         raise _malformed("'witness_faces' must be a list")
     if is_zero(witness) or not spec.in_zs(witness):
         failures.append("overlap witness is zero or outside Z(S)")
-    axes = [unit(n, j - 1) for j in graph_axes or ()]
-    pts, allowed, s_rays = list(axes), set(axes), spec.rays()
+    pts, allowed, s_rays = [], set(), spec.rays()
     for fdesc in witness_faces:
         _check_witness_face(fdesc, n, len(lambdas))
         if fdesc["is_empty"]:

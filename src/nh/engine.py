@@ -7,9 +7,9 @@ summand decompositions of the faces of the Minkowski sums of the polyhedra
 verdicts.  Each such tuple carries the generators of Cap(F*) = ⋂F_ν*: the
 sum's facet normals through its face, so no cone is searched for its
 extreme rays.
-Also: the graph-case specialization (no overlap test), the GL(d)
-elimination cascade with support-class closure, dyadic cone classification,
-and the descending face / ascending cone chains.
+Also: the graph case as that criterion on the unit-augmented tuple, the
+GL(d) elimination cascade with support-class closure, dyadic cone
+classification, and the descending face / ascending cone chains.
 """
 
 from __future__ import annotations
@@ -130,7 +130,6 @@ class Verdict:
     face_tuple: Optional[FaceTuple] = None
     odd_subset: Optional[list] = None
     union_rank: Optional[int] = None
-    graph_axes: Optional[list] = None      # graph case: the subset A
     gl_matrix: Optional[tuple] = None      # general case: reaching matrix
     gl_class_count: Optional[int] = None   # general case: support classes
 
@@ -309,45 +308,24 @@ def decide_disjoint(lam: LambdaTuple) -> Verdict:
 # graph case
 # ---------------------------------------------------------------------------
 
-def decide_graph(lambda_last: ExponentSet, spec: DomainSpec) -> Verdict:
-    """Λ = ({e₁},…,{e_n},Λ_{n+1}): unbounded iff some face F of
-    N(Λ_{n+1},S) and A ⊆ {e₁,…,e_n} have rank(F ∪ A) ≤ n−1 with
-    (F ∩ Λ_{n+1}) ∪ A odd.  No cone-overlap test.
-
-    A unit monomial c·t_j of Λ_{n+1} folds into ξ_j t_j by a GL row
-    operation, so the unit monomials are dropped first; when nothing is
-    left the phase is linear and the verdict is bounded.  The overlap
-    witness is the point of (F*)° that `minkowski_faces` gives F."""
+def graph_tuple(lambda_last: ExponentSet, spec: DomainSpec) -> LambdaTuple:
+    """({e₁},…,{e_n}, R), R = Λ_{n+1} without its unit monomials; just the
+    n unit blocks when R is empty.  A unit monomial c·t_j of Λ_{n+1} folds
+    into ξ_j t_j by a GL row operation, so dropping it keeps the operator's
+    boundedness, and the blocks are disjoint."""
     n = spec.n
     rest = [m for m in lambda_last.points if sum(m) != 1]
-    if not rest:
-        return Verdict(kind="bounded")
-    p = build_newton(ExponentSet.of(rest, n), spec)
-    units = [unit(n, j) for j in range(n)]
-    examined = candidates = 0
-    for f in p.faces():
-        fbasis = list(f.point_basis())
-        flam = f.lambda_points()
-        for size in range(n + 1):
-            for axes in itertools.combinations(range(n), size):
-                examined += 1
-                a_vecs = [units[j] for j in axes]
-                r = rank(fbasis + a_vecs)
-                if r > n - 1:
-                    continue
-                candidates += 1
-                u = sorted(set(flam) | set(a_vecs))
-                if not is_even(u):
-                    ft = FaceTuple((f,), r, next(
-                        w for (g,), w, _ in minkowski_faces([p]) if g == f))
-                    return Verdict(
-                        kind="unbounded", face_tuple=ft,
-                        odd_subset=odd_witness(u),
-                        union_rank=ft.union_rank,
-                        graph_axes=[j for j in axes],
-                        tuples_examined=examined, lo_tuples=candidates)
-    return Verdict(kind="bounded", tuples_examined=examined,
-                   lo_tuples=candidates)
+    blocks = [ExponentSet.of([unit(n, j)], n) for j in range(n)]
+    if rest:
+        blocks.append(ExponentSet.of(rest, n))
+    return LambdaTuple(blocks, spec)
+
+
+def decide_graph(lambda_last: ExponentSet, spec: DomainSpec) -> Verdict:
+    """Graph case Λ = ({e₁},…,{e_n},Λ_{n+1}): the disjoint criterion on
+    `graph_tuple`.  For n = 2 it is the vertex criterion of Carbery,
+    Wainger and Wright."""
+    return decide_disjoint(graph_tuple(lambda_last, spec))
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ class DomainSpec:
     @staticmethod
     def of(n: int, S: Iterable[int]) -> "DomainSpec":
         s = frozenset(int(j) for j in S)
-        if not s <= set(range(n)):
+        if not all(0 <= j < n for j in s):
             raise ValueError("S must be a subset of {0,..,n-1}")
         return DomainSpec(n, s)
 

@@ -31,9 +31,10 @@ from nh.engine import (
     decide_disjoint,
     decide_graph,
     enumerate_lo_tuples,
+    graph_tuple,
     union_point_rank,
 )
-from nh.exact_numeric import dot, rank
+from nh.exact_numeric import dot
 from nh.newton_poly import (
     DomainSpec,
     ExponentSet,
@@ -388,16 +389,17 @@ def _collect_certificates():
         verdict = decide_disjoint(problem.lambda_tuple())
         if not verdict.bounded:
             certs.append(_certificate(problem, verdict))
-    # graph certificates from the criterion-3 pool
+    # graph certificates from the criterion-3 pool, on the unit-augmented
+    # tuple
     spec = DomainSpec.of(2, [0, 1])
     taken = 0
     for pts in _graph_instances():
-        lam3 = ExponentSet.of(pts, 2)
-        verdict = decide_graph(lam3, spec)
+        lam = graph_tuple(ExponentSet.of(pts, 2), spec)
+        problem = ProblemInput({"n": 2, "S": [1, 2], "lambda": [
+            [list(m) for m in block] for block in lam.lambdas]})
+        verdict = decide_disjoint(problem.lambda_tuple())
         if verdict.bounded:
             continue
-        problem = ProblemInput(
-            {"n": 2, "S": [1, 2], "lambda": [[list(m) for m in pts]]})
         certs.append(_certificate(problem, verdict))
         taken += 1
         if taken >= 10:
@@ -416,11 +418,9 @@ def _collect_certificates():
 
 def _cert_lambdas(cert):
     """The Λ a certificate's witness faces belong to: `class_lambda` for a
-    GL class, Λ_{n+1} without its unit monomials for the graph case."""
+    GL class, else `lambda`."""
     if "class_lambda" in cert:
         return cert["class_lambda"]
-    if "graph_axes" in cert:
-        return [[m for m in cert["lambda"][-1] if sum(m) != 1]]
     return cert["lambda"]
 
 
@@ -460,17 +460,6 @@ def _perturbations(cert):
         c = clone()
         c["overlap_witness"] = [0] * cert["n"]
         muts.append(("overlap_witness", c))
-
-    if "graph_axes" in cert:
-        # an axis outside the span of the face points and the listed axes
-        # (one exists, as union_rank ≤ n−1) raises the rank
-        c = clone()
-        span = [units[j - 1] for j in cert["graph_axes"]] + [
-            v for f in cert["witness_faces"]
-            for v in f["vertices"] + f["rays"]]
-        c["graph_axes"] = cert["graph_axes"] + [next(
-            j + 1 for j in range(n) if rank(span + [units[j]]) > rank(span))]
-        muts.append(("graph_axes", c))
 
     if "gl_matrix" in cert:
         c = clone()

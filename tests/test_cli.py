@@ -222,14 +222,18 @@ GRAPH_ODD = [[5, 3], [6, 2]]           # the vertex (5,3) is all odd
                                   [[0, 1], [1, 0]] + GRAPH_ODD])
 @pytest.mark.parametrize("full_form", [False, True])
 def test_decide_graph_verify_round_trip(runner, tmp_path, last, full_form):
-    """Unit monomials of Λ_{n+1} are dropped, in either input form, and
-    the certificate's witness face is a face of what remains."""
+    """Unit monomials of Λ_{n+1} are dropped, in either input form: the
+    certificate is a `decide` certificate on the unit-augmented tuple,
+    while the report echoes the input as given."""
     blocks = [[[1, 0]], [[0, 1]], last] if full_form else [last]
     payload = {"n": 2, "S": [1, 2], "lambda": blocks}
     res = runner.invoke(main, ["decide-graph", "--input",
                                _write(tmp_path, payload)])
     assert res.exit_code == EXIT_UNBOUNDED
-    cert = json.loads(res.output)["certificate"]
+    report = json.loads(res.output)
+    assert report["input"] == payload
+    cert = report["certificate"]
+    assert cert["lambda"] == [[[1, 0]], [[0, 1]], GRAPH_ODD]
     assert verify_certificate(cert) == []
     res = runner.invoke(main, ["verify", "--input",
                                _write(tmp_path, cert, "cert.json")])
@@ -237,15 +241,23 @@ def test_decide_graph_verify_round_trip(runner, tmp_path, last, full_form):
 
 
 def test_verify_graph_needs_unit_blocks(runner, tmp_path):
-    payload = {"n": 2, "S": [1, 2],
-               "lambda": [[[1, 0]], [[0, 1]], GRAPH_ODD]}
+    """Λ₄ = {(0,1,1)} is odd only with the axis e₁, so the witness face
+    of the unit block {e₁} is its vertex; with that block corrupted the
+    face is not one the witness cuts out, and `verify` lists the failure."""
+    payload = {"n": 3, "S": [1, 2, 3], "lambda": [[[0, 1, 1]]]}
     res = runner.invoke(main, ["decide-graph", "--input",
                                _write(tmp_path, payload)])
+    assert res.exit_code == EXIT_UNBOUNDED
     cert = json.loads(res.output)["certificate"]
-    cert["lambda"][0] = [[2, 0]]
-    with pytest.raises(InputError) as exc:
-        verify_certificate(cert)
-    assert exc.value.code == "E_MALFORMED"
+    assert cert["witness_faces"][0]["vertices"] == [[1, 0, 0]]
+    assert verify_certificate(cert) == []
+    cert["lambda"][0] = [[2, 0, 0]]
+    assert verify_certificate(cert) == [
+        "the component-1 face is not the one the overlap witness cuts out"]
+    res = runner.invoke(main, ["verify", "--input",
+                               _write(tmp_path, cert, "cert.json")])
+    assert res.exit_code == EXIT_INPUT
+    assert json.loads(res.output)["valid"] is False
 
 
 def test_decide_general(runner, tmp_path):
@@ -586,6 +598,31 @@ def test_exact_subcommands_load_no_numpy(tmp_path):
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == [[EXIT_UNBOUNDED] * 3
                                       + [EXIT_BOUNDED] * 3, False, False]
+
+
+def test_huge_n_is_malformed_in_bounded_memory(tmp_path):
+    """n = 10³⁰ with a 1-integer exponent is E_MALFORMED in every exact
+    subcommand and in `verify`.  Checking S against n once built
+    set(range(n)) and exhausted memory first, so a fresh interpreter
+    runs the commands under a 1 GiB address-space limit."""
+    path = _write(tmp_path, {"kind": "unbounded", "n": 10 ** 30, "S": [],
+                             "lambda": [[[1]]]})
+    commands = ["decide", "decide-graph", "decide-general", "faces",
+                "decompose", "verify"]
+    code = ("import json, resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+            "from click.testing import CliRunner\n"
+            "from nh.cli import main\n"
+            "path, commands = sys.argv[1], sys.argv[2:]\n"
+            "runner = CliRunner()\n"
+            "results = [runner.invoke(main, [cmd, '--input', path])\n"
+            "           for cmd in commands]\n"
+            "print(json.dumps([[r.exit_code, 'E_MALFORMED' in r.output]\n"
+            "                  for r in results]))\n")
+    run = subprocess.run([sys.executable, "-c", code, path, *commands],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [[EXIT_INPUT, True]] * len(commands)
 
 
 def test_probe_sum_counts_pieces_per_path(runner, tmp_path, monkeypatch):

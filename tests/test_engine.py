@@ -14,6 +14,7 @@ from geom_checks import (
     closure_contains,
     graph_vertex_criterion,
 )
+from graph_oracle import graph_is_bounded
 from nh.engine import (
     FaceTuple,
     LambdaTuple,
@@ -233,7 +234,6 @@ def test_n2_overlap_condition_redundant():
 def test_graph_odd_vertex():
     v = decide_graph(ExponentSet.of([(1, 1)], 2), DomainSpec.of(2, [0, 1]))
     assert not v.bounded
-    assert v.graph_axes == []
     assert not graph_vertex_criterion(ExponentSet.of([(1, 1)], 2),
                                       DomainSpec.of(2, [0, 1]))
 
@@ -267,26 +267,28 @@ def test_graph_drops_unit_monomials():
 
 
 def test_graph_is_disjoint_on_the_unit_augmented_tuple():
-    """decide_graph(Λ_{n+1}) agrees with decide_disjoint on
-    ({e₁},…,{e_n}, R), R = Λ_{n+1} without its unit monomials: for x in
-    (F*)° the x-minimal face of e_j + ℝ₊^S has no rays beyond F's, so
-    rank(F ∪ A) and the parity of (F ∩ Λ) ∪ A are the disjoint tuple's."""
+    """decide_graph(Λ_{n+1}), the disjoint criterion on ({e₁},…,{e_n}, R)
+    with R = Λ_{n+1} without its unit monomials, agrees with the face ×
+    axes loop of `graph_oracle`: for x in (F*)° the x-minimal face of
+    e_j + ℝ₊^S has no rays beyond F's, so rank(F ∪ A) and the parity of
+    (F ∩ Λ) ∪ A are the disjoint tuple's.  200 draws with n ≤ 3, then 40
+    with n = 4."""
     rng = random.Random(2032)
-    checked = 0
-    while checked < 200:
-        n = rng.randint(1, 3)
-        units = [unit(n, j) for j in range(n)]
-        last = {tuple(rng.randint(0, 3) for _ in range(n))
-                for _ in range(rng.randint(1, 4))}
-        rest = sorted(last - set(units))
-        if not rest:
-            continue
-        spec = DomainSpec.of(n, [j for j in range(n) if rng.random() < 0.5])
-        lam = LambdaTuple([ExponentSet.of([e], n) for e in units]
-                          + [ExponentSet.of(rest, n)], spec)
-        assert decide_graph(ExponentSet.of(last, n), spec).bounded == \
-            decide_disjoint(lam).bounded, (sorted(last), sorted(spec.S))
-        checked += 1
+    for count, n_range in ((200, (1, 3)), (40, (4, 4))):
+        checked = 0
+        while checked < count:
+            n = rng.randint(*n_range)
+            units = [unit(n, j) for j in range(n)]
+            last = {tuple(rng.randint(0, 3) for _ in range(n))
+                    for _ in range(rng.randint(1, 4))}
+            if last <= set(units):
+                continue
+            spec = DomainSpec.of(n, [j for j in range(n)
+                                     if rng.random() < 0.5])
+            lam = ExponentSet.of(last, n)
+            assert decide_graph(lam, spec).bounded == \
+                graph_is_bounded(lam, spec), (sorted(last), sorted(spec.S))
+            checked += 1
 
 
 def test_graph_axes_participate():

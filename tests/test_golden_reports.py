@@ -1,6 +1,7 @@
 """Golden reports: the sha256 of every report, timing masked, that
 `decide`, `decide-general`, `faces`, `decompose` (with a dyadic_index) and
-`verify` print for six fixed inputs.  A refactor of the hull, the face
+`verify` print for six fixed inputs, and that `decide-graph` and `verify`
+print for one graph input.  A refactor of the hull, the face
 lattices or the parity code must leave each report byte for byte as it
 was; a deliberate change of output updates the table, which
 
@@ -11,6 +12,7 @@ decide with d = 3 and no rays, decide-general with shared monomials), a
 planted odd vertex in n = 4 (decide is unbounded at once, and verify
 re-checks the certificate), and two decide-general inputs that are
 unbounded only in a class other than the identity, with n = 2 and n = 3.
+The graph input, in its full form, has the all-odd vertex (5,3).
 """
 
 import hashlib
@@ -49,7 +51,16 @@ INPUTS = {
             "2:(3,2,0)": "4", "2:(2,3,1)": "1", "2:(4,4,2)": "3"}},
 }
 
+GRAPH_INPUTS = {
+    "graph-odd": {"n": 2, "S": [1, 2], "lambda": [
+        [[1, 0]], [[0, 1]], [[5, 3], [6, 2]]]},
+}
+
 GOLDEN = {
+    "graph-odd/decide-graph":
+        "3:7493b2832b1ac739865fc7c05cfd72182e6b46b20cc69721ee4c25ebc8e4d0e0",
+    "graph-odd/verify":
+        "0:7b5eca6a983cb1a29931e6c71599882c3eafce1683639847c6274128c2e75fad",
     "scan-ray/decide":
         "0:4e03f38425840d32fef455068c01bd1783173fa80c1ca6b8a30b8dbe727796fe",
     "scan-ray/faces":
@@ -107,16 +118,23 @@ def reports(tmp_path) -> dict:
             f"{res.exit_code}:{hashlib.sha256(text.encode()).hexdigest()}")
         return res
 
+    def run_and_verify(name, command, path):
+        res = run(name, command, path)
+        if res.exit_code == EXIT_UNBOUNDED:
+            report = tmp_path / f"{name}-report.json"
+            report.write_text(res.stdout)
+            run(name, "verify", report)
+
+    for name, inp in GRAPH_INPUTS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(inp))
+        run_and_verify(name, "decide-graph", path)
     for name, inp in INPUTS.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(inp))
         for command in ("decide-general" if "coefficients" in inp
                         else "decide", "faces"):
-            res = run(name, command, path)
-            if res.exit_code == EXIT_UNBOUNDED:
-                report = tmp_path / f"{name}-report.json"
-                report.write_text(res.stdout)
-                run(name, "verify", report)
+            run_and_verify(name, command, path)
         path.write_text(json.dumps(dict(
             inp, dyadic_index=[2, 1, 0, 3][:inp["n"]])))
         run(name, "decompose", path)

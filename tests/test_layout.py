@@ -136,6 +136,6 @@ def test_verify_builds_no_hull_lattice_or_lp(monkeypatch):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, forbidden)
     kinds = {("gl_matrix" in c, "graph_axes" in c) for c in certs}
-    assert kinds == {(False, False), (True, False), (False, True)}
+    assert kinds == {(False, False), (True, False)}
     for i, cert in enumerate(certs):
         assert verify_certificate(cert) == [], i

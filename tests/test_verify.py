@@ -10,7 +10,8 @@ of each, the two must accept and reject the same certificates.
 import random
 
 from nh.cli import ProblemInput, _certificate, verify_certificate
-from nh.engine import decide_disjoint, decide_general, decide_graph
+from nh.engine import decide_disjoint, decide_general, graph_tuple
+from nh.newton_poly import DomainSpec, ExponentSet
 from test_acceptance import _perturbations
 from verify_oracle import verify_by_face_lookup
 
@@ -22,8 +23,8 @@ def _points(rng, n, count, coord_max=3):
 
 def _random_certificates(rng):
     """Unbounded certificates: 150 from `decide` (n ≤ 4, d ≤ 3, random S),
-    40 from `decide-graph` (n ≤ 3) and 20 from `decide-general`
-    (n = 2, d = 2, shared exponents)."""
+    40 from `decide-graph` (n ≤ 3, on the unit-augmented tuple) and 20
+    from `decide-general` (n = 2, d = 2, shared exponents)."""
     certs = []
     while len(certs) < 150:
         n, d = rng.randint(1, 4), rng.randint(1, 3)
@@ -43,10 +44,13 @@ def _random_certificates(rng):
     graphs = 0
     while graphs < 40:
         n = rng.randint(2, 3)
+        S = [j for j in range(n) if rng.random() < 0.5]
+        lam = graph_tuple(ExponentSet.of(_points(rng, n, 3), n),
+                          DomainSpec.of(n, S))
         problem = ProblemInput({
-            "n": n, "S": [j + 1 for j in range(n) if rng.random() < 0.5],
-            "lambda": [[list(m) for m in _points(rng, n, 3)]]})
-        verdict = decide_graph(problem.lambdas[0], problem.spec)
+            "n": n, "S": [j + 1 for j in S],
+            "lambda": [[list(m) for m in block] for block in lam.lambdas]})
+        verdict = decide_disjoint(problem.lambda_tuple())
         if not verdict.bounded:
             certs.append(_certificate(problem, verdict))
             graphs += 1

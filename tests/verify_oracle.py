@@ -4,8 +4,8 @@ Builds each N(Λ_ν, S) with the engine's hull code, looks every listed face
 up by its (vertex set, ray set) in the face list, and tests the overlap
 witness against each face's open dual cone (`interior_contains`).  The
 rank and the odd subset are checked on the faces' vertices, rays and
-points, plus a graph certificate's axes.  For well-formed certificates;
-the structural `E_*` coding is `verify_certificate`'s alone.
+points.  For well-formed certificates; the structural `E_*` coding is
+`verify_certificate`'s alone.
 
 The two checks agree wherever a certificate lists each face by its true
 vertex set.  The kernel also accepts any nonempty subset of the face's
@@ -15,9 +15,9 @@ dimension, which this oracle never reads.
 
 from fractions import Fraction
 
-from nh.cli import ProblemInput, _graph_block
+from nh.cli import ProblemInput
 from nh.engine import LambdaTuple
-from nh.exact_numeric import rank, unit
+from nh.exact_numeric import rank
 from nh.newton_poly import ExponentSet, interior_contains
 
 
@@ -28,7 +28,6 @@ def verify_by_face_lookup(cert: dict) -> list:
     witness = cert.get("overlap_witness")
     if witness is not None:
         witness = tuple(Fraction(str(x)) for x in witness)
-    graph_axes = cert.get("graph_axes")
 
     failures = []
     if "gl_matrix" in cert:
@@ -42,11 +41,6 @@ def verify_by_face_lookup(cert: dict) -> list:
         if sorted(map(sorted, claimed)) != sorted(map(sorted, got)):
             failures.append("gl_matrix does not produce class_lambda")
         lambdas = [ExponentSet.of(block, n) for block in claimed]
-    if graph_axes is not None:
-        rest = [m for m in _graph_block(lambdas, n).points if sum(m) != 1]
-        if not rest:
-            return failures + ["lambda_{n+1} holds only unit monomials"]
-        lambdas = [ExponentSet.of(rest, n)]
 
     polys = LambdaTuple(lambdas, spec).polyhedra
     faces = []
@@ -66,10 +60,6 @@ def verify_by_face_lookup(cert: dict) -> list:
         if not f.is_empty:
             pts.extend(sorted(f.vertex_set) + sorted(f.ray_set))
             allowed.update(f.lambda_points())
-    for j in graph_axes or ():
-        axis = tuple(int(x) for x in unit(n, j - 1))
-        pts.append(axis)
-        allowed.add(axis)
     r = rank(pts)
     if r != cert["union_rank"]:
         failures.append("union_rank mismatch")
@@ -80,9 +70,9 @@ def verify_by_face_lookup(cert: dict) -> list:
         failures.append("odd subset is empty or not in the face points")
     if not all(sum(c) % 2 for c in zip(*odd)):
         failures.append("odd subset does not sum to an all-odd vector")
-    if graph_axes is None and witness is None:
+    if witness is None:
         failures.append("missing overlap witness")
-    if witness is not None:
+    else:
         failures += [f"overlap witness outside the component-{fdesc['nu']} "
                      "open cone"
                      for fdesc, f in zip(cert["witness_faces"], faces)
