@@ -191,16 +191,20 @@ class GLClass:
 # ---------------------------------------------------------------------------
 
 def union_point_rank(faces: Sequence[Face]) -> int:
-    """rank of the faces' vertices and rays from their cached bases: the
-    longest basis when it is the only nonempty one or has length n, else
-    the rank of the stacked bases."""
-    bases = [b for b in (f.point_basis() for f in faces) if b]
-    if not bases:
-        return 0
-    longest = max(map(len, bases))
-    if len(bases) == 1 or longest == len(bases[0][0]):
-        return longest
-    return rank([row for b in bases for row in b])
+    """rank of the faces' vertices and rays."""
+    return rank([x for f in faces
+                 for x in sorted(f.vertex_set) + sorted(f.ray_set)])
+
+
+def _union_rank(dim: int, levels: tuple, n: int) -> int:
+    """rank(⋃F_ν) of a sum face G = ΣF_ν of dimension `dim` with these
+    level rows (`minkowski_faces`): span(⋃F_ν) = dir(G) + span{v_ν} for
+    vertices v_ν ∈ F_ν, and the rows' columns span dir(G)⊥, so the rank is
+    dim + rank(levels).  With one row, or dim ≥ n−1, where dir(G)⊥ is at
+    most a line, that rank is 1 when a level is nonzero, else 0."""
+    if dim >= n - 1 or len(levels) == 1:
+        return dim + any(x for row in levels for x in row)
+    return dim + rank(levels)
 
 
 def component_subsets(d: int) -> Iterator[tuple]:
@@ -239,14 +243,16 @@ def enumerate_lo_tuples(lam: LambdaTuple,
     A tuple whose nonempty components are ν ∈ T has a joint open-cone
     point exactly when it is the summand decomposition of a face of the
     T-sum ∑_{ν∈T} N(Λ_ν,S), so the tuples come from `minkowski_faces` of
-    every nonempty T, with no LP.  Cap(F*) is that sum face's normal cone
-    (Z(S) holds it), so its generators are the sum's facet normals through
-    the face.  The all-empty tuple takes any x ≠ 0 in Z(S), found by the
-    interior sweep; its cap is Z(S), generated by the e_j, j ∈ S.  They are
-    yielded in the lexicographic order of the face indices (faces by
-    descending dimension, then vertex/ray sets, the empty face last); the
-    rank filter and the exact re-check of each witness run as a tuple is
-    yielded.
+    every nonempty T, with no LP.  The rank of the union is read off the
+    sum face's dimension and level rows (`_union_rank`), and the tuples of
+    rank n are dropped before the rest are placed and sorted.  Cap(F*) is
+    that sum face's normal cone (Z(S) holds it), so its generators are the
+    sum's facet normals through the face.  The all-empty tuple, of rank
+    0, takes any x ≠ 0 in Z(S), found by the interior sweep; its cap is
+    Z(S), generated by the e_j, j ∈ S.  They are yielded in the
+    lexicographic order of the face indices (faces by descending
+    dimension, then vertex/ray sets, the empty face last); the exact
+    re-check of each witness runs as a tuple is yielded.
     """
     n = lam.spec.n
     empties = tuple(p.empty_face() for p in lam.polyhedra)
@@ -254,17 +260,16 @@ def enumerate_lo_tuples(lam: LambdaTuple,
     for subset in (component_subsets(lam.d) if subsets is None
                    else subsets):
         if not subset:
-            found.append((empties, None, lam.spec.rays(), (), ()))
+            found.append((empties, 0, None, lam.spec.rays(), (), ()))
             continue
-        for part, w, normals in lam.sum_faces(subset):
-            found.append((_placed(empties, subset, part), w, normals,
-                          subset, part))
+        for part, w, normals, dim, levels in lam.sum_faces(subset):
+            r = _union_rank(dim, levels, n)
+            if r <= n - 1:
+                found.append((_placed(empties, subset, part), r, w, normals,
+                              subset, part))
     order = _walk_order(lam)
     found.sort(key=lambda item: order(item[0]))
-    for faces, w, normals, subset, part in found:
-        r = union_point_rank(faces)
-        if r > n - 1:
-            continue
+    for faces, r, w, normals, subset, part in found:
         if w is None:
             w = cones_interior_intersection(faces)
         else:

@@ -106,13 +106,11 @@ class Face:
     dim: int
     is_empty: bool = False
     is_improper: bool = False
-    # F ∩ Ω, the echelon rows of F's points and of its directions, and F's
-    # dual-cone rows, filled by the first `lambda_points()`,
-    # `point_basis()`, `direction_basis()` and `dual_cone_rows`
+    # F ∩ Ω, the echelon rows of F's directions, and F's dual-cone rows,
+    # filled by the first `lambda_points()`, `direction_basis()` and
+    # `dual_cone_rows`
     _lambda: Optional[tuple] = field(default=None, init=False, compare=False,
                                      repr=False)
-    _basis: Optional[tuple] = field(default=None, init=False, compare=False,
-                                    repr=False)
     _span: Optional[tuple] = field(default=None, init=False, compare=False,
                                    repr=False)
     _cone: Optional[tuple] = field(default=None, init=False, compare=False,
@@ -151,15 +149,6 @@ class Face:
                 if all(sum(map(operator.mul, q, m)) == level
                        for q, level in tight)))
         return list(self._lambda)
-
-    def point_basis(self) -> tuple:
-        """Echelon rows spanning the face's vertices and rays (none on the
-        empty face), so the rank of a union of faces is the rank of their
-        stacked bases; computed once per face."""
-        if self._basis is None:
-            object.__setattr__(self, "_basis", row_basis(
-                sorted(self.vertex_set) + sorted(self.ray_set)))
-        return self._basis
 
     def direction_basis(self) -> tuple:
         """Echelon rows spanning the face's directions (`_directions`);
@@ -280,23 +269,28 @@ def build_newton(omega: ExponentSet, spec: DomainSpec) -> NewtonPolyhedron:
     # Each facet holds a vertex and m−1 more generators (vertices or rays)
     # that span its affine hull with it, so it has m bits or more and its
     # normal is orthogonal to their directions and to Πb.  Generators are
-    # the vertices, then the rays: an m-subset led by a ray holds no vertex,
-    # and all later subsets are led by rays too.  A point has no facets.
-    gens = verts + rays
+    # the vertices, then the rays, in layout order, so generator i has bit
+    # i of a face mask: an m-subset led by a ray holds no vertex, and all
+    # later subsets are led by rays too.  A point has no facets.
+    layout = (tuple(verts), tuple(sorted(rays)))     # as p.layout()
+    gens = layout[0] + layout[1]
     perp_rows = [q for q, _ in basis_b]
     subsets = itertools.takewhile(
         lambda sub: sub[0] < len(verts),
         itertools.combinations(range(len(gens)), m)) if m else ()
-    layout = (tuple(verts), tuple(sorted(rays)))     # as p.layout()
+    # A subset's m generators span m−1 directions when its rows have a
+    # null line, so a face holding them all is a facet.  A face off them
+    # is ranked: it may be a facet parallel to the subset, which `_facets`
+    # does not try again from a later subset.
     facets = _facets(
-        ([vsub(gens[i], gens[sub[0]]) if i < len(verts) else gens[i]
-          for i in sub[1:]] + perp_rows for sub in subsets),
+        (([vsub(gens[i], gens[sub[0]]) if i < len(verts) else gens[i]
+           for i in sub[1:]] + perp_rows, sum(1 << i for i in sub))
+         for sub in subsets),
         [layout], n,
-        lambda masks: masks[0].bit_count() >= m and rank(
-            _directions(*_decode(layout, masks[0]))) == m - 1)
-    # a facet's least vertex has its lowest bit
-    facets_a = tuple((q, dot(q, verts[(mask & -mask).bit_length() - 1]))
-                     for q, (mask,) in facets)
+        lambda masks, own: not own & ~masks[0] or (
+            masks[0].bit_count() >= m and rank(
+                _directions(*_decode(layout, masks[0]))) == m - 1))
+    facets_a = tuple((q, level) for q, (_, (level,)) in facets)
 
     p = NewtonPolyhedron(
         omega=omega, spec=spec,
@@ -314,17 +308,19 @@ def _facets(candidates: Iterable, layouts: Sequence, n: int,
             spans) -> list:
     """The facets of the m-dimensional sum of the polyhedra with these
     layouts (`NewtonPolyhedron.layout`; all have the same rays), as sorted
-    pairs (normal q, the q-minimal face of each summand as a mask).  A
-    candidate is n−1 integer rows whose null line (`null_line`) gives the
-    normal ±q.  One pass of levels per summand gives both orientations:
-    the vertices at the least level of q are q-minimal, those at the
-    greatest (−q)-minimal, and the rays with q·r = 0 lie on both faces.
-    q is kept when it is ≥ 0 on the rays and `spans(masks)` says that
-    the q-minimal faces span m−1 directions."""
+    pairs (normal q, (the q-minimal face of each summand as a mask, the
+    least level of q on each summand)).  A candidate is a pair (n−1
+    integer rows whose null line (`null_line`) gives the normal ±q, a tag
+    passed on to `spans`).  One pass of levels per summand gives both
+    orientations: the vertices at the least level of q are q-minimal,
+    those at the greatest (−q)-minimal, at level −max, and the rays with
+    q·r = 0 lie on both faces.  q is kept when it is ≥ 0 on the rays and
+    `spans(masks, tag)` says that the q-minimal faces span m−1
+    directions."""
     rays = layouts[0][1]
     facets = {}
     tried = set()
-    for rows in candidates:
+    for rows, tag in candidates:
         normal = null_line(rows, n)
         if normal is None or normal in tried:
             continue
@@ -334,18 +330,20 @@ def _facets(candidates: Iterable, layouts: Sequence, n: int,
         flat = sum(1 << j for j, x in enumerate(signs) if not x)
         levels = [[sum(map(operator.mul, normal, v)) for v in vs]
                   for vs, _ in layouts]
-        for q, ok, pick in ((normal, min(signs, default=0) >= 0, min),
-                            (flipped, max(signs, default=0) <= 0, max)):
+        for q, ok, pick, sign in (
+                (normal, min(signs, default=0) >= 0, min, 1),
+                (flipped, max(signs, default=0) <= 0, max, -1)):
             if not ok:
                 continue
-            masks = []
+            masks, lows = [], []
             for lv in levels:
                 at = pick(lv)
                 masks.append(sum(1 << i for i, x in enumerate(lv) if x == at)
                              | flat << len(lv))
+                lows.append(sign * at)
             masks = tuple(masks)
-            if spans(masks):
-                facets[q] = masks
+            if spans(masks, tag):
+                facets[q] = masks, tuple(lows)
     return sorted(facets.items())
 
 
@@ -463,14 +461,20 @@ def enumerate_faces(p: NewtonPolyhedron) -> list:
 
 
 def minkowski_faces(polys: Sequence[NewtonPolyhedron]) -> list:
-    """The faces of P₁+⋯+P_k whose open dual cone holds a point, as triples
-    (summand faces, w, normals): `normals` are the sum's facet normals
-    through the face, sorted; they generate its closed dual cone Cap(F*)
-    modulo the lineality V⊥(P₁+⋯+P_k), to which they are orthogonal.  The
-    summands of the face are the w-minimal faces of the P_ν, and w lies in
-    the open dual cone of each: w is the sum of the normals, or a Πb vector
-    on the improper face, which has such a point only when the sum has
-    dimension < n.  The sum's hull is never built.
+    """The faces of P₁+⋯+P_k whose open dual cone holds a point, as tuples
+    (summand faces, w, normals, dim, levels): `normals` are the sum's
+    facet normals through the face, sorted; they generate its closed dual
+    cone Cap(F*) modulo the lineality V⊥(P₁+⋯+P_k), to which they are
+    orthogonal.  The summands of the face are the w-minimal faces of the
+    P_ν, and w lies in the open dual cone of each: w is the sum of the
+    normals, or a Πb vector on the improper face, which has such a point
+    only when the sum has dimension < n.  The sum's hull is never built.
+
+    `dim` is the face's dimension, and `levels` holds one row per summand:
+    the level on P_ν of each normal, then of each of the sum's Πb rows.
+    Those rows span the orthogonal complement of the face's directions,
+    so the rank of the union of the summand faces' points is dim plus the
+    rank of `levels` (`engine.enumerate_lo_tuples`).
 
     One summand: its own faces and facets.  Several: each facet of the sum
     is a sum of summand faces, whose edges span its directions, so its
@@ -478,22 +482,29 @@ def minkowski_faces(polys: Sequence[NewtonPolyhedron]) -> list:
     Πb rows (`_facets`), kept by the summand faces it cuts out
     (`_spans_facet`).  The other faces are the Kaibel–Pfetsch closure of
     the improper face under intersection with the facets, done summand by
-    summand (`_closure`), which also lists the facets through each."""
+    summand (`_closure`), which also lists the facets through each and
+    grades it."""
     if len(polys) == 1:
         p = polys[0]
         basis_b = [q for q, _ in p.basis_b]
-        found = [((f,), [p.facets_a[i][0] for i in sorted(f.generator_idx)])
-                 for f in p.faces() if not f.is_empty]
+        flat = [s for _, s in p.basis_b]
+        found = []
+        for f in p.faces():
+            if not f.is_empty:
+                idx = sorted(f.generator_idx)
+                found.append(((f,), [p.facets_a[i][0] for i in idx], f.dim,
+                              ([p.facets_a[i][1] for i in idx] + flat,)))
     else:
         basis_b, found = _sum_faces(polys)
     return [(faces, tuple(map(sum, zip(*normals))) if normals else basis_b[0],
-             normals)
-            for faces, normals in found if normals or basis_b]
+             normals, dim, levels)
+            for faces, normals, dim, levels in found if normals or basis_b]
 
 
 def _sum_faces(polys: Sequence[NewtonPolyhedron]) -> tuple:
     """(Πb rows of P₁+⋯+P_k, [(summand faces, facet normals through the
-    face)] for every nonempty face), for k ≥ 2: see `minkowski_faces`."""
+    face, its dimension, its level rows)] for every nonempty face), for
+    k ≥ 2: see `minkowski_faces`."""
     n = polys[0].spec.n
     basis_b = orthogonal_basis(nullspace(
         [d for p in polys for d in _directions(p.vertices, p.rays)], n=n))
@@ -503,18 +514,24 @@ def _sum_faces(polys: Sequence[NewtonPolyhedron]) -> tuple:
     layouts = [p.layout() for p in polys]
     # a point (m = 0) has no facets
     facets = _facets(
-        (list(sub) + basis_b
+        ((list(sub) + basis_b, None)
          for sub in (itertools.combinations(edges, m - 1) if m else ())),
         layouts, n,
-        lambda masks: _spans_facet(
+        lambda masks, _: _spans_facet(
             [p._face_index[mask] for p, mask in zip(polys, masks)], m))
+    # Πb is orthogonal to each summand's directions: one level a summand
+    flat = [[sum(map(operator.mul, b, verts[0])) for b in basis_b]
+            for verts, _ in layouts]
+    lows = [low for _, (_, low) in facets]
     parts = [(p._face_index, shift, ones)
              for p, (shift, ones) in zip(polys, _shifts(layouts))]
     return basis_b, [
         (tuple(index[key >> shift & ones] for index, shift, ones in parts),
-         [facets[i][0] for i in idx])
-        for key, (idx, _) in _closure(
-            layouts, [masks for _, masks in facets]).items()]
+         [facets[i][0] for i in idx], dim,
+         tuple([lows[i][nu] for i in idx] + flat[nu]
+               for nu in range(len(polys))))
+        for key, (idx, dim) in _closure(
+            layouts, [masks for _, (masks, _) in facets]).items()]
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ this one.
 
 import itertools
 
-from nh.exact_numeric import rank, unit
+from nh.exact_numeric import unit
 from nh.newton_poly import DomainSpec, ExponentSet, build_newton
 from nh.parity import is_even
+from rref_oracle import fraction_rank
 
 
 def graph_is_bounded(lambda_last: ExponentSet, spec: DomainSpec) -> bool:
@@ -24,11 +25,11 @@ def graph_is_bounded(lambda_last: ExponentSet, spec: DomainSpec) -> bool:
         return True
     units = [unit(n, j) for j in range(n)]
     for f in build_newton(ExponentSet.of(rest, n), spec).faces():
-        basis = list(f.point_basis())
+        gens = sorted(f.vertex_set) + sorted(f.ray_set)
         points = set(f.lambda_points())
         for size in range(n + 1):
             for axes in itertools.combinations(units, size):
-                if rank(basis + list(axes)) <= n - 1 and not is_even(
+                if fraction_rank(gens + list(axes)) <= n - 1 and not is_even(
                         sorted(points | set(axes))):
                     return False
     return True

@@ -431,7 +431,7 @@ def _neighbour_witness(cert, nu, fdesc):
     p = build_newton(ExponentSet.of(_cert_lambdas(cert)[nu], cert["n"]),
                      DomainSpec.of(cert["n"], [j - 1 for j in cert["S"]]))
     f = p.face_by_key(fdesc["vertices"], fdesc["rays"])
-    cone_point = {faces[0]: w for faces, w, _ in minkowski_faces([p])}
+    cone_point = {faces[0]: w for faces, w, *_ in minkowski_faces([p])}
     near = [g for g in cone_point if g != f and (g <= f or f <= g)]
     near.sort(key=lambda g: abs(g.dim - f.dim) != 1)
     return _vec_out(cone_point[near[0]]) if near else None

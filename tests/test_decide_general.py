@@ -6,7 +6,9 @@ Oracle: `general_oracle.decide_general_per_class`, which rebuilds and
 rewalks every class.  The two give byte-identical `decide-general`
 reports, the timing field masked, and `nh verify` accepts every unbounded
 one; among the unbounded inputs are ones whose first odd tuple sorts
-after lo tuples of other T's in its class, which `lo_tuples` must count.
+after lo tuples of other T's in its class, which `lo_tuples` must count,
+and among the bounded ones are inputs whose exponents are not globally
+even (`general_inputs.frustum_input`).
 Counting wrappers on the engine's bindings show, on bounded inputs, one
 `build_newton` per distinct support, one `minkowski_faces` per distinct
 tuple of summand supports, one walk per distinct T-support tuple and one
@@ -23,7 +25,7 @@ from collections import Counter
 import pytest
 from click.testing import CliRunner
 
-from general_inputs import d4_general_input
+from general_inputs import d4_general_input, frustum_input
 from general_oracle import decide_general_per_class
 from nh import cli, engine, newton_poly
 from nh.cli import EXIT_BOUNDED, EXIT_UNBOUNDED, ProblemInput, main
@@ -182,7 +184,9 @@ def test_reports_match_the_per_class_oracle(tmp_path, monkeypatch):
         _random_input(rng, d, rng.random() < 0.5)
         for d in rng.choices([2, 3, 4], k=60)] + [
         _pair_odd_input(rng, d) for d in (2, 2, 3, 3, 4, 4, 4, 4)]
-    for payload in inputs:
+    # bounded, with exponents that are not globally even
+    frustums = [frustum_input(rng, d) for d in (2, 2, 3, 3, 4)]
+    for i, payload in enumerate(inputs + frustums):
         d = len(payload["lambda"])
         path = _write(tmp_path, payload)
         code, report = _run(runner, "decide-general", "--input", path)
@@ -191,6 +195,7 @@ def test_reports_match_the_per_class_oracle(tmp_path, monkeypatch):
             assert _run(runner, "decide-general", "--input", path) == (
                 code, report)
         kind = json.loads(report)["verdict"]
+        assert i < len(inputs) or kind == "bounded", report
         assert code == (EXIT_BOUNDED if kind == "bounded" else
                         EXIT_UNBOUNDED), report
         if kind == "unbounded":

@@ -4,6 +4,7 @@ problem's symmetries."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,13 @@ from geom_checks import (
     closure_contains,
     graph_vertex_criterion,
 )
+from general_inputs import frustum_input
 from graph_oracle import graph_is_bounded
 from nh.engine import (
     FaceTuple,
     LambdaTuple,
     VectorPolynomial,
+    _union_rank,
     build_face_chain,
     classify_dyadic,
     decide_disjoint,
@@ -29,7 +32,13 @@ from nh.engine import (
     union_point_rank,
 )
 from nh.exact_numeric import unit
-from nh.newton_poly import DomainSpec, ExponentSet, interior_contains
+from nh.newton_poly import (
+    DomainSpec,
+    ExponentSet,
+    build_newton,
+    interior_contains,
+    minkowski_faces,
+)
 from nh.parity import is_even
 from rref_oracle import fraction_rank
 from walk_oracle import walk_lo_tuples
@@ -123,7 +132,10 @@ def _sum_lattice_instance(rng):
 def test_sum_lattice_tuples_equal_the_walk():
     """Same tuples, in the same order and with the same union ranks, as the
     product walk with one LP per leaf; every witness is in every open
-    cone."""
+    cone.  Besides random draws, bounded inputs whose exponents are not
+    globally even (`general_inputs.frustum_input`): every tuple the walk
+    keeps is even, while all the points together are odd, so a tuple of
+    rank n kept by mistake can be odd."""
     rng = random.Random(2030)
     total = 0
     for _ in range(160):
@@ -137,33 +149,57 @@ def test_sum_lattice_tuples_equal_the_walk():
                        for f in ft.faces), (sets, S, ft.faces)
         total += len(got)
     assert total > 1000
+    rng = random.Random(2031)
+    shapes = set()
+    for d in [1, 2, 3] * 4:
+        payload = frustum_input(rng, d)
+        while payload["n"] == 3 and d == 3:     # keeps the walk fast
+            payload = frustum_input(rng, d)
+        n, S = payload["n"], [j - 1 for j in payload["S"]]
+        sets = payload["lambda"]
+        assert not is_even({tuple(m) for row in sets for m in row}), sets
+        got = [(ft.faces, ft.union_rank)
+               for ft in enumerate_lo_tuples(_lam(sets, n, S))]
+        want = list(walk_lo_tuples(_lam(sets, n, S)))
+        assert got == [(ft.faces, ft.union_rank) for ft in want], (sets, S)
+        assert all(is_even(ft.union_lambda()) for ft in want), (sets, S)
+        shapes.add((n, d))
+    assert shapes == {(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)}, shapes
 
 
-@pytest.mark.parametrize("sets, n, S", [
-    ([[(2, 0, 1), (0, 2, 2), (1, 1, 0), (3, 1, 2)], [(0, 0, 2), (1, 0, 0)]],
-     3, []),
-    ([[(1, 2, 0)], [(2, 0, 1), (0, 1, 3)], [(0, 2, 2)]], 3, [0]),
-])
-def test_union_rank_shortcuts_equal_the_rref(sets, n, S):
-    """`union_point_rank` reads the rank off the faces' bases when only one
-    is nonempty or one has length n, and stacks them otherwise.  On every
-    face tuple it equals the Fraction RREF rank of the union of the faces'
-    points, and the walk equals the product walk.  Both shortcuts occur:
-    a yielded tuple with one nonempty face, and a tuple holding a face of
-    rank n, which the walk drops."""
-    lam = _lam(sets, n, S)
-    full_rank = []
-    for combo in itertools.product(*[p.faces() for p in lam.polyhedra]):
-        r = fraction_rank([x for f in combo
-                           for x in sorted(f.vertex_set) + sorted(f.ray_set)])
-        assert union_point_rank(combo) == r, combo
-        if any(len(f.point_basis()) == n for f in combo):
-            full_rank.append(combo)
-    got = [(ft.faces, ft.union_rank) for ft in enumerate_lo_tuples(lam)]
-    assert got == [(ft.faces, ft.union_rank) for ft in walk_lo_tuples(lam)]
-    assert any(sum(bool(f.point_basis()) for f in faces) == 1
-               for faces, _ in got)
-    assert full_rank and not {faces for faces, _ in got} & set(full_rank)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_union_rank_is_read_off_the_sum_lattice(k):
+    """`_union_rank` takes rank(⋃F_ν) from a sum face's dimension and level
+    rows (`minkowski_faces`).  On every face of k-sums, full-dimensional
+    and lying in t_n = 0, it equals the Fraction RREF rank of the summand
+    faces' vertices and rays, and the draws reach each branch it has for
+    k: dim ≥ n−1, one summand, and the stacked rank."""
+    rng = random.Random(40 + k)
+    branches = Counter()
+    full = set()
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        top = n - 1 if rng.random() < 1 / 3 else n
+        spec = DomainSpec.of(n, [j for j in range(top)
+                                 if rng.random() < 0.5])
+        polys = [build_newton(ExponentSet.of(
+            {tuple(rng.randint(0, 4) if j < top else 0 for j in range(n))
+             for _ in range(rng.randint(1, 4))}, n), spec)
+            for _ in range(k)]
+        for faces, _, _, dim, levels in minkowski_faces(polys):
+            want = fraction_rank([x for f in faces for x in sorted(
+                f.vertex_set) + sorted(f.ray_set)])
+            assert _union_rank(dim, levels, n) == want, (
+                [p.omega.sorted_points() for p in polys], sorted(spec.S),
+                faces)
+            branches["dim" if dim >= n - 1 else
+                     "one" if k == 1 else "stacked"] += 1
+        full.add(fraction_rank([tuple(a - b for a, b in zip(v, min(
+            p.vertices))) for p in polys for v in p.vertices]
+            + [r for p in polys for r in p.rays]) == n)
+    assert full == {True, False}
+    assert set(branches) == {"dim", "one" if k == 1 else "stacked"} and min(
+        branches.values()) >= 20, branches
 
 
 def test_all_empty_tuple_yielded():

@@ -30,6 +30,7 @@ from hull_oracle import (
     vertices_split,
 )
 from nh import newton_poly
+from nh.engine import union_point_rank
 from nh.exact_numeric import StrictSystem, dot, rank, unit, vsub
 from nh.newton_poly import (
     DomainSpec,
@@ -255,10 +256,12 @@ def test_face_lookups_by_key():
 
 def test_minkowski_faces_are_the_faces_of_the_built_sum(monkeypatch):
     """Against N(Λ₁+⋯+Λ_k, S), built as a hull of the point sums: each
-    (summand faces, w, normals) is the w-minimal face of every summand, w
-    picks a different face of the sum each time, `normals` are exactly the
-    built sum's facet normals through that face, and every face of the sum
-    whose open cone is not {0} is picked.  The sum's facet test
+    (summand faces, w, normals, dim, levels) is the w-minimal face of every
+    summand, w picks a different face of the sum each time, `normals` are
+    exactly the built sum's facet normals through that face, `dim` is its
+    dimension, dim + rank(levels) is the rank of the summand faces' points
+    (`union_point_rank`), and every face of the sum whose open cone is not
+    {0} is picked.  The sum's facet test
     (`_spans_facet`) agrees with the rank of the summand faces'
     directions, and the draws reach each of its branches: a face of
     dimension m−1, dimensions adding up to less, and the stacked rank."""
@@ -290,7 +293,7 @@ def test_minkowski_faces_are_the_faces_of_the_built_sum(monkeypatch):
                     *[p.omega.points for p in polys])}
         total = build_newton(ExponentSet.of(sums, spec.n), spec)
         picked = []
-        for faces, w, normals in minkowski_faces(polys):
+        for faces, w, normals, dim, levels in minkowski_faces(polys):
             assert list(faces) == [face_by_cone_interior(p, w)
                                    for p in polys]
             assert all(interior_contains(f, w) for f in faces)
@@ -298,8 +301,9 @@ def test_minkowski_faces_are_the_faces_of_the_built_sum(monkeypatch):
             assert interior_contains(g, w)
             assert normals == [total.facets_a[i][0]
                                for i in sorted(g.generator_idx)]
-            assert g.dim == rank([d for f in faces for d in dual_cone_rows(
-                f)[0]])
+            assert g.dim == dim == rank([d for f in faces
+                                         for d in dual_cone_rows(f)[0]])
+            assert dim + rank(levels) == union_point_rank(faces)
             picked.append(g)
         want = [f for f in total.faces() if not f.is_empty
                 and not (f.is_improper and total.dim == spec.n)]
@@ -329,6 +333,32 @@ def test_pairwise_facet_regression():
     p = _poly([(6, 3), (3, 6), (5, 1), (4, 3)], 2, [0, 1])
     assert (2, 1) in {q for q, _ in p.facets_a}
     assert (5, 1) in p.vertices and (4, 3) in p.vertices
+
+
+def test_hull_facet_test_ranks_only_faces_off_the_subset(monkeypatch):
+    """A candidate normal whose q-minimal face holds the candidate's own
+    generators is a facet with no rank; a face off them is ranked.  On the
+    square [0, 2]², the first subsets of ±e₁ and ±e₂ are the edges x₁ = 0
+    and x₂ = 0, and the parallel facets x₁ = 2 and x₂ = 2, whose normals
+    `_facets` does not try again, are kept by a rank of their directions.
+    On the orthant N({0}, {1, 2}) each subset (0, e_j) is its facet, read
+    in layout order, where e₂ comes before e₁ as it does not in
+    `spec.rays()`: no rank."""
+    ranked = []
+
+    def counted(rows, _fn=newton_poly.rank):
+        ranked.append(sorted(rows))
+        return _fn(rows)
+    monkeypatch.setattr(newton_poly, "rank", counted)
+    p = _poly([(0, 0), (0, 2), (2, 0), (2, 2)], 2, [])
+    assert sorted(p.facets_a) == [((-1, 0), -2), ((0, -1), -2),
+                                  ((0, 1), 0), ((1, 0), 0)]
+    # the first call ranks the hull's directions, for its dimension
+    assert sorted(ranked[1:]) == [[(0, 2)], [(2, 0)]], ranked
+    ranked.clear()
+    p = _poly([(0, 0)], 2, [0, 1])
+    assert sorted(p.facets_a) == [((0, 1), 0), ((1, 0), 0)]
+    assert len(ranked) == 1, ranked
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +576,8 @@ def test_facet_masks_and_the_face_index(monkeypatch):
     """Faces as masks of each polyhedron's layout: every facet mask that
     `_facets` returns, for hulls and for 2- and 3-sums (some lying in
     t_n = 0, some with a vertex equal to a ray), decodes to the points
-    `minimal_points` cuts out of each summand, and the mask index of
+    `minimal_points` cuts out of each summand, its level there is the
+    least level of q on the summand, and the mask index of
     `enumerate_faces` maps each face's mask back to that face.  A
     polyhedron built by the pairwise oracle, whose layout is made on first
     use, enumerates the oracle's faces."""
@@ -575,11 +606,12 @@ def test_facet_masks_and_the_face_index(monkeypatch):
             minkowski_faces(polys)
             assert calls[-1][0] == [p.layout() for p in polys]
         for layouts, got in calls:
-            for q, masks in got:
-                for layout, mask in zip(layouts, masks):
+            for q, (masks, lows) in got:
+                for layout, mask, level in zip(layouts, masks, lows):
                     low, zero = minimal_points(q, *layout)
                     assert _mask_keys([layout], mask) == (
                         (set(low), set(zero)),), (layout, q)
+                    assert level == dot(q, low[0]), (layout, q)
                     kinds["facet"] += 1
         calls.clear()
         for p in polys:
