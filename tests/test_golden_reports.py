@@ -1,6 +1,6 @@
 """Golden reports: the sha256 of every report, timing masked, that
 `decide`, `decide-general`, `faces`, `decompose` (with a dyadic_index) and
-`verify` print for six fixed inputs, and that `decide-graph` and `verify`
+`verify` print for seven fixed inputs, and that `decide-graph` and `verify`
 print for one graph input.  A refactor of the hull, the face
 lattices or the parity code must leave each report byte for byte as it
 was; a deliberate change of output updates the table, which
@@ -11,7 +11,10 @@ prints.  The inputs: bounded n = 3 scans (decide with d = 2 and one ray,
 decide with d = 3 and no rays, decide-general with shared monomials), a
 planted odd vertex in n = 4 (decide is unbounded at once, and verify
 re-checks the certificate), and two decide-general inputs that are
-unbounded only in a class other than the identity, with n = 2 and n = 3.
+unbounded only in a class other than the identity, with n = 2 and n = 3,
+and one (n = 2, d = 3) whose odd class has two rows of one support, so
+that two sets T of rows share their lo tuples and the odd tuple sorts
+after six lo tuples of other T's.
 The graph input, in its full form, has the all-odd vertex (5,3).
 """
 
@@ -49,6 +52,11 @@ INPUTS = {
         "coefficients": {
             "1:(0,2,0)": "-2", "1:(3,2,0)": "-2", "2:(0,2,0)": "4",
             "2:(3,2,0)": "4", "2:(2,3,1)": "1", "2:(4,4,2)": "3"}},
+    "twin-odd": {"n": 2, "S": [1], "lambda": [
+        [[2, 3], [3, 3]], [[2, 3], [3, 3]], [[1, 1], [2, 3]]],
+        "coefficients": {
+            "1:(2,3)": "3/2", "1:(3,3)": "-1", "2:(2,3)": "-1",
+            "2:(3,3)": "1", "3:(1,1)": "1", "3:(2,3)": "-1"}},
 }
 
 GRAPH_INPUTS = {
@@ -103,6 +111,14 @@ GOLDEN = {
         "0:182289b0cdfb2c748ca654bbda936e23b9567257968dea0cf5e36e12a7e22195",
     "pair-odd/decompose":
         "0:b6fffbecd5eb6a2084648b1ee4a277e3f2309d246e3fa58e9e605cf1dd0520a0",
+    "twin-odd/decide-general":
+        "3:cc9a71bb329a4624495358b7acd0ead230bd34a020153ce6fdc61a7e2fbf8549",
+    "twin-odd/verify":
+        "0:7b5eca6a983cb1a29931e6c71599882c3eafce1683639847c6274128c2e75fad",
+    "twin-odd/faces":
+        "0:0416b730864215cf887d89d3725697a0e2c824484ab923d2e057b8b667dc4f61",
+    "twin-odd/decompose":
+        "0:ffe71e23060fe875eb43de2e58824ace9a6a7afd0c2539e056367edfbf92de5d",
 }
 
 
