@@ -252,7 +252,7 @@ def _certificate(problem: ProblemInput, verdict: Verdict) -> dict:
             _face_out(nu, f)
             for nu, f in enumerate(verdict.face_tuple.faces)],
         "odd_subset": [list(m) for m in verdict.odd_subset],
-        "union_rank": verdict.union_rank,
+        "union_rank": verdict.face_tuple.union_rank,
         "overlap_witness": _vec_out(verdict.face_tuple.overlap_witness),
     }
     if verdict.gl_matrix is not None:
@@ -375,7 +375,7 @@ def _run(fn):
 def _verdict_body(verdict: Verdict, problem: ProblemInput) -> dict:
     body = {
         "verdict": verdict.kind,
-        "tuples_examined": verdict.tuples_examined,
+        "tuples_examined": verdict.lo_tuples,
         "lo_tuples": verdict.lo_tuples,
     }
     if not verdict.bounded:

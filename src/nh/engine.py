@@ -14,8 +14,9 @@ classification, and the descending face / ascending cone chains.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -51,10 +52,10 @@ class LambdaTuple:
     """Λ = (Λ₁,…,Λ_d) over a common ambient spec, with built polyhedra.
 
     `memo` holds N(Λ_ν, S) by support (a frozenset), `minkowski_faces`
-    of a sum by the tuple of its summands' supports, and, for
-    `decide_general`, the lo tuples of an even set T of components under
-    ("lo", *that tuple); tuples over one spec may share it, so that each
-    is built or walked once."""
+    of a sum by the tuple of its summands' supports, and the walk of a
+    set T of components (`_t_walk`) under ("lo", *its rows' supports);
+    tuples over one spec may share it, so that each is built or walked
+    once."""
 
     def __init__(self, lambdas: Sequence[ExponentSet], spec: DomainSpec,
                  memo: Optional[dict] = None):
@@ -125,11 +126,9 @@ class FaceTuple:
 @dataclass
 class Verdict:
     kind: str                              # "bounded" | "unbounded"
-    tuples_examined: int = 0
-    lo_tuples: int = 0
+    lo_tuples: int = 0                     # tuples scanned
     face_tuple: Optional[FaceTuple] = None
     odd_subset: Optional[list] = None
-    union_rank: Optional[int] = None
     gl_matrix: Optional[tuple] = None      # general case: reaching matrix
     gl_class_count: Optional[int] = None   # general case: support classes
 
@@ -213,12 +212,10 @@ def component_subsets(d: int) -> Iterator[tuple]:
         yield from itertools.combinations(range(d), size)
 
 
-def _walk_order(lam: LambdaTuple):
+def _walk_key(faces) -> list:
     """The sort key of the walk on d-tuples of faces: their face indices,
     the empty face last."""
-    position = [{f: i for i, f in enumerate(p.faces())}
-                for p in lam.polyhedra]
-    return lambda faces: [pos[f] for pos, f in zip(position, faces)]
+    return [f.index for f in faces]
 
 
 def _placed(empties: tuple, subset: Sequence[int], faces) -> tuple:
@@ -230,15 +227,12 @@ def _placed(empties: tuple, subset: Sequence[int], faces) -> tuple:
     return tuple(chosen)
 
 
-def enumerate_lo_tuples(lam: LambdaTuple,
-                        subsets: Optional[Sequence[tuple]] = None,
-                        by_t: Optional[defaultdict] = None
+def enumerate_lo_tuples(lam: LambdaTuple, t: Optional[tuple] = None
                         ) -> Iterator[FaceTuple]:
     """All d-tuples (F_ν), F_ν a face of N(Λ_ν,S) or empty, with
     rank(⋃F_ν) ≤ n−1 and a joint cone-interior witness attached; with
-    `subsets`, only those whose nonempty components are one T listed there
-    (the empty T: the all-empty tuple).  `by_t` collects the yielded
-    tuples by T, each as its faces at the components in T.
+    `t`, only those whose nonempty components are the set T = t (the
+    empty T: the all-empty tuple).
 
     A tuple whose nonempty components are ν ∈ T has a joint open-cone
     point exactly when it is the summand decomposition of a face of the
@@ -250,51 +244,78 @@ def enumerate_lo_tuples(lam: LambdaTuple,
     sum's facet normals through the face.  The all-empty tuple, of rank
     0, takes any x ≠ 0 in Z(S), found by the interior sweep; its cap is
     Z(S), generated by the e_j, j ∈ S.  They are yielded in the
-    lexicographic order of the face indices (faces by descending
-    dimension, then vertex/ray sets, the empty face last); the exact
-    re-check of each witness runs as a tuple is yielded.
+    lexicographic order of the face indices (`_walk_key`: faces by
+    descending dimension, then vertex/ray sets, the empty face last); the
+    exact re-check of each witness runs as a tuple is yielded.
     """
     n = lam.spec.n
     empties = tuple(p.empty_face() for p in lam.polyhedra)
     found = []
-    for subset in (component_subsets(lam.d) if subsets is None
-                   else subsets):
+    for subset in component_subsets(lam.d) if t is None else (t,):
         if not subset:
-            found.append((empties, 0, None, lam.spec.rays(), (), ()))
+            found.append((empties, 0, None, lam.spec.rays()))
             continue
         for part, w, normals, dim, levels in lam.sum_faces(subset):
             r = _union_rank(dim, levels, n)
             if r <= n - 1:
-                found.append((_placed(empties, subset, part), r, w, normals,
-                              subset, part))
-    order = _walk_order(lam)
-    found.sort(key=lambda item: order(item[0]))
-    for faces, r, w, normals, subset, part in found:
+                found.append((_placed(empties, subset, part), r, w, normals))
+    found.sort(key=lambda item: _walk_key(item[0]))
+    for faces, r, w, normals in found:
         if w is None:
             w = cones_interior_intersection(faces)
         else:
             assert all(interior_contains(f, w) for f in faces), \
                 "Minkowski-sum witness failed exact re-check"
         if w is not None:
-            if by_t is not None:
-                by_t[subset].append(part)
             yield FaceTuple(faces, r, w, tuple(normals))
 
 
-def _lo_scan(lam: LambdaTuple, subsets: Optional[Sequence[tuple]] = None,
-             by_t: Optional[defaultdict] = None):
-    """First odd low-rank overlapping tuple (deterministic), its odd
-    subset, and the number of tuples scanned, over the T's in `subsets`
-    (default all), collecting them in `by_t` (`enumerate_lo_tuples`).
-    `decide_general` scans only a class's unwalked T's and keeps `by_t`
-    in its memo, so that a bounded class is the sum of its T counts."""
-    count = 0
-    for ft in enumerate_lo_tuples(lam, subsets, by_t):
-        count += 1
-        u = ft.union_lambda()
-        if not is_even(u):
-            return ft, odd_witness(u), count
-    return None, None, count
+def _t_walk(lam: LambdaTuple, t: tuple):
+    """The walk of one set T = t of components (`enumerate_lo_tuples`) up
+    to its first odd tuple: (the T walked, the tuples walked, the odd
+    one's index or None).  A T's tuples depend only on its rows'
+    supports, so the walk is kept in `lam`'s memo under
+    ("lo", *those supports) and serves every T of those supports, in
+    this tuple or another sharing the memo: its tuples are the walked
+    ones with their faces moved to its own components (`_lo_scan`)."""
+    key = ("lo", *(lam.lambdas[nu].points for nu in t))
+    if key not in lam._memo:
+        walked, odd = [], None
+        for ft in enumerate_lo_tuples(lam, t):
+            walked.append(ft)
+            if not is_even(ft.union_lambda()):
+                odd = len(walked) - 1
+                break
+        lam._memo[key] = (t, walked, odd)
+    return lam._memo[key]
+
+
+def _lo_scan(lam: LambdaTuple):
+    """First odd low-rank overlapping tuple of the walk, its odd subset,
+    and the number of tuples scanned up to it, from the walks of the
+    nonempty T's (`_t_walk`).  If none is odd, the count is every
+    tuple's: the walks' lengths plus the all-empty tuple, walked last so
+    that its LP runs only then.  Otherwise a T's walk is the walk's order
+    restricted to T, so the least of the T's first odd tuples is the
+    walk's first, and the tuples before it are the walked tuples of every
+    T that sort before it (the all-empty tuple sorts last)."""
+    walks = [(t, *_t_walk(lam, t))
+             for t in component_subsets(lam.d) if t]
+    if all(odd is None for *_, odd in walks):
+        return None, None, sum(len(walked) for _, _, walked, _ in walks) + \
+            len(_t_walk(lam, ())[1])
+    empties = tuple(p.empty_face() for p in lam.polyhedra)
+
+    def placed(t, walker, ft):
+        return _placed(empties, t, [ft.faces[nu] for nu in walker])
+    first = min((dataclasses.replace(walked[odd], faces=placed(
+                    t, walker, walked[odd]))
+                 for t, walker, walked, odd in walks if odd is not None),
+                key=lambda ft: _walk_key(ft.faces))
+    bound = _walk_key(first.faces)
+    count = 1 + sum(_walk_key(placed(t, walker, ft)) < bound
+                    for t, walker, walked, _ in walks for ft in walked)
+    return first, odd_witness(first.union_lambda()), count
 
 
 def decide_disjoint(lam: LambdaTuple) -> Verdict:
@@ -304,9 +325,8 @@ def decide_disjoint(lam: LambdaTuple) -> Verdict:
     ft, odd, count = _lo_scan(lam)
     if ft is not None:
         return Verdict(kind="unbounded", face_tuple=ft, odd_subset=odd,
-                       union_rank=ft.union_rank,
-                       tuples_examined=count, lo_tuples=count)
-    return Verdict(kind="bounded", tuples_examined=count, lo_tuples=count)
+                       lo_tuples=count)
+    return Verdict(kind="bounded", lo_tuples=count)
 
 
 # ---------------------------------------------------------------------------
@@ -413,58 +433,31 @@ def decide_general(p: VectorPolynomial) -> Verdict:
     DepthCapHit.
 
     The classes share one memo (`LambdaTuple`), which lives for this call
-    only: their polyhedra and Minkowski sums, and the lo tuples of each
-    even T-support tuple (the supports of the rows in a set T of rows),
-    on which alone a T's tuples and their unions depend.  A class walks,
-    in one sorted scan, only the T's no earlier class has walked, one per
-    T-support tuple; if they are all even, the class is bounded and adds
-    the counts of all its T's, the all-empty tuple included.  So each
-    T-support tuple is walked once and the all-empty tuple's LP runs
-    once.  In an odd class the scan stops at the first odd tuple of the
-    class's sorted walk, and the count adds the lo tuples of T's walked
-    earlier that sort before it; only when the class has two T's of one
-    T-support tuple, and the scan took one for both, is the class walked
-    again in full by `_lo_scan`."""
+    only: their polyhedra and Minkowski sums, and the walk of each
+    T-support tuple (the supports of the rows in a set T of rows), on
+    which alone a T's tuples and their unions depend (`_t_walk`).  Each
+    class is scanned by `_lo_scan` and adds its count; the first odd
+    class is the verdict.  So each T-support tuple is walked once and the
+    all-empty tuple's LP runs once, and the counts are those of a walk
+    of every class in full."""
     classes, cap_hit = enumerate_support_classes(p)
     count = 0
-    memo: dict = {}     # the classes' polyhedra, sums and even T's tuples
+    memo: dict = {}     # the classes' polyhedra, sums and T walks
     for cls in classes:
         live = [s for s in cls.supports if s]
         if not live:
             continue
-        lam = LambdaTuple(
-            [ExponentSet.of(s, p.spec.n) for s in live], p.spec, memo)
-        keys = {t: ("lo", *(lam.lambdas[nu].points for nu in t))
-                for t in component_subsets(lam.d)}
-        old = [t for t, key in keys.items() if key in memo]
-        new: dict = {}      # one unwalked T per key
-        for t, key in keys.items():
-            if key not in memo:
-                new.setdefault(key, t)
-        by_t: defaultdict = defaultdict(list)
-        ft, odd, scanned = _lo_scan(lam, list(new.values()), by_t)
-        if ft is None:
-            memo.update((key, by_t[t]) for key, t in new.items())
-            count += sum(len(memo[key]) for key in keys.values())
-            continue
-        if len(old) + len(new) < len(keys):
-            ft, odd, scanned = _lo_scan(lam)
-        else:
-            order = _walk_order(lam)
-            empties = tuple(q.empty_face() for q in lam.polyhedra)
-            bound = order(ft.faces)
-            scanned += sum(order(_placed(empties, t, faces)) < bound
-                           for t in old for faces in memo[keys[t]])
+        ft, odd, scanned = _lo_scan(LambdaTuple(
+            [ExponentSet.of(s, p.spec.n) for s in live], p.spec, memo))
         count += scanned
-        return Verdict(kind="unbounded", face_tuple=ft, odd_subset=odd,
-                       union_rank=ft.union_rank,
-                       gl_matrix=cls.matrix,
-                       gl_class_count=len(classes),
-                       tuples_examined=count, lo_tuples=count)
+        if ft is not None:
+            return Verdict(kind="unbounded", face_tuple=ft, odd_subset=odd,
+                           gl_matrix=cls.matrix,
+                           gl_class_count=len(classes), lo_tuples=count)
     if cap_hit:
         raise DepthCapHit(f"class search cut {DEPTH_CAP_BASE ** p.d} steps "
                           f"deep with all {len(classes)} classes bounded")
-    return Verdict(kind="bounded", tuples_examined=count, lo_tuples=count,
+    return Verdict(kind="bounded", lo_tuples=count,
                    gl_class_count=len(classes))
 
 

@@ -106,6 +106,9 @@ class Face:
     dim: int
     is_empty: bool = False
     is_improper: bool = False
+    # the position in its polyhedron's `faces()`, set by `enumerate_faces`
+    index: Optional[int] = field(default=None, init=False, compare=False,
+                                 repr=False)
     # F ∩ Ω, the echelon rows of F's directions, and F's dual-cone rows,
     # filled by the first `lambda_points()`, `direction_basis()` and
     # `dual_cone_rows`
@@ -454,7 +457,9 @@ def enumerate_faces(p: NewtonPolyhedron) -> list:
                       generator_idx=frozenset(range(len(incidence))),
                       vertex_set=frozenset(), ray_set=frozenset(),
                       dim=-1, is_empty=True))
-    # frozen dataclass: the caches are set once, here
+    # frozen dataclass: the indices and caches are set once, here
+    for i, f in enumerate(faces):
+        object.__setattr__(f, "index", i)
     object.__setattr__(p, "_face_index", index)
     object.__setattr__(p, "_faces", faces)
     return faces

@@ -5,7 +5,7 @@ Each class gets its own `LambdaTuple` and is walked in full, in the sorted
 order of `enumerate_lo_tuples`, so every class rebuilds its Newton
 polyhedra and Minkowski-sum lattices and rewalks every set T of rows;
 `decide_general` instead walks each T-support tuple once per call and
-adds up the counts of a bounded class.  The class order, the in-class
+counts each class from those walks.  The class order, the in-class
 tuple order and the verdict fields are those of `decide_general`, so the
 two give byte-identical reports.
 """
@@ -37,12 +37,11 @@ def decide_general_per_class(p) -> Verdict:
             if not is_even(u):
                 return Verdict(kind="unbounded", face_tuple=ft,
                                odd_subset=odd_witness(u),
-                               union_rank=ft.union_rank,
                                gl_matrix=cls.matrix,
                                gl_class_count=len(classes),
-                               tuples_examined=count, lo_tuples=count)
+                               lo_tuples=count)
     if cap_hit:
         raise DepthCapHit(f"class search cut {DEPTH_CAP_BASE ** p.d} steps "
                           f"deep with all {len(classes)} classes bounded")
-    return Verdict(kind="bounded", tuples_examined=count, lo_tuples=count,
+    return Verdict(kind="bounded", lo_tuples=count,
                    gl_class_count=len(classes))

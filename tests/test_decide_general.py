@@ -12,8 +12,8 @@ even (`general_inputs.frustum_input`).
 Counting wrappers on the engine's bindings show, on bounded inputs, one
 `build_newton` per distinct support, one `minkowski_faces` per distinct
 tuple of summand supports, one walk per distinct T-support tuple and one
-all-empty LP per call, and that no memo outlives a call of
-`decide-general` or `decide`.
+all-empty LP per call; no all-empty LP on an unbounded `decide`; and
+that no memo outlives a call of `decide-general` or `decide`.
 """
 
 import itertools
@@ -32,11 +32,13 @@ from nh.cli import EXIT_BOUNDED, EXIT_UNBOUNDED, ProblemInput, main
 from nh.engine import (
     LambdaTuple,
     component_subsets,
+    decide_disjoint,
     decide_general,
     enumerate_lo_tuples,
     enumerate_support_classes,
 )
 from nh.newton_poly import ExponentSet
+from test_golden_reports import INPUTS as GOLDEN_INPUTS
 
 TIMING = re.compile(r'"timing_seconds": [-0-9.e]+')
 
@@ -133,6 +135,23 @@ def _odd_tuple_place(p, verdict) -> tuple:
     raise AssertionError("the odd tuple is not in its class's walk")
 
 
+def _odd_class_sharing(p, verdict) -> set:
+    """How the odd class of an unbounded `decide_general` verdict shares
+    T walks: "twin rows" if two of its rows have one support, so that two
+    of its T's share a walk, and "earlier class" if one of its nonempty
+    T's has the rows' supports of a nonempty T of an earlier class."""
+    classes, _ = enumerate_support_classes(p)
+    keys = []
+    for cls in classes:
+        live = [s for s in cls.supports if s]
+        keys.append({tuple(live[nu] for nu in t)
+                     for t in component_subsets(len(live)) if t})
+        if cls.matrix == verdict.gl_matrix:
+            break
+    return ({"twin rows"} if len(set(live)) < len(live) else set()) | (
+        {"earlier class"} if keys[-1] & set().union(*keys[:-1]) else set())
+
+
 def _write(tmp_path, payload) -> str:
     path = tmp_path / "in.json"
     path.write_text(json.dumps(payload))
@@ -157,12 +176,12 @@ def counts(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(engine, name, counted)
 
-    def walk(lam, subsets=None, *rest, _fn=engine.enumerate_lo_tuples):
-        if subsets is None:
+    def walk(lam, t=None, _fn=engine.enumerate_lo_tuples):
+        if t is None:
             seen["walk"] += 1
-        for t in subsets or ():
+        else:
             seen["walk", tuple(lam.lambdas[nu].points for nu in t)] += 1
-        return _fn(lam, subsets, *rest)
+        return _fn(lam, t)
     monkeypatch.setattr(engine, "enumerate_lo_tuples", walk)
     return seen
 
@@ -178,7 +197,7 @@ def test_reports_match_the_per_class_oracle(tmp_path, monkeypatch):
     rng = random.Random(1906)
     seen = Counter()
     late = Counter()    # odd tuples after other T's, by (|T| > 1, d = 4)
-    odd_scans = Counter()   # how the odd class's tuples before it counted
+    odd_class = Counter()   # odd classes, by how they share T walks
     moved = 0
     inputs = [_hidden_odd_input(rng, d) for d in (2, 3, 4)] + [
         _random_input(rng, d, rng.random() < 0.5)
@@ -200,17 +219,8 @@ def test_reports_match_the_per_class_oracle(tmp_path, monkeypatch):
                         EXIT_UNBOUNDED), report
         if kind == "unbounded":
             p = ProblemInput(payload).polynomial()
-            scans = []
-
-            def scan(lam, subsets=None, *rest, _fn=engine._lo_scan):
-                scans.append(subsets)
-                return _fn(lam, subsets, *rest)
-            with monkeypatch.context() as m:
-                m.setattr(engine, "_lo_scan", scan)
-                verdict = decide_general(p)
-            odd_scans["rescan" if scans[-1] is None else
-                      "earlier" if len(scans[-1]) < 2 ** len(
-                          verdict.face_tuple.faces) else "first"] += 1
+            verdict = decide_general(p)
+            odd_class.update(_odd_class_sharing(p, verdict))
             size, before = _odd_tuple_place(p, verdict)
             late[size > 1, d == 4] += before > 0
             matrix = json.loads(report)["certificate"]["gl_matrix"]
@@ -226,7 +236,7 @@ def test_reports_match_the_per_class_oracle(tmp_path, monkeypatch):
                for kind in ("bounded", "unbounded")) >= 4, seen
     assert moved >= 3, moved
     assert min(late.values()) >= 2 and len(late) == 4, late
-    assert min(odd_scans.values()) >= 2 and len(odd_scans) == 3, odd_scans
+    assert min(odd_class.values()) >= 2 and len(odd_class) == 2, odd_class
 
 
 def test_each_support_and_each_sum_is_built_once(counts):
@@ -285,6 +295,22 @@ _DECIDE_D3 = {"n": 3, "S": [1],
               "lambda": [[[2, 0, 1], [0, 2, 0], [4, 1, 3]],
                          [[0, 0, 2], [2, 3, 0], [0, 1, 1]],
                          [[2, 2, 0], [0, 3, 2], [4, 0, 2]]]}
+
+
+def test_all_empty_lp_runs_only_when_no_tuple_is_odd(counts):
+    """The all-empty tuple sorts last in the walk, so `decide` solves its
+    LP only on a bounded input: not on the planted odd vertex (d = 1), nor
+    on a d = 2 input whose first odd tuple is on the pair sum, sorting
+    before an odd tuple of row 2 alone; once on a bounded input."""
+    d2_odd = {"n": 2, "S": [1],
+              "lambda": [[[0, 1], [2, 0], [2, 2]], [[3, 3]]]}
+    cases = [(GOLDEN_INPUTS["planted-odd"], "unbounded", 0),
+             (d2_odd, "unbounded", 0), (_DECIDE_D3, "bounded", 1)]
+    for payload, kind, calls in cases:
+        counts.clear()
+        verdict = decide_disjoint(ProblemInput(payload).lambda_tuple())
+        assert (verdict.kind, counts["cones_interior_intersection"]) == (
+            kind, calls), payload
 
 
 def test_no_memo_outlives_a_call(counts, monkeypatch, tmp_path):

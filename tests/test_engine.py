@@ -57,7 +57,7 @@ def test_trio_local_odd_point():
     v = decide_disjoint(_lam([[(1, 1)]], 2, [0, 1]))
     assert not v.bounded
     assert v.odd_subset == [(1, 1)]
-    assert v.union_rank <= 1
+    assert v.face_tuple.union_rank <= 1
 
 
 def test_trio_local_even_point():

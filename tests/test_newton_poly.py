@@ -401,6 +401,7 @@ def test_hull_and_lattice_match_the_subset_oracle():
             (omega, spec)
         assert _face_data(enumerate_faces(p)) == _face_data(
             enumerate_faces_subsets(ref)), (omega, spec)
+        assert [f.index for f in p.faces()] == list(range(len(p.faces())))
         seen_dims.add((spec.n, p.dim))
     # every dimension 0..n occurs for n = 2, 3, 4
     assert {(n, m) for n in (2, 3, 4) for m in range(n + 1)} <= seen_dims
