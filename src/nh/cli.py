@@ -309,7 +309,13 @@ def _report(problem: ProblemInput, body: dict, started: float) -> dict:
 # ---------------------------------------------------------------------------
 
 _seed = click.option("--seed", type=int, default=0, show_default=True,
-                     help="RNG seed for sampled probe points.")
+                     help="RNG seed for sampled probe points (>= 0).")
+
+
+def _check_seed(seed: int) -> None:
+    """numpy's generators take no negative seed: E_MALFORMED."""
+    if seed < 0:
+        raise InputError("E_MALFORMED", f"--seed {seed} must be >= 0")
 
 
 def _common(fn):
@@ -582,6 +588,7 @@ def probe_divergence(input_path, fmt, seed):
     from . import oscillatory as osc
 
     def body():
+        _check_seed(seed)
         started = time.time()
         problem = _load(input_path)
         p = problem.polynomial()
@@ -621,6 +628,7 @@ def probe_sum(input_path, fmt, seed):
     from . import oscillatory as osc
 
     def body():
+        _check_seed(seed)
         started = time.time()
         problem = _load(input_path)
         p = problem.polynomial()
@@ -671,6 +679,7 @@ def probe_decay(input_path, fmt, seed):
     from . import oscillatory as osc
 
     def body():
+        _check_seed(seed)
         started = time.time()
         problem = _load(input_path)
         p = problem.polynomial()

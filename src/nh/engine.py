@@ -6,10 +6,12 @@ summand decompositions of the faces of the Minkowski sums of the polyhedra
 — applies the evenness criterion to ⋃(F_ν ∩ Λ_ν), and emits re-checkable
 verdicts.  Each such tuple carries the generators of Cap(F*) = ⋂F_ν*: the
 sum's facet normals through its face, so no cone is searched for its
-extreme rays.
+extreme rays; its lineality is read off the polyhedra's edge directions.
 Also: the graph case as that criterion on the unit-augmented tuple, the
-GL(d) elimination cascade with support-class closure, dyadic cone
-classification, and the descending face / ascending cone chains.
+GL(d) elimination cascade with support-class closure (each row operation
+applied once to the coefficient rows of U·P, and to U only for a new
+class), dyadic cone classification, and the descending face / ascending
+cone chains.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .newton_poly import (
     Face,
     build_newton,
     cones_interior_intersection,
-    dual_cone_rows,
     face_by_cone_interior,
     interior_contains,
     minkowski_faces,
@@ -181,8 +182,8 @@ class VectorPolynomial:
 @dataclass(frozen=True)
 class GLClass:
     matrix: tuple                 # d×d rows of Fractions, invertible
-    poly: VectorPolynomial        # matrix · P
-    supports: tuple               # poly's supports, one frozenset per row
+    rows: tuple                   # matrix · P: one {exponent: coefficient}
+    supports: tuple               # rows' supports, one frozenset per row
 
 
 # ---------------------------------------------------------------------------
@@ -357,36 +358,28 @@ def decide_graph(lambda_last: ExponentSet, spec: DomainSpec) -> Verdict:
 # GL(d) cascade and the general criterion
 # ---------------------------------------------------------------------------
 
-def _identity(d: int) -> tuple:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(d))
-                 for i in range(d))
-
-
-def _matmul(a: tuple, b: tuple) -> tuple:
-    d = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d))
-        for i in range(d))
-
-
 DEPTH_CAP_BASE = 2          # the class search goes 2^d eliminations deep
 
 
 def enumerate_support_classes(p: VectorPolynomial):
     """Support patterns Λ(UP) reachable by downward single-pivot
     eliminations (breadth-first, at most DEPTH_CAP_BASE^d steps deep),
-    deduplicated by support pattern.  Each step subtracts the multiple of
-    row k that cancels a monomial m of row j > k, on the exact
-    coefficients, so U is lower unitriangular and U·P has the recorded
-    supports.  The step changes only row j, to row j + a·row k, so that
-    row's support is found first, on row k's monomials, and U·P and U are
-    built only for a support pattern not seen before.
+    deduplicated by support pattern.  Each step cancels a monomial m of
+    row j > k by adding a multiple a of row k: it computes row j + a·row k
+    once, on U·P's coefficient rows, reads the new support off it, and
+    only for a support pattern not seen before applies the same step to
+    U's row j.  So U is lower unitriangular and U·P has the recorded
+    coefficients.
 
     Returns (classes, cap_hit) where classes is a list of GLClass.
     """
     d = p.d
     depth_cap = DEPTH_CAP_BASE ** d
-    start = GLClass(_identity(d), p, p.supports())
+    rows = tuple({} for _ in range(d))
+    for (nu, m), c in p.coefficients.items():
+        rows[nu][m] = c
+    start = GLClass(tuple(tuple(Fraction(int(i == j)) for j in range(d))
+                          for i in range(d)), rows, p.supports())
     classes: dict = {start.supports: start}
     queue = deque([(start, 0)])
     cap_hit = False
@@ -395,26 +388,29 @@ def enumerate_support_classes(p: VectorPolynomial):
         if depth >= depth_cap:
             cap_hit = True
             continue
-        coef = cls.poly.coefficients
         for k in range(d):
-            row_k = sorted(cls.supports[k])
-            for m in row_k:
+            row_k = cls.rows[k]
+            for m in sorted(row_k):
                 for j in range(k + 1, d):
-                    if m not in cls.supports[j]:
+                    if m not in cls.rows[j]:
                         continue
-                    a = -coef[(j, m)] / coef[(k, m)]
-                    row_j = (cls.supports[j] - cls.supports[k]).union(
-                        x for x in row_k
-                        if coef.get((j, x), 0) + a * coef[(k, x)])
-                    if cls.supports[:j] + (row_j,) + cls.supports[j + 1:] \
-                            in classes:
+                    a = -cls.rows[j][m] / row_k[m]
+                    row_j = dict(cls.rows[j])
+                    for x, c in row_k.items():
+                        row_j[x] = row_j.get(x, 0) + a * c
+                        if not row_j[x]:
+                            del row_j[x]
+                    supports = (cls.supports[:j] + (frozenset(row_j),)
+                                + cls.supports[j + 1:])
+                    if supports in classes:
                         continue
-                    elem = [list(row) for row in _identity(d)]
-                    elem[j][k] = a
-                    poly = cls.poly.transformed(elem)
-                    nxt = GLClass(_matmul(elem, cls.matrix), poly,
-                                  poly.supports())
-                    classes[nxt.supports] = nxt
+                    u_j = tuple(x + a * y for x, y in zip(cls.matrix[j],
+                                                          cls.matrix[k]))
+                    nxt = GLClass(
+                        cls.matrix[:j] + (u_j,) + cls.matrix[j + 1:],
+                        cls.rows[:j] + (row_j,) + cls.rows[j + 1:],
+                        supports)
+                    classes[supports] = nxt
                     queue.append((nxt, depth + 1))
     return list(classes.values()), cap_hit
 
@@ -492,21 +488,21 @@ def build_face_chain(tuple_: FaceTuple):
     whole polyhedron.  Any order of the generators gives a valid chain.
 
     Returns (generators, lineality, chains), the lineality a nullspace
-    basis of the faces' dual-cone rows and chains a list of length N+1 of
-    d-tuples of faces.
+    basis of S's unit rays and the edge directions of the nonempty faces'
+    polyhedra (the row space of their dual cones: a nonempty face's
+    spans its polyhedron's directions, the empty face's the e_j, j ∈ S)
+    and chains a list of length N+1 of d-tuples of faces.
     """
     if tuple_.cap_generators is None:
         raise ValueError("face tuple carries no Cap(F*) generators; take it "
                          "from enumerate_lo_tuples")
     faces = tuple_.faces
-    n = faces[0].parent.spec.n
+    spec = faces[0].parent.spec
+    n = spec.n
     gens = sorted(tuple_.cap_generators)
-    eqs, ges = [], []
-    for f in faces:
-        eq, ge = dual_cone_rows(f)
-        eqs += eq
-        ges += ge
-    lin = nullspace(eqs + ges, n=n)
+    lin = nullspace(spec.rays() + sorted(
+        set().union(*(f.parent.edge_directions() for f in faces
+                      if not f.is_empty))), n=n)
     chains = []
     acc = tuple(Fraction(0) for _ in range(n))
     chains.append(tuple(f.parent.improper_face() for f in faces))

@@ -5,8 +5,9 @@ improper face and the empty face of dimension −1), the face a functional
 cuts out, the faces of a Minkowski sum of polyhedra as tuples of summand
 faces with the sum's facet normals through each (`minkowski_faces`), and
 the F = N(Λ∩F, S₀) closure structure.  A
-face's dual cone F* has one H-description, `dual_cone_rows`; membership in
-(F*)° and the joint cone-interior LP are read from its rows.
+face F is read off its dual cone by one cut (`minimal_points`): x lies in
+the open cone (F*)° exactly when x cuts F out of P (the normal fan), and
+F ∩ Ω is the cut of Ω by the sum of F's facet normals.
 
 One facet test serves a polyhedron and a Minkowski sum alike (`_facets`):
 a candidate normal ±q is the null line (`null_line`) of n−1 rows —
@@ -94,7 +95,7 @@ class DomainSpec:
 
     def in_zs(self, x: Sequence) -> bool:
         """x ∈ Z(S): nonnegative in local directions, free otherwise."""
-        return all(Fraction(x[j]) >= 0 for j in self.S)
+        return all(x[j] >= 0 for j in self.S)
 
 
 @dataclass(frozen=True)
@@ -109,14 +110,11 @@ class Face:
     # the position in its polyhedron's `faces()`, set by `enumerate_faces`
     index: Optional[int] = field(default=None, init=False, compare=False,
                                  repr=False)
-    # F ∩ Ω, the echelon rows of F's directions, and F's dual-cone rows,
-    # filled by the first `lambda_points()`, `direction_basis()` and
-    # `dual_cone_rows`
+    # F ∩ Ω and the echelon rows of F's directions, filled by the first
+    # `lambda_points()` and `direction_basis()`
     _lambda: Optional[tuple] = field(default=None, init=False, compare=False,
                                      repr=False)
     _span: Optional[tuple] = field(default=None, init=False, compare=False,
-                                   repr=False)
-    _cone: Optional[tuple] = field(default=None, init=False, compare=False,
                                    repr=False)
 
     def __eq__(self, other):
@@ -142,15 +140,16 @@ class Face:
 
     def lambda_points(self) -> list:
         """Points of the underlying exponent set lying on this face (F ∩ Ω),
-        sorted; computed once per face."""
+        sorted; computed once per face.  The sum of F's facet normals lies
+        in (F*)°, so it cuts F ∩ Ω out of Ω; on the improper face it is 0,
+        which cuts out all of Ω."""
         if self._lambda is None:
             p = self.parent
-            tight = [p.facets_a[i] for i in self.generator_idx]
+            normals = [p.facets_a[i][0] for i in self.generator_idx]
+            x = tuple(map(sum, zip(*normals))) if normals else (0,) * p.spec.n
             # frozen dataclass: the cache is set once, here
             object.__setattr__(self, "_lambda", () if self.is_empty else tuple(
-                m for m in p.omega.sorted_points()
-                if all(sum(map(operator.mul, q, m)) == level
-                       for q, level in tight)))
+                minimal_points(x, p.omega.sorted_points(), ())[0]))
         return list(self._lambda)
 
     def direction_basis(self) -> tuple:
@@ -540,91 +539,7 @@ def _sum_faces(polys: Sequence[NewtonPolyhedron]) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the dual cone F*
-# ---------------------------------------------------------------------------
-
-def dual_cone_rows(f: Face) -> tuple:
-    """H-description (eq, ge) of the closed dual cone
-    F* = {x : a·x = 0 for a ∈ eq, a·x ≥ 0 for a ∈ ge}, in x alone (the
-    supporting level is eliminated at the face's least vertex v₀).
-
-    eq: v − v₀ for the face's other vertices, and the face's rays.
-    ge: w − v₀ for P's other vertices and P's other rays; e_j for j ∈ S
-    on the empty face, whose dual is Z(S).  The open cone (F*)° holds
-    the x ≠ 0 with every eq row 0 and every ge row > 0 (≥ 0 on the empty
-    face; the improper face has no ge rows).  Computed once per face."""
-    if f._cone is None:
-        p = f.parent
-        if f.is_empty:
-            rows = (), tuple(unit(p.spec.n, j) for j in sorted(p.spec.S))
-        else:
-            v0 = min(f.vertex_set)
-            rows = (tuple(_directions(f.vertex_set, f.ray_set)),
-                    tuple([vsub(w, v0) for w in sorted(p.vertices
-                                                       - f.vertex_set)]
-                          + sorted(p.rays - f.ray_set)))
-        # frozen dataclass: the cache is set once, here
-        object.__setattr__(f, "_cone", rows)
-    return f._cone
-
-
-def interior_contains(f: Face, x: Sequence) -> bool:
-    """x ∈ (F*)°, the open dual cone of the face, in the full-space sense
-    (exact: x holds ints or Fractions, the rows ints)."""
-    if len(x) != f.parent.spec.n:
-        raise ValueError("ambient dimension mismatch")
-    eq, ge = dual_cone_rows(f)
-    if is_zero(x) or any(sum(map(operator.mul, a, x)) for a in eq):
-        return False
-    if f.is_empty:
-        return all(sum(map(operator.mul, a, x)) >= 0 for a in ge)
-    return all(sum(map(operator.mul, a, x)) > 0 for a in ge)
-
-
-def cones_interior_intersection(faces: Sequence[Face]) -> Optional[tuple]:
-    """Exact rational witness x ∈ ⋂(F_ν*)°, or None: one LP over x, with
-    each face's eq rows as equalities and its ge rows strict (weak on the
-    empty face)."""
-    if not faces:
-        raise ValueError("no faces given")
-    n = faces[0].parent.spec.n
-    if any(f.parent.spec.n != n for f in faces):
-        raise ValueError("faces live in different ambient spaces")
-    eqs, weak, strict = [], [], []
-    for f in faces:
-        eq, ge = dual_cone_rows(f)
-        eqs += [(a, 0) for a in eq]
-        (weak if f.is_empty else strict).extend((a, 0) for a in ge)
-
-    def attempt(extra_strict):
-        return solve_strict(StrictSystem(
-            dim=n, equalities=tuple(eqs), weak=tuple(weak),
-            strict=tuple(strict) + tuple(extra_strict)))
-
-    if strict:
-        x = attempt(())
-    else:
-        # only empty/improper faces: cone is a linear-ish set through 0, and
-        # the interior excludes 0 — sweep signed coordinate directions.
-        x = None
-        for j in range(n):
-            for sign in (1, -1):
-                row = [0] * n
-                row[j] = sign
-                x = attempt(((tuple(row), 0),))
-                if x is not None:
-                    break
-            if x is not None:
-                break
-    if x is None:
-        return None
-    assert all(interior_contains(f, x) for f in faces), \
-        "interior witness failed exact re-check"
-    return x
-
-
-# ---------------------------------------------------------------------------
-# the face a functional cuts out, and closure structure
+# the face a functional cuts out, its open dual cone, and closure structure
 # ---------------------------------------------------------------------------
 
 def minimal_points(x: Sequence, points: Iterable, rays: Iterable) -> tuple:
@@ -636,6 +551,43 @@ def minimal_points(x: Sequence, points: Iterable, rays: Iterable) -> tuple:
     low = min(levels.values())
     return ([m for m, lv in levels.items() if lv == low],
             [r for r in rays if sum(map(operator.mul, x, r)) == 0])
+
+
+def interior_contains(f: Face, x: Sequence) -> bool:
+    """x ∈ (F*)°, the open dual cone of the face, in the full-space sense:
+    an x ≠ 0 in Z(S) that cuts F out of P (`minimal_points`), or any such
+    x on the empty face, whose dual cone is Z(S).  Exact: x holds ints or
+    Fractions."""
+    p = f.parent
+    if len(x) != p.spec.n:
+        raise ValueError("ambient dimension mismatch")
+    if is_zero(x) or not p.spec.in_zs(x):
+        return False
+    if f.is_empty:
+        return True
+    low, zero = minimal_points(x, p.vertices, p.rays)
+    return frozenset(low) == f.vertex_set and frozenset(zero) == f.ray_set
+
+
+def cones_interior_intersection(faces: Sequence[Face]) -> Optional[tuple]:
+    """Exact rational witness x ∈ ⋂(F_ν*)° for empty faces F_ν, whose open
+    dual cones are all Z(S) ∖ {0}, or None: one LP over x with the rows
+    e_j ≥ 0 for j ∈ S and a signed coordinate direction ±e_k > 0, for each
+    k and sign in turn until one is feasible."""
+    if not faces or not all(f.is_empty for f in faces):
+        raise ValueError("the sweep takes empty faces only")
+    spec = faces[0].parent.spec
+    n = spec.n
+    weak = tuple((unit(n, j), 0) for j in sorted(spec.S))
+    for k in range(n):
+        for sign in (1, -1):
+            x = solve_strict(StrictSystem(dim=n, weak=weak, strict=(
+                (tuple(sign * c for c in unit(n, k)), 0),)))
+            if x is not None:
+                assert all(interior_contains(f, x) for f in faces), \
+                    "interior witness failed exact re-check"
+                return x
+    return None
 
 
 def face_by_cone_interior(p: NewtonPolyhedron, x: Sequence) -> Face:

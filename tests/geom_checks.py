@@ -3,12 +3,15 @@ checkers.
 
 Used by both the unit tests and the acceptance gate, so that the acceptance
 runs exercise exactly the checks documented here.  The oracles are the
-closed-cone membership test, a nonzero point of a closed cone
-intersection, the open-cone membership test, the joint-interior LP and
-S₀ written against the supporting levels ρ (the form `dual_cone_rows`
-eliminates), the extreme rays of a cone by search over tight row subsets
-(the generators of Cap(F*) that the engine reads off the Minkowski-sum
-lattice), and the published double-Hilbert vertex criterion.
+H-rows of a face's dual cone in x alone (`dual_cone_rows`; the engine
+reads a face off a functional's cut instead) and the joint-interior LP
+over them, the closed-cone membership test, a nonzero point of a closed
+cone intersection, the open-cone membership test, the joint-interior LP
+and S₀ written against the supporting levels ρ (the form
+`dual_cone_rows` eliminates), the extreme rays of a cone by search over
+tight row subsets (the generators of Cap(F*) that the engine reads off
+the Minkowski-sum lattice), and the published double-Hilbert vertex
+criterion.
 """
 
 import itertools
@@ -34,7 +37,6 @@ from nh.newton_poly import (
     DomainSpec,
     ExponentSet,
     build_newton,
-    dual_cone_rows,
     enumerate_faces,
     face_by_cone_interior,
 )
@@ -54,6 +56,48 @@ def random_instance(rng: random.Random, n_max: int = 3, max_points: int = 6,
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
+
+def dual_cone_rows(f) -> tuple:
+    """H-description (eq, ge) of the closed dual cone
+    F* = {x : a·x = 0 for a ∈ eq, a·x ≥ 0 for a ∈ ge}, in x alone (the
+    supporting level is eliminated at the face's least vertex v₀).
+
+    eq: v − v₀ for the face's other vertices, and the face's rays.
+    ge: w − v₀ for P's other vertices and P's other rays; e_j for j ∈ S
+    on the empty face, whose dual is Z(S).  The open cone (F*)° holds
+    the x ≠ 0 with every eq row 0 and every ge row > 0 (≥ 0 on the empty
+    face; the improper face has no ge rows)."""
+    p = f.parent
+    if f.is_empty:
+        return (), tuple(unit(p.spec.n, j) for j in sorted(p.spec.S))
+    vs = sorted(f.vertex_set)
+    return (tuple([vsub(v, vs[0]) for v in vs[1:]] + sorted(f.ray_set)),
+            tuple([vsub(w, vs[0]) for w in sorted(p.vertices - f.vertex_set)]
+                  + sorted(p.rays - f.ray_set)))
+
+
+def x_cones_interior_intersection(faces):
+    """A point of ⋂(F_ν*)° from one LP over x on `dual_cone_rows`, or
+    None: each face's eq rows as equalities and its ge rows strict (weak
+    on the empty face); with no strict row, the signed coordinate
+    directions are swept."""
+    n = faces[0].parent.spec.n
+    eqs, weak, strict = [], [], []
+    for f in faces:
+        eq, ge = dual_cone_rows(f)
+        eqs += [(a, 0) for a in eq]
+        (weak if f.is_empty else strict).extend((a, 0) for a in ge)
+    extras = [()] if strict else [
+        ((tuple(sign * c for c in unit(n, j)), 0),)
+        for j in range(n) for sign in (1, -1)]
+    for extra in extras:
+        x = solve_strict(StrictSystem(
+            dim=n, equalities=tuple(eqs), weak=tuple(weak),
+            strict=tuple(strict) + extra))
+        if x is not None:
+            return x
+    return None
+
 
 def closure_contains(f, x) -> bool:
     """x ∈ F*, the closed dual cone (weak-inequality variant)."""

@@ -20,6 +20,7 @@ from geom_checks import (
     cones_closed_intersection_ray,
     graph_vertex_criterion,
     random_instance,
+    rho_cones_interior_intersection,
     run_all_checks,
 )
 from nh.cli import ProblemInput, _certificate, _vec_out, verify_certificate
@@ -39,7 +40,6 @@ from nh.newton_poly import (
     DomainSpec,
     ExponentSet,
     build_newton,
-    cones_interior_intersection,
     interior_contains,
     minkowski_faces,
 )
@@ -125,7 +125,7 @@ def test_criterion_01_worked_example_fidelity():
         # every odd rank-≤2 pair has empty open-cone intersection (that is
         # why the verdict stays Bounded)
         for f1, f2 in odd_tuples:
-            assert cones_interior_intersection([f1, f2]) is None
+            assert rho_cones_interior_intersection([f1, f2]) is None
         # the two canonical odd pairs meet, closed, exactly on the ray
         # through (2,0,3)
         vertex_n1 = p1.face_by_key([n1], [])

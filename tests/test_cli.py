@@ -479,6 +479,19 @@ def test_probe_rejects_bad_fields(runner, tmp_path, command, payload, code):
     assert f"input error: {code}:" in res.output
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("probe-divergence", ODD_POINT), ("probe-sum", PAIR_PROBE),
+    ("probe-decay", {k: v for k, v in DECAY_PROBE.items() if k != "xi"})])
+def test_probe_rejects_a_negative_seed(runner, tmp_path, command, payload):
+    """With no `xi` given, the probes sample it from --seed; a negative
+    seed is E_MALFORMED, as is one next to a given `xi`."""
+    for extra in ({}, {"xi": [0.5] * len(payload["lambda"])}):
+        res = runner.invoke(main, [command, "--seed", "-1", "--input",
+                                   _write(tmp_path, dict(payload, **extra))])
+        assert res.exit_code == EXIT_INPUT, res.output
+        assert "input error: E_MALFORMED: --seed -1" in res.output, res.output
+
+
 NOT_DISJOINT = {"n": 2, "S": [1, 2], "lambda": [[[1, 1]], [[1, 1], [2, 2]]],
                 "xi": [1.0, 1.0]}
 

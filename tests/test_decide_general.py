@@ -7,7 +7,8 @@ rewalks every class.  The two give byte-identical `decide-general`
 reports, the timing field masked, and `nh verify` accepts every unbounded
 one; among the unbounded inputs are ones whose first odd tuple sorts
 after lo tuples of other T's in its class, which `lo_tuples` must count,
-and among the bounded ones are inputs whose exponents are not globally
+also when such a T reads its walk from a twin (a T of the same rows'
+supports, `_twin_odd_input`), and among the bounded ones are inputs whose exponents are not globally
 even (`general_inputs.frustum_input`).
 Counting wrappers on the engine's bindings show, on bounded inputs, one
 `build_newton` per distinct support, one `minkowski_faces` per distinct
@@ -115,23 +116,50 @@ def _pair_odd_input(rng, d: int) -> dict:
                              for m, x in row.items()}}
 
 
+def _twin_odd_input(rng, d: int) -> dict:
+    """n = 2, d ≥ 3.  Rows 1 and 2 share one support A, so in the identity
+    class every T holding row 2 but not row 1 reads its walk from the T
+    with row 1 in row 2's place; row 3 holds an all-odd point, whose
+    vertex tuple is odd and holds neither row, so it sorts after the
+    tuples of those twin-read T's (row 1 empty, row 2 not).  A fourth
+    row, if any, is drawn from the same pool as A."""
+    pool = [(a, b) for a in range(4) for b in range(4) if a or b]
+    a = rng.sample(pool, rng.randint(1, 2))
+    b = {rng.choice([(1, 1), (1, 3), (3, 1)])} | set(
+        rng.sample(pool, rng.randint(0, 2)))
+    rows = [a, a, sorted(b)] + [rng.sample(pool, rng.randint(1, 2))
+                                for _ in range(d - 3)]
+    return {"n": 2, "S": [j + 1 for j in range(2) if rng.random() < 0.5],
+            "lambda": [[list(m) for m in sorted(row)] for row in rows],
+            "coefficients": {f"{nu + 1}:({m[0]},{m[1]})":
+                             rng.choice(["-2", "-1", "1", "2", "3/2"])
+                             for nu, row in enumerate(rows) for m in row}}
+
+
 def _nonempty(faces) -> tuple:
     """T: the components where a face tuple is not empty."""
     return tuple(nu for nu, f in enumerate(faces) if not f.is_empty)
 
 
 def _odd_tuple_place(p, verdict) -> tuple:
-    """(|T|, the number of lo tuples of other T's walked before it) for
-    the first odd tuple of an unbounded `decide_general` verdict, T its
-    set of nonempty components in the odd class."""
+    """(|T|, the number of lo tuples of other T's walked before it, the
+    number of those whose T has a twin: an earlier T of the same rows'
+    supports, whose walk T's is read from) for the first odd tuple of an
+    unbounded `decide_general` verdict, T its set of nonempty components
+    in the odd class."""
     live = [s for s in p.transformed(verdict.gl_matrix).supports() if s]
     lam = LambdaTuple([ExponentSet.of(s, p.spec.n) for s in live], p.spec)
     t = _nonempty(verdict.face_tuple.faces)
-    before = 0
+    first = {}
+    for u in component_subsets(len(live)):
+        first.setdefault(tuple(live[nu] for nu in u), u)
+    before = twin = 0
     for ft in enumerate_lo_tuples(lam):
         if ft.faces == verdict.face_tuple.faces:
-            return len(t), before
-        before += _nonempty(ft.faces) != t
+            return len(t), before, twin
+        u = _nonempty(ft.faces)
+        before += u != t
+        twin += first[tuple(live[nu] for nu in u)] != u
     raise AssertionError("the odd tuple is not in its class's walk")
 
 
@@ -198,13 +226,14 @@ def test_reports_match_the_per_class_oracle(tmp_path, monkeypatch):
     seen = Counter()
     late = Counter()    # odd tuples after other T's, by (|T| > 1, d = 4)
     odd_class = Counter()   # odd classes, by how they share T walks
-    moved = 0
+    moved = twin_late = 0
     inputs = [_hidden_odd_input(rng, d) for d in (2, 3, 4)] + [
         _random_input(rng, d, rng.random() < 0.5)
         for d in rng.choices([2, 3, 4], k=60)] + [
         _pair_odd_input(rng, d) for d in (2, 2, 3, 3, 4, 4, 4, 4)]
     # bounded, with exponents that are not globally even
     frustums = [frustum_input(rng, d) for d in (2, 2, 3, 3, 4)]
+    inputs += [_twin_odd_input(rng, d) for d in (3, 4) * 5]
     for i, payload in enumerate(inputs + frustums):
         d = len(payload["lambda"])
         path = _write(tmp_path, payload)
@@ -221,8 +250,9 @@ def test_reports_match_the_per_class_oracle(tmp_path, monkeypatch):
             p = ProblemInput(payload).polynomial()
             verdict = decide_general(p)
             odd_class.update(_odd_class_sharing(p, verdict))
-            size, before = _odd_tuple_place(p, verdict)
+            size, before, twin = _odd_tuple_place(p, verdict)
             late[size > 1, d == 4] += before > 0
+            twin_late += twin > 0
             matrix = json.loads(report)["certificate"]["gl_matrix"]
             moved += any(x != ("1/1" if i == j else "0/1")
                          for i, row in enumerate(matrix)
@@ -237,6 +267,7 @@ def test_reports_match_the_per_class_oracle(tmp_path, monkeypatch):
     assert moved >= 3, moved
     assert min(late.values()) >= 2 and len(late) == 4, late
     assert min(odd_class.values()) >= 2 and len(odd_class) == 2, odd_class
+    assert twin_late >= 4, twin_late
 
 
 def test_each_support_and_each_sum_is_built_once(counts):

@@ -414,15 +414,19 @@ def _pooled_poly(rng):
 
 
 def test_support_classes_realised_by_their_matrix():
-    """Every class's matrix turns P into exactly the class's supports."""
+    """Every class's matrix turns P into exactly the class's coefficient
+    rows, and so into its supports."""
     rng = random.Random(2030)
     for _ in range(300):
         p = _pooled_poly(rng)
         classes, cap_hit = enumerate_support_classes(p)
         assert not cap_hit
         for cls in classes:
-            assert p.transformed(cls.matrix).supports() == cls.supports, \
+            q = p.transformed(cls.matrix)
+            assert [{m: c for (i, m), c in q.coefficients.items() if i == nu}
+                    for nu in range(p.d)] == list(cls.rows), \
                 (p.coefficients, cls.matrix)
+            assert q.supports() == cls.supports, (p.coefficients, cls.matrix)
 
 
 def test_support_classes_within_lower_unitriangular_oracle():
@@ -551,10 +555,12 @@ def test_cap_generators_are_the_extreme_rays():
     """Every lo tuple's attached Cap(F*) generators (the incident facet
     normals of its sum face; e_j, j ∈ S, on the all-empty tuple) are the
     extreme rays that the tight-subset search finds, as a set, and the
-    chain's lineality is the search's."""
+    chain's lineality (read off S's unit rays and the polyhedra's edge
+    directions) is the search's: the nullspace of the faces' dual-cone
+    rows (`geom_checks.dual_cone_rows`)."""
     rng = random.Random(2031)
     seen = dict(all_empty=0, improper_low_dim=0, proper=0, s_empty=0,
-                s_full=0, s_partial=0)
+                s_full=0, s_partial=0, lineality=0)
     for _ in range(150):
         sets, n, S = _sum_lattice_instance(rng)
         seen["s_empty" if not S else "s_full" if len(S) == n
@@ -565,6 +571,7 @@ def test_cap_generators_are_the_extreme_rays():
             assert len(set(gens)) == len(gens), (sets, S, ft.faces)
             assert set(gens) == set(rays), (sets, S, ft.faces)
             assert chain_lin == lin, (sets, S, ft.faces)
+            seen["lineality"] += bool(lin)
             live = [f for f in ft.faces if not f.is_empty]
             if not live:
                 seen["all_empty"] += 1

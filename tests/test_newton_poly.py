@@ -17,11 +17,13 @@ import pytest
 
 from geom_checks import (
     cones_closed_intersection_ray,
+    dual_cone_rows,
     lp_closure_s0,
     random_instance,
     rho_cones_interior_intersection,
     rho_interior_contains,
     run_all_checks,
+    x_cones_interior_intersection,
 )
 from hull_oracle import (
     build_newton_pairwise,
@@ -38,7 +40,6 @@ from nh.newton_poly import (
     Face,
     build_newton,
     cones_interior_intersection,
-    dual_cone_rows,
     enumerate_faces,
     face_by_cone_interior,
     face_closure_structure,
@@ -108,7 +109,7 @@ def test_worked_example_closed_ray():
     f2 = p2.face_by_key([(0, 0, 3)], [])
     assert f1 is not None and f2 is not None
     # open cones do not meet, closed ones meet along the ray (2,0,3)
-    assert cones_interior_intersection([f1, f2]) is None
+    assert rho_cones_interior_intersection([f1, f2]) is None
     ray = cones_closed_intersection_ray([f1, f2])
     assert ray is not None
     t = Fraction(ray[0], 2)
@@ -160,7 +161,7 @@ def test_closure_structure_rebuilds_every_face():
         p = build_newton(*random_instance(rng, n_max=4, max_points=6))
         omega = p.omega.sorted_points()
         for f in p.faces()[:-1]:
-            x = cones_interior_intersection([f])
+            x = rho_cones_interior_intersection([f])
             if x is None:   # the improper face of a full-dimensional P
                 want = omega
             else:
@@ -419,11 +420,11 @@ def test_hull_and_lattice_match_the_subset_oracle():
 
 
 def test_all_empty_sweep_witness_matches_the_split_oracle():
-    """The all-empty tuple's sweep (e_j ≥ 0 for j ∈ S per face, so d
-    copies of each bound, then a signed e_k > 0) is the one production LP
-    with both sign bounds and strict rows, and `decompose` prints its
-    witness: it is the split formulation's, for every n ≤ 4, every S and
-    d ≤ 3."""
+    """The all-empty tuple's sweep (e_j ≥ 0 for j ∈ S, then a signed
+    e_k > 0) is the one production LP with both sign bounds and strict
+    rows, and `decompose` prints its witness: it is the split
+    formulation's with d copies of each bound, for every n ≤ 4, every S
+    and d ≤ 3.  The sweep takes empty faces only."""
     for n in range(1, 5):
         for S in itertools.chain.from_iterable(
                 itertools.combinations(range(n), k) for k in range(n + 1)):
@@ -437,6 +438,9 @@ def test_all_empty_sweep_witness_matches_the_split_oracle():
                     for k in range(n) for sign in (1, -1))
                 want = next((x for x in sweep if x is not None), None)
                 assert cones_interior_intersection(faces) == want, (n, S, d)
+                with pytest.raises(ValueError):
+                    cones_interior_intersection(
+                        faces + [faces[0].parent.improper_face()])
 
 
 def test_minimal_points_matches_dot():
@@ -632,7 +636,7 @@ def test_facet_masks_and_the_face_index(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the one dual-cone description against the level-form oracles
+# the open-cone test by the cut, against the level-form oracles
 # ---------------------------------------------------------------------------
 
 def _random_points(rng: random.Random, n: int) -> set:
@@ -673,10 +677,17 @@ def _probe_points(rng: random.Random, p, f, witness) -> list:
     return [(0,) * n] + pts + outside
 
 
-def test_dual_cone_rows_agree_with_the_level_form():
+def test_interior_contains_is_the_level_form_test():
+    """The cut test `interior_contains` (x ≠ 0 in Z(S) whose minimal
+    vertices and zero rays are F's) equals the level-form open-cone test
+    on random faces, improper and empty included, at 0, at points outside
+    Z(S), at random points, at joint witnesses and on the boundary of F*;
+    the joint-interior LP over the dual-cone rows in x alone agrees with
+    the level-form LP; and S₀ read off the face equals S₀ read off an LP
+    witness."""
     rng = random.Random(2024)
     seen = dict(none=0, witness=0, empty=0, improper=0, low_dim=0,
-                points=0, inside=0)
+                points=0, inside=0, zero=0, outside=0)
     for _ in range(300):
         n = rng.randint(1, 4)
         spec = DomainSpec.of(n, [j for j in range(n) if rng.random() < 0.4])
@@ -694,7 +705,7 @@ def test_dual_cone_rows_agree_with_the_level_form():
             for g in p.faces():
                 if not g.is_empty:
                     assert face_closure_structure(g) == lp_closure_s0(g)
-        x = cones_interior_intersection(faces)
+        x = x_cones_interior_intersection(faces)
         oracle = rho_cones_interior_intersection(faces)
         assert (x is None) == (oracle is None), (faces, x, oracle)
         if x is None:
@@ -708,6 +719,8 @@ def test_dual_cone_rows_agree_with_the_level_form():
                 assert interior_contains(f, y) == inside, (f, y)
                 seen["points"] += 1
                 seen["inside"] += inside
+                seen["zero"] += not any(y)
+                seen["outside"] += not spec.in_zs(y)
     # every kind of input was reached, and both answers of each test
     assert min(seen.values()) >= 30, seen
     assert seen["points"] - seen["inside"] >= 30, seen

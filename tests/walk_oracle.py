@@ -2,15 +2,16 @@
 
 Walks the product of the face lists (each with its empty face last),
 prunes a prefix whose point union already has rank n, and asks one exact
-joint-interior LP (`cones_interior_intersection`) per leaf.  Same tuples,
+joint-interior LP per leaf, written against the supporting levels
+(`geom_checks.rho_cones_interior_intersection`).  Same tuples,
 same lexicographic face-index order and same union ranks as
 `engine.enumerate_lo_tuples`; the witnesses are LP solutions, so they may
 be other points of the same open cones.  The ranks come from the
 `Fraction` RREF of `rref_oracle`, not from the exact kernel under test.
 """
 
+from geom_checks import rho_cones_interior_intersection
 from nh.engine import FaceTuple, LambdaTuple
-from nh.newton_poly import cones_interior_intersection
 from rref_oracle import fraction_rank
 
 
@@ -28,7 +29,7 @@ def walk_lo_tuples(lam: LambdaTuple):
         if level == lam.d:
             r = fraction_rank(pts)
             if r <= n - 1:
-                witness = cones_interior_intersection(chosen)
+                witness = rho_cones_interior_intersection(chosen)
                 if witness is not None:
                     yield FaceTuple(tuple(chosen), r, witness)
             return
