@@ -119,10 +119,10 @@ def _pair_odd_input(rng, d: int) -> dict:
 def _twin_odd_input(rng, d: int) -> dict:
     """n = 2, d ≥ 3.  Rows 1 and 2 share one support A, so in the identity
     class every T holding row 2 but not row 1 reads its walk from the T
-    with row 1 in row 2's place; row 3 holds an all-odd point, whose
-    vertex tuple is odd and holds neither row, so it sorts after the
-    tuples of those twin-read T's (row 1 empty, row 2 not).  A fourth
-    row, if any, is drawn from the same pool as A."""
+    with row 1 in row 2's place; row 3 holds an all-odd point, and when
+    that point is a vertex its tuple is odd and holds neither row, so it
+    sorts after the tuples of those twin-read T's (row 1 empty, row 2
+    not).  A fourth row, if any, is drawn from the same pool as A."""
     pool = [(a, b) for a in range(4) for b in range(4) if a or b]
     a = rng.sample(pool, rng.randint(1, 2))
     b = {rng.choice([(1, 1), (1, 3), (3, 1)])} | set(
@@ -144,7 +144,7 @@ def _nonempty(faces) -> tuple:
 def _odd_tuple_place(p, verdict) -> tuple:
     """(|T|, the number of lo tuples of other T's walked before it, the
     number of those whose T has a twin: an earlier T of the same rows'
-    supports, whose walk T's is read from) for the first odd tuple of an
+    supports, whose walk it reads) for the first odd tuple of an
     unbounded `decide_general` verdict, T its set of nonempty components
     in the odd class."""
     live = [s for s in p.transformed(verdict.gl_matrix).supports() if s]
