@@ -233,8 +233,8 @@ def _vec_out(v) -> list:
 def _face_out(nu: int, face) -> dict:
     return {
         "nu": nu + 1,
-        "vertices": [list(v) for v in sorted(face.vertex_set)],
-        "rays": [list(r) for r in sorted(face.ray_set)],
+        "vertices": [list(v) for v in face.cut[0]],
+        "rays": [list(r) for r in face.cut[1]],
         "dim": face.dim,
         "is_empty": face.is_empty,
         "is_improper": face.is_improper,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .exact_numeric import nullspace, rank, unit
+from .exact_numeric import int_vector, nullspace, rank, unit
 from .newton_poly import (
     DomainSpec,
     ExponentSet,
@@ -151,7 +151,7 @@ class VectorPolynomial:
                 raise ValueError(f"zero coefficient at ({nu}, {m})")
             if not (0 <= nu < d):
                 raise ValueError(f"component index {nu} out of range")
-            m = tuple(int(x) for x in m)
+            m = int_vector(m)
             if len(m) != spec.n or any(x < 0 for x in m):
                 raise ValueError(f"bad exponent {m}")
             self.coefficients[(nu, m)] = c
@@ -192,8 +192,7 @@ class GLClass:
 
 def union_point_rank(faces: Sequence[Face]) -> int:
     """rank of the faces' vertices and rays."""
-    return rank([x for f in faces
-                 for x in sorted(f.vertex_set) + sorted(f.ray_set)])
+    return rank([x for f in faces for part in f.cut for x in part])
 
 
 def _union_rank(dim: int, levels: tuple, n: int) -> int:

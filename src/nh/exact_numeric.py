@@ -3,11 +3,13 @@
 Vectors are sequences of ints and ``fractions.Fraction``s (any other number
 is taken at its exact ``Fraction`` value).  Everything here is pure and
 immutable: rank and nullspaces by Bareiss's fraction-free elimination on
-Python integers, the null line of n−1 rows by their signed maximal minors,
-exact Gram–Schmidt, strict-inequality feasibility by a simplex that pivots
-by the same scheme, with Bland's rule (a sign bound x_j ≥ 0 is a
-nonnegative column, not a row), and GF(2) elimination (all subsets of a
-list of vectors that sum to a target).
+Python integers, the null line of n−1 rows by their signed maximal minors
+(the cross product written out for n = 3), exact Gram–Schmidt,
+strict-inequality feasibility by a simplex that pivots by the same scheme,
+with Bland's rule (a sign bound x_j ≥ 0 is a nonnegative column, not a
+row), and GF(2) elimination (all subsets of a list of vectors that sum to
+a target).  `as_int` admits an integral entry (an int, a numpy integer)
+and rejects any other with ValueError.
 """
 
 from __future__ import annotations
@@ -31,6 +33,20 @@ RMatrix = Sequence  # a sequence of RVector of common length
 def _rat(x):
     """x itself if it is an int or a Fraction, else its exact Fraction."""
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def as_int(x) -> int:
+    """x as an int when it is integral (an int, a numpy integer); a float,
+    a Fraction or a string is a ValueError, never truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"non-integral entry {x!r}") from None
+
+
+def int_vector(v) -> tuple:
+    """The entries of v as ints (`as_int`)."""
+    return tuple(map(as_int, v))
 
 
 def dot(a: RVector, b: RVector) -> Fraction:
@@ -185,27 +201,31 @@ def null_line(rows: RMatrix, n: int) -> Optional[tuple]:
     """The primitive integer generator, up to sign, of {x : A x = 0} for
     n−1 integer rows of length n, or None when they have rank < n−1.  Its
     entries are A's signed maximal minors, x_j = (−1)^j det(A without
-    column j) (for n = 3 the cross product), so x·a = det(a over A) = 0
-    for each row a.  The minors of the first rows grow one row at a time,
-    by column bitmask: appending column c to a set of columns flips the
-    sign once per column above c."""
+    column j), so x·a = det(a over A) = 0 for each row a.  For n = 3 that
+    is the cross product, written out.  Otherwise the minors of the first
+    rows grow one row at a time, by column bitmask: appending column c to
+    a set of columns flips the sign once per column above c."""
     if len(rows) != n - 1:
         raise ValueError(f"{len(rows)} rows for a line in {n} dimensions")
-    minors = [(0, 1)]
-    for row in rows:
-        grown: dict = {}
+    if n == 3:
+        (a0, a1, a2), (b0, b1, b2) = rows
+        x = [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+    else:
+        minors = [(0, 1)]
+        for row in rows:
+            grown: dict = {}
+            for cols, w in minors:
+                for c in range(n - 1, -1, -1):
+                    if cols >> c & 1:
+                        w = -w
+                    elif row[c]:
+                        key = cols | 1 << c
+                        grown[key] = grown.get(key, 0) + w * row[c]
+            minors = grown.items()
+        x = [0] * n
         for cols, w in minors:
-            for c in range(n - 1, -1, -1):
-                if cols >> c & 1:
-                    w = -w
-                elif row[c]:
-                    key = cols | 1 << c
-                    grown[key] = grown.get(key, 0) + w * row[c]
-        minors = grown.items()
-    x = [0] * n
-    for cols, w in minors:
-        j = (~cols & (1 << n) - 1).bit_length() - 1
-        x[j] = -w if j & 1 else w
+            j = (~cols & (1 << n) - 1).bit_length() - 1
+            x[j] = -w if j & 1 else w
     g = math.gcd(*x)
     if not g:
         return None

@@ -6,7 +6,8 @@ cuts out, the faces of a Minkowski sum of polyhedra as tuples of summand
 faces with the sum's facet normals through each (`minkowski_faces`), and
 the F = N(Λ∩F, S₀) closure structure.  A
 face F is read off its dual cone by one cut (`minimal_points`): x lies in
-the open cone (F*)° exactly when x cuts F out of P (the normal fan), and
+the open cone (F*)° exactly when x cuts F out of P (the normal fan), which
+compares the cut of P's `layout` with the one F keeps (`Face.cut`), and
 F ∩ Ω is the cut of Ω by the sum of F's facet normals.
 
 One facet test serves a polyhedron and a Minkowski sum alike (`_facets`):
@@ -18,6 +19,9 @@ gives both face lattices (`_closure`): the improper face closed under
 intersection with the facets' vertex/ray incidences (Kaibel and Pfetsch,
 Comput. Geom. 2002), graded from the meets it reaches.  From `_facets` on,
 a face is an int mask over each polyhedron's `layout`, indexed by mask.
+The hull stays on ints: integer directions, Πb levels and the exact V/H
+check (`NewtonPolyhedron.contains`).  Exponents and S entries must be
+integral (`exact_numeric.as_int`); nothing is truncated.
 """
 
 from __future__ import annotations
@@ -25,12 +29,12 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .exact_numeric import (
     StrictSystem,
-    dot,
+    as_int,
+    int_vector,
     is_zero,
     null_line,
     nullspace,
@@ -43,13 +47,6 @@ from .exact_numeric import (
     vsub,
 )
 
-IntVec = tuple  # tuple of ints
-
-
-def _ivec(v) -> IntVec:
-    return tuple(int(x) for x in v)
-
-
 @dataclass(frozen=True)
 class ExponentSet:
     points: frozenset
@@ -57,7 +54,7 @@ class ExponentSet:
 
     @staticmethod
     def of(points: Iterable[Sequence[int]], n: int) -> "ExponentSet":
-        pts = frozenset(_ivec(p) for p in points)
+        pts = frozenset(int_vector(p) for p in points)
         for p in pts:
             if len(p) != n:
                 raise ValueError("exponent dimension mismatch")
@@ -85,7 +82,7 @@ class DomainSpec:
 
     @staticmethod
     def of(n: int, S: Iterable[int]) -> "DomainSpec":
-        s = frozenset(int(j) for j in S)
+        s = frozenset(map(as_int, S))
         if not all(0 <= j < n for j in s):
             raise ValueError("S must be a subset of {0,..,n-1}")
         return DomainSpec(n, s)
@@ -110,8 +107,10 @@ class Face:
     # the position in its polyhedron's `faces()`, set by `enumerate_faces`
     index: Optional[int] = field(default=None, init=False, compare=False,
                                  repr=False)
-    # F ∩ Ω and the echelon rows of F's directions, filled by the first
-    # `lambda_points()` and `direction_basis()`
+    # the cut (`cut`), given by `enumerate_faces` or filled by its first
+    # use; F ∩ Ω and the echelon rows of F's directions, filled by the
+    # first `lambda_points()` and `direction_basis()`
+    _cut: Optional[tuple] = field(default=None, compare=False, repr=False)
     _lambda: Optional[tuple] = field(default=None, init=False, compare=False,
                                      repr=False)
     _span: Optional[tuple] = field(default=None, init=False, compare=False,
@@ -135,8 +134,19 @@ class Face:
         return (self.vertex_set <= other.vertex_set
                 and self.ray_set <= other.ray_set)
 
+    @property
+    def cut(self) -> tuple:
+        """(the vertices, the rays) as lists in the parent's `layout()`
+        order, sorted: what `minimal_points` returns for a functional that
+        cuts the face out of the layout."""
+        if self._cut is None:
+            # frozen dataclass: the cache is set once, here
+            object.__setattr__(self, "_cut", (sorted(self.vertex_set),
+                                              sorted(self.ray_set)))
+        return self._cut
+
     def sort_key(self):
-        return (-self.dim, sorted(self.vertex_set), sorted(self.ray_set))
+        return (-self.dim, *self.cut)
 
     def lambda_points(self) -> list:
         """Points of the underlying exponent set lying on this face (F ∩ Ω),
@@ -157,7 +167,7 @@ class Face:
         computed once per face."""
         if self._span is None:
             object.__setattr__(self, "_span", row_basis(
-                _directions(self.vertex_set, self.ray_set)))
+                _directions(*self.cut)))
         return self._span
 
 
@@ -184,8 +194,14 @@ class NewtonPolyhedron:
     # -- basic queries ----------------------------------------------------
 
     def contains(self, x: Sequence) -> bool:
-        return (all(dot(q, x) >= r for q, r in self.facets_a)
-                and all(dot(q, x) == s for q, s in self.basis_b))
+        """x satisfies the H-data; exact for ints and Fractions."""
+        if len(x) != self.spec.n:
+            raise ValueError(f"point of length {len(x)} in {self.spec.n} "
+                             "dimensions")
+        return (all(sum(map(operator.mul, q, x)) >= r
+                    for q, r in self.facets_a)
+                and all(sum(map(operator.mul, q, x)) == s
+                        for q, s in self.basis_b))
 
     def faces(self) -> list:
         return self._faces or enumerate_faces(self)
@@ -198,8 +214,8 @@ class NewtonPolyhedron:
 
     def face_by_key(self, vertex_set, ray_set) -> Optional[Face]:
         """The nonempty face with these vertices and rays, or None."""
-        vs = {_ivec(v) for v in vertex_set}
-        rs = {_ivec(r) for r in ray_set}
+        vs = {int_vector(v) for v in vertex_set}
+        rs = {int_vector(r) for r in ray_set}
         verts, rays = self.layout()
         mask = sum(1 << i for i, g in enumerate(verts + rays)
                    if g in (vs if i < len(verts) else rs))
@@ -224,8 +240,7 @@ class NewtonPolyhedron:
             object.__setattr__(self, "_edges", frozenset(
                 max(d, tuple(-x for x in d))
                 for f in self.faces() if f.dim == 1
-                for d in map(primitive, _directions(f.vertex_set,
-                                                    f.ray_set))))
+                for d in map(primitive, _directions(*f.cut))))
         return self._edges
 
 
@@ -260,12 +275,11 @@ def build_newton(omega: ExponentSet, spec: DomainSpec) -> NewtonPolyhedron:
     verts = [p for p in pts
              if _is_extreme(p, [q for q in pts if q != p], rays)]
     v0 = verts[0]
-    directions = [vsub(v, v0) for v in verts[1:]] + [tuple(map(Fraction, r))
-                                                    for r in rays]
+    directions = [vsub(v, v0) for v in verts[1:]] + rays
     m = rank(directions)
 
     # Πb: orthogonal integer basis of V⊥(P)
-    basis_b = tuple((q, dot(q, v0))
+    basis_b = tuple((q, sum(map(operator.mul, q, v0)))
                     for q in orthogonal_basis(nullspace(directions, n=n)))
 
     # Each facet holds a vertex and m−1 more generators (vertices or rays)
@@ -366,11 +380,11 @@ def _spans_facet(faces: Sequence, m: int) -> bool:
 # face lattice
 # ---------------------------------------------------------------------------
 
-def _directions(vertex_set, ray_set) -> list:
-    """v − v₀ for the other vertices (v₀ the least one) and the rays: they
-    span the directions of the face with these vertices and rays."""
-    vs = sorted(vertex_set)
-    return [vsub(v, vs[0]) for v in vs[1:]] + sorted(ray_set)
+def _directions(verts: Sequence, rays: Sequence) -> list:
+    """v − v₀ for the other vertices (v₀ the first) and the rays, in the
+    order given: they span the directions of the face with these vertices
+    and rays."""
+    return [vsub(v, verts[0]) for v in verts[1:]] + list(rays)
 
 
 def _decode(layout: tuple, mask: int) -> tuple:
@@ -414,14 +428,20 @@ def _closure(layouts: Sequence, facets: Sequence) -> dict:
     while stack:
         key = stack.pop()
         meets = below[key] = []
+        here = through[key]
         for i, fm in enumerate(facet_masks):
             meet = key & fm
             if meet == key:
-                through[key].append(i)
+                here.append(i)
                 continue
             face = nonempty.get(meet)
             if face is None:
-                face = nonempty[meet] = all(meet & vm for vm in vertex_masks)
+                face = True
+                for vm in vertex_masks:
+                    if not meet & vm:
+                        face = False
+                        break
+                nonempty[meet] = face
                 if face:
                     through[meet] = []
                     stack.append(meet)
@@ -450,12 +470,12 @@ def enumerate_faces(p: NewtonPolyhedron) -> list:
         vs, rs = _decode(layout, mask)
         index[mask] = Face(parent=p, generator_idx=frozenset(idx),
                            vertex_set=frozenset(vs), ray_set=frozenset(rs),
-                           dim=dim, is_improper=not idx)
+                           dim=dim, is_improper=not idx, _cut=(vs, rs))
     faces = sorted(index.values(), key=Face.sort_key)
     faces.append(Face(parent=p,
                       generator_idx=frozenset(range(len(incidence))),
                       vertex_set=frozenset(), ray_set=frozenset(),
-                      dim=-1, is_empty=True))
+                      dim=-1, is_empty=True, _cut=([], [])))
     # frozen dataclass: the indices and caches are set once, here
     for i, f in enumerate(faces):
         object.__setattr__(f, "index", i)
@@ -511,7 +531,7 @@ def _sum_faces(polys: Sequence[NewtonPolyhedron]) -> tuple:
     k ≥ 2: see `minkowski_faces`."""
     n = polys[0].spec.n
     basis_b = orthogonal_basis(nullspace(
-        [d for p in polys for d in _directions(p.vertices, p.rays)], n=n))
+        [d for p in polys for d in _directions(*p.layout())], n=n))
     m = n - len(basis_b)
     # edge_directions() builds each summand's face index
     edges = sorted(frozenset().union(*(p.edge_directions() for p in polys)))
@@ -542,22 +562,23 @@ def _sum_faces(polys: Sequence[NewtonPolyhedron]) -> tuple:
 # the face a functional cuts out, its open dual cone, and closure structure
 # ---------------------------------------------------------------------------
 
-def minimal_points(x: Sequence, points: Iterable, rays: Iterable) -> tuple:
+def minimal_points(x: Sequence, points: Collection, rays: Iterable) -> tuple:
     """The face x ∈ Z(S) cuts out of N(points, S), rays = the e_j (j ∈ S),
-    without a hull: (the x-minimal points, the rays with x·r = 0).  x holds
-    ints or Fractions, so the plain sums of products are exact; an integer
-    x, such as a facet normal, sums in ints over the integer exponents."""
-    levels = {m: sum(map(operator.mul, x, m)) for m in points}
-    low = min(levels.values())
-    return ([m for m, lv in levels.items() if lv == low],
+    without a hull: (the x-minimal points, the rays with x·r = 0), each a
+    list in the order given.  x holds ints or Fractions, so the plain sums
+    of products are exact; an integer x, such as a facet normal, sums in
+    ints over the integer exponents."""
+    levels = [sum(map(operator.mul, x, m)) for m in points]
+    low = min(levels)
+    return ([m for m, lv in zip(points, levels) if lv == low],
             [r for r in rays if sum(map(operator.mul, x, r)) == 0])
 
 
 def interior_contains(f: Face, x: Sequence) -> bool:
     """x ∈ (F*)°, the open dual cone of the face, in the full-space sense:
-    an x ≠ 0 in Z(S) that cuts F out of P (`minimal_points`), or any such
-    x on the empty face, whose dual cone is Z(S).  Exact: x holds ints or
-    Fractions."""
+    an x ≠ 0 in Z(S) that cuts F out of P (`minimal_points` on P's
+    `layout()` gives F's `cut`), or any such x on the empty face, whose
+    dual cone is Z(S).  Exact: x holds ints or Fractions."""
     p = f.parent
     if len(x) != p.spec.n:
         raise ValueError("ambient dimension mismatch")
@@ -565,8 +586,7 @@ def interior_contains(f: Face, x: Sequence) -> bool:
         return False
     if f.is_empty:
         return True
-    low, zero = minimal_points(x, p.vertices, p.rays)
-    return frozenset(low) == f.vertex_set and frozenset(zero) == f.ray_set
+    return minimal_points(x, *p.layout()) == f.cut
 
 
 def cones_interior_intersection(faces: Sequence[Face]) -> Optional[tuple]:
@@ -598,7 +618,7 @@ def face_by_cone_interior(p: NewtonPolyhedron, x: Sequence) -> Face:
     if is_zero(x):
         return p.improper_face()
     assert p.spec.in_zs(x), "point not covered by any face cone"
-    return p.face_by_key(*minimal_points(x, p.vertices, p.rays))
+    return p.face_by_key(*minimal_points(x, *p.layout()))
 
 
 def face_closure_structure(f: Face) -> frozenset:

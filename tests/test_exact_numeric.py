@@ -12,6 +12,7 @@ enumeration of all 2^k combinations.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -254,7 +255,10 @@ def test_null_line_is_the_nullspace_line():
     ± the one nullspace vector when the rows have rank n−1 (n = 1: no
     rows, the line (1,)), and None below that.  Three draws in ten replace
     a row by a small combination of the rows, which often lowers the
-    rank."""
+    rank.  The orientation is pinned too: x_j = (−1)^j det(A without
+    column j) over the gcd of those minors, with the Leibniz `_det` as the
+    oracle (n = 3 is the written-out cross product, every other n the
+    minor expansion)."""
     rng = random.Random(24)
     assert null_line([], 1) == (1,) and nullspace([], n=1) == [(1,)]
     seen = {"line": set(), "none": set()}
@@ -268,6 +272,10 @@ def test_null_line_is_the_nullspace_line():
             rows[rng.randrange(n - 1)] = tuple(
                 c * x + d * y for x, y in zip(a, b))
         line = null_line(rows, n)
+        minors = [int((-1) ** j * _det([r[:j] + r[j + 1:] for r in rows]))
+                  for j in range(n)]
+        g = math.gcd(*minors)
+        assert line == (tuple(x // g for x in minors) if g else None), rows
         null = nullspace(rows, n=n)
         if len(null) == 1:
             assert line in (null[0], tuple(-x for x in null[0])), rows

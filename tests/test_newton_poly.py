@@ -32,7 +32,7 @@ from hull_oracle import (
     vertices_split,
 )
 from nh import newton_poly
-from nh.engine import union_point_rank
+from nh.engine import VectorPolynomial, union_point_rank
 from nh.exact_numeric import StrictSystem, dot, rank, unit, vsub
 from nh.newton_poly import (
     DomainSpec,
@@ -186,6 +186,10 @@ def test_mixed_local_global():
     assert p.rays == frozenset({(0, 1)})
     assert p.contains((Fraction(1, 2), 1))
     assert not p.contains((2, 0))
+    # a point of the wrong length is an error, not cut short or padded
+    for x in ((1,), (1, 1, 0)):
+        with pytest.raises(ValueError):
+            p.contains(x)
 
 
 def test_lower_dimensional_polyhedron():
@@ -204,6 +208,22 @@ def test_negative_exponent_rejected():
         ExponentSet.of([(1, -1)], 2)
     with pytest.raises(ValueError):
         DomainSpec.of(2, [2])
+
+
+@pytest.mark.parametrize("make", [
+    lambda e: ExponentSet.of([(e, 2)], 2).points,
+    lambda e: DomainSpec.of(3, [e]).S,
+    lambda e: VectorPolynomial({(0, (e, 2)): 1}, 1,
+                               DomainSpec.of(2, [])).support(0),
+], ids=["ExponentSet.of", "DomainSpec.of", "VectorPolynomial"])
+def test_non_integral_entry_rejected(make):
+    """A non-integral exponent or S entry is an error, not truncated; ints
+    and numpy integers pass."""
+    for bad in (1.9, Fraction(3, 2), "1"):
+        with pytest.raises(ValueError, match="non-integral"):
+            make(bad)
+    np = pytest.importorskip("numpy")
+    assert make(np.int64(1)) == make(1) != make(2)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +423,10 @@ def test_hull_and_lattice_match_the_subset_oracle():
         assert _face_data(enumerate_faces(p)) == _face_data(
             enumerate_faces_subsets(ref)), (omega, spec)
         assert [f.index for f in p.faces()] == list(range(len(p.faces())))
+        # each face's cut, from `enumerate_faces` or (the oracle's faces)
+        # computed on first use, is its vertices and rays in layout order
+        for f in p.faces() + enumerate_faces_subsets(ref):
+            assert f.cut == (sorted(f.vertex_set), sorted(f.ray_set)), f
         seen_dims.add((spec.n, p.dim))
     # every dimension 0..n occurs for n = 2, 3, 4
     assert {(n, m) for n in (2, 3, 4) for m in range(n + 1)} <= seen_dims
