@@ -139,13 +139,16 @@ class Verdict:
 
 
 class VectorPolynomial:
-    """P(t) = (Σ_m c_m^ν t^m)_ν with exact nonzero rational coefficients."""
+    """P(t) = (Σ_m c_m^ν t^m)_ν with exact nonzero rational coefficients;
+    a float coefficient is a ValueError, never read as its binary value."""
 
     def __init__(self, coefficients: dict, d: int, spec: DomainSpec):
         self.d = d
         self.spec = spec
         self.coefficients = {}
         for (nu, m), c in coefficients.items():
+            if isinstance(c, float):
+                raise ValueError(f"float coefficient {c!r} at ({nu}, {m})")
             c = Fraction(c)
             if c == 0:
                 raise ValueError(f"zero coefficient at ({nu}, {m})")
@@ -212,12 +215,6 @@ def component_subsets(d: int) -> Iterator[tuple]:
         yield from itertools.combinations(range(d), size)
 
 
-def _walk_key(faces) -> list:
-    """The sort key of the walk on d-tuples of faces: their face indices,
-    the empty face last."""
-    return [f.index for f in faces]
-
-
 def _placed(empties: tuple, subset: Sequence[int], faces) -> tuple:
     """The d-tuple with `faces` at the components in `subset`, `empties`
     elsewhere."""
@@ -244,9 +241,9 @@ def enumerate_lo_tuples(lam: LambdaTuple, t: Optional[tuple] = None
     sum's facet normals through the face.  The all-empty tuple, of rank
     0, takes any x ≠ 0 in Z(S), found by the interior sweep; its cap is
     Z(S), generated by the e_j, j ∈ S.  They are yielded in the
-    lexicographic order of the face indices (`_walk_key`: faces by
-    descending dimension, then vertex/ray sets, the empty face last); the
-    exact re-check of each witness runs as a tuple is yielded.
+    lexicographic order of the face indices (faces by descending
+    dimension, then vertex/ray sets, the empty face last); the exact
+    re-check of each witness runs as a tuple is yielded.
     """
     n = lam.spec.n
     empties = tuple(p.empty_face() for p in lam.polyhedra)
@@ -259,7 +256,7 @@ def enumerate_lo_tuples(lam: LambdaTuple, t: Optional[tuple] = None
             r = _union_rank(dim, levels, n)
             if r <= n - 1:
                 found.append((_placed(empties, subset, part), r, w, normals))
-    found.sort(key=lambda item: _walk_key(item[0]))
+    found.sort(key=lambda item: [f.index for f in item[0]])
     for faces, r, w, normals in found:
         if w is None:
             w = cones_interior_intersection(faces)
@@ -277,7 +274,8 @@ def _t_walk(lam: LambdaTuple, t: tuple):
     supports, so the walk is kept in `lam`'s memo under
     ("lo", *those supports) and serves every T of those supports, in
     this tuple or another sharing the memo: its tuples are the walked
-    ones with their faces moved to its own components (`_lo_scan`)."""
+    ones with their faces moved to its own components, and `_lo_scan`
+    counts them as its own."""
     key = ("lo", *(lam.lambdas[nu].points for nu in t))
     if key not in lam._memo:
         walked, odd = [], None
@@ -291,31 +289,26 @@ def _t_walk(lam: LambdaTuple, t: tuple):
 
 
 def _lo_scan(lam: LambdaTuple):
-    """First odd low-rank overlapping tuple of the walk, its odd subset,
-    and the number of tuples scanned up to it, from the walks of the
-    nonempty T's (`_t_walk`).  If none is odd, the count is every
+    """First odd low-rank overlapping tuple, its odd subset, and the number
+    of tuples scanned up to it.  The nonempty T's are walked in
+    `component_subsets` order (`_t_walk`), and the scan stops at the first
+    T whose walk holds an odd tuple: the certificate is that tuple, its
+    faces placed on T's components, and the count is the earlier T's
+    walks plus its own position.  If none is odd, the count is every
     tuple's: the walks' lengths plus the all-empty tuple, walked last so
-    that its LP runs only then.  Otherwise a T's walk is the walk's order
-    restricted to T, so the least of the T's first odd tuples is the
-    walk's first, and the tuples before it are the walked tuples of every
-    T that sort before it (the all-empty tuple sorts last)."""
-    walks = [(t, *_t_walk(lam, t))
-             for t in component_subsets(lam.d) if t]
-    if all(odd is None for *_, odd in walks):
-        return None, None, sum(len(walked) for _, _, walked, _ in walks) + \
-            len(_t_walk(lam, ())[1])
-    empties = tuple(p.empty_face() for p in lam.polyhedra)
-
-    def placed(t, walker, ft):
-        return _placed(empties, t, [ft.faces[nu] for nu in walker])
-    first = min((dataclasses.replace(walked[odd], faces=placed(
-                    t, walker, walked[odd]))
-                 for t, walker, walked, odd in walks if odd is not None),
-                key=lambda ft: _walk_key(ft.faces))
-    bound = _walk_key(first.faces)
-    count = 1 + sum(_walk_key(placed(t, walker, ft)) < bound
-                    for t, walker, walked, _ in walks for ft in walked)
-    return first, odd_witness(first.union_lambda()), count
+    that its LP runs only then."""
+    count = 0
+    for t in component_subsets(lam.d):
+        if not t:
+            continue
+        walker, walked, odd = _t_walk(lam, t)
+        if odd is not None:
+            empties = tuple(p.empty_face() for p in lam.polyhedra)
+            ft = dataclasses.replace(walked[odd], faces=_placed(
+                empties, t, [walked[odd].faces[nu] for nu in walker]))
+            return ft, odd_witness(ft.union_lambda()), count + odd + 1
+        count += len(walked)
+    return None, None, count + len(_t_walk(lam, ())[1])
 
 
 def decide_disjoint(lam: LambdaTuple) -> Verdict:
@@ -431,10 +424,11 @@ def decide_general(p: VectorPolynomial) -> Verdict:
     only: their polyhedra and Minkowski sums, and the walk of each
     T-support tuple (the supports of the rows in a set T of rows), on
     which alone a T's tuples and their unions depend (`_t_walk`).  Each
-    class is scanned by `_lo_scan` and adds its count; the first odd
-    class is the verdict.  So each T-support tuple is walked once and the
-    all-empty tuple's LP runs once, and the counts are those of a walk
-    of every class in full."""
+    class is scanned by `_lo_scan`, its T's by size, and adds its count;
+    the first class with an odd T is the verdict, with that T's first odd
+    tuple.  So each T-support tuple is walked once and the all-empty
+    tuple's LP runs once, and the counts are those of a scan of every
+    class on its own."""
     classes, cap_hit = enumerate_support_classes(p)
     count = 0
     memo: dict = {}     # the classes' polyhedra, sums and T walks

@@ -54,6 +54,7 @@ class ExponentSet:
 
     @staticmethod
     def of(points: Iterable[Sequence[int]], n: int) -> "ExponentSet":
+        n = as_int(n)
         pts = frozenset(int_vector(p) for p in points)
         for p in pts:
             if len(p) != n:
@@ -82,6 +83,7 @@ class DomainSpec:
 
     @staticmethod
     def of(n: int, S: Iterable[int]) -> "DomainSpec":
+        n = as_int(n)
         s = frozenset(map(as_int, S))
         if not all(0 <= j < n for j in s):
             raise ValueError("S must be a subset of {0,..,n-1}")

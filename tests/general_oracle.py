@@ -1,13 +1,14 @@
 """Oracle for `nh.engine.decide_general`: the criterion with nothing
 shared between support classes.
 
-Each class gets its own `LambdaTuple` and is walked in full, in the sorted
-order of `enumerate_lo_tuples`, so every class rebuilds its Newton
-polyhedra and Minkowski-sum lattices and rewalks every set T of rows;
-`decide_general` instead walks each T-support tuple once per call and
-counts each class from those walks.  The class order, the in-class
-tuple order and the verdict fields are those of `decide_general`, so the
-two give byte-identical reports.
+Each class gets its own `LambdaTuple` and is scanned on its own: its
+nonempty sets T of rows in `component_subsets` order (by size, then
+lexicographic), each walked in full by `enumerate_lo_tuples(lam, t)`, the
+all-empty T last.  So every class rebuilds its Newton polyhedra and
+Minkowski-sum lattices and rewalks every T; `decide_general` instead walks
+each T-support tuple once per call and counts each class from those
+walks.  The class order, the scan order and the verdict fields are those
+of `decide_general`, so the two give byte-identical reports.
 """
 
 from nh.engine import (
@@ -15,6 +16,7 @@ from nh.engine import (
     DepthCapHit,
     LambdaTuple,
     Verdict,
+    component_subsets,
     enumerate_lo_tuples,
     enumerate_support_classes,
 )
@@ -31,7 +33,8 @@ def decide_general_per_class(p) -> Verdict:
             continue
         lam = LambdaTuple(
             [ExponentSet.of(s, p.spec.n) for s in live], p.spec)
-        for ft in enumerate_lo_tuples(lam):
+        ts = [t for t in component_subsets(lam.d) if t] + [()]
+        for ft in (ft for t in ts for ft in enumerate_lo_tuples(lam, t)):
             count += 1
             u = ft.union_lambda()
             if not is_even(u):

@@ -5,11 +5,13 @@ shared by every support class that uses them.
 Oracle: `general_oracle.decide_general_per_class`, which rebuilds and
 rewalks every class.  The two give byte-identical `decide-general`
 reports, the timing field masked, and `nh verify` accepts every unbounded
-one; among the unbounded inputs are ones whose first odd tuple sorts
-after lo tuples of other T's in its class, which `lo_tuples` must count,
-also when such a T reads its walk from a twin (a T of the same rows'
-supports, `_twin_odd_input`), and among the bounded ones are inputs whose exponents are not globally
-even (`general_inputs.frustum_input`).
+one.  Each class is scanned by its sets T of rows, by size, then
+lexicographically, and the verdict's tuple is the first odd tuple of the
+first T that has one.  Among the unbounded inputs are ones whose odd T
+comes after T's with lo tuples in its class, which `lo_tuples` must
+count, also when such a T reads its walk from a twin (a T of the same
+rows' supports, `_twin_odd_input`), and among the bounded ones are inputs
+whose exponents are not globally even (`general_inputs.frustum_input`).
 Counting wrappers on the engine's bindings show, on bounded inputs, one
 `build_newton` per distinct support, one `minkowski_faces` per distinct
 tuple of summand supports, one walk per distinct T-support tuple and one
@@ -93,8 +95,8 @@ def _pair_odd_input(rng, d: int) -> dict:
     odd.  In the identity class every face of row 2 through b holds a and
     c, so such a union has rank 3 when u, a, c are independent.
     Cancelling a from row 2 cancels u with it and makes b a vertex; the
-    pair sum then has the rank-2 face ({u}, {b}), which is odd and sorts
-    after the lo tuples of row 1 alone whose face comes before {u}."""
+    pair sum then has the rank-2 face ({u}, {b}), which is odd and is
+    scanned after the lo tuples of every single row."""
     a = (0, 2, 0)
     b = (2 * rng.randint(1, 2), 2 * rng.randint(0, 1) + 1,
          2 * rng.randint(0, 1) + 1)
@@ -120,9 +122,9 @@ def _twin_odd_input(rng, d: int) -> dict:
     """n = 2, d ≥ 3.  Rows 1 and 2 share one support A, so in the identity
     class every T holding row 2 but not row 1 reads its walk from the T
     with row 1 in row 2's place; row 3 holds an all-odd point, and when
-    that point is a vertex its tuple is odd and holds neither row, so it
-    sorts after the tuples of those twin-read T's (row 1 empty, row 2
-    not).  A fourth row, if any, is drawn from the same pool as A."""
+    that point is a vertex its tuple is odd, on row 3 alone, so it is
+    scanned after the tuples of row 2 alone, read from row 1's walk.  A
+    fourth row, if any, is drawn from the same pool as A."""
     pool = [(a, b) for a in range(4) for b in range(4) if a or b]
     a = rng.sample(pool, rng.randint(1, 2))
     b = {rng.choice([(1, 1), (1, 3), (3, 1)])} | set(
@@ -142,25 +144,28 @@ def _nonempty(faces) -> tuple:
 
 
 def _odd_tuple_place(p, verdict) -> tuple:
-    """(|T|, the number of lo tuples of other T's walked before it, the
+    """(|T|, the number of lo tuples of the T's scanned before T, the
     number of those whose T has a twin: an earlier T of the same rows'
     supports, whose walk it reads) for the first odd tuple of an
     unbounded `decide_general` verdict, T its set of nonempty components
-    in the odd class."""
+    in the odd class; the nonempty T's are scanned in `component_subsets`
+    order."""
     live = [s for s in p.transformed(verdict.gl_matrix).supports() if s]
     lam = LambdaTuple([ExponentSet.of(s, p.spec.n) for s in live], p.spec)
     t = _nonempty(verdict.face_tuple.faces)
     first = {}
-    for u in component_subsets(len(live)):
-        first.setdefault(tuple(live[nu] for nu in u), u)
     before = twin = 0
-    for ft in enumerate_lo_tuples(lam):
-        if ft.faces == verdict.face_tuple.faces:
+    for u in itertools.islice(component_subsets(len(live)), 1, None):
+        key = tuple(live[nu] for nu in u)
+        first.setdefault(key, u)
+        walked = [ft.faces for ft in enumerate_lo_tuples(lam, u)]
+        if u == t:
+            assert verdict.face_tuple.faces in walked, \
+                "the odd tuple is not in its T's walk"
             return len(t), before, twin
-        u = _nonempty(ft.faces)
-        before += u != t
-        twin += first[tuple(live[nu] for nu in u)] != u
-    raise AssertionError("the odd tuple is not in its class's walk")
+        before += len(walked)
+        twin += len(walked) * (first[key] != u)
+    raise AssertionError("the odd tuple's T is not scanned")
 
 
 def _odd_class_sharing(p, verdict) -> set:
@@ -329,10 +334,10 @@ _DECIDE_D3 = {"n": 3, "S": [1],
 
 
 def test_all_empty_lp_runs_only_when_no_tuple_is_odd(counts):
-    """The all-empty tuple sorts last in the walk, so `decide` solves its
-    LP only on a bounded input: not on the planted odd vertex (d = 1), nor
-    on a d = 2 input whose first odd tuple is on the pair sum, sorting
-    before an odd tuple of row 2 alone; once on a bounded input."""
+    """The all-empty tuple is scanned last, so `decide` solves its LP
+    only on a bounded input: not on the planted odd vertex (d = 1), nor
+    on a d = 2 input whose row 2 alone is odd, while the walk's first odd
+    tuple is on the pair sum; once on a bounded input."""
     d2_odd = {"n": 2, "S": [1],
               "lambda": [[[0, 1], [2, 0], [2, 2]], [[3, 3]]]}
     cases = [(GOLDEN_INPUTS["planted-odd"], "unbounded", 0),

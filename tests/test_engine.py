@@ -24,6 +24,7 @@ from nh.engine import (
     _union_rank,
     build_face_chain,
     classify_dyadic,
+    component_subsets,
     decide_disjoint,
     decide_general,
     decide_graph,
@@ -165,6 +166,46 @@ def test_sum_lattice_tuples_equal_the_walk():
         assert all(is_even(ft.union_lambda()) for ft in want), (sets, S)
         shapes.add((n, d))
     assert shapes == {(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)}, shapes
+
+
+# disjoint (sets, n, S): two unbounded inputs whose lexicographically
+# first odd tuple lies on a pair sum while a single row is odd too, and
+# the bounded worked pair
+_SCAN_CASES = {
+    "n4-pair-first": ([[(0, 1, 2, 0), (4, 4, 0, 0)],
+                       [(0, 4, 2, 3), (1, 1, 4, 3)],
+                       [(2, 1, 1, 4), (3, 1, 3, 3)]], 4, []),
+    "n2-pair-first": ([[(0, 1), (2, 0), (2, 2)], [(3, 3)]], 2, [0]),
+    "worked-pair": ([[(0, 0, 2), (3, 3, 0)], [(0, 0, 3), (3, 2, 1)]],
+                    3, [0, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCAN_CASES))
+def test_scan_stops_at_the_first_odd_t(case):
+    """`decide_disjoint` against the product walk (`walk_oracle`), its
+    tuples taken by their nonempty components T in `component_subsets`
+    order, the all-empty tuple last: the certificate is the first odd
+    tuple of the first T that has one, and `lo_tuples` counts the tuples
+    up to it, or all of them on a bounded verdict.  On the unbounded
+    cases the walk's first odd tuple has |T| = 2, so a scan that returns
+    it instead of a single row's odd tuple fails here."""
+    sets, n, S = _SCAN_CASES[case]
+    walk = list(walk_lo_tuples(_lam(sets, n, S)))
+    order = {t: i for i, t in enumerate(component_subsets(len(sets)))}
+    order[()] = len(order)
+    scan = sorted(walk, key=lambda ft: order[tuple(
+        nu for nu, f in enumerate(ft.faces) if not f.is_empty)])
+    odd = [i for i, ft in enumerate(scan) if not is_even(ft.union_lambda())]
+    v = decide_disjoint(_lam(sets, n, S))
+    if not odd:
+        assert (v.kind, v.lo_tuples) == ("bounded", len(scan))
+        return
+    first = next(ft for ft in walk if not is_even(ft.union_lambda()))
+    assert sum(not f.is_empty for f in first.faces) == 2
+    assert sum(not f.is_empty for f in scan[odd[0]].faces) == 1
+    assert (v.kind, v.face_tuple.faces, v.lo_tuples) == (
+        "unbounded", scan[odd[0]].faces, odd[0] + 1)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -13,8 +13,9 @@ planted odd vertex in n = 4 (decide is unbounded at once, and verify
 re-checks the certificate), and two decide-general inputs that are
 unbounded only in a class other than the identity, with n = 2 and n = 3,
 and one (n = 2, d = 3) whose odd class has two rows of one support, so
-that two sets T of rows share their lo tuples and the odd tuple sorts
-after six lo tuples of other T's.
+that two sets T of rows share their lo tuples: the odd tuple, on row 3
+alone, is scanned after the one lo tuple of row 1 and the one of row 2,
+which row 2 reads from row 1's walk.
 The graph input, in its full form, has the all-odd vertex (5,3).
 """
 
@@ -96,7 +97,7 @@ GOLDEN = {
     "planted-odd/decompose":
         "0:7d73ece64133ca61bf0d576af16c370f6d48190443bfea1a1de41c7486fce48d",
     "hidden-odd/decide-general":
-        "3:468ef736c27943a75889f69a27d65c0747adc33b970acbdcad3f88ed7f4b4731",
+        "3:e26ec13ab0ea80a2de70bd5bd8719dd17e58a8bda83ea3161ffa55e71567f681",
     "hidden-odd/verify":
         "0:7b5eca6a983cb1a29931e6c71599882c3eafce1683639847c6274128c2e75fad",
     "hidden-odd/faces":
@@ -104,7 +105,7 @@ GOLDEN = {
     "hidden-odd/decompose":
         "0:1e8098d1c79632baa12a0517a86e60f6b29ffbf638fcedd49657b65daeccd61a",
     "pair-odd/decide-general":
-        "3:2651f5e47e763d3a26e8551bdd88169f9b29478467150a2c831d63d1f994c885",
+        "3:b5f5f8beea5f253798ea890ce5d8443fd3ec1e6b7c5f677b984c3419f819a6ea",
     "pair-odd/verify":
         "0:7b5eca6a983cb1a29931e6c71599882c3eafce1683639847c6274128c2e75fad",
     "pair-odd/faces":
@@ -112,7 +113,7 @@ GOLDEN = {
     "pair-odd/decompose":
         "0:b6fffbecd5eb6a2084648b1ee4a277e3f2309d246e3fa58e9e605cf1dd0520a0",
     "twin-odd/decide-general":
-        "3:cc9a71bb329a4624495358b7acd0ead230bd34a020153ce6fdc61a7e2fbf8549",
+        "3:c3d61aa9c8e714c573624245c2dc99fb833262a5d3a8c38479d9463b07ef10af",
     "twin-odd/verify":
         "0:7b5eca6a983cb1a29931e6c71599882c3eafce1683639847c6274128c2e75fad",
     "twin-odd/faces":

@@ -212,18 +212,35 @@ def test_negative_exponent_rejected():
 
 @pytest.mark.parametrize("make", [
     lambda e: ExponentSet.of([(e, 2)], 2).points,
+    lambda e: ExponentSet.of([], e).ambient_dim,
     lambda e: DomainSpec.of(3, [e]).S,
+    lambda e: DomainSpec.of(e, [0]).n,
     lambda e: VectorPolynomial({(0, (e, 2)): 1}, 1,
                                DomainSpec.of(2, [])).support(0),
-], ids=["ExponentSet.of", "DomainSpec.of", "VectorPolynomial"])
+], ids=["ExponentSet.of", "ExponentSet.of-n", "DomainSpec.of",
+        "DomainSpec.of-n", "VectorPolynomial"])
 def test_non_integral_entry_rejected(make):
-    """A non-integral exponent or S entry is an error, not truncated; ints
-    and numpy integers pass."""
+    """A non-integral exponent, S entry or ambient dimension n is an error,
+    not truncated; ints and numpy integers pass."""
     for bad in (1.9, Fraction(3, 2), "1"):
         with pytest.raises(ValueError, match="non-integral"):
             make(bad)
     np = pytest.importorskip("numpy")
     assert make(np.int64(1)) == make(1) != make(2)
+
+
+def test_float_coefficient_rejected():
+    """A float coefficient is an error, not its binary Fraction; exact
+    rationals, ints and decimal strings pass as their exact values."""
+    spec = DomainSpec.of(2, [])
+    for bad in (0.1, 2.0):
+        with pytest.raises(ValueError, match="float coefficient"):
+            VectorPolynomial({(0, (1, 2)): bad}, 1, spec)
+    for good in (Fraction(1, 10), "0.1", "1/10"):
+        p = VectorPolynomial({(0, (1, 2)): good}, 1, spec)
+        assert p.coefficients == {(0, (1, 2)): Fraction(1, 10)}
+    assert VectorPolynomial({(0, (1, 2)): 2}, 1, spec).coefficients == {
+        (0, (1, 2)): 2}
 
 
 # ---------------------------------------------------------------------------
