@@ -7,6 +7,13 @@ and emits deterministic reports: JSON with sorted keys, rationals as
 the `verify` subcommand re-validates from its overlap witness x alone:
 no Newton polyhedron, face lattice or LP is built to check it.
 
+Every subcommand that reads a problem takes one path, `_serve`: read →
+run → emit.  It reads and parses the input, runs the subcommand, a
+function from the parsed `ProblemInput` to (report body, exit code, CSV
+rows or None), and emits the body with the input echo, the version and
+the timing.  `verify` reads a certificate instead; it shares the options
+and the error → exit-code mapping (`_run`), not the reader.
+
 Only the three `probe-*` subcommands import `oscillatory`, and with it
 numpy, and only when they run.  The exact subcommands never load numpy,
 whose import takes longer and more memory than a small `decide` needs.
@@ -14,6 +21,7 @@ whose import takes longer and more memory than a small `decide` needs.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -147,12 +155,12 @@ class ProblemInput:
         self.coefficients = self._parse_coefficients(raw.get("coefficients"))
 
     def _parse_coefficients(self, raw):
+        """The given coefficients by (ν, m), None without a map."""
         if raw is None:
             return None
         if not isinstance(raw, dict):
             raise InputError("E_MALFORMED", "'coefficients' must be a map")
         out, keys = {}, {}
-        supports = [set(lam.points) for lam in self.lambdas]
         for key, val in raw.items():
             m_key = _COEFF_KEY.match(key.replace(" ", ""))
             if not m_key:
@@ -171,7 +179,7 @@ class ProblemInput:
                     "E_MALFORMED",
                     f"coefficient key {key!r}: component index {nu + 1} "
                     f"outside 1..{len(self.lambdas)}")
-            if len(m) != self.n or m not in supports[nu]:
+            if len(m) != self.n or m not in self.lambdas[nu].points:
                 raise InputError(
                     "E_MALFORMED",
                     f"coefficient exponent {m} not in lambda[{nu + 1}]")
@@ -180,21 +188,17 @@ class ProblemInput:
                 raise InputError("E_ZERO_COEFF",
                                  f"zero coefficient at {key!r}")
             out[(nu, m)] = c
-        for nu, supp in enumerate(supports):
-            for m in supp:
-                out.setdefault((nu, m), Fraction(1))
         return out
 
     def lambda_tuple(self) -> LambdaTuple:
         return LambdaTuple(self.lambdas, self.spec)
 
     def polynomial(self) -> VectorPolynomial:
-        coef = self.coefficients
-        if coef is None:
-            # probes default to +1 coefficients
-            coef = {(nu, m): Fraction(1)
-                    for nu, lam in enumerate(self.lambdas)
-                    for m in lam.points}
+        """P with the given coefficients, 1/1 at every other monomial."""
+        coef = dict(self.coefficients or {})
+        for nu, lam in enumerate(self.lambdas):
+            for m in lam.points:
+                coef.setdefault((nu, m), Fraction(1))
         return VectorPolynomial(coef, len(self.lambdas), self.spec)
 
     def echo(self) -> dict:
@@ -297,25 +301,12 @@ def emit_report(report: dict, fmt: str, csv_rows=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report(problem: ProblemInput, body: dict, started: float) -> dict:
-    return dict(body,
-                input=problem.echo(),
-                version=__version__,
-                timing_seconds=round(time.time() - started, 6))
-
-
 # ---------------------------------------------------------------------------
 # command plumbing
 # ---------------------------------------------------------------------------
 
 _seed = click.option("--seed", type=int, default=0, show_default=True,
                      help="RNG seed for sampled probe points (>= 0).")
-
-
-def _check_seed(seed: int) -> None:
-    """numpy's generators take no negative seed: E_MALFORMED."""
-    if seed < 0:
-        raise InputError("E_MALFORMED", f"--seed {seed} must be >= 0")
 
 
 def _common(fn):
@@ -335,10 +326,6 @@ def _read(input_path: str) -> bytes:
         return sys.stdin.buffer.read()
     with open(input_path, "rb") as fh:
         return fh.read()
-
-
-def _load(input_path: str) -> ProblemInput:
-    return parse_input(_read(input_path))
 
 
 def _out(text: str) -> None:
@@ -378,7 +365,38 @@ def _run(fn):
     sys.exit(code)
 
 
-def _verdict_body(verdict: Verdict, problem: ProblemInput) -> dict:
+def _serve(fn, input_path: str, fmt: str, opts: dict) -> None:
+    """The one path of every subcommand that reads a problem: refuse a
+    negative --seed before reading (numpy's generators take none), read
+    and parse the input, run `fn` on it, and emit its report body with the
+    input echo, version and timing; exit with `fn`'s code."""
+    def body():
+        seed = opts.get("seed", 0)
+        if seed < 0:
+            raise InputError("E_MALFORMED", f"--seed {seed} must be >= 0")
+        started = time.time()
+        problem = parse_input(_read(input_path))
+        out, code, rows = fn(problem, **opts)
+        _out(emit_report(dict(out, input=problem.echo(), version=__version__,
+                              timing_seconds=round(time.time() - started, 6)),
+                         fmt, csv_rows=rows))
+        return code
+    _run(body)
+
+
+def _problem(fn):
+    """`fn`, from a ProblemInput (and --seed) to (report body, exit code,
+    CSV rows or None), as a subcommand callback on `_serve`'s path;
+    `functools.wraps` carries fn's name, help and the options applied
+    below `_problem` over to it."""
+    @functools.wraps(fn)
+    def command(input_path, fmt, **opts):
+        _serve(fn, input_path, fmt, opts)
+    return _common(command)
+
+
+def _verdict(problem: ProblemInput, verdict: Verdict):
+    """A decide verdict's report body and exit code (and no CSV rows)."""
     body = {
         "verdict": verdict.kind,
         "tuples_examined": verdict.lo_tuples,
@@ -388,7 +406,7 @@ def _verdict_body(verdict: Verdict, problem: ProblemInput) -> dict:
         body["certificate"] = _certificate(problem, verdict)
     if verdict.gl_class_count is not None:
         body["gl_class_count"] = verdict.gl_class_count
-    return body
+    return body, (EXIT_BOUNDED if verdict.bounded else EXIT_UNBOUNDED), None
 
 
 @click.group()
@@ -399,18 +417,10 @@ def main():
 
 
 @main.command()
-@_common
-def decide(input_path, fmt):
+@_problem
+def decide(problem):
     """Face/cone/evenness decision for mutually disjoint exponent sets."""
-    def body():
-        started = time.time()
-        problem = _load(input_path)
-        verdict = decide_disjoint(problem.lambda_tuple())
-        _out(emit_report(
-            _report(problem, _verdict_body(verdict, problem), started),
-            fmt))
-        return EXIT_BOUNDED if verdict.bounded else EXIT_UNBOUNDED
-    _run(body)
+    return _verdict(problem, decide_disjoint(problem.lambda_tuple()))
 
 
 def _graph_block(blocks: list, n: int):
@@ -430,129 +440,102 @@ def _graph_block(blocks: list, n: int):
 
 
 @main.command("decide-graph")
-@_common
-def decide_graph_cmd(input_path, fmt):
+@_problem
+def decide_graph_cmd(problem):
     """Graph-case decision: lambda's last block is Λ_{n+1}; the first n
     blocks, when present, must be the coordinate unit vectors.  The
     certificate is a `decide` certificate on the unit-augmented tuple."""
-    def body():
-        started = time.time()
-        problem = _load(input_path)
-        last = _graph_block(problem.lambdas, problem.n)
-        verdict = decide_graph(last, problem.spec)
-        # the certificate lists the tuple decided; the echo stays the input
-        problem.lambdas = list(graph_tuple(last, problem.spec).lambdas)
-        _out(emit_report(
-            _report(problem, _verdict_body(verdict, problem), started),
-            fmt))
-        return EXIT_BOUNDED if verdict.bounded else EXIT_UNBOUNDED
-    _run(body)
+    last = _graph_block(problem.lambdas, problem.n)
+    verdict = decide_graph(last, problem.spec)
+    # the certificate lists the tuple decided; the echo stays the input
+    problem.lambdas = list(graph_tuple(last, problem.spec).lambdas)
+    return _verdict(problem, verdict)
 
 
 @main.command("decide-general")
-@_common
-def decide_general_cmd(input_path, fmt):
+@_problem
+def decide_general_cmd(problem):
     """General criterion for the given coefficients over the support
     classes Λ(AP), A lower unitriangular (elimination cascade)."""
-    def body():
-        started = time.time()
-        problem = _load(input_path)
-        if problem.coefficients is None:
-            raise InputError("E_MALFORMED",
-                             "'coefficients' required for decide-general")
-        verdict = decide_general(problem.polynomial())
-        _out(emit_report(
-            _report(problem, _verdict_body(verdict, problem), started),
-            fmt))
-        return EXIT_BOUNDED if verdict.bounded else EXIT_UNBOUNDED
-    _run(body)
+    if problem.coefficients is None:
+        raise InputError("E_MALFORMED",
+                         "'coefficients' required for decide-general")
+    return _verdict(problem, decide_general(problem.polynomial()))
 
 
 @main.command()
-@_common
-def faces(input_path, fmt):
+@_problem
+def faces(problem):
     """Dump the face lattice of each Newton polyhedron."""
-    def body():
-        started = time.time()
-        problem = _load(input_path)
-        lam = problem.lambda_tuple()
-        out = []
-        for nu, poly in enumerate(lam.polyhedra):
-            out.append({
-                "nu": nu + 1,
-                "dim": poly.dim,
-                "vertices": [list(v) for v in sorted(poly.vertices)],
-                "rays": [list(r) for r in sorted(poly.rays)],
-                "facet_normals": [
-                    {"normal": _vec_out(q), "level": _frac_str(r)}
-                    for q, r in poly.facets_a],
-                "orthogonal_basis": [
-                    {"normal": _vec_out(q), "level": _frac_str(s)}
-                    for q, s in poly.basis_b],
-                "faces": [dict(_face_out(nu, f),
-                               S0=(sorted(j + 1 for j in
-                                          face_closure_structure(f))
-                                   if not f.is_empty else None))
-                          for f in poly.faces()],
-            })
-        _out(emit_report(
-            _report(problem, {"polyhedra": out}, started), fmt))
-        return EXIT_BOUNDED
-    _run(body)
+    out = []
+    for nu, poly in enumerate(problem.lambda_tuple().polyhedra):
+        out.append({
+            "nu": nu + 1,
+            "dim": poly.dim,
+            "vertices": [list(v) for v in sorted(poly.vertices)],
+            "rays": [list(r) for r in sorted(poly.rays)],
+            "facet_normals": [
+                {"normal": _vec_out(q), "level": _frac_str(r)}
+                for q, r in poly.facets_a],
+            "orthogonal_basis": [
+                {"normal": _vec_out(q), "level": _frac_str(s)}
+                for q, s in poly.basis_b],
+            "faces": [dict(_face_out(nu, f),
+                           S0=(sorted(j + 1 for j in
+                                      face_closure_structure(f))
+                               if not f.is_empty else None))
+                      for f in poly.faces()],
+        })
+    return {"polyhedra": out}, EXIT_BOUNDED, None
 
 
 @main.command()
-@_common
-def decompose(input_path, fmt):
+@_problem
+def decompose(problem):
     """List the low-rank overlapping face tuples with their joint cone
     generators and descending face chains; classify an optional dyadic
     index over the closed cones."""
-    def body():
-        started = time.time()
-        problem = _load(input_path)
-        j = problem.raw.get("dyadic_index")
-        if "dyadic_index" in problem.raw and not (
-                _is_int_vector(j, problem.n)
-                and all(j[i] >= 0 for i in problem.spec.S)):
-            raise InputError("E_MALFORMED", f"dyadic_index {j!r} must be "
-                                            f"{problem.n} integers, >= 0 "
-                                            "at the indices in S")
-        lam = problem.lambda_tuple()
-        tuples_out = []
-        for ft in enumerate_lo_tuples(lam):
-            gens, lin, chain = build_face_chain(ft)
-            tuples_out.append({
-                "faces": [_face_out(nu, f)
-                          for nu, f in enumerate(ft.faces)],
-                "union_rank": ft.union_rank,
-                "overlap_witness": _vec_out(ft.overlap_witness),
-                "union_even": is_even(ft.union_lambda()),
-                "cap_generators": [_vec_out(g) for g in gens],
-                "cap_lineality": [_vec_out(l) for l in lin],
-                "chain": [[_face_out(nu, f) for nu, f in enumerate(step)]
-                          for step in chain],
-            })
-        body_out = {"lo_tuples": tuples_out}
-        if j is not None:
-            body_out["dyadic_index"] = j
-            body_out["dyadic_tuples"] = [
-                {"faces": [_face_out(nu, f)
-                           for nu, f in enumerate(ft.faces)],
-                 "union_rank": ft.union_rank}
-                for ft in classify_dyadic(lam, j)]
-        _out(emit_report(
-            _report(problem, body_out, started), fmt))
-        return EXIT_BOUNDED
-    _run(body)
+    j = problem.raw.get("dyadic_index")
+    if "dyadic_index" in problem.raw and not (
+            _is_int_vector(j, problem.n)
+            and all(j[i] >= 0 for i in problem.spec.S)):
+        raise InputError("E_MALFORMED", f"dyadic_index {j!r} must be "
+                                        f"{problem.n} integers, >= 0 "
+                                        "at the indices in S")
+    lam = problem.lambda_tuple()
+    tuples_out = []
+    for ft in enumerate_lo_tuples(lam):
+        gens, lin, chain = build_face_chain(ft)
+        tuples_out.append({
+            "faces": [_face_out(nu, f)
+                      for nu, f in enumerate(ft.faces)],
+            "union_rank": ft.union_rank,
+            "overlap_witness": _vec_out(ft.overlap_witness),
+            "union_even": is_even(ft.union_lambda()),
+            "cap_generators": [_vec_out(g) for g in gens],
+            "cap_lineality": [_vec_out(l) for l in lin],
+            "chain": [[_face_out(nu, f) for nu, f in enumerate(step)]
+                      for step in chain],
+        })
+    out = {"lo_tuples": tuples_out}
+    if j is not None:
+        out["dyadic_index"] = j
+        out["dyadic_tuples"] = [
+            {"faces": [_face_out(nu, f)
+                       for nu, f in enumerate(ft.faces)],
+             "union_rank": ft.union_rank}
+            for ft in classify_dyadic(lam, j)]
+    return out, EXIT_BOUNDED, None
 
 
 # ---------------------------------------------------------------------------
 # probes
 # ---------------------------------------------------------------------------
 
-def _given_xi(problem: ProblemInput):
+def _given_xi(problem: ProblemInput, single: bool = False):
     """The input's `xi` (one frequency vector or a list of them) as a list
-    of vectors of d finite components; None when the input has no `xi`."""
+    of vectors of d finite components; None when the input has no `xi`.
+    With `single`, more than one vector is E_XI, never a silent pick."""
     d = len(problem.lambdas)
     if "xi" not in problem.raw:
         return None
@@ -562,6 +545,9 @@ def _given_xi(problem: ProblemInput):
     if not isinstance(xs, list) or not xs:
         raise InputError("E_XI", "'xi' must be a vector or a nonempty "
                                  "list of vectors")
+    if single and len(xs) > 1:
+        raise InputError("E_XI", f"this probe takes one xi vector, not "
+                                 f"{len(xs)}")
     for row in xs:
         if not isinstance(row, list) or len(row) != d or not all(
                 _is_finite_real(x) for x in row):
@@ -580,129 +566,99 @@ def _is_finite_real(x) -> bool:
         return False
 
 
+def _int_field(problem: ProblemInput, key: str, default, lo: int, hi: int,
+               code: str, listed: bool = False):
+    """The input's `key` (`default` when absent): an integer in lo..hi, or
+    with `listed` a list of them; anything else is InputError `code`."""
+    value = problem.raw.get(key, default)
+    items = value if listed else [value]
+    if not (isinstance(items, list)
+            and all(_is_int(x) and lo <= x <= hi for x in items)):
+        kind = "a list of integers" if listed else "an integer"
+        raise InputError(code, f"{key} {value!r} must be {kind} in "
+                               f"{lo}..{hi}")
+    return value
+
+
+def _probe(rows, **body):
+    """A probe's report body with its {scale, value, bound} table, exit
+    code 0 and the table as CSV rows."""
+    table = [{"scale": s, "value": v, "bound": b} for s, v, b in rows]
+    return dict(body, table=table), EXIT_BOUNDED, rows
+
+
 @main.command("probe-divergence")
-@_common
+@_problem
 @_seed
-def probe_divergence(input_path, fmt, seed):
+def probe_divergence(problem, seed):
     """Log-divergence probe along the engine's odd witness tuple."""
     from . import oscillatory as osc
-
-    def body():
-        _check_seed(seed)
-        started = time.time()
-        problem = _load(input_path)
-        p = problem.polynomial()
-        verdict = decide_disjoint(problem.lambda_tuple())
-        if verdict.bounded:
-            raise InputError("E_MALFORMED",
-                             "divergence probe needs an unbounded input")
-        xi = (_given_xi(problem)
-              or osc.sample_xi(seed, 1, len(problem.lambdas)))[0]
-        ks = problem.raw.get("shrink_levels", list(range(4, 15)))
-        if not isinstance(ks, list) or not all(
-                _is_int(k) and 1 <= k <= 1000 for k in ks) \
-                or len(set(ks)) < 2:
-            raise InputError(
-                "E_MALFORMED", f"shrink_levels {ks!r} must be a list of at "
-                               "least 2 distinct integers in 1..1000")
-        n = problem.n
-        seq = [((2.0 ** -k,) * n, (1.0,) * n) for k in ks]
-        res = osc.divergence_probe(p, verdict.face_tuple, xi, seq)
-        report = _report(problem, {
-            "slope": res.slope, "intercept": res.intercept,
-            "r_squared": res.r_squared,
-            "inconclusive": res.inconclusive,
-            "unconverged": res.unconverged,
-            "table": [{"scale": s, "value": v, "bound": b}
-                      for s, v, b in res.rows]}, started)
-        _out(emit_report(report, fmt, csv_rows=res.rows))
-        return EXIT_BOUNDED
-    _run(body)
+    verdict = decide_disjoint(problem.lambda_tuple())
+    if verdict.bounded:
+        raise InputError("E_MALFORMED",
+                         "divergence probe needs an unbounded input")
+    xi = (_given_xi(problem, single=True)
+          or osc.sample_xi(seed, 1, len(problem.lambdas)))[0]
+    ks = _int_field(problem, "shrink_levels", list(range(4, 15)), 1, 1000,
+                    "E_MALFORMED", listed=True)
+    if len(set(ks)) < 2:
+        raise InputError("E_MALFORMED", f"shrink_levels {ks!r} must hold "
+                                        "at least 2 distinct integers")
+    seq = [((2.0 ** -k,) * problem.n, (1.0,) * problem.n) for k in ks]
+    res = osc.divergence_probe(problem.polynomial(), verdict.face_tuple, xi,
+                               seq)
+    return _probe(res.rows, slope=res.slope, intercept=res.intercept,
+                  r_squared=res.r_squared, inconclusive=res.inconclusive,
+                  unconverged=res.unconverged)
 
 
 @main.command("probe-sum")
-@_common
+@_problem
 @_seed
-def probe_sum(input_path, fmt, seed):
+def probe_sum(problem, seed):
     """Dyadic multiplier-sum plateau probe."""
     from . import oscillatory as osc
-
-    def body():
-        _check_seed(seed)
-        started = time.time()
-        problem = _load(input_path)
-        p = problem.polynomial()
-        radius = problem.raw.get("radius", 15)
-        if not _is_int(radius) or radius < 0:
-            raise InputError("E_RADIUS",
-                             f"radius {radius!r} must be an integer >= 0")
-        if osc.box_size(problem.n, len(problem.spec.S),
-                        radius) > MAX_BOX_PIECES:
-            raise InputError("E_RADIUS", f"radius {radius} gives a J box of "
-                                         f"more than {MAX_BOX_PIECES} pieces")
-        report_radii = problem.raw.get("report_radii")
-        if report_radii is not None and (
-                not isinstance(report_radii, list) or not all(
-                    _is_int(r) and 0 <= r <= radius for r in report_radii)):
-            raise InputError(
-                "E_RADIUS", f"report_radii {report_radii!r} must be a list "
-                            f"of integers in 0..{radius}")
-        xi_count = problem.raw.get("xi_count", 20)
-        if not _is_int(xi_count) or not 1 <= xi_count <= MAX_XI_COUNT:
-            raise InputError("E_MALFORMED", f"xi_count {xi_count!r} must be "
-                                            f"an integer in 1..{MAX_XI_COUNT}")
-        xis = (_given_xi(problem)
-               or osc.sample_xi(seed, xi_count, len(problem.lambdas)))
-        res = osc.multiplier_sum_probe(p, xis, radius, report_radii)
-        report = _report(problem, {
-            "max_sum": res.max_sum,
-            "skipped_bound": res.skipped_bound,
-            "unconverged": res.unconverged,
-            "stats": {"pieces": dict(res.pieces,
-                                     unconverged=res.unconverged),
-                      "fallback_cells": res.fallback_cells},
-            "partial_sums": [
-                {str(r): s for r, s in sums.items()}
-                for sums in res.partial_sums],
-            "table": [{"scale": r, "value": v, "bound": b}
-                      for r, v, b in res.rows]}, started)
-        _out(emit_report(report, fmt, csv_rows=res.rows))
-        return EXIT_BOUNDED
-    _run(body)
+    # a J box holds at least radius + 1 pieces: MAX_BOX_PIECES caps both
+    radius = _int_field(problem, "radius", 15, 0, MAX_BOX_PIECES, "E_RADIUS")
+    if osc.box_size(problem.n, len(problem.spec.S), radius) > MAX_BOX_PIECES:
+        raise InputError("E_RADIUS", f"radius {radius} gives a J box of "
+                                     f"more than {MAX_BOX_PIECES} pieces")
+    report_radii = (None if problem.raw.get("report_radii") is None else
+                    _int_field(problem, "report_radii", None, 0, radius,
+                               "E_RADIUS", listed=True))
+    xi_count = _int_field(problem, "xi_count", 20, 1, MAX_XI_COUNT,
+                          "E_MALFORMED")
+    xis = (_given_xi(problem)
+           or osc.sample_xi(seed, xi_count, len(problem.lambdas)))
+    res = osc.multiplier_sum_probe(problem.polynomial(), xis, radius,
+                                   report_radii)
+    return _probe(res.rows, max_sum=res.max_sum,
+                  skipped_bound=res.skipped_bound,
+                  unconverged=res.unconverged,
+                  stats={"pieces": dict(res.pieces,
+                                        unconverged=res.unconverged),
+                         "fallback_cells": res.fallback_cells},
+                  partial_sums=[{str(r): s for r, s in sums.items()}
+                                for sums in res.partial_sums])
 
 
 @main.command("probe-decay")
-@_common
+@_problem
 @_seed
-def probe_decay(input_path, fmt, seed):
+def probe_decay(problem, seed):
     """Van der Corput decay table along a cone ray."""
     from . import oscillatory as osc
-
-    def body():
-        _check_seed(seed)
-        started = time.time()
-        problem = _load(input_path)
-        p = problem.polynomial()
-        ray = problem.raw.get("ray", [1] * problem.n)
-        if not isinstance(ray, list) or len(ray) != problem.n or not all(
-                _is_finite_real(x) for x in ray):
-            raise InputError("E_MALFORMED", f"ray {ray!r} must hold "
-                                            f"{problem.n} finite numbers")
-        k_max = problem.raw.get("k_max", 12)
-        if not _is_int(k_max) or not 0 <= k_max <= MAX_K:
-            raise InputError("E_MALFORMED", f"k_max {k_max!r} must be an "
-                                            f"integer in 0..{MAX_K}")
-        xi = (_given_xi(problem)
-              or osc.sample_xi(seed, 1, len(problem.lambdas)))[0]
-        res = osc.decay_check(p, ray, xi, k_max=k_max)
-        report = _report(problem, {
-            "delta": res.delta, "constant": res.constant,
-            "unconverged": res.unconverged,
-            "table": [{"scale": k, "value": v, "bound": b}
-                      for k, v, b in res.rows]}, started)
-        _out(emit_report(report, fmt, csv_rows=res.rows))
-        return EXIT_BOUNDED
-    _run(body)
+    ray = problem.raw.get("ray", [1] * problem.n)
+    if not isinstance(ray, list) or len(ray) != problem.n or not all(
+            _is_finite_real(x) for x in ray):
+        raise InputError("E_MALFORMED", f"ray {ray!r} must hold "
+                                        f"{problem.n} finite numbers")
+    k_max = _int_field(problem, "k_max", 12, 0, MAX_K, "E_MALFORMED")
+    xi = (_given_xi(problem, single=True)
+          or osc.sample_xi(seed, 1, len(problem.lambdas)))[0]
+    res = osc.decay_check(problem.polynomial(), ray, xi, k_max=k_max)
+    return _probe(res.rows, delta=res.delta, constant=res.constant,
+                  unconverged=res.unconverged)
 
 
 # ---------------------------------------------------------------------------

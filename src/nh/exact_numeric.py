@@ -498,23 +498,6 @@ def solve_strict(sys: StrictSystem) -> Optional[tuple]:
 # GF(2)
 # ---------------------------------------------------------------------------
 
-def _to_mask(bits: Sequence[int]) -> int:
-    m = 0
-    for i, b in enumerate(bits):
-        if int(b) % 2:
-            m |= 1 << i
-    return m
-
-
-def gf2_solve(rows: Sequence[Sequence[int]],
-              target: Sequence[int]) -> tuple[Optional[int], list[int]]:
-    """`gf2_eliminate` on the parity masks of `rows` and `target`."""
-    n = len(target)
-    if any(len(v) != n for v in rows):
-        raise ValueError("GF(2) vector length mismatch")
-    return gf2_eliminate(map(_to_mask, rows), _to_mask(target))
-
-
 def gf2_eliminate(masks: Iterable[int],
                   target: int) -> tuple[Optional[int], list[int]]:
     """The subsets of the GF(2) vectors `masks` (bit k: coordinate k) that

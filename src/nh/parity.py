@@ -3,8 +3,8 @@
 A finite Ω ⊂ ℤ₊ⁿ is even when every subset sum α₁m₁+⋯+α_N m_N (α_j ∈ {0,1})
 has at least one even component; odd otherwise.  The fast path reduces mod 2:
 Ω is odd iff the all-ones vector lies in the GF(2) span of Γ(Ω) — subset sums
-over ℤ₂ are exactly the GF(2) span — taken as int masks by the one GF(2)
-elimination, `gf2_eliminate`.  The equivalence is validated against the
+over ℤ₂ are exactly the GF(2) span — taken as int masks (`parity_masks`,
+the one encoding) by the one GF(2) elimination, `gf2_eliminate`.  The equivalence is validated against the
 explicit subset-sum oracle in the test suite.  The same elimination lists
 every odd subset of a monomial list (`odd_subsets`), which the quadrature
 harness sums over.
@@ -14,26 +14,29 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from .exact_numeric import gf2_eliminate, gf2_solve
+from .exact_numeric import gf2_eliminate
 
 
-def parity_signature(q: Sequence[int]) -> tuple:
-    """Γ(q): componentwise parity bits."""
-    return tuple(int(c) % 2 for c in q)
+def parity_masks(points: Sequence[Sequence[int]]) -> list[int]:
+    """Γ(p) of each point p of the list as an int mask, bit k the parity
+    of coordinate k: the GF(2) vectors `gf2_eliminate` reduces, built in
+    one pass.  Points of different lengths are a ValueError."""
+    if len(set(map(len, points))) > 1:
+        raise ValueError("GF(2) vector length mismatch")
+    masks = []
+    for p in points:
+        m = 0
+        for c in reversed(p):
+            m = m << 1 | c & 1
+        masks.append(m)
+    return masks
 
 
 def is_even(omega) -> bool:
     """Ω (any iterable of points) even: the all-odd mask ∉ span Γ(Ω)."""
     pts = list(omega)
-    if len(set(map(len, pts))) > 1:
-        raise ValueError("GF(2) vector length mismatch")
-    masks = []
-    for p in pts:
-        m = 0
-        for c in reversed(p):
-            m = m << 1 | c & 1
-        masks.append(m)
-    return not pts or gf2_eliminate(masks, (1 << len(p)) - 1)[0] is None
+    return not pts or gf2_eliminate(
+        parity_masks(pts), (1 << len(pts[0])) - 1)[0] is None
 
 
 def odd_witness(omega) -> Optional[list]:
@@ -50,7 +53,7 @@ def odd_witness(omega) -> Optional[list]:
     pts = sorted(omega)
     if not pts:
         return None
-    masks = [sum((c % 2) << k for k, c in enumerate(p)) for p in pts]
+    masks = parity_masks(pts)
     fewest = [{0: 0}]
     for g in reversed(masks):
         nxt = dict(fewest[-1])
@@ -83,8 +86,9 @@ def odd_subsets(points: Sequence[Sequence[int]],
     points, or none when the list is even.  The subsets are built only as
     they are drawn, so the rank costs one elimination even when 2^{K−r}
     is huge."""
-    solution, kernel = gf2_solve([parity_signature(p) for p in points],
-                                 (1,) * n)
+    if any(len(p) != n for p in points):
+        raise ValueError("GF(2) vector length mismatch")
+    solution, kernel = gf2_eliminate(parity_masks(points), (1 << n) - 1)
 
     def subsets():
         if solution is None:

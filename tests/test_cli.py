@@ -8,7 +8,7 @@ import sys
 import pytest
 from click.testing import CliRunner, _NamedTextIOWrapper
 
-from nh import engine
+from nh import __version__, engine
 from nh import oscillatory as osc
 from nh.cli import (
     EXIT_BOUNDED,
@@ -471,6 +471,9 @@ DECAY_PROBE = {"n": 2, "S": [1, 2], "lambda": [[[1, 1]]],
     ("probe-sum", dict(PAIR_PROBE, radius=10 ** 6), "E_RADIUS"),
     ("probe-sum", dict(PAIR_PROBE, xi_count=10 ** 4 + 1), "E_MALFORMED"),
     ("probe-decay", dict(DECAY_PROBE, k_max=1001), "E_MALFORMED"),
+    # one ξ: more than one row is refused, never truncated to the first
+    ("probe-decay", dict(DECAY_PROBE, xi=[[100.0], [5.0], [0.1]]), "E_XI"),
+    ("probe-divergence", dict(ODD_POINT, xi=[[1.0], [2.0]]), "E_XI"),
 ])
 def test_probe_rejects_bad_fields(runner, tmp_path, command, payload, code):
     res = runner.invoke(main, [command, "--input",
@@ -671,6 +674,51 @@ def test_probe_sum_reports_fallback_cells(runner, tmp_path):
         stats = json.loads(res.output)["stats"]
         assert (stats["fallback_cells"] > 0) == positive
         assert (stats["pieces"]["fallback"] > 0) == positive
+
+
+# a valid input of each subcommand that reads a problem, and its exit code
+VALID = {
+    "decide": (ODD_POINT, EXIT_UNBOUNDED),
+    "decide-graph": (ODD_POINT, EXIT_UNBOUNDED),
+    "decide-general": (dict(ODD_POINT, coefficients={"1:(1,1)": "2"}),
+                       EXIT_UNBOUNDED),
+    "faces": (ODD_POINT, EXIT_BOUNDED),
+    "decompose": (ODD_POINT, EXIT_BOUNDED),
+    "probe-divergence": (dict(ODD_POINT, xi=[1.0], shrink_levels=[4, 5]),
+                         EXIT_BOUNDED),
+    "probe-sum": (dict(ODD_POINT, xi=[0.5], radius=1), EXIT_BOUNDED),
+    "probe-decay": (DECAY_PROBE, EXIT_BOUNDED),
+}
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_subcommand_reads_runs_and_emits(runner, tmp_path, command):
+    """Every subcommand shares one read → run → emit path: malformed JSON
+    is E_MALFORMED with exit 1; a valid input's report carries `version`
+    and `timing_seconds`, echoes the input as `input` (all but `verify`,
+    which reads a certificate) and prints as `key = value` lines with
+    --format text."""
+    res = runner.invoke(main, [command], input="{not json")
+    assert res.exit_code == EXIT_INPUT
+    assert "input error: E_MALFORMED:" in res.output
+    if command == "verify":
+        payload = _unbounded_report(runner, tmp_path, ODD_POINT,
+                                    "odd.json")["certificate"]
+        code = EXIT_BOUNDED
+    else:
+        payload, code = VALID[command]
+    path = _write(tmp_path, payload)
+    res = runner.invoke(main, [command, "--input", path])
+    assert res.exit_code == code, res.output
+    report = json.loads(res.stdout)
+    assert report["version"] == __version__
+    assert isinstance(report["timing_seconds"], float)
+    assert report.get("input") == (None if command == "verify" else payload)
+    res = runner.invoke(main, [command, "--format", "text", "--input", path])
+    assert res.exit_code == code, res.output
+    lines = res.stdout.splitlines()
+    assert f"version = {__version__}" in lines
+    assert all(" = " in line for line in lines), lines
 
 
 def test_text_format(runner, tmp_path):

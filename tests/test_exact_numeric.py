@@ -28,7 +28,7 @@ from nh.exact_numeric import (
     _simplex_max,
     _Unbounded,
     dot,
-    gf2_solve,
+    gf2_eliminate,
     null_line,
     nullspace,
     orthogonal_basis,
@@ -40,6 +40,7 @@ from nh.exact_numeric import (
     unit,
     vsub,
 )
+from nh.parity import parity_masks
 from rref_oracle import fraction_nullspace, fraction_rank
 from simplex_oracle import fraction_simplex_max, split_solve_strict
 
@@ -598,6 +599,11 @@ def _gf2_oracle(span, target):
     return None
 
 
+def _gf2_solve(rows, target):
+    """`gf2_eliminate` on the parity masks of `rows` and `target`."""
+    return gf2_eliminate(parity_masks(rows), parity_masks([target])[0])
+
+
 def test_gf2_matches_enumeration():
     rng = random.Random(13)
     for _ in range(120):
@@ -606,7 +612,7 @@ def test_gf2_matches_enumeration():
         span = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(k)]
         target = tuple(rng.randint(0, 1) for _ in range(n))
         oracle = _gf2_oracle(span, target)
-        solution, kernel = gf2_solve(span, target)
+        solution, kernel = _gf2_solve(span, target)
         assert (solution is None) == (oracle is None)
         if solution is not None:
             assert _gf2_sum(span, solution, n) == [t % 2 for t in target]
@@ -636,10 +642,13 @@ def _xor_all(masks):
 
 
 def test_gf2_known_cases():
-    assert gf2_solve([(1, 0), (0, 1)], (1, 1)) == (0b11, [])
-    assert gf2_solve([(1, 1, 0), (0, 1, 1)], (1, 0, 1)) == (0b11, [])
-    assert gf2_solve([(1, 1)], (1, 0))[0] is None
-    assert gf2_solve([(1, 0), (1, 0), (0, 1)], (1, 1)) == (0b101, [0b11])
+    assert _gf2_solve([(1, 0), (0, 1)], (1, 1)) == (0b11, [])
+    assert _gf2_solve([(1, 1, 0), (0, 1, 1)], (1, 0, 1)) == (0b11, [])
+    assert _gf2_solve([(1, 1)], (1, 0))[0] is None
+    assert _gf2_solve([(1, 0), (1, 0), (0, 1)], (1, 1)) == (0b101, [0b11])
+    # rows of other parities than 0/1, and a mask bit per coordinate
+    assert _gf2_solve([(3, 0), (2, 5)], (1, 1)) == (0b11, [])
+    assert gf2_eliminate([0b01, 0b10], 0b10) == (0b10, [])
 
 
 def test_unit_vectors():

@@ -14,6 +14,10 @@
   that module.
 - `nh verify` checks a certificate without the engine's hull, face-lattice
   or LP code.
+- `cli.py` calls `emit_report` and `_run` from two places only: `_serve`,
+  the one read → run → emit path of the subcommands that read a problem,
+  and `verify`, which reads a certificate.  A new subcommand goes through
+  `_serve` instead of growing its own copy of that path.
 """
 
 import ast
@@ -121,6 +125,18 @@ def test_every_imported_name_is_used():
                                   for alias in stmt.names)
                     if bound not in used)
     assert unused == [], f"imported but unused: {unused}"
+
+
+def test_cli_reports_from_serve_and_verify_only():
+    tree = _trees()["cli.py"]
+    for callee in ("emit_report", "_run"):
+        callers = [stmt.name for stmt in tree.body
+                   if isinstance(stmt, ast.FunctionDef)
+                   for sub in ast.walk(stmt)
+                   if isinstance(sub, ast.Call)
+                   and isinstance(sub.func, ast.Name)
+                   and sub.func.id == callee]
+        assert sorted(callers) == ["_serve", "verify"], (callee, callers)
 
 
 def test_verify_builds_no_hull_lattice_or_lp(monkeypatch):

@@ -1,5 +1,6 @@
-"""Mutants of the lo-tuple scan, each a `monkeypatch` of one `nh.engine`
-function (no source rewrite), and the fast tests that must fail under it.
+"""Mutants, each a `monkeypatch` of one function at the module binding its
+callers read (no source rewrite), and the fast tests that must fail under
+it.
 
 `test_mutant_is_killed` applies a mutant, calls each of its killers
 in-process and requires every one of them to raise AssertionError.  A
@@ -15,10 +16,20 @@ regress that way with the suite still green.
     - least-odd-tuple: the verdict is the lexicographically least of the
       T's first odd tuples, counted by the walked tuples that sort before
       it, instead of the first odd tuple of the first T in
-      `component_subsets` order.
+      `component_subsets` order;
+    - exit-always-bounded: `nh.cli._serve`, the one path of the problem
+      subcommands, exits 0 whatever the verdict;
+    - reversed-parity-mask: `nh.parity.parity_masks` puts coordinate k at
+      bit n−1−k.  That permutes the coordinates of every mask and fixes
+      the all-odd target, so no evenness verdict, odd witness or odd
+      subset changes: only the encoding test sees it;
+    - null-line-sign: `null_line` as `nh.newton_poly` calls it, with the
+      middle entry of the n = 3 cross product negated, so the hull's
+      candidate normals are no longer orthogonal to their rows.
 """
 
 import dataclasses
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -26,10 +37,15 @@ from click.testing import CliRunner
 import test_cli
 import test_engine
 import test_golden_reports
-from nh import engine
+import test_newton_poly
+import test_parity
+from nh import cli, engine, newton_poly, parity
 from nh.parity import odd_witness
 
 _t_walk = engine._t_walk
+_serve = cli._serve
+_parity_masks = parity.parity_masks
+_null_line = newton_poly.null_line
 
 
 def _twin_walks_uncounted(lam, t):
@@ -63,6 +79,33 @@ def _least_odd_tuple(lam):
     return first, odd_witness(first.union_lambda()), count
 
 
+def _exit_always_bounded(fn, input_path, fmt, opts):
+    def run(problem, **kwargs):
+        out, _code, rows = fn(problem, **kwargs)
+        return out, cli.EXIT_BOUNDED, rows
+    _serve(run, input_path, fmt, opts)
+
+
+def _reversed_parity_masks(points):
+    return [sum((m >> k & 1) << (len(p) - 1 - k) for k in range(len(p)))
+            for p, m in zip(points, _parity_masks(points))]
+
+
+def _null_line_sign(rows, n):
+    if n != 3:
+        return _null_line(rows, n)
+    (a0, a1, a2), (b0, b1, b2) = rows
+    x = [a1 * b2 - a2 * b1, a0 * b2 - a2 * b0, a0 * b1 - a1 * b0]
+    g = math.gcd(*x)
+    return tuple(v // g for v in x) if g else None
+
+
+def _every_subcommand(command):
+    return lambda tmp_path: (
+        test_cli.test_every_subcommand_reads_runs_and_emits(
+            CliRunner(), tmp_path, command))
+
+
 # the killers, by test id, each called with the mutant test's tmp_path
 KILLERS = {
     "test_golden_reports.py::test_reports_are_the_golden_ones":
@@ -75,28 +118,47 @@ KILLERS = {
        lambda tmp_path, case=case:
        test_engine.test_scan_stops_at_the_first_odd_t(case)
        for case in ("n2-pair-first", "n4-pair-first", "worked-pair")},
+    "test_cli.py::test_decide_bounded_and_unbounded":
+        lambda tmp_path: test_cli.test_decide_bounded_and_unbounded(
+            CliRunner(), tmp_path),
+    **{f"test_cli.py::test_every_subcommand_reads_runs_and_emits[{cmd}]":
+       _every_subcommand(cmd)
+       for cmd in ("decide", "decide-graph", "decide-general")},
+    "test_parity.py::test_parity_masks":
+        lambda tmp_path: test_parity.test_parity_masks(),
+    "test_newton_poly.py::test_worked_example_facets":
+        lambda tmp_path: test_newton_poly.test_worked_example_facets(),
 }
 
 GOLDEN = "test_golden_reports.py::test_reports_are_the_golden_ones"
 MUTANTS = {
-    "twin-walks-uncounted": ("_t_walk", _twin_walks_uncounted, [
+    "twin-walks-uncounted": (engine, "_t_walk", _twin_walks_uncounted, [
         GOLDEN,
         "test_cli.py::test_decide_general_on_a_graph_with_unit_monomials"]),
-    "all-empty-uncounted": ("_t_walk", _all_empty_uncounted, [
+    "all-empty-uncounted": (engine, "_t_walk", _all_empty_uncounted, [
         GOLDEN,
         "test_cli.py::test_decide_general_on_a_graph_with_unit_monomials",
         "test_engine.py::test_scan_stops_at_the_first_odd_t[worked-pair]"]),
-    "least-odd-tuple": ("_lo_scan", _least_odd_tuple, [
+    "least-odd-tuple": (engine, "_lo_scan", _least_odd_tuple, [
         GOLDEN,
         "test_engine.py::test_scan_stops_at_the_first_odd_t[n2-pair-first]",
         "test_engine.py::test_scan_stops_at_the_first_odd_t[n4-pair-first]"]),
+    "exit-always-bounded": (cli, "_serve", _exit_always_bounded, [
+        GOLDEN,
+        "test_cli.py::test_decide_bounded_and_unbounded",
+        *(f"test_cli.py::test_every_subcommand_reads_runs_and_emits[{cmd}]"
+          for cmd in ("decide", "decide-graph", "decide-general"))]),
+    "reversed-parity-mask": (parity, "parity_masks", _reversed_parity_masks,
+                             ["test_parity.py::test_parity_masks"]),
+    "null-line-sign": (newton_poly, "null_line", _null_line_sign, [
+        GOLDEN, "test_newton_poly.py::test_worked_example_facets"]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant_is_killed(name, monkeypatch, tmp_path):
-    target, mutant, killers = MUTANTS[name]
-    monkeypatch.setattr(engine, target, mutant)
+    module, target, mutant, killers = MUTANTS[name]
+    monkeypatch.setattr(module, target, mutant)
     survivors = []
     for killer in killers:
         try:

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import pytest
 
-from nh.exact_numeric import gf2_solve
-from nh.parity import is_even, odd_witness, parity_signature
+from nh.exact_numeric import gf2_eliminate
+from nh import parity
+from nh.parity import is_even, odd_witness
 
 SIGMA_CAP = 20
 
@@ -80,7 +81,8 @@ def test_known_cases():
 def test_is_even_on_any_iterable():
     """`is_even` reads one pass over any iterable of points: an unsorted
     list with repeats, a set and a one-shot generator give the subset-sum
-    oracle's answer and `gf2_solve`'s, for n = 1..4 and empty input."""
+    oracle's answer and `gf2_eliminate`'s on the parity masks, for
+    n = 1..4 and empty input."""
     rng = random.Random(41)
     seen = {True: 0, False: 0}
     for _ in range(2400):
@@ -90,8 +92,8 @@ def test_is_even_on_any_iterable():
         pts += rng.sample(pts, min(len(pts), rng.randint(0, 2)))
         rng.shuffle(pts)
         expect = _is_even_oracle(set(pts))
-        assert expect == (gf2_solve([parity_signature(p) for p in pts],
-                                    (1,) * n)[0] is None)
+        assert expect == (gf2_eliminate(parity.parity_masks(pts),
+                                        (1 << n) - 1)[0] is None)
         for omega in (pts, set(pts), (p for p in pts)):
             assert is_even(omega) == expect, pts
         seen[expect] += 1
@@ -156,13 +158,18 @@ def test_sigma_class_consistency():
                  for _ in range(rng.randint(1, 5))}
         sums = sigma_class(omega)
         assert len(sums) == 2 ** len(omega)
-        sigs = {parity_signature(s) for s in sums}
-        assert ((1,) * n in sigs) == (not is_even(omega))
+        sigs = set(parity.parity_masks(sums))
+        assert ((1 << n) - 1 in sigs) == (not is_even(omega))
 
 
-def test_parity_signature():
-    assert parity_signature((3, 2, 1)) == (1, 0, 1)
-    assert parity_signature(()) == ()
+def test_parity_masks():
+    """Bit k of a point's mask is the parity of its coordinate k."""
+    masks = parity.parity_masks    # the binding is_even and the rest call
+    assert masks([(3, 2, 1), (1, 0, 0), (0, 0, 5), (4, 7, 2)]) \
+        == [0b101, 0b001, 0b100, 0b010]
+    assert masks([()]) == [0] and masks([]) == []
+    with pytest.raises(ValueError):
+        masks([(1, 1), (1,)])
 
 
 @given(st.integers(1, 4), st.sets(st.tuples(st.integers(0, 6),
