@@ -17,6 +17,7 @@ cone chains.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -233,38 +234,39 @@ def enumerate_lo_tuples(lam: LambdaTuple, t: Optional[tuple] = None
 
     A tuple whose nonempty components are ν ∈ T has a joint open-cone
     point exactly when it is the summand decomposition of a face of the
-    T-sum ∑_{ν∈T} N(Λ_ν,S), so the tuples come from `minkowski_faces` of
-    every nonempty T, with no LP.  The rank of the union is read off the
-    sum face's dimension and level rows (`_union_rank`), and the tuples of
-    rank n are dropped before the rest are placed and sorted.  Cap(F*) is
-    that sum face's normal cone (Z(S) holds it), so its generators are the
-    sum's facet normals through the face.  The all-empty tuple, of rank
-    0, takes any x ≠ 0 in Z(S), found by the interior sweep; its cap is
-    Z(S), generated by the e_j, j ∈ S.  They are yielded in the
+    T-sum ∑_{ν∈T} N(Λ_ν,S), so T's tuples are streamed straight off
+    `minkowski_faces` of T, with no LP.  The rank of the union is read off
+    the sum face's dimension and level rows (`_union_rank`), and the
+    tuples of rank n are dropped as they come.  Cap(F*) is that sum face's
+    normal cone (Z(S) holds it), so its generators are the sum's facet
+    normals through the face.  The all-empty tuple, of rank 0, takes any
+    x ≠ 0 in Z(S), found by the interior sweep; its cap is Z(S),
+    generated by the e_j, j ∈ S.  The tuples are yielded in the
     lexicographic order of the face indices (faces by descending
-    dimension, then vertex/ray sets, the empty face last); the exact
-    re-check of each witness runs as a tuple is yielded.
+    dimension, then vertex/ray sets, the empty face last): a T-sum's
+    faces come in the order of their summands' indices, and the walk of
+    every T (`t` None) merges the T's streams.  The exact re-check of
+    each witness runs as a tuple is yielded, on T's own faces: a nonempty
+    face's check implies an empty one's (w ≠ 0, w ∈ Z(S)).
     """
+    if t is None:
+        yield from heapq.merge(
+            *(enumerate_lo_tuples(lam, u) for u in component_subsets(lam.d)),
+            key=lambda ft: [f.index for f in ft.faces])
+        return
     n = lam.spec.n
     empties = tuple(p.empty_face() for p in lam.polyhedra)
-    found = []
-    for subset in component_subsets(lam.d) if t is None else (t,):
-        if not subset:
-            found.append((empties, 0, None, lam.spec.rays()))
-            continue
-        for part, w, normals, dim, levels in lam.sum_faces(subset):
-            r = _union_rank(dim, levels, n)
-            if r <= n - 1:
-                found.append((_placed(empties, subset, part), r, w, normals))
-    found.sort(key=lambda item: [f.index for f in item[0]])
-    for faces, r, w, normals in found:
-        if w is None:
-            w = cones_interior_intersection(faces)
-        else:
-            assert all(interior_contains(f, w) for f in faces), \
-                "Minkowski-sum witness failed exact re-check"
+    if not t:
+        w = cones_interior_intersection(empties)
         if w is not None:
-            yield FaceTuple(faces, r, w, tuple(normals))
+            yield FaceTuple(empties, 0, w, tuple(lam.spec.rays()))
+        return
+    for part, w, normals, dim, levels in lam.sum_faces(t):
+        r = _union_rank(dim, levels, n)
+        if r <= n - 1:
+            assert all(interior_contains(f, w) for f in part), \
+                "Minkowski-sum witness failed exact re-check"
+            yield FaceTuple(_placed(empties, t, part), r, w, tuple(normals))
 
 
 def _t_walk(lam: LambdaTuple, t: tuple):
@@ -275,13 +277,17 @@ def _t_walk(lam: LambdaTuple, t: tuple):
     ("lo", *those supports) and serves every T of those supports, in
     this tuple or another sharing the memo: its tuples are the walked
     ones with their faces moved to its own components, and `_lo_scan`
-    counts them as its own."""
+    counts them as its own.  Evenness is monotone under subsets, and each
+    tuple's union lies in the points of T's rows, so those points are
+    tested once: if they are even, every tuple is walked and counted with
+    no test of its own; if not, each is tested until the first odd one."""
     key = ("lo", *(lam.lambdas[nu].points for nu in t))
     if key not in lam._memo:
         walked, odd = [], None
+        even = is_even(itertools.chain(*key[1:]))
         for ft in enumerate_lo_tuples(lam, t):
             walked.append(ft)
-            if not is_even(ft.union_lambda()):
+            if not even and not is_even(ft.union_lambda()):
                 odd = len(walked) - 1
                 break
         lam._memo[key] = (t, walked, odd)
@@ -291,8 +297,10 @@ def _t_walk(lam: LambdaTuple, t: tuple):
 def _lo_scan(lam: LambdaTuple):
     """First odd low-rank overlapping tuple, its odd subset, and the number
     of tuples scanned up to it.  The nonempty T's are walked in
-    `component_subsets` order (`_t_walk`), and the scan stops at the first
-    T whose walk holds an odd tuple: the certificate is that tuple, its
+    `component_subsets` order (`_t_walk`: T's tuples streamed off its
+    sum's lattice, with one parity test of T's points, and a test per
+    tuple only when those are odd), and the scan stops at the first T
+    whose walk holds an odd tuple: the certificate is that tuple, its
     faces placed on T's components, and the count is the earlier T's
     walks plus its own position.  If none is odd, the count is every
     tuple's: the walks' lengths plus the all-empty tuple, walked last so

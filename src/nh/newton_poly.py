@@ -509,7 +509,8 @@ def minkowski_faces(polys: Sequence[NewtonPolyhedron]) -> list:
     (`_spans_facet`).  The other faces are the Kaibel–Pfetsch closure of
     the improper face under intersection with the facets, done summand by
     summand (`_closure`), which also lists the facets through each and
-    grades it."""
+    grades it.  The faces come in the lexicographic order of their
+    summand faces' indices, as one summand's `faces()` are."""
     if len(polys) == 1:
         p = polys[0]
         basis_b = [q for q, _ in p.basis_b]
@@ -529,8 +530,9 @@ def minkowski_faces(polys: Sequence[NewtonPolyhedron]) -> list:
 
 def _sum_faces(polys: Sequence[NewtonPolyhedron]) -> tuple:
     """(Πb rows of P₁+⋯+P_k, [(summand faces, facet normals through the
-    face, its dimension, its level rows)] for every nonempty face), for
-    k ≥ 2: see `minkowski_faces`."""
+    face, its dimension, its level rows)] for every nonempty face, in the
+    lexicographic order of the summand faces' indices), for k ≥ 2: see
+    `minkowski_faces`."""
     n = polys[0].spec.n
     basis_b = orthogonal_basis(nullspace(
         [d for p in polys for d in _directions(*p.layout())], n=n))
@@ -551,13 +553,15 @@ def _sum_faces(polys: Sequence[NewtonPolyhedron]) -> tuple:
     lows = [low for _, (_, low) in facets]
     parts = [(p._face_index, shift, ones)
              for p, (shift, ones) in zip(polys, _shifts(layouts))]
-    return basis_b, [
+    found = [
         (tuple(index[key >> shift & ones] for index, shift, ones in parts),
          [facets[i][0] for i in idx], dim,
          tuple([lows[i][nu] for i in idx] + flat[nu]
                for nu in range(len(polys))))
         for key, (idx, dim) in _closure(
             layouts, [masks for _, (masks, _) in facets]).items()]
+    found.sort(key=lambda item: [f.index for f in item[0]])
+    return basis_b, found
 
 
 # ---------------------------------------------------------------------------

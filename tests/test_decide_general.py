@@ -15,8 +15,10 @@ whose exponents are not globally even (`general_inputs.frustum_input`).
 Counting wrappers on the engine's bindings show, on bounded inputs, one
 `build_newton` per distinct support, one `minkowski_faces` per distinct
 tuple of summand supports, one walk per distinct T-support tuple and one
-all-empty LP per call; no all-empty LP on an unbounded `decide`; and
-that no memo outlives a call of `decide-general` or `decide`.
+all-empty LP per call; no all-empty LP on an unbounded `decide`; that
+no memo outlives a call of `decide-general` or `decide`; and one
+`is_even` call per T walk, on the points of T's rows, with a call per
+tuple only in a T whose points are odd.
 """
 
 import itertools
@@ -30,7 +32,7 @@ from click.testing import CliRunner
 
 from general_inputs import d4_general_input, frustum_input
 from general_oracle import decide_general_per_class
-from nh import cli, engine, newton_poly
+from nh import cli, engine, newton_poly, parity
 from nh.cli import EXIT_BOUNDED, EXIT_UNBOUNDED, ProblemInput, main
 from nh.engine import (
     LambdaTuple,
@@ -198,6 +200,10 @@ def _run(runner, *args):
 
 @pytest.fixture
 def counts(monkeypatch):
+    return counting(monkeypatch)
+
+
+def counting(monkeypatch) -> Counter:
     """Calls of the engine's `build_newton`, `minkowski_faces` and
     `cones_interior_intersection`; its full walks ("walk"); and its walks
     of one T, keyed by ("walk", T's supports)."""
@@ -382,3 +388,70 @@ def test_no_memo_outlives_a_call(counts, monkeypatch, tmp_path):
         assert code == EXIT_BOUNDED, report
         runs.append((counts["null_line"], counts["_sum_faces"]))
     assert runs[0] == runs[1] and min(runs[0]) > 0, runs
+
+
+def _parity_log(monkeypatch) -> list:
+    """The engine's `is_even` calls, grouped by walk of one set T of rows:
+    one entry per call of `enumerate_lo_tuples(lam, t)`, [T's rows'
+    supports, the points of the `is_even` call just before it (T's own
+    test), the points of each later call up to the next walk].  Calls
+    before the first walk go to a leading [None, None, calls]."""
+    walks = [[None, None, []]]
+
+    def even(omega, _fn=engine.is_even):
+        pts = sorted(omega)
+        walks[-1][2].append(pts)
+        return _fn(pts)
+
+    def walk(lam, t, _fn=engine.enumerate_lo_tuples):
+        calls = walks[-1][2]
+        walks.append([tuple(lam.lambdas[nu].points for nu in t),
+                      calls.pop() if calls else None, []])
+        return _fn(lam, t)
+    monkeypatch.setattr(engine, "is_even", even)
+    monkeypatch.setattr(engine, "enumerate_lo_tuples", walk)
+    return walks
+
+
+@pytest.mark.parametrize("case", ["globally-even", "frustum", "pair-odd"])
+def test_one_parity_test_per_t_support(case, monkeypatch):
+    """Each walk of a set T of rows tests the points of T's rows with one
+    `is_even` call, and tests its tuples one by one only when those
+    points are odd.  On globally even inputs (one coordinate even in
+    every exponent, `decide` and `decide-general`) that is one call per
+    walk and none per tuple; on `frustum_input` draws (bounded, not
+    globally even) and on the golden `pair-odd` input (odd only across
+    two rows of a class) per-tuple calls happen, inside odd T's only.
+    The verdicts, `lo_tuples` included, are those of the per-class
+    oracle, which tests every tuple."""
+    rng = random.Random(1910)
+    if case == "globally-even":
+        payloads = [_DECIDE_D3] + [_random_input(rng, d, True)
+                                   for d in (2, 3, 4, 4)]
+    elif case == "frustum":
+        payloads = [frustum_input(rng, d) for d in (2, 3, 3)]
+    else:
+        payloads = [GOLDEN_INPUTS["pair-odd"]]
+    walks = _parity_log(monkeypatch)
+    tested = Counter()      # walks, by (T's points even, tuples tested)
+    for payload in payloads:
+        p = ProblemInput(payload).polynomial()
+        want = decide_general_per_class(p)
+        walks[:] = [[None, None, []]]
+        if payload is _DECIDE_D3:
+            got = decide_disjoint(ProblemInput(payload).lambda_tuple())
+            want.gl_matrix = want.gl_class_count = None
+        else:
+            got = decide_general(p)
+        assert got == want, payload
+        assert walks[0] == [None, None, []], walks[0]
+        for key, test, calls in walks[1:]:
+            points = sorted(itertools.chain(*key))
+            assert test == points, (key, test)
+            assert all(set(c) <= set(points) for c in calls), (key, calls)
+            tested[parity.is_even(points), bool(calls)] += 1
+    if case == "globally-even":
+        assert list(tested) == [(True, False)], tested
+    else:
+        assert (True, True) not in tested, tested
+        assert min(tested[True, False], tested[False, True]) > 0, tested

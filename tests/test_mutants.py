@@ -25,16 +25,28 @@ regress that way with the suite still green.
       subset changes: only the encoding test sees it;
     - null-line-sign: `null_line` as `nh.newton_poly` calls it, with the
       middle entry of the n = 3 cross product negated, so the hull's
-      candidate normals are no longer orthogonal to their rows.
+      candidate normals are no longer orthogonal to their rows;
+    - t-parity-first-row: `_t_walk` tests only the points of T's first
+      row before it walks T, so a T that is odd only across two rows
+      (the golden `pair-odd` input) is walked as even;
+    - t-parity-trusted: `_t_walk` takes an odd T's first tuple as odd
+      without testing it;
+    - rank-n-kept: `_union_rank` capped at n−1, so that the walk keeps
+      the tuples of rank n;
+    - module-memo: one module-level memo shared by every `LambdaTuple`
+      the engine makes, in place of the per-call one.  The golden reports
+      do not change under it, so only the per-call count test sees it.
 """
 
 import dataclasses
+import itertools
 import math
 
 import pytest
 from click.testing import CliRunner
 
 import test_cli
+import test_decide_general
 import test_engine
 import test_golden_reports
 import test_newton_poly
@@ -46,6 +58,8 @@ _t_walk = engine._t_walk
 _serve = cli._serve
 _parity_masks = parity.parity_masks
 _null_line = newton_poly.null_line
+_union_rank = engine._union_rank
+_LambdaTuple = engine.LambdaTuple
 
 
 def _twin_walks_uncounted(lam, t):
@@ -100,6 +114,45 @@ def _null_line_sign(rows, n):
     return tuple(v // g for v in x) if g else None
 
 
+def _t_walk_with(t_points, trusted: bool):
+    """`engine._t_walk` with T's own parity test on `t_points(the rows'
+    supports)`, and with `trusted`, an odd T's first tuple taken as odd
+    untested."""
+    def walk(lam, t):
+        key = ("lo", *(lam.lambdas[nu].points for nu in t))
+        if key not in lam._memo:
+            walked, odd = [], None
+            even = engine.is_even(t_points(key[1:]))
+            for ft in engine.enumerate_lo_tuples(lam, t):
+                walked.append(ft)
+                if not even and ((trusted and len(walked) == 1)
+                                 or not engine.is_even(ft.union_lambda())):
+                    odd = len(walked) - 1
+                    break
+            lam._memo[key] = (t, walked, odd)
+        return lam._memo[key]
+    return walk
+
+
+def _union_rank_capped(dim, levels, n):
+    return min(_union_rank(dim, levels, n), n - 1)
+
+
+_MODULE_MEMO: dict = {}
+
+
+class _ModuleMemoTuple(_LambdaTuple):
+    def __init__(self, lambdas, spec, memo=None):
+        super().__init__(lambdas, spec, _MODULE_MEMO)
+
+
+def _with_monkeypatch(test):
+    def run(tmp_path):
+        with pytest.MonkeyPatch.context() as mp:
+            test(mp, tmp_path)
+    return run
+
+
 def _every_subcommand(command):
     return lambda tmp_path: (
         test_cli.test_every_subcommand_reads_runs_and_emits(
@@ -128,6 +181,16 @@ KILLERS = {
         lambda tmp_path: test_parity.test_parity_masks(),
     "test_newton_poly.py::test_worked_example_facets":
         lambda tmp_path: test_newton_poly.test_worked_example_facets(),
+    **{"test_decide_general.py::test_one_parity_test_per_t_support"
+       f"[{case}]": _with_monkeypatch(
+           lambda mp, tmp_path, case=case: test_decide_general.
+           test_one_parity_test_per_t_support(case, mp))
+       for case in ("frustum", "pair-odd")},
+    "test_decide_general.py::test_no_memo_outlives_a_call":
+        _with_monkeypatch(
+            lambda mp, tmp_path: test_decide_general.
+            test_no_memo_outlives_a_call(
+                test_decide_general.counting(mp), mp, tmp_path)),
 }
 
 GOLDEN = "test_golden_reports.py::test_reports_are_the_golden_ones"
@@ -152,6 +215,23 @@ MUTANTS = {
                              ["test_parity.py::test_parity_masks"]),
     "null-line-sign": (newton_poly, "null_line", _null_line_sign, [
         GOLDEN, "test_newton_poly.py::test_worked_example_facets"]),
+    "t-parity-first-row": (
+        engine, "_t_walk",
+        _t_walk_with(lambda rows: rows[0] if rows else (), False), [
+            GOLDEN,
+            "test_decide_general.py::test_one_parity_test_per_t_support"
+            "[pair-odd]"]),
+    "t-parity-trusted": (
+        engine, "_t_walk",
+        _t_walk_with(lambda rows: itertools.chain(*rows), True), [
+            GOLDEN,
+            *("test_decide_general.py::test_one_parity_test_per_t_support"
+              f"[{case}]" for case in ("frustum", "pair-odd"))]),
+    "rank-n-kept": (engine, "_union_rank", _union_rank_capped, [
+        GOLDEN,
+        "test_engine.py::test_scan_stops_at_the_first_odd_t[worked-pair]"]),
+    "module-memo": (engine, "LambdaTuple", _ModuleMemoTuple, [
+        "test_decide_general.py::test_no_memo_outlives_a_call"]),
 }
 
 
