@@ -484,7 +484,7 @@ def faces(problem):
                            S0=(sorted(j + 1 for j in
                                       face_closure_structure(f))
                                if not f.is_empty else None))
-                      for f in poly.faces()],
+                      for f in poly.faces],
         })
     return {"polyhedra": out}, EXIT_BOUNDED, None
 

@@ -121,7 +121,7 @@ class FaceTuple:
     def union_lambda(self) -> list:
         pts: set = set()
         for f in self.faces:
-            pts.update(f.lambda_points())
+            pts.update(f.lambda_points)
         return sorted(pts)
 
 
@@ -240,7 +240,7 @@ def enumerate_lo_tuples(lam: LambdaTuple, t: Optional[tuple] = None
     tuples of rank n are dropped as they come.  Cap(F*) is that sum face's
     normal cone (Z(S) holds it), so its generators are the sum's facet
     normals through the face.  The all-empty tuple, of rank 0, takes any
-    x ≠ 0 in Z(S), found by the interior sweep; its cap is Z(S),
+    x ≠ 0 in Z(S), found by one LP; its cap is Z(S),
     generated by the e_j, j ∈ S.  The tuples are yielded in the
     lexicographic order of the face indices (faces by descending
     dimension, then vertex/ray sets, the empty face last): a T-sum's
@@ -257,9 +257,8 @@ def enumerate_lo_tuples(lam: LambdaTuple, t: Optional[tuple] = None
     n = lam.spec.n
     empties = tuple(p.empty_face() for p in lam.polyhedra)
     if not t:
-        w = cones_interior_intersection(empties)
-        if w is not None:
-            yield FaceTuple(empties, 0, w, tuple(lam.spec.rays()))
+        yield FaceTuple(empties, 0, cones_interior_intersection(empties),
+                        tuple(lam.spec.rays()))
         return
     for part, w, normals, dim, levels in lam.sum_faces(t):
         r = _union_rank(dim, levels, n)
@@ -475,7 +474,7 @@ def classify_dyadic(lam: LambdaTuple, j: Sequence[int]) -> list:
     down_sets = []
     for p in lam.polyhedra:
         top = face_by_cone_interior(p, j)
-        down_sets.append([f for f in p.faces() if f <= top])
+        down_sets.append([f for f in p.faces if f <= top])
     return [FaceTuple(combo, union_point_rank(combo), None)
             for combo in itertools.product(*down_sets)]
 
@@ -502,7 +501,7 @@ def build_face_chain(tuple_: FaceTuple):
     n = spec.n
     gens = sorted(tuple_.cap_generators)
     lin = nullspace(spec.rays() + sorted(
-        set().union(*(f.parent.edge_directions() for f in faces
+        set().union(*(f.parent.edge_directions for f in faces
                       if not f.is_empty))), n=n)
     chains = []
     acc = tuple(Fraction(0) for _ in range(n))

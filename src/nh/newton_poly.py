@@ -19,6 +19,11 @@ gives both face lattices (`_closure`): the improper face closed under
 intersection with the facets' vertex/ray incidences (Kaibel and Pfetsch,
 Comput. Geom. 2002), graded from the meets it reaches.  From `_facets` on,
 a face is an int mask over each polyhedron's `layout`, indexed by mask.
+`build_newton` makes a polyhedron whole: the facet masks `_facets` finds
+are the incidences its closure runs on (`enumerate_faces`), so each face
+is made once, with its cut, facets, dimension and index.  F ∩ Ω, a face's
+direction basis and a polyhedron's edge directions, which not every path
+needs, are computed on first use.
 The hull stays on ints: integer directions, Πb levels and the exact V/H
 check (`NewtonPolyhedron.contains`).  Exponents and S entries must be
 integral (`exact_numeric.as_int`); nothing is truncated.
@@ -29,6 +34,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Collection, Iterable, Optional, Sequence
 
 from .exact_numeric import (
@@ -104,19 +110,13 @@ class Face:
     vertex_set: frozenset
     ray_set: frozenset
     dim: int
+    # (the vertices, the rays) as lists in the parent's `layout` order,
+    # sorted: what `minimal_points` returns for a functional that cuts the
+    # face out of the layout
+    cut: tuple = field(compare=False, repr=False)
+    index: int = field(compare=False, repr=False)   # its place in `faces`
     is_empty: bool = False
     is_improper: bool = False
-    # the position in its polyhedron's `faces()`, set by `enumerate_faces`
-    index: Optional[int] = field(default=None, init=False, compare=False,
-                                 repr=False)
-    # the cut (`cut`), given by `enumerate_faces` or filled by its first
-    # use; F ∩ Ω and the echelon rows of F's directions, filled by the
-    # first `lambda_points()` and `direction_basis()`
-    _cut: Optional[tuple] = field(default=None, compare=False, repr=False)
-    _lambda: Optional[tuple] = field(default=None, init=False, compare=False,
-                                     repr=False)
-    _span: Optional[tuple] = field(default=None, init=False, compare=False,
-                                   repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, Face):
@@ -136,41 +136,23 @@ class Face:
         return (self.vertex_set <= other.vertex_set
                 and self.ray_set <= other.ray_set)
 
-    @property
-    def cut(self) -> tuple:
-        """(the vertices, the rays) as lists in the parent's `layout()`
-        order, sorted: what `minimal_points` returns for a functional that
-        cuts the face out of the layout."""
-        if self._cut is None:
-            # frozen dataclass: the cache is set once, here
-            object.__setattr__(self, "_cut", (sorted(self.vertex_set),
-                                              sorted(self.ray_set)))
-        return self._cut
-
-    def sort_key(self):
-        return (-self.dim, *self.cut)
-
-    def lambda_points(self) -> list:
+    @cached_property
+    def lambda_points(self) -> tuple:
         """Points of the underlying exponent set lying on this face (F ∩ Ω),
-        sorted; computed once per face.  The sum of F's facet normals lies
-        in (F*)°, so it cuts F ∩ Ω out of Ω; on the improper face it is 0,
-        which cuts out all of Ω."""
-        if self._lambda is None:
-            p = self.parent
-            normals = [p.facets_a[i][0] for i in self.generator_idx]
-            x = tuple(map(sum, zip(*normals))) if normals else (0,) * p.spec.n
-            # frozen dataclass: the cache is set once, here
-            object.__setattr__(self, "_lambda", () if self.is_empty else tuple(
-                minimal_points(x, p.omega.sorted_points(), ())[0]))
-        return list(self._lambda)
+        sorted.  The sum of F's facet normals lies in (F*)°, so it cuts
+        F ∩ Ω out of Ω; on the improper face it is 0, which cuts out all
+        of Ω."""
+        if self.is_empty:
+            return ()
+        p = self.parent
+        normals = [p.facets_a[i][0] for i in self.generator_idx]
+        x = tuple(map(sum, zip(*normals))) if normals else (0,) * p.spec.n
+        return tuple(minimal_points(x, p.omega.sorted_points(), ())[0])
 
+    @cached_property
     def direction_basis(self) -> tuple:
-        """Echelon rows spanning the face's directions (`_directions`);
-        computed once per face."""
-        if self._span is None:
-            object.__setattr__(self, "_span", row_basis(
-                _directions(*self.cut)))
-        return self._span
+        """Echelon rows spanning the face's directions (`_directions`)."""
+        return row_basis(_directions(*self.cut))
 
 
 @dataclass(frozen=True)
@@ -182,16 +164,15 @@ class NewtonPolyhedron:
     facets_a: tuple     # ((normal, level), ...), oriented with P on the ≥ side
     basis_b: tuple      # ((normal, level), ...) spanning V⊥(P), pairwise ⊥
     dim: int
-    # the face list and its nonempty faces by mask (`layout`), filled by
-    # the first `enumerate_faces(self)`, the layout and the edge directions
-    _faces: Optional[list] = field(default=None, init=False, compare=False,
-                                   repr=False)
-    _face_index: Optional[dict] = field(default=None, init=False,
-                                        compare=False, repr=False)
-    _layout: Optional[tuple] = field(default=None, init=False,
-                                     compare=False, repr=False)
-    _edges: Optional[frozenset] = field(default=None, init=False,
-                                        compare=False, repr=False)
+    # (sorted vertices, sorted rays): a face is an int mask with bit i for
+    # the i-th vertex and bit len(vertices) + j for the j-th ray (a vertex
+    # equal to a ray keeps both bits)
+    layout: tuple = field(compare=False, repr=False)
+    # the faces, the empty one last, and the nonempty faces by mask: filled
+    # by `enumerate_faces` as `build_newton` makes the polyhedron
+    faces: list = field(default_factory=list, compare=False, repr=False)
+    face_index: dict = field(default_factory=dict, compare=False,
+                             repr=False)
 
     # -- basic queries ----------------------------------------------------
 
@@ -205,45 +186,29 @@ class NewtonPolyhedron:
                 and all(sum(map(operator.mul, q, x)) == s
                         for q, s in self.basis_b))
 
-    def faces(self) -> list:
-        return self._faces or enumerate_faces(self)
-
     def improper_face(self) -> Face:
-        return self.faces()[0]      # the one face of dimension dim(P)
+        return self.faces[0]      # the one face of dimension dim(P)
 
     def empty_face(self) -> Face:
-        return self.faces()[-1]
+        return self.faces[-1]
 
     def face_by_key(self, vertex_set, ray_set) -> Optional[Face]:
         """The nonempty face with these vertices and rays, or None."""
         vs = {int_vector(v) for v in vertex_set}
         rs = {int_vector(r) for r in ray_set}
-        verts, rays = self.layout()
+        verts, rays = self.layout
         mask = sum(1 << i for i, g in enumerate(verts + rays)
                    if g in (vs if i < len(verts) else rs))
-        self.faces()
-        return (self._face_index.get(mask)
+        return (self.face_index.get(mask)
                 if mask.bit_count() == len(vs) + len(rs) else None)
 
-    def layout(self) -> tuple:
-        """(sorted vertices, sorted rays): a face is an int mask with bit i
-        for the i-th vertex and bit len(vertices) + j for the j-th ray (a
-        vertex equal to a ray keeps both bits); computed once."""
-        if self._layout is None:
-            object.__setattr__(self, "_layout", (
-                tuple(sorted(self.vertices)), tuple(sorted(self.rays))))
-        return self._layout
-
+    @cached_property
     def edge_directions(self) -> frozenset:
         """The primitive directions of the edges, each as the larger of
-        ±d; computed once per polyhedron."""
-        if self._edges is None:
-            # frozen dataclass: the cache is set once, here
-            object.__setattr__(self, "_edges", frozenset(
-                max(d, tuple(-x for x in d))
-                for f in self.faces() if f.dim == 1
-                for d in map(primitive, _directions(*f.cut))))
-        return self._edges
+        ±d."""
+        return frozenset(max(d, tuple(-x for x in d))
+                         for f in self.faces if f.dim == 1
+                         for d in map(primitive, _directions(*f.cut)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +255,7 @@ def build_newton(omega: ExponentSet, spec: DomainSpec) -> NewtonPolyhedron:
     # the vertices, then the rays, in layout order, so generator i has bit
     # i of a face mask: an m-subset led by a ray holds no vertex, and all
     # later subsets are led by rays too.  A point has no facets.
-    layout = (tuple(verts), tuple(sorted(rays)))     # as p.layout()
+    layout = (tuple(verts), tuple(sorted(rays)))
     gens = layout[0] + layout[1]
     perp_rows = [q for q, _ in basis_b]
     subsets = itertools.takewhile(
@@ -313,7 +278,8 @@ def build_newton(omega: ExponentSet, spec: DomainSpec) -> NewtonPolyhedron:
     p = NewtonPolyhedron(
         omega=omega, spec=spec,
         vertices=frozenset(verts), rays=frozenset(rays),
-        facets_a=facets_a, basis_b=basis_b, dim=m)
+        facets_a=facets_a, basis_b=basis_b, dim=m, layout=layout)
+    enumerate_faces(p, [masks for _, (masks, _) in facets])
 
     # V/H consistency: every point of Ω satisfies the H-data, every facet is
     # tight on its defining vertices.
@@ -375,7 +341,7 @@ def _spans_facet(faces: Sequence, m: int) -> bool:
         return True
     if sum(dims) < m - 1:
         return False
-    return rank([row for f in faces for row in f.direction_basis()]) == m - 1
+    return rank([row for f in faces for row in f.direction_basis]) == m - 1
 
 
 # ---------------------------------------------------------------------------
@@ -456,34 +422,24 @@ def _closure(layouts: Sequence, facets: Sequence) -> dict:
     return {key: (idx, dims[key]) for key, idx in through.items()}
 
 
-def enumerate_faces(p: NewtonPolyhedron) -> list:
-    if p._faces is not None:
-        return p._faces
-
-    verts, rays = layout = p.layout()
-    # each facet's vertices and rays, from one level pass over the layout
-    incidence = [(sum(1 << i for i, g in enumerate(verts + rays)
-                      if sum(map(operator.mul, q, g)) == (
-                          level if i < len(verts) else 0)),)
-                 for q, level in p.facets_a]
-    index = {}
-    # a facet passes through every face but the improper one
-    for mask, (idx, dim) in _closure([layout], incidence).items():
-        vs, rs = _decode(layout, mask)
-        index[mask] = Face(parent=p, generator_idx=frozenset(idx),
-                           vertex_set=frozenset(vs), ray_set=frozenset(rs),
-                           dim=dim, is_improper=not idx, _cut=(vs, rs))
-    faces = sorted(index.values(), key=Face.sort_key)
-    faces.append(Face(parent=p,
-                      generator_idx=frozenset(range(len(incidence))),
-                      vertex_set=frozenset(), ray_set=frozenset(),
-                      dim=-1, is_empty=True, _cut=([], [])))
-    # frozen dataclass: the indices and caches are set once, here
-    for i, f in enumerate(faces):
-        object.__setattr__(f, "index", i)
-    object.__setattr__(p, "_face_index", index)
-    object.__setattr__(p, "_faces", faces)
-    return faces
+def enumerate_faces(p: NewtonPolyhedron, masks: Sequence) -> list:
+    """Fill p's `faces` and `face_index` from its facets' masks (a 1-tuple
+    each, as `_facets` returns them, in `facets_a` order) and return the
+    face list: the closure (`_closure`), sorted by descending dimension,
+    then vertices and rays (the improper face first), with the empty face
+    last.  A facet passes through every face but the improper one."""
+    found = sorted((-dim, *_decode(p.layout, mask), mask, idx)
+                   for mask, (idx, dim) in _closure([p.layout], masks).items())
+    for i, (neg, vs, rs, mask, idx) in enumerate(found):
+        p.face_index[mask] = face = Face(
+            parent=p, generator_idx=frozenset(idx), vertex_set=frozenset(vs),
+            ray_set=frozenset(rs), dim=-neg, cut=(vs, rs), index=i,
+            is_improper=not idx)
+        p.faces.append(face)
+    p.faces.append(Face(parent=p, generator_idx=frozenset(range(len(masks))),
+                        vertex_set=frozenset(), ray_set=frozenset(), dim=-1,
+                        cut=([], []), index=len(found), is_empty=True))
+    return p.faces
 
 
 def minkowski_faces(polys: Sequence[NewtonPolyhedron]) -> list:
@@ -510,13 +466,13 @@ def minkowski_faces(polys: Sequence[NewtonPolyhedron]) -> list:
     the improper face under intersection with the facets, done summand by
     summand (`_closure`), which also lists the facets through each and
     grades it.  The faces come in the lexicographic order of their
-    summand faces' indices, as one summand's `faces()` are."""
+    summand faces' indices, as one summand's `faces` are."""
     if len(polys) == 1:
         p = polys[0]
         basis_b = [q for q, _ in p.basis_b]
         flat = [s for _, s in p.basis_b]
         found = []
-        for f in p.faces():
+        for f in p.faces:
             if not f.is_empty:
                 idx = sorted(f.generator_idx)
                 found.append(((f,), [p.facets_a[i][0] for i in idx], f.dim,
@@ -535,23 +491,22 @@ def _sum_faces(polys: Sequence[NewtonPolyhedron]) -> tuple:
     `minkowski_faces`."""
     n = polys[0].spec.n
     basis_b = orthogonal_basis(nullspace(
-        [d for p in polys for d in _directions(*p.layout())], n=n))
+        [d for p in polys for d in _directions(*p.layout)], n=n))
     m = n - len(basis_b)
-    # edge_directions() builds each summand's face index
-    edges = sorted(frozenset().union(*(p.edge_directions() for p in polys)))
-    layouts = [p.layout() for p in polys]
+    edges = sorted(frozenset().union(*(p.edge_directions for p in polys)))
+    layouts = [p.layout for p in polys]
     # a point (m = 0) has no facets
     facets = _facets(
         ((list(sub) + basis_b, None)
          for sub in (itertools.combinations(edges, m - 1) if m else ())),
         layouts, n,
         lambda masks, _: _spans_facet(
-            [p._face_index[mask] for p, mask in zip(polys, masks)], m))
+            [p.face_index[mask] for p, mask in zip(polys, masks)], m))
     # Πb is orthogonal to each summand's directions: one level a summand
     flat = [[sum(map(operator.mul, b, verts[0])) for b in basis_b]
             for verts, _ in layouts]
     lows = [low for _, (_, low) in facets]
-    parts = [(p._face_index, shift, ones)
+    parts = [(p.face_index, shift, ones)
              for p, (shift, ones) in zip(polys, _shifts(layouts))]
     found = [
         (tuple(index[key >> shift & ones] for index, shift, ones in parts),
@@ -583,7 +538,7 @@ def minimal_points(x: Sequence, points: Collection, rays: Iterable) -> tuple:
 def interior_contains(f: Face, x: Sequence) -> bool:
     """x ∈ (F*)°, the open dual cone of the face, in the full-space sense:
     an x ≠ 0 in Z(S) that cuts F out of P (`minimal_points` on P's
-    `layout()` gives F's `cut`), or any such x on the empty face, whose
+    `layout` gives F's `cut`), or any such x on the empty face, whose
     dual cone is Z(S).  Exact: x holds ints or Fractions."""
     p = f.parent
     if len(x) != p.spec.n:
@@ -592,28 +547,23 @@ def interior_contains(f: Face, x: Sequence) -> bool:
         return False
     if f.is_empty:
         return True
-    return minimal_points(x, *p.layout()) == f.cut
+    return minimal_points(x, *p.layout) == f.cut
 
 
-def cones_interior_intersection(faces: Sequence[Face]) -> Optional[tuple]:
+def cones_interior_intersection(faces: Sequence[Face]) -> tuple:
     """Exact rational witness x ∈ ⋂(F_ν*)° for empty faces F_ν, whose open
-    dual cones are all Z(S) ∖ {0}, or None: one LP over x with the rows
-    e_j ≥ 0 for j ∈ S and a signed coordinate direction ±e_k > 0, for each
-    k and sign in turn until one is feasible."""
+    dual cones are all Z(S) ∖ {0}: one LP over x with the rows e_j ≥ 0 for
+    j ∈ S and e₁ > 0, which e₁ itself meets for every S."""
     if not faces or not all(f.is_empty for f in faces):
-        raise ValueError("the sweep takes empty faces only")
+        raise ValueError("the witness LP takes empty faces only")
     spec = faces[0].parent.spec
     n = spec.n
-    weak = tuple((unit(n, j), 0) for j in sorted(spec.S))
-    for k in range(n):
-        for sign in (1, -1):
-            x = solve_strict(StrictSystem(dim=n, weak=weak, strict=(
-                (tuple(sign * c for c in unit(n, k)), 0),)))
-            if x is not None:
-                assert all(interior_contains(f, x) for f in faces), \
-                    "interior witness failed exact re-check"
-                return x
-    return None
+    x = solve_strict(StrictSystem(
+        dim=n, weak=tuple((unit(n, j), 0) for j in sorted(spec.S)),
+        strict=((unit(n, 0), 0),)))
+    assert all(interior_contains(f, x) for f in faces), \
+        "interior witness failed exact re-check"
+    return x
 
 
 def face_by_cone_interior(p: NewtonPolyhedron, x: Sequence) -> Face:
@@ -624,7 +574,7 @@ def face_by_cone_interior(p: NewtonPolyhedron, x: Sequence) -> Face:
     if is_zero(x):
         return p.improper_face()
     assert p.spec.in_zs(x), "point not covered by any face cone"
-    return p.face_by_key(*minimal_points(x, *p.layout()))
+    return p.face_by_key(*minimal_points(x, *p.layout))
 
 
 def face_closure_structure(f: Face) -> frozenset:
@@ -637,7 +587,7 @@ def face_closure_structure(f: Face) -> frozenset:
         raise ValueError("empty face has no closure structure")
     p = f.parent
     s0 = frozenset(j for j in p.spec.S if unit(p.spec.n, j) in f.ray_set)
-    assert f.vertex_set <= set(f.lambda_points()) and f.ray_set == {
+    assert f.vertex_set <= set(f.lambda_points) and f.ray_set == {
         unit(p.spec.n, j) for j in s0}, \
         "N(Λ∩F, S0) does not reproduce the face"
     return s0

@@ -706,7 +706,7 @@ def _lattice_phase(p, witness, xi):
     exponents in lattice coordinates α, amplitudes c·ξ, and the sign sum
     of the original exponents (the sign folding acts on t, not on the
     lattice coordinates).  Returns (phase, m)."""
-    monos = _monomial_list(p, [set(f.lambda_points())
+    monos = _monomial_list(p, [set(f.lambda_points)
                                for f in witness.faces])
     points = sorted({m for _, m, _ in monos})
     basis = _row_hermite(points)

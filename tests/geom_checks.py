@@ -37,7 +37,6 @@ from nh.newton_poly import (
     DomainSpec,
     ExponentSet,
     build_newton,
-    enumerate_faces,
     face_by_cone_interior,
 )
 
@@ -283,7 +282,7 @@ def check_duality_order_reversal(p):
     Cone containment is decided exactly via the extreme generators and
     lineality basis of the smaller cone.
     """
-    faces = enumerate_faces(p)
+    faces = p.faces
     gens = {}
     for f in faces:
         rays, lin = cap_cone_generators([f])
@@ -313,7 +312,7 @@ def check_duality_order_reversal(p):
 def check_dim_formula(p):
     """dim(F) + dim(span F*) = n for every nonempty face."""
     n = p.spec.n
-    for f in enumerate_faces(p):
+    for f in p.faces:
         if f.is_empty:
             continue
         dual_dim = n - rank(dual_cone_rows(f)[0])
@@ -325,11 +324,11 @@ def check_dominating(p, rng: random.Random, samples: int = 50):
     """Random J ∈ F* satisfy J·m ≤ J·w for m ∈ F∩Ω, w ∈ Ω."""
     n = p.spec.n
     omega = p.omega.sorted_points()
-    for f in enumerate_faces(p):
+    for f in p.faces:
         if f.is_empty:
             continue
         rays, lin = cap_cone_generators([f])
-        flam = f.lambda_points()
+        flam = f.lambda_points
         for _ in range(samples):
             j = [Fraction(0)] * n
             for r in rays:
@@ -355,7 +354,7 @@ def _face_masks(p, X: np.ndarray):
     exponents ≤ 6).
     """
     masks = []
-    for f in enumerate_faces(p):
+    for f in p.faces:
         if f.is_empty:
             continue
         verts = np.array(sorted(f.vertex_set), dtype=np.int64)
@@ -403,7 +402,7 @@ def check_covering(p, radius: int = 15, spot_rng: random.Random = None):
     # nonempty face's open cone or by the empty face (whose open cone is
     # all of Z(S) ∖ {0}); cross-check resolution on a sample
     if spot_rng is not None:
-        faces = [f for f in enumerate_faces(p) if not f.is_empty]
+        faces = [f for f in p.faces if not f.is_empty]
         idx = [i for i in range(len(X)) if in_zs[i]]
         for i in spot_rng.sample(idx, min(25, len(idx))):
             x = tuple(int(v) for v in X[i])

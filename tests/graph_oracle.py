@@ -24,9 +24,9 @@ def graph_is_bounded(lambda_last: ExponentSet, spec: DomainSpec) -> bool:
     if not rest:
         return True
     units = [unit(n, j) for j in range(n)]
-    for f in build_newton(ExponentSet.of(rest, n), spec).faces():
+    for f in build_newton(ExponentSet.of(rest, n), spec).faces:
         gens = sorted(f.vertex_set) + sorted(f.ray_set)
-        points = set(f.lambda_points())
+        points = set(f.lambda_points)
         for size in range(n + 1):
             for axes in itertools.combinations(units, size):
                 if fraction_rank(gens + list(axes)) <= n - 1 and not is_even(

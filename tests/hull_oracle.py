@@ -3,13 +3,15 @@
 `build_newton_pairwise` draws candidate facet normals from exact nullspaces
 of (m−1)-subsets of all pairwise vertex differences and rays;
 `enumerate_faces_subsets` intersects the tight sets of every one of the 2^k
-facet subsets.  Both are exponential and slow.  The vertex test is
-`is_extreme_split`: the convex-combination LP with every variable split
-into u − v and λ, μ ≥ 0 as rows, solved by the rational-tableau simplex of
-`simplex_oracle`.  The oracle shares nothing with the production hull,
-lattice and LP except the exact linear algebra and the data classes.
-`closure_frozensets` is the Kaibel–Pfetsch closure on (vertex set, ray
-set) keys, the reference for the bitmask closure of `nh.newton_poly`.
+facet subsets.  Both are exponential and slow.  `incidence_masks` gives
+the facets' vertex/ray masks of such a record, so that the engine's closure
+can run on the oracle's hull.  The vertex test is `is_extreme_split`: the
+convex-combination LP with every variable split into u − v and λ, μ ≥ 0 as
+rows, solved by the rational-tableau simplex of `simplex_oracle`.  The
+oracle shares nothing with the production hull, lattice and LP except the
+exact linear algebra and the data classes.  `closure_frozensets` is the
+Kaibel–Pfetsch closure on (vertex set, ray set) keys, the reference for
+the bitmask closure of `nh.newton_poly`.
 """
 
 import itertools
@@ -92,7 +94,18 @@ def build_newton_pairwise(omega, spec) -> NewtonPolyhedron:
     return NewtonPolyhedron(
         omega=omega, spec=spec,
         vertices=frozenset(verts), rays=frozenset(rays),
-        facets_a=tuple(sorted(facets.items())), basis_b=basis_b, dim=m)
+        facets_a=tuple(sorted(facets.items())), basis_b=basis_b, dim=m,
+        layout=(tuple(verts), tuple(sorted(rays))))
+
+
+def incidence_masks(p: NewtonPolyhedron) -> list:
+    """Each facet's vertices and rays as a 1-tuple holding its mask over
+    `p.layout`, in `facets_a` order: the form `_facets` hands on."""
+    verts, rays = p.layout
+    return [(sum(1 << i for i, v in enumerate(verts) if dot(q, v) == level)
+             | sum(1 << len(verts) + j for j, r in enumerate(rays)
+                   if dot(q, r) == 0),)
+            for q, level in p.facets_a]
 
 
 def enumerate_faces_subsets(p: NewtonPolyhedron) -> list:
@@ -119,14 +132,15 @@ def enumerate_faces_subsets(p: NewtonPolyhedron) -> list:
                 and all(dot(p.facets_a[i][0], r) == 0 for r in rs))
             dims = rank([vsub(v, vs[0]) for v in vs[1:]] +
                         [tuple(map(Fraction, r)) for r in rs])
-            seen[fkey] = Face(
-                parent=p, generator_idx=gen,
-                vertex_set=fkey[0], ray_set=fkey[1], dim=dims,
-                is_improper=(fkey == (p.vertices, p.rays)))
-    faces = sorted(seen.values(), key=Face.sort_key)
+            seen[fkey] = (-dims, vs, rs, gen)
+    # by descending dimension, then vertices and rays, the empty face last
+    faces = [Face(parent=p, generator_idx=gen, vertex_set=frozenset(vs),
+                  ray_set=frozenset(rs), dim=-neg, cut=(vs, rs), index=i,
+                  is_improper=(set(vs), set(rs)) == (p.vertices, p.rays))
+             for i, (neg, vs, rs, gen) in enumerate(sorted(seen.values()))]
     faces.append(Face(parent=p, generator_idx=frozenset(range(k)),
                       vertex_set=frozenset(), ray_set=frozenset(),
-                      dim=-1, is_empty=True))
+                      dim=-1, cut=([], []), index=len(faces), is_empty=True))
     return faces
 
 

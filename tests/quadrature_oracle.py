@@ -103,7 +103,7 @@ def pv_integral(p, xi, a, b, tol_cell: float = CELL_TOL) -> QuadratureResult:
 
 def face_polynomial(p, face_tuple) -> VectorPolynomial:
     """P_F: the monomials c·t^m of P with m ∈ F_ν ∩ Λ_ν, per component."""
-    on_face = [set(f.lambda_points()) for f in face_tuple.faces]
+    on_face = [set(f.lambda_points) for f in face_tuple.faces]
     coef = {(nu, m): c for (nu, m), c in p.coefficients.items()
             if m in on_face[nu]}
     return VectorPolynomial(coef, p.d, p.spec)

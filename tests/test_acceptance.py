@@ -112,10 +112,10 @@ def test_criterion_01_worked_example_fidelity():
         # exactly the two odd unions among rank-≤2 face pairs
         odd_unions = set()
         odd_tuples = []
-        for f1, f2 in itertools.product(p1.faces(), p2.faces()):
+        for f1, f2 in itertools.product(p1.faces, p2.faces):
             if union_point_rank((f1, f2)) > 2:
                 continue
-            union = sorted(set(f1.lambda_points()) | set(f2.lambda_points()))
+            union = sorted(set(f1.lambda_points) | set(f2.lambda_points))
             if not is_even(union):
                 odd_unions.add(frozenset(union))
                 odd_tuples.append((f1, f2))
@@ -268,7 +268,7 @@ def test_criterion_06_chain_suite():
                     assert interior_contains(cur, acc)
                     # sign/zero size control on the exponent set
                     lam_pts = lam.lambdas[nu].sorted_points()
-                    face_pts = [m for m in cur.lambda_points()
+                    face_pts = [m for m in cur.lambda_points
                                 if m in lam.lambdas[nu].points]
                     for m in face_pts:
                         for w in lam_pts:
@@ -295,8 +295,8 @@ def _even_face_tuples():
     spec2 = DomainSpec.of(2, [0, 1])
     for pts in _graph_instances():
         poly = build_newton(ExponentSet.of(pts, 2), spec2)
-        for f in poly.faces():
-            union = f.lambda_points()
+        for f in poly.faces:
+            union = f.lambda_points
             if union and is_even(union):
                 out.append((_unit_poly(pts, 2, [0, 1]),
                             FaceTuple((f,), 0, None)))

@@ -262,7 +262,7 @@ def test_empty_face_contributes_nothing():
     for ft in enumerate_lo_tuples(lam):
         live = [f for f in ft.faces if not f.is_empty]
         union_live = sorted(set(
-            pt for f in live for pt in f.lambda_points()))
+            pt for f in live for pt in f.lambda_points))
         assert union_live == ft.union_lambda()
 
 
@@ -293,11 +293,11 @@ def test_n2_overlap_condition_redundant():
         verdict = decide_disjoint(lam).bounded
         # overlap-free variant: every rank-≤1 face tuple must be even
         no_overlap = True
-        for combo in itertools.product(*[p.faces()
+        for combo in itertools.product(*[p.faces
                                          for p in lam.polyhedra]):
             if union_point_rank(combo) <= 1:
                 u = sorted(set(pt for f in combo
-                               for pt in f.lambda_points()))
+                               for pt in f.lambda_points))
                 if not is_even(u):
                     no_overlap = False
                     break
@@ -492,7 +492,7 @@ def test_classify_dyadic_zero_everywhere():
     lam = _lam([[(2, 2), (3, 3)]], 2, [])
     tuples = classify_dyadic(lam, (0, 0))
     # all cones are closed under scaling, so 0 belongs to every tuple
-    n_faces = len(lam.polyhedra[0].faces())
+    n_faces = len(lam.polyhedra[0].faces)
     assert len(tuples) == n_faces
 
 
@@ -538,7 +538,7 @@ def test_classify_dyadic_matches_product_filter():
         for _ in range(5):
             j = tuple(rng.randint(0 if i in S else -3, 3) for i in range(n))
             expect = [combo for combo in itertools.product(
-                *[p.faces() for p in lam.polyhedra])
+                *[p.faces for p in lam.polyhedra])
                 if all(closure_contains(f, j) for f in combo)]
             assert [t.faces for t in classify_dyadic(lam, j)] == expect
 

@@ -14,6 +14,9 @@
   that module.
 - `nh verify` checks a certificate without the engine's hull, face-lattice
   or LP code.
+- No `object.__setattr__` fills a frozen record after the fact: a record
+  is made whole, and a value computed on first use is a
+  `functools.cached_property`.
 - `cli.py` calls `emit_report` and `_run` from two places only: `_serve`,
   the one read → run → emit path of the subcommands that read a problem,
   and `verify`, which reads a certificate.  A new subcommand goes through
@@ -125,6 +128,15 @@ def test_every_imported_name_is_used():
                                   for alias in stmt.names)
                     if bound not in used)
     assert unused == [], f"imported but unused: {unused}"
+
+
+def test_no_object_setattr_in_the_package():
+    found = [f"{fname}:{sub.lineno}"
+             for fname, tree in _trees().items() for sub in ast.walk(tree)
+             if isinstance(sub, ast.Attribute) and sub.attr == "__setattr__"
+             and isinstance(sub.value, ast.Name)
+             and sub.value.id == "object"]
+    assert found == [], f"object.__setattr__ at {found}"
 
 
 def test_cli_reports_from_serve_and_verify_only():

@@ -35,29 +35,50 @@ regress that way with the suite still green.
       the tuples of rank n;
     - module-memo: one module-level memo shared by every `LambdaTuple`
       the engine makes, in place of the per-call one.  The golden reports
-      do not change under it, so only the per-call count test sees it.
+      do not change under it, so only the per-call count test sees it;
+    - hull-rank-fallback-dropped: `build_newton`'s facet test keeps only
+      the bit test of the candidate's own subset, so a facet parallel to
+      the subset that found its normal is lost;
+    - vertex-lp-sum-row-dropped: `_is_extreme` without its Σλ = 1 row,
+      so a point in the cone of the others and the rays is no vertex;
+    - null-line-negated: `null_line` negated as a whole.  `_facets` tries
+      both ±q, so the hull is the same under it: only the orientation
+      pin of `test_exact_numeric` sees it, and the mutant is applied at
+      that test's binding as well as the hull's;
+    - parity-minus-dropped: the parity form's i^{|T|} read off
+      [1, i, 1, i], which only a term with |T| ≡ 2 or 3 (mod 4) shows;
+    - sign-groups-sin: the sign-group form with sin in place of cos.
+
+A row's first entry is the module, or the modules, whose binding of the
+target it patches.
 """
 
 import dataclasses
 import itertools
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import test_cli
 import test_decide_general
 import test_engine
+import test_exact_numeric
 import test_golden_reports
 import test_newton_poly
+import test_oscillatory
 import test_parity
-from nh import cli, engine, newton_poly, parity
+from nh import cli, engine, newton_poly, oscillatory, parity
+from nh.exact_numeric import StrictSystem, unit
 from nh.parity import odd_witness
 
 _t_walk = engine._t_walk
 _serve = cli._serve
 _parity_masks = parity.parity_masks
 _null_line = newton_poly.null_line
+_facets = newton_poly._facets
+_SignSum = oscillatory._SignSum
 _union_rank = engine._union_rank
 _LambdaTuple = engine.LambdaTuple
 
@@ -114,6 +135,55 @@ def _null_line_sign(rows, n):
     return tuple(v // g for v in x) if g else None
 
 
+def _null_line_negated(rows, n):
+    line = _null_line(rows, n)
+    return line and tuple(-x for x in line)
+
+
+def _facets_without_rank_fallback(candidates, layouts, n, spans):
+    """`_facets` as `build_newton` calls it (one layout), with its facet
+    test cut down to the bit test of the candidate's own subset."""
+    if len(layouts) == 1:
+        def spans(masks, own):
+            return not own & ~masks[0]
+    return _facets(candidates, layouts, n, spans)
+
+
+def _is_extreme_without_sum_row(p, others, rays):
+    """`newton_poly._is_extreme` without its Σλ = 1 row: p is taken as a
+    vertex only when it is off the cone of the other points and rays."""
+    gens = list(others) + list(rays)
+    eqs = tuple((tuple(g[coord] for g in gens), x)
+                for coord, x in enumerate(p))
+    weak = tuple((unit(len(gens), j), 0) for j in range(len(gens)))
+    return newton_poly.solve_strict(StrictSystem(
+        dim=len(gens), equalities=eqs, weak=weak)) is None
+
+
+class _ParityWithoutMinus(_SignSum):
+    """The parity form's i^{|T|} read off [1, i, 1, i]: every term's
+    coefficient loses its minus sign."""
+
+    def __init__(self, monomials, n):
+        super().__init__(monomials, n)
+        if self.parity and not self.empty:
+            self.coef = abs(self.coef)
+
+
+class _GroupsWithSin(_SignSum):
+    """The sign-group form with sin in place of cos in the real part."""
+
+    def bind(self, amps):
+        if self.parity:
+            return super().bind(amps)
+        mix = amps[:, None] * self.sgn
+
+        def group_form(mono):
+            sin = np.sin(mono @ mix)
+            return sin @ self.gw, sin @ self.gw
+        return group_form
+
+
 def _t_walk_with(t_points, trusted: bool):
     """`engine._t_walk` with T's own parity test on `t_points(the rows'
     supports)`, and with `trusted`, an odd T's first tuple taken as odd
@@ -144,6 +214,11 @@ _MODULE_MEMO: dict = {}
 class _ModuleMemoTuple(_LambdaTuple):
     def __init__(self, lambdas, spec, memo=None):
         super().__init__(lambdas, spec, _MODULE_MEMO)
+
+
+def _case(test, i: int) -> tuple:
+    """The i-th parameter set of a test's `parametrize` mark."""
+    return test.pytestmark[0].args[1][i]
 
 
 def _with_monkeypatch(test):
@@ -181,6 +256,27 @@ KILLERS = {
         lambda tmp_path: test_parity.test_parity_masks(),
     "test_newton_poly.py::test_worked_example_facets":
         lambda tmp_path: test_newton_poly.test_worked_example_facets(),
+    "test_newton_poly.py::test_worked_example_face_counts":
+        lambda tmp_path: test_newton_poly.test_worked_example_face_counts(),
+    "test_newton_poly.py::test_mixed_local_global":
+        lambda tmp_path: test_newton_poly.test_mixed_local_global(),
+    "test_newton_poly.py::test_hull_facet_test_ranks_only_faces_off_the_"
+    "subset": _with_monkeypatch(
+        lambda mp, tmp_path: test_newton_poly.
+        test_hull_facet_test_ranks_only_faces_off_the_subset(mp)),
+    "test_exact_numeric.py::test_null_line_is_the_nullspace_line":
+        lambda tmp_path: test_exact_numeric.
+        test_null_line_is_the_nullspace_line(),
+    **{"test_oscillatory.py::test_sign_group_kernel_matches_complex_exp"
+       f"[{case}]": lambda tmp_path, i=i: test_oscillatory.
+       test_sign_group_kernel_matches_complex_exp(*_case(
+           test_oscillatory.test_sign_group_kernel_matches_complex_exp, i))
+       for i, case in ((0, "3-monos0-amps0"), (1, "1-monos1-amps1"))},
+    **{f"test_oscillatory.py::test_lattice_phase_matches_complex_exp[{case}]":
+       lambda tmp_path, i=i: test_oscillatory.
+       test_lattice_phase_matches_complex_exp(*_case(
+           test_oscillatory.test_lattice_phase_matches_complex_exp, i))
+       for i, case in ((1, "2-points1-False"), (4, "3-points4-False"))},
     **{"test_decide_general.py::test_one_parity_test_per_t_support"
        f"[{case}]": _with_monkeypatch(
            lambda mp, tmp_path, case=case: test_decide_general.
@@ -232,13 +328,34 @@ MUTANTS = {
         "test_engine.py::test_scan_stops_at_the_first_odd_t[worked-pair]"]),
     "module-memo": (engine, "LambdaTuple", _ModuleMemoTuple, [
         "test_decide_general.py::test_no_memo_outlives_a_call"]),
+    "hull-rank-fallback-dropped": (
+        newton_poly, "_facets", _facets_without_rank_fallback, [
+            GOLDEN, "test_newton_poly.py::test_worked_example_facets",
+            "test_newton_poly.py::test_worked_example_face_counts",
+            "test_newton_poly.py::test_hull_facet_test_ranks_only_faces_off_"
+            "the_subset"]),
+    "vertex-lp-sum-row-dropped": (
+        newton_poly, "_is_extreme", _is_extreme_without_sum_row, [
+            GOLDEN, "test_newton_poly.py::test_mixed_local_global",
+            "test_newton_poly.py::test_hull_facet_test_ranks_only_faces_off_"
+            "the_subset"]),
+    "null-line-negated": (
+        (newton_poly, test_exact_numeric), "null_line", _null_line_negated,
+        ["test_exact_numeric.py::test_null_line_is_the_nullspace_line"]),
+    "parity-minus-dropped": (oscillatory, "_SignSum", _ParityWithoutMinus, [
+        "test_oscillatory.py::test_sign_group_kernel_matches_complex_exp"
+        f"[{case}]" for case in ("3-monos0-amps0", "1-monos1-amps1")]),
+    "sign-groups-sin": (oscillatory, "_SignSum", _GroupsWithSin, [
+        f"test_oscillatory.py::test_lattice_phase_matches_complex_exp[{case}]"
+        for case in ("2-points1-False", "3-points4-False")]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant_is_killed(name, monkeypatch, tmp_path):
-    module, target, mutant, killers = MUTANTS[name]
-    monkeypatch.setattr(module, target, mutant)
+    modules, target, mutant, killers = MUTANTS[name]
+    for module in modules if isinstance(modules, tuple) else (modules,):
+        monkeypatch.setattr(module, target, mutant)
     survivors = []
     for killer in killers:
         try:

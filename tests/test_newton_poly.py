@@ -29,6 +29,7 @@ from hull_oracle import (
     build_newton_pairwise,
     closure_frozensets,
     enumerate_faces_subsets,
+    incidence_masks,
     vertices_split,
 )
 from nh import newton_poly
@@ -37,7 +38,6 @@ from nh.exact_numeric import StrictSystem, dot, rank, unit, vsub
 from nh.newton_poly import (
     DomainSpec,
     ExponentSet,
-    Face,
     build_newton,
     cones_interior_intersection,
     enumerate_faces,
@@ -84,7 +84,7 @@ def test_worked_example_face_counts():
     p1 = _poly(LAM1, 3, FULL_S)
     p2 = _poly(LAM2, 3, FULL_S)
     for p in (p1, p2):
-        faces = enumerate_faces(p)
+        faces = p.faces
         assert len(faces) == 15
         by_dim = {d: sum(1 for f in faces if f.dim == d)
                   for d in (-1, 0, 1, 2, 3)}
@@ -92,12 +92,27 @@ def test_worked_example_face_counts():
         assert by_dim == {-1: 1, 0: 2, 1: 6, 2: 5, 3: 1}
 
 
-def test_face_list_lives_and_dies_with_its_polyhedron():
+def test_face_list_lives_and_dies_with_its_polyhedron(monkeypatch):
+    """`build_newton` makes the face list once, by `enumerate_faces`; the
+    lookups and the edge directions read that list and build no other,
+    and it is freed with its polyhedron."""
+    built = []
+
+    def enumerate_faces(p, masks, _fn=newton_poly.enumerate_faces):
+        built.append(_fn(p, masks))
+        return built[-1]
+    monkeypatch.setattr(newton_poly, "enumerate_faces", enumerate_faces)
     p = _poly(LAM1, 3, FULL_S)
-    faces = p.faces()
-    assert enumerate_faces(p) is faces
+    faces = p.faces
+    assert len(built) == 1 and built[0] is faces
+    assert all(f.parent is p for f in faces)
+    assert p.improper_face() is faces[0] and p.empty_face() is faces[-1]
+    assert p.face_by_key([(3, 3, 0)], []) in faces
+    assert p.edge_directions == {(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                 (3, 3, -2)}
+    assert len(built) == 1
     ref = weakref.ref(p)
-    del p, faces
+    del p, faces, built
     gc.collect()
     assert ref() is None
 
@@ -125,7 +140,7 @@ def test_single_point_global():
     assert p.vertices == frozenset({(1, 1)})
     assert p.rays == frozenset()
     assert p.dim == 0
-    faces = enumerate_faces(p)
+    faces = p.faces
     assert len(faces) == 2   # the point (improper) + empty
     imp = p.improper_face()
     assert imp.is_improper and imp.dim == 0
@@ -160,17 +175,16 @@ def test_closure_structure_rebuilds_every_face():
     for _ in range(60):
         p = build_newton(*random_instance(rng, n_max=4, max_points=6))
         omega = p.omega.sorted_points()
-        for f in p.faces()[:-1]:
+        for f in p.faces[:-1]:
             x = rho_cones_interior_intersection([f])
             if x is None:   # the improper face of a full-dimensional P
                 want = omega
             else:
                 low = min(dot(x, m) for m in omega)
                 want = [m for m in omega if dot(x, m) == low]
-            got = f.lambda_points()
-            assert got == want
-            got.clear()
-            assert f.lambda_points() == want
+            got = f.lambda_points
+            assert got == tuple(want)
+            assert f.lambda_points is got       # computed once
             rebuilt = build_newton(ExponentSet.of(want, p.spec.n),
                                    DomainSpec(p.spec.n,
                                               face_closure_structure(f)))
@@ -257,7 +271,7 @@ def test_face_by_cone_interior_unique():
             assert f.is_improper
             continue
         assert interior_contains(f, x)
-        others = [g for g in enumerate_faces(p)
+        others = [g for g in p.faces
                   if not g.is_empty and g != f]
         assert not any(interior_contains(g, x) for g in others)
 
@@ -273,7 +287,7 @@ def test_face_by_cone_interior_matches_scan():
                       for j in range(spec.n))
             if all(c == 0 for c in x):
                 continue
-            scan = [f for f in p.faces()
+            scan = [f for f in p.faces
                     if not f.is_empty and interior_contains(f, x)]
             assert [face_by_cone_interior(p, x)] == scan, (
                 omega.sorted_points(), sorted(spec.S), x)
@@ -283,7 +297,7 @@ def test_face_lookups_by_key():
     rng = random.Random(7)
     for _ in range(40):
         p = build_newton(*random_instance(rng, n_max=4, max_points=5))
-        faces = p.faces()
+        faces = p.faces
         for f in faces[:-1]:
             assert p.face_by_key(sorted(f.vertex_set),
                                  sorted(f.ray_set)) is f
@@ -343,9 +357,9 @@ def test_minkowski_faces_are_the_faces_of_the_built_sum(monkeypatch):
                                          for d in dual_cone_rows(f)[0]])
             assert dim + rank(levels) == union_point_rank(faces)
             picked.append(g)
-        want = [f for f in total.faces() if not f.is_empty
+        want = [f for f in total.faces if not f.is_empty
                 and not (f.is_improper and total.dim == spec.n)]
-        assert sorted(picked, key=Face.sort_key) == want, (
+        assert sorted(picked, key=lambda g: g.index) == want, (
             [p.omega.sorted_points() for p in polys], sorted(spec.S))
         kinds.add((len(polys), total.dim == spec.n))
     assert kinds == {(k, full) for k in (1, 2, 3) for full in (True, False)}
@@ -437,12 +451,12 @@ def test_hull_and_lattice_match_the_subset_oracle():
         assert (p.vertices, p.rays, p.facets_a, p.basis_b, p.dim) == (
             ref.vertices, ref.rays, ref.facets_a, ref.basis_b, ref.dim), \
             (omega, spec)
-        assert _face_data(enumerate_faces(p)) == _face_data(
+        assert _face_data(p.faces) == _face_data(
             enumerate_faces_subsets(ref)), (omega, spec)
-        assert [f.index for f in p.faces()] == list(range(len(p.faces())))
-        # each face's cut, from `enumerate_faces` or (the oracle's faces)
-        # computed on first use, is its vertices and rays in layout order
-        for f in p.faces() + enumerate_faces_subsets(ref):
+        assert [f.index for f in p.faces] == list(range(len(p.faces)))
+        # each face's cut, from `enumerate_faces` or from the oracle, is
+        # its vertices and rays in layout order
+        for f in p.faces + enumerate_faces_subsets(ref):
             assert f.cut == (sorted(f.vertex_set), sorted(f.ray_set)), f
         seen_dims.add((spec.n, p.dim))
     # every dimension 0..n occurs for n = 2, 3, 4
@@ -461,11 +475,13 @@ def test_hull_and_lattice_match_the_subset_oracle():
 
 
 def test_all_empty_sweep_witness_matches_the_split_oracle():
-    """The all-empty tuple's sweep (e_j ≥ 0 for j ∈ S, then a signed
-    e_k > 0) is the one production LP with both sign bounds and strict
-    rows, and `decompose` prints its witness: it is the split
-    formulation's with d copies of each bound, for every n ≤ 4, every S
-    and d ≤ 3.  The sweep takes empty faces only."""
+    """The all-empty tuple's LP (e_j ≥ 0 for j ∈ S and e₁ > 0) is the one
+    production LP with both sign bounds and strict rows, and `decompose`
+    prints its witness: it is the split formulation's with d copies of
+    each bound, for every n ≤ 4, every S and d ≤ 3.  A sweep of the split
+    LP over every signed coordinate direction ±e_k > 0 is feasible at its
+    first, e₁ > 0, and finds e₁ there, so one LP is all the engine runs.
+    The LP takes empty faces only."""
     for n in range(1, 5):
         for S in itertools.chain.from_iterable(
                 itertools.combinations(range(n), k) for k in range(n + 1)):
@@ -474,11 +490,12 @@ def test_all_empty_sweep_witness_matches_the_split_oracle():
                 faces = [build_newton(ExponentSet.of([unit(n, nu % n)], n),
                                       spec).empty_face() for nu in range(d)]
                 weak = tuple((unit(n, j), 0) for _ in faces for j in S)
-                sweep = (split_solve_strict(StrictSystem(n, weak=weak, strict=(
+                sweep = [split_solve_strict(StrictSystem(n, weak=weak, strict=(
                     (tuple(sign * c for c in unit(n, k)), 0),)))
-                    for k in range(n) for sign in (1, -1))
-                want = next((x for x in sweep if x is not None), None)
-                assert cones_interior_intersection(faces) == want, (n, S, d)
+                    for k in range(n) for sign in (1, -1)]
+                assert sweep[0] == unit(n, 0), (n, S, d)
+                assert cones_interior_intersection(faces) == sweep[0], (
+                    n, S, d)
                 with pytest.raises(ValueError):
                     cones_interior_intersection(
                         faces + [faces[0].parent.improper_face()])
@@ -507,7 +524,7 @@ def test_cyclic_polytope_f_vector():
     # 2^20 facet subsets would be out of reach for a subset lattice
     p = _poly([(t, t ** 2, t ** 3, t ** 4) for t in range(1, 9)], 4, [])
     assert len(p.facets_a) == 20
-    faces = enumerate_faces(p)
+    faces = p.faces
     f_vector = [sum(1 for f in faces if f.dim == d) for d in range(4)]
     assert f_vector == [8, 28, 40, 20]
 
@@ -532,7 +549,7 @@ def test_face_dims_from_the_lattice_match_rank():
     kinds, faces_seen = set(), 0
     for _ in range(150):
         p = build_newton(*random_instance(rng, n_max=5, max_points=8))
-        for f in p.faces()[:-1]:
+        for f in p.faces[:-1]:
             assert f.dim == _span_rank([(f.vertex_set, f.ray_set)]), (
                 p.omega.sorted_points(), sorted(p.spec.S))
             faces_seen += 1
@@ -604,7 +621,7 @@ def test_bitmask_closure_matches_the_frozenset_closure():
         spec = DomainSpec.of(n, S)
         polys = [build_newton(ExponentSet.of(pts, n), spec) for pts in sets]
         top, facets = _closure_input(polys)
-        layouts = [p.layout() for p in polys]
+        layouts = [p.layout for p in polys]
         got = _closure(layouts, [
             tuple(map(_key_mask, layouts, fkey)) for _, fkey in facets])
         want = closure_frozensets(top, facets)
@@ -622,21 +639,29 @@ def test_facet_masks_and_the_face_index(monkeypatch):
     """Faces as masks of each polyhedron's layout: every facet mask that
     `_facets` returns, for hulls and for 2- and 3-sums (some lying in
     t_n = 0, some with a vertex equal to a ray), decodes to the points
-    `minimal_points` cuts out of each summand, its level there is the
-    least level of q on the summand, and the mask index of
-    `enumerate_faces` maps each face's mask back to that face.  A
-    polyhedron built by the pairwise oracle, whose layout is made on first
-    use, enumerates the oracle's faces."""
+    `minimal_points` cuts out of each summand, and its level there is the
+    least level of q on the summand.  `build_newton` hands
+    `enumerate_faces` exactly the masks `_facets` returned, once per
+    polyhedron; each face's `index` is its position in `faces`, and the
+    mask index maps each face's mask back to that face.  The closure run
+    on a hull of the pairwise oracle, with the incidences the oracle
+    computes, enumerates the oracle's faces."""
     calls = []
 
     def facets(candidates, layouts, n, spans, _fn=newton_poly._facets):
         got = _fn(candidates, layouts, n, spans)
         calls.append((layouts, got))
         return got
+
+    def faces_of(p, masks, _fn=newton_poly.enumerate_faces):
+        calls.append((p, masks))
+        return _fn(p, masks)
     monkeypatch.setattr(newton_poly, "_facets", facets)
+    monkeypatch.setattr(newton_poly, "enumerate_faces", faces_of)
     rng = random.Random(2025)
     kinds = Counter()
     for _ in range(120):
+        calls.clear()
         n = rng.randint(1, 4)
         top = n - 1 if rng.random() < 1 / 3 else n
         S = [j for j in range(top) if rng.random() < 0.5]
@@ -646,12 +671,18 @@ def test_facet_masks_and_the_face_index(monkeypatch):
             {tuple(rng.randint(0, 3) if j < top else 0 for j in range(n))
              for _ in range(rng.randint(1, 4))} | set(units[:1]), n), spec)
             for _ in range(rng.randint(1, 3))]
-        for (layout,), _ in calls:
-            assert layout in [p.layout() for p in polys]
+        # each hull: one `_facets` call, then `enumerate_faces` on its masks
+        assert len(calls) == 2 * len(polys)
+        hulls = calls[::2]
+        for p, ((layout,), got), (q, masks) in zip(polys, hulls,
+                                                   calls[1::2]):
+            assert q is p and layout == p.layout
+            assert masks == [m for _, (m, _) in got], p.omega
         if len(polys) > 1:
             minkowski_faces(polys)
-            assert calls[-1][0] == [p.layout() for p in polys]
-        for layouts, got in calls:
+            assert calls[-1][0] == [p.layout for p in polys]
+            hulls.append(calls[-1])
+        for layouts, got in hulls:
             for q, (masks, lows) in got:
                 for layout, mask, level in zip(layouts, masks, lows):
                     low, zero = minimal_points(q, *layout)
@@ -659,17 +690,18 @@ def test_facet_masks_and_the_face_index(monkeypatch):
                         (set(low), set(zero)),), (layout, q)
                     assert level == dot(q, low[0]), (layout, q)
                     kinds["facet"] += 1
-        calls.clear()
         for p in polys:
-            faces = p.faces()
-            assert len(p._face_index) == len(faces) - 1
+            faces = p.faces
+            assert [f.index for f in faces] == list(range(len(faces)))
+            assert len(p.face_index) == len(faces) - 1
             for f in faces[:-1]:
-                assert p._face_index[_key_mask(
-                    p.layout(), (f.vertex_set, f.ray_set))] is f
+                assert p.face_index[_key_mask(
+                    p.layout, (f.vertex_set, f.ray_set))] is f
             kinds["shared"] += bool(p.vertices & p.rays)
         kinds[len(polys), top < n] += 1
         ref = build_newton_pairwise(polys[0].omega, spec)
-        assert _face_data(enumerate_faces(ref)) == _face_data(
+        assert enumerate_faces(ref, incidence_masks(ref)) is ref.faces
+        assert _face_data(ref.faces) == _face_data(
             enumerate_faces_subsets(ref))
     assert all(kinds[k, low] >= 5 for k in (1, 2, 3) for low in (False, True)
                ), kinds
@@ -706,7 +738,7 @@ def _probe_points(rng: random.Random, p, f, witness) -> list:
     pts = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(4)]
     if witness is not None:
         pts.append(witness)
-    pts += [rho_cones_interior_intersection([g]) for g in p.faces()
+    pts += [rho_cones_interior_intersection([g]) for g in p.faces
             if f <= g and g != f]
     pts = [x for x in pts if x is not None]
     outside = []
@@ -738,12 +770,12 @@ def test_interior_contains_is_the_level_form_test():
         for p in polys:
             pick = rng.random()
             f = (p.empty_face() if pick < 0.2 else p.improper_face()
-                 if pick < 0.4 else rng.choice(p.faces()))
+                 if pick < 0.4 else rng.choice(p.faces))
             faces.append(f)
             seen["empty"] += f.is_empty
             seen["improper"] += f.is_improper
             seen["low_dim"] += p.dim < n
-            for g in p.faces():
+            for g in p.faces:
                 if not g.is_empty:
                     assert face_closure_structure(g) == lp_closure_s0(g)
         x = x_cones_interior_intersection(faces)

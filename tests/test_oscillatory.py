@@ -1075,9 +1075,9 @@ def test_every_monomial_lies_on_the_improper_faces():
         p = VectorPolynomial(cmap, d=d, spec=spec)
         faces = _improper_tuple(p).faces
         assert PieceFamily(p).monos == _monomial_list(
-            p, [set(f.lambda_points()) for f in faces])
+            p, [set(f.lambda_points) for f in faces])
         assert [min(p.support(nu)) for nu in range(d)] == \
-            [f.lambda_points()[0] for f in faces]
+            [f.lambda_points[0] for f in faces]
 
 
 def _forbid_hull_code(monkeypatch):
@@ -1138,7 +1138,7 @@ def test_decay_probe_builds_no_polyhedra(monkeypatch, tmp_path):
     p, ray, xi, k_max = _WORKED_PAIR, (1, 1, 1), [0.2, -0.1], 5
     values = [abs(dyadic_piece(p, (k,) * 3, xi).values[0])
               for k in range(k_max + 1)]
-    least = [f.lambda_points()[0] for f in _improper_tuple(p).faces]
+    least = [f.lambda_points[0] for f in _improper_tuple(p).faces]
     args = [min(abs(x) * 2.0 ** (-k * sum(m)) for x, m in zip(xi, least))
             for k in range(k_max + 1)]
     _forbid_hull_code(monkeypatch)

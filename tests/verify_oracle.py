@@ -59,7 +59,7 @@ def verify_by_face_lookup(cert: dict) -> list:
     for f in faces:
         if not f.is_empty:
             pts.extend(sorted(f.vertex_set) + sorted(f.ray_set))
-            allowed.update(f.lambda_points())
+            allowed.update(f.lambda_points)
     r = rank(pts)
     if r != cert["union_rank"]:
         failures.append("union_rank mismatch")

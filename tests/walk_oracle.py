@@ -23,7 +23,7 @@ def _face_points(f) -> list:
 
 def walk_lo_tuples(lam: LambdaTuple):
     n = lam.spec.n
-    face_lists = [p.faces() for p in lam.polyhedra]
+    face_lists = [p.faces for p in lam.polyhedra]
 
     def walk(level: int, chosen: list, pts: list):
         if level == lam.d:
